@@ -447,8 +447,8 @@ impl BatchedInferenceSchedule {
 
     /// Cycle schedule for **several independent networks' batched
     /// inferences fused layer-locked** — the structural twin of the
-    /// software stack's multi-kernel scopes (`fixar-nn`'s
-    /// `forward_batch_fused`, which serves e.g. TD3's twin critics):
+    /// software stack's multi-kernel scopes (`fixar-nn`'s group
+    /// `forward_batch`, which serves e.g. TD3's twin critics):
     /// per layer *step*, every network still owning a layer streams its
     /// shard back to back under **one** phase setup/join, so the
     /// per-layer `phase_overhead_cycles` is paid once per step instead

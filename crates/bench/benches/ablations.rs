@@ -1,7 +1,7 @@
 //! Ablation benches for FIXAR's design choices: AAP core count, QAT bit
-//! width, quantization delay, Adam-unit width, and intra-batch worker
-//! count. These are the sweeps behind the paper's fixed design point
-//! (N = 2 cores, 16-bit activations, 512-bit Adam unit).
+//! width, quantization delay, and Adam-unit width. These are the sweeps
+//! behind the paper's fixed design point (N = 2 cores, 16-bit
+//! activations, 512-bit Adam unit).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fixar::prelude::*;
@@ -119,10 +119,6 @@ fn bench_ablations(c: &mut Criterion) {
     print_delay_sweep();
     print_adam_sweep();
 
-    // Criterion target: intra-batch-parallel training step vs sequential
-    // (the software mirror of adaptive parallelism).
-    let mut group = c.benchmark_group("parallel_train_batch_64");
-    group.sample_size(10);
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let data: Vec<Transition> = (0..64)
@@ -134,16 +130,6 @@ fn bench_ablations(c: &mut Criterion) {
             terminal: false,
         })
         .collect();
-    let mut cfg = DdpgConfig::small_test();
-    cfg.hidden = (64, 48);
-    for workers in [1usize, 2, 4] {
-        group.bench_function(format!("workers_{workers}"), |b| {
-            let mut agent = Ddpg::<Fx32>::new(17, 6, cfg.clone()).unwrap();
-            let refs: Vec<&Transition> = data.iter().collect();
-            b.iter(|| agent.train_batch_parallel(&refs, workers).unwrap());
-        });
-    }
-    group.finish();
 
     // TD3 vs DDPG training-step cost (the variant's twin critics roughly
     // double critic work).

@@ -5,12 +5,13 @@
 //! Prints ns/sample per kernel — the raw numbers behind the end-to-end
 //! speedups measured by `benches/batched_training.rs`.
 //!
-//! Two further arms ride along:
+//! The batched arms run the one entry each operation has
+//! (`WeightPack::gemv_batch` / `gemv_t_batch`, `Matrix::add_outer_batch`)
+//! inside `Parallelism::fused`, asserted bit-identical to the per-row
+//! chain before timing. Two further arms ride along:
 //!
-//! * packed-weight kernels ([`Matrix::pack`]) against their unpacked
-//!   counterparts, at the base shape and at 256×192 where the
-//!   column-strided `gemv_t_batch` walk hurts most — every packed
-//!   result is asserted bit-identical before timing;
+//! * `gemv_t_batch` at 256×192, the widest panel walk the quick-study
+//!   nets reach;
 //! * `quantizer_micro`: the per-element cost of each deploy-time
 //!   quantizer spec (Shift, affine fast path, threshold-table search),
 //!   isolated by subtracting a passthrough baseline artifact.
@@ -99,25 +100,47 @@ fn main() {
     push(&mut records, "add_outer per-row".into(), ns);
 
     // Batched kernels across worker counts (1 worker = the sequential
-    // batched kernel; every count is bit-identical, only throughput
-    // differs — and scaling requires free host cores).
+    // scope; every count is bit-identical, only throughput differs —
+    // and scaling requires free host cores). The gate proves
+    // bit-equality with the per-row chain before any timing is recorded.
+    let pack = w.pack();
+    let mut y = Matrix::<Fx32>::zeros(BATCH, ROWS);
+    let mut yt = Matrix::<Fx32>::zeros(BATCH, COLS);
+    Parallelism::sequential()
+        .fused(|ks| {
+            pack.gemv_batch(&a, &mut y, ks).unwrap();
+            pack.gemv_t_batch(&e, &mut yt, ks).unwrap();
+        })
+        .unwrap();
+    for b in 0..BATCH {
+        assert_eq!(
+            y.row(b),
+            w.gemv_alloc(a.row(b)).unwrap(),
+            "gemv_batch diverged from the per-row kernel"
+        );
+        assert_eq!(
+            yt.row(b),
+            w.gemv_t_alloc(e.row(b)).unwrap(),
+            "gemv_t_batch diverged from the per-row kernel"
+        );
+    }
     for &workers in &WORKER_COUNTS {
         let par = Parallelism::with_workers(workers);
         let ns = time_ns_per_sample(reps, BATCH, || {
-            std::hint::black_box(
-                w.gemv_batch_par_alloc(std::hint::black_box(&a), &par)
-                    .unwrap(),
-            );
+            par.fused(|ks| pack.gemv_batch(std::hint::black_box(&a), &mut y, ks))
+                .unwrap()
+                .unwrap();
+            std::hint::black_box(&y);
         });
         push(&mut records, format!("gemv_batch w{workers}"), ns);
     }
     for &workers in &WORKER_COUNTS {
         let par = Parallelism::with_workers(workers);
         let ns = time_ns_per_sample(reps, BATCH, || {
-            std::hint::black_box(
-                w.gemv_t_batch_par_alloc(std::hint::black_box(&e), &par)
-                    .unwrap(),
-            );
+            par.fused(|ks| pack.gemv_t_batch(std::hint::black_box(&e), &mut yt, ks))
+                .unwrap()
+                .unwrap();
+            std::hint::black_box(&yt);
         });
         push(&mut records, format!("gemv_t_batch w{workers}"), ns);
     }
@@ -125,67 +148,16 @@ fn main() {
         let par = Parallelism::with_workers(workers);
         let mut g = Matrix::<Fx32>::zeros(ROWS, COLS);
         let ns = time_ns_per_sample(reps, BATCH, || {
-            g.add_outer_batch_par(std::hint::black_box(&e), std::hint::black_box(&a), &par)
-                .unwrap();
+            par.fused(|ks| {
+                g.add_outer_batch(std::hint::black_box(&e), std::hint::black_box(&a), ks)
+            })
+            .unwrap()
+            .unwrap();
         });
         push(&mut records, format!("add_outer_batch w{workers}"), ns);
     }
-    let wt = w.transposed();
-    for &workers in &WORKER_COUNTS {
-        let par = Parallelism::with_workers(workers);
-        let ns = time_ns_per_sample(reps, BATCH, || {
-            std::hint::black_box(a.matmul_par(std::hint::black_box(&wt), &par).unwrap());
-        });
-        push(&mut records, format!("matmul w{workers}"), ns);
-    }
 
-    // Packed-weight kernels at the base shape: identical reduction
-    // order, unit-stride inner loops. The gate proves bit-equality with
-    // the unpacked kernel before any timing is recorded.
-    let pack = w.pack();
-    {
-        let mut y = Matrix::<Fx32>::zeros(BATCH, ROWS);
-        pack.gemv_batch(&a, &mut y).unwrap();
-        assert_eq!(
-            y,
-            w.gemv_batch_par_alloc(&a, &Parallelism::with_workers(1))
-                .unwrap(),
-            "packed gemv_batch diverged from the unpacked kernel"
-        );
-        let mut yt = Matrix::<Fx32>::zeros(BATCH, COLS);
-        pack.gemv_t_batch(&e, &mut yt).unwrap();
-        assert_eq!(
-            yt,
-            w.gemv_t_batch_par_alloc(&e, &Parallelism::with_workers(1))
-                .unwrap(),
-            "packed gemv_t_batch diverged from the unpacked kernel"
-        );
-    }
-    for &workers in &WORKER_COUNTS {
-        let par = Parallelism::with_workers(workers);
-        let mut y = Matrix::<Fx32>::zeros(BATCH, ROWS);
-        let ns = time_ns_per_sample(reps, BATCH, || {
-            pack.gemv_batch_par(std::hint::black_box(&a), &mut y, &par)
-                .unwrap();
-            std::hint::black_box(&y);
-        });
-        push(&mut records, format!("gemv_batch_packed w{workers}"), ns);
-    }
-    for &workers in &WORKER_COUNTS {
-        let par = Parallelism::with_workers(workers);
-        let mut y = Matrix::<Fx32>::zeros(BATCH, COLS);
-        let ns = time_ns_per_sample(reps, BATCH, || {
-            pack.gemv_t_batch_par(std::hint::black_box(&e), &mut y, &par)
-                .unwrap();
-            std::hint::black_box(&y);
-        });
-        push(&mut records, format!("gemv_t_batch_packed w{workers}"), ns);
-    }
-
-    // Wider shape arm: 256×192 is where the column-strided gemv_t walk
-    // pays the most per element, so the packed layout's win is clearest.
-    // Both sides reuse a preallocated output so the comparison is pure
-    // kernel time.
+    // Wider shape arm: 256×192 is the longest panel walk per sample.
     const ROWS2: usize = 256;
     const COLS2: usize = 192;
     let w2 = Matrix::<f64>::from_fn(ROWS2, COLS2, |r, c| ((r * 5 + c) % 17) as f64 * 0.08 - 0.6)
@@ -193,28 +165,15 @@ fn main() {
     let e2 = Matrix::<f64>::from_fn(BATCH, ROWS2, |b, c| ((b * 3 + c) % 9) as f64 * 0.15 - 0.6)
         .cast::<Fx32>();
     let pack2 = w2.pack();
-    let mut y2u = Matrix::<Fx32>::zeros(BATCH, COLS2);
-    let mut y2p = Matrix::<Fx32>::zeros(BATCH, COLS2);
-    w2.gemv_t_batch(&e2, &mut y2u).unwrap();
-    pack2.gemv_t_batch(&e2, &mut y2p).unwrap();
-    assert_eq!(
-        y2u, y2p,
-        "packed gemv_t_batch diverged from the unpacked kernel at 256x192"
-    );
-    let par1 = Parallelism::with_workers(1);
+    let mut y2 = Matrix::<Fx32>::zeros(BATCH, COLS2);
+    let seq = Parallelism::sequential();
     let ns = time_ns_per_sample(reps, BATCH, || {
-        w2.gemv_t_batch_par(std::hint::black_box(&e2), &mut y2u, &par1)
+        seq.fused(|ks| pack2.gemv_t_batch(std::hint::black_box(&e2), &mut y2, ks))
+            .unwrap()
             .unwrap();
-        std::hint::black_box(&y2u);
+        std::hint::black_box(&y2);
     });
     push(&mut records, "gemv_t_batch 256x192 w1".into(), ns);
-    let ns = time_ns_per_sample(reps, BATCH, || {
-        pack2
-            .gemv_t_batch_par(std::hint::black_box(&e2), &mut y2p, &par1)
-            .unwrap();
-        std::hint::black_box(&y2p);
-    });
-    push(&mut records, "gemv_t_batch_packed 256x192 w1".into(), ns);
 
     quantizer_micro(reps, &mut records);
 

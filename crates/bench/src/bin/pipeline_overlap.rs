@@ -3,11 +3,12 @@
 //!
 //! Two series, both gated on bit-equality before any timing:
 //!
-//! 1. **Fused vs per-kernel scopes** — the TD3 twin-critic shape
-//!    (two 23-400-300-1 critics, Fx32) forward+backward, either as
-//!    back-to-back pool-parallel passes (one scope per kernel, the
-//!    pre-fusion path) or through the fused drivers (one scope per
-//!    layer step hosting both critics' kernels), across worker counts.
+//! 1. **Fused vs per-network scopes** — the TD3 twin-critic shape
+//!    (two 23-400-300-1 critics, Fx32) forward+backward through the
+//!    one group entry, either as two back-to-back one-pass groups (one
+//!    scope per layer step *per critic*) or as one group of two (one
+//!    scope per layer step hosting both critics' kernels), across
+//!    worker counts.
 //! 2. **Overlapped vs lockstep `VecTrainer`** — env steps/sec of the
 //!    double-buffered serving loop against the lockstep loop at fleet
 //!    sizes {4, 16, 64}.
@@ -25,7 +26,7 @@
 use fixar_env::{EnvKind, EnvPool};
 use fixar_fixed::Fx32;
 use fixar_nn::{
-    backward_batch_fused, forward_batch_trace_fused, FusedBackward, Mlp, MlpConfig, MlpGrads,
+    backward_batch, forward_batch, BackwardPass, ForwardPass, Mlp, MlpConfig, MlpGrads, QatPhase,
 };
 use fixar_rl::{DdpgConfig, VecTrainer};
 use fixar_tensor::{Matrix, Parallelism};
@@ -56,6 +57,15 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// A QAT-less forward pass of `mlp` over `input`.
+fn plain_pass<'a>(mlp: &'a Mlp<Fx32>, input: &'a Matrix<Fx32>) -> ForwardPass<'a, Fx32> {
+    ForwardPass {
+        mlp,
+        input,
+        qat: QatPhase::Off,
+    }
+}
+
 /// One twin-critic training step's compute on the given path; returns
 /// the per-step wall clock over `reps` repetitions.
 fn time_twin_step(
@@ -74,16 +84,16 @@ fn time_twin_step(
         g1.reset();
         g2.reset();
         if fused {
-            let traces = forward_batch_trace_fused(&[c1, c2], &[x, x], par).unwrap();
-            backward_batch_fused(
+            let traces = forward_batch(&mut [plain_pass(c1, x), plain_pass(c2, x)], par).unwrap();
+            backward_batch(
                 &mut [
-                    FusedBackward {
+                    BackwardPass {
                         mlp: c1,
                         trace: &traces[0],
                         dl_dout: dl,
                         grads: &mut g1,
                     },
-                    FusedBackward {
+                    BackwardPass {
                         mlp: c2,
                         trace: &traces[1],
                         dl_dout: dl,
@@ -94,12 +104,11 @@ fn time_twin_step(
             )
             .unwrap();
         } else {
-            // Pre-fusion shape: each pass (and each backward kernel)
-            // joins its own scope.
-            let t1 = c1.forward_batch_trace_par(x, par).unwrap();
-            let t2 = c2.forward_batch_trace_par(x, par).unwrap();
-            c1.backward_batch_par(&t1, dl, &mut g1, par).unwrap();
-            c2.backward_batch_par(&t2, dl, &mut g2, par).unwrap();
+            // One group per critic: each pass joins its own scopes.
+            let t1 = c1.forward_batch(x, QatPhase::Off, par).unwrap();
+            let t2 = c2.forward_batch(x, QatPhase::Off, par).unwrap();
+            c1.backward_batch(&t1, dl, &mut g1, par).unwrap();
+            c2.backward_batch(&t2, dl, &mut g2, par).unwrap();
         }
         std::hint::black_box((&g1, &g2));
     }
@@ -136,7 +145,7 @@ fn main() {
          Pendulum fleet serving, {steps} fleet steps/cell; {cores} host core(s)"
     );
 
-    // --- series 1: fused vs per-kernel scopes -------------------------
+    // --- series 1: fused vs per-network scopes ------------------------
     let critic_cfg = MlpConfig::new(vec![23, 400, 300, 1]);
     let c1 = Mlp::<Fx32>::new_random(&critic_cfg, 1).unwrap();
     let c2 = Mlp::<Fx32>::new_random(&critic_cfg, 2).unwrap();
@@ -144,18 +153,20 @@ fn main() {
         .cast::<Fx32>();
     let dl = Matrix::<f64>::from_fn(BATCH, 1, |b, _| (b as f64 - 32.0) * 0.002).cast::<Fx32>();
 
-    // Bit-equality gate: fused ≡ per-kernel on every worker count.
+    // Bit-equality gate: fused ≡ per-network on every worker count.
     for &workers in &WORKER_COUNTS {
         let par = Parallelism::with_workers(workers);
-        let fused = forward_batch_trace_fused(&[&c1, &c2], &[&x, &x], &par).unwrap();
-        assert_eq!(fused[0].output, c1.forward_batch(&x).unwrap());
-        assert_eq!(fused[1].output, c2.forward_batch(&x).unwrap());
+        let fused = forward_batch(&mut [plain_pass(&c1, &x), plain_pass(&c2, &x)], &par).unwrap();
+        for (twin, critic) in fused.iter().zip([&c1, &c2]) {
+            let solo = critic.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            assert_eq!(twin.output, solo.output);
+        }
     }
 
     let mut kernel_records = Vec::new();
     for &workers in &WORKER_COUNTS {
         let par = Parallelism::with_workers(workers);
-        for (path, fused) in [("per_kernel", false), ("fused", true)] {
+        for (path, fused) in [("per_network", false), ("fused", true)] {
             let ns = time_twin_step(&c1, &c2, &x, &dl, &par, fused, reps);
             println!("twin-step w{workers} {path:>10}  {ns:>12.0} ns/step");
             kernel_records.push(KernelRecord {

@@ -1,5 +1,6 @@
 //! Replay-at-scale microbenchmark: the SoA ring buffer's gather-based
-//! `sample_batch` vs the legacy array-of-structs row-copy, at capacity
+//! `sample_batch_into` (into a reused scratch, as the trainers drive
+//! it) vs the legacy array-of-structs row-copy, at capacity
 //! {1k, 64k} × batch {32, 128} (HalfCheetah dimensions: 17 obs, 6
 //! actions), plus the prioritized-replay sampling overhead — the new
 //! workload the SoA ring unlocks. Before timing, every cell asserts
@@ -15,7 +16,9 @@
 //!   artifact CI uploads on every push).
 
 use fixar_bench::legacy_replay::{synthetic_transition, LegacyReplayBuffer};
-use fixar_rl::{PrioritizedConfig, ReplayBuffer, ReplaySampler, ReplayStrategy};
+use fixar_rl::{
+    PrioritizedConfig, ReplayBuffer, ReplaySampler, ReplayStrategy, SampledBatch, TransitionBatch,
+};
 use fixar_tensor::Parallelism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,13 +84,19 @@ fn main() {
         for &batch in &BATCHES {
             // Equivalence gate: identical RNG state in, bit-identical
             // batch out, before any timing.
-            let a = soa
-                .sample_batch(batch, &mut StdRng::seed_from_u64(7))
-                .expect("filled");
+            let par = Parallelism::sequential();
+            let mut scratch = TransitionBatch::empty();
+            assert!(soa.sample_batch_into(
+                batch,
+                &mut StdRng::seed_from_u64(7),
+                &par,
+                &mut scratch
+            ));
             let b = legacy
                 .sample_batch(batch, &mut StdRng::seed_from_u64(7))
                 .expect("filled");
-            assert_eq!(a, b, "SoA gather must equal the legacy row-copy");
+            assert_eq!(scratch, b, "SoA gather must equal the legacy row-copy");
+            let mut sampled = SampledBatch::scratch();
 
             // Interleaved min-of-rounds: each round times every path
             // back to back, and the minimum across rounds rejects
@@ -95,7 +104,6 @@ fn main() {
             // of the undisturbed cost).
             const ROUNDS: usize = 9;
             let round_reps = reps.div_ceil(ROUNDS);
-            let par = Parallelism::sequential();
             let (mut ns_legacy, mut ns_soa, mut ns_prio) = (f64::MAX, f64::MAX, f64::MAX);
             for _ in 0..ROUNDS {
                 let mut rng = StdRng::seed_from_u64(1);
@@ -105,12 +113,14 @@ fn main() {
                 ns_legacy = ns_legacy.min(ns);
                 let mut rng = StdRng::seed_from_u64(1);
                 let ns = time_ns_per_sample(round_reps, batch, || {
-                    std::hint::black_box(soa.sample_batch(batch, &mut rng).unwrap());
+                    assert!(soa.sample_batch_into(batch, &mut rng, &par, &mut scratch));
+                    std::hint::black_box(&scratch);
                 });
                 ns_soa = ns_soa.min(ns);
                 let mut rng = StdRng::seed_from_u64(2);
                 let ns = time_ns_per_sample(round_reps, batch, || {
-                    std::hint::black_box(sampler.sample(&soa, batch, &mut rng, &par).unwrap());
+                    assert!(sampler.sample_into(&soa, batch, &mut rng, &par, &mut sampled));
+                    std::hint::black_box(&sampled);
                 });
                 ns_prio = ns_prio.min(ns);
             }

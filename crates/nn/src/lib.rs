@@ -45,9 +45,9 @@ pub use error::NnError;
 pub use init::WeightInit;
 pub use loss::{half_mse, half_mse_grad};
 pub use mlp::{
-    backward_batch_fused, forward_batch_fused, forward_batch_qat_fused, forward_batch_trace_fused,
-    BatchTrace, ForwardTrace, FusedBackward, FusedForward, Mlp, MlpConfig, MlpGrads,
+    backward_batch, forward_batch, BackwardPass, BatchTrace, ForwardPass, ForwardTrace, Mlp,
+    MlpConfig, MlpGrads,
 };
-pub use qat::{PrecisionError, PrecisionPolicy, QatMode, QatRuntime, QatRuntimeBuilder};
+pub use qat::{PrecisionError, PrecisionPolicy, QatMode, QatPhase, QatRuntime, QatRuntimeBuilder};
 
 pub use fixar_fixed::QFormat;

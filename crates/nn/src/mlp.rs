@@ -9,7 +9,7 @@ use fixar_tensor::{vector, Matrix, WeightPack};
 use crate::activation::Activation;
 use crate::error::NnError;
 use crate::init::{seeded_rng, WeightInit};
-use crate::qat::QatRuntime;
+use crate::qat::{QatPhase, QatRuntime};
 
 /// Configuration of a fully-connected network.
 ///
@@ -474,225 +474,62 @@ impl<S: Scalar> Mlp<S> {
         })
     }
 
-    /// Batched inference: one minibatch sample per row of `x`, no
-    /// gradient bookkeeping. Row `b` of the result is bit-identical to
-    /// `forward(x.row(b))`.
+    /// Batched forward pass: one minibatch sample per row of `x`,
+    /// capturing the trace needed by [`Mlp::backward_batch`] — the
+    /// one-pass convenience over the group entry [`forward_batch`].
+    /// Row `b` of every trace matrix is bit-identical to the per-sample
+    /// pass on `x.row(b)` ([`Mlp::forward_trace`] for
+    /// [`QatPhase::Off`], [`Mlp::forward_qat`] for
+    /// [`QatPhase::Observing`], [`Mlp::forward_qat_frozen`] for
+    /// [`QatPhase::Frozen`]) at every worker count of `par`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Shape`] if `x.cols() != input_dim()`.
-    pub fn forward_batch(&self, x: &Matrix<S>) -> Result<Matrix<S>, NnError> {
-        let mut qat = QatRuntime::disabled(self.num_layers() + 1);
-        Ok(self.forward_batch_qat(x, &mut qat)?.output)
-    }
-
-    /// Pool-parallel [`Mlp::forward_batch`]: every layer's batched MVM
-    /// shards across the workers of `par` (see
-    /// [`Matrix::gemv_batch_par`]); bit-identical to the sequential
-    /// batched pass — and hence to the per-sample pass — at every
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Shape`] if `x.cols() != input_dim()`.
-    pub fn forward_batch_par(
+    /// Same conditions as [`forward_batch`].
+    pub fn forward_batch(
         &self,
         x: &Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<Matrix<S>, NnError> {
-        let mut qat = QatRuntime::disabled(self.num_layers() + 1);
-        Ok(self.forward_batch_qat_par(x, &mut qat, par)?.output)
-    }
-
-    /// Batched forward pass capturing the trace needed by
-    /// [`Mlp::backward_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Shape`] if `x.cols() != input_dim()`.
-    pub fn forward_batch_trace(&self, x: &Matrix<S>) -> Result<BatchTrace<S>, NnError> {
-        let mut qat = QatRuntime::disabled(self.num_layers() + 1);
-        self.forward_batch_qat(x, &mut qat)
-    }
-
-    /// Pool-parallel [`Mlp::forward_batch_trace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Shape`] if `x.cols() != input_dim()`.
-    pub fn forward_batch_trace_par(
-        &self,
-        x: &Matrix<S>,
+        qat: QatPhase<'_>,
         par: &Parallelism,
     ) -> Result<BatchTrace<S>, NnError> {
-        let mut qat = QatRuntime::disabled(self.num_layers() + 1);
-        self.forward_batch_qat_par(x, &mut qat, par)
-    }
-
-    /// Batched forward pass through the QAT runtime: every quantization
-    /// point observes (or quantizes) the **whole activation matrix** of
-    /// the minibatch in one call, instead of one sample vector at a time.
-    /// Range monitors see exactly the same values as `batch` per-sample
-    /// passes (min/max/count are order-independent), and frozen
-    /// quantizers apply elementwise, so the batched pass stays
-    /// bit-exact with the per-sample path under every QAT mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Shape`] on input-width mismatch and
-    /// [`NnError::InvalidConfig`] if `qat` was built for a different
-    /// number of points.
-    pub fn forward_batch_qat(
-        &self,
-        x: &Matrix<S>,
-        qat: &mut QatRuntime,
-    ) -> Result<BatchTrace<S>, NnError> {
-        self.forward_batch_with(
-            x,
-            qat.num_points(),
-            &Parallelism::sequential(),
-            |point, xs| qat.process(point, xs),
-        )
-    }
-
-    /// Pool-parallel [`Mlp::forward_batch_qat`]: the batched MVMs shard
-    /// across the pool; QAT observation/quantization still processes the
-    /// whole activation matrix on the calling thread (monitors are
-    /// order-independent, frozen quantizers elementwise), so the trace
-    /// is bit-identical to the sequential batched pass under every QAT
-    /// mode.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Mlp::forward_batch_qat`].
-    pub fn forward_batch_qat_par(
-        &self,
-        x: &Matrix<S>,
-        qat: &mut QatRuntime,
-        par: &Parallelism,
-    ) -> Result<BatchTrace<S>, NnError> {
-        self.forward_batch_with(x, qat.num_points(), par, |point, xs| qat.process(point, xs))
-    }
-
-    /// Batched forward pass against an immutable QAT runtime (frozen
-    /// quantizers apply, nothing is recorded) — the batched analogue of
-    /// [`Mlp::forward_qat_frozen`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Mlp::forward_batch_qat`].
-    pub fn forward_batch_qat_frozen(
-        &self,
-        x: &Matrix<S>,
-        qat: &QatRuntime,
-    ) -> Result<BatchTrace<S>, NnError> {
-        self.forward_batch_with(
-            x,
-            qat.num_points(),
-            &Parallelism::sequential(),
-            |point, xs| qat.apply(point, xs),
-        )
-    }
-
-    /// Pool-parallel [`Mlp::forward_batch_qat_frozen`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Mlp::forward_batch_qat`].
-    pub fn forward_batch_qat_frozen_par(
-        &self,
-        x: &Matrix<S>,
-        qat: &QatRuntime,
-        par: &Parallelism,
-    ) -> Result<BatchTrace<S>, NnError> {
-        self.forward_batch_with(x, qat.num_points(), par, |point, xs| qat.apply(point, xs))
-    }
-
-    fn forward_batch_with(
-        &self,
-        x: &Matrix<S>,
-        qat_points: usize,
-        par: &Parallelism,
-        mut process: impl FnMut(usize, &mut [S]),
-    ) -> Result<BatchTrace<S>, NnError> {
-        if qat_points != self.num_layers() + 1 {
-            return Err(NnError::InvalidConfig(format!(
-                "qat runtime has {} points, network needs {}",
-                qat_points,
-                self.num_layers() + 1
-            )));
-        }
-        // One pass through the shared fused driver: the single-network
-        // forward is the one-element case of the fused multi-network
-        // forward, so the two cannot drift apart.
-        let mut p: &mut dyn FnMut(usize, &mut [S]) = &mut process;
-        let mut traces =
-            forward_batch_fused_driver(&[self], &[x], std::slice::from_mut(&mut p), par)?;
+        let mut pass = [ForwardPass {
+            mlp: self,
+            input: x,
+            qat,
+        }];
+        let mut traces = forward_batch(&mut pass, par)?;
         Ok(traces.pop().expect("one pass in, one trace out"))
     }
 
     /// Back-propagates a minibatch of output gradients (`dl_dout`, one
     /// sample per row) through the batched trace, accumulating parameter
     /// gradients into `grads` and returning the `(batch, input_dim)`
-    /// matrix of input gradients.
+    /// matrix of input gradients — the one-pass convenience over the
+    /// group entry [`backward_batch`].
     ///
     /// Gradient accumulation across the batch runs in **ascending sample
     /// order** (the documented reduction order of the gradient memory),
     /// so the accumulated `grads` are bit-identical to calling
-    /// [`Mlp::backward`] on each sample's trace in row order.
+    /// [`Mlp::backward`] on each sample's trace in row order, at every
+    /// worker count of `par`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Shape`] if `dl_dout` is not
-    /// `(batch, output_dim())` or `grads` was shaped for another network.
+    /// Same conditions as [`backward_batch`].
     pub fn backward_batch(
         &self,
         trace: &BatchTrace<S>,
         dl_dout: &Matrix<S>,
         grads: &mut MlpGrads<S>,
-    ) -> Result<Matrix<S>, NnError> {
-        self.backward_batch_with(trace, dl_dout, grads, &Parallelism::sequential())
-    }
-
-    /// Pool-parallel [`Mlp::backward_batch`]: per layer, the transposed
-    /// error MVM shards across batch rows and the weight-gradient
-    /// accumulation shards across weight rows (see
-    /// [`Matrix::gemv_t_batch_par`] / [`Matrix::add_outer_batch_par`]),
-    /// so the accumulated gradients stay bit-identical to the
-    /// sequential batched backward — and to the per-sample backward in
-    /// ascending sample order — at every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Mlp::backward_batch`].
-    pub fn backward_batch_par(
-        &self,
-        trace: &BatchTrace<S>,
-        dl_dout: &Matrix<S>,
-        grads: &mut MlpGrads<S>,
         par: &Parallelism,
     ) -> Result<Matrix<S>, NnError> {
-        self.backward_batch_with(trace, dl_dout, grads, par)
-    }
-
-    fn backward_batch_with(
-        &self,
-        trace: &BatchTrace<S>,
-        dl_dout: &Matrix<S>,
-        grads: &mut MlpGrads<S>,
-        par: &Parallelism,
-    ) -> Result<Matrix<S>, NnError> {
-        // One pass through the shared fused driver (see
-        // [`backward_batch_fused`]): even a single network benefits —
-        // each layer's gradient outer product and error MVM now share
-        // one fused scope (one join) instead of opening two.
-        let mut passes = [FusedBackward {
+        let mut pass = [BackwardPass {
             mlp: self,
             trace,
             dl_dout,
             grads,
         }];
-        let mut outs = backward_batch_fused(&mut passes, par)?;
+        let mut outs = backward_batch(&mut pass, par)?;
         Ok(outs.pop().expect("one pass in, one input gradient out"))
     }
 
@@ -800,47 +637,44 @@ impl<S: Scalar> Mlp<S> {
     }
 }
 
-// --- fused multi-network passes --------------------------------------------
+// --- batched passes ----------------------------------------------------------
 //
 // Independent networks fed independent inputs (TD3's twin critics, a
-// target actor alongside an online critic) used to run one batched pass
-// after another, each layer opening its own pool scope. The fused
-// drivers below run such passes **layer-locked**: per layer step, every
-// still-active pass submits its kernels into ONE fused scope
-// (`Parallelism::fused`) and they all share a single barrier join —
-// cutting the joins per phase from `passes × layers` to `layers` while
-// keeping every worker busy on the union of the kernels. Host-side work
-// (bias broadcast, activation, QAT observation, bias gradients) stays
-// on the calling thread in ascending pass order. Per-element reduction
-// chains are untouched and distinct passes write disjoint outputs, so
-// fused results are **bit-identical** to running the passes back to
-// back — sequentially or pool-parallel — at every worker count.
+// target actor alongside an online critic) run **layer-locked**: per
+// layer step, every still-active pass submits its kernels into ONE fused
+// scope (`Parallelism::fused`) and they all share a single barrier join
+// — `layers` joins per phase instead of `passes × layers`, with every
+// worker busy on the union of the kernels. Host-side work (bias
+// broadcast, activation, QAT observation, bias gradients) stays on the
+// calling thread in ascending pass order. Per-element reduction chains
+// are untouched and distinct passes write disjoint outputs, so a group
+// is **bit-identical** to running its passes one by one — and to the
+// per-sample passes — at every worker count.
 
-/// A per-pass activation hook `(point, values)` — QAT observation,
-/// quantization, or a no-op — applied on the calling thread between
-/// fused layer steps.
-type ProcessHook<'a, S> = &'a mut dyn FnMut(usize, &mut [S]);
-
-/// One independent batched QAT forward pass in a fused group: the
-/// network, its `(batch, input_dim)` input, and the QAT runtime
-/// observing (or quantizing) its activations. See
-/// [`forward_batch_qat_fused`].
-pub struct FusedForward<'a, S: Scalar> {
+/// One independent batched forward pass in a group: the network, its
+/// `(batch, input_dim)` input, and the QAT phase its activations pass
+/// through. See [`forward_batch`].
+pub struct ForwardPass<'a, S: Scalar> {
     /// Network to run.
     pub mlp: &'a Mlp<S>,
     /// `(batch, input_dim)` input matrix.
     pub input: &'a Matrix<S>,
-    /// QAT runtime for this pass (disabled runtimes are fine).
-    pub qat: &'a mut QatRuntime,
+    /// QAT phase of this pass.
+    pub qat: QatPhase<'a>,
 }
 
-/// Runs several **independent** batched QAT forward passes layer-locked
-/// through fused scopes: one join per layer step for the whole group.
-/// Element `i` of the result is bit-identical to
-/// `passes[i].mlp.forward_batch_qat_par(passes[i].input, passes[i].qat, par)`
-/// run on its own — in every backend, at every worker count (QAT range
-/// monitors are order-independent, so observing two passes interleaved
-/// leaves each runtime exactly as running them apart would).
+/// Runs several **independent** batched forward passes layer-locked
+/// through fused scopes — one join per layer step for the whole group —
+/// returning each pass's [`BatchTrace`].
+///
+/// Every quantization point observes (or quantizes) the **whole
+/// activation matrix** of the minibatch in one call on the calling
+/// thread. Range monitors see exactly the values `batch` per-sample
+/// passes would (min/max/count are order-independent, so interleaving
+/// passes changes nothing either), and frozen quantizers apply
+/// elementwise, so row `b` of trace `i` is bit-identical to the
+/// per-sample pass of `passes[i]` on its input row `b` under every
+/// [`QatPhase`], in every backend, at every worker count.
 ///
 /// Passes may have different depths; a shallower pass simply stops
 /// contributing kernels once its layers are exhausted.
@@ -849,170 +683,88 @@ pub struct FusedForward<'a, S: Scalar> {
 ///
 /// Returns [`NnError::Shape`] on input-width mismatch,
 /// [`NnError::InvalidConfig`] if a QAT runtime was built for a
-/// different point count, and [`NnError::Pool`] if a fused kernel
+/// different point count, and [`NnError::Pool`] if a kernel shard
 /// panicked (contained per task; sibling kernels complete and the pool
 /// survives).
-pub fn forward_batch_qat_fused<S: Scalar>(
-    passes: &mut [FusedForward<'_, S>],
+pub fn forward_batch<S: Scalar>(
+    passes: &mut [ForwardPass<'_, S>],
     par: &Parallelism,
 ) -> Result<Vec<BatchTrace<S>>, NnError> {
     for p in passes.iter() {
-        if p.qat.num_points() != p.mlp.num_layers() + 1 {
-            return Err(NnError::InvalidConfig(format!(
-                "qat runtime has {} points, network needs {}",
-                p.qat.num_points(),
-                p.mlp.num_layers() + 1
-            )));
+        let points = p.mlp.num_layers() + 1;
+        match p.qat.num_points() {
+            Some(n) if n != points => {
+                return Err(NnError::InvalidConfig(format!(
+                    "qat runtime has {n} points, network needs {points}"
+                )));
+            }
+            _ => {}
         }
-    }
-    let mut nets = Vec::with_capacity(passes.len());
-    let mut inputs = Vec::with_capacity(passes.len());
-    let mut runtimes: Vec<&mut QatRuntime> = Vec::with_capacity(passes.len());
-    for p in passes.iter_mut() {
-        nets.push(p.mlp);
-        inputs.push(p.input);
-        runtimes.push(&mut *p.qat);
-    }
-    let mut closures: Vec<_> = runtimes
-        .into_iter()
-        .map(|qat| move |point: usize, xs: &mut [S]| qat.process(point, xs))
-        .collect();
-    let mut processes: Vec<ProcessHook<'_, S>> = closures
-        .iter_mut()
-        .map(|c| c as ProcessHook<'_, S>)
-        .collect();
-    forward_batch_fused_driver(&nets, &inputs, &mut processes, par)
-}
-
-/// [`forward_batch_qat_fused`] without QAT bookkeeping, returning full
-/// traces — the fused analogue of [`Mlp::forward_batch_trace_par`] for
-/// a group of independent networks (e.g. both TD3 critics on the same
-/// `(state ‖ action)` batch before their fused backward).
-///
-/// # Errors
-///
-/// Returns [`NnError::Shape`] on input-width mismatch and
-/// [`NnError::Pool`] on a contained worker panic.
-pub fn forward_batch_trace_fused<S: Scalar>(
-    nets: &[&Mlp<S>],
-    inputs: &[&Matrix<S>],
-    par: &Parallelism,
-) -> Result<Vec<BatchTrace<S>>, NnError> {
-    let mut noops: Vec<_> = (0..nets.len())
-        .map(|_| |_: usize, _: &mut [S]| {})
-        .collect();
-    let mut processes: Vec<ProcessHook<'_, S>> =
-        noops.iter_mut().map(|c| c as ProcessHook<'_, S>).collect();
-    forward_batch_fused_driver(nets, inputs, &mut processes, par)
-}
-
-/// [`forward_batch_trace_fused`] keeping only the outputs — the fused
-/// analogue of [`Mlp::forward_batch_par`] for a group of independent
-/// networks (e.g. TD3's twin *target* critics on the smoothed target
-/// action batch).
-///
-/// # Errors
-///
-/// Returns [`NnError::Shape`] on input-width mismatch and
-/// [`NnError::Pool`] on a contained worker panic.
-pub fn forward_batch_fused<S: Scalar>(
-    nets: &[&Mlp<S>],
-    inputs: &[&Matrix<S>],
-    par: &Parallelism,
-) -> Result<Vec<Matrix<S>>, NnError> {
-    Ok(forward_batch_trace_fused(nets, inputs, par)?
-        .into_iter()
-        .map(|t| t.output)
-        .collect())
-}
-
-/// The layer-locked fused forward engine: per layer step, every active
-/// pass submits its batched MVM into one fused scope; bias broadcast,
-/// activation, and the per-pass `process` hook run on the calling
-/// thread in ascending pass order after the join.
-fn forward_batch_fused_driver<S: Scalar>(
-    nets: &[&Mlp<S>],
-    inputs: &[&Matrix<S>],
-    processes: &mut [ProcessHook<'_, S>],
-    par: &Parallelism,
-) -> Result<Vec<BatchTrace<S>>, NnError> {
-    assert_eq!(nets.len(), inputs.len(), "one input per fused network");
-    assert_eq!(nets.len(), processes.len(), "one process hook per pass");
-    for (m, x) in nets.iter().zip(inputs) {
-        if x.cols() != m.input_dim() {
+        if p.input.cols() != p.mlp.input_dim() {
             return Err(NnError::Shape(fixar_tensor::ShapeError::new(
                 "mlp batch input",
-                (x.rows(), m.input_dim()),
-                x.shape(),
+                (p.input.rows(), p.mlp.input_dim()),
+                p.input.shape(),
             )));
         }
     }
-    let k = nets.len();
-    let mut acts: Vec<Matrix<S>> = inputs.iter().map(|x| (*x).clone()).collect();
-    for (a, process) in acts.iter_mut().zip(processes.iter_mut()) {
-        process(0, a.as_mut_slice());
+    let mut acts: Vec<Matrix<S>> = passes.iter().map(|p| p.input.clone()).collect();
+    for (a, p) in acts.iter_mut().zip(passes.iter_mut()) {
+        p.qat.process(0, a.as_mut_slice());
     }
-    let mut input_traces: Vec<Vec<Matrix<S>>> = nets
+    let mut traces: Vec<BatchTrace<S>> = passes
         .iter()
-        .map(|m| Vec::with_capacity(m.num_layers()))
+        .map(|p| BatchTrace {
+            inputs: Vec::with_capacity(p.mlp.num_layers()),
+            pre: Vec::with_capacity(p.mlp.num_layers()),
+            output: Matrix::zeros(0, 0),
+        })
         .collect();
-    let mut pre_traces: Vec<Vec<Matrix<S>>> = nets
-        .iter()
-        .map(|m| Vec::with_capacity(m.num_layers()))
-        .collect();
-    let steps = nets.iter().map(|m| m.num_layers()).max().unwrap_or(0);
+    let steps = passes.iter().map(|p| p.mlp.num_layers()).max().unwrap_or(0);
     for l in 0..steps {
-        // Allocate this step's pre-activation outputs up front: fused
+        // Allocate this step's pre-activation outputs up front: the
         // kernels write into caller-owned buffers that outlive the
         // scope.
-        let mut zs: Vec<Option<Matrix<S>>> = nets
+        let mut zs: Vec<Option<Matrix<S>>> = passes
             .iter()
             .zip(&acts)
-            .map(|(m, a)| {
-                (l < m.num_layers()).then(|| Matrix::zeros(a.rows(), m.weights[l].rows()))
+            .map(|(p, a)| {
+                (l < p.mlp.num_layers()).then(|| Matrix::zeros(a.rows(), p.mlp.weights[l].rows()))
             })
             .collect();
         par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
-            for ((m, a), z) in nets.iter().zip(&acts).zip(zs.iter_mut()) {
+            for ((p, a), z) in passes.iter().zip(&acts).zip(zs.iter_mut()) {
                 if let Some(z) = z.as_mut() {
-                    // The cached pack replaces the per-call transpose
-                    // the unpacked kernel would rebuild every batch.
-                    m.pack(l).gemv_batch_par_in(a, z, ks)?;
+                    p.mlp.pack(l).gemv_batch(a, z, ks)?;
                 }
             }
             Ok(())
         })??;
-        for i in 0..k {
+        for (i, p) in passes.iter_mut().enumerate() {
             let Some(mut z) = zs[i].take() else { continue };
-            let n_i = nets[i].num_layers();
-            z.add_row_broadcast(&nets[i].biases[l])?;
-            let act = if l + 1 == n_i {
-                nets[i].output_act
+            z.add_row_broadcast(&p.mlp.biases[l])?;
+            let act = if l + 1 == p.mlp.num_layers() {
+                p.mlp.output_act
             } else {
-                nets[i].hidden_act
+                p.mlp.hidden_act
             };
             let mut y = z.clone();
             act.apply_slice(y.as_mut_slice());
-            processes[i](l + 1, y.as_mut_slice());
-            input_traces[i].push(core::mem::replace(&mut acts[i], y));
-            pre_traces[i].push(z);
+            p.qat.process(l + 1, y.as_mut_slice());
+            traces[i].inputs.push(core::mem::replace(&mut acts[i], y));
+            traces[i].pre.push(z);
         }
     }
-    let mut traces = Vec::with_capacity(k);
-    for ((inputs, pre), output) in input_traces.into_iter().zip(pre_traces).zip(acts) {
-        traces.push(BatchTrace {
-            inputs,
-            pre,
-            output,
-        });
+    for (trace, output) in traces.iter_mut().zip(acts) {
+        trace.output = output;
     }
     Ok(traces)
 }
 
-/// One independent batched backward pass in a fused group: the network,
-/// its forward trace, the output gradient, and the gradient buffer it
-/// accumulates into. See [`backward_batch_fused`].
-pub struct FusedBackward<'a, S: Scalar> {
+/// One independent batched backward pass in a group: the network, its
+/// forward trace, the output gradient, and the gradient buffer it
+/// accumulates into. See [`backward_batch`].
+pub struct BackwardPass<'a, S: Scalar> {
     /// Network to back-propagate through.
     pub mlp: &'a Mlp<S>,
     /// Trace captured by a batched forward of `mlp`.
@@ -1028,22 +780,22 @@ pub struct FusedBackward<'a, S: Scalar> {
 /// input gradient. Per layer step one fused scope hosts, for every
 /// active pass, its gradient outer product (weight-row shards) *and*
 /// its error MVM (batch-row shards) — for TD3's twin critics that is
-/// four kernels under a single join where the unfused path paid four.
-/// Bias gradients accumulate on the calling thread (ascending sample
-/// order, as documented) while the shards run.
+/// four kernels under a single join. Bias gradients accumulate on the
+/// calling thread (ascending sample order, as documented) while the
+/// shards run.
 ///
 /// Element `i` of the result — and `passes[i].grads` — is bit-identical
-/// to `passes[i].mlp.backward_batch_par(..)` run on its own, in every
-/// backend, at every worker count.
+/// to running pass `i` on its own, and to [`Mlp::backward`] over its
+/// samples in row order, in every backend, at every worker count.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::Shape`] if a `dl_dout` is not
 /// `(batch, output_dim)`, [`NnError::InvalidConfig`] for a gradient
-/// buffer shaped on another network, and [`NnError::Pool`] if a fused
-/// kernel panicked (contained; siblings complete, the pool survives).
-pub fn backward_batch_fused<S: Scalar>(
-    passes: &mut [FusedBackward<'_, S>],
+/// buffer shaped on another network, and [`NnError::Pool`] if a kernel
+/// shard panicked (contained; siblings complete, the pool survives).
+pub fn backward_batch<S: Scalar>(
+    passes: &mut [BackwardPass<'_, S>],
     par: &Parallelism,
 ) -> Result<Vec<Matrix<S>>, NnError> {
     for p in passes.iter() {
@@ -1101,9 +853,9 @@ pub fn backward_batch_fused<S: Scalar>(
                 let l = n - 1 - s;
                 let delta = &deltas[i];
                 let MlpGrads { w, b } = &mut *p.grads;
-                w[l].add_outer_batch_par_in(delta, &p.trace.inputs[l], ks)?;
+                w[l].add_outer_batch(delta, &p.trace.inputs[l], ks)?;
                 let err = err_slot.as_mut().expect("active pass has an err buffer");
-                p.mlp.pack(l).gemv_t_batch_par_in(delta, err, ks)?;
+                p.mlp.pack(l).gemv_t_batch(delta, err, ks)?;
                 // Bias gradients: ascending sample order on the calling
                 // thread, overlapping the queued shards (disjoint from
                 // both kernel outputs).
@@ -1297,12 +1049,16 @@ mod tests {
         .cast()
     }
 
+    fn seq() -> Parallelism {
+        Parallelism::sequential()
+    }
+
     #[test]
     fn forward_batch_bit_exact_with_per_sample_forward() {
         let cfg = MlpConfig::new(vec![6, 16, 9, 4]).with_output_activation(Activation::Tanh);
         let mlp = Mlp::<Fx32>::new_random(&cfg, 77).unwrap();
         let x = fx32_batch(9, 6);
-        let y = mlp.forward_batch(&x).unwrap();
+        let y = mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap().output;
         assert_eq!(y.shape(), (9, 4));
         for b in 0..x.rows() {
             assert_eq!(
@@ -1321,12 +1077,13 @@ mod tests {
         let cfg = MlpConfig::new(vec![6, 16, 4]).with_output_activation(Activation::Tanh);
         let mut mlp = Mlp::<Fx32>::new_random(&cfg, 31).unwrap();
         let x = fx32_batch(5, 6);
-        let before = mlp.forward_batch(&x).unwrap(); // populates the pack cache
+        let forward = |mlp: &Mlp<Fx32>| mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
+        let before = forward(&mlp).output; // populates the pack cache
 
         // Direct weight write through `weight_mut`.
         mlp.weight_mut(0)[(0, 0)] = Fx32::from_f64(1.25);
         mlp.weight_mut(1)[(2, 3)] = Fx32::from_f64(-0.75);
-        let after = mlp.forward_batch(&x).unwrap();
+        let after = forward(&mlp).output;
         assert_ne!(before, after, "weight change must be visible");
         for b in 0..x.rows() {
             assert_eq!(after.row(b), mlp.forward(x.row(b)).unwrap().as_slice());
@@ -1334,9 +1091,9 @@ mod tests {
 
         // Polyak update path.
         let src = Mlp::<Fx32>::new_random(&cfg, 77).unwrap();
-        let warm = mlp.forward_batch(&x).unwrap(); // re-populate the cache
+        let warm = forward(&mlp).output; // re-populate the cache
         mlp.soft_update_from(&src, 0.5).unwrap();
-        let updated = mlp.forward_batch(&x).unwrap();
+        let updated = forward(&mlp).output;
         assert_ne!(warm, updated, "soft update must be visible");
         for b in 0..x.rows() {
             assert_eq!(updated.row(b), mlp.forward(x.row(b)).unwrap().as_slice());
@@ -1344,10 +1101,10 @@ mod tests {
 
         // The backward path reads the same cache: gradients after the
         // updates must match the per-sample reference.
-        let bt = mlp.forward_batch_trace(&x).unwrap();
+        let bt = forward(&mlp);
         let dl = fx32_batch(5, 4);
         let mut batched = MlpGrads::zeros_like(&mlp);
-        let input_err = mlp.backward_batch(&bt, &dl, &mut batched).unwrap();
+        let input_err = mlp.backward_batch(&bt, &dl, &mut batched, &seq()).unwrap();
         let mut looped = MlpGrads::zeros_like(&mlp);
         for b in 0..x.rows() {
             let t = mlp.forward_trace(x.row(b)).unwrap();
@@ -1358,45 +1115,56 @@ mod tests {
         assert_eq!(batched.b, looped.b);
     }
 
+    /// Asserts row `b` of every matrix in `bt` equals the per-sample
+    /// trace `t`.
+    fn assert_trace_row(mlp: &Mlp<Fx32>, bt: &BatchTrace<Fx32>, b: usize, t: &ForwardTrace<Fx32>) {
+        for l in 0..mlp.num_layers() {
+            assert_eq!(bt.inputs[l].row(b), t.inputs[l].as_slice());
+            assert_eq!(bt.pre[l].row(b), t.pre[l].as_slice());
+        }
+        assert_eq!(bt.output.row(b), t.output.as_slice());
+    }
+
     #[test]
     fn forward_batch_trace_rows_match_per_sample_traces() {
         let cfg = MlpConfig::new(vec![5, 12, 3]);
         let mlp = Mlp::<Fx32>::new_random(&cfg, 3).unwrap();
         let x = fx32_batch(6, 5);
-        let bt = mlp.forward_batch_trace(&x).unwrap();
+        let bt = mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
         for b in 0..x.rows() {
-            let t = mlp.forward_trace(x.row(b)).unwrap();
-            for l in 0..mlp.num_layers() {
-                assert_eq!(bt.inputs[l].row(b), t.inputs[l].as_slice());
-                assert_eq!(bt.pre[l].row(b), t.pre[l].as_slice());
-            }
-            assert_eq!(bt.output.row(b), t.output.as_slice());
+            assert_trace_row(&mlp, &bt, b, &mlp.forward_trace(x.row(b)).unwrap());
         }
         assert_eq!(bt.batch_size(), 6);
     }
 
     #[test]
-    fn backward_batch_bit_exact_with_sample_order_backward() {
+    fn batch_passes_bit_exact_with_per_sample_passes_at_every_worker_count() {
         let cfg = MlpConfig::new(vec![5, 14, 8, 2]).with_output_activation(Activation::Tanh);
         let mlp = Mlp::<Fx32>::new_random(&cfg, 21).unwrap();
-        let x = fx32_batch(7, 5);
-        let dl = Matrix::<f64>::from_fn(7, 2, |b, i| ((b + i * 3) % 5) as f64 * 0.2 - 0.4)
+        let x = fx32_batch(11, 5);
+        let dl = Matrix::<f64>::from_fn(11, 2, |b, i| ((b + i * 3) % 5) as f64 * 0.2 - 0.4)
             .cast::<Fx32>();
-
-        // Batched path.
-        let bt = mlp.forward_batch_trace(&x).unwrap();
-        let mut batched = MlpGrads::zeros_like(&mlp);
-        let input_err_b = mlp.backward_batch(&bt, &dl, &mut batched).unwrap();
 
         // Per-sample reference, ascending sample order.
         let mut looped = MlpGrads::zeros_like(&mlp);
+        let mut err_rows = Vec::new();
         for b in 0..x.rows() {
             let t = mlp.forward_trace(x.row(b)).unwrap();
-            let err = mlp.backward(&t, dl.row(b), &mut looped).unwrap();
-            assert_eq!(input_err_b.row(b), err.as_slice(), "input grad row {b}");
+            err_rows.push(mlp.backward(&t, dl.row(b), &mut looped).unwrap());
         }
-        assert_eq!(batched.w, looped.w, "weight gradients must be bit-exact");
-        assert_eq!(batched.b, looped.b, "bias gradients must be bit-exact");
+
+        for workers in [1, 2, 3, 4, 8] {
+            let par = Parallelism::with_workers(workers);
+            let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            let mut grads = MlpGrads::zeros_like(&mlp);
+            let err = mlp.backward_batch(&trace, &dl, &mut grads, &par).unwrap();
+            for (b, err_row) in err_rows.iter().enumerate() {
+                assert_trace_row(&mlp, &trace, b, &mlp.forward_trace(x.row(b)).unwrap());
+                assert_eq!(err.row(b), err_row.as_slice(), "{workers} workers row {b}");
+            }
+            assert_eq!(grads.w, looped.w, "{workers} workers weight grads");
+            assert_eq!(grads.b, looped.b, "{workers} workers bias grads");
+        }
     }
 
     #[test]
@@ -1404,11 +1172,13 @@ mod tests {
         let cfg = MlpConfig::new(vec![4, 10, 2]).with_output_activation(Activation::Tanh);
         let mlp = Mlp::<Fx32>::new_random(&cfg, 9).unwrap();
         let x = fx32_batch(8, 4);
+        let par = Parallelism::with_workers(4);
 
         let mut qat_batched = QatRuntime::new(mlp.num_layers() + 1, 8);
         let mut qat_looped = qat_batched.clone();
 
-        mlp.forward_batch_qat(&x, &mut qat_batched).unwrap();
+        mlp.forward_batch(&x, QatPhase::Observing(&mut qat_batched), &par)
+            .unwrap();
         for b in 0..x.rows() {
             mlp.forward_qat(x.row(b), &mut qat_looped).unwrap();
         }
@@ -1427,85 +1197,54 @@ mod tests {
 
         qat_batched.freeze().unwrap();
         qat_looped.freeze().unwrap();
-        let yb = mlp.forward_batch_qat(&x, &mut qat_batched).unwrap().output;
-        for b in 0..x.rows() {
-            let y = mlp.forward_qat(x.row(b), &mut qat_looped).unwrap().output;
-            assert_eq!(yb.row(b), y.as_slice(), "quantized row {b}");
-        }
-
-        // The frozen (read-only) variant agrees too.
+        let yb = mlp
+            .forward_batch(&x, QatPhase::Observing(&mut qat_batched), &par)
+            .unwrap()
+            .output;
+        // The frozen (read-only) phase agrees with the observing one …
         let yf = mlp
-            .forward_batch_qat_frozen(&x, &qat_batched)
+            .forward_batch(&x, QatPhase::Frozen(&qat_batched), &seq())
             .unwrap()
             .output;
         assert_eq!(yf, yb);
+        // … and both with the per-sample frozen and observing passes.
+        for b in 0..x.rows() {
+            let frozen = mlp
+                .forward_qat_frozen(x.row(b), &qat_looped)
+                .unwrap()
+                .output;
+            assert_eq!(yb.row(b), frozen.as_slice(), "frozen row {b}");
+            let y = mlp.forward_qat(x.row(b), &mut qat_looped).unwrap().output;
+            assert_eq!(yb.row(b), y.as_slice(), "quantized row {b}");
+        }
     }
 
     #[test]
     fn batch_shape_errors_are_reported() {
         let mlp = Mlp::<f64>::new_random(&tiny_cfg(), 1).unwrap();
         let bad = Matrix::<f64>::zeros(4, 2);
-        assert!(mlp.forward_batch(&bad).is_err());
+        assert!(mlp.forward_batch(&bad, QatPhase::Off, &seq()).is_err());
         let x = Matrix::<f64>::zeros(4, 3);
-        let t = mlp.forward_batch_trace(&x).unwrap();
+        let t = mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
         let bad_dl = Matrix::<f64>::zeros(3, 2);
         let mut grads = MlpGrads::zeros_like(&mlp);
-        assert!(mlp.backward_batch(&t, &bad_dl, &mut grads).is_err());
+        assert!(mlp.backward_batch(&t, &bad_dl, &mut grads, &seq()).is_err());
+        // Mismatched runtime point counts are rejected up front, in
+        // both runtime-carrying phases.
+        let mut wrong = QatRuntime::disabled(mlp.num_layers() + 5);
+        assert!(mlp
+            .forward_batch(&x, QatPhase::Frozen(&wrong), &seq())
+            .is_err());
+        assert!(mlp
+            .forward_batch(&x, QatPhase::Observing(&mut wrong), &seq())
+            .is_err());
     }
 
     #[test]
-    fn pool_parallel_batch_passes_bit_exact_with_sequential() {
-        use fixar_pool::Parallelism;
-        let cfg = MlpConfig::new(vec![5, 14, 8, 2]).with_output_activation(Activation::Tanh);
-        let mlp = Mlp::<Fx32>::new_random(&cfg, 21).unwrap();
-        let x = fx32_batch(11, 5);
-        let dl = Matrix::<f64>::from_fn(11, 2, |b, i| ((b + i * 3) % 5) as f64 * 0.2 - 0.4)
-            .cast::<Fx32>();
-
-        // Sequential reference.
-        let trace_seq = mlp.forward_batch_trace(&x).unwrap();
-        let mut grads_seq = MlpGrads::zeros_like(&mlp);
-        let err_seq = mlp.backward_batch(&trace_seq, &dl, &mut grads_seq).unwrap();
-
-        for workers in [1, 2, 3, 4, 8] {
-            let par = Parallelism::with_workers(workers);
-            let trace = mlp.forward_batch_trace_par(&x, &par).unwrap();
-            assert_eq!(trace.output, trace_seq.output, "{workers} workers");
-            let mut grads = MlpGrads::zeros_like(&mlp);
-            let err = mlp
-                .backward_batch_par(&trace, &dl, &mut grads, &par)
-                .unwrap();
-            assert_eq!(err, err_seq, "{workers} workers input grads");
-            assert_eq!(grads.w, grads_seq.w, "{workers} workers weight grads");
-            assert_eq!(grads.b, grads_seq.b, "{workers} workers bias grads");
-            assert_eq!(mlp.forward_batch_par(&x, &par).unwrap(), trace_seq.output);
-        }
-
-        // QAT: calibration counts and frozen quantized outputs agree too.
-        let par = Parallelism::with_workers(4);
-        let mut qat_seq = QatRuntime::new(mlp.num_layers() + 1, 8);
-        let mut qat_par = qat_seq.clone();
-        mlp.forward_batch_qat(&x, &mut qat_seq).unwrap();
-        mlp.forward_batch_qat_par(&x, &mut qat_par, &par).unwrap();
-        for p in 0..qat_seq.num_points() {
-            assert_eq!(qat_seq.monitor(p).range(), qat_par.monitor(p).range());
-        }
-        qat_seq.freeze().unwrap();
-        qat_par.freeze().unwrap();
-        let y_seq = mlp.forward_batch_qat_frozen(&x, &qat_seq).unwrap().output;
-        let y_par = mlp
-            .forward_batch_qat_frozen_par(&x, &qat_par, &par)
-            .unwrap()
-            .output;
-        assert_eq!(y_seq, y_par);
-    }
-
-    #[test]
-    fn fused_multi_network_forward_matches_separate_passes() {
-        use fixar_pool::Parallelism;
+    fn group_forward_matches_separate_passes() {
         // Two independent networks of different depths on different
-        // inputs, fused layer-locked: outputs and traces must equal the
-        // separate pool-parallel passes bit-for-bit, in Fx32, at every
+        // inputs, layer-locked in one group: traces must equal the
+        // separate one-pass results bit-for-bit, in Fx32, at every
         // worker count.
         let cfg_a = MlpConfig::new(vec![5, 12, 7, 2]).with_output_activation(Activation::Tanh);
         let cfg_b = MlpConfig::new(vec![6, 9, 1]);
@@ -1513,36 +1252,40 @@ mod tests {
         let net_b = Mlp::<Fx32>::new_random(&cfg_b, 5).unwrap();
         let x_a = fx32_batch(8, 5);
         let x_b = fx32_batch(8, 6);
-        let ref_a = net_a.forward_batch_trace(&x_a).unwrap();
-        let ref_b = net_b.forward_batch_trace(&x_b).unwrap();
+        let ref_a = net_a.forward_batch(&x_a, QatPhase::Off, &seq()).unwrap();
+        let ref_b = net_b.forward_batch(&x_b, QatPhase::Off, &seq()).unwrap();
+        let group = |x_b: &Matrix<Fx32>, par: &Parallelism| {
+            forward_batch(
+                &mut [
+                    ForwardPass {
+                        mlp: &net_a,
+                        input: &x_a,
+                        qat: QatPhase::Off,
+                    },
+                    ForwardPass {
+                        mlp: &net_b,
+                        input: x_b,
+                        qat: QatPhase::Off,
+                    },
+                ],
+                par,
+            )
+        };
         for workers in [1usize, 2, 8] {
-            let par = Parallelism::with_workers(workers);
-            let traces = forward_batch_trace_fused(&[&net_a, &net_b], &[&x_a, &x_b], &par).unwrap();
+            let traces = group(&x_b, &Parallelism::with_workers(workers)).unwrap();
             assert_eq!(traces.len(), 2);
-            assert_eq!(traces[0].output, ref_a.output, "workers {workers}: A");
-            assert_eq!(traces[1].output, ref_b.output, "workers {workers}: B");
-            for l in 0..net_a.num_layers() {
-                assert_eq!(traces[0].inputs[l], ref_a.inputs[l]);
-                assert_eq!(traces[0].pre[l], ref_a.pre[l]);
+            for (trace, reference) in traces.iter().zip([&ref_a, &ref_b]) {
+                assert_eq!(trace.output, reference.output, "workers {workers}");
+                assert_eq!(trace.inputs, reference.inputs, "workers {workers}");
+                assert_eq!(trace.pre, reference.pre, "workers {workers}");
             }
-            for l in 0..net_b.num_layers() {
-                assert_eq!(traces[1].pre[l], ref_b.pre[l]);
-            }
-            let outs = forward_batch_fused(&[&net_a, &net_b], &[&x_a, &x_b], &par).unwrap();
-            assert_eq!(outs[0], ref_a.output);
-            assert_eq!(outs[1], ref_b.output);
         }
         // Shape errors surface before anything runs.
-        let bad = fx32_batch(3, 4);
-        assert!(
-            forward_batch_fused(&[&net_a, &net_b], &[&x_a, &bad], &Parallelism::sequential())
-                .is_err()
-        );
+        assert!(group(&fx32_batch(3, 4), &seq()).is_err());
     }
 
     #[test]
-    fn fused_qat_forward_leaves_each_runtime_as_separate_passes_would() {
-        use fixar_pool::Parallelism;
+    fn group_qat_forward_leaves_each_runtime_as_separate_passes_would() {
         let cfg = MlpConfig::new(vec![4, 10, 2]).with_output_activation(Activation::Tanh);
         let net_a = Mlp::<Fx32>::new_random(&cfg, 9).unwrap();
         let net_b = Mlp::<Fx32>::new_random(&cfg, 10).unwrap();
@@ -1553,29 +1296,29 @@ mod tests {
         let mut qat_a_ref = QatRuntime::new(net_a.num_layers() + 1, 8);
         let mut qat_b_ref = qat_a_ref.clone();
         let out_a_ref = net_a
-            .forward_batch_qat(&x_a, &mut qat_a_ref)
+            .forward_batch(&x_a, QatPhase::Observing(&mut qat_a_ref), &seq())
             .unwrap()
             .output;
         let out_b_ref = net_b
-            .forward_batch_qat(&x_b, &mut qat_b_ref)
+            .forward_batch(&x_b, QatPhase::Observing(&mut qat_b_ref), &seq())
             .unwrap()
             .output;
 
-        // Fused pass over a 2-worker pool.
+        // One group over a 2-worker pool.
         let par = Parallelism::with_workers(2);
         let mut qat_a = QatRuntime::new(net_a.num_layers() + 1, 8);
         let mut qat_b = qat_a.clone();
-        let traces = forward_batch_qat_fused(
+        let traces = forward_batch(
             &mut [
-                FusedForward {
+                ForwardPass {
                     mlp: &net_a,
                     input: &x_a,
-                    qat: &mut qat_a,
+                    qat: QatPhase::Observing(&mut qat_a),
                 },
-                FusedForward {
+                ForwardPass {
                     mlp: &net_b,
                     input: &x_b,
-                    qat: &mut qat_b,
+                    qat: QatPhase::Observing(&mut qat_b),
                 },
             ],
             &par,
@@ -1588,41 +1331,14 @@ mod tests {
             assert_eq!(qat_a.monitor(p).count(), qat_a_ref.monitor(p).count());
             assert_eq!(qat_b.monitor(p).range(), qat_b_ref.monitor(p).range());
         }
-        // Quantized phase agrees too.
-        qat_a.freeze().unwrap();
-        qat_a_ref.freeze().unwrap();
-        let mut frozen = qat_a.clone();
-        let fused_q = forward_batch_qat_fused(
-            &mut [FusedForward {
-                mlp: &net_a,
-                input: &x_a,
-                qat: &mut frozen,
-            }],
-            &par,
-        )
-        .unwrap();
-        let sep_q = net_a.forward_batch_qat(&x_a, &mut qat_a_ref).unwrap();
-        assert_eq!(fused_q[0].output, sep_q.output);
-        // Mismatched runtime point counts are rejected up front.
-        let mut wrong = QatRuntime::disabled(net_a.num_layers() + 5);
-        assert!(forward_batch_qat_fused(
-            &mut [FusedForward {
-                mlp: &net_a,
-                input: &x_a,
-                qat: &mut wrong,
-            }],
-            &par,
-        )
-        .is_err());
     }
 
     #[test]
-    fn fused_twin_backward_matches_separate_backwards() {
-        use fixar_pool::Parallelism;
+    fn group_twin_backward_matches_separate_backwards() {
         // The TD3 twin-critic shape: two same-architecture networks,
-        // same input batch, different output gradients — fused backward
-        // must reproduce each separate backward bit-for-bit (grads and
-        // input gradients), at every worker count.
+        // same input batch, different output gradients — the group
+        // backward must reproduce each separate backward bit-for-bit
+        // (grads and input gradients), at every worker count.
         let cfg = MlpConfig::new(vec![6, 14, 8, 1]);
         let c1 = Mlp::<Fx32>::new_random(&cfg, 31).unwrap();
         let c2 = Mlp::<Fx32>::new_random(&cfg, 32).unwrap();
@@ -1630,26 +1346,26 @@ mod tests {
         let dl1 = Matrix::<f64>::from_fn(9, 1, |b, _| (b as f64 - 4.0) * 0.11).cast::<Fx32>();
         let dl2 = Matrix::<f64>::from_fn(9, 1, |b, _| (b as f64 - 2.0) * 0.07).cast::<Fx32>();
 
-        let t1 = c1.forward_batch_trace(&x).unwrap();
-        let t2 = c2.forward_batch_trace(&x).unwrap();
+        let t1 = c1.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
+        let t2 = c2.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
         let mut g1_ref = MlpGrads::zeros_like(&c1);
         let mut g2_ref = MlpGrads::zeros_like(&c2);
-        let e1_ref = c1.backward_batch(&t1, &dl1, &mut g1_ref).unwrap();
-        let e2_ref = c2.backward_batch(&t2, &dl2, &mut g2_ref).unwrap();
+        let e1_ref = c1.backward_batch(&t1, &dl1, &mut g1_ref, &seq()).unwrap();
+        let e2_ref = c2.backward_batch(&t2, &dl2, &mut g2_ref, &seq()).unwrap();
 
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
             let mut g1 = MlpGrads::zeros_like(&c1);
             let mut g2 = MlpGrads::zeros_like(&c2);
-            let errs = backward_batch_fused(
+            let errs = backward_batch(
                 &mut [
-                    FusedBackward {
+                    BackwardPass {
                         mlp: &c1,
                         trace: &t1,
                         dl_dout: &dl1,
                         grads: &mut g1,
                     },
-                    FusedBackward {
+                    BackwardPass {
                         mlp: &c2,
                         trace: &t2,
                         dl_dout: &dl2,
@@ -1666,20 +1382,6 @@ mod tests {
             assert_eq!(g2.w, g2_ref.w, "workers {workers}: weight grads 2");
             assert_eq!(g2.b, g2_ref.b, "workers {workers}: bias grads 2");
         }
-
-        // Bad output-gradient shape is rejected before any kernel runs.
-        let bad = Matrix::<Fx32>::zeros(3, 1);
-        let mut g = MlpGrads::zeros_like(&c1);
-        assert!(backward_batch_fused(
-            &mut [FusedBackward {
-                mlp: &c1,
-                trace: &t1,
-                dl_dout: &bad,
-                grads: &mut g,
-            }],
-            &Parallelism::sequential(),
-        )
-        .is_err());
     }
 
     #[test]

@@ -639,6 +639,45 @@ impl QatRuntime {
     }
 }
 
+/// The QAT phase of one batched forward pass, passed as a **value** to
+/// [`Mlp::forward_batch`](crate::Mlp::forward_batch) and
+/// [`forward_batch`](crate::forward_batch) — the explicit calibrate →
+/// quantize state of the pass, instead of a method-name suffix.
+#[derive(Debug)]
+pub enum QatPhase<'a> {
+    /// No runtime: activations pass through untouched (plain inference
+    /// and the float / pure-fixed baselines).
+    Off,
+    /// The runtime's own [`QatMode`] decides, with write access:
+    /// `Calibrate` feeds every activation point's range monitor,
+    /// `Quantize` projects activations onto the frozen grids — the
+    /// training phase ([`QatRuntime::process`]).
+    Observing(&'a mut QatRuntime),
+    /// Frozen quantizers apply, nothing is recorded — the shared
+    /// read-only serving phase ([`QatRuntime::apply`]).
+    Frozen(&'a QatRuntime),
+}
+
+impl QatPhase<'_> {
+    /// Point count of the carried runtime, if any.
+    pub(crate) fn num_points(&self) -> Option<usize> {
+        match self {
+            Self::Off => None,
+            Self::Observing(qat) => Some(qat.num_points()),
+            Self::Frozen(qat) => Some(qat.num_points()),
+        }
+    }
+
+    /// Processes one activation point in place according to the phase.
+    pub(crate) fn process<S: Scalar>(&mut self, point: usize, xs: &mut [S]) {
+        match self {
+            Self::Off => {}
+            Self::Observing(qat) => qat.process(point, xs),
+            Self::Frozen(qat) => qat.apply(point, xs),
+        }
+    }
+}
+
 /// Builder for a [`QatRuntime`] with a validated [`PrecisionPolicy`] —
 /// the redesigned construction API (the legacy
 /// [`QatRuntime::new`] shim covers only the uniform case).

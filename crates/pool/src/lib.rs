@@ -300,12 +300,11 @@ impl Drop for Scope<'_, '_> {
 ///
 /// * **pooled** — wraps a live [`Scope`]; [`KernelScope::submit`]
 ///   enqueues onto the pool and [`KernelScope::shards`] reports the
-///   worker count, so `*_par_in` kernels shard exactly as their `*_par`
-///   forms do;
+///   worker count, so the batched kernels shard one span per worker;
 /// * **sequential** — no pool (or the caller is already on a pool
 ///   thread, where opening a scope would deadlock): `shards` reports 1
 ///   and `submit` runs the task **inline** on the calling thread, so
-///   every `*_par_in` kernel transparently degrades to its sequential,
+///   every batched kernel transparently degrades to its sequential,
 ///   bit-identical form.
 ///
 /// # Determinism
@@ -344,8 +343,9 @@ pub struct KernelScope<'a, 'pool, 'scope> {
 
 impl<'a, 'pool, 'scope> KernelScope<'a, 'pool, 'scope> {
     /// A sequential kernel scope: `shards` is 1 and `submit` runs
-    /// inline. This is what `*_par_in` kernels see when no pool is
-    /// available, letting callers keep a single code path.
+    /// inline. This is what the batched kernels see when no pool is
+    /// available — and what a stand-alone sequential call passes —
+    /// letting callers keep a single code path.
     pub fn sequential() -> Self {
         Self {
             scope: None,
@@ -531,7 +531,7 @@ impl Parallelism {
 
     /// Opens **one** fused multi-kernel scope and runs `f` with its
     /// [`KernelScope`]: every independent kernel `f` submits (directly
-    /// via [`KernelScope::submit`], or through a `*_par_in` kernel form)
+    /// via [`KernelScope::submit`], or through a batched kernel entry)
     /// shares the scope's single barrier join, which happens before
     /// `fused` returns. With no pool — or when already on a pool thread,
     /// where a nested scope would deadlock — `f` receives the
@@ -709,7 +709,7 @@ mod tests {
         let mut right = vec![0usize; 5];
         par.fused(|ks| {
             assert!(ks.is_pooled());
-            // Kernel 1: shard `left` like a *_par kernel would.
+            // Kernel 1: shard `left` like a batched kernel would.
             let shards = ks.shards(left.len());
             let mut rest = left.as_mut_slice();
             for range in split_ranges(9, shards) {

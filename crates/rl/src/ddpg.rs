@@ -2,54 +2,14 @@
 
 use fixar_fixed::Scalar;
 use fixar_nn::{
-    Activation, Adam, AdamConfig, Mlp, MlpConfig, MlpGrads, PrecisionPolicy, QatMode, QatRuntime,
+    Activation, Adam, AdamConfig, ForwardPass, Mlp, MlpConfig, MlpGrads, PrecisionPolicy, QatMode,
+    QatPhase, QatRuntime,
 };
 use fixar_pool::Parallelism;
 use fixar_tensor::Matrix;
 
 use crate::error::RlError;
 use crate::replay::{ReplayStrategy, Transition, TransitionBatch};
-
-/// Runs `f` over every item on the pool behind `par`, one task per
-/// item, collecting the outcomes in **ascending item order** (the
-/// deterministic shard-merge order). Falls back to a plain sequential
-/// loop when `par` carries no pool or when already on a pool thread.
-///
-/// Worker panics are contained by the pool and surface as
-/// [`RlError::Worker`] instead of aborting the process.
-pub(crate) fn pool_shard_map<I, T, F>(
-    par: &Parallelism,
-    items: &[I],
-    f: F,
-) -> Result<Vec<T>, RlError>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> Result<T, RlError> + Sync,
-{
-    if par.shards(items.len()) <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(idx, item)| f(idx, item))
-            .collect();
-    }
-    let pool = par.pool().expect("shards > 1 implies a pool");
-    let mut slots: Vec<Option<Result<T, RlError>>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    pool.scope(|scope| {
-        let f = &f;
-        for (slot, (idx, item)) in slots.iter_mut().zip(items.iter().enumerate()) {
-            scope.execute(move || {
-                *slot = Some(f(idx, item));
-            });
-        }
-    })?;
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("scope joined every task"))
-        .collect()
-}
 
 /// Algorithm 1's schedule: full-precision calibration for `delay`
 /// training timesteps, then quantized activations.
@@ -548,11 +508,9 @@ impl<S: Scalar> Ddpg<S> {
         let s: Matrix<S> = states.cast();
         let out = self
             .actor
-            .forward_batch_qat_par(&s, &mut self.actor_qat, &self.par)?
+            .forward_batch(&s, QatPhase::Observing(&mut self.actor_qat), &self.par)?
             .output;
-        Ok(Matrix::from_fn(out.rows(), out.cols(), |r, c| {
-            out[(r, c)].to_f64()
-        }))
+        Ok(out.cast())
     }
 
     /// One training update with the whole minibatch flowing through the
@@ -633,21 +591,20 @@ impl<S: Scalar> Ddpg<S> {
         let states: Matrix<S> = batch.states().cast();
         let actions: Matrix<S> = batch.actions().cast();
         let critic_in = states.hcat(&actions).map_err(fixar_nn::NnError::Shape)?;
-        let par = self.par.clone();
-        let mut fused = fixar_nn::forward_batch_qat_fused(
+        let mut fused = fixar_nn::forward_batch(
             &mut [
-                fixar_nn::FusedForward {
+                ForwardPass {
                     mlp: &self.actor_target,
                     input: &s_next,
-                    qat: &mut self.actor_target_qat,
+                    qat: QatPhase::Observing(&mut self.actor_target_qat),
                 },
-                fixar_nn::FusedForward {
+                ForwardPass {
                     mlp: &self.critic,
                     input: &critic_in,
-                    qat: &mut self.critic_qat,
+                    qat: QatPhase::Observing(&mut self.critic_qat),
                 },
             ],
-            &par,
+            &self.par,
         )?;
         let trace = fused.pop().expect("critic pass");
         let a_next = fused.pop().expect("target actor pass").output;
@@ -656,7 +613,11 @@ impl<S: Scalar> Ddpg<S> {
         let target_in = s_next.hcat(&a_next).map_err(fixar_nn::NnError::Shape)?;
         let q_next = self
             .critic_target
-            .forward_batch_qat_par(&target_in, &mut self.critic_target_qat, &self.par)?
+            .forward_batch(
+                &target_in,
+                QatPhase::Observing(&mut self.critic_target_qat),
+                &self.par,
+            )?
             .output;
         let targets: Vec<S> = (0..b)
             .map(|i| {
@@ -694,23 +655,27 @@ impl<S: Scalar> Ddpg<S> {
             }
         }
         self.critic
-            .backward_batch_par(&trace, &dl, &mut self.critic_grads, &self.par)?;
+            .backward_batch(&trace, &dl, &mut self.critic_grads, &self.par)?;
         self.critic_opt.step(&mut self.critic, &self.critic_grads)?;
 
         // Actor ascent on Q through the batched critic input gradient.
         self.actor_grads.reset();
         self.critic_scratch.reset();
-        let atrace = self
-            .actor
-            .forward_batch_qat_par(&states, &mut self.actor_qat, &self.par)?;
+        let atrace = self.actor.forward_batch(
+            &states,
+            QatPhase::Observing(&mut self.actor_qat),
+            &self.par,
+        )?;
         let policy_in = states
             .hcat(&atrace.output)
             .map_err(fixar_nn::NnError::Shape)?;
-        let ctrace =
-            self.critic
-                .forward_batch_qat_par(&policy_in, &mut self.critic_qat, &self.par)?;
+        let ctrace = self.critic.forward_batch(
+            &policy_in,
+            QatPhase::Observing(&mut self.critic_qat),
+            &self.par,
+        )?;
         let minus_scale = Matrix::from_fn(b, 1, |_, _| S::from_f64(-scale));
-        let dq_dinput = self.critic.backward_batch_par(
+        let dq_dinput = self.critic.backward_batch(
             &ctrace,
             &minus_scale,
             &mut self.critic_scratch,
@@ -718,7 +683,7 @@ impl<S: Scalar> Ddpg<S> {
         )?;
         let dq_da = dq_dinput.columns(self.state_dim, self.state_dim + self.action_dim);
         self.actor
-            .backward_batch_par(&atrace, &dq_da, &mut self.actor_grads, &self.par)?;
+            .backward_batch(&atrace, &dq_da, &mut self.actor_grads, &self.par)?;
         self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
 
         // Target soft updates.
@@ -739,8 +704,7 @@ impl<S: Scalar> Ddpg<S> {
 
     /// One training update from a sampled batch, processed **one sample
     /// at a time** through the vector kernels — the bit-exactness
-    /// reference for [`Ddpg::train_minibatch`] and the building block of
-    /// the sharded [`Ddpg::train_batch_parallel`] path.
+    /// reference for [`Ddpg::train_minibatch`].
     ///
     /// # Errors
     ///
@@ -816,188 +780,6 @@ impl<S: Scalar> Ddpg<S> {
         self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
 
         // Target soft updates.
-        self.actor_target
-            .soft_update_from(&self.actor, self.cfg.tau)?;
-        self.critic_target
-            .soft_update_from(&self.critic, self.cfg.tau)?;
-
-        self.train_steps += 1;
-        Ok(TrainMetrics {
-            critic_loss,
-            mean_q: q_sum * scale,
-        })
-    }
-
-    /// Intra-batch-parallel training update over the **persistent
-    /// worker pool** — the software twin of the accelerator's per-core
-    /// gradient memory: the batch splits into `workers` contiguous
-    /// shards (one per AAP core), each shard accumulates its own
-    /// gradients through the per-sample kernels, and the partial
-    /// gradients merge in **ascending shard order** into the shared
-    /// buffer. With `workers == 1` this is bit-identical to
-    /// [`Ddpg::train_batch`]; with more workers the result is
-    /// deterministic and independent of thread scheduling, differing
-    /// from the sequential result only in the (saturating) gradient
-    /// accumulation order — exactly as the hardware differs.
-    ///
-    /// Contrast [`Ddpg::train_minibatch`], whose kernel-level sharding
-    /// is bit-identical to sequential at *every* worker count — that is
-    /// the hot path; this method remains as the shard-merge model of
-    /// the hardware's gradient-memory reduction.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ddpg::train_batch`], plus
-    /// [`RlError::Worker`] if a pool task panics (contained by the
-    /// pool: the process no longer aborts and the pool stays usable).
-    pub fn train_batch_parallel(
-        &mut self,
-        batch: &[&Transition],
-        workers: usize,
-    ) -> Result<TrainMetrics, RlError> {
-        if workers <= 1 || batch.len() < 2 {
-            return self.train_batch(batch);
-        }
-        let b = batch.len();
-        let scale = 1.0 / b as f64;
-        let gamma = S::from_f64(self.cfg.gamma);
-        let shard_len = b.div_ceil(workers.min(b));
-        let shards: Vec<&[&Transition]> = batch.chunks(shard_len).collect();
-        let par = Parallelism::with_workers(workers);
-
-        // Phase A — TD targets and critic gradients, one task per shard.
-        struct CriticShard<S: Scalar> {
-            grads: MlpGrads<S>,
-            actor_t_qat: QatRuntime,
-            critic_t_qat: QatRuntime,
-            critic_qat: QatRuntime,
-            loss: f64,
-            q_sum: f64,
-        }
-        let actor_target = &self.actor_target;
-        let critic_target = &self.critic_target;
-        let critic = &self.critic;
-        let state_dim = self.state_dim;
-        let base_actor_t_qat = &self.actor_target_qat;
-        let base_critic_t_qat = &self.critic_target_qat;
-        let base_critic_qat = &self.critic_qat;
-
-        let shard_results: Vec<CriticShard<S>> = pool_shard_map(
-            &par,
-            &shards,
-            |_, shard| -> Result<CriticShard<S>, RlError> {
-                let mut actor_t_qat = base_actor_t_qat.clone();
-                let mut critic_t_qat = base_critic_t_qat.clone();
-                let mut critic_qat = base_critic_qat.clone();
-                let mut grads = MlpGrads::zeros_like(critic);
-                let mut loss = 0.0;
-                let mut q_sum = 0.0;
-                for t in *shard {
-                    let s_next: Vec<S> = t.next_state.iter().map(|&v| S::from_f64(v)).collect();
-                    let a_next = actor_target.forward_qat(&s_next, &mut actor_t_qat)?.output;
-                    let mut critic_in = s_next;
-                    critic_in.extend_from_slice(&a_next);
-                    let q_next = critic_target
-                        .forward_qat(&critic_in, &mut critic_t_qat)?
-                        .output[0];
-                    let bootstrap = if t.terminal {
-                        S::zero()
-                    } else {
-                        gamma * q_next
-                    };
-                    let y = S::from_f64(t.reward) + bootstrap;
-
-                    let mut input: Vec<S> = t.state.iter().map(|&v| S::from_f64(v)).collect();
-                    input.extend(t.action.iter().map(|&v| S::from_f64(v)));
-                    let trace = critic.forward_qat(&input, &mut critic_qat)?;
-                    let q = trace.output[0];
-                    q_sum += q.to_f64();
-                    let td = q.to_f64() - y.to_f64();
-                    loss += 0.5 * td * td * scale;
-                    let dl = [(q - y) * S::from_f64(scale)];
-                    critic.backward(&trace, &dl, &mut grads)?;
-                }
-                Ok(CriticShard {
-                    grads,
-                    actor_t_qat,
-                    critic_t_qat,
-                    critic_qat,
-                    loss,
-                    q_sum,
-                })
-            },
-        )?;
-
-        self.critic_grads.reset();
-        let mut critic_loss = 0.0;
-        let mut q_sum = 0.0;
-        // Ascending-shard merge into the shared gradient buffer.
-        for shard in shard_results {
-            self.critic_grads.accumulate(&shard.grads);
-            self.actor_target_qat
-                .merge_from(&shard.actor_t_qat)
-                .map_err(fixar_nn::NnError::Precision)?;
-            self.critic_target_qat
-                .merge_from(&shard.critic_t_qat)
-                .map_err(fixar_nn::NnError::Precision)?;
-            self.critic_qat
-                .merge_from(&shard.critic_qat)
-                .map_err(fixar_nn::NnError::Precision)?;
-            critic_loss += shard.loss;
-            q_sum += shard.q_sum;
-        }
-        self.critic_opt.step(&mut self.critic, &self.critic_grads)?;
-
-        // Phase B — actor gradients against the freshly updated critic.
-        struct ActorShard<S: Scalar> {
-            grads: MlpGrads<S>,
-            actor_qat: QatRuntime,
-            critic_qat: QatRuntime,
-        }
-        let actor = &self.actor;
-        let critic = &self.critic;
-        let base_actor_qat = &self.actor_qat;
-        let base_critic_qat = &self.critic_qat;
-        let minus_scale = [S::from_f64(-scale)];
-
-        let shard_results: Vec<ActorShard<S>> = pool_shard_map(
-            &par,
-            &shards,
-            |_, shard| -> Result<ActorShard<S>, RlError> {
-                let mut actor_qat = base_actor_qat.clone();
-                let mut critic_qat = base_critic_qat.clone();
-                let mut grads = MlpGrads::zeros_like(actor);
-                let mut scratch = MlpGrads::zeros_like(critic);
-                for t in *shard {
-                    let s: Vec<S> = t.state.iter().map(|&v| S::from_f64(v)).collect();
-                    let atrace = actor.forward_qat(&s, &mut actor_qat)?;
-                    let mut critic_in = s;
-                    critic_in.extend_from_slice(&atrace.output);
-                    let ctrace = critic.forward_qat(&critic_in, &mut critic_qat)?;
-                    let dq_dinput = critic.backward(&ctrace, &minus_scale, &mut scratch)?;
-                    let dq_da = &dq_dinput[state_dim..];
-                    actor.backward(&atrace, dq_da, &mut grads)?;
-                }
-                Ok(ActorShard {
-                    grads,
-                    actor_qat,
-                    critic_qat,
-                })
-            },
-        )?;
-
-        self.actor_grads.reset();
-        for shard in shard_results {
-            self.actor_grads.accumulate(&shard.grads);
-            self.actor_qat
-                .merge_from(&shard.actor_qat)
-                .map_err(fixar_nn::NnError::Precision)?;
-            self.critic_qat
-                .merge_from(&shard.critic_qat)
-                .map_err(fixar_nn::NnError::Precision)?;
-        }
-        self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
-
         self.actor_target
             .soft_update_from(&self.actor, self.cfg.tau)?;
         self.critic_target
@@ -1189,62 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_one_worker_is_bit_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let data = toy_batch(&mut rng, 16);
-        let refs: Vec<&Transition> = data.iter().collect();
-        let mut seq = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        let mut par = seq.clone();
-        for _ in 0..5 {
-            let a = seq.train_batch(&refs).unwrap();
-            let b = par.train_batch_parallel(&refs, 1).unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(seq.actor(), par.actor());
-        assert_eq!(seq.critic(), par.critic());
-    }
-
-    #[test]
-    fn parallel_workers_deterministic_and_close_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let data = toy_batch(&mut rng, 32);
-        let refs: Vec<&Transition> = data.iter().collect();
-
-        // Determinism: two 4-worker runs agree exactly despite thread
-        // scheduling (shard-order merges).
-        let mut a = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        let mut b = a.clone();
-        for _ in 0..3 {
-            a.train_batch_parallel(&refs, 4).unwrap();
-            b.train_batch_parallel(&refs, 4).unwrap();
-        }
-        assert_eq!(a.actor(), b.actor());
-        assert_eq!(a.critic(), b.critic());
-
-        // Fidelity: the shard-merged gradients stay numerically close to
-        // the sequential reference (differences only from saturating
-        // accumulation order).
-        let mut seq = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        for _ in 0..3 {
-            seq.train_batch(&refs).unwrap();
-        }
-        for l in 0..seq.actor().num_layers() {
-            for (x, y) in seq
-                .actor()
-                .weight(l)
-                .as_slice()
-                .iter()
-                .zip(a.actor().weight(l).as_slice())
-            {
-                assert!(
-                    (x.to_f64() - y.to_f64()).abs() < 1e-4,
-                    "layer {l}: {x} vs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn minibatch_update_is_bit_identical_to_per_sample_fx32() {
         let mut rng = StdRng::seed_from_u64(13);
         let data = toy_batch(&mut rng, 24);
@@ -1310,57 +1036,6 @@ mod tests {
         let mut cfg = DdpgConfig::small_test();
         cfg.parallel_workers = 0;
         assert!(Ddpg::<f64>::new(3, 1, cfg).is_err());
-    }
-
-    #[test]
-    fn parallel_training_works_under_qat() {
-        let cfg = DdpgConfig::small_test().with_qat(1, 16);
-        let mut agent = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
-        agent.act(&[0.1, 0.2, 0.3]).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let data = toy_batch(&mut rng, 16);
-        let refs: Vec<&Transition> = data.iter().collect();
-        agent.train_batch_parallel(&refs, 2).unwrap();
-        assert!(agent.on_timestep(2).unwrap());
-        // Quantized phase also trains in parallel.
-        agent.train_batch_parallel(&refs, 2).unwrap();
-        assert_eq!(agent.train_steps(), 2);
-    }
-
-    #[test]
-    fn shard_map_panics_become_typed_errors_not_aborts() {
-        // The satellite contract: a panicking pool task must surface as
-        // RlError::Worker (process intact, pool reusable), not abort
-        // through an expect().
-        let par = Parallelism::with_workers(2);
-        let items = [0usize, 1, 2, 3];
-        let err = pool_shard_map(&par, &items, |idx, &item| {
-            if idx == 1 {
-                panic!("injected shard failure {item}");
-            }
-            Ok(item * 10)
-        })
-        .unwrap_err();
-        match &err {
-            RlError::Worker(msg) => {
-                assert!(msg.contains("injected shard failure"), "got: {msg}")
-            }
-            other => panic!("expected RlError::Worker, got {other:?}"),
-        }
-        // The pool survives: the same handle runs clean work afterwards,
-        // merged in ascending item order.
-        let ok = pool_shard_map(&par, &items, |_, &item| Ok(item * 10)).unwrap();
-        assert_eq!(ok, vec![0, 10, 20, 30]);
-        // Shard-level Err values (not panics) propagate too.
-        let err = pool_shard_map(&par, &items, |idx, &item| {
-            if idx == 2 {
-                Err(RlError::InvalidConfig("bad shard".into()))
-            } else {
-                Ok(item)
-            }
-        })
-        .unwrap_err();
-        assert!(matches!(err, RlError::InvalidConfig(_)));
     }
 
     #[test]

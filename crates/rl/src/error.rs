@@ -76,4 +76,19 @@ mod tests {
         assert!(e.to_string().contains("3"));
         assert!(e.to_string().contains("64"));
     }
+
+    #[test]
+    fn pool_panics_convert_to_worker_errors() {
+        // A contained worker panic surfaces as RlError::Worker carrying
+        // the panic message, not as a process abort.
+        let pool = fixar_pool::WorkerPool::new(2);
+        let err: RlError = pool
+            .scope(|scope| scope.execute(|| panic!("injected shard failure")))
+            .unwrap_err()
+            .into();
+        match &err {
+            RlError::Worker(msg) => assert!(msg.contains("injected shard failure"), "got: {msg}"),
+            other => panic!("expected RlError::Worker, got {other:?}"),
+        }
+    }
 }

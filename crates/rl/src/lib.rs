@@ -4,7 +4,7 @@
 //! Implements the paper's training pipeline end to end:
 //!
 //! * [`ReplayBuffer`] — the transition store the host CPU samples batches
-//!   from: a structure-of-arrays ring buffer whose `sample_batch` is a
+//!   from: a structure-of-arrays ring buffer whose `sample_batch_into` is a
 //!   column gather straight into the batch matrices, with
 //!   [`ReplayStrategy`] selecting uniform (bit-exact legacy) or
 //!   proportional prioritized sampling ([`PrioritizedReplay`]),

@@ -6,7 +6,7 @@
 //! [`ReplayBuffer`] stores transitions **pre-transposed**: states,
 //! actions, and next-states live in column-major `Matrix<f64>` panels
 //! (one stored sample per logical column, held as the row-major
-//! transpose `(capacity, dim)` — see [`Matrix::gather_columns`]),
+//! transpose `(capacity, dim)` — see [`Matrix::gather_columns_into`]),
 //! rewards and terminal flags in one flat interleaved lane (a pick
 //! touches a single cache line for both). All lanes are
 //! allocated **once**, to full capacity, so steady-state insertion is a
@@ -23,8 +23,8 @@
 //!   bit-identical to packing the same picks through
 //!   [`TransitionBatch::from_transitions`] — so trainers built on this
 //!   buffer reproduce their pre-SoA runs bit-for-bit.
-//! * The pool-parallel gather ([`Matrix::gather_columns_par`]) is
-//!   bit-identical to the sequential one at every worker count.
+//! * The gather ([`Matrix::gather_columns_into`]) is bit-identical at
+//!   every worker count.
 //! * Prioritized sampling ([`PrioritizedReplay`]) draws from its own
 //!   RNG stream (`priority_stream_seed`) and walks a deterministic
 //!   sum-tree, so prioritized runs are reproducible per seed and
@@ -210,22 +210,14 @@ impl ReplayBuffer {
         slot
     }
 
-    /// Draws `batch` slot indices uniformly with replacement — the
-    /// **single shared draw path** of uniform sampling: exactly `batch`
-    /// `gen_range(0..len)` calls in order (the legacy buffer's draw
-    /// sequence, so pre-SoA runs reproduce bit-for-bit), or no draws at
-    /// all when the buffer holds fewer than `batch` transitions
-    /// (returns an empty vector; callers treat that as "keep
+    /// Draws `batch` slot indices uniformly with replacement into a
+    /// caller-owned scratch vector (cleared first, capacity reused) —
+    /// the **single shared draw path** of uniform sampling: exactly
+    /// `batch` `gen_range(0..len)` calls in order (the legacy buffer's
+    /// draw sequence, so pre-SoA runs reproduce bit-for-bit), or no
+    /// draws at all when the buffer holds fewer than `batch`
+    /// transitions (`out` is left empty; callers treat that as "keep
     /// exploring").
-    pub fn sample_indices(&self, batch: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut out = Vec::with_capacity(batch);
-        self.sample_indices_into(batch, rng, &mut out);
-        out
-    }
-
-    /// [`ReplayBuffer::sample_indices`] into a caller-owned scratch
-    /// vector (cleared first, capacity reused) — the draw half of the
-    /// allocation-free sampling path. Identical RNG consumption.
     pub fn sample_indices_into(&self, batch: usize, rng: &mut StdRng, out: &mut Vec<usize>) {
         out.clear();
         if self.len < batch {
@@ -239,69 +231,28 @@ impl ReplayBuffer {
     /// materialized from the panels. Returns an empty vector when the
     /// buffer holds fewer than `batch` transitions.
     pub fn sample(&self, batch: usize, rng: &mut StdRng) -> Vec<Transition> {
-        self.sample_indices(batch, rng)
-            .into_iter()
-            .map(|i| self.transition(i))
-            .collect()
+        let mut indices = Vec::with_capacity(batch);
+        self.sample_indices_into(batch, rng, &mut indices);
+        indices.into_iter().map(|i| self.transition(i)).collect()
     }
 
     /// Samples `batch` transitions **directly into batch matrices** —
-    /// the entry point of the batched training path. The draw is
-    /// [`ReplayBuffer::sample_indices`] (one shared path with
-    /// [`ReplayBuffer::sample`], so the two cannot drift) and the pack
-    /// is a column gather over the panels, bit-identical to routing the
-    /// same picks through [`TransitionBatch::from_transitions`].
+    /// the entry point of the batched training path, into a
+    /// caller-owned scratch batch: the scratch's lanes are reshaped in
+    /// place (storage reused once grown). The draw is
+    /// [`ReplayBuffer::sample_indices_into`] (one shared path with
+    /// [`ReplayBuffer::sample`], so the two cannot drift) on the calling
+    /// thread, and the pack is [`ReplayBuffer::gather_into`],
+    /// bit-identical to routing the same picks through
+    /// [`TransitionBatch::from_transitions`] at every worker count of
+    /// `par`.
     ///
-    /// Returns `None` when `batch == 0` or the buffer holds fewer than
-    /// `batch` transitions.
-    pub fn sample_batch(&self, batch: usize, rng: &mut StdRng) -> Option<TransitionBatch> {
-        self.sample_batch_par(batch, rng, &Parallelism::sequential())
-    }
-
-    /// Pool-parallel [`ReplayBuffer::sample_batch`]: the gather shards
-    /// disjoint output columns across the pool, bit-identical to the
-    /// sequential form at every worker count (see
-    /// [`Matrix::gather_columns_par`]). The RNG draw sequence is on the
-    /// calling thread and identical to the sequential path.
-    pub fn sample_batch_par(
-        &self,
-        batch: usize,
-        rng: &mut StdRng,
-        par: &Parallelism,
-    ) -> Option<TransitionBatch> {
-        let mut out = TransitionBatch::empty();
-        if self.sample_batch_par_into(batch, rng, par, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// [`ReplayBuffer::sample_batch`] into a caller-owned scratch batch
-    /// — the **allocation-free** sampling path the trainers drive: the
-    /// scratch's lanes are reshaped in place (storage reused once
-    /// grown), so after the first draw no allocation happens on the
-    /// train step. Returns `false` (scratch untouched, no RNG draws)
-    /// when `batch == 0` or the buffer holds fewer than `batch`
-    /// transitions; otherwise the scratch holds exactly the batch
-    /// [`ReplayBuffer::sample_batch`] would have returned — same draw
-    /// sequence, same bytes.
+    /// Returns `false` (scratch untouched, no RNG draws) when
+    /// `batch == 0` or the buffer holds fewer than `batch` transitions.
+    /// The indices are staged in a transient vector; callers that need
+    /// the fully allocation-free path hold the index scratch themselves
+    /// and go through [`ReplaySampler::sample_into`].
     pub fn sample_batch_into(
-        &self,
-        batch: usize,
-        rng: &mut StdRng,
-        out: &mut TransitionBatch,
-    ) -> bool {
-        self.sample_batch_par_into(batch, rng, &Parallelism::sequential(), out)
-    }
-
-    /// Pool-parallel [`ReplayBuffer::sample_batch_into`] (see
-    /// [`ReplayBuffer::sample_batch_par`] for the worker-invariance
-    /// contract). The parallel arm stages its indices in a transient
-    /// vector; callers that need the fully allocation-free parallel
-    /// path hold the index scratch themselves and go through
-    /// [`ReplaySampler::sample_into`].
-    pub fn sample_batch_par_into(
         &self,
         batch: usize,
         rng: &mut StdRng,
@@ -311,106 +262,49 @@ impl ReplayBuffer {
         if batch == 0 || self.len < batch {
             return false;
         }
-        if par.shards(batch) <= 1 {
-            // Fused draw + gather: each index is drawn and its column
-            // copied in the same pass — no index vector, no second
-            // validation sweep. The draw sequence (`batch` ascending
-            // `gen_range(0..len)` calls) and the gathered bytes are
-            // identical to the two-phase path below.
-            self.gather_fused_into(batch, || rng.gen_range(0..self.len), out);
-            return true;
-        }
-        let indices = self.sample_indices(batch, rng);
-        self.gather_par_into(&indices, par, out);
+        let mut indices = Vec::with_capacity(batch);
+        self.sample_indices_into(batch, rng, &mut indices);
+        self.gather_into(&indices, par, out);
         true
     }
 
-    /// The one sequential gather loop every hot path shares: `pick()`
-    /// yields the next (in-range) slot, and all five lanes fill in a
-    /// single fused pass straight into the scratch batch — plain row
-    /// copies into reshaped (reused) storage, so every caller produces
-    /// identical bytes by construction.
-    fn gather_fused_into(
-        &self,
-        n: usize,
-        mut pick: impl FnMut() -> usize,
-        out: &mut TransitionBatch,
-    ) {
-        let (state_dim, action_dim) = (self.states.cols(), self.actions.cols());
-        out.reset_for(n, state_dim, action_dim);
-        for k in 0..n {
-            let i = pick();
-            out.states.row_mut(k).copy_from_slice(self.states.row(i));
-            out.actions.row_mut(k).copy_from_slice(self.actions.row(i));
-            out.next_states
-                .row_mut(k)
-                .copy_from_slice(self.next_states.row(i));
-            let (reward, terminal) = self.meta[i];
-            out.rewards.push(reward);
-            out.terminals.push(terminal);
-        }
-    }
-
-    /// Gathers the transitions at `indices` into batch matrices (one
-    /// contiguous column copy per pick, per panel).
+    /// Gathers the transitions at `indices` into a caller-owned scratch
+    /// batch (one contiguous column copy per pick, per panel; reshaped
+    /// in place, storage reused — no allocation once grown), sharding
+    /// the copies over the pool of `par`, bit-identically at every
+    /// worker count.
     ///
     /// # Panics
     ///
     /// Panics if any index is `>= len()` — evicted or unwritten slots
     /// can never be gathered.
-    pub fn gather(&self, indices: &[usize]) -> TransitionBatch {
-        self.gather_par(indices, &Parallelism::sequential())
-    }
-
-    /// Pool-parallel [`ReplayBuffer::gather`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is `>= len()`.
-    pub fn gather_par(&self, indices: &[usize], par: &Parallelism) -> TransitionBatch {
-        let mut out = TransitionBatch::empty();
-        self.gather_par_into(indices, par, &mut out);
-        out
-    }
-
-    /// [`ReplayBuffer::gather`] into a caller-owned scratch batch
-    /// (reshaped in place, storage reused — no allocation once grown).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is `>= len()`.
-    pub fn gather_into(&self, indices: &[usize], out: &mut TransitionBatch) {
-        self.gather_par_into(indices, &Parallelism::sequential(), out)
-    }
-
-    /// Pool-parallel [`ReplayBuffer::gather_into`] — the single gather
-    /// implementation all gather entry points funnel through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is `>= len()`.
-    pub fn gather_par_into(&self, indices: &[usize], par: &Parallelism, out: &mut TransitionBatch) {
+    pub fn gather_into(&self, indices: &[usize], par: &Parallelism, out: &mut TransitionBatch) {
         assert!(
             indices.iter().all(|&i| i < self.len),
             "replay gather index out of live range"
         );
         if par.shards(indices.len()) <= 1 {
-            // Sequential hot path: the shared fused pass, walking the
-            // given indices. Bit-identical to the per-panel kernel
-            // gathers below (both are plain copies).
-            let mut it = indices.iter();
-            self.gather_fused_into(
-                indices.len(),
-                || *it.next().expect("n == indices.len()"),
-                out,
-            );
+            // Sequential hot path: all five lanes fill in a single pass
+            // over the picks — plain row copies, so the bytes equal the
+            // per-panel kernel gathers below.
+            out.reset_for(indices.len(), self.states.cols(), self.actions.cols());
+            for (k, &i) in indices.iter().enumerate() {
+                out.states.row_mut(k).copy_from_slice(self.states.row(i));
+                out.actions.row_mut(k).copy_from_slice(self.actions.row(i));
+                out.next_states
+                    .row_mut(k)
+                    .copy_from_slice(self.next_states.row(i));
+                let (reward, terminal) = self.meta[i];
+                out.rewards.push(reward);
+                out.terminals.push(terminal);
+            }
             return;
         }
         out.rewards.clear();
         out.terminals.clear();
         let gather = |panel: &Matrix<f64>, dst: &mut Matrix<f64>| {
             panel
-                .gather_columns_par_into(indices, par, dst)
+                .gather_columns_into(indices, par, dst)
                 .expect("indices checked against len <= capacity");
         };
         gather(&self.states, &mut out.states);
@@ -469,13 +363,24 @@ impl TransitionBatch {
     /// Returns [`ShapeError`] if the transitions disagree on state or
     /// action dimensions.
     pub fn from_transitions(batch: &[&Transition]) -> Result<Self, ShapeError> {
-        let state_dim = batch.first().map_or(0, |t| t.state.len());
-        let action_dim = batch.first().map_or(0, |t| t.action.len());
+        let lane = |field: fn(&Transition) -> &[f64]| {
+            let rows: Vec<&[f64]> = batch.iter().map(|t| field(t)).collect();
+            Matrix::from_rows(&rows)
+        };
+        let states = lane(|t| &t.state)?;
+        let next_states = lane(|t| &t.next_state)?;
+        if next_states.cols() != states.cols() {
+            return Err(ShapeError::new(
+                "transition batch next states",
+                states.shape(),
+                next_states.shape(),
+            ));
+        }
         Ok(Self {
-            states: Matrix::from_row_fn(batch, state_dim, |t| t.state.as_slice())?,
-            actions: Matrix::from_row_fn(batch, action_dim, |t| t.action.as_slice())?,
+            states,
+            actions: lane(|t| &t.action)?,
             rewards: batch.iter().map(|t| t.reward).collect(),
-            next_states: Matrix::from_row_fn(batch, state_dim, |t| t.next_state.as_slice())?,
+            next_states,
             terminals: batch.iter().map(|t| t.terminal).collect(),
         })
     }
@@ -746,21 +651,13 @@ impl PrioritizedReplay {
         self.tree.set(slot, self.max_priority);
     }
 
-    /// Draws `batch` slot indices proportionally to priority mass,
+    /// Draws `batch` slot indices proportionally to priority mass into
+    /// a caller-owned scratch vector (cleared first, capacity reused),
     /// stratified: draw `k` is uniform in the `k`-th of `batch` equal
     /// segments of the total mass (lower variance than independent
     /// draws, same deterministic RNG consumption: exactly `batch`
     /// `gen_range` calls). Indices are clamped into the live range
     /// `0..len`, so evicted/unwritten slots are never yielded.
-    pub fn sample_indices(&self, len: usize, batch: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut out = Vec::with_capacity(batch);
-        self.sample_indices_into(len, batch, rng, &mut out);
-        out
-    }
-
-    /// [`PrioritizedReplay::sample_indices`] into a caller-owned
-    /// scratch vector (cleared first, capacity reused). Identical
-    /// stratified draw sequence — exactly `batch` `gen_range` calls.
     ///
     /// # Panics
     ///
@@ -885,8 +782,8 @@ impl Default for SampledBatch {
 }
 
 /// Runtime sampler unifying the two [`ReplayStrategy`] arms — the
-/// object the trainers drive: `on_insert` after every push, `sample`
-/// before every update, `update_priorities` after it.
+/// object the trainers drive: `on_insert` after every push,
+/// `sample_into` before every update, `update_priorities` after it.
 #[derive(Debug, Clone)]
 pub enum ReplaySampler {
     /// Uniform draws on the caller's replay stream (legacy behaviour).
@@ -919,37 +816,18 @@ impl ReplaySampler {
         }
     }
 
-    /// Samples a minibatch from `buf`, or `None` when `batch == 0` or
-    /// fewer than `batch` transitions are stored (no RNG draws happen
-    /// in that case, on either arm). Uniform consumes exactly the
-    /// legacy draw sequence and returns no weights; prioritized draws
-    /// through the sum-tree and attaches importance weights. Both arms
-    /// gather through the pool behind `par`, bit-identical at every
-    /// worker count.
+    /// Samples a minibatch from `buf` into a caller-owned scratch:
+    /// indices, batch lanes, and (on the prioritized arm) the weight
+    /// vector are all refilled in place — together with the
+    /// importance-weight buffer cached inside [`PrioritizedReplay`], no
+    /// allocation happens after the first draw. Uniform consumes
+    /// exactly the legacy draw sequence and carries no weights;
+    /// prioritized draws through the sum-tree and attaches importance
+    /// weights. Both arms gather through the pool behind `par`,
+    /// bit-identical at every worker count.
     ///
-    /// Allocating convenience over [`ReplaySampler::sample_into`] —
-    /// the trainers hold a [`SampledBatch::scratch`] and use the
-    /// into-form so their train step is allocation-free.
-    pub fn sample(
-        &mut self,
-        buf: &ReplayBuffer,
-        batch: usize,
-        rng: &mut StdRng,
-        par: &Parallelism,
-    ) -> Option<SampledBatch> {
-        let mut out = SampledBatch::scratch();
-        self.sample_into(buf, batch, rng, par, &mut out)
-            .then_some(out)
-    }
-
-    /// [`ReplaySampler::sample`] into a caller-owned scratch: indices,
-    /// batch lanes, and (on the prioritized arm) the weight vector are
-    /// all refilled in place — together with the importance-weight
-    /// buffer cached inside [`PrioritizedReplay`], no allocation
-    /// happens after the first draw. Returns `false` (scratch
-    /// untouched, no RNG draws) on underflow or `batch == 0`; draw
-    /// sequences and gathered bytes are identical to the allocating
-    /// form.
+    /// Returns `false` (scratch untouched, no RNG draws on either arm)
+    /// when `batch == 0` or fewer than `batch` transitions are stored.
     pub fn sample_into(
         &mut self,
         buf: &ReplayBuffer,
@@ -964,7 +842,7 @@ impl ReplaySampler {
         match self {
             Self::Uniform => {
                 buf.sample_indices_into(batch, rng, &mut out.indices);
-                buf.gather_par_into(&out.indices, par, &mut out.batch);
+                buf.gather_into(&out.indices, par, &mut out.batch);
                 out.weights = None;
                 true
             }
@@ -975,7 +853,7 @@ impl ReplaySampler {
                 wv.clear();
                 wv.extend_from_slice(w);
                 out.weights = Some(wv);
-                buf.gather_par_into(&out.indices, par, &mut out.batch);
+                buf.gather_into(&out.indices, par, &mut out.batch);
                 true
             }
         }
@@ -994,6 +872,20 @@ impl ReplaySampler {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// One sequential draw into a fresh scratch (`None` on underflow).
+    fn draw(buf: &ReplayBuffer, batch: usize, rng: &mut StdRng) -> Option<TransitionBatch> {
+        let mut out = TransitionBatch::empty();
+        buf.sample_batch_into(batch, rng, &Parallelism::sequential(), &mut out)
+            .then_some(out)
+    }
+
+    /// The legacy row-copy pack of the transitions at `indices`.
+    fn row_copy(buf: &ReplayBuffer, indices: &[usize]) -> TransitionBatch {
+        let picks: Vec<Transition> = indices.iter().map(|&i| buf.transition(i)).collect();
+        let refs: Vec<&Transition> = picks.iter().collect();
+        TransitionBatch::from_transitions(&refs).unwrap()
+    }
 
     fn t(v: f64) -> Transition {
         Transition {
@@ -1036,7 +928,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(1);
             let mut seen = std::collections::HashSet::new();
             for _ in 0..40 {
-                let batch = buf.sample_batch(cap, &mut rng).unwrap();
+                let batch = draw(&buf, cap, &mut rng).unwrap();
                 for b in 0..batch.len() {
                     let r = batch.rewards()[b];
                     assert!(
@@ -1147,28 +1039,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_batch_matches_sample_draw_sequence() {
-        let mut buf = ReplayBuffer::new(64);
-        for i in 0..64 {
-            buf.push(t(i as f64));
-        }
-        let picks = buf.sample(16, &mut StdRng::seed_from_u64(11));
-        let batch = buf
-            .sample_batch(16, &mut StdRng::seed_from_u64(11))
-            .expect("filled buffer");
-        assert_eq!(batch.len(), 16);
-        let refs: Vec<&Transition> = picks.iter().collect();
-        let from_refs = TransitionBatch::from_transitions(&refs).unwrap();
-        assert_eq!(batch, from_refs, "same RNG stream must pick same rows");
-    }
-
-    #[test]
     fn sample_paths_share_one_gather_from_any_rng_state() {
         // The anti-drift contract: from the *same mid-stream* RNG state,
-        // `sample` and `sample_batch` draw identical indices and leave
-        // the RNG in identical states (both delegate to
-        // `sample_indices`, so a divergence means the shared draw path
-        // was forked).
+        // `sample` and `sample_batch_into` draw identical indices and leave
+        // the RNG in identical states (a divergence means the shared
+        // draw path was forked).
         let mut buf = ReplayBuffer::new(32);
         for i in 0..32 {
             buf.push(t(i as f64));
@@ -1180,71 +1055,67 @@ mod tests {
         }
         let mut rng_b = rng_a.clone();
         let picks = buf.sample(8, &mut rng_a);
-        let batch = buf.sample_batch(8, &mut rng_b).expect("filled buffer");
+        let batch = draw(&buf, 8, &mut rng_b).expect("filled buffer");
         let refs: Vec<&Transition> = picks.iter().collect();
         assert_eq!(batch, TransitionBatch::from_transitions(&refs).unwrap());
         // Both paths consumed exactly the same draws.
         assert_eq!(rng_a, rng_b);
-        assert_eq!(
-            rng_a.gen_range(0..1_000_000usize),
-            rng_b.gen_range(0..1_000_000usize)
-        );
     }
 
     #[test]
-    fn sample_batch_into_matches_allocating_form_and_reuses_storage() {
-        // The scratch-reuse satellite: same RNG stream → identical
-        // bytes as the allocating form, and once the scratch has been
-        // sized, repeated draws never reallocate any lane.
+    fn sample_batch_into_reuses_storage_and_is_worker_invariant() {
+        // Same RNG stream → the bytes of the legacy row-copy pack, and
+        // once the scratch has been sized, repeated draws never
+        // reallocate any lane.
         let mut buf = ReplayBuffer::new(64);
         for i in 0..64 {
             buf.push(t(i as f64));
         }
+        let seq = Parallelism::sequential();
         let mut scratch = TransitionBatch::empty();
-        let direct = buf
-            .sample_batch(16, &mut StdRng::seed_from_u64(23))
-            .unwrap();
-        assert!(buf.sample_batch_into(16, &mut StdRng::seed_from_u64(23), &mut scratch));
-        assert_eq!(scratch, direct, "same draws, same bytes");
-        let ptr = scratch.states().as_slice().as_ptr();
-        // RNG parity: both paths consume exactly the same draws.
         let mut rng_a = StdRng::seed_from_u64(31);
         let mut rng_b = rng_a.clone();
+        assert!(buf.sample_batch_into(16, &mut rng_a, &seq, &mut scratch));
+        let ptr = scratch.states().as_slice().as_ptr();
+        let mut indices = Vec::new();
+        buf.sample_indices_into(16, &mut rng_b, &mut indices);
+        assert_eq!(scratch, row_copy(&buf, &indices), "same draws, same bytes");
         for _ in 0..10 {
-            let alloc = buf.sample_batch(16, &mut rng_a).unwrap();
-            assert!(buf.sample_batch_into(16, &mut rng_b, &mut scratch));
-            assert_eq!(scratch, alloc);
+            assert!(buf.sample_batch_into(16, &mut rng_a, &seq, &mut scratch));
+            buf.sample_indices_into(16, &mut rng_b, &mut indices);
+            assert_eq!(scratch, row_copy(&buf, &indices));
             assert_eq!(
                 scratch.states().as_slice().as_ptr(),
                 ptr,
                 "steady-state draws must not reallocate"
             );
         }
+        // RNG parity: both paths consumed exactly the same draws.
         assert_eq!(rng_a, rng_b);
         // Underflow leaves the scratch untouched and draws nothing.
         let small = ReplayBuffer::with_dims(8, 1, 1);
         let before = scratch.clone();
         let mut rng_c = StdRng::seed_from_u64(1);
         let state = rng_c.clone();
-        assert!(!small.sample_batch_into(4, &mut rng_c, &mut scratch));
+        assert!(!small.sample_batch_into(4, &mut rng_c, &seq, &mut scratch));
         assert_eq!(scratch, before);
         assert_eq!(rng_c, state);
-        // Pool-parallel into-form agrees at every worker count.
-        let seq = buf.sample_batch(16, &mut StdRng::seed_from_u64(5)).unwrap();
+        // The pooled arm agrees at every worker count.
+        let reference = draw(&buf, 16, &mut StdRng::seed_from_u64(5)).unwrap();
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
             let mut out = TransitionBatch::empty();
-            assert!(buf.sample_batch_par_into(16, &mut StdRng::seed_from_u64(5), &par, &mut out));
-            assert_eq!(out, seq, "workers {workers}");
+            assert!(buf.sample_batch_into(16, &mut StdRng::seed_from_u64(5), &par, &mut out));
+            assert_eq!(out, reference, "workers {workers}");
         }
     }
 
     #[test]
-    fn sampler_sample_into_is_allocation_free_and_bit_identical() {
-        // Both strategy arms: sample_into refills the same scratch the
-        // allocating sample() would produce, and the prioritized arm's
-        // importance weights come from the cached buffer without
-        // per-draw allocation.
+    fn sampler_sample_into_is_allocation_free_and_gathers_its_indices() {
+        // Both strategy arms: sample_into refills one scratch whose rows
+        // are the drawn slots, and the prioritized arm's importance
+        // weights come from the cached buffer without per-draw
+        // allocation.
         let cap = 32;
         let mut buf = ReplayBuffer::new(cap);
         let par = Parallelism::sequential();
@@ -1259,19 +1130,16 @@ mod tests {
             }
             let mut scratch = SampledBatch::scratch();
             let mut rng_a = StdRng::seed_from_u64(40);
-            let mut rng_b = rng_a.clone();
             // First draw sizes the scratch lanes.
             assert!(sampler.sample_into(&buf, 8, &mut rng_a, &par, &mut scratch));
-            let alloc = sampler.sample(&buf, 8, &mut rng_b, &par).unwrap();
-            assert_eq!(scratch.batch, alloc.batch, "{strategy:?}: batch");
-            assert_eq!(scratch.indices, alloc.indices, "{strategy:?}: indices");
-            assert_eq!(scratch.weights, alloc.weights, "{strategy:?}: weights");
+            assert_eq!(scratch.batch, row_copy(&buf, &scratch.indices));
             let batch_ptr = scratch.batch.states().as_slice().as_ptr();
             let idx_ptr = scratch.indices.as_ptr();
             for round in 0..6 {
                 // Priorities shift between draws on the prioritized arm.
                 sampler.update_priorities(&scratch.indices, &[0.3 * (round + 1) as f64; 8]);
                 assert!(sampler.sample_into(&buf, 8, &mut rng_a, &par, &mut scratch));
+                assert_eq!(scratch.batch, row_copy(&buf, &scratch.indices));
                 assert_eq!(
                     scratch.batch.states().as_slice().as_ptr(),
                     batch_ptr,
@@ -1326,25 +1194,27 @@ mod tests {
     }
 
     #[test]
-    fn sample_batch_respects_underflow() {
+    fn sample_batch_into_respects_underflow() {
         let mut buf = ReplayBuffer::new(8);
         buf.push(t(1.0));
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(buf.sample_batch(2, &mut rng).is_none());
-        assert!(buf.sample_batch(0, &mut rng).is_none());
+        assert!(draw(&buf, 2, &mut rng).is_none());
+        assert!(draw(&buf, 0, &mut rng).is_none());
     }
 
     #[test]
-    fn gather_par_is_bit_identical_across_worker_counts() {
+    fn gather_into_is_bit_identical_across_worker_counts() {
         let mut buf = ReplayBuffer::new(24);
         for i in 0..24 {
             buf.push(t(i as f64));
         }
         let indices: Vec<usize> = (0..17).map(|k| (k * 5 + 2) % 24).collect();
-        let seq = buf.gather(&indices);
+        let reference = row_copy(&buf, &indices);
+        let mut out = TransitionBatch::empty();
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
-            assert_eq!(buf.gather_par(&indices, &par), seq, "workers {workers}");
+            buf.gather_into(&indices, &par, &mut out);
+            assert_eq!(out, reference, "workers {workers}");
         }
     }
 
@@ -1354,7 +1224,12 @@ mod tests {
         let mut buf = ReplayBuffer::new(8);
         buf.push(t(0.0));
         buf.push(t(1.0));
-        let _ = buf.gather(&[0, 2]); // slot 2 is unwritten
+        // Slot 2 is unwritten.
+        buf.gather_into(
+            &[0, 2],
+            &Parallelism::sequential(),
+            &mut TransitionBatch::empty(),
+        );
     }
 
     #[test]
@@ -1420,8 +1295,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut hits = 0usize;
         let mut draws = 0usize;
+        let mut picks = Vec::new();
         for _ in 0..200 {
-            for i in pr.sample_indices(cap, 8, &mut rng) {
+            pr.sample_indices_into(cap, 8, &mut rng, &mut picks);
+            for &i in &picks {
                 assert!(i < cap);
                 hits += usize::from(i == 3);
                 draws += 1;
@@ -1460,8 +1337,10 @@ mod tests {
             pr.on_insert(slot);
         }
         pr.update_priorities(&[4, 9], &[3.0, 7.0]);
-        let a = pr.sample_indices(32, 16, &mut StdRng::seed_from_u64(42));
-        let b = pr.sample_indices(32, 16, &mut StdRng::seed_from_u64(42));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        pr.sample_indices_into(32, 16, &mut StdRng::seed_from_u64(42), &mut a);
+        pr.sample_indices_into(32, 16, &mut StdRng::seed_from_u64(42), &mut b);
+        assert_eq!(a.len(), 16);
         assert_eq!(a, b);
     }
 
@@ -1473,18 +1352,17 @@ mod tests {
         }
         let par = Parallelism::sequential();
         let mut sampler = ReplaySampler::new(ReplayStrategy::Uniform, 32);
-        let direct = buf.sample_batch(8, &mut StdRng::seed_from_u64(9)).unwrap();
-        let sampled = sampler
-            .sample(&buf, 8, &mut StdRng::seed_from_u64(9), &par)
-            .unwrap();
+        let direct = draw(&buf, 8, &mut StdRng::seed_from_u64(9)).unwrap();
+        let mut sampled = SampledBatch::scratch();
+        assert!(sampler.sample_into(&buf, 8, &mut StdRng::seed_from_u64(9), &par, &mut sampled));
         assert_eq!(sampled.batch, direct, "one shared uniform draw path");
         assert!(sampled.weights.is_none());
-        assert!(sampler
-            .sample(&buf, 0, &mut StdRng::seed_from_u64(9), &par)
-            .is_none());
-        assert!(sampler
-            .sample(&buf, 64, &mut StdRng::seed_from_u64(9), &par)
-            .is_none());
+        for underflow in [0, 64] {
+            let mut rng = StdRng::seed_from_u64(9);
+            assert!(!sampler.sample_into(&buf, underflow, &mut rng, &par, &mut sampled));
+            assert_eq!(rng, StdRng::seed_from_u64(9), "no draws on underflow");
+            assert_eq!(sampled.batch, direct, "scratch untouched");
+        }
     }
 
     #[test]
@@ -1502,7 +1380,8 @@ mod tests {
         }
         let par = Parallelism::with_workers(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let s = sampler.sample(&buf, 6, &mut rng, &par).unwrap();
+        let mut s = SampledBatch::scratch();
+        assert!(sampler.sample_into(&buf, 6, &mut rng, &par, &mut s));
         let w = s.weights.as_ref().expect("prioritized carries weights");
         assert_eq!(w.len(), 6);
         for (k, &slot) in s.indices.iter().enumerate() {

@@ -13,7 +13,7 @@
 
 use fixar_deploy::{ActKind, DeployError, PolicyArtifact};
 use fixar_fixed::Scalar;
-use fixar_nn::{Mlp, QatMode, QatRuntime};
+use fixar_nn::{Mlp, QatMode, QatPhase, QatRuntime};
 use fixar_pool::Parallelism;
 use fixar_tensor::Matrix;
 
@@ -134,11 +134,9 @@ impl<S: Scalar> PolicySnapshot<S> {
         let s: Matrix<S> = states.cast();
         let out = self
             .actor
-            .forward_batch_qat_frozen_par(&s, &self.qat, par)?
+            .forward_batch(&s, QatPhase::Frozen(&self.qat), par)?
             .output;
-        Ok(Matrix::from_fn(out.rows(), out.cols(), |r, c| {
-            out[(r, c)].to_f64()
-        }))
+        Ok(out.cast())
     }
 
     /// Selects the action for one observation — the per-sample offline

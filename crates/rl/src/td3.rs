@@ -21,7 +21,8 @@
 
 use fixar_fixed::Scalar;
 use fixar_nn::{
-    Activation, Adam, AdamConfig, Mlp, MlpConfig, MlpGrads, PrecisionPolicy, QatMode, QatRuntime,
+    Activation, Adam, AdamConfig, BackwardPass, ForwardPass, Mlp, MlpConfig, MlpGrads,
+    PrecisionPolicy, QatMode, QatPhase, QatRuntime,
 };
 use fixar_pool::Parallelism;
 use fixar_tensor::Matrix;
@@ -413,11 +414,9 @@ impl<S: Scalar> Td3<S> {
         let s: Matrix<S> = states.cast();
         let out = self
             .actor
-            .forward_batch_qat_par(&s, &mut self.actor_qat, &self.par)?
+            .forward_batch(&s, QatPhase::Observing(&mut self.actor_qat), &self.par)?
             .output;
-        Ok(Matrix::from_fn(out.rows(), out.cols(), |r, c| {
-            out[(r, c)].to_f64()
-        }))
+        Ok(out.cast())
     }
 
     /// One clipped Gaussian smoothing-noise draw (two uniforms through
@@ -522,8 +521,6 @@ impl<S: Scalar> Td3<S> {
         let b = batch.len();
         let scale = 1.0 / b as f64;
         let gamma = S::from_f64(self.cfg.gamma);
-        let par = self.par.clone();
-
         // Clipped double-Q targets: batched target-actor pass,
         // per-sample noise draws in the per-sample RNG order, then the
         // twin *target* critics — two independent networks on the same
@@ -534,7 +531,11 @@ impl<S: Scalar> Td3<S> {
         let s_next: Matrix<S> = batch.next_states().cast();
         let mut a_next = self
             .actor_target
-            .forward_batch_qat_par(&s_next, &mut self.actor_target_qat, &self.par)?
+            .forward_batch(
+                &s_next,
+                QatPhase::Observing(&mut self.actor_target_qat),
+                &self.par,
+            )?
             .output;
         for i in 0..b {
             for k in 0..self.action_dim {
@@ -544,20 +545,20 @@ impl<S: Scalar> Td3<S> {
             }
         }
         let target_in = s_next.hcat(&a_next).map_err(fixar_nn::NnError::Shape)?;
-        let q_next = fixar_nn::forward_batch_qat_fused(
+        let q_next = fixar_nn::forward_batch(
             &mut [
-                fixar_nn::FusedForward {
+                ForwardPass {
                     mlp: &self.critic1_target,
                     input: &target_in,
-                    qat: &mut self.critic1_target_qat,
+                    qat: QatPhase::Observing(&mut self.critic1_target_qat),
                 },
-                fixar_nn::FusedForward {
+                ForwardPass {
                     mlp: &self.critic2_target,
                     input: &target_in,
-                    qat: &mut self.critic2_target_qat,
+                    qat: QatPhase::Observing(&mut self.critic2_target_qat),
                 },
             ],
-            &par,
+            &self.par,
         )?;
         let targets: Vec<S> = (0..b)
             .map(|i| {
@@ -585,20 +586,20 @@ impl<S: Scalar> Td3<S> {
         let mut td_errors = Vec::with_capacity(b);
         self.critic_grads.reset();
         self.critic2_grads.reset();
-        let traces = fixar_nn::forward_batch_qat_fused(
+        let traces = fixar_nn::forward_batch(
             &mut [
-                fixar_nn::FusedForward {
+                ForwardPass {
                     mlp: &self.critic1,
                     input: &critic_in,
-                    qat: &mut self.critic1_qat,
+                    qat: QatPhase::Observing(&mut self.critic1_qat),
                 },
-                fixar_nn::FusedForward {
+                ForwardPass {
                     mlp: &self.critic2,
                     input: &critic_in,
-                    qat: &mut self.critic2_qat,
+                    qat: QatPhase::Observing(&mut self.critic2_qat),
                 },
             ],
-            &par,
+            &self.par,
         )?;
         let mut dls = [Matrix::<S>::zeros(b, 1), Matrix::<S>::zeros(b, 1)];
         for critic_idx in 0..2 {
@@ -626,22 +627,22 @@ impl<S: Scalar> Td3<S> {
             }
         }
         let [dl1, dl2] = &dls;
-        fixar_nn::backward_batch_fused(
+        fixar_nn::backward_batch(
             &mut [
-                fixar_nn::FusedBackward {
+                BackwardPass {
                     mlp: &self.critic1,
                     trace: &traces[0],
                     dl_dout: dl1,
                     grads: &mut self.critic_grads,
                 },
-                fixar_nn::FusedBackward {
+                BackwardPass {
                     mlp: &self.critic2,
                     trace: &traces[1],
                     dl_dout: dl2,
                     grads: &mut self.critic2_grads,
                 },
             ],
-            &par,
+            &self.par,
         )?;
         self.critic1_opt
             .step(&mut self.critic1, &self.critic_grads)?;
@@ -653,17 +654,21 @@ impl<S: Scalar> Td3<S> {
         if self.critic_updates.is_multiple_of(self.cfg.policy_delay) {
             self.actor_grads.reset();
             self.critic_scratch.reset();
-            let atrace =
-                self.actor
-                    .forward_batch_qat_par(&states, &mut self.actor_qat, &self.par)?;
+            let atrace = self.actor.forward_batch(
+                &states,
+                QatPhase::Observing(&mut self.actor_qat),
+                &self.par,
+            )?;
             let policy_in = states
                 .hcat(&atrace.output)
                 .map_err(fixar_nn::NnError::Shape)?;
-            let ctrace =
-                self.critic1
-                    .forward_batch_qat_par(&policy_in, &mut self.critic1_qat, &self.par)?;
+            let ctrace = self.critic1.forward_batch(
+                &policy_in,
+                QatPhase::Observing(&mut self.critic1_qat),
+                &self.par,
+            )?;
             let minus_scale = Matrix::from_fn(b, 1, |_, _| S::from_f64(-scale));
-            let dq_dinput = self.critic1.backward_batch_par(
+            let dq_dinput = self.critic1.backward_batch(
                 &ctrace,
                 &minus_scale,
                 &mut self.critic_scratch,
@@ -671,7 +676,7 @@ impl<S: Scalar> Td3<S> {
             )?;
             let dq_da = dq_dinput.columns(self.state_dim, self.state_dim + self.action_dim);
             self.actor
-                .backward_batch_par(&atrace, &dq_da, &mut self.actor_grads, &self.par)?;
+                .backward_batch(&atrace, &dq_da, &mut self.actor_grads, &self.par)?;
             self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
             self.actor_target
                 .soft_update_from(&self.actor, self.cfg.tau)?;

@@ -128,23 +128,4 @@ proptest! {
         prop_assert_eq!(per_sample.actor(), batched.actor());
         prop_assert_eq!(per_sample.critics(), batched.critics());
     }
-
-    /// Parallel training is invariant to the worker count's relation to
-    /// the batch (more workers than samples, odd shard sizes, …) — it
-    /// must always produce finite results and count exactly one step.
-    #[test]
-    fn parallel_training_robust_to_worker_counts(
-        workers in 1usize..9,
-        batch_size in 2usize..24,
-    ) {
-        let cfg = DdpgConfig::small_test();
-        let mut agent = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
-        let data: Vec<Transition> = (0..batch_size)
-            .map(|i| transition(3, 1, (i as f64 * 0.7).cos()))
-            .collect();
-        let refs: Vec<&Transition> = data.iter().collect();
-        let metrics = agent.train_batch_parallel(&refs, workers).unwrap();
-        prop_assert!(metrics.critic_loss.is_finite());
-        prop_assert_eq!(agent.train_steps(), 1);
-    }
 }

@@ -4,11 +4,12 @@
 //! implements in hardware: matrix-vector multiplication by **column-wise
 //! matrix decomposition** (Fig. 4 of the paper), the transposed variant
 //! used in back-propagation, and outer-product gradient accumulation —
-//! plus their **batched matrix-matrix forms** ([`Matrix::gemv_batch`],
-//! [`Matrix::gemv_t_batch`], [`Matrix::add_outer_batch`],
-//! [`Matrix::matmul`]) that move a whole minibatch through a layer as one
-//! operand, the software image of the accelerator's intra-batch
-//! parallelism.
+//! plus their **batched matrix-matrix forms**
+//! ([`WeightPack::gemv_batch`], [`WeightPack::gemv_t_batch`],
+//! [`Matrix::add_outer_batch`]) that move a whole minibatch through a
+//! layer as one operand, the software image of the accelerator's
+//! intra-batch parallelism, and the replay gather
+//! [`Matrix::gather_columns_into`].
 //!
 //! # Accumulation-order contract
 //!
@@ -32,40 +33,32 @@
 //! with running the per-sample kernel row by row — only the loop nest
 //! (and the throughput) differs.
 //!
-//! The pool-parallel kernels (`*_par`, backed by the persistent
-//! [`fixar_pool::WorkerPool`]) extend it once more: work shards into
-//! **disjoint output regions** — batch rows for the forward/transposed
-//! MVMs and `matmul`, *weight rows* for `add_outer_batch` (whose
-//! reduction runs across the batch) — and every shard executes the very
-//! same span loop nest as the sequential kernel over its range. No
-//! reduction chain changes and no two workers touch the same element,
-//! so parallel output is **bit-identical to sequential at every worker
-//! count**, for every backend including saturating `Fx32`, independent
-//! of thread scheduling.
+//! Each batched operation has **one entry**, which takes a
+//! [`KernelScope`]: work shards into **disjoint output regions** —
+//! batch rows for the forward/transposed MVMs, *weight rows* for
+//! `add_outer_batch` (whose reduction runs across the batch) — and every
+//! shard executes the very same span loop nest over its range. Inside
+//! [`fixar_pool::Parallelism::fused`] the shards of several
+//! *independent* kernels — the twin TD3 critics' MVMs, or a layer's
+//! gradient outer product alongside its error MVM — enqueue into one
+//! scope and share one barrier join per phase; with
+//! [`KernelScope::sequential`] (also what `fused` hands out at one
+//! worker, or on a pool thread) they run inline. No reduction chain
+//! changes and no two shards touch the same element, so the output is
+//! **bit-identical at every worker count**, fused or not, for every
+//! backend including saturating `Fx32`, independent of thread
+//! scheduling.
 //!
-//! The packed-layout kernels ([`Matrix::pack`] → [`WeightPack`])
-//! restate the same contract from a cache-resident pre-transposed copy
-//! of the weights: [`WeightPack::gemv_batch`] reuses the transpose
-//! across calls instead of rebuilding it per batch, and
-//! [`WeightPack::gemv_t_batch`] turns the transposed MVM into
-//! unit-stride register-accumulated dot products. Only the loop nests
-//! differ — per-element chains are unchanged — so packed ≡ unpacked ≡
-//! per-sample, bit for bit, at every worker count. A pack is a
-//! snapshot of the weights at [`Matrix::pack`] time; mutating the
-//! source matrix afterwards does not update it (callers invalidate and
-//! re-pack, as `fixar-nn`'s `Mlp` does on weight updates).
-//!
-//! The `*_par_in` forms ([`Matrix::gemv_batch_par_in`],
-//! [`Matrix::gemv_t_batch_par_in`], [`Matrix::add_outer_batch_par_in`],
-//! [`Matrix::matmul_par_in`], [`Matrix::gather_columns_par_in`]) extend
-//! the contract a final time: instead of opening a scope per kernel
-//! call, they enqueue their shards into a **caller-owned fused scope**
-//! ([`fixar_pool::Parallelism::fused`]), so several *independent*
-//! kernels — disjoint output regions, e.g. the twin TD3 critics' MVMs
-//! or a layer's gradient outer product alongside its error MVM — share
-//! one barrier join per phase. The shards are the same span loop nests,
-//! so fused output is bit-identical to per-kernel scopes and to
-//! sequential execution at every worker count.
+//! The MVM entries live on [`WeightPack`] ([`Matrix::pack`]), a
+//! cache-resident image of the weights in both hot-loop layouts:
+//! [`WeightPack::gemv_batch`] streams the cached transpose instead of
+//! rebuilding it per batch, and [`WeightPack::gemv_t_batch`] turns the
+//! transposed MVM into unit-stride register-accumulated dot products.
+//! Only the loop nests differ from the per-sample kernels — per-element
+//! chains are unchanged. A pack is a snapshot of the weights at
+//! [`Matrix::pack`] time; mutating the source matrix afterwards does not
+//! update it (callers invalidate and re-pack, as `fixar-nn`'s `Mlp` does
+//! on weight updates).
 //!
 //! [`fixar_pool::Parallelism::fused`]: Parallelism::fused
 //!

@@ -3,7 +3,6 @@
 use core::fmt;
 use core::ops::{Index, IndexMut, Range};
 use std::error::Error;
-use std::sync::Arc;
 
 use fixar_fixed::Scalar;
 use fixar_pool::{split_ranges, KernelScope, Parallelism};
@@ -297,318 +296,31 @@ impl<S: Scalar> Matrix<S> {
         Ok(())
     }
 
-    /// Batched matrix-vector product `Y[b] = W·A[b]` for a minibatch
-    /// stored one sample per row: `a` is `(batch, cols)`, `y` is
-    /// `(batch, rows)`.
-    ///
-    /// # Accumulation order
-    ///
-    /// Bit-exact with calling [`Matrix::gemv`] on every row of `a` in
-    /// row order: for each output element `y[b][i]`, partial products are
-    /// reduced over the columns `j` in ascending order — the same
-    /// per-element reduction sequence as the column-broadcast hardware
-    /// dataflow. (Only the *loop nest* differs: the batched kernel walks
-    /// `W` row-major with a register accumulator, which is what makes it
-    /// faster; saturation and rounding are per-element, so the result is
-    /// identical.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `a.cols() == cols` and `y` is
-    /// `(a.rows(), rows)`.
-    pub fn gemv_batch(&self, a: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
-        self.check_gemv_batch(a, y)?;
-        // Column-broadcast form over a materialized transpose: for each
-        // input column `j`, the broadcast element `x[j]` multiplies the
-        // contiguous row `j` of Wᵀ and accumulates into the whole output
-        // row — element-independent within a step, so it vectorizes,
-        // while every output element still reduces in ascending `j`,
-        // exactly the per-element order of `gemv`'s column broadcast
-        // (bit-exact per row). The one-off transpose copy is amortized
-        // over the whole minibatch — this is what a per-sample kernel
-        // cannot do.
-        let wt = self.transposed();
-        gemv_batch_span(&wt, a, 0..a.rows, &mut y.data);
-        Ok(())
-    }
-
-    fn check_gemv_batch(&self, a: &Matrix<S>, y: &Matrix<S>) -> Result<(), ShapeError> {
-        if a.cols != self.cols {
-            return Err(ShapeError::new(
-                "gemv_batch input",
-                (a.rows, self.cols),
-                a.shape(),
-            ));
-        }
-        if y.shape() != (a.rows, self.rows) {
-            return Err(ShapeError::new(
-                "gemv_batch output",
-                (a.rows, self.rows),
-                y.shape(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Pool-parallel [`Matrix::gemv_batch`]: batch rows shard
-    /// contiguously across the pool of `par`, each worker computing its
-    /// disjoint slice of output rows with the *same* per-element
-    /// ascending-`j` reduction chain as the sequential kernel. Shard
-    /// outputs are disjoint, so the merge is trivial and the result is
-    /// **bit-identical** to the sequential kernel for every backend
-    /// (including saturating `Fx32`) at every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (impossible for in-contract
-    /// operands; it would be a kernel bug, exactly as in the sequential
-    /// form).
-    pub fn gemv_batch_par(
-        &self,
-        a: &Matrix<S>,
-        y: &mut Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<(), ShapeError> {
-        let shards = par.shards(a.rows);
-        if shards <= 1 {
-            return self.gemv_batch(a, y);
-        }
-        self.check_gemv_batch(a, y)?;
-        let out_dim = self.rows;
-        let wt = self.transposed();
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
-            let mut rest = y.data.as_mut_slice();
-            for range in split_ranges(a.rows, shards) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
-                rest = tail;
-                let wt = &wt;
-                scope.execute(move || gemv_batch_span(wt, a, range, chunk));
-            }
-        })
-        .unwrap_or_else(|e| panic!("gemv_batch_par worker panicked: {e}"));
-        Ok(())
-    }
-
-    /// Allocating variant of [`Matrix::gemv_batch_par`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `a.cols() == cols`.
-    pub fn gemv_batch_par_alloc(
-        &self,
-        a: &Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<Matrix<S>, ShapeError> {
-        let mut y = Matrix::zeros(a.rows(), self.rows);
-        self.gemv_batch_par(a, &mut y, par)?;
-        Ok(y)
-    }
-
-    /// Allocating variant of [`Matrix::gemv_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `a.cols() == cols`.
-    pub fn gemv_batch_alloc(&self, a: &Matrix<S>) -> Result<Matrix<S>, ShapeError> {
-        let mut y = Matrix::zeros(a.rows(), self.rows);
-        self.gemv_batch(a, &mut y)?;
-        Ok(y)
-    }
-
-    /// [`Matrix::gemv_batch`] submitted into a **caller-owned fused
-    /// scope** instead of opening its own: the shards enqueue through
-    /// `ks` and join together with every other kernel fused into the
-    /// same [`fixar_pool::Parallelism::fused`] call — one barrier for
-    /// the whole phase instead of one per kernel. On the sequential
-    /// degradation (no pool, or nested on a pool thread) the shards run
-    /// inline, bit-identically.
-    ///
-    /// The result is only complete once the owning fused scope joins;
-    /// `y` must stay borrowed until then (the `'scope` bound enforces
-    /// it). Outputs of distinct kernels fused into one scope must be
-    /// disjoint — that is the caller's contract, exactly as for shards
-    /// of a single kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_batch`], checked on the
-    /// calling thread before anything enqueues.
-    pub fn gemv_batch_par_in<'scope>(
-        &'scope self,
-        a: &'scope Matrix<S>,
-        y: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
-        self.check_gemv_batch(a, y)?;
-        let out_dim = self.rows;
-        // The transpose is shared by every shard and must survive until
-        // the fused scope joins, which outlives this call — hence Arc.
-        let wt = Arc::new(self.transposed());
-        let shards = ks.shards(a.rows);
-        let mut rest = y.data.as_mut_slice();
-        for range in split_ranges(a.rows, shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
-            rest = tail;
-            let wt = Arc::clone(&wt);
-            ks.submit(move || gemv_batch_span(&wt, a, range, chunk));
-        }
-        Ok(())
-    }
-
-    /// Batched transposed product `Y[b] = Wᵀ·E[b]` (back-propagation of a
-    /// whole minibatch of error rows): `e` is `(batch, rows)`, `y` is
-    /// `(batch, cols)`.
-    ///
-    /// # Accumulation order
-    ///
-    /// Bit-exact with calling [`Matrix::gemv_t`] on every row of `e` in
-    /// row order: for each output element `y[b][j]`, contributions are
-    /// reduced over `i` (the rows of `W`) in ascending order, exactly as
-    /// the row-broadcast transpose dataflow produces them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `e.cols() == rows` and `y` is
-    /// `(e.rows(), cols)`.
-    pub fn gemv_t_batch(&self, e: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
-        self.check_gemv_t_batch(e, y)?;
-        gemv_t_batch_span(self, e, 0..e.rows, &mut y.data);
-        Ok(())
-    }
-
-    fn check_gemv_t_batch(&self, e: &Matrix<S>, y: &Matrix<S>) -> Result<(), ShapeError> {
-        if e.cols != self.rows {
-            return Err(ShapeError::new(
-                "gemv_t_batch input",
-                (e.rows, self.rows),
-                e.shape(),
-            ));
-        }
-        if y.shape() != (e.rows, self.cols) {
-            return Err(ShapeError::new(
-                "gemv_t_batch output",
-                (e.rows, self.cols),
-                y.shape(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Pool-parallel [`Matrix::gemv_t_batch`]: batch rows shard
-    /// contiguously across the pool, each worker running the sequential
-    /// kernel's loop nest (including its four-sample unroll) over its
-    /// disjoint output slice. Per-element chains stay ascending-`i`, so
-    /// the result is **bit-identical** to the sequential kernel at
-    /// every worker count, in every backend.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_t_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn gemv_t_batch_par(
-        &self,
-        e: &Matrix<S>,
-        y: &mut Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<(), ShapeError> {
-        let shards = par.shards(e.rows);
-        if shards <= 1 {
-            return self.gemv_t_batch(e, y);
-        }
-        self.check_gemv_t_batch(e, y)?;
-        let cols = self.cols;
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
-            let mut rest = y.data.as_mut_slice();
-            for range in split_ranges(e.rows, shards) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-                rest = tail;
-                scope.execute(move || gemv_t_batch_span(self, e, range, chunk));
-            }
-        })
-        .unwrap_or_else(|err| panic!("gemv_t_batch_par worker panicked: {err}"));
-        Ok(())
-    }
-
-    /// Allocating variant of [`Matrix::gemv_t_batch_par`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `e.cols() == rows`.
-    pub fn gemv_t_batch_par_alloc(
-        &self,
-        e: &Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<Matrix<S>, ShapeError> {
-        let mut y = Matrix::zeros(e.rows(), self.cols);
-        self.gemv_t_batch_par(e, &mut y, par)?;
-        Ok(y)
-    }
-
-    /// Allocating variant of [`Matrix::gemv_t_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `e.cols() == rows`.
-    pub fn gemv_t_batch_alloc(&self, e: &Matrix<S>) -> Result<Matrix<S>, ShapeError> {
-        let mut y = Matrix::zeros(e.rows(), self.cols);
-        self.gemv_t_batch(e, &mut y)?;
-        Ok(y)
-    }
-
-    /// [`Matrix::gemv_t_batch`] submitted into a caller-owned fused
-    /// scope (see [`Matrix::gemv_batch_par_in`] for the fused-scope
-    /// contract): shards enqueue through `ks`, the join belongs to the
-    /// owning [`fixar_pool::Parallelism::fused`] call, and the
-    /// sequential degradation runs inline, bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_t_batch`], checked
-    /// before anything enqueues.
-    pub fn gemv_t_batch_par_in<'scope>(
-        &'scope self,
-        e: &'scope Matrix<S>,
-        y: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
-        self.check_gemv_t_batch(e, y)?;
-        let cols = self.cols;
-        let shards = ks.shards(e.rows);
-        let mut rest = y.data.as_mut_slice();
-        for range in split_ranges(e.rows, shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-            rest = tail;
-            ks.submit(move || gemv_t_batch_span(self, e, range, chunk));
-        }
-        Ok(())
-    }
-
     /// Batched rank-1 gradient accumulation
     /// `W += Σ_b E[b] ⊗ A[b]`, summed **in row (sample) order** — the
     /// documented batch-reduction order of the gradient memory. Bit-exact
     /// with calling [`Matrix::add_outer`] per sample row in order.
     ///
+    /// Unlike the MVM kernels, gradient accumulation reduces **across**
+    /// the batch, so sharding the batch would change the per-element
+    /// accumulation chain under saturation. Instead the *weight rows*
+    /// shard through `ks`: each shard owns a disjoint row range of the
+    /// gradient matrix and walks the whole batch in ascending sample
+    /// order for those rows — the exact sequential chain per element,
+    /// hence bit-identical at every worker count in every backend. See
+    /// [`WeightPack::gemv_batch`] for the kernel-scope contract.
+    ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] unless `e` is `(batch, rows)` and `a` is
-    /// `(batch, cols)` with equal batch sizes.
-    pub fn add_outer_batch(&mut self, e: &Matrix<S>, a: &Matrix<S>) -> Result<(), ShapeError> {
-        self.check_add_outer_batch(e, a)?;
-        let (rows, cols) = self.shape();
-        add_outer_batch_span(e, a, 0..rows, cols, &mut self.data);
-        Ok(())
-    }
-
-    fn check_add_outer_batch(&self, e: &Matrix<S>, a: &Matrix<S>) -> Result<(), ShapeError> {
+    /// `(batch, cols)` with equal batch sizes — checked on the calling
+    /// thread before anything enqueues.
+    pub fn add_outer_batch<'scope>(
+        &'scope mut self,
+        e: &'scope Matrix<S>,
+        a: &'scope Matrix<S>,
+        ks: &KernelScope<'_, '_, 'scope>,
+    ) -> Result<(), ShapeError> {
         if e.rows != a.rows {
             return Err(ShapeError::new(
                 "add_outer_batch batch",
@@ -630,70 +342,6 @@ impl<S: Scalar> Matrix<S> {
                 a.shape(),
             ));
         }
-        Ok(())
-    }
-
-    /// Pool-parallel [`Matrix::add_outer_batch`]. Unlike the MVM
-    /// kernels, gradient accumulation reduces **across** the batch, so
-    /// sharding the batch would change the per-element accumulation
-    /// chain under saturation. Instead the *weight rows* shard: each
-    /// worker owns a disjoint row range of the gradient matrix and
-    /// walks the whole batch in ascending sample order for those rows —
-    /// the exact sequential chain per element, hence **bit-identical**
-    /// to the sequential kernel at every worker count in every backend.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::add_outer_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn add_outer_batch_par(
-        &mut self,
-        e: &Matrix<S>,
-        a: &Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<(), ShapeError> {
-        let shards = par.shards(self.rows);
-        if shards <= 1 {
-            return self.add_outer_batch(e, a);
-        }
-        self.check_add_outer_batch(e, a)?;
-        let cols = self.cols;
-        let rows = self.rows;
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
-            let mut rest = self.data.as_mut_slice();
-            for range in split_ranges(rows, shards) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-                rest = tail;
-                scope.execute(move || add_outer_batch_span(e, a, range, cols, chunk));
-            }
-        })
-        .unwrap_or_else(|err| panic!("add_outer_batch_par worker panicked: {err}"));
-        Ok(())
-    }
-
-    /// [`Matrix::add_outer_batch`] submitted into a caller-owned fused
-    /// scope (see [`Matrix::gemv_batch_par_in`]): the *weight rows*
-    /// shard through `ks` — each shard walking the whole batch in
-    /// ascending sample order, the sequential chain — and join with the
-    /// owning [`fixar_pool::Parallelism::fused`] call. This is the form
-    /// the fused layer backward uses to run gradient accumulation and
-    /// error propagation under a single join.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::add_outer_batch`], checked
-    /// before anything enqueues.
-    pub fn add_outer_batch_par_in<'scope>(
-        &'scope mut self,
-        e: &'scope Matrix<S>,
-        a: &'scope Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
-        self.check_add_outer_batch(e, a)?;
         let cols = self.cols;
         let rows = self.rows;
         let shards = ks.shards(rows);
@@ -702,110 +350,6 @@ impl<S: Scalar> Matrix<S> {
             let (chunk, tail) = rest.split_at_mut(range.len() * cols);
             rest = tail;
             ks.submit(move || add_outer_batch_span(e, a, range, cols, chunk));
-        }
-        Ok(())
-    }
-
-    /// General matrix-matrix product `C = self · rhs` with the crate's
-    /// reduction contract: every output element accumulates its products
-    /// over the shared dimension `k` in ascending order, each product
-    /// rounded to the scalar format before the saturating add.
-    ///
-    /// [`Matrix::gemv_batch`] is this kernel specialized to
-    /// `A · selfᵀ` layouts; `w.gemv_batch_alloc(&a)` equals
-    /// `a.matmul(&w.transposed())` bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `rhs.rows() == cols`.
-    pub fn matmul(&self, rhs: &Matrix<S>) -> Result<Matrix<S>, ShapeError> {
-        self.check_matmul(rhs)?;
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        matmul_span(self, rhs, 0..self.rows, &mut out.data);
-        Ok(out)
-    }
-
-    fn check_matmul(&self, rhs: &Matrix<S>) -> Result<(), ShapeError> {
-        if rhs.rows != self.cols {
-            return Err(ShapeError::new(
-                "matmul",
-                (self.cols, rhs.cols),
-                rhs.shape(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Pool-parallel [`Matrix::matmul`]: output rows shard contiguously
-    /// across the pool, every element keeping the ascending-`k`
-    /// reduction chain — **bit-identical** to the sequential kernel at
-    /// every worker count in every backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `rhs.rows() == cols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn matmul_par(&self, rhs: &Matrix<S>, par: &Parallelism) -> Result<Matrix<S>, ShapeError> {
-        let shards = par.shards(self.rows);
-        if shards <= 1 {
-            return self.matmul(rhs);
-        }
-        self.check_matmul(rhs)?;
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let out_cols = rhs.cols;
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
-            let mut rest = out.data.as_mut_slice();
-            for range in split_ranges(self.rows, shards) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * out_cols);
-                rest = tail;
-                scope.execute(move || matmul_span(self, rhs, range, chunk));
-            }
-        })
-        .unwrap_or_else(|err| panic!("matmul_par worker panicked: {err}"));
-        Ok(out)
-    }
-
-    /// [`Matrix::matmul`] submitted into a caller-owned fused scope
-    /// (see [`Matrix::gemv_batch_par_in`]), writing into a caller-owned
-    /// `out` — the output must outlive the scope, so the allocating
-    /// form cannot be fused. `out` must be `(rows, rhs.cols)`; its
-    /// previous contents are overwritten (each shard zeroes its region
-    /// before accumulating).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `rhs.rows() == cols` and `out` is
-    /// `(rows, rhs.cols)`.
-    pub fn matmul_par_in<'scope>(
-        &'scope self,
-        rhs: &'scope Matrix<S>,
-        out: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
-        self.check_matmul(rhs)?;
-        if out.shape() != (self.rows, rhs.cols) {
-            return Err(ShapeError::new(
-                "matmul_par_in output",
-                (self.rows, rhs.cols),
-                out.shape(),
-            ));
-        }
-        let out_cols = rhs.cols;
-        let shards = ks.shards(self.rows);
-        let mut rest = out.data.as_mut_slice();
-        for range in split_ranges(self.rows, shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * out_cols);
-            rest = tail;
-            ks.submit(move || {
-                for v in chunk.iter_mut() {
-                    *v = S::zero();
-                }
-                matmul_span(self, rhs, range, chunk);
-            });
         }
         Ok(())
     }
@@ -881,21 +425,28 @@ impl<S: Scalar> Matrix<S> {
     /// `Matrix` is row-major, so a column-major `(dim, n)` panel is held
     /// as its row-major transpose: `self` is `(n, dim)` and logical
     /// column `j` of the panel (one stored sample) is stored row `j`,
-    /// contiguous in memory. `gather_columns(idx)` returns the
-    /// `(idx.len(), dim)` batch matrix whose row `k` is logical column
-    /// `idx[k]` — one contiguous copy per gathered column, no reduction
-    /// and no per-element arithmetic, hence trivially bit-exact in every
-    /// backend. Repeated indices are allowed (sampling with
+    /// contiguous in memory. The caller-owned `out` is reshaped in place
+    /// to `(indices.len(), cols)` (reusing its storage once grown, see
+    /// [`Matrix::reset_shape`] — the allocation-free sampling path) and
+    /// its row `k` becomes logical column `indices[k]`: one contiguous
+    /// copy per gathered column, no reduction and no per-element
+    /// arithmetic. Repeated indices are allowed (sampling with
     /// replacement).
+    ///
+    /// The gathered output rows shard contiguously across the pool of
+    /// `par` (inline at one worker or on a pool thread); gathers are pure
+    /// copies into disjoint regions, so the result is bit-identical at
+    /// every worker count in every backend.
     ///
     /// # Example
     ///
     /// ```
-    /// use fixar_tensor::Matrix;
+    /// use fixar_tensor::{Matrix, Parallelism};
     ///
     /// // A 2-wide panel holding 3 samples (stored transpose: 3x2).
     /// let panel = Matrix::<f64>::from_rows(&[&[0.0, 0.5], &[1.0, 1.5], &[2.0, 2.5]])?;
-    /// let batch = panel.gather_columns(&[2, 0, 2])?;
+    /// let mut batch = Matrix::zeros(0, 0);
+    /// panel.gather_columns_into(&[2, 0, 2], &Parallelism::sequential(), &mut batch)?;
     /// assert_eq!(batch.row(0), &[2.0, 2.5]);
     /// assert_eq!(batch.row(1), &[0.0, 0.5]);
     /// assert_eq!(batch.row(2), &[2.0, 2.5]);
@@ -905,23 +456,17 @@ impl<S: Scalar> Matrix<S> {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if any index is `>= rows()` (the panel's
-    /// column count).
-    pub fn gather_columns(&self, indices: &[usize]) -> Result<Matrix<S>, ShapeError> {
-        self.check_gather_columns(indices)?;
-        // Append-style copies into reserved (not zero-filled) storage:
-        // the hot sampling path never touches an output element twice.
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &j in indices {
-            data.extend_from_slice(&self.data[j * self.cols..(j + 1) * self.cols]);
-        }
-        Ok(Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        })
-    }
-
-    fn check_gather_columns(&self, indices: &[usize]) -> Result<(), ShapeError> {
+    /// column count); `out` is untouched in that case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pool worker panics (a kernel bug).
+    pub fn gather_columns_into(
+        &self,
+        indices: &[usize],
+        par: &Parallelism,
+        out: &mut Matrix<S>,
+    ) -> Result<(), ShapeError> {
         for (k, &j) in indices.iter().enumerate() {
             if j >= self.rows {
                 return Err(ShapeError::new(
@@ -931,181 +476,18 @@ impl<S: Scalar> Matrix<S> {
                 ));
             }
         }
-        Ok(())
-    }
-
-    /// Pool-parallel [`Matrix::gather_columns`]: the gathered output
-    /// columns shard contiguously across the pool (`split_ranges` over
-    /// `indices`), each worker copying its disjoint slice of output
-    /// rows through the same span as the sequential kernel. Gathers are
-    /// pure copies, so the result is **bit-identical** to the
-    /// sequential form at every worker count in every backend — the
-    /// same contract as the batched MVM kernels.
-    ///
-    /// # Errors
-    ///
-    /// Same index condition as [`Matrix::gather_columns`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn gather_columns_par(
-        &self,
-        indices: &[usize],
-        par: &Parallelism,
-    ) -> Result<Matrix<S>, ShapeError> {
-        let shards = par.shards(indices.len());
-        if shards <= 1 {
-            return self.gather_columns(indices);
-        }
-        self.check_gather_columns(indices)?;
-        let mut out = Matrix::zeros(indices.len(), self.cols);
+        out.reset_shape(indices.len(), self.cols);
         let cols = self.cols;
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
+        par.fused(|ks| {
             let mut rest = out.data.as_mut_slice();
-            for range in split_ranges(indices.len(), shards) {
+            for range in split_ranges(indices.len(), ks.shards(indices.len())) {
                 let (chunk, tail) = rest.split_at_mut(range.len() * cols);
                 rest = tail;
                 let idx = &indices[range];
-                scope.execute(move || gather_columns_span(self, idx, chunk));
+                ks.submit(move || gather_columns_span(self, idx, chunk));
             }
         })
-        .unwrap_or_else(|err| panic!("gather_columns_par worker panicked: {err}"));
-        Ok(out)
-    }
-
-    /// [`Matrix::gather_columns`] into a caller-owned output matrix —
-    /// the allocation-free sampling path: `out` is reshaped in place to
-    /// `(indices.len(), cols)` (reusing its storage once grown, see
-    /// [`Matrix::reset_shape`]) and filled by the same gather span as
-    /// the allocating form, so the bytes are identical.
-    ///
-    /// # Errors
-    ///
-    /// Same index condition as [`Matrix::gather_columns`].
-    pub fn gather_columns_into(
-        &self,
-        indices: &[usize],
-        out: &mut Matrix<S>,
-    ) -> Result<(), ShapeError> {
-        self.check_gather_columns(indices)?;
-        out.reset_shape(indices.len(), self.cols);
-        gather_columns_span(self, indices, &mut out.data);
-        Ok(())
-    }
-
-    /// Pool-parallel [`Matrix::gather_columns_into`]: the reshape and
-    /// shard layout happen on the calling thread, the disjoint output
-    /// shards fill on the pool — bit-identical to the sequential form
-    /// at every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same index condition as [`Matrix::gather_columns`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn gather_columns_par_into(
-        &self,
-        indices: &[usize],
-        par: &Parallelism,
-        out: &mut Matrix<S>,
-    ) -> Result<(), ShapeError> {
-        let shards = par.shards(indices.len());
-        if shards <= 1 {
-            return self.gather_columns_into(indices, out);
-        }
-        self.check_gather_columns(indices)?;
-        out.reset_shape(indices.len(), self.cols);
-        let cols = self.cols;
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
-            let mut rest = out.data.as_mut_slice();
-            for range in split_ranges(indices.len(), shards) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-                rest = tail;
-                let idx = &indices[range];
-                scope.execute(move || gather_columns_span(self, idx, chunk));
-            }
-        })
-        .unwrap_or_else(|err| panic!("gather_columns_par_into worker panicked: {err}"));
-        Ok(())
-    }
-
-    /// [`Matrix::gather_columns`] submitted into a caller-owned fused
-    /// scope (see [`Matrix::gemv_batch_par_in`]), writing into a
-    /// caller-owned, **pre-shaped** `(indices.len(), cols)` output.
-    ///
-    /// # Errors
-    ///
-    /// Same index condition as [`Matrix::gather_columns`], plus a shape
-    /// check on `out`.
-    pub fn gather_columns_par_in<'scope>(
-        &'scope self,
-        indices: &'scope [usize],
-        out: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
-        self.check_gather_columns(indices)?;
-        if out.shape() != (indices.len(), self.cols) {
-            return Err(ShapeError::new(
-                "gather_columns_par_in output",
-                (indices.len(), self.cols),
-                out.shape(),
-            ));
-        }
-        let cols = self.cols;
-        let shards = ks.shards(indices.len());
-        let mut rest = out.data.as_mut_slice();
-        for range in split_ranges(indices.len(), shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-            rest = tail;
-            let idx = &indices[range];
-            ks.submit(move || gather_columns_span(self, idx, chunk));
-        }
-        Ok(())
-    }
-
-    /// Builds a `(rows.len(), cols)` batch matrix from row slices drawn
-    /// through `f` (e.g. replay transitions to a state batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if any produced row has the wrong length.
-    pub fn from_row_fn<'a, T: 'a>(
-        items: &'a [T],
-        cols: usize,
-        mut f: impl FnMut(&'a T) -> &'a [S],
-    ) -> Result<Matrix<S>, ShapeError> {
-        let mut data = Vec::with_capacity(items.len() * cols);
-        for (b, item) in items.iter().enumerate() {
-            let row = f(item);
-            if row.len() != cols {
-                return Err(ShapeError::new("from_row_fn", (b, cols), (b, row.len())));
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: items.len(),
-            cols,
-            data,
-        })
-    }
-
-    /// Elementwise `self += other * scale`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Matrix<S>, scale: S) -> Result<(), ShapeError> {
-        if self.shape() != other.shape() {
-            return Err(ShapeError::new("add_scaled", self.shape(), other.shape()));
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b * scale;
-        }
+        .unwrap_or_else(|err| panic!("gather_columns_into worker panicked: {err}"));
         Ok(())
     }
 
@@ -1200,31 +582,29 @@ impl<S: Scalar> Matrix<S> {
     }
 }
 
-/// Width of the register-blocked output panel in the packed
-/// `gemv_t_batch` kernel: one panel of accumulators stays resident
-/// while a weight panel streams past with unit stride.
+/// Width of the register-blocked output panel in the `gemv_t_batch`
+/// kernel: one panel of accumulators stays resident while a weight
+/// panel streams past with unit stride.
 const GEMV_T_PANEL: usize = 16;
 
 /// Cache-resident packed image of a weight matrix, in both hot-loop
-/// layouts.
+/// layouts — the operand of the batched MVM kernels.
 ///
-/// The batched MVM kernels want *two* purpose-built layouts of `W`: the
+/// The batched MVMs want *two* purpose-built layouts of `W`: the
 /// forward kernel streams rows of `Wᵀ` (one per input column), and the
 /// backward kernel streams zero-padded width-`GEMV_T_PANEL` column
 /// panels of `W` (layout `[panel][row][lane]`) so a register-resident
 /// panel of outputs accumulates from unit-stride loads with no
-/// per-step output-row traffic. A plain [`Matrix::gemv_batch`]
-/// re-materializes the transpose on every call; a `WeightPack` hoists
-/// both copies out of the hot loop so a layer that is applied many
-/// times between weight updates (training batches, serving) pays for
-/// the pack once.
+/// per-step output-row traffic. A `WeightPack` hoists both copies out
+/// of the hot loop so a layer that is applied many times between weight
+/// updates (training batches, serving) pays for the pack once.
 ///
-/// The packed kernels are **bit-identical** to their unpacked
-/// [`Matrix`] counterparts: only the loop nests differ, never the
-/// per-element reduction chains (ascending `j` for `gemv_batch`,
-/// ascending `i` for `gemv_t_batch` — the crate's accumulation-order
-/// contract), so packed ≡ unpacked ≡ per-sample in every backend,
-/// including saturating `Fx32`, at every worker count.
+/// The kernels are **bit-identical** to the per-sample [`Matrix::gemv`]
+/// / [`Matrix::gemv_t`] run row by row: only the loop nests differ,
+/// never the per-element reduction chains (ascending `j` for
+/// `gemv_batch`, ascending `i` for `gemv_t_batch` — the crate's
+/// accumulation-order contract), in every backend, including
+/// saturating `Fx32`, at every worker count.
 ///
 /// A pack is a snapshot: it does **not** track later mutations of the
 /// source matrix. Callers that mutate weights must rebuild (or, like
@@ -1235,7 +615,7 @@ pub struct WeightPack<S> {
     cols: usize,
     /// `(cols, rows)` row-major transpose of the source matrix.
     wt: Matrix<S>,
-    /// Zero-padded column panels of the source matrix for the packed
+    /// Zero-padded column panels of the source matrix for the
     /// `gemv_t_batch` kernel: element `(i, p * GEMV_T_PANEL + t)` of the
     /// source lives at `(p * rows + i) * GEMV_T_PANEL + t`.
     w_panels: Vec<S>,
@@ -1262,7 +642,45 @@ impl<S: Scalar> WeightPack<S> {
         (self.rows, self.cols)
     }
 
-    fn check_gemv_batch(&self, a: &Matrix<S>, y: &Matrix<S>) -> Result<(), ShapeError> {
+    /// Batched matrix-vector product `Y[b] = W·A[b]` for a minibatch
+    /// stored one sample per row: `a` is `(batch, cols)`, `y` is
+    /// `(batch, rows)`.
+    ///
+    /// # Accumulation order
+    ///
+    /// Bit-exact with calling [`Matrix::gemv`] on every row of `a` in
+    /// row order: for each output element `y[b][i]`, partial products
+    /// are reduced over the columns `j` in ascending order — the same
+    /// per-element reduction sequence as the column-broadcast hardware
+    /// dataflow. (Only the *loop nest* differs: the broadcast element
+    /// `x[j]` multiplies the contiguous row `j` of the cached `Wᵀ`, so
+    /// the step vectorizes; saturation and rounding are per-element, so
+    /// the result is identical.)
+    ///
+    /// # Kernel scope
+    ///
+    /// Batch rows shard contiguously through `ks` into disjoint output
+    /// slices, every shard running the one span loop nest. Inside a
+    /// [`fixar_pool::Parallelism::fused`] call the shards enqueue and
+    /// join together with every other kernel submitted to the same
+    /// scope — one barrier per phase; the result is only complete once
+    /// that call returns, and `y` stays borrowed until then (the
+    /// `'scope` bound enforces it). Outputs of distinct kernels in one
+    /// scope must be disjoint. With [`KernelScope::sequential`] — also
+    /// what `fused` hands out at one worker or on a pool thread — the
+    /// shards run inline, bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] unless `a.cols() == cols` and `y` is
+    /// `(a.rows(), rows)`, checked on the calling thread before anything
+    /// enqueues.
+    pub fn gemv_batch<'scope>(
+        &'scope self,
+        a: &'scope Matrix<S>,
+        y: &'scope mut Matrix<S>,
+        ks: &KernelScope<'_, '_, 'scope>,
+    ) -> Result<(), ShapeError> {
         if a.cols != self.cols {
             return Err(ShapeError::new(
                 "gemv_batch input",
@@ -1277,10 +695,46 @@ impl<S: Scalar> WeightPack<S> {
                 y.shape(),
             ));
         }
+        let out_dim = self.rows;
+        let wt = &self.wt;
+        let shards = ks.shards(a.rows);
+        let mut rest = y.data.as_mut_slice();
+        for range in split_ranges(a.rows, shards) {
+            let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
+            rest = tail;
+            ks.submit(move || gemv_batch_span(wt, a, range, chunk));
+        }
         Ok(())
     }
 
-    fn check_gemv_t_batch(&self, e: &Matrix<S>, y: &Matrix<S>) -> Result<(), ShapeError> {
+    /// Batched transposed product `Y[b] = Wᵀ·E[b]` (back-propagation of a
+    /// whole minibatch of error rows): `e` is `(batch, rows)`, `y` is
+    /// `(batch, cols)`.
+    ///
+    /// # Accumulation order
+    ///
+    /// Bit-exact with calling [`Matrix::gemv_t`] on every row of `e` in
+    /// row order: for each output element `y[b][j]`, contributions are
+    /// reduced over `i` (the rows of `W`) in ascending order, exactly as
+    /// the row-broadcast transpose dataflow produces them. The kernel
+    /// walks the cached column panels — a register-resident panel of
+    /// outputs per sample accumulates from unit-stride weight loads,
+    /// four samples per tile — which changes the loop nest, never the
+    /// chain.
+    ///
+    /// Batch rows shard through `ks`; see [`WeightPack::gemv_batch`]
+    /// for the kernel-scope contract.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] unless `e.cols() == rows` and `y` is
+    /// `(e.rows(), cols)`, checked before anything enqueues.
+    pub fn gemv_t_batch<'scope>(
+        &'scope self,
+        e: &'scope Matrix<S>,
+        y: &'scope mut Matrix<S>,
+        ks: &KernelScope<'_, '_, 'scope>,
+    ) -> Result<(), ShapeError> {
         if e.cols != self.rows {
             return Err(ShapeError::new(
                 "gemv_t_batch input",
@@ -1295,169 +749,6 @@ impl<S: Scalar> WeightPack<S> {
                 y.shape(),
             ));
         }
-        Ok(())
-    }
-
-    /// Packed [`Matrix::gemv_batch`]: `Y[b] = W·A[b]` over the cached
-    /// transpose, two samples per register tile (sharing every streamed
-    /// `Wᵀ` row across the pair), each output element still reducing
-    /// over the input columns `j` in ascending order — bit-exact with
-    /// the unpacked kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_batch`].
-    pub fn gemv_batch(&self, a: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
-        self.check_gemv_batch(a, y)?;
-        gemv_batch_span_packed(&self.wt, a, 0..a.rows, &mut y.data);
-        Ok(())
-    }
-
-    /// Pool-parallel [`WeightPack::gemv_batch`] — batch rows shard
-    /// contiguously, disjoint output slices, bit-identical to the
-    /// sequential packed kernel at every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn gemv_batch_par(
-        &self,
-        a: &Matrix<S>,
-        y: &mut Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<(), ShapeError> {
-        let shards = par.shards(a.rows);
-        if shards <= 1 {
-            return self.gemv_batch(a, y);
-        }
-        self.check_gemv_batch(a, y)?;
-        let out_dim = self.rows;
-        let wt = &self.wt;
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
-            let mut rest = y.data.as_mut_slice();
-            for range in split_ranges(a.rows, shards) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
-                rest = tail;
-                scope.execute(move || gemv_batch_span_packed(wt, a, range, chunk));
-            }
-        })
-        .unwrap_or_else(|e| panic!("gemv_batch_par worker panicked: {e}"));
-        Ok(())
-    }
-
-    /// [`WeightPack::gemv_batch`] submitted into a caller-owned fused
-    /// scope (see [`Matrix::gemv_batch_par_in`] for the fused-scope
-    /// contract). Unlike the unpacked form, no transpose is built on
-    /// the calling thread — the shards borrow the cached pack for the
-    /// scope's lifetime.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_batch`], checked before
-    /// anything enqueues.
-    pub fn gemv_batch_par_in<'scope>(
-        &'scope self,
-        a: &'scope Matrix<S>,
-        y: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
-        self.check_gemv_batch(a, y)?;
-        let out_dim = self.rows;
-        let wt = &self.wt;
-        let shards = ks.shards(a.rows);
-        let mut rest = y.data.as_mut_slice();
-        for range in split_ranges(a.rows, shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
-            rest = tail;
-            ks.submit(move || gemv_batch_span_packed(wt, a, range, chunk));
-        }
-        Ok(())
-    }
-
-    /// Packed [`Matrix::gemv_t_batch`]: `Y[b] = Wᵀ·E[b]` over the
-    /// cached column panels — a register-resident panel of outputs per
-    /// sample accumulates from unit-stride weight loads, with no
-    /// per-step output-row load/store traffic, four samples per tile.
-    /// The per-element chain still ascends `i`, so the result is
-    /// bit-exact with the unpacked kernel, which streams `W` row-major
-    /// and scatter-accumulates through memory instead.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_t_batch`].
-    pub fn gemv_t_batch(&self, e: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
-        self.check_gemv_t_batch(e, y)?;
-        gemv_t_batch_span_packed(
-            &self.w_panels,
-            self.rows,
-            self.cols,
-            e,
-            0..e.rows,
-            &mut y.data,
-        );
-        Ok(())
-    }
-
-    /// Pool-parallel [`WeightPack::gemv_t_batch`] — batch rows shard
-    /// contiguously, disjoint output slices, bit-identical to the
-    /// sequential packed kernel at every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_t_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn gemv_t_batch_par(
-        &self,
-        e: &Matrix<S>,
-        y: &mut Matrix<S>,
-        par: &Parallelism,
-    ) -> Result<(), ShapeError> {
-        let shards = par.shards(e.rows);
-        if shards <= 1 {
-            return self.gemv_t_batch(e, y);
-        }
-        self.check_gemv_t_batch(e, y)?;
-        let cols = self.cols;
-        let rows = self.rows;
-        let w_panels = self.w_panels.as_slice();
-        let pool = par.pool().expect("shards > 1 implies a pool");
-        pool.scope(|scope| {
-            let mut rest = y.data.as_mut_slice();
-            for range in split_ranges(e.rows, shards) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-                rest = tail;
-                scope.execute(move || {
-                    gemv_t_batch_span_packed(w_panels, rows, cols, e, range, chunk)
-                });
-            }
-        })
-        .unwrap_or_else(|err| panic!("gemv_t_batch_par worker panicked: {err}"));
-        Ok(())
-    }
-
-    /// [`WeightPack::gemv_t_batch`] submitted into a caller-owned fused
-    /// scope (see [`Matrix::gemv_batch_par_in`] for the fused-scope
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// Same shape conditions as [`Matrix::gemv_t_batch`], checked
-    /// before anything enqueues.
-    pub fn gemv_t_batch_par_in<'scope>(
-        &'scope self,
-        e: &'scope Matrix<S>,
-        y: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
-        self.check_gemv_t_batch(e, y)?;
         let cols = self.cols;
         let rows = self.rows;
         let w_panels = self.w_panels.as_slice();
@@ -1466,7 +757,7 @@ impl<S: Scalar> WeightPack<S> {
         for range in split_ranges(e.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * cols);
             rest = tail;
-            ks.submit(move || gemv_t_batch_span_packed(w_panels, rows, cols, e, range, chunk));
+            ks.submit(move || gemv_t_batch_span(w_panels, rows, cols, e, range, chunk));
         }
         Ok(())
     }
@@ -1492,10 +783,10 @@ impl<S: Scalar> IndexMut<(usize, usize)> for Matrix<S> {
 // --- shard span kernels ---------------------------------------------------
 //
 // Each span computes a contiguous output region with exactly the
-// per-element reduction chain of its sequential kernel; the sequential
-// kernels call their span with the full range, the `_par` kernels call
-// one span per pool worker over disjoint ranges. Sharing the loop nests
-// is what *guarantees* sequential ≡ parallel bit-for-bit.
+// per-element reduction chain of its per-sample kernel; the batched
+// kernels submit one span per shard over disjoint ranges (a single
+// full-range span on the sequential scope). Sharing the loop nests is
+// what *guarantees* sequential ≡ parallel bit-for-bit.
 
 /// Forward-MVM span: output rows `batch` of `Y = A·Wᵀ` into `y_chunk`
 /// (`batch.len() * wt.cols` elements), reading the pre-transposed
@@ -1523,110 +814,17 @@ fn gemv_batch_span<S: Scalar>(
     }
 }
 
-/// Transposed-MVM span: output rows `batch` of `Y = E·W` into `y_chunk`.
-/// Four samples per pass (independent per-element chains, each still
-/// accumulating in ascending `i` — bit-exact with `gemv_t` per row),
-/// sharing every streamed weight row across the lanes.
-fn gemv_t_batch_span<S: Scalar>(
-    w: &Matrix<S>,
-    e: &Matrix<S>,
-    batch: Range<usize>,
-    y_chunk: &mut [S],
-) {
-    let cols = w.cols;
-    let start = batch.start;
-    for v in y_chunk.iter_mut() {
-        *v = S::zero();
-    }
-    let mut b = start;
-    while b + 4 <= batch.end {
-        let base = (b - start) * cols;
-        for i in 0..w.rows {
-            let w_row = &w.data[i * cols..(i + 1) * cols];
-            let e0 = e.data[b * e.cols + i];
-            let e1 = e.data[(b + 1) * e.cols + i];
-            let e2 = e.data[(b + 2) * e.cols + i];
-            let e3 = e.data[(b + 3) * e.cols + i];
-            for (j, &w) in w_row.iter().enumerate() {
-                y_chunk[base + j] += w * e0;
-                y_chunk[base + cols + j] += w * e1;
-                y_chunk[base + 2 * cols + j] += w * e2;
-                y_chunk[base + 3 * cols + j] += w * e3;
-            }
-        }
-        b += 4;
-    }
-    // Remainder rows: plain per-sample loop, same chain order.
-    for b in b..batch.end {
-        let e_row = &e.data[b * e.cols..(b + 1) * e.cols];
-        let y_row = &mut y_chunk[(b - start) * cols..(b - start + 1) * cols];
-        for (i, &ei) in e_row.iter().enumerate() {
-            let w_row = &w.data[i * cols..(i + 1) * cols];
-            for (yj, &w) in y_row.iter_mut().zip(w_row) {
-                *yj += w * ei;
-            }
-        }
-    }
-}
-
-/// Forward-MVM span over a cached pack: like [`gemv_batch_span`] but
-/// with two samples per register tile, so every streamed `Wᵀ` row is
-/// reused across the pair. Per-element chains still ascend `j` (the
-/// tile's two chains are independent), so the output is bit-exact with
-/// the unpacked span.
-fn gemv_batch_span_packed<S: Scalar>(
-    wt: &Matrix<S>,
-    a: &Matrix<S>,
-    batch: Range<usize>,
-    y_chunk: &mut [S],
-) {
-    let cols = a.cols;
-    let out_dim = wt.cols;
-    let start = batch.start;
-    for v in y_chunk.iter_mut() {
-        *v = S::zero();
-    }
-    let mut b = start;
-    while b + 2 <= batch.end {
-        let base = (b - start) * out_dim;
-        let (y0, y1) = y_chunk[base..base + 2 * out_dim].split_at_mut(out_dim);
-        let a0 = &a.data[b * cols..(b + 1) * cols];
-        let a1 = &a.data[(b + 1) * cols..(b + 2) * cols];
-        for j in 0..cols {
-            let wt_row = &wt.data[j * out_dim..(j + 1) * out_dim];
-            let x0 = a0[j];
-            let x1 = a1[j];
-            for (i, &w) in wt_row.iter().enumerate() {
-                y0[i] += w * x0;
-                y1[i] += w * x1;
-            }
-        }
-        b += 2;
-    }
-    // Remainder row: the plain single-sample nest, same chain order.
-    for b in b..batch.end {
-        let a_row = &a.data[b * cols..(b + 1) * cols];
-        let y_row = &mut y_chunk[(b - start) * out_dim..(b - start + 1) * out_dim];
-        for (j, &xj) in a_row.iter().enumerate() {
-            let wt_row = &wt.data[j * out_dim..(j + 1) * out_dim];
-            for (yi, &w) in y_row.iter_mut().zip(wt_row) {
-                *yi += w * xj;
-            }
-        }
-    }
-}
-
-/// Transposed-MVM span over the pack's zero-padded column panels.
+/// Transposed-MVM span over the pack's zero-padded column panels:
+/// output rows `batch` of `Y = E·W` into `y_chunk`.
 ///
 /// One width-[`GEMV_T_PANEL`] panel of output accumulators per sample
 /// stays register-resident while the matching weight panel streams past
-/// with unit stride, so — unlike [`gemv_t_batch_span`], which re-loads
-/// and re-stores its output rows on every reduction step — the inner
-/// loop touches memory only to read. Four samples per tile share each
-/// streamed panel row. The padded lanes compute garbage that is sliced
-/// off at store time; the real lanes' chains still sum their products
-/// in ascending `i`, the exact chain of [`gemv_t_batch_span`].
-fn gemv_t_batch_span_packed<S: Scalar>(
+/// with unit stride, so the inner loop touches memory only to read.
+/// Four samples per tile share each streamed panel row. The padded
+/// lanes compute garbage that is sliced off at store time; the real
+/// lanes' chains sum their products in ascending `i` — bit-exact with
+/// `gemv_t` per row.
+fn gemv_t_batch_span<S: Scalar>(
     w_panels: &[S],
     in_dim: usize, // reduction dim (= source W rows)
     cols: usize,   // output dim per sample (= source W cols)
@@ -1743,49 +941,6 @@ fn gather_columns_span<S: Scalar>(src: &Matrix<S>, indices: &[usize], out_chunk:
     }
 }
 
-/// Matmul span: output rows `lhs_rows` of `C = lhs · rhs` into
-/// `out_chunk` (pre-zeroed), ascending-`k` chains, streaming `rhs`
-/// row-major. Two output rows per register tile share every streamed
-/// `rhs` row (halving its memory traffic); the two per-element chains
-/// are independent, each still ascending `k`.
-fn matmul_span<S: Scalar>(
-    lhs: &Matrix<S>,
-    rhs: &Matrix<S>,
-    lhs_rows: Range<usize>,
-    out_chunk: &mut [S],
-) {
-    let n = rhs.cols;
-    let start = lhs_rows.start;
-    let mut i = start;
-    while i + 2 <= lhs_rows.end {
-        let base = (i - start) * n;
-        let (out0, out1) = out_chunk[base..base + 2 * n].split_at_mut(n);
-        let a0 = &lhs.data[i * lhs.cols..(i + 1) * lhs.cols];
-        let a1 = &lhs.data[(i + 1) * lhs.cols..(i + 2) * lhs.cols];
-        for k in 0..lhs.cols {
-            let b_row = &rhs.data[k * n..(k + 1) * n];
-            let x0 = a0[k];
-            let x1 = a1[k];
-            for (j, &bkj) in b_row.iter().enumerate() {
-                out0[j] += x0 * bkj;
-                out1[j] += x1 * bkj;
-            }
-        }
-        i += 2;
-    }
-    // Remainder row: the plain single-row nest, same chain order.
-    for i in i..lhs_rows.end {
-        let a_row = &lhs.data[i * lhs.cols..(i + 1) * lhs.cols];
-        let out_row = &mut out_chunk[(i - start) * n..(i - start + 1) * n];
-        for (k, &aik) in a_row.iter().enumerate() {
-            let b_row = &rhs.data[k * n..(k + 1) * n];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bkj;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1827,13 +982,9 @@ mod tests {
         assert_eq!(g.row(0), &[4.0, 5.0, 6.0]);
         assert_eq!(g.row(1), &[6.0, 8.0, 10.0]);
     }
-
     #[test]
-    fn add_scaled_and_fill_zero() {
-        let mut a = Matrix::<f64>::zeros(2, 2);
-        let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        a.add_scaled(&b, 0.5).unwrap();
-        assert_eq!(a[(1, 1)], 2.0);
+    fn fill_zero_clears_every_element() {
+        let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         a.fill_zero();
         assert_eq!(a.max_abs(), 0.0);
     }
@@ -1911,54 +1062,76 @@ mod tests {
         (w, a)
     }
 
-    #[test]
-    fn gemv_batch_bit_exact_with_per_row_gemv() {
-        let (w, a) = fx32_case(5, 7, 6);
-        let y = w.gemv_batch_alloc(&a).unwrap();
+    /// Error-row batch matching `fx32_case`'s weight rows.
+    fn fx32_errs(batch: usize, rows: usize) -> Matrix<Fx32> {
+        Matrix::<f64>::from_fn(batch, rows, |b, i| {
+            ((b * 5 + i * 3) % 17) as f64 * 0.23 - 1.8
+        })
+        .cast::<Fx32>()
+    }
+
+    /// Row-by-row `gemv` — the per-sample oracle of `gemv_batch`.
+    fn gemv_rows<S: Scalar>(w: &Matrix<S>, a: &Matrix<S>) -> Matrix<S> {
+        let mut y = Matrix::zeros(a.rows(), w.rows());
         for b in 0..a.rows() {
-            assert_eq!(y.row(b), w.gemv_alloc(a.row(b)).unwrap().as_slice());
+            w.gemv(a.row(b), y.row_mut(b)).unwrap();
+        }
+        y
+    }
+
+    /// Row-by-row `gemv_t` — the per-sample oracle of `gemv_t_batch`.
+    fn gemv_t_rows<S: Scalar>(w: &Matrix<S>, e: &Matrix<S>) -> Matrix<S> {
+        let mut y = Matrix::zeros(e.rows(), w.cols());
+        for b in 0..e.rows() {
+            w.gemv_t(e.row(b), y.row_mut(b)).unwrap();
+        }
+        y
+    }
+
+    /// Sample-order `add_outer` loop — the oracle of `add_outer_batch`.
+    fn add_outer_rows<S: Scalar>(g: &mut Matrix<S>, e: &Matrix<S>, a: &Matrix<S>) {
+        for b in 0..e.rows() {
+            g.add_outer(e.row(b), a.row(b)).unwrap();
         }
     }
 
     #[test]
-    fn packed_kernels_bit_exact_with_unpacked() {
-        // Odd shapes and batches around the tile sizes (2 for forward,
-        // 4 for transposed) so every remainder path runs.
+    fn batched_kernels_bit_exact_with_per_sample_kernels() {
+        // Odd shapes and batches around the tile sizes (4 samples for
+        // the transposed MVM and the outer product) so every remainder
+        // path runs, each on its own sequential scope (a scope borrows
+        // its kernels' outputs for as long as it lives).
         for &(rows, cols, batch) in &[(5, 7, 1), (5, 7, 2), (5, 7, 3), (6, 4, 4), (3, 9, 7)] {
             let (w, a) = fx32_case(rows, cols, batch);
+            let e = fx32_errs(batch, rows);
             let pack = w.pack();
             assert_eq!(pack.shape(), w.shape());
 
-            let fwd = w.gemv_batch_alloc(&a).unwrap();
-            let mut fwd_p = Matrix::zeros(batch, rows);
-            pack.gemv_batch(&a, &mut fwd_p).unwrap();
-            assert_eq!(fwd, fwd_p);
+            let mut fwd = Matrix::zeros(batch, rows);
+            pack.gemv_batch(&a, &mut fwd, &KernelScope::sequential())
+                .unwrap();
+            assert_eq!(fwd, gemv_rows(&w, &a));
 
-            let e = Matrix::<f64>::from_fn(batch, rows, |b, r| {
-                (((b * 5 + r * 11) % 17) as f64 - 8.0) * 0.17
-            })
-            .cast::<Fx32>();
-            let bwd = w.gemv_t_batch_alloc(&e).unwrap();
-            let mut bwd_p = Matrix::zeros(batch, cols);
-            pack.gemv_t_batch(&e, &mut bwd_p).unwrap();
-            assert_eq!(bwd, bwd_p);
+            let mut bwd = Matrix::zeros(batch, cols);
+            pack.gemv_t_batch(&e, &mut bwd, &KernelScope::sequential())
+                .unwrap();
+            assert_eq!(bwd, gemv_t_rows(&w, &e));
 
-            for workers in [1usize, 2, 3, 8] {
-                let par = Parallelism::with_workers(workers);
-                let mut yp = Matrix::zeros(batch, rows);
-                pack.gemv_batch_par(&a, &mut yp, &par).unwrap();
-                assert_eq!(fwd, yp);
-                let mut tp = Matrix::zeros(batch, cols);
-                pack.gemv_t_batch_par(&e, &mut tp, &par).unwrap();
-                assert_eq!(bwd, tp);
-            }
+            let mut batched = Matrix::<Fx32>::zeros(rows, cols);
+            batched
+                .add_outer_batch(&e, &a, &KernelScope::sequential())
+                .unwrap();
+            let mut looped = Matrix::<Fx32>::zeros(rows, cols);
+            add_outer_rows(&mut looped, &e, &a);
+            assert_eq!(batched, looped);
         }
     }
 
     #[test]
-    fn packed_kernels_saturate_like_unpacked() {
+    fn batched_kernels_saturate_like_per_sample() {
         // Near-rail Q16 values so the saturating adds actually clamp:
-        // the packed tiles must replay the exact per-element chains.
+        // the batched tiles must replay the exact per-element chains,
+        // on the sequential scope and W-row / batch-row sharded.
         type Q = Q16<10>;
         let w = Matrix::<f64>::from_fn(6, 5, |r, c| if (r + c) % 2 == 0 { 31.0 } else { -31.0 })
             .cast::<Q>();
@@ -1967,87 +1140,29 @@ mod tests {
         let e = Matrix::<f64>::from_fn(7, 6, |b, r| if (b * r) % 2 == 0 { -31.0 } else { 31.0 })
             .cast::<Q>();
         let pack = w.pack();
-        let fwd = w.gemv_batch_alloc(&a).unwrap();
-        let mut fwd_p = Matrix::zeros(7, 6);
-        pack.gemv_batch(&a, &mut fwd_p).unwrap();
-        assert_eq!(fwd, fwd_p);
-        let bwd = w.gemv_t_batch_alloc(&e).unwrap();
-        let mut bwd_p = Matrix::zeros(7, 5);
-        pack.gemv_t_batch(&e, &mut bwd_p).unwrap();
-        assert_eq!(bwd, bwd_p);
-    }
-
-    #[test]
-    fn packed_kernels_reject_bad_shapes() {
-        let (w, a) = fx32_case(5, 7, 4);
-        let pack = w.pack();
-        let mut bad_out = Matrix::zeros(4, 6);
-        assert!(pack.gemv_batch(&a, &mut bad_out).is_err());
-        let bad_in = Matrix::<Fx32>::zeros(4, 6);
-        let mut y = Matrix::zeros(4, 5);
-        assert!(pack.gemv_batch(&bad_in, &mut y).is_err());
-        let mut bad_t = Matrix::zeros(4, 6);
-        let e = Matrix::<Fx32>::zeros(4, 5);
-        assert!(pack.gemv_t_batch(&e, &mut bad_t).is_err());
-        let bad_e = Matrix::<Fx32>::zeros(4, 6);
-        let mut t = Matrix::zeros(4, 7);
-        assert!(pack.gemv_t_batch(&bad_e, &mut t).is_err());
-    }
-
-    #[test]
-    fn gemv_t_batch_bit_exact_with_per_row_gemv_t() {
-        let (w, _) = fx32_case(5, 7, 6);
-        let e = Matrix::<f64>::from_fn(6, 5, |b, i| ((b * 5 + i) % 11) as f64 * 0.3 - 1.5)
-            .cast::<Fx32>();
-        let y = w.gemv_t_batch_alloc(&e).unwrap();
-        for b in 0..e.rows() {
-            assert_eq!(y.row(b), w.gemv_t_alloc(e.row(b)).unwrap().as_slice());
-        }
-    }
-
-    #[test]
-    fn add_outer_batch_bit_exact_with_sample_order_loop() {
-        let (w, a) = fx32_case(5, 7, 6);
-        let e = Matrix::<f64>::from_fn(6, 5, |b, i| ((b * 3 + i) % 13) as f64 * 0.17 - 1.0)
-            .cast::<Fx32>();
-        let mut batched = Matrix::<Fx32>::zeros(w.rows(), w.cols());
-        batched.add_outer_batch(&e, &a).unwrap();
-        let mut looped = Matrix::<Fx32>::zeros(w.rows(), w.cols());
-        for b in 0..e.rows() {
-            looped.add_outer(e.row(b), a.row(b)).unwrap();
-        }
-        assert_eq!(batched, looped);
-    }
-
-    #[test]
-    fn gemv_batch_is_matmul_against_transpose() {
-        // The documented identity: W.gemv_batch(A) == A · Wᵀ, bit-exact
-        // in fixed point.
-        let (w, a) = fx32_case(4, 6, 5);
-        let via_batch = w.gemv_batch_alloc(&a).unwrap();
-        let via_matmul = a.matmul(&w.transposed()).unwrap();
-        assert_eq!(via_batch, via_matmul);
-    }
-
-    #[test]
-    fn matmul_matches_float_reference() {
-        let a = Matrix::<f64>::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::<f64>::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-        assert!(a.matmul(&Matrix::<f64>::zeros(3, 2)).is_err());
-    }
-
-    #[test]
-    fn batched_kernels_saturate_like_per_sample() {
-        // Saturating accumulation must clamp identically on both paths.
-        type Q = Q16<10>;
-        let w = Matrix::<Q>::from_fn(1, 8, |_, _| Q::from_f64(30.0));
-        let a = Matrix::<Q>::from_fn(3, 8, |_, _| Q::from_f64(1.0));
-        let y = w.gemv_batch_alloc(&a).unwrap();
-        for b in 0..3 {
-            assert_eq!(y[(b, 0)], Q::MAX);
+        let fwd_ref = gemv_rows(&w, &a);
+        assert!(fwd_ref
+            .as_slice()
+            .iter()
+            .any(|&v| v == Q::MAX || v == Q::MIN));
+        let bwd_ref = gemv_t_rows(&w, &e);
+        let mut g_ref = Matrix::<Q>::zeros(6, 5);
+        add_outer_rows(&mut g_ref, &e, &a);
+        for workers in [1usize, 4] {
+            let par = Parallelism::with_workers(workers);
+            let mut fwd = Matrix::zeros(7, 6);
+            let mut bwd = Matrix::zeros(7, 5);
+            let mut g = Matrix::<Q>::zeros(6, 5);
+            par.fused(|ks| -> Result<(), ShapeError> {
+                pack.gemv_batch(&a, &mut fwd, ks)?;
+                pack.gemv_t_batch(&e, &mut bwd, ks)?;
+                g.add_outer_batch(&e, &a, ks)
+            })
+            .unwrap()
+            .unwrap();
+            assert_eq!(fwd, fwd_ref, "workers {workers}");
+            assert_eq!(bwd, bwd_ref, "workers {workers}");
+            assert_eq!(g, g_ref, "workers {workers}");
         }
     }
 
@@ -2071,176 +1186,64 @@ mod tests {
     }
 
     #[test]
-    fn from_row_fn_builds_batches_and_validates() {
-        let rows: Vec<Vec<f64>> = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let m = Matrix::<f64>::from_row_fn(&rows, 2, |r| r.as_slice()).unwrap();
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert!(Matrix::<f64>::from_row_fn(&rows, 3, |r| r.as_slice()).is_err());
-    }
-
-    #[test]
-    fn batched_shape_errors() {
-        let (w, a) = fx32_case(4, 6, 5);
-        let bad = Matrix::<Fx32>::zeros(5, 4);
-        assert!(w.gemv_batch_alloc(&bad).is_err());
-        let mut y = Matrix::<Fx32>::zeros(4, 4);
-        assert!(w.gemv_batch(&a, &mut y).is_err());
-        assert!(w.gemv_t_batch_alloc(&a).is_err());
-        let mut g = Matrix::<Fx32>::zeros(4, 6);
-        let e = Matrix::<Fx32>::zeros(3, 4);
-        assert!(g.add_outer_batch(&e, &a).is_err());
-    }
-
-    #[test]
-    fn parallel_kernels_bit_exact_with_sequential_across_worker_counts() {
-        // The tentpole contract at the kernel level: every pool-parallel
-        // kernel equals its sequential form bit-for-bit in saturating
-        // Fx32, for worker counts spanning under- and over-subscription
-        // of the batch and awkward shard remainders.
+    fn fused_scope_kernels_bit_exact_with_per_sample_across_worker_counts() {
+        // The contract at the tensor level: all four batched kernels
+        // fused into ONE scope (single join) produce exactly the bytes
+        // of their per-sample oracles, in saturating Fx32, at every
+        // worker count including over-subscription and awkward shard
+        // remainders.
         let (w, a) = fx32_case(7, 9, 13);
-        let e = Matrix::<f64>::from_fn(13, 7, |b, i| ((b * 5 + i * 3) % 17) as f64 * 0.23 - 1.8)
-            .cast::<Fx32>();
-        let y_seq = w.gemv_batch_alloc(&a).unwrap();
-        let yt_seq = w.gemv_t_batch_alloc(&e).unwrap();
-        let mut g_seq = Matrix::<Fx32>::zeros(7, 9);
-        g_seq.add_outer_batch(&e, &a).unwrap();
-        let m_seq = a.matmul(&w.transposed()).unwrap();
-
-        for workers in [1, 2, 3, 4, 8, 16] {
-            let par = Parallelism::with_workers(workers);
-            assert_eq!(w.gemv_batch_par_alloc(&a, &par).unwrap(), y_seq);
-            assert_eq!(w.gemv_t_batch_par_alloc(&e, &par).unwrap(), yt_seq);
-            let mut g = Matrix::<Fx32>::zeros(7, 9);
-            g.add_outer_batch_par(&e, &a, &par).unwrap();
-            assert_eq!(g, g_seq);
-            assert_eq!(a.matmul_par(&w.transposed(), &par).unwrap(), m_seq);
-        }
-    }
-
-    #[test]
-    fn parallel_kernels_saturate_like_sequential() {
-        // Saturating accumulation must clamp identically on the sharded
-        // path: the per-element chains are shared code, so a mid-chain
-        // clamp lands at the same partial sum.
-        type Q = Q16<10>;
-        let w = Matrix::<Q>::from_fn(3, 8, |_, _| Q::from_f64(30.0));
-        let a = Matrix::<Q>::from_fn(9, 8, |_, _| Q::from_f64(1.0));
-        let par = Parallelism::with_workers(4);
-        let seq = w.gemv_batch_alloc(&a).unwrap();
-        let parr = w.gemv_batch_par_alloc(&a, &par).unwrap();
-        assert_eq!(seq, parr);
-        assert_eq!(parr[(8, 2)], Q::MAX);
-
-        // Gradient saturation, W-row sharded.
-        let e = Matrix::<Q>::from_fn(9, 3, |_, _| Q::from_f64(30.0));
-        let mut g_seq = Matrix::<Q>::zeros(3, 8);
-        g_seq.add_outer_batch(&e, &a).unwrap();
-        let mut g_par = Matrix::<Q>::zeros(3, 8);
-        g_par.add_outer_batch_par(&e, &a, &par).unwrap();
-        assert_eq!(g_seq, g_par);
-    }
-
-    #[test]
-    fn gather_columns_picks_stored_rows_with_replacement() {
-        let panel = Matrix::<f64>::from_fn(5, 3, |r, c| (r * 10 + c) as f64);
-        let batch = panel.gather_columns(&[4, 0, 4, 2]).unwrap();
-        assert_eq!(batch.shape(), (4, 3));
-        assert_eq!(batch.row(0), panel.row(4));
-        assert_eq!(batch.row(1), panel.row(0));
-        assert_eq!(batch.row(2), panel.row(4));
-        assert_eq!(batch.row(3), panel.row(2));
-        // Empty gather: a 0-row batch with the panel's width.
-        assert_eq!(panel.gather_columns(&[]).unwrap().shape(), (0, 3));
-    }
-
-    #[test]
-    fn gather_columns_rejects_out_of_range_indices() {
-        let panel = Matrix::<Fx32>::zeros(4, 2);
-        let err = panel.gather_columns(&[1, 4]).unwrap_err();
-        assert!(err.to_string().contains("gather_columns index"));
-        let par = Parallelism::with_workers(2);
-        assert!(panel.gather_columns_par(&[0, 9], &par).is_err());
-    }
-
-    #[test]
-    fn gather_columns_par_bit_exact_across_worker_counts() {
-        // Same contract as the MVM kernels: disjoint output shards,
-        // bit-identical at every worker count (trivially here — gathers
-        // are pure copies — but the shard plumbing is what's under
-        // test, including remainders and over-subscription).
-        let panel =
-            Matrix::<f64>::from_fn(17, 5, |r, c| (r as f64 - c as f64) * 0.31).cast::<Fx32>();
-        let indices: Vec<usize> = (0..13).map(|k| (k * 7 + 3) % 17).collect();
-        let seq = panel.gather_columns(&indices).unwrap();
-        for workers in [1, 2, 3, 4, 8, 16] {
-            let par = Parallelism::with_workers(workers);
-            assert_eq!(
-                panel.gather_columns_par(&indices, &par).unwrap(),
-                seq,
-                "workers {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn fused_scope_kernels_bit_exact_with_sequential_across_worker_counts() {
-        // The tentpole contract at the tensor level: all five `_par_in`
-        // kernels fused into ONE scope (single join) produce exactly
-        // the bytes of their sequential forms, in saturating Fx32, at
-        // every worker count including over-subscription.
-        let (w, a) = fx32_case(7, 9, 13);
-        let e = Matrix::<f64>::from_fn(13, 7, |b, i| ((b * 5 + i * 3) % 17) as f64 * 0.23 - 1.8)
-            .cast::<Fx32>();
+        let e = fx32_errs(13, 7);
+        let pack = w.pack();
         let panel =
             Matrix::<f64>::from_fn(17, 5, |r, c| (r as f64 - c as f64) * 0.31).cast::<Fx32>();
         let indices: Vec<usize> = (0..13).map(|k| (k * 7 + 3) % 17).collect();
 
-        let y_seq = w.gemv_batch_alloc(&a).unwrap();
-        let yt_seq = w.gemv_t_batch_alloc(&e).unwrap();
-        let mut g_seq = Matrix::<Fx32>::zeros(7, 9);
-        g_seq.add_outer_batch(&e, &a).unwrap();
-        let m_seq = a.matmul(&w.transposed()).unwrap();
-        let gather_seq = panel.gather_columns(&indices).unwrap();
+        let y_ref = gemv_rows(&w, &a);
+        let yt_ref = gemv_t_rows(&w, &e);
+        let mut g_ref = Matrix::<Fx32>::zeros(7, 9);
+        add_outer_rows(&mut g_ref, &e, &a);
 
-        for workers in [1usize, 2, 3, 8] {
+        for workers in [1usize, 2, 3, 4, 8, 16] {
             let par = Parallelism::with_workers(workers);
             let mut y = Matrix::<Fx32>::zeros(13, 7);
             let mut yt = Matrix::<Fx32>::zeros(13, 9);
             let mut g = Matrix::<Fx32>::zeros(7, 9);
-            let mut m = Matrix::<Fx32>::zeros(13, 7);
-            let mut gathered = Matrix::<Fx32>::zeros(13, 5);
-            let wt = w.transposed();
             par.fused(|ks| -> Result<(), ShapeError> {
-                w.gemv_batch_par_in(&a, &mut y, ks)?;
-                w.gemv_t_batch_par_in(&e, &mut yt, ks)?;
-                g.add_outer_batch_par_in(&e, &a, ks)?;
-                a.matmul_par_in(&wt, &mut m, ks)?;
-                panel.gather_columns_par_in(&indices, &mut gathered, ks)?;
-                Ok(())
+                pack.gemv_batch(&a, &mut y, ks)?;
+                pack.gemv_t_batch(&e, &mut yt, ks)?;
+                g.add_outer_batch(&e, &a, ks)
             })
             .unwrap()
             .unwrap();
-            assert_eq!(y, y_seq, "workers {workers}: gemv_batch");
-            assert_eq!(yt, yt_seq, "workers {workers}: gemv_t_batch");
-            assert_eq!(g, g_seq, "workers {workers}: add_outer_batch");
-            assert_eq!(m, m_seq, "workers {workers}: matmul");
-            assert_eq!(gathered, gather_seq, "workers {workers}: gather");
+            assert_eq!(y, y_ref, "workers {workers}: gemv_batch");
+            assert_eq!(yt, yt_ref, "workers {workers}: gemv_t_batch");
+            assert_eq!(g, g_ref, "workers {workers}: add_outer_batch");
+
+            let mut gathered = Matrix::<Fx32>::zeros(0, 0);
+            panel
+                .gather_columns_into(&indices, &par, &mut gathered)
+                .unwrap();
+            assert_eq!(gathered.shape(), (13, 5));
+            for (k, &j) in indices.iter().enumerate() {
+                assert_eq!(gathered.row(k), panel.row(j), "workers {workers}: gather");
+            }
         }
     }
 
     #[test]
     fn fused_scope_kernels_degrade_on_pool_threads() {
-        // A `_par_in` kernel invoked from inside a pool task must run
-        // its sequential form inline instead of deadlocking on a
-        // nested scope — the satellite's degradation contract.
+        // A batched kernel invoked from inside a pool task must run
+        // inline instead of deadlocking on a nested scope — the
+        // degradation contract.
         let (w, a) = fx32_case(5, 7, 6);
-        let y_seq = w.gemv_batch_alloc(&a).unwrap();
+        let pack = w.pack();
+        let y_ref = gemv_rows(&w, &a);
         let par = Parallelism::with_workers(2);
         let mut y = Matrix::<Fx32>::zeros(6, 5);
         par.fused(|outer| {
             let par = &par;
-            let w = &w;
+            let pack = &pack;
             let a = &a;
             let y = &mut y;
             outer.submit(move || {
@@ -2248,63 +1251,111 @@ mod tests {
                 // sequential degradation, submissions run inline.
                 par.fused(|ks| {
                     assert!(!ks.is_pooled());
-                    w.gemv_batch_par_in(a, y, ks).unwrap();
+                    pack.gemv_batch(a, y, ks).unwrap();
                 })
                 .unwrap();
             });
         })
         .unwrap();
-        assert_eq!(y, y_seq);
+        assert_eq!(y, y_ref);
     }
 
     #[test]
-    fn fused_scope_kernels_validate_shapes_before_enqueueing() {
+    fn batched_kernels_validate_shapes_before_enqueueing() {
         // Operands live outside the scope (the `'scope` bound requires
         // it); every malformed call errors on the calling thread before
         // anything enqueues.
         let (w, a) = fx32_case(4, 6, 5);
+        let pack = w.pack();
         let par = Parallelism::with_workers(2);
-        let bad = Matrix::<Fx32>::zeros(5, 4);
-        let mut y1 = Matrix::<Fx32>::zeros(5, 4);
-        let mut y2 = Matrix::<Fx32>::zeros(5, 4);
-        let mut g = Matrix::<Fx32>::zeros(4, 6);
+        let bad_in = Matrix::<Fx32>::zeros(5, 4);
+        let mut y = Matrix::<Fx32>::zeros(5, 4);
+        let mut bad_out = Matrix::<Fx32>::zeros(5, 5);
+        let e = Matrix::<Fx32>::zeros(5, 4);
+        let mut yt = Matrix::<Fx32>::zeros(5, 6);
+        let mut bad_t = Matrix::<Fx32>::zeros(5, 5);
+        let mut g1 = Matrix::<Fx32>::zeros(4, 6);
+        let (mut g2, mut g3) = (g1.clone(), g1.clone());
         let e3 = Matrix::<Fx32>::zeros(3, 4);
-        let wt = w.transposed();
-        let mut wrong_out = Matrix::<Fx32>::zeros(2, 2);
-        let mut small = Matrix::<Fx32>::zeros(1, 6);
         par.fused(|ks| {
-            assert!(w.gemv_batch_par_in(&bad, &mut y1, ks).is_err());
-            assert!(w.gemv_t_batch_par_in(&a, &mut y2, ks).is_err());
-            assert!(g.add_outer_batch_par_in(&e3, &a, ks).is_err());
-            // matmul_par_in also validates the out shape.
-            assert!(a.matmul_par_in(&wt, &mut wrong_out, ks).is_err());
-            assert!(w.gather_columns_par_in(&[0, 1], &mut small, ks).is_err());
+            assert!(pack.gemv_batch(&bad_in, &mut y, ks).is_err());
+            assert!(pack.gemv_batch(&a, &mut bad_out, ks).is_err());
+            assert!(pack.gemv_t_batch(&a, &mut yt, ks).is_err());
+            assert!(pack.gemv_t_batch(&e, &mut bad_t, ks).is_err());
+            assert!(g1.add_outer_batch(&e3, &a, ks).is_err());
+            assert!(g2.add_outer_batch(&a, &a, ks).is_err());
+            assert!(g3.add_outer_batch(&e, &e, ks).is_err());
         })
         .unwrap();
     }
 
     #[test]
-    fn gather_columns_into_reuses_storage_and_matches_alloc_form() {
+    fn batched_kernels_handle_degenerate_batches() {
+        let (w, _) = fx32_case(4, 6, 5);
+        let pack = w.pack();
+        let par = Parallelism::with_workers(2);
+        // Single-row batch: one shard, same bytes as the per-sample kernel.
+        let one = fx32_case(4, 6, 1).1;
+        let mut y = Matrix::<Fx32>::zeros(1, 4);
+        par.fused(|ks| pack.gemv_batch(&one, &mut y, ks))
+            .unwrap()
+            .unwrap();
+        assert_eq!(y, gemv_rows(&w, &one));
+        // Empty batch: nothing enqueues.
+        let empty = Matrix::<Fx32>::zeros(0, 6);
+        let mut none = Matrix::<Fx32>::zeros(0, 4);
+        par.fused(|ks| pack.gemv_batch(&empty, &mut none, ks))
+            .unwrap()
+            .unwrap();
+        assert_eq!(none.shape(), (0, 4));
+    }
+
+    #[test]
+    fn gather_columns_picks_stored_rows_with_replacement() {
+        let panel = Matrix::<f64>::from_fn(5, 3, |r, c| (r * 10 + c) as f64);
+        let seq = Parallelism::sequential();
+        let mut batch = Matrix::zeros(0, 0);
+        panel
+            .gather_columns_into(&[4, 0, 4, 2], &seq, &mut batch)
+            .unwrap();
+        assert_eq!(batch.shape(), (4, 3));
+        assert_eq!(batch.row(0), panel.row(4));
+        assert_eq!(batch.row(1), panel.row(0));
+        assert_eq!(batch.row(2), panel.row(4));
+        assert_eq!(batch.row(3), panel.row(2));
+        // Empty gather: a 0-row batch with the panel's width.
+        panel.gather_columns_into(&[], &seq, &mut batch).unwrap();
+        assert_eq!(batch.shape(), (0, 3));
+    }
+
+    #[test]
+    fn gather_columns_rejects_out_of_range_indices() {
+        let panel = Matrix::<Fx32>::zeros(4, 2);
+        let mut out = Matrix::zeros(0, 0);
+        let err = panel
+            .gather_columns_into(&[1, 4], &Parallelism::sequential(), &mut out)
+            .unwrap_err();
+        assert!(err.to_string().contains("gather_columns index"));
+        let par = Parallelism::with_workers(2);
+        assert!(panel.gather_columns_into(&[0, 9], &par, &mut out).is_err());
+    }
+
+    #[test]
+    fn gather_columns_into_reuses_storage() {
         let panel = Matrix::<f64>::from_fn(11, 4, |r, c| (r * 4 + c) as f64).cast::<Fx32>();
         let idx_a: Vec<usize> = (0..9).map(|k| (k * 3 + 1) % 11).collect();
         let idx_b: Vec<usize> = (0..6).map(|k| (k * 5) % 11).collect();
+        let seq = Parallelism::sequential();
         let mut out = Matrix::<Fx32>::zeros(0, 0);
-        panel.gather_columns_into(&idx_a, &mut out).unwrap();
-        assert_eq!(out, panel.gather_columns(&idx_a).unwrap());
+        panel.gather_columns_into(&idx_a, &seq, &mut out).unwrap();
         let ptr = out.as_slice().as_ptr();
         // Smaller gather into the same scratch: no reallocation.
-        panel.gather_columns_into(&idx_b, &mut out).unwrap();
-        assert_eq!(out, panel.gather_columns(&idx_b).unwrap());
-        assert_eq!(out.as_slice().as_ptr(), ptr, "scratch must be reused");
-        // Pool-parallel into-form agrees at every worker count.
-        for workers in [1usize, 2, 8] {
-            let par = Parallelism::with_workers(workers);
-            panel
-                .gather_columns_par_into(&idx_a, &par, &mut out)
-                .unwrap();
-            assert_eq!(out, panel.gather_columns(&idx_a).unwrap());
+        panel.gather_columns_into(&idx_b, &seq, &mut out).unwrap();
+        assert_eq!(out.shape(), (6, 4));
+        for (k, &j) in idx_b.iter().enumerate() {
+            assert_eq!(out.row(k), panel.row(j));
         }
-        assert!(panel.gather_columns_into(&[99], &mut out).is_err());
+        assert_eq!(out.as_slice().as_ptr(), ptr, "scratch must be reused");
     }
 
     #[test]
@@ -2325,30 +1376,5 @@ mod tests {
         let mut fresh = Matrix::<f64>::zeros(0, 0);
         fresh.reset_shape(2, 2);
         assert_eq!(fresh.max_abs(), 0.0);
-    }
-
-    #[test]
-    fn parallel_kernels_validate_shapes_and_handle_degenerate_batches() {
-        let (w, a) = fx32_case(4, 6, 5);
-        let par = Parallelism::with_workers(2);
-        let bad = Matrix::<Fx32>::zeros(5, 4);
-        assert!(w.gemv_batch_par_alloc(&bad, &par).is_err());
-        assert!(w.gemv_t_batch_par_alloc(&a, &par).is_err());
-        let mut g = Matrix::<Fx32>::zeros(4, 6);
-        let e3 = Matrix::<Fx32>::zeros(3, 4);
-        assert!(g.add_outer_batch_par(&e3, &a, &par).is_err());
-        assert!(w.matmul_par(&Matrix::<Fx32>::zeros(3, 2), &par).is_err());
-
-        // Single-row batch degrades to the sequential kernel.
-        let one = Matrix::<Fx32>::zeros(1, 6);
-        let y = w.gemv_batch_par_alloc(&one, &par).unwrap();
-        assert_eq!(y, w.gemv_batch_alloc(&one).unwrap());
-
-        // Empty batch is a no-op on both paths.
-        let empty = Matrix::<Fx32>::zeros(0, 6);
-        assert_eq!(
-            w.gemv_batch_par_alloc(&empty, &par).unwrap().shape(),
-            (0, 4)
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor kernels.
 
-use fixar_fixed::{Fx32, Scalar};
-use fixar_tensor::{vector, Matrix};
+use fixar_fixed::Fx32;
+use fixar_tensor::{vector, Matrix, Parallelism};
 use proptest::prelude::*;
 
 fn small_matrix() -> impl Strategy<Value = Matrix<f64>> {
@@ -70,35 +70,37 @@ proptest! {
     }
 
     #[test]
-    fn gemv_batch_rows_equal_per_sample_gemv_fx32(
+    fn batched_mvm_rows_equal_per_sample_kernels_fx32(
         w in small_matrix(),
         batch in 1usize..9,
+        amp in 1.0..2000.0f64,
     ) {
-        // Bit-exactness of the batched forward kernel, in fixed point.
+        // Bit-exactness of the batched forward and transposed kernels
+        // against the per-sample chain, on the sequential scope and
+        // pooled — `amp` near the Fx32 rail makes the saturating adds
+        // clamp, so any chain-order deviation in the tiles would show.
         let wq: Matrix<Fx32> = w.cast();
+        let pack = wq.pack();
         let a = Matrix::<f64>::from_fn(batch, w.cols(), |b, c| {
-            ((b * 13 + c * 7) as f64 * 0.37).sin() * 4.0
+            ((b * 13 + c * 7) as f64 * 0.37).sin() * amp
         }).cast::<Fx32>();
-        let y = wq.gemv_batch_alloc(&a).unwrap();
-        for b in 0..batch {
-            let reference = wq.gemv_alloc(a.row(b)).unwrap();
-            prop_assert_eq!(y.row(b), reference.as_slice());
-        }
-    }
-
-    #[test]
-    fn gemv_t_batch_rows_equal_per_sample_gemv_t_fx32(
-        w in small_matrix(),
-        batch in 1usize..9,
-    ) {
-        let wq: Matrix<Fx32> = w.cast();
         let e = Matrix::<f64>::from_fn(batch, w.rows(), |b, r| {
-            ((b * 5 + r * 11) as f64 * 0.29).cos() * 3.0
+            ((b * 5 + r * 11) as f64 * 0.29).cos() * amp
         }).cast::<Fx32>();
-        let y = wq.gemv_t_batch_alloc(&e).unwrap();
-        for b in 0..batch {
-            let reference = wq.gemv_t_alloc(e.row(b)).unwrap();
-            prop_assert_eq!(y.row(b), reference.as_slice());
+        for workers in [1usize, 2, 8] {
+            let par = Parallelism::with_workers(workers);
+            let mut fwd = Matrix::zeros(batch, w.rows());
+            let mut bwd = Matrix::zeros(batch, w.cols());
+            par.fused(|ks| {
+                pack.gemv_batch(&a, &mut fwd, ks).unwrap();
+                pack.gemv_t_batch(&e, &mut bwd, ks).unwrap();
+            }).unwrap();
+            for b in 0..batch {
+                let fwd_ref = wq.gemv_alloc(a.row(b)).unwrap();
+                prop_assert_eq!(fwd.row(b), fwd_ref.as_slice());
+                let bwd_ref = wq.gemv_t_alloc(e.row(b)).unwrap();
+                prop_assert_eq!(bwd.row(b), bwd_ref.as_slice());
+            }
         }
     }
 
@@ -106,34 +108,29 @@ proptest! {
     fn add_outer_batch_equals_sample_order_accumulation_fx32(
         w in small_matrix(),
         batch in 1usize..9,
+        amp in 1.0..2000.0f64,
     ) {
         // The documented batch-reduction order: ascending sample index.
+        // The gradient span's row-resident four-sample tiles must keep
+        // that chain per element even when every add saturates; the
+        // per-sample loop is the reference semantics.
         let e = Matrix::<f64>::from_fn(batch, w.rows(), |b, r| {
-            ((b * 3 + r) as f64 * 0.41).sin() * 2.0
+            ((b * 3 + r) as f64 * 0.41).sin() * amp
         }).cast::<Fx32>();
         let a = Matrix::<f64>::from_fn(batch, w.cols(), |b, c| {
-            ((b * 7 + c) as f64 * 0.53).cos() * 2.0
+            ((b * 7 + c) as f64 * 0.53).cos() * amp
         }).cast::<Fx32>();
-        let mut batched: Matrix<Fx32> = w.cast();
-        let mut looped = batched.clone();
-        batched.add_outer_batch(&e, &a).unwrap();
+        let start: Matrix<Fx32> = w.cast();
+        let mut reference = start.clone();
         for b in 0..batch {
-            looped.add_outer(e.row(b), a.row(b)).unwrap();
+            reference.add_outer(e.row(b), a.row(b)).unwrap();
         }
-        prop_assert_eq!(batched, looped);
-    }
-
-    #[test]
-    fn gemv_batch_is_matmul_against_transpose(w in small_matrix(), batch in 1usize..7) {
-        // W.gemv_batch(A) == A · Wᵀ — the matrix-matrix identity, exact
-        // in fixed point because the per-element reduction orders match.
-        let wq: Matrix<Fx32> = w.cast();
-        let a = Matrix::<f64>::from_fn(batch, w.cols(), |b, c| {
-            ((b + c * 3) as f64 * 0.61).sin()
-        }).cast::<Fx32>();
-        let lhs = wq.gemv_batch_alloc(&a).unwrap();
-        let rhs = a.matmul(&wq.transposed()).unwrap();
-        prop_assert_eq!(lhs, rhs);
+        for workers in [1usize, 2, 8] {
+            let par = Parallelism::with_workers(workers);
+            let mut g = start.clone();
+            par.fused(|ks| g.add_outer_batch(&e, &a, ks)).unwrap().unwrap();
+            prop_assert_eq!(&g, &reference);
+        }
     }
 
     #[test]
@@ -144,119 +141,17 @@ proptest! {
     ) {
         // The replay gather contract: row k of the gathered batch is
         // stored row picks[k] of the panel (logical column picks[k] of
-        // the column-major panel), bit-for-bit, and the pool-parallel
-        // form is bit-identical to the sequential one at every worker
-        // count — including repeated indices (with-replacement draws).
+        // the column-major panel), bit-for-bit, at every worker count —
+        // including repeated indices (with-replacement draws).
         let panel: Matrix<Fx32> = w.cast();
         let indices: Vec<usize> = picks.into_iter().map(|p| p % panel.rows()).collect();
-        let seq = panel.gather_columns(&indices).unwrap();
-        prop_assert_eq!(seq.shape(), (indices.len(), panel.cols()));
-        for (k, &j) in indices.iter().enumerate() {
-            prop_assert_eq!(seq.row(k), panel.row(j));
-        }
-        let par = fixar_pool::Parallelism::with_workers(workers);
-        prop_assert_eq!(panel.gather_columns_par(&indices, &par).unwrap(), seq);
-    }
-
-    #[test]
-    fn packed_gemv_kernels_equal_unpacked_fx32(
-        w in small_matrix(),
-        batch in 1usize..9,
-        amp in 1.0..2000.0f64,
-    ) {
-        // Packed ≡ unpacked, bit for bit, sequential and parallel —
-        // `amp` near the Fx32 rail makes the saturating adds clamp, so
-        // any chain-order deviation in the packed tiles would show.
-        let wq: Matrix<Fx32> = w.cast();
-        let pack = wq.pack();
-        let a = Matrix::<f64>::from_fn(batch, w.cols(), |b, c| {
-            ((b * 13 + c * 7) as f64 * 0.37).sin() * amp
-        }).cast::<Fx32>();
-        let e = Matrix::<f64>::from_fn(batch, w.rows(), |b, r| {
-            ((b * 5 + r * 11) as f64 * 0.29).cos() * amp
-        }).cast::<Fx32>();
-        let fwd = wq.gemv_batch_alloc(&a).unwrap();
-        let bwd = wq.gemv_t_batch_alloc(&e).unwrap();
-        let mut fwd_p = Matrix::zeros(batch, w.rows());
-        pack.gemv_batch(&a, &mut fwd_p).unwrap();
-        prop_assert_eq!(&fwd, &fwd_p);
-        let mut bwd_p = Matrix::zeros(batch, w.cols());
-        pack.gemv_t_batch(&e, &mut bwd_p).unwrap();
-        prop_assert_eq!(&bwd, &bwd_p);
-        for workers in [1usize, 2, 8] {
-            let par = fixar_pool::Parallelism::with_workers(workers);
-            let mut yp = Matrix::zeros(batch, w.rows());
-            pack.gemv_batch_par(&a, &mut yp, &par).unwrap();
-            prop_assert_eq!(&fwd, &yp);
-            let mut tp = Matrix::zeros(batch, w.cols());
-            pack.gemv_t_batch_par(&e, &mut tp, &par).unwrap();
-            prop_assert_eq!(&bwd, &tp);
-        }
-    }
-
-    #[test]
-    fn retiled_add_outer_batch_equals_sample_order_accumulation_saturating(
-        w in small_matrix(),
-        batch in 1usize..9,
-        amp in 500.0..2000.0f64,
-    ) {
-        // The gradient span's row-resident four-sample tiles must keep
-        // the ascending-sample chain per element even when every add
-        // saturates; the per-sample loop is the reference semantics.
-        let e = Matrix::<f64>::from_fn(batch, w.rows(), |b, r| {
-            ((b * 3 + r) as f64 * 0.41).sin() * amp
-        }).cast::<Fx32>();
-        let a = Matrix::<f64>::from_fn(batch, w.cols(), |b, c| {
-            ((b * 7 + c) as f64 * 0.53).cos() * amp
-        }).cast::<Fx32>();
-        let mut looped: Matrix<Fx32> = w.cast();
-        let reference = {
-            let mut g = looped.clone();
-            for b in 0..batch {
-                g.add_outer(e.row(b), a.row(b)).unwrap();
+        let mut out = Matrix::zeros(0, 0);
+        for par in [Parallelism::sequential(), Parallelism::with_workers(workers)] {
+            panel.gather_columns_into(&indices, &par, &mut out).unwrap();
+            prop_assert_eq!(out.shape(), (indices.len(), panel.cols()));
+            for (k, &j) in indices.iter().enumerate() {
+                prop_assert_eq!(out.row(k), panel.row(j));
             }
-            g
-        };
-        let mut batched = looped.clone();
-        batched.add_outer_batch(&e, &a).unwrap();
-        prop_assert_eq!(&batched, &reference);
-        for workers in [1usize, 2, 8] {
-            let par = fixar_pool::Parallelism::with_workers(workers);
-            let mut g = looped.clone();
-            g.add_outer_batch_par(&e, &a, &par).unwrap();
-            prop_assert_eq!(&g, &reference);
-        }
-        looped.add_outer_batch(&e, &a).unwrap();
-        prop_assert_eq!(&looped, &reference);
-    }
-
-    #[test]
-    fn retiled_matmul_equals_ascending_k_reference_fx32(
-        lhs in small_matrix(),
-        n in 1usize..8,
-        amp in 1.0..2000.0f64,
-    ) {
-        // The two-row matmul tiles against an explicit per-element
-        // ascending-k reduction, at saturating amplitudes.
-        let a: Matrix<Fx32> = lhs.cast();
-        let b = Matrix::<f64>::from_fn(lhs.cols(), n, |k, j| {
-            ((k * 9 + j * 5) as f64 * 0.47).sin() * amp
-        }).cast::<Fx32>();
-        let mut reference = Matrix::<Fx32>::zeros(a.rows(), n);
-        for i in 0..a.rows() {
-            for j in 0..n {
-                let mut acc = Fx32::zero();
-                for k in 0..a.cols() {
-                    acc += a[(i, k)] * b[(k, j)];
-                }
-                reference[(i, j)] = acc;
-            }
-        }
-        let got = a.matmul(&b).unwrap();
-        prop_assert_eq!(&got, &reference);
-        for workers in [1usize, 2, 8] {
-            let par = fixar_pool::Parallelism::with_workers(workers);
-            prop_assert_eq!(&a.matmul_par(&b, &par).unwrap(), &reference);
         }
     }
 
@@ -273,5 +168,65 @@ proptest! {
         let lhs = vector::dot(&cat, &ones_cat);
         let rhs = vector::dot(&a, &ones_a) + vector::dot(&b, &ones_b);
         prop_assert!((lhs - rhs).abs() < 1e-9);
+    }
+}
+
+/// Deterministic `Fx32` operand at rail amplitude: products and partial
+/// sums clamp mid-chain, so any reorder of a reduction shows.
+fn rail_matrix(rows: usize, cols: usize, salt: usize) -> Matrix<Fx32> {
+    Matrix::<f64>::from_fn(rows, cols, |r, c| {
+        ((r * 31 + c * 17 + salt * 7) as f64 * 0.37).sin() * 1900.0
+    })
+    .cast()
+}
+
+#[test]
+fn batched_kernels_equal_per_sample_across_panel_edges() {
+    // `gemv_t_batch` walks width-16 column panels: fan-ins of 15, 16,
+    // 17, 23 and 33 cover one partial panel, one exact panel, and
+    // multi-panel walks with a partial last panel (the paper's 17- and
+    // 23-wide layers). Batches 1..7 hit every 2- and 4-sample tile
+    // remainder; rows = 5 under-subscribes 8 workers for the W-row
+    // sharded outer product.
+    const ROWS: usize = 5;
+    for cols in [15usize, 16, 17, 23, 33] {
+        let w = rail_matrix(ROWS, cols, 0);
+        let pack = w.pack();
+        for batch in [1usize, 2, 3, 4, 5, 7] {
+            let a = rail_matrix(batch, cols, 1);
+            let e = rail_matrix(batch, ROWS, 2);
+            let mut fwd_ref = Matrix::<Fx32>::zeros(batch, ROWS);
+            let mut bwd_ref = Matrix::<Fx32>::zeros(batch, cols);
+            let mut g_ref = rail_matrix(ROWS, cols, 3);
+            let g_start = g_ref.clone();
+            for b in 0..batch {
+                w.gemv(a.row(b), fwd_ref.row_mut(b)).unwrap();
+                w.gemv_t(e.row(b), bwd_ref.row_mut(b)).unwrap();
+                g_ref.add_outer(e.row(b), a.row(b)).unwrap();
+            }
+            assert!(
+                bwd_ref
+                    .as_slice()
+                    .iter()
+                    .any(|&v| v == Fx32::MAX || v == Fx32::MIN),
+                "operands must reach the rail at cols {cols} batch {batch}"
+            );
+            for workers in [1usize, 2, 8] {
+                let par = Parallelism::with_workers(workers);
+                let mut fwd = Matrix::<Fx32>::zeros(batch, ROWS);
+                let mut bwd = Matrix::<Fx32>::zeros(batch, cols);
+                let mut g = g_start.clone();
+                par.fused(|ks| {
+                    pack.gemv_batch(&a, &mut fwd, ks).unwrap();
+                    pack.gemv_t_batch(&e, &mut bwd, ks).unwrap();
+                    g.add_outer_batch(&e, &a, ks).unwrap();
+                })
+                .unwrap();
+                let case = format!("cols {cols} batch {batch} workers {workers}");
+                assert_eq!(fwd, fwd_ref, "gemv_batch, {case}");
+                assert_eq!(bwd, bwd_ref, "gemv_t_batch, {case}");
+                assert_eq!(g, g_ref, "add_outer_batch, {case}");
+            }
+        }
     }
 }

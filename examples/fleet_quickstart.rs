@@ -44,7 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     accel.load_ddpg(trainer.agent().actor(), trainer.agent().critic())?;
     let states = trainer.pool().observations().cast::<Fx32>();
     let (hw_actions, cycles) = accel.actor_inference_batch(&states, Precision::Full32)?;
-    let sw_actions = trainer.agent().actor().forward_batch(&states)?;
+    let sw_actions = trainer
+        .agent()
+        .actor()
+        .forward_batch(&states, QatPhase::Off, &Parallelism::sequential())?
+        .output;
     assert_eq!(hw_actions, sw_actions, "structural twin must be bit-exact");
     println!(
         "accelerator serves the fleet in {cycles} cycles ({} actions, batched schedule)",

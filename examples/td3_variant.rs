@@ -24,6 +24,7 @@ fn main() -> Result<(), RlError> {
     let mut env = fixar_env::Pendulum::new(1);
     let mut eval_env = fixar_env::Pendulum::new(99);
     let mut replay = ReplayBuffer::new(20_000);
+    let mut scratch = TransitionBatch::empty();
     let mut rng = StdRng::seed_from_u64(7);
 
     let total_steps = 6_000;
@@ -54,12 +55,10 @@ fn main() -> Result<(), RlError> {
             res.observation
         };
 
-        if step > warmup {
-            let sample = replay.sample(batch, &mut rng);
-            if !sample.is_empty() {
-                let refs: Vec<&Transition> = sample.iter().collect();
-                agent.train_batch(&refs)?;
-            }
+        if step > warmup
+            && replay.sample_batch_into(batch, &mut rng, agent.parallelism(), &mut scratch)
+        {
+            agent.train_minibatch(&scratch)?;
         }
 
         if step % 1_500 == 0 {

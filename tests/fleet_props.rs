@@ -242,7 +242,11 @@ fn accelerator_serves_fleet_observations_bit_exactly() {
         let (hw, cycles) = accel
             .actor_inference_batch(&states, Precision::Full32)
             .unwrap();
-        let sw = agent.actor().forward_batch(&states).unwrap();
+        let sw = agent
+            .actor()
+            .forward_batch(&states, QatPhase::Off, &Parallelism::sequential())
+            .unwrap()
+            .output;
         assert_eq!(hw, sw, "fleet {fleet_size}: structural twin diverged");
 
         let sched = BatchedInferenceSchedule::for_mlp(

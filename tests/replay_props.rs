@@ -11,7 +11,7 @@
 //!    ring stores the same transitions, draws the same uniform indices
 //!    from the same RNG states, and gathers bit-identical
 //!    `TransitionBatch`es.
-//! 2. **Gather worker-invariance** — `gather_columns_par` through the
+//! 2. **Gather worker-invariance** — `gather_columns_into` through the
 //!    replay buffer is bit-identical to the sequential gather at every
 //!    worker count.
 //! 3. **Wrap-around** — insertion past capacity overwrites oldest
@@ -32,6 +32,26 @@ use fixar_rl::{PrioritizedConfig, ReplaySampler, ReplayStrategy, Td3, Td3Config,
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One draw through the single sampling entry into a fresh scratch
+/// (`None` on underflow).
+fn draw(
+    buf: &ReplayBuffer,
+    batch: usize,
+    rng: &mut StdRng,
+    par: &Parallelism,
+) -> Option<TransitionBatch> {
+    let mut out = TransitionBatch::empty();
+    buf.sample_batch_into(batch, rng, par, &mut out)
+        .then_some(out)
+}
+
+/// Gathers `indices` into a fresh scratch over `par`.
+fn gather(buf: &ReplayBuffer, indices: &[usize], par: &Parallelism) -> TransitionBatch {
+    let mut out = TransitionBatch::empty();
+    buf.gather_into(indices, par, &mut out);
+    out
+}
 
 /// Pillar 1 (acceptance criterion): same pushes, same mid-stream RNG
 /// state ⇒ same stored contents, bit-identical sampled batches, and
@@ -62,7 +82,7 @@ fn soa_ring_reproduces_the_legacy_buffer_bit_for_bit() {
         let mut rng_soa = rng.clone();
         let mut rng_leg = rng.clone();
         for batch in [1usize, 8, 23, 24, 25] {
-            let a = soa.sample_batch(batch, &mut rng_soa);
+            let a = draw(&soa, batch, &mut rng_soa, &Parallelism::sequential());
             let b = legacy.sample_batch(batch, &mut rng_leg);
             assert_eq!(a, b, "batch {batch} at fill {pushed}");
         }
@@ -81,12 +101,13 @@ fn replay_gather_par_bit_identical_at_workers_1_2_8() {
     }
     for batch in [1usize, 7, 16, 32] {
         let mut rng = StdRng::seed_from_u64(batch as u64);
-        let indices = buf.sample_indices(batch, &mut rng);
-        let seq = buf.gather(&indices);
+        let mut indices = Vec::new();
+        buf.sample_indices_into(batch, &mut rng, &mut indices);
+        let seq = gather(&buf, &indices, &Parallelism::sequential());
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
             assert_eq!(
-                buf.gather_par(&indices, &par),
+                gather(&buf, &indices, &par),
                 seq,
                 "batch {batch}, workers {workers}"
             );
@@ -94,8 +115,8 @@ fn replay_gather_par_bit_identical_at_workers_1_2_8() {
             let mut r1 = StdRng::seed_from_u64(99 + batch as u64);
             let mut r2 = r1.clone();
             assert_eq!(
-                buf.sample_batch(batch, &mut r1),
-                buf.sample_batch_par(batch, &mut r2, &par)
+                draw(&buf, batch, &mut r1, &Parallelism::sequential()),
+                draw(&buf, batch, &mut r2, &par)
             );
             assert_eq!(r1, r2);
         }
@@ -117,7 +138,7 @@ fn wraparound_sampling_never_yields_evicted_transitions() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..60 {
-            let batch = buf.sample_batch(capacity, &mut rng).unwrap();
+            let batch = draw(&buf, capacity, &mut rng, &Parallelism::sequential()).unwrap();
             for b in 0..batch.len() {
                 let r = batch.rewards()[b];
                 assert!(
@@ -316,8 +337,9 @@ fn uniform_sampler_shares_the_buffer_draw_path() {
     let par = Parallelism::with_workers(2);
     let mut r1 = StdRng::seed_from_u64(31);
     let mut r2 = r1.clone();
-    let direct = buf.sample_batch(16, &mut r1).unwrap();
-    let via_sampler = sampler.sample(&buf, 16, &mut r2, &par).unwrap();
+    let direct = draw(&buf, 16, &mut r1, &Parallelism::sequential()).unwrap();
+    let mut via_sampler = SampledBatch::scratch();
+    assert!(sampler.sample_into(&buf, 16, &mut r2, &par, &mut via_sampler));
     assert_eq!(via_sampler.batch, direct);
     assert!(via_sampler.weights.is_none());
     assert_eq!(r1, r2);
@@ -347,7 +369,10 @@ proptest! {
         prop_assert_eq!(soa.transitions(), legacy.storage.clone());
         let mut ra = StdRng::seed_from_u64(seed);
         let mut rb = ra.clone();
-        prop_assert_eq!(soa.sample_batch(batch, &mut ra), legacy.sample_batch(batch, &mut rb));
+        prop_assert_eq!(
+            draw(&soa, batch, &mut ra, &Parallelism::sequential()),
+            legacy.sample_batch(batch, &mut rb)
+        );
         prop_assert_eq!(ra, rb);
     }
 
@@ -364,8 +389,8 @@ proptest! {
             buf.push(synthetic(i, 3, 1));
         }
         let indices: Vec<usize> = picks.into_iter().map(|p| p % capacity).collect();
-        let seq = buf.gather(&indices);
+        let seq = gather(&buf, &indices, &Parallelism::sequential());
         let par = Parallelism::with_workers(workers);
-        prop_assert_eq!(buf.gather_par(&indices, &par), seq);
+        prop_assert_eq!(gather(&buf, &indices, &par), seq);
     }
 }

@@ -22,7 +22,7 @@
 
 use fixar_accel::BatchedInferenceSchedule;
 use fixar_env::{EnvKind, EnvPool};
-use fixar_nn::forward_batch_fused;
+use fixar_nn::{forward_batch, ForwardPass};
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
 use fixar_rl::{Td3, Td3Config, Transition, TransitionBatch, VecTrainer};
@@ -204,10 +204,18 @@ fn fused_schedule_accounting_agrees_with_software_fused_forward() {
     })
     .cast::<Fx32>();
     let par = Parallelism::with_workers(2);
-    // Software: fused twin forward ≡ separate forwards.
-    let fused = forward_batch_fused(&[c1, c2], &[&x, &x], &par).unwrap();
-    assert_eq!(fused[0], c1.forward_batch(&x).unwrap());
-    assert_eq!(fused[1], c2.forward_batch(&x).unwrap());
+    // Software: the twin group (both critics' kernels in ONE fused
+    // call per layer) ≡ one fused call per kernel over the same entry.
+    let pass = |mlp| ForwardPass {
+        mlp,
+        input: &x,
+        qat: QatPhase::Off,
+    };
+    let fused = forward_batch(&mut [pass(c1), pass(c2)], &par).unwrap();
+    for (twin, critic) in fused.iter().zip([c1, c2]) {
+        let solo = forward_batch(&mut [pass(critic)], &par).unwrap();
+        assert_eq!(twin.output, solo[0].output);
+    }
     // Structural model: fused schedule = summed MACs, fewer cycles.
     let acc = AccelConfig::default();
     let sizes: Vec<usize> = c1.layer_sizes().to_vec();

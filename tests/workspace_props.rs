@@ -64,7 +64,10 @@ proptest! {
             ((b * 17 + i * 3) as f64 * 0.19 + seed as f64 * 0.01).sin()
         }).cast::<Fx32>();
         let (hw, cycles) = accel.actor_inference_batch(&states, Precision::Full32).unwrap();
-        let sw = actor.forward_batch(&states).unwrap();
+        let sw = actor
+            .forward_batch(&states, QatPhase::Off, &Parallelism::sequential())
+            .unwrap()
+            .output;
         prop_assert_eq!(hw, sw);
         prop_assert!(cycles > 0);
     }
