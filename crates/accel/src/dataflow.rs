@@ -501,122 +501,6 @@ impl BatchedInferenceSchedule {
     }
 }
 
-/// Cycle model of **double-buffered fleet serving** — the structural
-/// twin of `VecTrainer`'s overlap mode: the fleet splits into buffers
-/// A (`⌊N/2⌋` envs) and B, and each fleet step runs three phases with
-/// barriers between them:
-///
-/// 1. infer A's actions (accelerator);
-/// 2. infer B's actions **while the host steps A's environments** —
-///    the phase completes at the slower of the two (the Fig. 9
-///    host/accelerator overlap);
-/// 3. the host steps B's environments.
-///
-/// Lockstep serving pays `infer(N) + host(N)` per fleet step; the
-/// overlapped schedule hides `min(infer(B), host(A))` cycles behind the
-/// other side of phase 2 at the price of split inference (the per-layer
-/// pipeline fill is paid once per buffer) and two extra phase barriers.
-/// Work is conserved — both modes run the same MACs and the same env
-/// steps, mirroring the software contract that overlap is bit-identical
-/// to lockstep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DoubleBufferedServing {
-    /// Fleet size `N`.
-    pub fleet: usize,
-    /// Accelerator cycles to infer the whole fleet in one batch
-    /// (lockstep selection).
-    pub infer_full_cycles: u64,
-    /// Accelerator cycles to infer buffer A (`⌊N/2⌋` rows).
-    pub infer_a_cycles: u64,
-    /// Accelerator cycles to infer buffer B (`⌈N/2⌉` rows).
-    pub infer_b_cycles: u64,
-    /// Host cycles to step one environment.
-    pub host_cycles_per_env: u64,
-    /// Barrier/staging cost of one phase boundary.
-    pub barrier_cycles: u64,
-}
-
-impl DoubleBufferedServing {
-    /// Builds the model for serving a `fleet` of environments with the
-    /// actor given by `sizes`, a host cost of `host_cycles_per_env`
-    /// cycles per environment step, and `barrier_cycles` per phase
-    /// boundary.
-    pub fn for_actor(
-        cfg: &AccelConfig,
-        sizes: &[usize],
-        fleet: usize,
-        precision: Precision,
-        host_cycles_per_env: u64,
-        barrier_cycles: u64,
-    ) -> Self {
-        let h = fleet / 2;
-        let infer = |n: usize| {
-            if n == 0 {
-                0
-            } else {
-                BatchedInferenceSchedule::for_mlp(cfg, sizes, n, precision).cycles
-            }
-        };
-        Self {
-            fleet,
-            infer_full_cycles: infer(fleet),
-            infer_a_cycles: infer(h),
-            infer_b_cycles: infer(fleet - h),
-            host_cycles_per_env,
-            barrier_cycles,
-        }
-    }
-
-    /// Host cycles to step buffer A's environments.
-    pub fn host_a_cycles(&self) -> u64 {
-        (self.fleet / 2) as u64 * self.host_cycles_per_env
-    }
-
-    /// Host cycles to step buffer B's environments.
-    pub fn host_b_cycles(&self) -> u64 {
-        (self.fleet - self.fleet / 2) as u64 * self.host_cycles_per_env
-    }
-
-    /// Cycles of one lockstep fleet step: full-fleet inference, then
-    /// the host steps every environment.
-    pub fn lockstep_cycles(&self) -> u64 {
-        self.infer_full_cycles + self.fleet as u64 * self.host_cycles_per_env
-    }
-
-    /// Cycles of one overlapped fleet step (the three-phase schedule
-    /// plus its two phase barriers).
-    pub fn overlapped_cycles(&self) -> u64 {
-        self.infer_a_cycles
-            + self.infer_b_cycles.max(self.host_a_cycles())
-            + self.host_b_cycles()
-            + 2 * self.barrier_cycles
-    }
-
-    /// Cycles phase 2 hides: the smaller of B's inference and A's host
-    /// stepping runs entirely in the other's shadow.
-    pub fn hidden_cycles(&self) -> u64 {
-        self.infer_b_cycles.min(self.host_a_cycles())
-    }
-
-    /// Throughput ratio of overlapped over lockstep serving (> 1 when
-    /// the hidden work outweighs the split-inference and barrier
-    /// costs; ≤ 1 for fleets too small to split).
-    pub fn overlap_speedup(&self) -> f64 {
-        self.lockstep_cycles() as f64 / self.overlapped_cycles() as f64
-    }
-
-    /// Fraction of phase 2 during which host and accelerator are both
-    /// busy (the Fig. 9 overlap quality metric; 1.0 = perfectly
-    /// balanced buffers).
-    pub fn overlap_fraction(&self) -> f64 {
-        let phase2 = self.infer_b_cycles.max(self.host_a_cycles());
-        if phase2 == 0 {
-            return 0.0;
-        }
-        self.hidden_cycles() as f64 / phase2 as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -900,53 +784,6 @@ mod tests {
             BatchedInferenceSchedule::for_mlps_fused(&cfg, &[&CRITIC], 64, Precision::Full32);
         assert_eq!(solo.cycles, a.cycles);
         assert_eq!(solo.macs, a.macs);
-    }
-
-    #[test]
-    fn double_buffered_serving_hides_host_work_behind_inference() {
-        let cfg = AccelConfig::default();
-        // Host cost chosen near the half-fleet inference cost: the
-        // overlap regime the schedule is built for.
-        let infer_half = BatchedInferenceSchedule::for_mlp(&cfg, &ACTOR, 32, Precision::Full32);
-        let host_per_env = infer_half.cycles / 32;
-        let model =
-            DoubleBufferedServing::for_actor(&cfg, &ACTOR, 64, Precision::Full32, host_per_env, 50);
-        // Work conservation: phase cycles cover the same env steps.
-        assert_eq!(
-            model.host_a_cycles() + model.host_b_cycles(),
-            64 * host_per_env
-        );
-        assert_eq!(model.fleet, 64);
-        // The overlap hides ~the whole smaller side of phase 2...
-        assert_eq!(
-            model.hidden_cycles(),
-            model.infer_b_cycles.min(model.host_a_cycles())
-        );
-        assert!(
-            model.overlap_fraction() > 0.8,
-            "balanced buffers overlap well"
-        );
-        // ...which beats lockstep serving despite split inference and
-        // two barriers.
-        assert!(
-            model.overlap_speedup() > 1.2,
-            "speedup {} with balanced host/accel work",
-            model.overlap_speedup()
-        );
-        assert!(model.overlapped_cycles() < model.lockstep_cycles());
-
-        // Host-free serving (host cost ~0): overlap cannot win — the
-        // split inference and barriers are pure cost, exactly like the
-        // software path on a saturated pool.
-        let degenerate =
-            DoubleBufferedServing::for_actor(&cfg, &ACTOR, 64, Precision::Full32, 0, 50);
-        assert!(degenerate.overlap_speedup() <= 1.0);
-        // A fleet of one cannot split: buffer A is empty, nothing hides.
-        let solo =
-            DoubleBufferedServing::for_actor(&cfg, &ACTOR, 1, Precision::Full32, host_per_env, 50);
-        assert_eq!(solo.infer_a_cycles, 0);
-        assert_eq!(solo.hidden_cycles(), 0);
-        assert!(solo.overlap_speedup() <= 1.0);
     }
 
     #[test]

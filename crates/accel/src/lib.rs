@@ -50,9 +50,7 @@ mod serving;
 pub use accelerator::{AccelConfig, FixarAccelerator, TimestepCycles};
 pub use adam_unit::AdamUnit;
 pub use core_array::AapCore;
-pub use dataflow::{
-    BatchedInferenceSchedule, DoubleBufferedServing, InferenceSchedule, Precision, TrainingSchedule,
-};
+pub use dataflow::{BatchedInferenceSchedule, InferenceSchedule, Precision, TrainingSchedule};
 pub use error::AccelError;
 pub use gpu::GpuModel;
 pub use memory::{ActivationMemory, GradientMemory, LayerImage, NetworkImage, WeightMemory};

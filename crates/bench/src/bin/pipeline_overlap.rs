@@ -1,52 +1,36 @@
 //! Pipeline-overlap benchmark: what phase-scoped heterogeneous
 //! scheduling buys on this host.
 //!
-//! Two series, both gated on bit-equality before any timing:
-//!
-//! 1. **Fused vs per-network scopes** — the TD3 twin-critic shape
-//!    (two 23-400-300-1 critics, Fx32) forward+backward through the
-//!    one group entry, either as two back-to-back one-pass groups (one
-//!    scope per layer step *per critic*) or as one group of two (one
-//!    scope per layer step hosting both critics' kernels), across
-//!    worker counts.
-//! 2. **Overlapped vs lockstep `VecTrainer`** — env steps/sec of the
-//!    double-buffered serving loop against the lockstep loop at fleet
-//!    sizes {4, 16, 64}.
+//! One series, gated on bit-equality before any timing: **fused vs
+//! per-network scopes** — the TD3 twin-critic shape (two 23-400-300-1
+//! critics, Fx32) forward+backward through the one group entry, either
+//! as two back-to-back one-pass groups (one scope per layer step *per
+//! critic*) or as one group of two (one scope per layer step hosting
+//! both critics' kernels), across worker counts.
 //!
 //! Environment:
 //!
 //! * `FIXAR_PIPELINE_BENCH_REPS` — fused-kernel reps per cell
 //!   (default 40; CI's bench-smoke job uses a short count);
-//! * `FIXAR_PIPELINE_BENCH_STEPS` — timed fleet steps per serving cell
-//!   (default 250);
 //! * `FIXAR_BENCH_JSON` — when set, also writes the results as a JSON
 //!   document (the `BENCH_pipeline_overlap.json` artifact extending the
 //!   perf trajectory with a scheduling series).
 
-use fixar_env::{EnvKind, EnvPool};
 use fixar_fixed::Fx32;
 use fixar_nn::{
     backward_batch, forward_batch, BackwardPass, ForwardPass, Mlp, MlpConfig, MlpGrads, QatPhase,
 };
-use fixar_rl::{DdpgConfig, VecTrainer};
 use fixar_tensor::{Matrix, Parallelism};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-const FLEET_SIZES: [usize; 3] = [4, 16, 64];
 const BATCH: usize = 64;
 
 struct KernelRecord {
     workers: usize,
     path: &'static str,
     ns_per_step: f64,
-}
-
-struct ServingRecord {
-    fleet: usize,
-    mode: &'static str,
-    steps_per_sec: f64,
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -115,37 +99,14 @@ fn time_twin_step(
     t.elapsed().as_nanos() as f64 / reps as f64
 }
 
-/// Env steps/sec of a `VecTrainer` run in the given serving mode.
-fn time_serving(fleet: usize, overlap: bool, workers: usize, steps: u64) -> f64 {
-    let mut cfg = DdpgConfig::small_test();
-    cfg.hidden = (64, 48);
-    cfg.warmup_steps = 8;
-    let mut t = VecTrainer::<Fx32>::new(
-        EnvPool::from_kind(EnvKind::Pendulum, fleet, 0),
-        EnvKind::Pendulum.make(99),
-        cfg,
-    )
-    .unwrap();
-    t.set_overlap(overlap);
-    t.agent_mut()
-        .set_parallelism(Parallelism::with_workers(workers));
-    // Warm the pipeline (and the replay scratch), then time.
-    t.run(10, 10, 1).unwrap();
-    let clock = Instant::now();
-    t.run(steps, steps, 1).unwrap();
-    (steps * fleet as u64) as f64 / clock.elapsed().as_secs_f64()
-}
-
 fn main() {
     let reps = env_usize("FIXAR_PIPELINE_BENCH_REPS", 40);
-    let steps = env_usize("FIXAR_PIPELINE_BENCH_STEPS", 250) as u64;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "pipeline_overlap: twin 23-400-300-1 critics Fx32 batch {BATCH}, {reps} reps/cell; \
-         Pendulum fleet serving, {steps} fleet steps/cell; {cores} host core(s)"
+         {cores} host core(s)"
     );
 
-    // --- series 1: fused vs per-network scopes ------------------------
     let critic_cfg = MlpConfig::new(vec![23, 400, 300, 1]);
     let c1 = Mlp::<Fx32>::new_random(&critic_cfg, 1).unwrap();
     let c2 = Mlp::<Fx32>::new_random(&critic_cfg, 2).unwrap();
@@ -177,51 +138,11 @@ fn main() {
         }
     }
 
-    // --- series 2: overlapped vs lockstep serving ---------------------
-    // Bit-equality gate: a short run must agree between the modes.
-    {
-        let mut cfg = DdpgConfig::small_test();
-        cfg.hidden = (64, 48);
-        let run = |overlap: bool| {
-            let mut t = VecTrainer::<Fx32>::new(
-                EnvPool::from_kind(EnvKind::Pendulum, 4, 0),
-                EnvKind::Pendulum.make(99),
-                cfg.clone(),
-            )
-            .unwrap();
-            t.set_overlap(overlap);
-            t.run(80, 80, 1).unwrap();
-            t
-        };
-        let lock = run(false);
-        let over = run(true);
-        assert_eq!(
-            lock.agent().actor(),
-            over.agent().actor(),
-            "overlap gate: weights must match lockstep"
-        );
-        assert_eq!(lock.replay().transitions(), over.replay().transitions());
-    }
-
-    let mut serving_records = Vec::new();
-    for &fleet in &FLEET_SIZES {
-        for (mode, overlap) in [("lockstep", false), ("overlap", true)] {
-            let sps = time_serving(fleet, overlap, 2, steps);
-            println!("serving fleet {fleet:>3} w2 {mode:>9}  {sps:>12.0} env steps/s");
-            serving_records.push(ServingRecord {
-                fleet,
-                mode,
-                steps_per_sec: sps,
-            });
-        }
-    }
-
     if let Ok(path) = std::env::var("FIXAR_BENCH_JSON") {
         let mut json = String::from("{\n");
         let _ = writeln!(json, "  \"bench\": \"pipeline_overlap\",");
         let _ = writeln!(json, "  \"batch\": {BATCH},");
         let _ = writeln!(json, "  \"reps\": {reps},");
-        let _ = writeln!(json, "  \"fleet_steps\": {steps},");
         let _ = writeln!(json, "  \"host_cores\": {cores},");
         json.push_str("  \"fused_kernels\": [\n");
         for (i, r) in kernel_records.iter().enumerate() {
@@ -234,19 +155,6 @@ fn main() {
                 json,
                 "    {{\"workers\": {}, \"path\": \"{}\", \"ns_per_step\": {:.0}}}{comma}",
                 r.workers, r.path, r.ns_per_step
-            );
-        }
-        json.push_str("  ],\n  \"serving\": [\n");
-        for (i, r) in serving_records.iter().enumerate() {
-            let comma = if i + 1 == serving_records.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(
-                json,
-                "    {{\"fleet\": {}, \"mode\": \"{}\", \"env_steps_per_sec\": {:.0}}}{comma}",
-                r.fleet, r.mode, r.steps_per_sec
             );
         }
         json.push_str("  ]\n}\n");

@@ -1,11 +1,12 @@
 //! Shared helpers for the FIXAR benchmark harnesses.
 //!
-//! Each paper artifact (Figs. 7–10, Tables I–II) has both a criterion
-//! bench (`benches/`) that prints the regenerated rows and measures the
-//! relevant kernel, and a standalone binary (`src/bin/`) for longer,
-//! configurable runs. This library holds the pieces they share: an ASCII
-//! table renderer, the paper's reference numbers, and the scaled-down
-//! precision-study runner.
+//! Each paper artifact (Figs. 7–10, Tables I–II) has a standalone
+//! binary (`src/bin/`) that prints the regenerated rows and takes
+//! `--name value` arguments for longer runs; the criterion benches
+//! (`benches/`) time kernels, ablations and the batched training step.
+//! This library holds the pieces they share: an ASCII table renderer,
+//! the paper's reference numbers, and the scaled-down precision-study
+//! configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -157,7 +158,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Scaled-down Fig. 7 configuration: Pendulum with small networks so a
-/// four-arm study completes inside a bench run. The *relative* behaviour
+/// four-arm study completes in minutes. The *relative* behaviour
 /// of the arms (who learns, who fails, the QAT dip) is what transfers to
 /// the full-scale runs.
 pub fn quick_study_config() -> DdpgConfig {
@@ -174,17 +175,6 @@ pub fn quick_study_config() -> DdpgConfig {
     cfg
 }
 
-/// Runs the four-arm precision study on Pendulum at reduced scale.
-///
-/// # Panics
-///
-/// Panics if any arm fails to run (benchmark harness context).
-pub fn quick_precision_study(total_steps: u64, eval_every: u64) -> Vec<FixarRunReport> {
-    let cfg = quick_study_config().with_qat(total_steps / 3, 16);
-    fixar::precision_study(EnvKind::Pendulum, cfg, total_steps, eval_every, 3)
-        .expect("precision study should run")
-}
-
 /// Formats a reward curve as aligned `step:reward` pairs.
 pub fn format_curve(report: &FixarRunReport) -> String {
     report
@@ -194,22 +184,6 @@ pub fn format_curve(report: &FixarRunReport) -> String {
         .map(|p| format!("{:>6}:{:>8.1}", p.step, p.avg_reward))
         .collect::<Vec<_>>()
         .join("  ")
-}
-
-/// The paper's HalfCheetah-sized actor/critic pair in `Fx32`.
-///
-/// # Panics
-///
-/// Panics on construction failure (static configuration).
-pub fn paper_networks() -> (Mlp<Fx32>, Mlp<Fx32>) {
-    let actor = Mlp::new_random(
-        &MlpConfig::new(vec![17, 400, 300, 6]).with_output_activation(Activation::Tanh),
-        11,
-    )
-    .expect("static config");
-    let critic =
-        Mlp::new_random(&MlpConfig::new(vec![23, 400, 300, 1]), 12).expect("static config");
-    (actor, critic)
 }
 
 /// Summary verdict line comparing a measured value against the paper.
@@ -268,12 +242,5 @@ mod tests {
     fn verdict_reports_ratio() {
         let v = verdict("ips", 50_000.0, 53_826.8);
         assert!(v.contains("x0.929"));
-    }
-
-    #[test]
-    fn paper_networks_have_paper_sizes() {
-        let (actor, critic) = paper_networks();
-        assert_eq!(actor.param_count(), 129_306);
-        assert_eq!(critic.param_count(), 130_201);
     }
 }

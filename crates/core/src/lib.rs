@@ -51,9 +51,9 @@ pub use fixar_rl::{DdpgConfig, PrecisionMode, RlError, Trainer, TrainingReport};
 /// Convenience re-exports of the most common FIXAR types.
 pub mod prelude {
     pub use fixar_accel::{
-        AccelConfig, BatchedInferenceSchedule, DoubleBufferedServing, FixarAccelerator, GpuModel,
-        InferenceSchedule, LayerFormat, MicroBatchServing, PowerModel, Precision,
-        PrecisionPlanCost, ResourceModel, TrainingSchedule, U50_BUDGET,
+        AccelConfig, BatchedInferenceSchedule, FixarAccelerator, GpuModel, InferenceSchedule,
+        LayerFormat, MicroBatchServing, PowerModel, Precision, PrecisionPlanCost, ResourceModel,
+        TrainingSchedule, U50_BUDGET,
     };
     pub use fixar_deploy::{
         verify_generated_source, ActKind, BlobStats, DeployError, PolicyArtifact,
@@ -68,10 +68,10 @@ pub mod prelude {
     pub use fixar_platform::{CpuGpuPlatformModel, FixarCosim, FixarPlatformModel};
     pub use fixar_pool::{KernelScope, Parallelism, PoolError, WorkerPool, WORKERS_ENV};
     pub use fixar_rl::{
-        Ddpg, DdpgConfig, EvalPoint, ExplorationNoise, GaussianNoise, OrnsteinUhlenbeck,
-        PolicySnapshot, PrecisionMode, PrioritizedConfig, PrioritizedReplay, QatSchedule,
-        ReplayBuffer, ReplaySampler, ReplayStrategy, RlError, SampledBatch, Td3, Td3Config,
-        TrainMetrics, Trainer, TrainingReport, Transition, TransitionBatch, VecTrainer,
+        Ddpg, DdpgConfig, EvalPoint, GaussianNoise, PolicySnapshot, PrecisionMode,
+        PrioritizedConfig, PrioritizedReplay, QatSchedule, ReplayBuffer, ReplaySampler,
+        ReplayStrategy, RlError, SampledBatch, Td3, Td3Config, TrainMetrics, Trainer,
+        TrainingReport, Transition, TransitionBatch,
     };
     pub use fixar_serve::{
         ActionResponse, ActionServer, ArtifactClient, ArtifactPublisher, ArtifactReplica,
@@ -84,6 +84,7 @@ pub mod prelude {
 }
 
 use fixar_accel::AccelError;
+use fixar_env::EnvPool;
 use fixar_platform::FixarPlatformModel;
 
 /// Outcome of one FIXAR training run.
@@ -167,21 +168,21 @@ impl FixarSystem {
         eval_episodes: usize,
     ) -> Result<FixarRunReport, RlError> {
         let cfg = self.effective_config(total_steps);
-        let env = self.env.make(self.train_seed);
+        let pool = EnvPool::from_kind(self.env, 1, self.train_seed);
         let eval_env = self.env.make(self.eval_seed);
         let training = match self.mode {
-            PrecisionMode::Float32 => Trainer::<f32>::new(env, eval_env, cfg.clone())?.run(
+            PrecisionMode::Float32 => Trainer::<f32>::new(pool, eval_env, cfg.clone())?.run(
                 total_steps,
                 eval_every,
                 eval_episodes,
             )?,
             PrecisionMode::Fixed32 | PrecisionMode::DynamicFixed => Trainer::<Fx32>::new(
-                env,
+                pool,
                 eval_env,
                 cfg.clone(),
             )?
             .run(total_steps, eval_every, eval_episodes)?,
-            PrecisionMode::Fixed16 => Trainer::<Fx16>::new(env, eval_env, cfg.clone())?.run(
+            PrecisionMode::Fixed16 => Trainer::<Fx16>::new(pool, eval_env, cfg.clone())?.run(
                 total_steps,
                 eval_every,
                 eval_episodes,

@@ -196,45 +196,21 @@ impl EnvPool {
     ///
     /// Panics if `actions` is not `N × action_dim`.
     pub fn step(&mut self, actions: &Matrix<f64>) -> FleetStep {
-        self.step_range(0..self.envs.len(), actions)
-    }
-
-    /// Steps only the slots in `range` (ascending env order within it),
-    /// with row `i` of `actions` driving slot `range.start + i` — the
-    /// half-fleet primitive of double-buffered serving: the trainer
-    /// steps one buffer's slots on the host while the pool computes the
-    /// other buffer's actions. Auto-reset, per-slot episode accounting,
-    /// and the returned [`FleetStep`] (sized `range.len()`, with
-    /// [`EpisodeStats::env`] holding **absolute** slot indices) behave
-    /// exactly as in [`EnvPool::step`], which is this method over
-    /// `0..N`: stepping two disjoint ranges in ascending order is
-    /// bit-identical to one full lockstep step, because slots are
-    /// independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` exceeds the fleet or `actions` is not
-    /// `range.len() × action_dim`.
-    pub fn step_range(
-        &mut self,
-        range: std::ops::Range<usize>,
-        actions: &Matrix<f64>,
-    ) -> FleetStep {
-        assert!(range.end <= self.envs.len(), "slot range out of fleet");
+        let n = self.envs.len();
         assert_eq!(
             actions.shape(),
-            (range.len(), self.spec.action_dim),
-            "fleet actions must be range.len() x action_dim"
+            (n, self.spec.action_dim),
+            "fleet actions must be N x action_dim"
         );
-        let mut next_observations = Matrix::zeros(range.len(), self.spec.obs_dim);
-        let mut rewards = Vec::with_capacity(range.len());
-        let mut terminated = Vec::with_capacity(range.len());
-        let mut truncated = Vec::with_capacity(range.len());
+        let mut next_observations = Matrix::zeros(n, self.spec.obs_dim);
+        let mut rewards = Vec::with_capacity(n);
+        let mut terminated = Vec::with_capacity(n);
+        let mut truncated = Vec::with_capacity(n);
         let mut finished = Vec::new();
-        for (local, i) in range.enumerate() {
-            let res = self.envs[i].step(actions.row(local));
+        for i in 0..n {
+            let res = self.envs[i].step(actions.row(i));
             next_observations
-                .row_mut(local)
+                .row_mut(i)
                 .copy_from_slice(&res.observation);
             self.episode_steps[i] += 1;
             self.episode_returns[i] += res.reward;
@@ -335,58 +311,6 @@ mod tests {
         assert_eq!(finished[1].env, 1);
         assert_eq!(finished[2].episode, 1);
         assert_eq!(pool.episode_steps(), &[50, 50]);
-    }
-
-    #[test]
-    fn stepping_two_ranges_is_bit_identical_to_one_lockstep_step() {
-        // The double-buffering contract: step(0..h) then step(h..n)
-        // reproduces step(0..n) exactly — observations, rewards,
-        // episode accounting, auto-resets — across episode boundaries.
-        let n = 5;
-        let h = n / 2;
-        let mut lockstep = EnvPool::from_kind(EnvKind::Pendulum, n, 7);
-        let mut halved = EnvPool::from_kind(EnvKind::Pendulum, n, 7);
-        lockstep.reset_all();
-        halved.reset_all();
-        let actions = Matrix::from_fn(n, 1, |i, _| (i as f64 - 2.0) * 0.4);
-        let a_lo = actions.row_range(0, h);
-        let a_hi = actions.row_range(h, n);
-        for _ in 0..230 {
-            let full = lockstep.step(&actions);
-            let lo = halved.step_range(0..h, &a_lo);
-            let hi = halved.step_range(h..n, &a_hi);
-            for i in 0..h {
-                assert_eq!(full.next_observations.row(i), lo.next_observations.row(i));
-                assert_eq!(full.rewards[i], lo.rewards[i]);
-                assert_eq!(full.truncated[i], lo.truncated[i]);
-            }
-            for i in h..n {
-                let local = i - h;
-                assert_eq!(
-                    full.next_observations.row(i),
-                    hi.next_observations.row(local)
-                );
-                assert_eq!(full.rewards[i], hi.rewards[local]);
-            }
-            // Finished episodes concatenate in ascending env order.
-            let mut halves = lo.finished.clone();
-            halves.extend(hi.finished.clone());
-            assert_eq!(full.finished, halves);
-            assert_eq!(lockstep.observations(), halved.observations());
-        }
-        assert_eq!(
-            lockstep.episodes_completed(),
-            halved.episodes_completed(),
-            "per-slot episode tallies must agree"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of fleet")]
-    fn step_range_rejects_out_of_fleet_ranges() {
-        let mut pool = EnvPool::from_kind(EnvKind::Pendulum, 2, 0);
-        pool.reset_all();
-        let _ = pool.step_range(1..3, &Matrix::<f64>::zeros(2, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Functional + timing co-simulation of the FIXAR platform.
 
 use fixar_accel::{AccelConfig, FixarAccelerator, Precision};
-use fixar_env::Environment;
+use fixar_env::{EnvPool, Environment};
 use fixar_fixed::Fx32;
 use fixar_rl::{DdpgConfig, RlError, Trainer, TrainingReport};
 
@@ -26,10 +26,10 @@ pub struct CosimReport {
 
 /// Co-simulator: real DDPG+QAT training in `Fx32` arithmetic (the exact
 /// numerics of the accelerator datapath) advancing a simulated platform
-/// clock per timestep. After the QAT schedule freezes, the accelerator
-/// model switches to half-precision and the simulated timestep shortens —
-/// the dynamic-precision speedup happens *during* the run, as on the real
-/// platform.
+/// clock per timestep. From the step the QAT schedule freezes, the
+/// accelerator model runs in half-precision and the simulated timestep
+/// shortens — the dynamic-precision speedup happens *during* the run, as
+/// on the real platform.
 ///
 /// # Example
 ///
@@ -79,7 +79,7 @@ impl FixarCosim {
         let accel = FixarAccelerator::new(AccelConfig::default())
             .map_err(|e| RlError::InvalidConfig(e.to_string()))?;
         let batch = cfg.batch_size;
-        let trainer = Trainer::new(env, eval_env, cfg)?;
+        let trainer = Trainer::new(EnvPool::new(vec![env]), eval_env, cfg)?;
         Ok(Self {
             trainer,
             model,
@@ -105,9 +105,22 @@ impl FixarCosim {
         self.sim_time_s
     }
 
-    /// Runs `steps` timesteps of functional training, advancing the
-    /// simulated clock per Fig. 3's sequence, and loads the final
-    /// weights into the accelerator's weight memory.
+    /// Simulated seconds of one timestep at `precision`, charged
+    /// through the batched structural schedule — the accelerator path
+    /// that mirrors how the software twin's batched kernels actually
+    /// execute.
+    fn breakdown(&self, precision: Precision) -> Result<TimestepBreakdown, RlError> {
+        self.model
+            .breakdown_batched(self.batch, precision)
+            .map_err(|e| RlError::InvalidConfig(e.to_string()))
+    }
+
+    /// Runs `steps` timesteps of functional training as **one**
+    /// [`Trainer::run`] (so the learning outcome is exactly a plain
+    /// trainer's), charges the simulated clock per Fig. 3's sequence —
+    /// every step before [`TrainingReport::qat_switch_step`] at
+    /// `Full32`, the rest at `Half16` — and loads the final weights
+    /// into the accelerator's weight memory.
     ///
     /// # Errors
     ///
@@ -118,40 +131,23 @@ impl FixarCosim {
         eval_every: u64,
         eval_episodes: usize,
     ) -> Result<CosimReport, RlError> {
-        // Chunked execution so the simulated clock can react to the QAT
-        // switch with eval-period granularity.
-        let chunk = eval_every.min(steps).max(1);
-        let mut curve = Vec::new();
-        let mut episodes = 0;
-        let mut qat_switch_step = None;
-        let mut qat_switch_time = None;
-        let mut final_metrics = Default::default();
-        let mut done = 0u64;
-        while done < steps {
-            let n = chunk.min(steps - done);
-            let precision = if self.trainer.agent().qat_frozen() {
-                Precision::Half16
-            } else {
-                Precision::Full32
-            };
-            // Charge simulated time through the batched structural
-            // schedule — the accelerator path that mirrors how the
-            // software twin's batched kernels actually execute.
-            let breakdown = self
-                .model
-                .breakdown_batched(self.batch, precision)
-                .map_err(|e| RlError::InvalidConfig(e.to_string()))?;
-            let report = self.trainer.run(n, eval_every, eval_episodes)?;
-            self.sim_time_s += breakdown.total_s() * n as f64;
-            curve.extend(report.curve);
-            episodes += report.train_episodes;
-            final_metrics = report.final_metrics;
-            if let Some(s) = report.qat_switch_step {
-                qat_switch_step = Some(s);
-                qat_switch_time = Some(self.sim_time_s);
-            }
-            done += n;
-        }
+        let frozen_before = self.trainer.agent().qat_frozen();
+        let training = self.trainer.run(steps, eval_every, eval_episodes)?;
+        let steps_before = training.total_steps - steps;
+        // Steps of this run taken before the freeze: all of them if the
+        // schedule never fired, none if an earlier run already froze.
+        let full_steps = if frozen_before {
+            0
+        } else {
+            training
+                .qat_switch_step
+                .map_or(steps, |switch| switch - 1 - steps_before)
+        };
+        let full = self.breakdown(Precision::Full32)?;
+        let half = self.breakdown(Precision::Half16)?;
+        self.sim_time_s += full.total_s() * full_steps as f64;
+        let qat_switch_time_s = training.qat_switch_step.map(|_| self.sim_time_s);
+        self.sim_time_s += half.total_s() * (steps - full_steps) as f64;
 
         // Mirror the trained weights into the accelerator image.
         let agent = self.trainer.agent();
@@ -159,28 +155,12 @@ impl FixarCosim {
             .load_ddpg(agent.actor(), agent.critic())
             .map_err(|e| RlError::InvalidConfig(e.to_string()))?;
 
-        let final_precision = if self.trainer.agent().qat_frozen() {
-            Precision::Half16
-        } else {
-            Precision::Full32
-        };
-        let final_breakdown = self
-            .model
-            .breakdown_batched(self.batch, final_precision)
-            .map_err(|e| RlError::InvalidConfig(e.to_string()))?;
-        let total_steps = done;
         Ok(CosimReport {
-            training: TrainingReport {
-                curve,
-                train_episodes: episodes,
-                total_steps,
-                qat_switch_step,
-                final_metrics,
-            },
+            avg_ips: self.batch as f64 * training.total_steps as f64 / self.sim_time_s,
+            final_breakdown: if agent.qat_frozen() { half } else { full },
+            training,
             sim_time_s: self.sim_time_s,
-            avg_ips: self.batch as f64 * total_steps as f64 / self.sim_time_s,
-            final_breakdown,
-            qat_switch_time_s: qat_switch_time,
+            qat_switch_time_s,
         })
     }
 }
@@ -216,11 +196,50 @@ mod tests {
         assert!(report.qat_switch_time_s.is_some());
         // Final timestep runs in half precision: strictly faster than the
         // full-precision breakdown at the same batch.
-        let full = c
-            .model
-            .breakdown_batched(c.batch, Precision::Full32)
-            .unwrap();
+        let full = c.breakdown(Precision::Full32).unwrap();
         assert!(report.final_breakdown.total_s() < full.total_s());
+    }
+
+    #[test]
+    fn cosim_trains_what_a_plain_trainer_run_trains() {
+        // Pendulum episodes (200 steps) outlast the eval period (50), so
+        // a co-simulation that restarted the trainer per period would
+        // cut every episode short and train something else.
+        let cfg = DdpgConfig::small_test().with_seed(3).with_qat(150, 16);
+        let mut c = cosim(cfg.clone());
+        let report = c.run(300, 50, 1).unwrap();
+        let mut plain = Trainer::<Fx32>::new(
+            EnvPool::new(vec![Box::new(Pendulum::new(1))]),
+            Box::new(Pendulum::new(2)),
+            cfg,
+        )
+        .unwrap();
+        let expected = plain.run(300, 50, 1).unwrap();
+        assert_eq!(expected.train_episodes, 1);
+        assert_eq!(report.training, expected);
+        let (trained, reference) = (c.trainer().agent(), plain.agent());
+        assert_eq!(trained.actor(), reference.actor());
+        assert_eq!(trained.critic(), reference.critic());
+        assert_eq!(
+            c.trainer().replay().transitions(),
+            plain.replay().transitions()
+        );
+
+        // The clock is the two-phase sum, exact to the step.
+        let full_steps = expected.qat_switch_step.unwrap() - 1;
+        let full = c.breakdown(Precision::Full32).unwrap().total_s();
+        let half = c.breakdown(Precision::Half16).unwrap().total_s();
+        let switch_time = full * full_steps as f64;
+        let run_time = switch_time + half * (300 - full_steps) as f64;
+        assert_eq!(report.qat_switch_time_s, Some(switch_time));
+        assert_eq!(report.sim_time_s, run_time);
+
+        // A second run continues the step count and stays at half
+        // precision throughout.
+        let again = c.run(100, 100, 1).unwrap();
+        assert_eq!(again.training.total_steps, 400);
+        assert_eq!(again.sim_time_s, run_time + half * 100.0);
+        assert_eq!(again.avg_ips, c.batch as f64 * 400.0 / again.sim_time_s);
     }
 
     #[test]

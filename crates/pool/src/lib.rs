@@ -7,7 +7,7 @@
 //!
 //! * [`WorkerPool`] — a fixed set of worker threads fed closures over a
 //!   channel, created **once** and reused for every kernel call (no
-//!   per-call thread spawning, unlike `crossbeam::thread::scope`);
+//!   per-call thread spawning, unlike `std::thread::scope`);
 //! * [`WorkerPool::scope`] — a scoped-task API: borrowing, non-`'static`
 //!   tasks run on the pool and are all joined (barrier) before the scope
 //!   returns, so shards may borrow the operands of the calling kernel;
@@ -540,8 +540,7 @@ impl Parallelism {
     ///
     /// Anything the caller runs in `f` *after* submitting kernels
     /// executes on the calling thread **concurrently with the queued
-    /// shards** — this is the host/accelerator overlap hook the
-    /// double-buffered fleet trainer uses.
+    /// shards**.
     ///
     /// # Errors
     ///

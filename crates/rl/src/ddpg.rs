@@ -490,7 +490,7 @@ impl<S: Scalar> Ddpg<S> {
     /// observation per row of `states`, one batched QAT-aware forward
     /// pass over the worker pool instead of `states.rows()` per-sample
     /// `gemv` passes — the rollout hot path of
-    /// [`VecTrainer`](crate::VecTrainer) and the software twin of
+    /// [`Trainer`](crate::Trainer) and the software twin of
     /// `FixarAccelerator::actor_inference_batch`.
     ///
     /// Row `i` of the result is **bit-identical** to

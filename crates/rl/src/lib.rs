@@ -8,9 +8,8 @@
 //!   column gather straight into the batch matrices, with
 //!   [`ReplayStrategy`] selecting uniform (bit-exact legacy) or
 //!   proportional prioritized sampling ([`PrioritizedReplay`]),
-//! * [`GaussianNoise`] / [`OrnsteinUhlenbeck`] — action exploration (the
-//!   hardware injects this with its PRNG module; here it is the software
-//!   twin),
+//! * [`GaussianNoise`] — action exploration (the hardware injects this
+//!   with its PRNG module; here it is the software twin),
 //! * [`Ddpg`] — actor/critic networks with target networks, Adam, and
 //!   the Fig. 3 update sequence (critic BP/WU → actor BP/WU led by the
 //!   critic → actor FP). The hot path is [`Ddpg::train_minibatch`],
@@ -20,16 +19,13 @@
 //! * [`QatSchedule`] — Algorithm 1: calibrate activation ranges for
 //!   `delay` steps at 32-bit fixed-point, then re-train with 16-bit
 //!   quantized activations,
-//! * [`Trainer`] — the timestep loop with the paper's evaluation protocol
-//!   (evaluate every 5000 steps, averaging cumulative reward over 10
-//!   episodes "until the agent falls down"),
-//! * [`VecTrainer`] — the multi-env serving loop: a fleet of
-//!   environments (`fixar_env::EnvPool`) stepped in lockstep — or
-//!   **double-buffered** ([`VecTrainer::set_overlap`]: the pool infers
-//!   one half-fleet's actions while the host steps the other, with
-//!   bit-identical results) — with all action selection batched through
-//!   [`Ddpg::select_actions_batch`], bit-identical to [`Trainer`] at
-//!   fleet size 1,
+//! * [`Trainer`] — the Fig. 3 timestep loop over a fleet of `N ≥ 1`
+//!   environments (`fixar_env::EnvPool`) stepped in lockstep, with all
+//!   action selection batched through [`Ddpg::select_actions_batch`] and
+//!   the paper's evaluation protocol (evaluate every 5000 steps,
+//!   averaging cumulative reward over 10 episodes "until the agent falls
+//!   down"); a fleet of one is bit-identical to the scalar loop written
+//!   from [`Ddpg::act`],
 //! * [`PrecisionMode`] — the four arms of the Fig. 7 precision study,
 //! * [`PolicySnapshot`] — an immutable actor replica (weights + frozen
 //!   QAT runtime + snapshot id), the unit the serving front door
@@ -41,13 +37,13 @@
 //! # Example
 //!
 //! ```
-//! use fixar_env::Pendulum;
+//! use fixar_env::{EnvKind, EnvPool};
 //! use fixar_rl::{DdpgConfig, Trainer};
 //!
 //! let cfg = DdpgConfig::small_test(); // tiny nets for fast tests
 //! let mut trainer = Trainer::<f32>::new(
-//!     Box::new(Pendulum::new(1)),
-//!     Box::new(Pendulum::new(2)),
+//!     EnvPool::from_kind(EnvKind::Pendulum, 1, 1),
+//!     EnvKind::Pendulum.make(2),
 //!     cfg,
 //! )?;
 //! let report = trainer.run(200, 100, 2)?;
@@ -66,11 +62,10 @@ mod replay;
 mod snapshot;
 mod td3;
 mod trainer;
-mod vec_trainer;
 
 pub use ddpg::{Ddpg, DdpgConfig, QatSchedule, TrainMetrics};
 pub use error::RlError;
-pub use noise::{ExplorationNoise, GaussianNoise, OrnsteinUhlenbeck};
+pub use noise::GaussianNoise;
 pub use precision::PrecisionMode;
 pub use replay::{
     PrioritizedConfig, PrioritizedReplay, ReplayBuffer, ReplaySampler, ReplayStrategy,
@@ -78,5 +73,7 @@ pub use replay::{
 };
 pub use snapshot::PolicySnapshot;
 pub use td3::{Td3, Td3Config};
-pub use trainer::{EvalPoint, Trainer, TrainingReport};
-pub use vec_trainer::{action_stream_seed, priority_stream_seed, replay_stream_seed, VecTrainer};
+pub use trainer::{
+    action_stream_seed, priority_stream_seed, replay_stream_seed, EvalPoint, Trainer,
+    TrainingReport,
+};

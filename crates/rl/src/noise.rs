@@ -1,4 +1,4 @@
-//! Exploration noise processes.
+//! Exploration noise.
 //!
 //! The FPGA injects exploration noise into the actor's inference output
 //! with its PRNG module; this is the software twin used by the algorithm
@@ -6,16 +6,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// A stateful noise process added to actions during training.
-pub trait ExplorationNoise: Send {
-    /// Draws one noise vector.
-    fn sample(&mut self, rng: &mut StdRng) -> Vec<f64>;
-    /// Resets process state at episode boundaries.
-    fn reset(&mut self);
-    /// Dimension of the produced vectors.
-    fn dim(&self) -> usize;
-}
 
 /// IID Gaussian noise `N(0, σ²)` per action dimension (DDPG's simplest
 /// effective exploration; the paper's PRNG module does exactly this).
@@ -44,70 +34,12 @@ impl GaussianNoise {
         let u2: f64 = rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
-}
 
-impl ExplorationNoise for GaussianNoise {
-    fn sample(&mut self, rng: &mut StdRng) -> Vec<f64> {
+    /// Draws one noise vector.
+    pub fn sample(&self, rng: &mut StdRng) -> Vec<f64> {
         (0..self.dim)
             .map(|_| Self::standard_normal(rng) * self.sigma)
             .collect()
-    }
-
-    fn reset(&mut self) {}
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
-/// Ornstein–Uhlenbeck process (the original DDPG paper's temporally
-/// correlated exploration): `x ← x + θ(μ − x)dt + σ√dt·N(0,1)`.
-#[derive(Debug, Clone)]
-pub struct OrnsteinUhlenbeck {
-    state: Vec<f64>,
-    mu: f64,
-    theta: f64,
-    sigma: f64,
-    dt: f64,
-}
-
-impl OrnsteinUhlenbeck {
-    /// Creates a process with DDPG's customary parameters
-    /// (`θ = 0.15`, `dt = 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0` or `sigma < 0`.
-    pub fn new(dim: usize, sigma: f64) -> Self {
-        assert!(dim > 0, "noise dimension must be positive");
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        Self {
-            state: vec![0.0; dim],
-            mu: 0.0,
-            theta: 0.15,
-            sigma,
-            dt: 1.0,
-        }
-    }
-}
-
-impl ExplorationNoise for OrnsteinUhlenbeck {
-    fn sample(&mut self, rng: &mut StdRng) -> Vec<f64> {
-        for x in &mut self.state {
-            let n = GaussianNoise::standard_normal(rng);
-            *x += self.theta * (self.mu - *x) * self.dt + self.sigma * self.dt.sqrt() * n;
-        }
-        self.state.clone()
-    }
-
-    fn reset(&mut self) {
-        for x in &mut self.state {
-            *x = 0.0;
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.state.len()
     }
 }
 
@@ -119,7 +51,7 @@ mod tests {
     #[test]
     fn gaussian_moments_are_plausible() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut noise = GaussianNoise::new(1, 0.5);
+        let noise = GaussianNoise::new(1, 0.5);
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| noise.sample(&mut rng)[0]).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
@@ -131,40 +63,7 @@ mod tests {
     #[test]
     fn zero_sigma_is_silent() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut noise = GaussianNoise::new(3, 0.0);
+        let noise = GaussianNoise::new(3, 0.0);
         assert_eq!(noise.sample(&mut rng), vec![0.0; 3]);
-    }
-
-    #[test]
-    fn ou_is_temporally_correlated() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ou = OrnsteinUhlenbeck::new(1, 0.2);
-        let mut gaussian = GaussianNoise::new(1, 0.2);
-        let auto = |xs: &[f64]| {
-            let m = xs.iter().sum::<f64>() / xs.len() as f64;
-            let num: f64 = xs.windows(2).map(|w| (w[0] - m) * (w[1] - m)).sum();
-            let den: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-            num / den
-        };
-        let ou_xs: Vec<f64> = (0..5000).map(|_| ou.sample(&mut rng)[0]).collect();
-        let g_xs: Vec<f64> = (0..5000).map(|_| gaussian.sample(&mut rng)[0]).collect();
-        assert!(auto(&ou_xs) > 0.5, "OU autocorrelation {}", auto(&ou_xs));
-        assert!(
-            auto(&g_xs).abs() < 0.1,
-            "IID autocorrelation {}",
-            auto(&g_xs)
-        );
-    }
-
-    #[test]
-    fn ou_reset_returns_to_mean() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut ou = OrnsteinUhlenbeck::new(2, 0.3);
-        for _ in 0..10 {
-            ou.sample(&mut rng);
-        }
-        ou.reset();
-        assert_eq!(ou.state, vec![0.0; 2]);
-        assert_eq!(ou.dim(), 2);
     }
 }

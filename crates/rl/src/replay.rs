@@ -516,7 +516,7 @@ impl PrioritizedConfig {
 /// let cfg = DdpgConfig::small_test()
 ///     .with_replay(ReplayStrategy::Prioritized(PrioritizedConfig::default()));
 /// let trainer = fixar_rl::Trainer::<f32>::new(
-///     fixar_env::EnvKind::Pendulum.make(1),
+///     fixar_env::EnvPool::from_kind(fixar_env::EnvKind::Pendulum, 1, 1),
 ///     fixar_env::EnvKind::Pendulum.make(2),
 ///     cfg,
 /// )?;

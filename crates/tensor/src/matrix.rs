@@ -506,22 +506,6 @@ impl<S: Scalar> Matrix<S> {
         self.data.resize(rows * cols, S::zero());
     }
 
-    /// Copies a contiguous row range into a new `(hi - lo, cols)`
-    /// matrix — the row twin of [`Matrix::columns`], used to split a
-    /// fleet observation batch into double-buffered halves.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo <= hi <= rows`.
-    pub fn row_range(&self, lo: usize, hi: usize) -> Matrix<S> {
-        assert!(lo <= hi && hi <= self.rows, "row range out of bounds");
-        Matrix {
-            rows: hi - lo,
-            cols: self.cols,
-            data: self.data[lo * self.cols..hi * self.cols].to_vec(),
-        }
-    }
-
     /// Sets every element to zero (gradient reset between batches).
     pub fn fill_zero(&mut self) {
         for v in &mut self.data {
@@ -1359,14 +1343,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_shape_and_row_range() {
+    fn reset_shape_reuses_storage() {
         let mut m = Matrix::<f64>::from_fn(3, 4, |r, c| (r * 4 + c) as f64);
-        let mid = m.row_range(1, 3);
-        assert_eq!(mid.shape(), (2, 4));
-        assert_eq!(mid.row(0), m.row(1));
-        assert_eq!(mid.row(1), m.row(2));
-        assert_eq!(m.row_range(2, 2).shape(), (0, 4));
-
         m.reset_shape(2, 3);
         assert_eq!(m.shape(), (2, 3));
         let ptr = m.as_slice().as_ptr();

@@ -7,7 +7,6 @@
 //! ```
 
 use fixar_repro::prelude::*;
-use fixar_rl::VecTrainer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An 8-env Pendulum fleet: independent seeds and episode
@@ -16,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fleet_size = 8;
     let cfg = DdpgConfig::small_test().with_seed(7);
     let pool = EnvPool::from_kind(EnvKind::Pendulum, fleet_size, cfg.seed);
-    let mut trainer = VecTrainer::<Fx32>::new(pool, EnvKind::Pendulum.make(99), cfg)?;
+    let mut trainer = Trainer::<Fx32>::new(pool, EnvKind::Pendulum.make(99), cfg)?;
 
     // 400 fleet steps = 3200 env steps; evaluate twice along the way.
     let report = trainer.run(400, 200, 2)?;

@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small Pendulum agent; the server starts on its untrained
     // weights as snapshot 0.
     let cfg = DdpgConfig::small_test().with_seed(11);
-    let mut trainer =
-        Trainer::<Fx32>::new(EnvKind::Pendulum.make(1), EnvKind::Pendulum.make(2), cfg)?;
+    let pool = EnvPool::from_kind(EnvKind::Pendulum, 1, 1);
+    let mut trainer = Trainer::<Fx32>::new(pool, EnvKind::Pendulum.make(2), cfg)?;
     let server = ActionServer::start(
         trainer.agent().policy_snapshot(0),
         ServeConfig {

@@ -3,10 +3,11 @@
 //!
 //! Three pillars, mirroring `tests/workspace_props.rs`:
 //!
-//! 1. **Fleet-of-one ≡ scalar** — a `VecTrainer` with one env
-//!    reproduces the scalar `Trainer::run` transition-for-transition,
-//!    down to raw `Fx32` weights and replay contents, with and without
-//!    QAT.
+//! 1. **Fleet-of-one ≡ scalar** — a `Trainer` with one env reproduces
+//!    the scalar Fig. 3 loop ([`ScalarOracle`], written here from the
+//!    per-sample public API) transition-for-transition, down to raw
+//!    weights and replay contents, at `f32` and `Fx32`, with and
+//!    without QAT, under uniform and prioritized replay.
 //! 2. **Slot independence** — with frozen agent weights, any slot's
 //!    trajectory in an N-env fleet is bit-identical to a solo rollout
 //!    of the same env seed and action stream.
@@ -23,22 +24,13 @@ use fixar_accel::BatchedInferenceSchedule;
 use fixar_env::{fleet_env_seed, EnvKind, EnvPool};
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
-use fixar_rl::{action_stream_seed, ExplorationNoise, GaussianNoise, VecTrainer};
+use fixar_rl::{action_stream_seed, priority_stream_seed, replay_stream_seed};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn scalar_trainer(cfg: DdpgConfig) -> Trainer<Fx32> {
+fn fleet_trainer<S: Scalar>(n: usize, cfg: DdpgConfig) -> Trainer<S> {
     Trainer::new(
-        EnvKind::Pendulum.make(cfg.seed),
-        EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
-        cfg,
-    )
-    .unwrap()
-}
-
-fn fleet_trainer(n: usize, cfg: DdpgConfig) -> VecTrainer<Fx32> {
-    VecTrainer::new(
         EnvPool::from_kind(EnvKind::Pendulum, n, cfg.seed),
         EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
         cfg,
@@ -46,36 +38,177 @@ fn fleet_trainer(n: usize, cfg: DdpgConfig) -> VecTrainer<Fx32> {
     .unwrap()
 }
 
-fn assert_agents_bit_identical(a: &Ddpg<Fx32>, b: &Ddpg<Fx32>, what: &str) {
+/// Box–Muller, spelled out here so the oracle shares no code with the
+/// trainer's `GaussianNoise`.
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// The scalar Fig. 3 loop, one environment and one per-sample `act` per
+/// timestep, written from the public per-sample API only — the same
+/// sequence `benchmarks/e2e`'s `train_paper_b64` hand-rolls — on slot
+/// 0's streams. The reference a fleet of one must reproduce.
+struct ScalarOracle<S: Scalar> {
+    env: Box<dyn Environment>,
+    eval_env: Box<dyn Environment>,
+    agent: Ddpg<S>,
+    replay: ReplayBuffer,
+    sampler: ReplaySampler,
+    scratch: SampledBatch,
+    action_rng: StdRng,
+    sample_rng: StdRng,
+    cfg: DdpgConfig,
+    t: u64,
+}
+
+impl<S: Scalar> ScalarOracle<S> {
+    fn new(cfg: DdpgConfig) -> Self {
+        let env = EnvKind::Pendulum.make(cfg.seed);
+        let spec = env.spec();
+        let sample_seed = match cfg.replay {
+            ReplayStrategy::Uniform => replay_stream_seed(cfg.seed),
+            ReplayStrategy::Prioritized(_) => priority_stream_seed(cfg.seed),
+        };
+        Self {
+            env,
+            eval_env: EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
+            agent: Ddpg::new(spec.obs_dim, spec.action_dim, cfg.clone()).unwrap(),
+            replay: ReplayBuffer::with_dims(cfg.replay_capacity, spec.obs_dim, spec.action_dim),
+            sampler: ReplaySampler::new(cfg.replay, cfg.replay_capacity),
+            scratch: SampledBatch::scratch(),
+            action_rng: StdRng::seed_from_u64(action_stream_seed(cfg.seed, 0)),
+            sample_rng: StdRng::seed_from_u64(sample_seed),
+            cfg,
+            t: 0,
+        }
+    }
+
+    fn run(&mut self, steps: u64, eval_every: u64, eval_episodes: usize) -> TrainingReport {
+        let mut obs = self.env.reset();
+        let mut report = TrainingReport {
+            curve: Vec::new(),
+            train_episodes: 0,
+            total_steps: self.t + steps,
+            qat_switch_step: None,
+            final_metrics: TrainMetrics::default(),
+        };
+        for _ in 0..steps {
+            self.t += 1;
+            if self.agent.on_timestep(self.t).unwrap() {
+                report.qat_switch_step = Some(self.t);
+            }
+            let mut action = self.agent.act(&obs).unwrap();
+            for a in action.iter_mut() {
+                *a = if self.t <= self.cfg.warmup_steps {
+                    self.action_rng.gen_range(-1.0..1.0)
+                } else {
+                    let noise = standard_normal(&mut self.action_rng) * self.cfg.exploration_sigma;
+                    (*a + noise).clamp(-1.0, 1.0)
+                };
+            }
+            let res = self.env.step(&action);
+            let slot = self.replay.push(Transition {
+                state: obs,
+                action,
+                reward: res.reward,
+                next_state: res.observation.clone(),
+                terminal: res.terminated,
+            });
+            self.sampler.on_insert(slot);
+            if res.done() {
+                obs = self.env.reset();
+                report.train_episodes += 1;
+            } else {
+                obs = res.observation;
+            }
+            let par = self.agent.parallelism().clone();
+            if self.t > self.cfg.warmup_steps
+                && self.sampler.sample_into(
+                    &self.replay,
+                    self.cfg.batch_size,
+                    &mut self.sample_rng,
+                    &par,
+                    &mut self.scratch,
+                )
+            {
+                let (metrics, tds) = self
+                    .agent
+                    .train_minibatch_weighted(&self.scratch.batch, self.scratch.weights.as_deref())
+                    .unwrap();
+                report.final_metrics = metrics;
+                self.sampler.update_priorities(&self.scratch.indices, &tds);
+            }
+            if self.t.is_multiple_of(eval_every) {
+                let mut total = 0.0;
+                for _ in 0..eval_episodes {
+                    let mut o = self.eval_env.reset();
+                    loop {
+                        let res = self.eval_env.step(&self.agent.act(&o).unwrap());
+                        total += res.reward;
+                        if res.done() {
+                            break;
+                        }
+                        o = res.observation;
+                    }
+                }
+                report.curve.push(EvalPoint {
+                    step: self.t,
+                    avg_reward: total / eval_episodes as f64,
+                });
+            }
+        }
+        report
+    }
+}
+
+fn assert_agents_bit_identical<S: Scalar>(a: &Ddpg<S>, b: &Ddpg<S>, what: &str) {
     assert_eq!(a.actor(), b.actor(), "{what}: actor weights");
     assert_eq!(a.critic(), b.critic(), "{what}: critic weights");
     assert_eq!(a.train_steps(), b.train_steps(), "{what}: train steps");
 }
 
-/// Pillar 1, plain Fx32: the headline acceptance criterion. Covers
-/// warmup (uniform exploration), the noisy policy phase, training
-/// updates, episode boundaries, and evaluation points.
+/// Runs a fleet of one and the oracle through the same consecutive
+/// `(steps, eval_every, eval_episodes)` runs and compares reports, raw
+/// weights and full replay contents after each; returns the last report.
+fn assert_fleet_of_one_matches_oracle<S: Scalar>(
+    cfg: DdpgConfig,
+    runs: &[(u64, u64, usize)],
+) -> (TrainingReport, Trainer<S>) {
+    let what = format!("{} seed {}", std::any::type_name::<S>(), cfg.seed);
+    let mut oracle = ScalarOracle::<S>::new(cfg.clone());
+    let mut fleet = fleet_trainer::<S>(1, cfg);
+    let mut last = None;
+    for (i, &(steps, eval_every, eval_episodes)) in runs.iter().enumerate() {
+        let a = oracle.run(steps, eval_every, eval_episodes);
+        let b = fleet.run(steps, eval_every, eval_episodes).unwrap();
+        assert_eq!(a, b, "{what}: training report of run {i}");
+        assert_agents_bit_identical(&oracle.agent, fleet.agent(), &what);
+        assert_eq!(
+            oracle.replay.transitions(),
+            fleet.replay().transitions(),
+            "{what}: replay contents after run {i}"
+        );
+        last = Some(b);
+    }
+    (last.expect("at least one run"), fleet)
+}
+
+/// Pillar 1, plain `f32` and `Fx32`: the headline acceptance criterion.
+/// Covers warmup (uniform exploration), the noisy policy phase,
+/// training updates, episode boundaries, and evaluation points.
 #[test]
 fn fleet_of_one_reproduces_scalar_trainer_bit_for_bit() {
     for seed in [0u64, 13] {
         let cfg = DdpgConfig::small_test().with_seed(seed);
-        let mut scalar = scalar_trainer(cfg.clone());
-        let mut fleet = fleet_trainer(1, cfg.clone());
         // Past warmup (64) so minibatch training runs; across an
-        // episode boundary (Pendulum truncates at 200).
-        let a = scalar.run(230, 50, 2).unwrap();
-        let b = fleet.run(230, 50, 2).unwrap();
-        assert_eq!(a, b, "seed {seed}: training reports");
-        assert_agents_bit_identical(scalar.agent(), fleet.agent(), "seed");
-        assert_eq!(
-            scalar.replay().transitions(),
-            fleet.replay().transitions(),
-            "seed {seed}: replay contents"
-        );
-        // Consecutive runs stay locked (persistent rng streams).
-        let a2 = scalar.run(40, 40, 1).unwrap();
-        let b2 = fleet.run(40, 40, 1).unwrap();
-        assert_eq!(a2, b2, "seed {seed}: second run");
+        // episode boundary (Pendulum truncates at 200); then a second
+        // run, which stays locked (persistent rng streams).
+        let runs = [(230, 50, 2), (40, 40, 1)];
+        assert_fleet_of_one_matches_oracle::<f32>(cfg.clone(), &runs);
+        let (report, _) = assert_fleet_of_one_matches_oracle::<Fx32>(cfg, &runs);
+        assert_eq!(report.total_steps, 270);
     }
 }
 
@@ -84,15 +217,21 @@ fn fleet_of_one_reproduces_scalar_trainer_bit_for_bit() {
 #[test]
 fn fleet_of_one_matches_scalar_under_qat() {
     let cfg = DdpgConfig::small_test().with_seed(5).with_qat(80, 16);
-    let mut scalar = scalar_trainer(cfg.clone());
-    let mut fleet = fleet_trainer(1, cfg.clone());
-    let a = scalar.run(160, 80, 1).unwrap();
-    let b = fleet.run(160, 80, 1).unwrap();
-    assert_eq!(a.qat_switch_step, Some(80), "schedule must fire");
-    assert_eq!(a, b, "QAT training reports");
-    assert!(scalar.agent().qat_frozen() && fleet.agent().qat_frozen());
-    assert_agents_bit_identical(scalar.agent(), fleet.agent(), "QAT");
-    assert_eq!(scalar.replay().transitions(), fleet.replay().transitions());
+    let (report, fleet) = assert_fleet_of_one_matches_oracle::<Fx32>(cfg, &[(160, 80, 1)]);
+    assert_eq!(report.qat_switch_step, Some(80), "schedule must fire");
+    assert!(fleet.agent().qat_frozen());
+}
+
+/// Pillar 1 under prioritized replay: sum-tree inserts, priority-stream
+/// draws, importance weights and TD-error write-back all agree.
+#[test]
+fn fleet_of_one_matches_scalar_under_prioritized_replay() {
+    let cfg = DdpgConfig::small_test()
+        .with_seed(5)
+        .with_replay(ReplayStrategy::Prioritized(PrioritizedConfig::default()));
+    let (report, fleet) = assert_fleet_of_one_matches_oracle::<Fx32>(cfg, &[(150, 150, 1)]);
+    assert!(fleet.sampler().is_prioritized());
+    assert!(report.final_metrics.critic_loss.is_finite());
 }
 
 /// The QAT delay counts fleet steps like every other cadence, so a
@@ -104,7 +243,7 @@ fn fleet_of_one_matches_scalar_under_qat() {
 fn qat_delay_is_counted_in_fleet_steps_at_any_fleet_size() {
     let cfg = DdpgConfig::small_test().with_seed(5).with_qat(80, 16);
     for n in [1usize, 4] {
-        let mut fleet = fleet_trainer(n, cfg.clone());
+        let mut fleet = fleet_trainer::<Fx32>(n, cfg.clone());
         let report = fleet.run(160, 160, 1).unwrap();
         // Warmup is 64 fleet steps; the delay lands at fleet step 80 in
         // the on-policy phase regardless of n (reported in env steps).
@@ -128,7 +267,7 @@ fn each_slot_matches_a_solo_rollout_while_weights_are_frozen() {
     let mut cfg = DdpgConfig::small_test().with_seed(9);
     cfg.warmup_steps = 20; // exercise both the uniform and noisy phases
     cfg.batch_size = 10_000; // sampling always underflows -> no updates
-    let mut fleet = fleet_trainer(n, cfg.clone());
+    let mut fleet = fleet_trainer::<Fx32>(n, cfg.clone());
     fleet.run(fleet_steps, fleet_steps, 1).unwrap();
     assert_eq!(fleet.agent().train_steps(), 0, "weights must stay frozen");
 
@@ -138,7 +277,7 @@ fn each_slot_matches_a_solo_rollout_while_weights_are_frozen() {
         let mut agent = fleet.agent().clone();
         let mut env = EnvKind::Pendulum.make(fleet_env_seed(cfg.seed, slot));
         let mut rng = StdRng::seed_from_u64(action_stream_seed(cfg.seed, slot));
-        let mut noise = GaussianNoise::new(1, cfg.exploration_sigma);
+        let noise = GaussianNoise::new(1, cfg.exploration_sigma);
         let mut obs = env.reset();
         for k in 1..=fleet_steps {
             let mut action = agent.act(&obs).unwrap();
@@ -163,7 +302,6 @@ fn each_slot_matches_a_solo_rollout_while_weights_are_frozen() {
             assert_eq!(t.terminal, res.terminated, "slot {slot} step {k}");
             if res.done() {
                 obs = env.reset();
-                noise.reset();
             } else {
                 obs = res.observation;
             }
@@ -178,7 +316,7 @@ fn each_slot_matches_a_solo_rollout_while_weights_are_frozen() {
 fn fleet_runs_bit_identical_across_worker_counts() {
     let cfg = DdpgConfig::small_test().with_seed(3);
     let run = |workers: usize| {
-        let mut t = fleet_trainer(4, cfg.clone());
+        let mut t = fleet_trainer::<Fx32>(4, cfg.clone());
         t.agent_mut()
             .set_parallelism(Parallelism::with_workers(workers));
         let report = t.run(60, 60, 1).unwrap();
@@ -208,7 +346,7 @@ fn replay_rows_are_env_major_ascending_at_every_worker_count() {
     let mut expected = EnvPool::from_kind(EnvKind::Pendulum, n, cfg.seed);
     let first_obs = expected.reset_all().clone();
     for workers in [1usize, 2, 4] {
-        let mut t = fleet_trainer(n, cfg.clone());
+        let mut t = fleet_trainer::<Fx32>(n, cfg.clone());
         t.agent_mut()
             .set_parallelism(Parallelism::with_workers(workers));
         t.run(5, 5, 1).unwrap();
@@ -292,7 +430,7 @@ proptest! {
     /// Randomized pillar 1+3: for arbitrary seeds and small fleets, a
     /// short fleet run is deterministic per seed and invariant to the
     /// worker count, and fleet size 1 stays locked to the scalar
-    /// trainer.
+    /// oracle.
     #[test]
     fn fleet_runs_deterministic_and_worker_invariant(
         seed in 0u64..200,
@@ -300,8 +438,8 @@ proptest! {
         workers in 2usize..5,
     ) {
         let cfg = DdpgConfig::small_test().with_seed(seed);
-        let mut a = fleet_trainer(n, cfg.clone());
-        let mut b = fleet_trainer(n, cfg.clone());
+        let mut a = fleet_trainer::<Fx32>(n, cfg.clone());
+        let mut b = fleet_trainer::<Fx32>(n, cfg.clone());
         b.agent_mut().set_parallelism(Parallelism::with_workers(workers));
         // Past warmup so training updates run in both.
         let ra = a.run(70, 70, 1).unwrap();
@@ -310,10 +448,10 @@ proptest! {
         prop_assert_eq!(a.agent().actor(), b.agent().actor());
         prop_assert_eq!(a.replay().transitions(), b.replay().transitions());
         if n == 1 {
-            let mut s = scalar_trainer(cfg.clone());
-            let rs = s.run(70, 70, 1).unwrap();
+            let mut s = ScalarOracle::<Fx32>::new(cfg.clone());
+            let rs = s.run(70, 70, 1);
             prop_assert_eq!(&rs, &ra);
-            prop_assert_eq!(s.agent().actor(), a.agent().actor());
+            prop_assert_eq!(s.agent.actor(), a.agent().actor());
         }
     }
 }

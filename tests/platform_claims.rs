@@ -141,7 +141,7 @@ fn ddpg_learns_pendulum_in_fixed_point() {
     cfg.critic_lr = 1e-3;
     cfg.exploration_sigma = 0.15;
     let mut trainer = Trainer::<Fx32>::new(
-        Box::new(fixar_env::Pendulum::new(1)),
+        EnvPool::from_kind(EnvKind::Pendulum, 1, 1),
         Box::new(fixar_env::Pendulum::new(99)),
         cfg,
     )

@@ -57,7 +57,7 @@ fn qat_config_pair(delay: u64, bits: u32) -> (DdpgConfig, DdpgConfig) {
     (legacy, policy)
 }
 
-/// Pillar 1, scalar path: a full `Trainer` run under the `Uniform`
+/// Pillar 1, single env: a full `Trainer` run under the `Uniform`
 /// policy reproduces the legacy run bit-for-bit — reward curve, QAT
 /// switch step, and every actor/critic weight.
 #[test]
@@ -65,7 +65,7 @@ fn uniform_policy_trainer_run_reproduces_legacy_bit_for_bit() {
     let (legacy_cfg, policy_cfg) = qat_config_pair(30, 16);
     let run = |cfg: DdpgConfig| {
         let mut t = Trainer::<Fx32>::new(
-            EnvKind::Pendulum.make(cfg.seed),
+            EnvPool::from_kind(EnvKind::Pendulum, 1, cfg.seed),
             EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
             cfg,
         )
@@ -96,7 +96,7 @@ fn uniform_policy_trainer_run_reproduces_legacy_bit_for_bit() {
     assert_eq!(legacy.agent().critic(), policy.agent().critic());
 }
 
-/// Pillar 1, fleet path: `VecTrainer` runs at fleet sizes {1, 4} under
+/// Pillar 1, fleet path: `Trainer` runs at fleet sizes {1, 4} under
 /// the `Uniform` policy reproduce legacy weights bit-for-bit (under
 /// whatever worker count `FIXAR_WORKERS` dictates).
 #[test]
@@ -104,7 +104,7 @@ fn uniform_policy_fleet_runs_reproduce_legacy_at_every_fleet_size() {
     for fleet in [1usize, 4] {
         let (legacy_cfg, policy_cfg) = qat_config_pair(24, 16);
         let run = |cfg: DdpgConfig| {
-            let mut t = VecTrainer::<Fx32>::new(
+            let mut t = Trainer::<Fx32>::new(
                 EnvPool::from_kind(EnvKind::Pendulum, fleet, cfg.seed),
                 EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
                 cfg,

@@ -72,7 +72,7 @@ fn fixed16_from_scratch_stagnates_while_fixed32_moves() {
     fn run<S: Scalar>() -> (Vec<f64>, Vec<f64>) {
         let cfg = DdpgConfig::small_test();
         let mut trainer = Trainer::<S>::new(
-            Box::new(fixar_env::Pendulum::new(1)),
+            EnvPool::from_kind(EnvKind::Pendulum, 1, 1),
             Box::new(fixar_env::Pendulum::new(2)),
             cfg,
         )

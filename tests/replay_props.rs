@@ -172,7 +172,8 @@ fn trainer_wraparound_keeps_exactly_the_newest_transitions() {
         let mut small_cfg = big_cfg.clone();
         small_cfg.replay_capacity = capacity;
         let make = |cfg| {
-            Trainer::<Fx32>::new(EnvKind::Pendulum.make(4), EnvKind::Pendulum.make(5), cfg).unwrap()
+            let pool = EnvPool::from_kind(EnvKind::Pendulum, 1, 4);
+            Trainer::<Fx32>::new(pool, EnvKind::Pendulum.make(5), cfg).unwrap()
         };
         let mut big = make(big_cfg);
         let mut small = make(small_cfg);
@@ -200,7 +201,7 @@ fn trainer_wraparound_keeps_exactly_the_newest_transitions() {
     cfg.replay_capacity = 80; // wraps during the 200-step run
     let run = || {
         let mut t = Trainer::<Fx32>::new(
-            EnvKind::Pendulum.make(4),
+            EnvPool::from_kind(EnvKind::Pendulum, 1, 4),
             EnvKind::Pendulum.make(5),
             cfg.clone(),
         )
@@ -273,54 +274,36 @@ fn unit_weights_are_bit_exact_and_real_weights_bite() {
     assert_ne!(plain.critics().0, skewed_agent.critics().0);
 }
 
-/// Pillar 4 through the trainers: prioritized runs are deterministic
-/// per seed and bit-identical across pool worker counts {1, 2, 8}, for
-/// both the scalar `Trainer` and a 3-env `VecTrainer`.
+/// Pillar 4 through the trainer: prioritized runs are deterministic
+/// per seed and bit-identical across pool worker counts {1, 2, 8}, at
+/// fleet sizes 1 (the scalar loop) and 3.
 #[test]
 fn prioritized_runs_worker_invariant_scalar_and_fleet() {
     let cfg = DdpgConfig::small_test()
         .with_seed(6)
         .with_replay(ReplayStrategy::Prioritized(PrioritizedConfig::default()));
 
-    let scalar_run = |workers: usize| {
-        let mut t = Trainer::<Fx32>::new(
-            EnvKind::Pendulum.make(6),
-            EnvKind::Pendulum.make(7),
-            cfg.clone(),
-        )
-        .unwrap();
-        t.agent_mut()
-            .set_parallelism(Parallelism::with_workers(workers));
-        let r = t.run(120, 120, 1).unwrap();
-        (r, t)
-    };
-    let (r1, t1) = scalar_run(1);
-    assert!(r1.final_metrics.critic_loss.is_finite());
-    for workers in [2usize, 8] {
-        let (r, t) = scalar_run(workers);
-        assert_eq!(r1, r, "scalar workers {workers}");
-        assert_eq!(t1.agent().actor(), t.agent().actor());
-        assert_eq!(t1.replay().transitions(), t.replay().transitions());
-    }
-
-    let fleet_run = |workers: usize| {
-        let mut t = VecTrainer::<Fx32>::new(
-            EnvPool::from_kind(EnvKind::Pendulum, 3, 6),
-            EnvKind::Pendulum.make(7),
-            cfg.clone(),
-        )
-        .unwrap();
-        t.agent_mut()
-            .set_parallelism(Parallelism::with_workers(workers));
-        let r = t.run(90, 90, 1).unwrap();
-        (r, t)
-    };
-    let (f1, ft1) = fleet_run(1);
-    for workers in [2usize, 8] {
-        let (f, ft) = fleet_run(workers);
-        assert_eq!(f1, f, "fleet workers {workers}");
-        assert_eq!(ft1.agent().actor(), ft.agent().actor());
-        assert_eq!(ft1.replay().transitions(), ft.replay().transitions());
+    for (n, steps) in [(1usize, 120u64), (3, 90)] {
+        let run = |workers: usize| {
+            let mut t = Trainer::<Fx32>::new(
+                EnvPool::from_kind(EnvKind::Pendulum, n, 6),
+                EnvKind::Pendulum.make(7),
+                cfg.clone(),
+            )
+            .unwrap();
+            t.agent_mut()
+                .set_parallelism(Parallelism::with_workers(workers));
+            let r = t.run(steps, steps, 1).unwrap();
+            (r, t)
+        };
+        let (r1, t1) = run(1);
+        assert!(r1.final_metrics.critic_loss.is_finite());
+        for workers in [2usize, 8] {
+            let (r, t) = run(workers);
+            assert_eq!(r1, r, "fleet {n}, workers {workers}");
+            assert_eq!(t1.agent().actor(), t.agent().actor());
+            assert_eq!(t1.replay().transitions(), t.replay().transitions());
+        }
     }
 }
 

@@ -1,31 +1,24 @@
 //! Scheduling-model suite: the contracts that make phase-scoped
-//! heterogeneous scheduling and double-buffered serving safe to use as
-//! the hot paths.
+//! heterogeneous scheduling (fused kernel scopes) safe to use as the
+//! hot path.
 //!
-//! Three pillars, mirroring `tests/fleet_props.rs`:
+//! Two pillars, mirroring `tests/fleet_props.rs`:
 //!
 //! 1. **Fused ≡ sequential** — the fused-scope training updates (TD3's
 //!    twin critics under single-join scopes, DDPG's fused target/critic
 //!    forwards, the per-layer fused backward everywhere) are
 //!    bit-identical to the per-sample sequential reference, down to raw
 //!    `Fx32` weights, at workers {1, 2, 8}.
-//! 2. **Overlapped ≡ lockstep** — a double-buffered `VecTrainer` run
-//!    (two observation buffers, the pool inferring one half while the
-//!    host steps the other) reproduces the lockstep run bit-for-bit:
-//!    reports, raw weights, replay contents — at every fleet size and
-//!    worker count, with and without QAT, and a fleet of one stays
-//!    locked to the scalar `Trainer`.
-//! 3. **Model/software agreement** — the accelerator's fused-schedule
+//! 2. **Model/software agreement** — the accelerator's fused-schedule
 //!    accounting runs exactly the summed MAC work of the passes it
 //!    fuses, mirroring the software contract that fusing never changes
 //!    arithmetic.
 
 use fixar_accel::BatchedInferenceSchedule;
-use fixar_env::{EnvKind, EnvPool};
 use fixar_nn::{forward_batch, ForwardPass};
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
-use fixar_rl::{Td3, Td3Config, Transition, TransitionBatch, VecTrainer};
+use fixar_rl::{Td3, Td3Config, Transition, TransitionBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,90 +101,7 @@ fn fused_ddpg_step_is_bit_exact_at_workers_1_2_8() {
     }
 }
 
-fn fleet_trainer(n: usize, cfg: DdpgConfig, overlap: bool, workers: usize) -> VecTrainer<Fx32> {
-    let mut t = VecTrainer::new(
-        EnvPool::from_kind(EnvKind::Pendulum, n, cfg.seed),
-        EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
-        cfg,
-    )
-    .unwrap();
-    t.set_overlap(overlap);
-    t.agent_mut()
-        .set_parallelism(Parallelism::with_workers(workers));
-    t
-}
-
-/// Pillar 2 (the acceptance criterion): overlapped runs equal lockstep
-/// runs bit-for-bit — reports, raw Fx32 weights, replay contents in
-/// order — at fleet sizes {1, 3, 4} (odd sizes exercise the ragged
-/// split) × workers {1, 2, 8}.
-#[test]
-fn overlapped_vec_trainer_is_bit_identical_to_lockstep_at_workers_1_2_8() {
-    for n in [1usize, 3, 4] {
-        let cfg = DdpgConfig::small_test().with_seed(29);
-        let mut lock = fleet_trainer(n, cfg.clone(), false, 1);
-        let r_lock = lock.run(90, 45, 1).unwrap();
-        for workers in [1usize, 2, 8] {
-            let mut over = fleet_trainer(n, cfg.clone(), true, workers);
-            let r_over = over.run(90, 45, 1).unwrap();
-            assert_eq!(r_lock, r_over, "fleet {n}, workers {workers}: reports");
-            assert_eq!(
-                lock.agent().actor(),
-                over.agent().actor(),
-                "fleet {n}, workers {workers}: actor weights"
-            );
-            assert_eq!(
-                lock.agent().critic(),
-                over.agent().critic(),
-                "fleet {n}, workers {workers}: critic weights"
-            );
-            assert_eq!(
-                lock.replay().transitions(),
-                over.replay().transitions(),
-                "fleet {n}, workers {workers}: replay order/content"
-            );
-        }
-    }
-}
-
-/// Pillar 2 under the QAT schedule: calibration (order-independent
-/// range monitors over split observation buffers), the freeze switch,
-/// and quantized training all agree between the two modes.
-#[test]
-fn overlapped_vec_trainer_matches_lockstep_under_qat() {
-    let cfg = DdpgConfig::small_test().with_seed(7).with_qat(80, 16);
-    let mut lock = fleet_trainer(4, cfg.clone(), false, 1);
-    let mut over = fleet_trainer(4, cfg, true, 2);
-    let a = lock.run(160, 80, 1).unwrap();
-    let b = over.run(160, 80, 1).unwrap();
-    assert_eq!(a.qat_switch_step, Some(320), "schedule must fire");
-    assert_eq!(a, b, "QAT training reports");
-    assert!(lock.agent().qat_frozen() && over.agent().qat_frozen());
-    assert_eq!(lock.agent().actor(), over.agent().actor());
-    assert_eq!(lock.replay().transitions(), over.replay().transitions());
-}
-
-/// Pillar 2's anchor: an overlapped fleet of one still reproduces the
-/// scalar `Trainer` bit-for-bit (overlap degrades to lockstep below
-/// two slots, so the whole fleet-of-one contract carries over).
-#[test]
-fn overlapped_fleet_of_one_reproduces_scalar_trainer() {
-    let cfg = DdpgConfig::small_test().with_seed(13);
-    let mut scalar = Trainer::<Fx32>::new(
-        EnvKind::Pendulum.make(cfg.seed),
-        EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
-        cfg.clone(),
-    )
-    .unwrap();
-    let mut fleet = fleet_trainer(1, cfg, true, 2);
-    let a = scalar.run(230, 115, 1).unwrap();
-    let b = fleet.run(230, 115, 1).unwrap();
-    assert_eq!(a, b, "training reports");
-    assert_eq!(scalar.agent().actor(), fleet.agent().actor());
-    assert_eq!(scalar.replay().transitions(), fleet.replay().transitions());
-}
-
-/// Pillar 3: the accelerator's fused-schedule accounting and the
+/// Pillar 2: the accelerator's fused-schedule accounting and the
 /// software fused forward agree — same MAC work as the separate
 /// passes, outputs unchanged, strictly fewer cycles than back-to-back
 /// schedules.

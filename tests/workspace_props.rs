@@ -115,7 +115,7 @@ proptest! {
         let run = |s: u64| {
             let cfg = DdpgConfig::small_test().with_seed(s);
             let mut t = Trainer::<Fx32>::new(
-                Box::new(fixar_env::Pendulum::new(s)),
+                EnvPool::from_kind(EnvKind::Pendulum, 1, s),
                 Box::new(fixar_env::Pendulum::new(s + 1)),
                 cfg,
             ).unwrap();
