@@ -8,7 +8,14 @@
 //! The batched arms run the one entry each operation has
 //! (`WeightPack::gemv_batch` / `gemv_t_batch`, `Matrix::add_outer_batch`)
 //! inside `Parallelism::fused`, asserted bit-identical to the per-row
-//! chain before timing. Two further arms ride along:
+//! chain before timing. The batched kernels pick a clamp-free loop nest
+//! when an interval guard proves a chain cannot saturate, so each has
+//! two arms: the ordinary operands, asserted to pass the guard, and a
+//! `rails` arm at ±1900 amplitude, asserted to fail it — both sides of
+//! the data-dependent choice stay in the trajectory. The gradient
+//! accumulators are zeroed before every repetition, outside the timed
+//! region: left to accumulate they would drift up to the rails and
+//! switch sides mid-measurement. Two further arms ride along:
 //!
 //! * `gemv_t_batch` at 256×192, the widest panel walk the quick-study
 //!   nets reach;
@@ -25,12 +32,15 @@
 //!   seeds the perf trajectory).
 
 use fixar_deploy::{ActKind, PolicyArtifact};
-use fixar_fixed::{AffineQuantizer, Fx32, QFormat};
+use fixar_fixed::{AffineQuantizer, Fx32, QFormat, Scalar};
 use fixar_tensor::{Matrix, Parallelism};
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Timed arms of every batched kernel, `(workers, name suffix)`: the
+/// worker sweep on the ordinary operands, then the sequential arm on
+/// the rail-amplitude ones.
+const ARMS: [(usize, &str); 5] = [(1, ""), (2, ""), (4, ""), (8, ""), (1, " rails")];
 const BATCH: usize = 128;
 const ROWS: usize = 192;
 const COLS: usize = 128;
@@ -57,6 +67,66 @@ fn time_ns_per_sample(reps: usize, samples: usize, mut f: impl FnMut()) -> f64 {
     t.elapsed().as_secs_f64() * 1e9 / (reps * samples) as f64
 }
 
+/// As [`time_ns_per_sample`] for a kernel that accumulates into `g`:
+/// `g` is zeroed before every repetition and only `f` is timed.
+fn time_accumulating_ns_per_sample(
+    reps: usize,
+    samples: usize,
+    g: &mut Matrix<Fx32>,
+    mut f: impl FnMut(&mut Matrix<Fx32>),
+) -> f64 {
+    let mut busy = Duration::ZERO;
+    for rep in 0..=reps {
+        g.fill_zero();
+        let t = Instant::now();
+        f(g);
+        if rep > 0 {
+            busy += t.elapsed(); // repetition 0 is the warmup
+        }
+    }
+    busy.as_secs_f64() * 1e9 / (reps * samples) as f64
+}
+
+/// Largest raw magnitude and sum of raw magnitudes of a slice — the
+/// bounds the kernels' interval guard is evaluated on.
+fn magnitudes(xs: &[Fx32]) -> (u32, u64) {
+    xs.iter().fold((0, 0), |(max, sum), x| {
+        let m = x.raw_magnitude();
+        (max.max(m), sum + u64::from(m))
+    })
+}
+
+/// For chains whose weight vectors are the rows of `weights` and whose
+/// inputs are the rows of `inputs`: how many input rows the guard admits
+/// (judged, like the kernels, on the worst weight row).
+fn rows_admitted(weights: &Matrix<Fx32>, inputs: &Matrix<Fx32>) -> usize {
+    let w_max = magnitudes(weights.as_slice()).0;
+    let w_abs_sum = (0..weights.rows())
+        .map(|i| magnitudes(weights.row(i)).1)
+        .max()
+        .unwrap_or(0);
+    (0..inputs.rows())
+        .filter(|&b| {
+            let x_max = magnitudes(inputs.row(b)).0;
+            Fx32::mac_chain_is_clamp_free(w_max, w_abs_sum, x_max, 0, weights.cols())
+        })
+        .count()
+}
+
+/// How many rows of a zeroed gradient matrix the guard of
+/// `add_outer_batch(e, a)` admits: row `i`'s chains take column `i` of
+/// `e` against the largest magnitude in `a`.
+fn outer_rows_admitted(e: &Matrix<Fx32>, a: &Matrix<Fx32>) -> usize {
+    let et = e.transposed();
+    let a_max = magnitudes(a.as_slice()).0;
+    (0..et.rows())
+        .filter(|&i| {
+            let (e_max, e_abs_sum) = magnitudes(et.row(i));
+            Fx32::mac_chain_is_clamp_free(e_max, e_abs_sum, a_max, 0, e.rows())
+        })
+        .count()
+}
+
 fn main() {
     let reps: usize = std::env::var("FIXAR_KERNEL_MICRO_REPS")
         .ok()
@@ -72,6 +142,31 @@ fn main() {
         .cast::<Fx32>();
     let e = Matrix::<f64>::from_fn(BATCH, ROWS, |b, c| ((b * 3 + c) % 7) as f64 * 0.2 - 0.6)
         .cast::<Fx32>();
+    // Rail-amplitude operands: every chain saturates, so the guard must
+    // reject them and the kernels run their saturating nests.
+    let rails = |rows, cols, salt: usize| {
+        Matrix::<f64>::from_fn(rows, cols, |r, c| {
+            ((r * 31 + c * 17 + salt * 7) as f64 * 0.37).sin() * 1900.0
+        })
+        .cast::<Fx32>()
+    };
+    let a_rails = rails(BATCH, COLS, 1);
+    let e_rails = rails(BATCH, ROWS, 2);
+    let wt = w.transposed();
+    assert_eq!(rows_admitted(&w, &a), BATCH, "gemv_batch operands");
+    assert_eq!(rows_admitted(&wt, &e), BATCH, "gemv_t_batch operands");
+    assert_eq!(
+        outer_rows_admitted(&e, &a),
+        ROWS,
+        "add_outer_batch operands"
+    );
+    assert_eq!(rows_admitted(&w, &a_rails), 0, "gemv_batch rails");
+    assert_eq!(rows_admitted(&wt, &e_rails), 0, "gemv_t_batch rails");
+    assert_eq!(
+        outer_rows_admitted(&e_rails, &a_rails),
+        0,
+        "add_outer rails"
+    );
     let mut records: Vec<Record> = Vec::new();
 
     // Per-row (per-sample) references.
@@ -88,7 +183,7 @@ fn main() {
     });
     push(&mut records, "gemv_t per-row".into(), ns);
     let mut g = Matrix::<Fx32>::zeros(ROWS, COLS);
-    let ns = time_ns_per_sample(reps, BATCH, || {
+    let ns = time_accumulating_ns_per_sample(reps, BATCH, &mut g, |g| {
         for b in 0..BATCH {
             g.add_outer(
                 std::hint::black_box(e.row(b)),
@@ -106,55 +201,65 @@ fn main() {
     let pack = w.pack();
     let mut y = Matrix::<Fx32>::zeros(BATCH, ROWS);
     let mut yt = Matrix::<Fx32>::zeros(BATCH, COLS);
-    Parallelism::sequential()
-        .fused(|ks| {
-            pack.gemv_batch(&a, &mut y, ks).unwrap();
-            pack.gemv_t_batch(&e, &mut yt, ks).unwrap();
-        })
-        .unwrap();
-    for b in 0..BATCH {
-        assert_eq!(
-            y.row(b),
-            w.gemv_alloc(a.row(b)).unwrap(),
-            "gemv_batch diverged from the per-row kernel"
-        );
-        assert_eq!(
-            yt.row(b),
-            w.gemv_t_alloc(e.row(b)).unwrap(),
-            "gemv_t_batch diverged from the per-row kernel"
-        );
+    for (a, e) in [(&a, &e), (&a_rails, &e_rails)] {
+        Parallelism::sequential()
+            .fused(|ks| {
+                pack.gemv_batch(a, &mut y, ks).unwrap();
+                pack.gemv_t_batch(e, &mut yt, ks).unwrap();
+            })
+            .unwrap();
+        for b in 0..BATCH {
+            assert_eq!(
+                y.row(b),
+                w.gemv_alloc(a.row(b)).unwrap(),
+                "gemv_batch diverged from the per-row kernel"
+            );
+            assert_eq!(
+                yt.row(b),
+                w.gemv_t_alloc(e.row(b)).unwrap(),
+                "gemv_t_batch diverged from the per-row kernel"
+            );
+        }
     }
-    for &workers in &WORKER_COUNTS {
+    for (workers, tail) in ARMS {
         let par = Parallelism::with_workers(workers);
+        let a = if tail.is_empty() { &a } else { &a_rails };
         let ns = time_ns_per_sample(reps, BATCH, || {
-            par.fused(|ks| pack.gemv_batch(std::hint::black_box(&a), &mut y, ks))
+            par.fused(|ks| pack.gemv_batch(std::hint::black_box(a), &mut y, ks))
                 .unwrap()
                 .unwrap();
             std::hint::black_box(&y);
         });
-        push(&mut records, format!("gemv_batch w{workers}"), ns);
+        push(&mut records, format!("gemv_batch w{workers}{tail}"), ns);
     }
-    for &workers in &WORKER_COUNTS {
+    for (workers, tail) in ARMS {
         let par = Parallelism::with_workers(workers);
+        let e = if tail.is_empty() { &e } else { &e_rails };
         let ns = time_ns_per_sample(reps, BATCH, || {
-            par.fused(|ks| pack.gemv_t_batch(std::hint::black_box(&e), &mut yt, ks))
+            par.fused(|ks| pack.gemv_t_batch(std::hint::black_box(e), &mut yt, ks))
                 .unwrap()
                 .unwrap();
             std::hint::black_box(&yt);
         });
-        push(&mut records, format!("gemv_t_batch w{workers}"), ns);
+        push(&mut records, format!("gemv_t_batch w{workers}{tail}"), ns);
     }
-    for &workers in &WORKER_COUNTS {
+    for (workers, tail) in ARMS {
         let par = Parallelism::with_workers(workers);
-        let mut g = Matrix::<Fx32>::zeros(ROWS, COLS);
-        let ns = time_ns_per_sample(reps, BATCH, || {
-            par.fused(|ks| {
-                g.add_outer_batch(std::hint::black_box(&e), std::hint::black_box(&a), ks)
-            })
-            .unwrap()
-            .unwrap();
+        let (e, a) = if tail.is_empty() {
+            (&e, &a)
+        } else {
+            (&e_rails, &a_rails)
+        };
+        let ns = time_accumulating_ns_per_sample(reps, BATCH, &mut g, |g| {
+            par.fused(|ks| g.add_outer_batch(std::hint::black_box(e), std::hint::black_box(a), ks))
+                .unwrap()
+                .unwrap();
         });
-        push(&mut records, format!("add_outer_batch w{workers}"), ns);
+        push(
+            &mut records,
+            format!("add_outer_batch w{workers}{tail}"),
+            ns,
+        );
     }
 
     // Wider shape arm: 256×192 is the longest panel walk per sample.

@@ -246,6 +246,11 @@ pub struct PolicyArtifact {
     /// accumulation unit-stride instead of walking `weights` with a
     /// `cols`-element stride.
     pub(crate) weights_t: Vec<Vec<i32>>,
+    /// Per layer, the weight side of the interpreter's interval guard:
+    /// the largest `unsigned_abs` of any weight word and the largest
+    /// sum of them along one row (one output's chain). Derived with
+    /// `weights_t`, never serialized.
+    pub(crate) weight_bounds: Vec<(u32, u64)>,
 }
 
 impl PolicyArtifact {
@@ -350,10 +355,11 @@ impl PolicyArtifact {
     }
 
     /// Finishes construction from validated parts: derives the
-    /// transposed weight images the interpreter streams. Every
-    /// constructor ([`PolicyArtifact::from_parts`],
-    /// [`PolicyArtifact::decode`], in-crate tests) funnels through here
-    /// so the derived field can never disagree with `weights`.
+    /// transposed weight images the interpreter streams and the weight
+    /// bounds its interval guard reads. Every constructor
+    /// ([`PolicyArtifact::from_parts`], [`PolicyArtifact::decode`],
+    /// in-crate tests) funnels through here so the derived fields can
+    /// never disagree with `weights`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         frac_bits: u32,
@@ -364,21 +370,26 @@ impl PolicyArtifact {
         biases: Vec<Vec<i32>>,
         specs: Vec<QuantSpec>,
     ) -> Self {
-        let weights_t = weights
+        let (weights_t, weight_bounds) = weights
             .iter()
             .enumerate()
             .map(|(l, w)| {
                 let rows = layer_sizes[l + 1] as usize;
                 let cols = layer_sizes[l] as usize;
                 let mut wt = vec![0i32; w.len()];
+                let (mut w_max, mut row_abs_sum) = (0u32, 0u64);
                 for i in 0..rows {
+                    let mut abs_sum = 0u64;
                     for (j, &wij) in w[i * cols..(i + 1) * cols].iter().enumerate() {
                         wt[j * rows + i] = wij;
+                        w_max = w_max.max(wij.unsigned_abs());
+                        abs_sum += u64::from(wij.unsigned_abs());
                     }
+                    row_abs_sum = row_abs_sum.max(abs_sum);
                 }
-                wt
+                (wt, (w_max, row_abs_sum))
             })
-            .collect();
+            .unzip();
         Self {
             frac_bits,
             layer_sizes,
@@ -388,6 +399,7 @@ impl PolicyArtifact {
             biases,
             specs,
             weights_t,
+            weight_bounds,
         }
     }
 

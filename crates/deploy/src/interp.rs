@@ -15,7 +15,7 @@
 //! the activation on raw words, and the frozen quantizer at every
 //! activation point.
 
-use fixar_fixed::math::tanh_raw;
+use fixar_fixed::math::{mac_chain_is_clamp_free, mac_unclamped, tanh_raw};
 
 use crate::artifact::{ActKind, PolicyArtifact, QuantSpec, ARTIFACT_FRAC_BITS};
 use crate::guard::NoFloatZone;
@@ -106,15 +106,37 @@ fn apply_spec(spec: &QuantSpec, r: i32) -> i32 {
     }
 }
 
+/// Column-broadcast accumulation of one layer: input element `j`
+/// multiplies the whole column, partial sums accumulate into `z` — the
+/// AAP core's order. The columns are streamed from the derived
+/// transposed image, so the inner accumulation is unit-stride on both
+/// `z` and `wt`. `FREE` swaps the saturating step for the unclamped one
+/// when the interval guard admitted the layer's chains: one nest,
+/// compiled once per value.
+fn accumulate<const FREE: bool>(wt: &[i32], a: &[i32], z: &mut [i32]) {
+    // Every constructor pins the grid, so the multiply's shift count is
+    // a compile-time constant here (a variable shift blocks
+    // vectorization of the widening multiply).
+    let frac = ARTIFACT_FRAC_BITS;
+    let rows = z.len();
+    for (j, &xj) in a.iter().enumerate() {
+        let wt_col = &wt[j * rows..(j + 1) * rows];
+        for (zi, &w) in z.iter_mut().zip(wt_col) {
+            *zi = if FREE {
+                mac_unclamped(*zi, w, xj, frac)
+            } else {
+                fx_add(*zi, fx_mul(w, xj, frac))
+            };
+        }
+    }
+}
+
 /// Evaluates the artifact on one raw observation vector.
 ///
 /// The caller has already validated the input length. The no-float zone
 /// is armed for the entire walk.
 pub(crate) fn run(art: &PolicyArtifact, obs: &[i32]) -> Vec<i32> {
     let _zone = NoFloatZone::enter();
-    // Every constructor pins the grid, so the multiply's shift count is
-    // a compile-time constant in the loop below (a variable shift blocks
-    // vectorization of the widening multiply).
     assert_eq!(art.frac_bits, ARTIFACT_FRAC_BITS);
     let frac = ARTIFACT_FRAC_BITS;
     let n = art.weights.len();
@@ -126,15 +148,15 @@ pub(crate) fn run(art: &PolicyArtifact, obs: &[i32]) -> Vec<i32> {
         let rows = art.layer_sizes[l + 1] as usize;
         let wt = &art.weights_t[l];
         let mut z = vec![0i32; rows];
-        // Column-broadcast order: input element j multiplies the whole
-        // column, partial sums accumulate into z — the AAP core's order.
-        // The columns are streamed from the derived transposed image, so
-        // the inner accumulation is unit-stride on both z and wt.
-        for (j, &xj) in a.iter().enumerate() {
-            let wt_col = &wt[j * rows..(j + 1) * rows];
-            for (zi, &w) in z.iter_mut().zip(wt_col) {
-                *zi = fx_add(*zi, fx_mul(w, xj, frac));
-            }
+        // The interval guard on this layer's chains for this input: the
+        // weight bounds were derived with the artifact, the data bound
+        // is one scan of the activations in hand.
+        let (w_max, row_abs_sum) = art.weight_bounds[l];
+        let x_max = a.iter().fold(0, |m, x| m.max(x.unsigned_abs()));
+        if mac_chain_is_clamp_free(frac, w_max, row_abs_sum, x_max, 0, a.len()) {
+            accumulate::<true>(wt, &a, &mut z);
+        } else {
+            accumulate::<false>(wt, &a, &mut z);
         }
         for (zi, &bi) in z.iter_mut().zip(&art.biases[l]) {
             *zi = fx_add(*zi, bi);

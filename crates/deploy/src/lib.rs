@@ -6,9 +6,19 @@
 //! activation kinds, and per-point integer quantizer specs — plus a
 //! standalone interpreter that evaluates it with **zero floating-point
 //! operations**, bit-identical to the frozen `fixar-nn` forward pass. The
-//! crate depends only on `fixar-fixed` (for the shared integer tanh ROM)
-//! and the `bytes` shim; none of the float-capable tensor or network
-//! machinery is reachable from the inference path.
+//! crate depends only on `fixar-fixed` (for the shared integer tanh ROM
+//! and MAC-chain guard) and the `bytes` shim; none of the float-capable
+//! tensor or network machinery is reachable from the inference path.
+//!
+//! The interpreter's multiply-accumulate chains saturate exactly as the
+//! scalar type's do, but only pay for it when they might: per layer and
+//! observation, `fixar_fixed::math::mac_chain_is_clamp_free` is
+//! evaluated on the layer's weight bounds (derived when the artifact is
+//! assembled, never serialized) and the largest activation magnitude in
+//! hand, and a layer it admits accumulates with the clamp-free step —
+//! the same words, since neither clamp could have fired. A rail-valued
+//! observation or a hostile blob's huge weights simply fail the guard
+//! and take the saturating chain.
 //!
 //! The no-float contract is machine-checked three ways:
 //!

@@ -18,6 +18,13 @@
 //!   `z = floor(−Amin/δ)`.
 //! * [`RangeMonitor`] — running min/max capture used during the
 //!   quantization-delay window to calibrate the quantizer.
+//! * [`math::mac_chain_is_clamp_free`] / [`math::mac_unclamped`] — the
+//!   interval guard that proves a saturating multiply-accumulate chain
+//!   cannot clamp, and the clamp-free step that then replaces it bit
+//!   for bit. Defined once, on raw words, for the `fixar-deploy`
+//!   interpreter; [`Scalar`] surfaces the pair to the generic
+//!   `fixar-tensor` kernels (floats admit every chain, [`Q16`]
+//!   declines).
 //!
 //! # Default formats
 //!

@@ -126,6 +126,57 @@ pub(crate) fn exp_raw(raw: i64, frac: u32) -> i64 {
     }
 }
 
+/// Interval guard of a saturating multiply-accumulate chain on raw words
+/// with `frac` fractional bits: `true` only when neither clamp of the
+/// chain can fire, so [`mac_unclamped`] reproduces it bit for bit.
+///
+/// The chain is `acc₀ = init`,
+/// `acc_k = sat_add(acc_{k−1}, clamp((w_k·x_k + 2^(frac−1)) >> frac))`
+/// over `terms` products whose raw magnitudes obey `|w_k| ≤ w_max`,
+/// `Σ|w_k| ≤ w_abs_sum`, `|x_k| ≤ x_max` and `|init| ≤ init_max`.
+/// Magnitudes are `unsigned_abs` of the raw word — `|i32::MIN|` is
+/// 2³¹, **not** the saturated `abs()` of the scalar types, which would
+/// admit `w = −1.0, x = MIN` (a product of exactly 2³¹ ulps, which
+/// clamps). Two conditions, both required:
+///
+/// * **no product clamps:** `w_max·x_max + 2^(frac−1) < 2^(31+frac)`,
+///   i.e. the largest rounded product is at most `i32::MAX` (the
+///   negative side has one more ulp of room);
+/// * **no partial sum leaves `i32`, in any order:** every rounded
+///   product is at most `|w_k·x_k| / 2^frac + ½` in magnitude, so any
+///   partial sum is below
+///   `init_max + ⌊w_abs_sum·x_max / 2^frac⌋ + terms + 1`, which must
+///   be `≤ 2³¹ − 1`.
+///
+/// Evaluated in `u128`, so the guard itself cannot wrap whatever the
+/// bounds. A caller may pass looser bounds than its data has (a
+/// whole-matrix maximum for one row), never tighter ones.
+pub fn mac_chain_is_clamp_free(
+    frac: u32,
+    w_max: u32,
+    w_abs_sum: u64,
+    x_max: u32,
+    init_max: u32,
+    terms: usize,
+) -> bool {
+    let x = u128::from(x_max);
+    let products_fit = u128::from(w_max) * x + (1u128 << (frac - 1)) < 1u128 << (31 + frac);
+    let sum_bound =
+        u128::from(init_max) + ((u128::from(w_abs_sum) * x) >> frac) + terms as u128 + 1;
+    products_fit && sum_bound <= i32::MAX as u128
+}
+
+/// One step of a multiply-accumulate chain with both clamps skipped:
+/// the product rounds to nearest exactly as the saturating multiply
+/// does, then adds with a plain wrapping add. Equal to
+/// `acc.saturating_add(clamp(round(w·x)))` for every step of a chain
+/// that [`mac_chain_is_clamp_free`] admits; meaningless (but never
+/// undefined) for one it rejects.
+#[inline(always)]
+pub fn mac_unclamped(acc: i32, w: i32, x: i32, frac: u32) -> i32 {
+    acc.wrapping_add(((w as i64 * x as i64 + (1i64 << (frac - 1))) >> frac) as i32)
+}
+
 /// Integer square root of a `u64`, by Newton's method seeded from the bit
 /// length (integer-only; converges in a handful of iterations).
 pub(crate) fn isqrt_u64(v: u64) -> u64 {
@@ -236,5 +287,169 @@ mod tests {
     #[test]
     fn sqrt_of_negative_clamps_to_zero() {
         assert_eq!(sqrt_raw(-5, 20), 0);
+    }
+
+    // --- interval guard of the MAC chain -------------------------------
+
+    use crate::{Fx32, Scalar, Q32};
+
+    const RAIL: u32 = 1 << 31; // |i32::MIN|
+    const ONE: u32 = 1 << 20; // 1.0 in Q12.20
+
+    /// The saturating step the guard reasons about, through the real
+    /// scalar type — the oracle of [`mac_unclamped`].
+    fn sat_step<const F: u32>(acc: i32, w: i32, x: i32) -> i32 {
+        (Q32::<F>::from_raw(acc) + Q32::<F>::from_raw(w) * Q32::<F>::from_raw(x)).raw()
+    }
+
+    /// A word of magnitude `mag` (at most 2³¹) and the given sign; the
+    /// one magnitude with no positive word falls back to `i32::MAX`,
+    /// which the same bound still covers.
+    fn word(mag: u32, negative: bool) -> i32 {
+        if negative {
+            (-(mag as i64)) as i32
+        } else {
+            mag.min(i32::MAX as u32) as i32
+        }
+    }
+
+    /// Runs `init + Σ w·x` over `terms` identical worst-case products,
+    /// both ways; `true` when every partial sum agreed.
+    fn chains_agree<const F: u32>(init: i32, w: i32, x: i32, terms: usize) -> bool {
+        let (mut sat, mut free) = (init, init);
+        (0..terms).all(|_| {
+            sat = sat_step::<F>(sat, w, x);
+            free = mac_unclamped(free, w, x, F);
+            sat == free
+        })
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A magnitude with a uniformly drawn bit length in `bits`.
+    fn draw_magnitude(rng: &mut u64, bits: core::ops::RangeInclusive<u32>) -> u64 {
+        let span = u64::from(bits.end() - bits.start() + 1);
+        let b = bits.start() + (splitmix(rng) % span) as u32;
+        (1u64 << (b - 1)) + splitmix(rng) % (1u64 << (b - 1))
+    }
+
+    /// `v` scaled by a factor drawn uniformly from `[0.99, 1.01]`.
+    fn within_one_percent(rng: &mut u64, v: u128) -> u128 {
+        v * (990_000 + u128::from(splitmix(rng) % 20_001)) / 1_000_000
+    }
+
+    #[test]
+    fn guard_rejects_the_chains_that_clamp_and_admits_the_ones_that_cannot() {
+        let guard = |w, l, x, init, n| mac_chain_is_clamp_free(20, w, l, x, init, n);
+        // w = −1.0, x = MIN: the product is exactly 2³¹ ulps and clamps.
+        // The saturated `abs()` of the scalar type calls |MIN| 2³¹ − 1,
+        // which would slip under the threshold; `unsigned_abs` does not.
+        assert!(!guard(ONE, u64::from(ONE), RAIL, 0, 1));
+        assert_eq!(Fx32::MIN.raw_magnitude(), RAIL);
+        assert_eq!(Fx32::MIN.abs().raw_magnitude(), RAIL - 1);
+        assert!(!chains_agree::<20>(0, word(ONE, true), i32::MIN, 1));
+        // Fan-in 400 with every operand on the rails.
+        assert!(!guard(RAIL, 400 * u64::from(RAIL), RAIL, 0, 400));
+        // A sum bound whose product with x_max needs more than 64 bits
+        // (it would wrap to zero in `u64` and pass).
+        assert!(!guard(1, 1 << 33, RAIL, 0, 1));
+        assert!(!guard(1, u64::MAX, RAIL, RAIL, usize::MAX));
+        // All-zero weights never clamp, whatever the input.
+        assert!(guard(0, 0, RAIL, 0, 400));
+        // The sum threshold alone: 400 products of 1.0 × 1000.0, none of
+        // which clamps, leave the ±2048 range after three terms.
+        let (w, x) = (word(ONE, false), word(1000 * ONE, false));
+        assert!(!guard(ONE, 400 * u64::from(ONE), 1000 * ONE, 0, 400));
+        assert!(chains_agree::<20>(0, w, x, 2) && !chains_agree::<20>(0, w, x, 400));
+        // The scalar hooks are the same predicate and the same step.
+        assert!(!Fx32::mac_chain_is_clamp_free(
+            ONE,
+            u64::from(ONE),
+            RAIL,
+            0,
+            1
+        ));
+        assert!(Fx32::mac_chain_is_clamp_free(
+            ONE,
+            3 * u64::from(ONE),
+            ONE,
+            0,
+            3
+        ));
+        let acc = Fx32::from_raw(7).mac_unclamped(Fx32::from_raw(w), Fx32::from_raw(x));
+        assert_eq!(acc.raw(), sat_step::<20>(7, w, x));
+        assert!(f64::mac_chain_is_clamp_free(RAIL, u64::MAX, RAIL, RAIL, 9));
+        assert!(!crate::Fx16::mac_chain_is_clamp_free(0, 0, 0, 0, 1));
+    }
+
+    /// Seeded sweep around both thresholds with the operands placed *at*
+    /// their bounds in the worst sign pattern (every product and `init`
+    /// same-signed): whenever the guard admits a chain, the unclamped
+    /// chain must equal the saturating one at every step. Returns how
+    /// many chains the guard admitted and rejected.
+    fn sweep_thresholds<const F: u32>(chains: usize, seed: u64) -> (usize, usize) {
+        let mut rng = seed;
+        let (mut admitted, mut rejected) = (0, 0);
+        for k in 0..chains {
+            let signs = splitmix(&mut rng);
+            let (w_neg, x_neg) = (signs & 1 == 1, signs & 2 == 2);
+            let (w_max, x_max, init_max, terms);
+            if k % 2 == 0 {
+                // Product threshold: one term, w_max·x_max within ±1 % of
+                // 2^(31+F) − 2^(F−1).
+                w_max = draw_magnitude(&mut rng, F + 2..=32).min(u64::from(RAIL)) as u32;
+                let edge = ((1u128 << (31 + F)) - (1u128 << (F - 1))) / u128::from(w_max);
+                x_max = within_one_percent(&mut rng, edge).min(u128::from(RAIL)) as u32;
+                (init_max, terms) = (0, 1);
+            } else {
+                // Sum threshold: init placed so that the bound lands
+                // within ±1 % of 2³¹ − 1.
+                terms = 1 + (splitmix(&mut rng) % 48) as usize;
+                w_max = draw_magnitude(&mut rng, 8..=22) as u32;
+                x_max = draw_magnitude(&mut rng, F - 8..=F + 2) as u32;
+                let products = (terms as u128 * u128::from(w_max) * u128::from(x_max)) >> F;
+                let edge = within_one_percent(&mut rng, i32::MAX as u128);
+                let init = edge.saturating_sub(products + terms as u128 + 1);
+                init_max = init.min(u128::from(RAIL)) as u32;
+            }
+            let w_abs_sum = terms as u64 * u64::from(w_max);
+            let (w, x) = (word(w_max, w_neg), word(x_max, x_neg));
+            let init = word(init_max, w_neg != x_neg);
+            if mac_chain_is_clamp_free(F, w_max, w_abs_sum, x_max, init_max, terms) {
+                admitted += 1;
+                assert!(
+                    chains_agree::<F>(init, w, x, terms),
+                    "F={F} init={init} w={w} x={x} terms={terms}"
+                );
+            } else {
+                rejected += 1;
+            }
+        }
+        (admitted, rejected)
+    }
+
+    #[test]
+    fn admitted_chains_equal_the_saturating_chain_step_by_step() {
+        let (admitted, rejected) = sweep_thresholds::<20>(120_000, 18);
+        // ±1 % around a threshold puts a large share on either side.
+        assert!(
+            admitted > 30_000 && rejected > 30_000,
+            "{admitted}/{rejected}"
+        );
+        for (admitted, rejected) in [
+            sweep_thresholds::<12>(20_000, 19),
+            sweep_thresholds::<28>(20_000, 20),
+        ] {
+            assert!(
+                admitted > 5_000 && rejected > 5_000,
+                "{admitted}/{rejected}"
+            );
+        }
     }
 }

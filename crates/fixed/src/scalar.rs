@@ -4,7 +4,7 @@ use core::fmt::{Debug, Display};
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::{Q16, Q32};
+use crate::{math, Q16, Q32};
 
 /// Scalar number type the FIXAR tensor/NN stack is generic over.
 ///
@@ -117,6 +117,39 @@ pub trait Scalar:
     fn mul_add(self, a: Self, b: Self) -> Self {
         self * a + b
     }
+
+    /// Magnitude of the raw word as the interval guard measures it
+    /// (`unsigned_abs`, so the most negative word is 2³¹); `0` for
+    /// formats whose guard never looks at it.
+    #[inline]
+    fn raw_magnitude(self) -> u32 {
+        0
+    }
+
+    /// Interval guard of the chain `acc = acc + w_k * x_k` over `terms`
+    /// products: `true` only when no product and no partial sum of it
+    /// can saturate, so [`Scalar::mac_unclamped`] may replace the step.
+    /// The bounds are [`Scalar::raw_magnitude`]s; see
+    /// [`math::mac_chain_is_clamp_free`] for the contract. The default
+    /// declines, which keeps the saturating chain.
+    #[inline]
+    fn mac_chain_is_clamp_free(
+        _w_max: u32,
+        _w_abs_sum: u64,
+        _x_max: u32,
+        _init_max: u32,
+        _terms: usize,
+    ) -> bool {
+        false
+    }
+
+    /// `self + w * x` for a chain [`Scalar::mac_chain_is_clamp_free`]
+    /// admitted: the same bits as the saturating step, without its
+    /// clamps.
+    #[inline]
+    fn mac_unclamped(self, w: Self, x: Self) -> Self {
+        self + w * x
+    }
 }
 
 impl Scalar for f32 {
@@ -163,6 +196,11 @@ impl Scalar for f32 {
     #[inline]
     fn min(self, rhs: Self) -> Self {
         f32::min(self, rhs)
+    }
+    /// Floats never clamp, so every chain is admitted.
+    #[inline]
+    fn mac_chain_is_clamp_free(_: u32, _: u64, _: u32, _: u32, _: usize) -> bool {
+        true
     }
 }
 
@@ -211,6 +249,11 @@ impl Scalar for f64 {
     fn min(self, rhs: Self) -> Self {
         f64::min(self, rhs)
     }
+    /// Floats never clamp, so every chain is admitted.
+    #[inline]
+    fn mac_chain_is_clamp_free(_: u32, _: u64, _: u32, _: u32, _: usize) -> bool {
+        true
+    }
 }
 
 impl<const F: u32> Scalar for Q32<F> {
@@ -253,6 +296,24 @@ impl<const F: u32> Scalar for Q32<F> {
     #[inline]
     fn min(self, rhs: Self) -> Self {
         Self::min(self, rhs)
+    }
+    #[inline]
+    fn raw_magnitude(self) -> u32 {
+        self.raw().unsigned_abs()
+    }
+    #[inline]
+    fn mac_chain_is_clamp_free(
+        w_max: u32,
+        w_abs_sum: u64,
+        x_max: u32,
+        init_max: u32,
+        terms: usize,
+    ) -> bool {
+        math::mac_chain_is_clamp_free(F, w_max, w_abs_sum, x_max, init_max, terms)
+    }
+    #[inline(always)]
+    fn mac_unclamped(self, w: Self, x: Self) -> Self {
+        Self::from_raw(math::mac_unclamped(self.raw(), w.raw(), x.raw(), F))
     }
 }
 

@@ -60,7 +60,31 @@
 //! update it (callers invalidate and re-pack, as `fixar-nn`'s `Mlp` does
 //! on weight updates).
 //!
+//! # The interval guard
+//!
+//! Rounding-and-clamping every product and saturating every add is what
+//! the contract *means*, not what a kernel must always *execute*. Before
+//! a batched kernel runs a chain it evaluates
+//! [`Scalar::mac_chain_is_clamp_free`] on bounds of the data in hand —
+//! the largest weight magnitude and the largest row / column abs-sum
+//! (derived once, in [`Matrix::pack`]) against one max-magnitude scan of
+//! the sample row (forward), of the four-sample tile (transposed), or of
+//! column `i` of `E`, all of `A` and gradient row `i`
+//! (`add_outer_batch`). When the bounds prove that no product and no
+//! partial sum can leave the format, both clamps are dead code and the
+//! kernel runs the same loop nest with [`Scalar::mac_unclamped`] — the
+//! same bits from about half the instructions. Anything the guard
+//! cannot prove (rail-valued inputs, exploding gradients, an
+//! accumulator already near the rail) runs the saturating step as
+//! before. The choice is per chain group and made by the data alone;
+//! results cannot differ because the skipped operations were
+//! identities, so every bit-equality statement above holds on either
+//! side. The per-sample kernels ([`Matrix::gemv`], [`Matrix::gemv_t`],
+//! [`Matrix::add_outer`]) never consult the guard: they are the oracle.
+//!
 //! [`fixar_pool::Parallelism::fused`]: Parallelism::fused
+//! [`Scalar::mac_chain_is_clamp_free`]: fixar_fixed::Scalar::mac_chain_is_clamp_free
+//! [`Scalar::mac_unclamped`]: fixar_fixed::Scalar::mac_unclamped
 //!
 //! [`Scalar`]: fixar_fixed::Scalar
 

@@ -344,12 +344,13 @@ impl<S: Scalar> Matrix<S> {
         }
         let cols = self.cols;
         let rows = self.rows;
+        let a_max = max_magnitude(&a.data);
         let shards = ks.shards(rows);
         let mut rest = self.data.as_mut_slice();
         for range in split_ranges(rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * cols);
             rest = tail;
-            ks.submit(move || add_outer_batch_span(e, a, range, cols, chunk));
+            ks.submit(move || add_outer_batch_span(e, a, a_max, range, cols, chunk));
         }
         Ok(())
     }
@@ -557,13 +558,33 @@ impl<S: Scalar> Matrix<S> {
                     .copy_from_slice(&self.data[i * self.cols + j0..i * self.cols + j0 + width]);
             }
         }
+        // The weight side of the interval guard, read off the two images
+        // (rows of `self` are the forward chains' weights, rows of `wt`
+        // the transposed chains') without another allocation.
+        let wt = self.transposed();
+        let max_row_abs_sum = |m: &Matrix<S>| {
+            m.data
+                .chunks_exact(m.cols.max(1))
+                .map(|row| row.iter().map(|w| u64::from(w.raw_magnitude())).sum())
+                .max()
+                .unwrap_or(0)
+        };
         WeightPack {
             rows: self.rows,
             cols: self.cols,
-            wt: self.transposed(),
+            w_max: max_magnitude(&self.data),
+            row_abs_sum: max_row_abs_sum(self),
+            col_abs_sum: max_row_abs_sum(&wt),
+            wt,
             w_panels,
         }
     }
+}
+
+/// Largest [`Scalar::raw_magnitude`] of a slice — the data side of the
+/// interval guard.
+fn max_magnitude<S: Scalar>(xs: &[S]) -> u32 {
+    xs.iter().fold(0, |m, x| m.max(x.raw_magnitude()))
 }
 
 /// Width of the register-blocked output panel in the `gemv_t_batch`
@@ -603,6 +624,13 @@ pub struct WeightPack<S> {
     /// `gemv_t_batch` kernel: element `(i, p * GEMV_T_PANEL + t)` of the
     /// source lives at `(p * rows + i) * GEMV_T_PANEL + t`.
     w_panels: Vec<S>,
+    /// Weight side of the interval guard, derived by [`Matrix::pack`]:
+    /// the largest [`Scalar::raw_magnitude`] of any weight, and the
+    /// largest sum of magnitudes along one source row (a forward chain)
+    /// and one source column (a transposed chain).
+    w_max: u32,
+    row_abs_sum: u64,
+    col_abs_sum: u64,
 }
 
 impl<S: Scalar> WeightPack<S> {
@@ -680,13 +708,12 @@ impl<S: Scalar> WeightPack<S> {
             ));
         }
         let out_dim = self.rows;
-        let wt = &self.wt;
         let shards = ks.shards(a.rows);
         let mut rest = y.data.as_mut_slice();
         for range in split_ranges(a.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
             rest = tail;
-            ks.submit(move || gemv_batch_span(wt, a, range, chunk));
+            ks.submit(move || gemv_batch_span(self, a, range, chunk));
         }
         Ok(())
     }
@@ -734,14 +761,12 @@ impl<S: Scalar> WeightPack<S> {
             ));
         }
         let cols = self.cols;
-        let rows = self.rows;
-        let w_panels = self.w_panels.as_slice();
         let shards = ks.shards(e.rows);
         let mut rest = y.data.as_mut_slice();
         for range in split_ranges(e.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * cols);
             rest = tail;
-            ks.submit(move || gemv_t_batch_span(w_panels, rows, cols, e, range, chunk));
+            ks.submit(move || gemv_t_batch_span(self, e, range, chunk));
         }
         Ok(())
     }
@@ -772,144 +797,197 @@ impl<S: Scalar> IndexMut<(usize, usize)> for Matrix<S> {
 // full-range span on the sequential scope). Sharing the loop nests is
 // what *guarantees* sequential ≡ parallel bit-for-bit.
 
+/// One multiply-accumulate step of a span kernel: the saturating
+/// `acc + w * x`, or — for a chain the interval guard admitted —
+/// [`Scalar::mac_unclamped`], which yields the same bits without the
+/// two clamps. Each kernel below has one loop nest, compiled once per
+/// value of `FREE`; the data in hand picks the instance.
+#[inline(always)]
+fn mac<S: Scalar, const FREE: bool>(acc: S, w: S, x: S) -> S {
+    if FREE {
+        acc.mac_unclamped(w, x)
+    } else {
+        acc + w * x
+    }
+}
+
 /// Forward-MVM span: output rows `batch` of `Y = A·Wᵀ` into `y_chunk`
-/// (`batch.len() * wt.cols` elements), reading the pre-transposed
-/// weights `wt` (`(in_dim, out_dim)` row-major). Ascending-`j` chains.
+/// (`batch.len() * pack.rows` elements), reading the pre-transposed
+/// weights `pack.wt` (`(in_dim, out_dim)` row-major). Ascending-`j`
+/// chains, guarded per sample row.
 fn gemv_batch_span<S: Scalar>(
-    wt: &Matrix<S>,
+    pack: &WeightPack<S>,
     a: &Matrix<S>,
     batch: Range<usize>,
     y_chunk: &mut [S],
 ) {
-    let cols = a.cols;
-    let out_dim = wt.cols;
+    let out_dim = pack.rows;
     for (local_b, b) in batch.enumerate() {
-        let a_row = &a.data[b * cols..(b + 1) * cols];
+        let a_row = a.row(b);
         let y_row = &mut y_chunk[local_b * out_dim..(local_b + 1) * out_dim];
-        for v in y_row.iter_mut() {
-            *v = S::zero();
+        let x_max = max_magnitude(a_row);
+        if S::mac_chain_is_clamp_free(pack.w_max, pack.row_abs_sum, x_max, 0, pack.cols) {
+            gemv_row::<S, true>(&pack.wt, a_row, y_row);
+        } else {
+            gemv_row::<S, false>(&pack.wt, a_row, y_row);
         }
-        for (j, &xj) in a_row.iter().enumerate() {
-            let wt_row = &wt.data[j * out_dim..(j + 1) * out_dim];
-            for (yi, &w) in y_row.iter_mut().zip(wt_row) {
-                *yi += w * xj;
-            }
+    }
+}
+
+/// The loop nest of [`gemv_batch_span`] for one sample row.
+fn gemv_row<S: Scalar, const FREE: bool>(wt: &Matrix<S>, a_row: &[S], y_row: &mut [S]) {
+    let out_dim = y_row.len();
+    y_row.fill(S::zero());
+    for (j, &xj) in a_row.iter().enumerate() {
+        let wt_row = &wt.data[j * out_dim..(j + 1) * out_dim];
+        for (yi, &w) in y_row.iter_mut().zip(wt_row) {
+            *yi = mac::<S, FREE>(*yi, w, xj);
         }
     }
 }
 
 /// Transposed-MVM span over the pack's zero-padded column panels:
-/// output rows `batch` of `Y = E·W` into `y_chunk`.
-///
-/// One width-[`GEMV_T_PANEL`] panel of output accumulators per sample
-/// stays register-resident while the matching weight panel streams past
-/// with unit stride, so the inner loop touches memory only to read.
-/// Four samples per tile share each streamed panel row. The padded
-/// lanes compute garbage that is sliced off at store time; the real
-/// lanes' chains sum their products in ascending `i` — bit-exact with
-/// `gemv_t` per row.
+/// output rows `batch` of `Y = E·W` into `y_chunk`, four samples per
+/// tile and the remainder rows one at a time through the same
+/// [`gemv_t_tile`] nest.
 fn gemv_t_batch_span<S: Scalar>(
-    w_panels: &[S],
-    in_dim: usize, // reduction dim (= source W rows)
-    cols: usize,   // output dim per sample (= source W cols)
+    pack: &WeightPack<S>,
     e: &Matrix<S>,
     batch: Range<usize>,
     y_chunk: &mut [S],
 ) {
+    let cols = pack.cols;
+    let mut b = batch.start;
+    while b < batch.end {
+        let y_tile = &mut y_chunk[(b - batch.start) * cols..];
+        if b + 4 <= batch.end {
+            gemv_t_guarded::<S, 4>(pack, core::array::from_fn(|s| e.row(b + s)), y_tile);
+            b += 4;
+        } else {
+            gemv_t_guarded(pack, [e.row(b)], y_tile);
+            b += 1;
+        }
+    }
+}
+
+/// Evaluates the interval guard over the `N` error rows of one tile and
+/// runs the matching instance of [`gemv_t_tile`].
+fn gemv_t_guarded<S: Scalar, const N: usize>(
+    pack: &WeightPack<S>,
+    e_rows: [&[S]; N],
+    y_tile: &mut [S],
+) {
+    let x_max = e_rows.iter().fold(0, |m, r| m.max(max_magnitude(r)));
+    if S::mac_chain_is_clamp_free(pack.w_max, pack.col_abs_sum, x_max, 0, pack.rows) {
+        gemv_t_tile::<S, true, N>(pack, e_rows, y_tile);
+    } else {
+        gemv_t_tile::<S, false, N>(pack, e_rows, y_tile);
+    }
+}
+
+/// The loop nest of [`gemv_t_batch_span`] for a tile of `N` samples.
+///
+/// One width-[`GEMV_T_PANEL`] panel of output accumulators per sample
+/// stays register-resident while the matching weight panel streams past
+/// with unit stride, so the inner loop touches memory only to read.
+/// The samples of a tile share each streamed panel row. The padded
+/// lanes multiply zero weights and are sliced off at store time; the
+/// real lanes' chains sum their products in ascending `i` — bit-exact
+/// with `gemv_t` per row.
+fn gemv_t_tile<S: Scalar, const FREE: bool, const N: usize>(
+    pack: &WeightPack<S>,
+    e_rows: [&[S]; N],
+    y_tile: &mut [S],
+) {
     const PW: usize = GEMV_T_PANEL;
-    let panels = cols.div_ceil(PW);
-    let start = batch.start;
-    let mut b = start;
-    while b + 4 <= batch.end {
-        let base = (b - start) * cols;
-        let e_rows = [
-            &e.data[b * in_dim..(b + 1) * in_dim],
-            &e.data[(b + 1) * in_dim..(b + 2) * in_dim],
-            &e.data[(b + 2) * in_dim..(b + 3) * in_dim],
-            &e.data[(b + 3) * in_dim..(b + 4) * in_dim],
-        ];
-        for p in 0..panels {
-            let panel = &w_panels[p * in_dim * PW..(p + 1) * in_dim * PW];
-            let mut acc = [[S::zero(); PW]; 4];
-            for i in 0..in_dim {
-                let w: &[S; PW] = panel[i * PW..i * PW + PW].try_into().unwrap();
-                for (s, e_row) in e_rows.iter().enumerate() {
-                    let ei = e_row[i];
-                    for (t, &wt) in w.iter().enumerate() {
-                        acc[s][t] += wt * ei;
-                    }
+    let (in_dim, cols) = (pack.rows, pack.cols);
+    for p in 0..cols.div_ceil(PW) {
+        let panel = &pack.w_panels[p * in_dim * PW..(p + 1) * in_dim * PW];
+        let mut acc = [[S::zero(); PW]; N];
+        for i in 0..in_dim {
+            let w: &[S; PW] = panel[i * PW..i * PW + PW].try_into().unwrap();
+            for (s, e_row) in e_rows.iter().enumerate() {
+                let ei = e_row[i];
+                for (t, &wt) in w.iter().enumerate() {
+                    acc[s][t] = mac::<S, FREE>(acc[s][t], wt, ei);
                 }
-            }
-            let j0 = p * PW;
-            let width = PW.min(cols - j0);
-            for (s, row) in acc.iter().enumerate() {
-                y_chunk[base + s * cols + j0..base + s * cols + j0 + width]
-                    .copy_from_slice(&row[..width]);
             }
         }
-        b += 4;
-    }
-    // Remainder rows: the same panel walk, one sample at a time.
-    for b in b..batch.end {
-        let base = (b - start) * cols;
-        let e_row = &e.data[b * in_dim..(b + 1) * in_dim];
-        for p in 0..panels {
-            let panel = &w_panels[p * in_dim * PW..(p + 1) * in_dim * PW];
-            let mut acc = [S::zero(); PW];
-            for (i, &ei) in e_row.iter().enumerate() {
-                let w: &[S; PW] = panel[i * PW..i * PW + PW].try_into().unwrap();
-                for (t, &wt) in w.iter().enumerate() {
-                    acc[t] += wt * ei;
-                }
-            }
-            let j0 = p * PW;
-            let width = PW.min(cols - j0);
-            y_chunk[base + j0..base + j0 + width].copy_from_slice(&acc[..width]);
+        let j0 = p * PW;
+        let width = PW.min(cols - j0);
+        for (s, row) in acc.iter().enumerate() {
+            y_tile[s * cols + j0..s * cols + j0 + width].copy_from_slice(&row[..width]);
         }
     }
 }
 
 /// Gradient-accumulation span: rows `w_rows` of `W += Σ_b E[b] ⊗ A[b]`
-/// into `w_chunk`. The loop nest keeps each gradient row resident
-/// (weight-row outer, four samples per tile) instead of re-streaming
-/// the whole gradient matrix once per sample, but every element still
-/// accumulates its batch contributions **in ascending sample order** —
-/// the documented batch-reduction order (the four lanes of a tile
-/// apply to each element sequentially, `b`, `b+1`, `b+2`, `b+3`).
+/// into `w_chunk`, guarded per gradient row: the chain of element
+/// `(i, j)` starts at `W[i][j]` and adds `E[b][i]·A[b][j]` over the
+/// batch, so its bounds are column `i` of `E`, `a_max` (the largest
+/// magnitude anywhere in `A`) and the row's largest starting value.
 fn add_outer_batch_span<S: Scalar>(
     e: &Matrix<S>,
     a: &Matrix<S>,
+    a_max: u32,
     w_rows: Range<usize>,
     w_cols: usize,
     w_chunk: &mut [S],
 ) {
-    let batch = e.rows;
     for (local_i, i) in w_rows.enumerate() {
         let w_row = &mut w_chunk[local_i * w_cols..(local_i + 1) * w_cols];
-        let mut b = 0;
-        while b + 4 <= batch {
-            let e0 = e.data[b * e.cols + i];
-            let e1 = e.data[(b + 1) * e.cols + i];
-            let e2 = e.data[(b + 2) * e.cols + i];
-            let e3 = e.data[(b + 3) * e.cols + i];
-            let a0 = &a.data[b * a.cols..(b + 1) * a.cols];
-            let a1 = &a.data[(b + 1) * a.cols..(b + 2) * a.cols];
-            let a2 = &a.data[(b + 2) * a.cols..(b + 3) * a.cols];
-            let a3 = &a.data[(b + 3) * a.cols..(b + 4) * a.cols];
-            for (j, w) in w_row.iter_mut().enumerate() {
-                *w += e0 * a0[j];
-                *w += e1 * a1[j];
-                *w += e2 * a2[j];
-                *w += e3 * a3[j];
-            }
-            b += 4;
+        let (mut e_max, mut e_abs_sum) = (0u32, 0u64);
+        for b in 0..e.rows {
+            let m = e.data[b * e.cols + i].raw_magnitude();
+            e_max = e_max.max(m);
+            e_abs_sum += u64::from(m);
         }
-        for b in b..batch {
-            let eb = e.data[b * e.cols + i];
-            let a_row = &a.data[b * a.cols..(b + 1) * a.cols];
-            for (w, &aj) in w_row.iter_mut().zip(a_row) {
-                *w += eb * aj;
-            }
+        let w_max = max_magnitude(w_row);
+        if S::mac_chain_is_clamp_free(e_max, e_abs_sum, a_max, w_max, e.rows) {
+            add_outer_row::<S, true>(e, a, i, w_row);
+        } else {
+            add_outer_row::<S, false>(e, a, i, w_row);
+        }
+    }
+}
+
+/// The loop nest of [`add_outer_batch_span`] for gradient row `i`. It
+/// keeps the row resident (four samples per tile) instead of
+/// re-streaming the whole gradient matrix once per sample, but every
+/// element still accumulates its batch contributions **in ascending
+/// sample order** — the documented batch-reduction order (the four
+/// lanes of a tile apply to each element sequentially, `b`, `b+1`,
+/// `b+2`, `b+3`).
+fn add_outer_row<S: Scalar, const FREE: bool>(
+    e: &Matrix<S>,
+    a: &Matrix<S>,
+    i: usize,
+    w_row: &mut [S],
+) {
+    let batch = e.rows;
+    let mut b = 0;
+    while b + 4 <= batch {
+        let e0 = e.data[b * e.cols + i];
+        let e1 = e.data[(b + 1) * e.cols + i];
+        let e2 = e.data[(b + 2) * e.cols + i];
+        let e3 = e.data[(b + 3) * e.cols + i];
+        let a0 = &a.data[b * a.cols..(b + 1) * a.cols];
+        let a1 = &a.data[(b + 1) * a.cols..(b + 2) * a.cols];
+        let a2 = &a.data[(b + 2) * a.cols..(b + 3) * a.cols];
+        let a3 = &a.data[(b + 3) * a.cols..(b + 4) * a.cols];
+        for (j, w) in w_row.iter_mut().enumerate() {
+            *w = mac::<S, FREE>(*w, e0, a0[j]);
+            *w = mac::<S, FREE>(*w, e1, a1[j]);
+            *w = mac::<S, FREE>(*w, e2, a2[j]);
+            *w = mac::<S, FREE>(*w, e3, a3[j]);
+        }
+        b += 4;
+    }
+    for b in b..batch {
+        let eb = e.data[b * e.cols + i];
+        let a_row = &a.data[b * a.cols..(b + 1) * a.cols];
+        for (w, &aj) in w_row.iter_mut().zip(a_row) {
+            *w = mac::<S, FREE>(*w, eb, aj);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor kernels.
 
-use fixar_fixed::Fx32;
+use fixar_fixed::{Fx32, Scalar};
 use fixar_tensor::{vector, Matrix, Parallelism};
 use proptest::prelude::*;
 
@@ -226,6 +226,149 @@ fn batched_kernels_equal_per_sample_across_panel_edges() {
                 assert_eq!(fwd, fwd_ref, "gemv_batch, {case}");
                 assert_eq!(bwd, bwd_ref, "gemv_t_batch, {case}");
                 assert_eq!(g, g_ref, "add_outer_batch, {case}");
+            }
+        }
+    }
+}
+
+/// Largest raw magnitude of a slice, as the interval guard measures it.
+fn max_magnitude(xs: &[Fx32]) -> u32 {
+    xs.iter().map(|x| x.raw_magnitude()).max().unwrap_or(0)
+}
+
+#[test]
+fn guarded_mvms_equal_per_sample_on_both_sides_of_the_threshold() {
+    // All-same-sign operands maximise every partial sum: with weights of
+    // magnitude 8 a chain of `n` terms over inputs of magnitude `x` sums
+    // to 8·n·x, so x* = 2048 / (8·n) sits on the guard threshold. Each
+    // sample row gets its own amplitude around x* — a little under it
+    // the unclamped nest runs, a little over it the chain really
+    // saturates and must take the saturating nest — and in the second
+    // variant exactly one row of the batch is rail-valued, so its tile
+    // neighbours are checked whichever path each of them takes.
+    const ROWS: usize = 5;
+    const W_AMP: f64 = 8.0;
+    const SCALES: [f64; 7] = [0.98, 1.02, 0.5, 0.999, 1.001, 0.25, 1.5];
+    let one = Fx32::ONE.raw_magnitude();
+    for cols in [15usize, 16, 17, 33] {
+        for w_sign in [1.0, -1.0] {
+            let w = Matrix::<f64>::from_fn(ROWS, cols, |_, _| w_sign * W_AMP).cast::<Fx32>();
+            let pack = w.pack();
+            let w_max = 8 * one;
+            let (row_sum, col_sum) = (cols as u64 * 8 * one as u64, ROWS as u64 * 8 * one as u64);
+            let (a_edge, e_edge) = (
+                2048.0 / (W_AMP * cols as f64),
+                2048.0 / (W_AMP * ROWS as f64),
+            );
+            for batch in [1usize, 3, 4, 5, 7] {
+                for rail_row in [None, Some(batch / 2)] {
+                    let amp = |b: usize, edge: f64| match rail_row {
+                        None => SCALES[b % SCALES.len()] * edge,
+                        Some(r) if r == b => 4096.0, // saturates to the rail
+                        Some(_) => 0.3 * edge,
+                    };
+                    let a = Matrix::<f64>::from_fn(batch, cols, |b, _| -amp(b, a_edge)).cast();
+                    let e = Matrix::<f64>::from_fn(batch, ROWS, |b, _| amp(b, e_edge)).cast();
+                    // The data really straddles the guard.
+                    let fwd_free: Vec<bool> = (0..batch)
+                        .map(|b| {
+                            let x = max_magnitude(a.row(b));
+                            Fx32::mac_chain_is_clamp_free(w_max, row_sum, x, 0, cols)
+                        })
+                        .collect();
+                    let bwd_free: Vec<bool> = (0..batch)
+                        .map(|b| {
+                            let x = max_magnitude(e.row(b));
+                            Fx32::mac_chain_is_clamp_free(w_max, col_sum, x, 0, ROWS)
+                        })
+                        .collect();
+                    match rail_row {
+                        None if batch > 1 => {
+                            assert!(fwd_free.contains(&true) && fwd_free.contains(&false));
+                            assert!(bwd_free.contains(&true) && bwd_free.contains(&false));
+                        }
+                        None => assert!(fwd_free[0] && bwd_free[0]),
+                        Some(r) => {
+                            assert_eq!(fwd_free.iter().filter(|&&f| !f).count(), 1);
+                            assert!(!fwd_free[r] && !bwd_free[r]);
+                            assert_eq!(a[(r, 0)], Fx32::MIN);
+                            assert_eq!(e[(r, 0)], Fx32::MAX);
+                        }
+                    }
+                    let mut fwd_ref = Matrix::<Fx32>::zeros(batch, ROWS);
+                    let mut bwd_ref = Matrix::<Fx32>::zeros(batch, cols);
+                    for b in 0..batch {
+                        w.gemv(a.row(b), fwd_ref.row_mut(b)).unwrap();
+                        w.gemv_t(e.row(b), bwd_ref.row_mut(b)).unwrap();
+                    }
+                    for b in 0..batch {
+                        // Every rejected row here is one that really clamps.
+                        assert_eq!(fwd_ref[(b, 0)].is_saturated(), !fwd_free[b]);
+                        assert_eq!(bwd_ref[(b, 0)].is_saturated(), !bwd_free[b]);
+                    }
+                    for workers in [1usize, 2, 8] {
+                        let par = Parallelism::with_workers(workers);
+                        let mut fwd = Matrix::<Fx32>::zeros(batch, ROWS);
+                        let mut bwd = Matrix::<Fx32>::zeros(batch, cols);
+                        par.fused(|ks| {
+                            pack.gemv_batch(&a, &mut fwd, ks).unwrap();
+                            pack.gemv_t_batch(&e, &mut bwd, ks).unwrap();
+                        })
+                        .unwrap();
+                        let case = format!(
+                            "cols {cols} sign {w_sign} batch {batch} rail {rail_row:?} workers {workers}"
+                        );
+                        assert_eq!(fwd, fwd_ref, "gemv_batch, {case}");
+                        assert_eq!(bwd, bwd_ref, "gemv_t_batch, {case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn guarded_add_outer_batch_equals_per_sample_around_the_init_headroom() {
+    // Unit error and activation rows add exactly ±1.0 per sample to every
+    // gradient element, so the guard's verdict on a gradient row depends
+    // only on what the row was pre-loaded with. Row 0 starts at the
+    // largest admitted value, row 1 one ulp above it, row 2 high enough
+    // that the chain really saturates, row 3 at zero, row 4 mirrors row 1
+    // on the negative side — five rows, each taking its own path inside
+    // one call.
+    const ROWS: usize = 5;
+    let one = Fx32::ONE.raw_magnitude();
+    for cols in [15usize, 16, 17, 33] {
+        for batch in [1usize, 3, 4, 5, 7] {
+            let n = batch as u32;
+            let headroom = i32::MAX as u32 - n * one - n - 1;
+            let admits =
+                |init| Fx32::mac_chain_is_clamp_free(one, u64::from(n * one), one, init, batch);
+            assert!(admits(headroom) && !admits(headroom + 1));
+            let preload = [
+                headroom as i32,
+                headroom as i32 + 1,
+                i32::MAX - (one / 2) as i32,
+                0,
+                -(headroom as i32) - 1,
+            ];
+            let sign = |i: usize| if i == 4 { -1.0 } else { 1.0 };
+            let e = Matrix::<f64>::from_fn(batch, ROWS, |_, i| sign(i)).cast::<Fx32>();
+            let a = Matrix::<f64>::from_fn(batch, cols, |_, _| 1.0).cast::<Fx32>();
+            let start = Matrix::from_fn(ROWS, cols, |i, _| Fx32::from_raw(preload[i]));
+            let mut reference = start.clone();
+            for b in 0..batch {
+                reference.add_outer(e.row(b), a.row(b)).unwrap();
+            }
+            assert_eq!(reference[(2, 0)], Fx32::MAX, "row 2 must really saturate");
+            assert_eq!(reference[(0, 0)].raw(), i32::MAX - batch as i32 - 1);
+            for workers in [1usize, 2, 8] {
+                let par = Parallelism::with_workers(workers);
+                let mut g = start.clone();
+                par.fused(|ks| g.add_outer_batch(&e, &a, ks))
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(g, reference, "cols {cols} batch {batch} workers {workers}");
             }
         }
     }

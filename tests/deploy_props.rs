@@ -231,6 +231,94 @@ fn batched_inference_matches_the_artifact_at_env_worker_counts() {
     }
 }
 
+#[test]
+fn interpreter_equals_the_frozen_forward_on_both_sides_of_the_interval_guard() {
+    // The interpreter skips both clamps of a layer's MAC chains when an
+    // interval guard proves they cannot fire, and keeps the saturating
+    // chain otherwise. Either way it must equal `forward_qat_frozen`
+    // (the per-sample saturating `gemv`) word for word. Which side a
+    // layer falls on is established here by evaluating the public
+    // predicate on bounds recomputed from the network and the oracle's
+    // own trace — never by asking the interpreter.
+    let mut cfg = MlpConfig::new(vec![STATE_DIM, 8, 2]);
+    cfg.output_activation = Activation::Tanh;
+    let actor = Mlp::<Fx32>::new_random(&cfg, 7).unwrap();
+    // No quantizer at the input point; calibrated range quantizers
+    // behind both layers.
+    let mut qat = QatRuntime::builder(3)
+        .uniform_bits(16)
+        .exclude_point(0)
+        .build()
+        .unwrap();
+    for i in 0..16 {
+        let x: Vec<Fx32> = obs(i).iter().map(|&v| Fx32::from_f64(v)).collect();
+        actor.forward_qat(&x, &mut qat).unwrap();
+    }
+    qat.freeze().unwrap();
+    assert!(qat.quantizer(0).is_none() && qat.quantizer(1).is_some());
+
+    let check = |mlp: &Mlp<Fx32>, raw: &[i32], admitted: [bool; 2], case: &str| {
+        let art = PolicyArtifact::from_parts(
+            mlp.layer_sizes(),
+            ActKind::Relu,
+            ActKind::Tanh,
+            (0..2)
+                .map(|l| Fx32::raw_words(mlp.weight(l).as_slice()))
+                .collect(),
+            (0..2).map(|l| Fx32::raw_words(mlp.bias(l))).collect(),
+            &[qat.quantizer(0), qat.quantizer(1), qat.quantizer(2)],
+        )
+        .unwrap();
+        // Through the blob, as a served policy arrives.
+        let art = PolicyArtifact::decode(&art.encode()).unwrap();
+        let trace = mlp
+            .forward_qat_frozen(&Fx32::from_raw_words(raw), &qat)
+            .unwrap();
+        let max_magnitude = |xs: &[Fx32]| xs.iter().map(|v| v.raw_magnitude()).max().unwrap();
+        for (l, &want) in admitted.iter().enumerate() {
+            let w = mlp.weight(l);
+            let w_max = max_magnitude(w.as_slice());
+            let row_abs_sum = (0..w.rows())
+                .map(|i| w.row(i).iter().map(|v| u64::from(v.raw_magnitude())).sum())
+                .max()
+                .unwrap();
+            let x_max = max_magnitude(&trace.inputs[l]);
+            assert_eq!(
+                Fx32::mac_chain_is_clamp_free(w_max, row_abs_sum, x_max, 0, w.cols()),
+                want,
+                "{case}: layer {l}"
+            );
+        }
+        assert_eq!(
+            art.infer_raw(raw).unwrap(),
+            Fx32::raw_words(&trace.output),
+            "{case}"
+        );
+    };
+
+    // (i) An in-range observation: every layer is admitted.
+    check(&actor, &raw_obs(&obs(3)), [true, true], "in range");
+    // (ii) A rail-valued observation meets no quantizer on the way in,
+    // so the first layer cannot be admitted; the range quantizer behind
+    // it bounds the hidden activations and the second layer is again.
+    check(
+        &actor,
+        &[i32::MAX, i32::MIN, i32::MAX],
+        [false, true],
+        "rail observation",
+    );
+    // (iii) First-layer weights of ±2047.0 (a hostile blob): an ordinary
+    // observation is enough to saturate, and the guard says so.
+    let mut hostile = actor.clone();
+    hostile
+        .weight_mut(0)
+        .as_mut_slice()
+        .iter_mut()
+        .enumerate()
+        .for_each(|(k, w)| *w = Fx32::from_f64(if k % 2 == 0 { 2047.0 } else { -2047.0 }));
+    check(&hostile, &raw_obs(&obs(3)), [false, true], "rail weights");
+}
+
 // ---------------------------------------------------------------------
 // Pillar 2: serving through the artifact front door.
 // ---------------------------------------------------------------------
