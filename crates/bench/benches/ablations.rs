@@ -141,7 +141,8 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| agent.train_batch(&refs).unwrap());
     });
     group.bench_function("td3_fx32", |b| {
-        let mut agent = fixar_rl::Td3::<Fx32>::new(17, 6, Td3Config::small_test()).unwrap();
+        let cfg = DdpgConfig::small_test().with_td3(Td3Config::default());
+        let mut agent = Ddpg::<Fx32>::new(17, 6, cfg).unwrap();
         b.iter(|| agent.train_batch(&refs).unwrap());
     });
     group.finish();

@@ -31,7 +31,7 @@
 use fixar_accel::{AccelConfig, LayerFormat, ResourceModel};
 use fixar_fixed::{Fx32, QFormat};
 use fixar_nn::PrecisionPolicy;
-use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot, Td3, Td3Config, Transition, TransitionBatch};
+use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot, Td3Config, Transition, TransitionBatch};
 use fixar_tensor::{Matrix, Parallelism};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,7 +74,8 @@ fn probe_observations() -> Matrix<f64> {
     })
 }
 
-/// Trains one DDPG arm to a frozen snapshot.
+/// Trains one arm (DDPG, or TD3 when the config says so) to a frozen
+/// snapshot.
 fn train_ddpg_arm(cfg: DdpgConfig, steps: u64) -> (Ddpg<Fx32>, PolicySnapshot<Fx32>) {
     let mut agent = Ddpg::<Fx32>::new(STATE_DIM, ACTION_DIM, cfg).unwrap();
     let batch = training_batch();
@@ -87,19 +88,6 @@ fn train_ddpg_arm(cfg: DdpgConfig, steps: u64) -> (Ddpg<Fx32>, PolicySnapshot<Fx
     }
     let snap = agent.policy_snapshot(steps);
     (agent, snap)
-}
-
-/// Trains the TD3 arm to a frozen snapshot.
-fn train_td3_arm(cfg: Td3Config, steps: u64) -> PolicySnapshot<Fx32> {
-    let mut agent = Td3::<Fx32>::new(STATE_DIM, ACTION_DIM, cfg).unwrap();
-    let batch = training_batch();
-    let probe = probe_observations();
-    for t in 0..steps {
-        agent.select_actions_batch(&probe).unwrap();
-        agent.train_minibatch(&batch).unwrap();
-        agent.on_timestep(t).unwrap();
-    }
-    agent.policy_snapshot(steps)
 }
 
 /// Mean |a - b| over all probe actions.
@@ -283,12 +271,10 @@ fn main() {
         base_config().with_qat_policies(delay, adaptive, PrecisionPolicy::Uniform { bits: 16 }),
         steps,
     );
-    let td3_snap = train_td3_arm(
-        Td3Config {
-            hidden,
-            ..Td3Config::small_test()
-        }
-        .with_mixed_precision_qat(delay, 8, 16),
+    let (_, td3_snap) = train_ddpg_arm(
+        base_config()
+            .with_td3(Td3Config::default())
+            .with_mixed_precision_qat(delay, 8, 16),
         steps,
     );
 

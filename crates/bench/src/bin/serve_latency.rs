@@ -24,7 +24,7 @@
 
 use fixar_fixed::Fx32;
 use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot};
-use fixar_serve::{ActionServer, ServeConfig};
+use fixar_serve::{ActionResponse, PendingReply, ServeConfig, Server};
 use std::fmt::Write as _;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -61,7 +61,7 @@ fn obs(i: usize) -> Vec<f64> {
 
 /// Serves `total` requests from `CLIENTS` open-loop client threads,
 /// returning (sorted latencies in µs, wall seconds).
-fn drive(server: &ActionServer<Fx32>, total: usize, record_obs: bool) -> DriveResult {
+fn drive(server: &Server<PolicySnapshot<Fx32>>, total: usize, record_obs: bool) -> DriveResult {
     let per_client = total / CLIENTS;
     let wall = Instant::now();
     let threads: Vec<_> = (0..CLIENTS)
@@ -75,7 +75,7 @@ fn drive(server: &ActionServer<Fx32>, total: usize, record_obs: bool) -> DriveRe
                     |w: &mut std::collections::VecDeque<(
                         Vec<f64>,
                         Instant,
-                        fixar_serve::PendingAction,
+                        PendingReply<ActionResponse>,
                     )>,
                      latencies: &mut Vec<f64>,
                      served: &mut Vec<(Vec<f64>, u64, Vec<f64>)>| {
@@ -134,7 +134,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// The determinism gate: serve with a mid-run snapshot swap, replay
 /// offline against the recorded ids, panic on any bit difference.
 fn bit_equality_gate(a0: &Ddpg<Fx32>, a1: &Ddpg<Fx32>) {
-    let server = ActionServer::start(
+    let server = Server::start(
         a0.policy_snapshot(0),
         ServeConfig {
             max_batch: 32,
@@ -198,7 +198,7 @@ fn main() {
     for &requests in &counts {
         for &deadline_us in &DEADLINES_US {
             for &shards in &SHARD_COUNTS {
-                let server = ActionServer::start(
+                let server = Server::start(
                     a0.policy_snapshot(0),
                     ServeConfig {
                         max_batch: 32,

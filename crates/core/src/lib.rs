@@ -70,14 +70,13 @@ pub mod prelude {
     pub use fixar_rl::{
         Ddpg, DdpgConfig, EvalPoint, GaussianNoise, PolicySnapshot, PrecisionMode,
         PrioritizedConfig, PrioritizedReplay, QatSchedule, ReplayBuffer, ReplaySampler,
-        ReplayStrategy, RlError, SampledBatch, Td3, Td3Config, TrainMetrics, Trainer,
-        TrainingReport, Transition, TransitionBatch,
+        ReplayStrategy, RlError, SampledBatch, Td3Config, TrainMetrics, Trainer, TrainingReport,
+        Transition, TransitionBatch,
     };
     pub use fixar_serve::{
-        ActionResponse, ActionServer, ArtifactClient, ArtifactPublisher, ArtifactReplica,
-        ArtifactResponse, ArtifactServer, ArtifactStore, PendingAction, PendingArtifactAction,
-        PendingReply, ServeClient, ServeConfig, ServeError, ServeStats, ShardStats,
-        SnapshotPublisher, SnapshotStore,
+        ActionResponse, ArtifactClient, ArtifactReplica, ArtifactResponse, ArtifactServer, Client,
+        PendingReply, Publisher, ServeConfig, ServeError, ServeStats, ServedReplica, Server,
+        ShardStats, Store,
     };
 
     pub use crate::{FixarRunReport, FixarSystem};

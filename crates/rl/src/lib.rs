@@ -15,7 +15,10 @@
 //!   critic → actor FP). The hot path is [`Ddpg::train_minibatch`],
 //!   which moves the whole sampled batch ([`TransitionBatch`]) through
 //!   the stack as one matrix per layer, bit-identical to the per-sample
-//!   reference [`Ddpg::train_batch`],
+//!   reference [`Ddpg::train_batch`]. TD3 is the same agent and the
+//!   same update with [`DdpgConfig::td3`] set ([`Td3Config`]: twin
+//!   critics, target smoothing, delayed policy), so everything below —
+//!   the QAT schedule, the trainer, snapshots — drives it unchanged,
 //! * [`QatSchedule`] — Algorithm 1: calibrate activation ranges for
 //!   `delay` steps at 32-bit fixed-point, then re-train with 16-bit
 //!   quantized activations,
@@ -60,10 +63,9 @@ mod noise;
 mod precision;
 mod replay;
 mod snapshot;
-mod td3;
 mod trainer;
 
-pub use ddpg::{Ddpg, DdpgConfig, QatSchedule, TrainMetrics};
+pub use ddpg::{Ddpg, DdpgConfig, QatSchedule, Td3Config, TrainMetrics};
 pub use error::RlError;
 pub use noise::GaussianNoise;
 pub use precision::PrecisionMode;
@@ -72,7 +74,6 @@ pub use replay::{
     SampledBatch, Transition, TransitionBatch,
 };
 pub use snapshot::PolicySnapshot;
-pub use td3::{Td3, Td3Config};
 pub use trainer::{
     action_stream_seed, priority_stream_seed, replay_stream_seed, EvalPoint, Trainer,
     TrainingReport,

@@ -17,7 +17,7 @@ use fixar_nn::{Mlp, QatMode, QatPhase, QatRuntime};
 use fixar_pool::Parallelism;
 use fixar_tensor::Matrix;
 
-use crate::{Ddpg, RlError, Td3};
+use crate::{Ddpg, RlError};
 
 /// An immutable actor replica: frozen weights + frozen QAT runtime +
 /// monotonically increasing snapshot id.
@@ -219,26 +219,15 @@ impl<S: Scalar> Ddpg<S> {
     }
 }
 
-impl<S: Scalar> Td3<S> {
-    /// Freezes the current online actor (weights + QAT runtime) into an
-    /// immutable [`PolicySnapshot`] tagged `id` — exactly as
-    /// [`Ddpg::policy_snapshot`]. Without a QAT schedule the runtime is
-    /// disabled and the snapshot serves plain full precision; with one,
-    /// the snapshot carries the actor's frozen per-layer formats.
-    pub fn policy_snapshot(&self, id: u64) -> PolicySnapshot<S> {
-        PolicySnapshot {
-            actor: self.actor().clone(),
-            qat: self.actor_qat_runtime().clone(),
-            id,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DdpgConfig, Td3Config};
     use fixar_fixed::Fx32;
+
+    fn td3_config() -> DdpgConfig {
+        DdpgConfig::small_test().with_td3(Td3Config::default())
+    }
 
     fn obs_batch(rows: usize, dim: usize) -> Matrix<f64> {
         Matrix::from_fn(rows, dim, |r, c| ((r * dim + c) as f64).sin() * 0.7)
@@ -343,7 +332,7 @@ mod tests {
 
     #[test]
     fn td3_snapshot_replays_bit_identically() {
-        let mut agent = Td3::<f32>::new(3, 1, Td3Config::small_test()).unwrap();
+        let mut agent = Ddpg::<f32>::new(3, 1, td3_config()).unwrap();
         let snap = agent.policy_snapshot(2);
         assert!(!snap.qat_frozen());
         let obs = obs_batch(6, 3);
@@ -361,12 +350,8 @@ mod tests {
     fn mixed_precision_snapshot_reports_its_formats_and_replays() {
         // 8-bit actor / 16-bit critics: the snapshot must carry the
         // actor's 8-bit grids and serve bit-reproducibly through them.
-        let mut agent = Td3::<Fx32>::new(
-            3,
-            1,
-            Td3Config::small_test().with_mixed_precision_qat(2, 8, 16),
-        )
-        .unwrap();
+        let mut agent =
+            Ddpg::<Fx32>::new(3, 1, td3_config().with_mixed_precision_qat(2, 8, 16)).unwrap();
         let batch = synthetic_batch(16, 3, 1);
         for t in 0..6u64 {
             agent.train_minibatch(&batch).unwrap();
@@ -417,7 +402,7 @@ mod tests {
 
     #[test]
     fn unfrozen_snapshot_exports_pass_through_artifact() {
-        let agent = Td3::<Fx32>::new(3, 1, Td3Config::small_test()).unwrap();
+        let agent = Ddpg::<Fx32>::new(3, 1, td3_config()).unwrap();
         let snap = agent.policy_snapshot(5);
         assert!(!snap.qat_frozen());
         let art = snap.export_artifact().unwrap();

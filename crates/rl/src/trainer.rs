@@ -476,6 +476,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_replay_capacity_is_a_config_error_not_a_panic() {
+        let mut cfg = DdpgConfig::small_test();
+        cfg.replay_capacity = 0;
+        let r = Trainer::<f64>::new(
+            EnvPool::from_kind(EnvKind::Pendulum, 2, 0),
+            EnvKind::Pendulum.make(0),
+            cfg,
+        );
+        assert!(matches!(r, Err(RlError::InvalidConfig(_))));
+    }
+
+    #[test]
     fn zero_eval_cadence_rejected() {
         let mut t = pendulum_fleet(2, DdpgConfig::small_test());
         assert!(t.run(10, 0, 1).is_err());

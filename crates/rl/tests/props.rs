@@ -1,7 +1,7 @@
 //! Property-based tests for the RL layer.
 
 use fixar_fixed::Fx32;
-use fixar_rl::{Ddpg, DdpgConfig, ReplayBuffer, Td3, Td3Config, Transition, TransitionBatch};
+use fixar_rl::{Ddpg, DdpgConfig, ReplayBuffer, Td3Config, Transition, TransitionBatch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,6 +14,13 @@ fn transition(dim_s: usize, dim_a: usize, v: f64) -> Transition {
         next_state: vec![v + 0.1; dim_s],
         terminal: false,
     }
+}
+
+/// DDPG and TD3 configurations at `seed`.
+fn family(seed: u64) -> [DdpgConfig; 2] {
+    let ddpg = DdpgConfig::small_test().with_seed(seed);
+    let td3 = ddpg.clone().with_td3(Td3Config::default());
+    [ddpg, td3]
 }
 
 proptest! {
@@ -74,58 +81,35 @@ proptest! {
         }
     }
 
-    /// The tentpole contract: the batched DDPG update produces
-    /// bit-identical `Fx32` weights to the per-sample update on the same
-    /// sampled batch, for arbitrary seeds, batch sizes, and data scales.
+    /// The tentpole contract: the batched update produces bit-identical
+    /// `Fx32` weights to the per-sample update on the same sampled
+    /// batch, for arbitrary seeds, batch sizes, and data scales — for
+    /// DDPG and for TD3 (twin critics, delayed policy, smoothing noise
+    /// drawn in the per-sample RNG order).
     #[test]
-    fn batched_ddpg_update_bit_exact_with_per_sample(
+    fn batched_update_bit_exact_with_per_sample(
         seed in 0u64..40,
         batch_size in 1usize..24,
         value_scale in 0.1..5.0f64,
     ) {
-        let cfg = DdpgConfig::small_test().with_seed(seed);
         let data: Vec<Transition> = (0..batch_size)
             .map(|i| transition(3, 1, (i as f64 * 0.7 + seed as f64).sin() * value_scale))
             .collect();
         let refs: Vec<&Transition> = data.iter().collect();
         let batch = TransitionBatch::from_transitions(&refs).unwrap();
 
-        let mut per_sample = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
-        let mut batched = per_sample.clone();
-        let ma = per_sample.train_batch(&refs).unwrap();
-        let mb = batched.train_minibatch(&batch).unwrap();
-        prop_assert_eq!(ma, mb);
-        for l in 0..per_sample.actor().num_layers() {
-            prop_assert_eq!(per_sample.actor().weight(l), batched.actor().weight(l));
-            prop_assert_eq!(per_sample.critic().weight(l), batched.critic().weight(l));
-            prop_assert_eq!(per_sample.actor().bias(l), batched.actor().bias(l));
-            prop_assert_eq!(per_sample.critic().bias(l), batched.critic().bias(l));
+        for cfg in family(seed) {
+            let mut per_sample = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
+            let mut batched = per_sample.clone();
+            // Two updates: the second triggers TD3's delayed actor update.
+            for _ in 0..2 {
+                let ma = per_sample.train_batch(&refs).unwrap();
+                let mb = batched.train_minibatch(&batch).unwrap();
+                prop_assert_eq!(ma, mb);
+            }
+            prop_assert_eq!(per_sample.actor(), batched.actor());
+            prop_assert_eq!(per_sample.critic(), batched.critic());
+            prop_assert_eq!(per_sample.critic_twin(), batched.critic_twin());
         }
-    }
-
-    /// Same contract for TD3 (twin critics, delayed policy, smoothing
-    /// noise drawn in the per-sample RNG order).
-    #[test]
-    fn batched_td3_update_bit_exact_with_per_sample(
-        seed in 0u64..20,
-        batch_size in 1usize..16,
-    ) {
-        let cfg = Td3Config { seed, ..Td3Config::small_test() };
-        let data: Vec<Transition> = (0..batch_size)
-            .map(|i| transition(3, 1, (i as f64 * 0.9 + seed as f64 * 0.3).cos()))
-            .collect();
-        let refs: Vec<&Transition> = data.iter().collect();
-        let batch = TransitionBatch::from_transitions(&refs).unwrap();
-
-        let mut per_sample = Td3::<Fx32>::new(3, 1, cfg).unwrap();
-        let mut batched = per_sample.clone();
-        // Two updates: the second triggers the delayed actor update.
-        for _ in 0..2 {
-            let ma = per_sample.train_batch(&refs).unwrap();
-            let mb = batched.train_minibatch(&batch).unwrap();
-            prop_assert_eq!(ma, mb);
-        }
-        prop_assert_eq!(per_sample.actor(), batched.actor());
-        prop_assert_eq!(per_sample.critics(), batched.critics());
     }
 }

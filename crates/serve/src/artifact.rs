@@ -1,24 +1,21 @@
 //! Serving integer-only deployment artifacts.
 //!
-//! [`ArtifactServer`] is the deployment-side twin of
-//! [`ActionServer`](crate::ActionServer): the same sharded deadline
-//! micro-batcher, but every batch is answered by the `fixar-deploy`
-//! integer interpreter instead of the float-capable
-//! `PolicySnapshot` path. Responses are stamped with the replica's
-//! publication id **and** the artifact's content hash, so a served
-//! trajectory can be audited against the exact frozen blob that
+//! [`ArtifactReplica`] is the deployment-side replica kind: behind the
+//! same [`Server`] front door as a `PolicySnapshot`, every batch is
+//! answered by the `fixar-deploy` integer interpreter instead of the
+//! float-capable snapshot path. Responses are stamped with the
+//! replica's publication id **and** the artifact's content hash, so a
+//! served trajectory can be audited against the exact frozen blob that
 //! produced it: decode the blob, check
 //! [`PolicyArtifact::content_hash`], replay each observation through
 //! [`PolicyArtifact::infer`], and the actions match bit-for-bit.
-
-use std::sync::{Arc, Mutex};
 
 use fixar_deploy::PolicyArtifact;
 use fixar_pool::Parallelism;
 use fixar_tensor::Matrix;
 
-use crate::replica::{ReplicaStore, ServedReplica};
-use crate::server::{submit_obs, PendingReply, ServeConfig, ServeStats, ServerCore, Shared};
+use crate::replica::ServedReplica;
+use crate::server::{Client, Server};
 use crate::ServeError;
 
 /// One served action from an integer-only artifact, stamped with its
@@ -80,6 +77,18 @@ impl ArtifactReplica {
 impl ServedReplica for ArtifactReplica {
     type Response = ArtifactResponse;
 
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn state_dim(&self) -> usize {
+        self.artifact.input_dim()
+    }
+
+    fn action_dim(&self) -> usize {
+        self.artifact.output_dim()
+    }
+
     // Rows are served sequentially: the integer interpreter is bit-exact
     // per sample, so worker parallelism cannot change any answer and is
     // not worth spinning up for the artifact's small single-sample nets.
@@ -109,224 +118,17 @@ impl ServedReplica for ArtifactReplica {
     }
 }
 
-/// Single-slot publication point for [`ArtifactReplica`]s — the
-/// deployment-side twin of [`SnapshotStore`](crate::SnapshotStore),
-/// with the same strictly-monotone publication contract.
-pub struct ArtifactStore {
-    slot: Mutex<Arc<ArtifactReplica>>,
-}
+/// The deployment-side serving front door: [`Server`] over
+/// [`ArtifactReplica`]s (the name the repository benchmark starts).
+pub type ArtifactServer = Server<ArtifactReplica>;
 
-impl ArtifactStore {
-    /// A store serving `initial` until something newer is published.
-    pub fn new(initial: ArtifactReplica) -> Self {
-        Self {
-            slot: Mutex::new(Arc::new(initial)),
-        }
-    }
-
-    /// The replica the *next* batch should be served from.
-    pub fn load(&self) -> Arc<ArtifactReplica> {
-        Arc::clone(&self.slot.lock().expect("artifact store poisoned"))
-    }
-
-    /// Id of the replica currently being served.
-    pub fn current_id(&self) -> u64 {
-        self.slot.lock().expect("artifact store poisoned").id()
-    }
-
-    /// Atomically swaps in `replica`, returning its id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::StaleSnapshot`] unless the id strictly
-    /// increases.
-    pub fn publish(&self, replica: ArtifactReplica) -> Result<u64, ServeError> {
-        let mut slot = self.slot.lock().expect("artifact store poisoned");
-        let current = slot.id();
-        if replica.id() <= current {
-            return Err(ServeError::StaleSnapshot {
-                current,
-                offered: replica.id(),
-            });
-        }
-        let id = replica.id();
-        *slot = Arc::new(replica);
-        Ok(id)
-    }
-}
-
-impl ReplicaStore for ArtifactStore {
-    type Replica = ArtifactReplica;
-
-    fn load_replica(&self) -> Arc<ArtifactReplica> {
-        self.load()
-    }
-}
-
-/// The deployment-side serving front door: identical queueing, batching,
-/// and publication semantics to [`ActionServer`](crate::ActionServer),
-/// but every action is produced by the `fixar-deploy` integer-only
-/// interpreter and every response carries the artifact's content hash.
-pub struct ArtifactServer {
-    core: ServerCore<ArtifactStore>,
-}
-
-impl ArtifactServer {
-    /// Starts the server: spawns one batcher thread per shard, serving
-    /// `initial` until a newer replica is published.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] if `max_batch` or `shards`
-    /// is zero.
-    pub fn start(initial: ArtifactReplica, cfg: ServeConfig) -> Result<Self, ServeError> {
-        let (state_dim, action_dim) = (
-            initial.artifact().input_dim(),
-            initial.artifact().output_dim(),
-        );
-        let core = ServerCore::start(ArtifactStore::new(initial), state_dim, action_dim, cfg)?;
-        Ok(Self { core })
-    }
-
-    /// A clonable client handle for submitting observations.
-    pub fn client(&self) -> ArtifactClient {
-        ArtifactClient {
-            shared: Arc::clone(&self.core.shared),
-        }
-    }
-
-    /// The handle for publishing fresher artifact replicas.
-    pub fn publisher(&self) -> ArtifactPublisher {
-        ArtifactPublisher {
-            shared: Arc::clone(&self.core.shared),
-        }
-    }
-
-    /// Publication id of the replica the *next* batch will be served
-    /// from.
-    pub fn current_artifact_id(&self) -> u64 {
-        self.core.shared.store.current_id()
-    }
-
-    /// Content hash of the replica the *next* batch will be served from.
-    pub fn current_content_hash(&self) -> u64 {
-        self.core.shared.store.load().content_hash()
-    }
-
-    /// Point-in-time serving counters.
-    pub fn stats(&self) -> ServeStats {
-        self.core.stats()
-    }
-
-    /// Shuts down gracefully: rejects new submissions, serves every
-    /// already-queued request, joins the batcher threads, and returns
-    /// the final counters.
-    pub fn shutdown(self) -> ServeStats {
-        let mut core = self.core;
-        core.close_and_join();
-        core.stats()
-    }
-}
-
-/// A pending artifact-served response (see [`PendingReply`]).
-pub type PendingArtifactAction = PendingReply<ArtifactResponse>;
-
-/// Client handle for an [`ArtifactServer`]; cloning is an `Arc` bump.
-pub struct ArtifactClient {
-    shared: Arc<Shared<ArtifactStore>>,
-}
-
-impl Clone for ArtifactClient {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl ArtifactClient {
-    /// Observation dimension the served artifact expects.
-    pub fn state_dim(&self) -> usize {
-        self.shared.state_dim
-    }
-
-    /// Action dimension the served artifact produces.
-    pub fn action_dim(&self) -> usize {
-        self.shared.action_dim
-    }
-
-    /// Enqueues an observation (round-robin across shards) and returns
-    /// immediately with a [`PendingArtifactAction`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::WrongDimension`] for a mis-sized
-    /// observation, [`ServeError::Shutdown`] if the server has shut
-    /// down.
-    pub fn submit(&self, obs: &[f64]) -> Result<PendingArtifactAction, ServeError> {
-        submit_obs(&self.shared, obs)
-    }
-
-    /// Blocking convenience wrapper: [`ArtifactClient::submit`] +
-    /// [`PendingReply::wait`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ArtifactClient::submit`], plus anything the batcher reports.
-    pub fn request(&self, obs: &[f64]) -> Result<ArtifactResponse, ServeError> {
-        self.submit(obs)?.wait()
-    }
-}
-
-/// Handle for publishing fresher artifact replicas without blocking the
-/// request path.
-pub struct ArtifactPublisher {
-    shared: Arc<Shared<ArtifactStore>>,
-}
-
-impl Clone for ArtifactPublisher {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl ArtifactPublisher {
-    /// Atomically swaps in `replica`, returning its id. Batches already
-    /// in flight finish on the replica they loaded; every later batch
-    /// serves — and is stamped with — the new id and content hash.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::WrongDimension`] if the replica's
-    /// dimensions differ from the served artifact's, and
-    /// [`ServeError::StaleSnapshot`] unless its id strictly increases.
-    pub fn publish(&self, replica: ArtifactReplica) -> Result<u64, ServeError> {
-        if replica.artifact().input_dim() != self.shared.state_dim {
-            return Err(ServeError::WrongDimension {
-                expected: self.shared.state_dim,
-                got: replica.artifact().input_dim(),
-            });
-        }
-        if replica.artifact().output_dim() != self.shared.action_dim {
-            return Err(ServeError::WrongDimension {
-                expected: self.shared.action_dim,
-                got: replica.artifact().output_dim(),
-            });
-        }
-        self.shared.store.publish(replica)
-    }
-
-    /// Id currently being served (the floor for the next publish).
-    pub fn current_id(&self) -> u64 {
-        self.shared.store.current_id()
-    }
-}
+/// Client handle of an [`ArtifactServer`].
+pub type ArtifactClient = Client<ArtifactReplica>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServeConfig;
     use fixar_fixed::Fx32;
     use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot};
 
@@ -351,8 +153,8 @@ mod tests {
         let hash = art.content_hash();
         let server =
             ArtifactServer::start(ArtifactReplica::new(art, 7), ServeConfig::default()).unwrap();
-        assert_eq!(server.current_artifact_id(), 7);
-        assert_eq!(server.current_content_hash(), hash);
+        assert_eq!(server.current_id(), 7);
+        assert_eq!(server.current().content_hash(), hash);
         let client = server.client();
         assert_eq!(client.state_dim(), 3);
         assert_eq!(client.action_dim(), 1);
@@ -398,6 +200,29 @@ mod tests {
         ));
         let resp = server.client().request(&obs(0)).unwrap();
         assert_eq!(resp.artifact_id, 2);
+    }
+
+    #[test]
+    fn non_finite_observations_never_reach_the_interpreter() {
+        // At the parent `[NaN, 0.3, -0.2]` was answered exactly like
+        // `[0.0, 0.3, -0.2]`, hash-stamped and all.
+        let server = ArtifactServer::start(replica(0), ServeConfig::default()).unwrap();
+        let client = server.client();
+        for (index, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            let mut o = vec![0.0, 0.3, -0.2];
+            o[index] = bad;
+            assert_eq!(
+                client.request(&o),
+                Err(ServeError::NonFiniteObservation { index })
+            );
+        }
+        client.request(&[0.0, 0.3, -0.2]).unwrap();
+        let stats = server.shutdown();
+        assert_eq!(stats.shards[0].requests, 1);
+        assert_eq!(stats.shards[0].served_rows, 1);
     }
 
     #[test]

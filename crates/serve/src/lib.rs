@@ -2,21 +2,24 @@
 //!
 //! Everything upstream of this crate is trainer-driven lockstep; this is
 //! the opposite direction: many concurrent clients submit observations
-//! and a **deadline micro-batcher** coalesces them into
-//! `select_actions_batch` calls on immutable
-//! [`PolicySnapshot`](fixar_rl::PolicySnapshot) replicas.
+//! and a **deadline micro-batcher** coalesces them into batched
+//! inference on immutable replicas. One front door serves every replica
+//! kind — anything implementing [`ServedReplica`]: the float-capable
+//! [`PolicySnapshot`](fixar_rl::PolicySnapshot) (`select_actions_batch`)
+//! and the integer-only [`ArtifactReplica`].
 //!
-//! * [`ActionServer`] — owns N shards, each a hand-rolled MPMC request
-//!   queue drained by a dedicated batcher thread. A batch flushes when
-//!   it reaches [`ServeConfig::max_batch`] **or** the oldest request has
+//! * [`Server`] — owns N shards, each a hand-rolled MPMC request queue
+//!   drained by a dedicated batcher thread. A batch flushes when it
+//!   reaches [`ServeConfig::max_batch`] **or** the oldest request has
 //!   waited [`ServeConfig::max_delay`], whichever comes first.
-//! * [`ServeClient`] — cheap clonable handle: [`ServeClient::submit`]
-//!   enqueues an observation and returns a [`PendingAction`] one-shot;
-//!   [`ServeClient::request`] is the blocking convenience wrapper.
-//! * [`SnapshotPublisher`] — the trainer-side handle:
-//!   [`SnapshotPublisher::publish`] atomically swaps in a new snapshot
-//!   (monotonically increasing id enforced) without ever blocking the
-//!   request path.
+//! * [`Client`] — cheap clonable handle: [`Client::submit`] enqueues an
+//!   observation (rejecting mis-sized and non-finite ones with a typed
+//!   [`ServeError`] before they reach a queue) and returns a
+//!   [`PendingReply`] one-shot; [`Client::request`] is the blocking
+//!   convenience wrapper.
+//! * [`Publisher`] — the trainer-side handle: [`Publisher::publish`]
+//!   atomically swaps a new replica into the [`Store`] (monotonically
+//!   increasing id enforced) without ever blocking the request path.
 //!
 //! # The snapshot-id contract
 //!
@@ -33,23 +36,22 @@
 //!
 //! # Serving deployment artifacts
 //!
-//! The same micro-batcher also serves **integer-only deployment
-//! artifacts** ([`fixar_deploy::PolicyArtifact`]): [`ArtifactServer`] /
-//! [`ArtifactClient`] / [`ArtifactPublisher`] mirror the snapshot trio
-//! exactly, but every action is produced by the no-float interpreter and
-//! every [`ArtifactResponse`] is stamped with the artifact's **content
-//! hash** in addition to its publication id — auditing a served
-//! trajectory needs nothing but the frozen blob.
+//! Started on an [`ArtifactReplica`] (an id-stamped
+//! [`fixar_deploy::PolicyArtifact`]) the same server — [`ArtifactServer`]
+//! and [`ArtifactClient`] are its aliases — produces every action with
+//! the no-float interpreter and stamps every [`ArtifactResponse`] with
+//! the artifact's **content hash** in addition to its publication id:
+//! auditing a served trajectory needs nothing but the frozen blob.
 //!
 //! # Example
 //!
 //! ```
 //! use fixar_rl::{Ddpg, DdpgConfig};
-//! use fixar_serve::{ActionServer, ServeConfig};
+//! use fixar_serve::{ServeConfig, Server};
 //! use std::time::Duration;
 //!
 //! let agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test())?;
-//! let server = ActionServer::start(
+//! let server = Server::start(
 //!     agent.policy_snapshot(0),
 //!     ServeConfig {
 //!         max_batch: 8,
@@ -77,15 +79,12 @@ mod replica;
 mod server;
 mod store;
 
-pub use artifact::{
-    ArtifactClient, ArtifactPublisher, ArtifactReplica, ArtifactResponse, ArtifactServer,
-    ArtifactStore, PendingArtifactAction,
-};
+pub use artifact::{ArtifactClient, ArtifactReplica, ArtifactResponse, ArtifactServer};
+pub use replica::ServedReplica;
 pub use server::{
-    ActionResponse, ActionServer, PendingAction, PendingReply, ServeClient, ServeConfig,
-    ServeStats, ShardStats, SnapshotPublisher,
+    ActionResponse, Client, PendingReply, Publisher, ServeConfig, ServeStats, Server, ShardStats,
 };
-pub use store::SnapshotStore;
+pub use store::Store;
 
 use std::error::Error;
 use std::fmt;
@@ -111,6 +110,13 @@ pub enum ServeError {
         /// Id that was offered.
         offered: u64,
     },
+    /// An observation element is NaN or infinite: a fixed-point replica
+    /// would cast it to zero or a rail value and answer as if that had
+    /// been observed.
+    NonFiniteObservation {
+        /// Index of the first offending element.
+        index: usize,
+    },
     /// The server has shut down; the request was not (or will not be)
     /// served.
     Shutdown,
@@ -132,6 +138,9 @@ impl fmt::Display for ServeError {
                 f,
                 "snapshot id {offered} does not advance the served id {current}"
             ),
+            ServeError::NonFiniteObservation { index } => {
+                write!(f, "observation element {index} is NaN or infinite")
+            }
             ServeError::Shutdown => write!(f, "server has shut down"),
             ServeError::Inference(msg) => write!(f, "batched inference failed: {msg}"),
         }

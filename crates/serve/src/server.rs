@@ -1,24 +1,21 @@
-//! The sharded deadline micro-batcher.
+//! The sharded deadline micro-batcher and its front door.
 //!
-//! The batching machinery (`Shared`, `ServerCore`, `batcher_loop`) is
-//! generic over a [`ReplicaStore`](crate::replica::ReplicaStore): the
-//! same queues, deadline logic, and counters serve float-side
-//! [`PolicySnapshot`] replicas (this module's public [`ActionServer`])
-//! and integer-only deployment artifacts (`artifact.rs`'s
-//! `ArtifactServer`).
+//! Everything here is generic over the [`ServedReplica`] being served:
+//! the same queues, deadline logic, counters and handles serve
+//! float-side [`PolicySnapshot`](fixar_rl::PolicySnapshot) replicas and
+//! integer-only deployment artifacts
+//! ([`ArtifactReplica`](crate::ArtifactReplica)).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use fixar_fixed::Scalar;
 use fixar_pool::{oneshot, MpmcQueue, OneShotReceiver, OneShotSender, Parallelism};
-use fixar_rl::PolicySnapshot;
 use fixar_tensor::Matrix;
 
-use crate::replica::{ReplicaStore, ServedReplica};
-use crate::{ServeError, SnapshotStore};
+use crate::replica::ServedReplica;
+use crate::{ServeError, Store};
 
 /// Knobs of the serving front door.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,21 +53,18 @@ impl Default for ServeConfig {
 pub struct ActionResponse {
     /// The policy's action for the submitted observation.
     pub action: Vec<f64>,
-    /// Id of the [`PolicySnapshot`] that produced it — replaying the
-    /// observation against this snapshot reproduces `action` bit-for-
-    /// bit.
+    /// Id of the [`PolicySnapshot`](fixar_rl::PolicySnapshot) that
+    /// produced it — replaying the observation against this snapshot
+    /// reproduces `action` bit-for-bit.
     pub snapshot_id: u64,
     /// Number of requests that shared the micro-batch (diagnostics; has
     /// no effect on the action by the bit-exactness contract).
     pub batch_rows: usize,
 }
 
-/// Response type a store's replicas produce.
-pub(crate) type RespOf<St> = <<St as ReplicaStore>::Replica as ServedReplica>::Response;
-
-pub(crate) struct Request<R> {
+struct Request<Resp> {
     obs: Vec<f64>,
-    reply: OneShotSender<Result<R, ServeError>>,
+    reply: OneShotSender<Result<Resp, ServeError>>,
 }
 
 /// Per-shard counters, updated with relaxed atomics (monotonic event
@@ -106,7 +100,7 @@ pub struct ShardStats {
     pub dropped_replies: u64,
 }
 
-/// Aggregated serving counters, from [`ActionServer::stats`].
+/// Aggregated serving counters, from [`Server::stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Per-shard breakdown, indexed by shard.
@@ -145,34 +139,41 @@ impl ServeStats {
     }
 }
 
-pub(crate) struct Shared<St: ReplicaStore> {
-    pub(crate) store: St,
-    queues: Vec<MpmcQueue<Request<RespOf<St>>>>,
+struct Shared<R: ServedReplica> {
+    store: Store<R>,
+    queues: Vec<MpmcQueue<Request<R::Response>>>,
     counters: Vec<ShardCounters>,
     next_shard: AtomicUsize,
-    pub(crate) state_dim: usize,
-    pub(crate) action_dim: usize,
+    state_dim: usize,
+    action_dim: usize,
 }
 
-/// The replica-agnostic server engine: N sharded request queues, one
+/// The request-driven serving front door: N sharded request queues, one
 /// deadline micro-batcher thread per shard, all serving immutable
-/// replicas loaded from the store once per batch.
+/// replicas ([`PolicySnapshot`](fixar_rl::PolicySnapshot)s,
+/// [`ArtifactReplica`](crate::ArtifactReplica)s, or any other
+/// [`ServedReplica`]) loaded from a [`Store`] once per batch.
 ///
-/// Dropping the core closes every queue (in-flight and already-queued
+/// See the [crate docs](crate) for semantics and an end-to-end example;
+/// `examples/serve_quickstart.rs` drives a live trainer against it.
+///
+/// Dropping the server closes every queue (in-flight and already-queued
 /// requests are still served — graceful drain) and joins the batcher
 /// threads.
-pub(crate) struct ServerCore<St: ReplicaStore> {
-    pub(crate) shared: Arc<Shared<St>>,
+pub struct Server<R: ServedReplica> {
+    shared: Arc<Shared<R>>,
     batchers: Vec<JoinHandle<()>>,
 }
 
-impl<St: ReplicaStore> ServerCore<St> {
-    pub(crate) fn start(
-        store: St,
-        state_dim: usize,
-        action_dim: usize,
-        cfg: ServeConfig,
-    ) -> Result<Self, ServeError> {
+impl<R: ServedReplica> Server<R> {
+    /// Starts the server: spawns one batcher thread per shard, serving
+    /// `initial` until a newer replica is published.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::InvalidConfig`] if `max_batch` or `shards`
+    /// is zero.
+    pub fn start(initial: R, cfg: ServeConfig) -> Result<Self, ServeError> {
         if cfg.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be ≥ 1".into()));
         }
@@ -181,12 +182,12 @@ impl<St: ReplicaStore> ServerCore<St> {
         }
         let par = Parallelism::from_env_or(cfg.workers);
         let shared = Arc::new(Shared {
-            store,
+            state_dim: initial.state_dim(),
+            action_dim: initial.action_dim(),
+            store: Store::new(initial),
             queues: (0..cfg.shards).map(|_| MpmcQueue::new()).collect(),
             counters: (0..cfg.shards).map(|_| ShardCounters::default()).collect(),
             next_shard: AtomicUsize::new(0),
-            state_dim,
-            action_dim,
         });
         let batchers = (0..cfg.shards)
             .map(|shard| {
@@ -202,7 +203,32 @@ impl<St: ReplicaStore> ServerCore<St> {
         Ok(Self { shared, batchers })
     }
 
-    pub(crate) fn stats(&self) -> ServeStats {
+    /// A clonable client handle for submitting observations.
+    pub fn client(&self) -> Client<R> {
+        Client {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// The trainer-side handle for publishing fresher replicas.
+    pub fn publisher(&self) -> Publisher<R> {
+        Publisher {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// Id of the replica the *next* batch will be served from.
+    pub fn current_id(&self) -> u64 {
+        self.shared.store.current_id()
+    }
+
+    /// The replica the *next* batch will be served from.
+    pub fn current(&self) -> Arc<R> {
+        self.shared.store.load()
+    }
+
+    /// Point-in-time serving counters.
+    pub fn stats(&self) -> ServeStats {
         ServeStats {
             shards: self
                 .shared
@@ -221,7 +247,16 @@ impl<St: ReplicaStore> ServerCore<St> {
         }
     }
 
-    pub(crate) fn close_and_join(&mut self) {
+    /// Shuts down gracefully: rejects new submissions, serves every
+    /// already-queued request, joins the batcher threads, and returns
+    /// the final counters. (Dropping the server does the same, minus the
+    /// stats.)
+    pub fn shutdown(mut self) -> ServeStats {
+        self.close_and_join();
+        self.stats()
+    }
+
+    fn close_and_join(&mut self) {
         for q in &self.shared.queues {
             q.close();
         }
@@ -231,43 +266,14 @@ impl<St: ReplicaStore> ServerCore<St> {
     }
 }
 
-impl<St: ReplicaStore> Drop for ServerCore<St> {
+impl<R: ServedReplica> Drop for Server<R> {
     fn drop(&mut self) {
         self.close_and_join();
     }
 }
 
-/// Enqueues an observation (round-robin across shards) and returns a
-/// pending handle — the shared open-loop submission path behind both
-/// client types.
-pub(crate) fn submit_obs<St: ReplicaStore>(
-    shared: &Shared<St>,
-    obs: &[f64],
-) -> Result<PendingReply<RespOf<St>>, ServeError> {
-    if obs.len() != shared.state_dim {
-        return Err(ServeError::WrongDimension {
-            expected: shared.state_dim,
-            got: obs.len(),
-        });
-    }
-    let shards = shared.queues.len();
-    let shard = shared.next_shard.fetch_add(1, Ordering::Relaxed) % shards;
-    let (reply, rx) = oneshot();
-    let request = Request {
-        obs: obs.to_vec(),
-        reply,
-    };
-    if shared.queues[shard].push(request).is_err() {
-        return Err(ServeError::Shutdown);
-    }
-    shared.counters[shard]
-        .requests
-        .fetch_add(1, Ordering::Relaxed);
-    Ok(PendingReply { rx })
-}
-
-fn batcher_loop<St: ReplicaStore>(
-    shared: &Shared<St>,
+fn batcher_loop<R: ServedReplica>(
+    shared: &Shared<R>,
     shard: usize,
     max_batch: usize,
     max_delay: Duration,
@@ -302,7 +308,7 @@ fn batcher_loop<St: ReplicaStore>(
         }
 
         // One batch = one replica: load once, serve every row from it.
-        let replica = shared.store.load_replica();
+        let replica = shared.store.load();
         let mut obs = Matrix::zeros(rows, shared.state_dim);
         for (i, r) in requests.iter().enumerate() {
             obs.row_mut(i).copy_from_slice(&r.obs);
@@ -327,78 +333,16 @@ fn batcher_loop<St: ReplicaStore>(
     }
 }
 
-/// The request-driven serving front door: N sharded request queues, one
-/// deadline micro-batcher thread per shard, all serving immutable
-/// [`PolicySnapshot`] replicas published through an atomic swap.
-///
-/// See the [crate docs](crate) for semantics and an end-to-end example;
-/// `examples/serve_quickstart.rs` drives a live trainer against it.
-///
-/// Dropping the server closes every queue (in-flight and already-queued
-/// requests are still served — graceful drain) and joins the batcher
-/// threads.
-pub struct ActionServer<S: Scalar> {
-    core: ServerCore<SnapshotStore<S>>,
-}
-
-impl<S: Scalar> ActionServer<S> {
-    /// Starts the server: spawns one batcher thread per shard, serving
-    /// `initial` until a newer snapshot is published.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] if `max_batch` or `shards`
-    /// is zero.
-    pub fn start(initial: PolicySnapshot<S>, cfg: ServeConfig) -> Result<Self, ServeError> {
-        let (state_dim, action_dim) = (initial.state_dim(), initial.action_dim());
-        let core = ServerCore::start(SnapshotStore::new(initial), state_dim, action_dim, cfg)?;
-        Ok(Self { core })
-    }
-
-    /// A clonable client handle for submitting observations.
-    pub fn client(&self) -> ServeClient<S> {
-        ServeClient {
-            shared: Arc::clone(&self.core.shared),
-        }
-    }
-
-    /// The trainer-side handle for publishing fresher snapshots.
-    pub fn publisher(&self) -> SnapshotPublisher<S> {
-        SnapshotPublisher {
-            shared: Arc::clone(&self.core.shared),
-        }
-    }
-
-    /// Id of the snapshot the *next* batch will be served from.
-    pub fn current_snapshot_id(&self) -> u64 {
-        self.core.shared.store.current_id()
-    }
-
-    /// Point-in-time serving counters.
-    pub fn stats(&self) -> ServeStats {
-        self.core.stats()
-    }
-
-    /// Shuts down gracefully: rejects new submissions, serves every
-    /// already-queued request, joins the batcher threads, and returns
-    /// the final counters. (Dropping the server does the same, minus the
-    /// stats.)
-    pub fn shutdown(self) -> ServeStats {
-        let mut core = self.core;
-        core.close_and_join();
-        core.stats()
-    }
-}
-
-/// Client handle: submit observations, receive snapshot-stamped actions.
+/// Client handle: submit observations, receive provenance-stamped
+/// actions.
 ///
 /// Cloning is cheap (an `Arc` bump); clones may be moved freely across
 /// client threads.
-pub struct ServeClient<S: Scalar> {
-    shared: Arc<Shared<SnapshotStore<S>>>,
+pub struct Client<R: ServedReplica> {
+    shared: Arc<Shared<R>>,
 }
 
-impl<S: Scalar> Clone for ServeClient<S> {
+impl<R: ServedReplica> Clone for Client<R> {
     fn clone(&self) -> Self {
         Self {
             shared: Arc::clone(&self.shared),
@@ -406,7 +350,7 @@ impl<S: Scalar> Clone for ServeClient<S> {
     }
 }
 
-impl<S: Scalar> ServeClient<S> {
+impl<R: ServedReplica> Client<R> {
     /// Observation dimension the served policy expects.
     pub fn state_dim(&self) -> usize {
         self.shared.state_dim
@@ -418,26 +362,52 @@ impl<S: Scalar> ServeClient<S> {
     }
 
     /// Enqueues an observation (round-robin across shards) and returns
-    /// immediately with a [`PendingAction`] to collect the response
+    /// immediately with a [`PendingReply`] to collect the response
     /// from — the open-loop submission path.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::WrongDimension`] for a mis-sized
-    /// observation, [`ServeError::Shutdown`] if the server has shut
-    /// down.
-    pub fn submit(&self, obs: &[f64]) -> Result<PendingAction, ServeError> {
-        submit_obs(&self.shared, obs)
+    /// observation, [`ServeError::NonFiniteObservation`] for one that
+    /// carries a NaN or an infinity (the fixed-point cast would turn it
+    /// into a valid-looking zero or rail value), and
+    /// [`ServeError::Shutdown`] if the server has shut down. A rejected
+    /// observation is never enqueued or counted.
+    pub fn submit(&self, obs: &[f64]) -> Result<PendingReply<R::Response>, ServeError> {
+        let shared = &*self.shared;
+        if obs.len() != shared.state_dim {
+            return Err(ServeError::WrongDimension {
+                expected: shared.state_dim,
+                got: obs.len(),
+            });
+        }
+        if let Some(index) = obs.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::NonFiniteObservation { index });
+        }
+        let shards = shared.queues.len();
+        let shard = shared.next_shard.fetch_add(1, Ordering::Relaxed) % shards;
+        let (reply, rx) = oneshot();
+        let request = Request {
+            obs: obs.to_vec(),
+            reply,
+        };
+        if shared.queues[shard].push(request).is_err() {
+            return Err(ServeError::Shutdown);
+        }
+        shared.counters[shard]
+            .requests
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(PendingReply { rx })
     }
 
-    /// Blocking convenience wrapper: [`ServeClient::submit`] +
-    /// [`PendingAction::wait`].
+    /// Blocking convenience wrapper: [`Client::submit`] +
+    /// [`PendingReply::wait`].
     ///
     /// # Errors
     ///
-    /// As [`ServeClient::submit`], plus anything the batcher reports
-    /// (e.g. [`ServeError::Inference`]).
-    pub fn request(&self, obs: &[f64]) -> Result<ActionResponse, ServeError> {
+    /// As [`Client::submit`], plus anything the batcher reports (e.g.
+    /// [`ServeError::Inference`]).
+    pub fn request(&self, obs: &[f64]) -> Result<R::Response, ServeError> {
         self.submit(obs)?.wait()
     }
 }
@@ -462,16 +432,13 @@ impl<R> PendingReply<R> {
     }
 }
 
-/// A pending snapshot-served response (see [`PendingReply`]).
-pub type PendingAction = PendingReply<ActionResponse>;
-
-/// Trainer-side handle: publish fresher snapshots without ever blocking
+/// Trainer-side handle: publish fresher replicas without ever blocking
 /// the request path (the swap is O(1) under a lock no inference holds).
-pub struct SnapshotPublisher<S: Scalar> {
-    shared: Arc<Shared<SnapshotStore<S>>>,
+pub struct Publisher<R: ServedReplica> {
+    shared: Arc<Shared<R>>,
 }
 
-impl<S: Scalar> Clone for SnapshotPublisher<S> {
+impl<R: ServedReplica> Clone for Publisher<R> {
     fn clone(&self) -> Self {
         Self {
             shared: Arc::clone(&self.shared),
@@ -479,31 +446,27 @@ impl<S: Scalar> Clone for SnapshotPublisher<S> {
     }
 }
 
-impl<S: Scalar> SnapshotPublisher<S> {
-    /// Atomically swaps in `snapshot` (typically at an episode
-    /// boundary), returning its id. Batches already in flight finish on
-    /// the snapshot they loaded; every later batch serves — and is
-    /// stamped with — the new id.
+impl<R: ServedReplica> Publisher<R> {
+    /// Atomically swaps in `replica` (typically at an episode boundary),
+    /// returning its id. Batches already in flight finish on the replica
+    /// they loaded; every later batch serves — and is stamped with — the
+    /// new one.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::WrongDimension`] if the snapshot's
+    /// Returns [`ServeError::WrongDimension`] if the replica's
     /// dimensions differ from the served policy's, and
     /// [`ServeError::StaleSnapshot`] unless its id strictly increases.
-    pub fn publish(&self, snapshot: PolicySnapshot<S>) -> Result<u64, ServeError> {
-        if snapshot.state_dim() != self.shared.state_dim {
-            return Err(ServeError::WrongDimension {
-                expected: self.shared.state_dim,
-                got: snapshot.state_dim(),
-            });
+    pub fn publish(&self, replica: R) -> Result<u64, ServeError> {
+        for (expected, got) in [
+            (self.shared.state_dim, replica.state_dim()),
+            (self.shared.action_dim, replica.action_dim()),
+        ] {
+            if got != expected {
+                return Err(ServeError::WrongDimension { expected, got });
+            }
         }
-        if snapshot.action_dim() != self.shared.action_dim {
-            return Err(ServeError::WrongDimension {
-                expected: self.shared.action_dim,
-                got: snapshot.action_dim(),
-            });
-        }
-        self.shared.store.publish(snapshot)
+        self.shared.store.publish(replica)
     }
 
     /// Id currently being served (the floor for the next publish).
@@ -529,7 +492,7 @@ mod tests {
     #[test]
     fn serves_and_stamps_snapshot_ids() {
         let a = agent();
-        let server = ActionServer::start(a.policy_snapshot(0), ServeConfig::default()).unwrap();
+        let server = Server::start(a.policy_snapshot(0), ServeConfig::default()).unwrap();
         let client = server.client();
         let snap = a.policy_snapshot(0);
         for i in 0..32 {
@@ -548,7 +511,7 @@ mod tests {
     fn rejects_bad_configs_and_bad_dimensions() {
         let a = agent();
         assert!(matches!(
-            ActionServer::start(
+            Server::start(
                 a.policy_snapshot(0),
                 ServeConfig {
                     max_batch: 0,
@@ -557,7 +520,7 @@ mod tests {
             ),
             Err(ServeError::InvalidConfig(_))
         ));
-        let server = ActionServer::start(a.policy_snapshot(0), ServeConfig::default()).unwrap();
+        let server = Server::start(a.policy_snapshot(0), ServeConfig::default()).unwrap();
         assert!(matches!(
             server.client().request(&[1.0]),
             Err(ServeError::WrongDimension {
@@ -568,12 +531,35 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_observations_are_rejected_before_the_queue() {
+        // `Fx32::from_f64` maps NaN to 0 and ±∞ to the rails, and an
+        // `f32` snapshot answers NaN: either way a valid-looking reply
+        // to a request that carried no observation.
+        let fx = Server::start(agent().policy_snapshot(0), ServeConfig::default()).unwrap();
+        let float = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test()).unwrap();
+        let fl = Server::start(float.policy_snapshot(0), ServeConfig::default()).unwrap();
+        for (index, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            let mut o = obs(0);
+            o[index] = bad;
+            let want = Err(ServeError::NonFiniteObservation { index });
+            assert_eq!(fx.client().request(&o), want);
+            assert_eq!(fl.client().request(&o), want);
+        }
+        fx.client().request(&obs(0)).unwrap();
+        assert_eq!(fx.shutdown().requests(), 1);
+        assert_eq!(fl.shutdown().requests(), 0);
+    }
+
+    #[test]
     fn publish_swaps_ids_and_rejects_stale_ones() {
         let a = agent();
-        let server = ActionServer::start(a.policy_snapshot(3), ServeConfig::default()).unwrap();
+        let server = Server::start(a.policy_snapshot(3), ServeConfig::default()).unwrap();
         let publisher = server.publisher();
         assert_eq!(publisher.publish(a.policy_snapshot(4)).unwrap(), 4);
-        assert_eq!(server.current_snapshot_id(), 4);
+        assert_eq!(server.current_id(), 4);
         assert!(matches!(
             publisher.publish(a.policy_snapshot(4)),
             Err(ServeError::StaleSnapshot {
@@ -588,7 +574,7 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_requests_then_rejects_new_ones() {
         let a = agent();
-        let server = ActionServer::start(
+        let server = Server::start(
             a.policy_snapshot(0),
             ServeConfig {
                 shards: 2,
@@ -609,7 +595,7 @@ mod tests {
     #[test]
     fn concurrent_clients_all_get_correct_rows() {
         let a = agent();
-        let server = ActionServer::start(
+        let server = Server::start(
             a.policy_snapshot(0),
             ServeConfig {
                 shards: 2,

@@ -1,31 +1,29 @@
-//! Atomic-swap snapshot publication — the double-buffer pattern with an
+//! Atomic-swap replica publication — the double-buffer pattern with an
 //! id attached.
 
 use std::sync::{Arc, Mutex};
 
-use fixar_fixed::Scalar;
-use fixar_rl::PolicySnapshot;
-
+use crate::replica::ServedReplica;
 use crate::ServeError;
 
-/// Holds the snapshot currently being served, swapped atomically on
+/// Holds the replica currently being served, swapped atomically on
 /// publish.
 ///
 /// The slot is a `Mutex<Arc<_>>` held only for the pointer clone/swap —
 /// O(1), never across an inference — so the trainer publishing a new
-/// snapshot never blocks a batcher mid-batch, and a batcher loading the
-/// snapshot never blocks the trainer. Batchers that already loaded the
+/// replica never blocks a batcher mid-batch, and a batcher loading the
+/// replica never blocks the trainer. Batchers that already loaded the
 /// old `Arc` finish their in-flight batch on it (one batch = one
-/// snapshot id); the next batch sees the new one.
+/// replica id); the next batch sees the new one.
 ///
 /// # Example
 ///
 /// ```
 /// use fixar_rl::{Ddpg, DdpgConfig};
-/// use fixar_serve::SnapshotStore;
+/// use fixar_serve::Store;
 ///
 /// let agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-/// let store = SnapshotStore::new(agent.policy_snapshot(0));
+/// let store = Store::new(agent.policy_snapshot(0));
 /// assert_eq!(store.load().id(), 0);
 /// store.publish(agent.policy_snapshot(1)).unwrap();
 /// assert_eq!(store.load().id(), 1);
@@ -33,47 +31,47 @@ use crate::ServeError;
 /// assert!(store.publish(agent.policy_snapshot(1)).is_err());
 /// ```
 #[derive(Debug)]
-pub struct SnapshotStore<S: Scalar> {
-    slot: Mutex<Arc<PolicySnapshot<S>>>,
+pub struct Store<R> {
+    slot: Mutex<Arc<R>>,
 }
 
-impl<S: Scalar> SnapshotStore<S> {
+impl<R: ServedReplica> Store<R> {
     /// Creates a store serving `initial`.
-    pub fn new(initial: PolicySnapshot<S>) -> Self {
+    pub fn new(initial: R) -> Self {
         Self {
             slot: Mutex::new(Arc::new(initial)),
         }
     }
 
-    /// The snapshot to serve the *next* batch from. The returned `Arc`
+    /// The replica to serve the *next* batch from. The returned `Arc`
     /// stays valid (and immutable) for as long as the caller holds it,
     /// even across later publishes.
-    pub fn load(&self) -> Arc<PolicySnapshot<S>> {
-        Arc::clone(&self.slot.lock().expect("snapshot slot"))
+    pub fn load(&self) -> Arc<R> {
+        Arc::clone(&self.slot.lock().expect("replica slot"))
     }
 
-    /// Id of the snapshot currently being served.
+    /// Id of the replica currently being served.
     pub fn current_id(&self) -> u64 {
-        self.slot.lock().expect("snapshot slot").id()
+        self.slot.lock().expect("replica slot").id()
     }
 
-    /// Atomically swaps in `snapshot`, returning its id.
+    /// Atomically swaps in `replica`, returning its id.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::StaleSnapshot`] unless the id strictly
     /// exceeds the served one — publication order is the id order, which
     /// is what makes "replay against the recorded id" well defined.
-    pub fn publish(&self, snapshot: PolicySnapshot<S>) -> Result<u64, ServeError> {
-        let mut slot = self.slot.lock().expect("snapshot slot");
-        if snapshot.id() <= slot.id() {
+    pub fn publish(&self, replica: R) -> Result<u64, ServeError> {
+        let mut slot = self.slot.lock().expect("replica slot");
+        if replica.id() <= slot.id() {
             return Err(ServeError::StaleSnapshot {
                 current: slot.id(),
-                offered: snapshot.id(),
+                offered: replica.id(),
             });
         }
-        let id = snapshot.id();
-        *slot = Arc::new(snapshot);
+        let id = replica.id();
+        *slot = Arc::new(replica);
         Ok(id)
     }
 }
@@ -86,7 +84,7 @@ mod tests {
     #[test]
     fn publish_enforces_monotone_ids_and_old_arcs_survive() {
         let agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        let store = SnapshotStore::new(agent.policy_snapshot(5));
+        let store = Store::new(agent.policy_snapshot(5));
         let held = store.load();
         assert_eq!(store.publish(agent.policy_snapshot(9)).unwrap(), 9);
         assert_eq!(store.current_id(), 9);

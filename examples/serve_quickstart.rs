@@ -3,7 +3,7 @@
 //!
 //! A trainer improves a Pendulum policy in short chunks; after every
 //! chunk it publishes an immutable snapshot of the actor to the
-//! [`ActionServer`]. Meanwhile client threads stream observations at
+//! [`Server`]. Meanwhile client threads stream observations at
 //! the server; the per-shard batchers coalesce them into micro-batches
 //! (flush on `max_batch` or `max_delay`, whichever comes first) and
 //! every response is stamped with the id of the snapshot that served
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = DdpgConfig::small_test().with_seed(11);
     let pool = EnvPool::from_kind(EnvKind::Pendulum, 1, 1);
     let mut trainer = Trainer::<Fx32>::new(pool, EnvKind::Pendulum.make(2), cfg)?;
-    let server = ActionServer::start(
+    let server = Server::start(
         trainer.agent().policy_snapshot(0),
         ServeConfig {
             max_batch: 16,

@@ -5,22 +5,23 @@
 //! ```
 //!
 //! Trains a TD3 agent (twin critics, delayed policy updates, target
-//! smoothing) on Pendulum in 32-bit fixed-point, sharing every numeric
-//! kernel with the DDPG pipeline — the accelerator primitives are
-//! algorithm-agnostic, which is the point of this example.
+//! smoothing) on Pendulum in 32-bit fixed-point. TD3 is the DDPG agent
+//! with [`DdpgConfig::td3`] set, so it shares every numeric kernel —
+//! and the update itself — with the DDPG pipeline: the accelerator
+//! primitives are algorithm-agnostic, which is the point of this
+//! example.
 
 use fixar_repro::prelude::*;
-use fixar_rl::{Td3, Td3Config};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), RlError> {
-    let mut cfg = Td3Config::small_test();
+    let mut cfg = DdpgConfig::small_test().with_td3(Td3Config::default());
     cfg.hidden = (64, 48);
     cfg.actor_lr = 1e-3;
     cfg.critic_lr = 1e-3;
 
-    let mut agent = Td3::<Fx32>::new(3, 1, cfg)?;
+    let mut agent = Ddpg::<Fx32>::new(3, 1, cfg)?;
     let mut env = fixar_env::Pendulum::new(1);
     let mut eval_env = fixar_env::Pendulum::new(99);
     let mut replay = ReplayBuffer::new(20_000);
@@ -80,8 +81,8 @@ fn main() -> Result<(), RlError> {
                 "  step {:>5}: avg eval reward {:>8.1}  (critic updates: {}, actor updates: {})",
                 step,
                 total / 3.0,
-                agent.critic_updates(),
-                agent.critic_updates() / 2
+                agent.train_steps(),
+                agent.train_steps() / 2
             );
         }
     }

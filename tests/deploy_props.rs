@@ -97,10 +97,17 @@ fn arms() -> Vec<(&'static str, PrecisionPolicy, PrecisionPolicy)> {
     ]
 }
 
-/// Trains a DDPG agent through its QAT freeze and snapshots it.
-fn frozen_ddpg(actor: PrecisionPolicy, critic: PrecisionPolicy, seed: u64) -> PolicySnapshot<Fx32> {
+/// Trains an agent (DDPG, or TD3 when `td3` is set) through its QAT
+/// freeze and snapshots it.
+fn frozen_agent(
+    td3: Option<Td3Config>,
+    actor: PrecisionPolicy,
+    critic: PrecisionPolicy,
+    seed: u64,
+) -> PolicySnapshot<Fx32> {
     let cfg = DdpgConfig {
         seed,
+        td3,
         ..DdpgConfig::small_test()
     }
     .with_qat_policies(4, actor, critic);
@@ -111,25 +118,12 @@ fn frozen_ddpg(actor: PrecisionPolicy, critic: PrecisionPolicy, seed: u64) -> Po
         agent.train_minibatch(&batch).unwrap();
         agent.on_timestep(t).unwrap();
     }
-    assert!(agent.qat_frozen(), "DDPG QAT schedule must have fired");
+    assert!(agent.qat_frozen(), "QAT schedule must have fired");
     agent.policy_snapshot(seed)
 }
 
-/// Trains a TD3 agent through its QAT freeze and snapshots it.
-fn frozen_td3(actor: PrecisionPolicy, critic: PrecisionPolicy, seed: u64) -> PolicySnapshot<Fx32> {
-    let cfg = Td3Config {
-        seed,
-        ..Td3Config::small_test()
-    }
-    .with_qat_policies(2, actor, critic);
-    let mut agent = Td3::<Fx32>::new(STATE_DIM, ACTION_DIM, cfg).unwrap();
-    let batch = synthetic_batch(16);
-    for t in 0..6u64 {
-        agent.train_minibatch(&batch).unwrap();
-        agent.on_timestep(t).unwrap();
-    }
-    assert!(agent.qat_frozen(), "TD3 QAT schedule must have fired");
-    agent.policy_snapshot(seed)
+fn frozen_ddpg(actor: PrecisionPolicy, critic: PrecisionPolicy, seed: u64) -> PolicySnapshot<Fx32> {
+    frozen_agent(None, actor, critic, seed)
 }
 
 /// Shared fixtures for the randomized suites: one frozen snapshot +
@@ -143,7 +137,7 @@ fn fixtures() -> &'static Vec<(String, PolicySnapshot<Fx32>, PolicyArtifact)> {
             let snap = frozen_ddpg(actor.clone(), critic.clone(), 1);
             let art = snap.export_artifact().unwrap();
             out.push((format!("ddpg/{name}"), snap, art));
-            let snap = frozen_td3(actor, critic, 1);
+            let snap = frozen_agent(Some(Td3Config::default()), actor, critic, 1);
             let art = snap.export_artifact().unwrap();
             out.push((format!("td3/{name}"), snap, art));
         }

@@ -166,6 +166,7 @@ impl<S: Scalar> ScalarOracle<S> {
 fn assert_agents_bit_identical<S: Scalar>(a: &Ddpg<S>, b: &Ddpg<S>, what: &str) {
     assert_eq!(a.actor(), b.actor(), "{what}: actor weights");
     assert_eq!(a.critic(), b.critic(), "{what}: critic weights");
+    assert_eq!(a.critic_twin(), b.critic_twin(), "{what}: twin critic");
     assert_eq!(a.train_steps(), b.train_steps(), "{what}: train steps");
 }
 
@@ -213,13 +214,22 @@ fn fleet_of_one_reproduces_scalar_trainer_bit_for_bit() {
 }
 
 /// Pillar 1 under the QAT schedule: calibration, the freeze switch, and
-/// quantized inference/training all agree between the two drivers.
+/// quantized inference/training all agree between the two drivers —
+/// for DDPG and for TD3, which the `Trainer` drives because the config
+/// says so (twin critics, smoothing-noise stream, delayed actor, six
+/// runtimes freezing).
 #[test]
 fn fleet_of_one_matches_scalar_under_qat() {
-    let cfg = DdpgConfig::small_test().with_seed(5).with_qat(80, 16);
-    let (report, fleet) = assert_fleet_of_one_matches_oracle::<Fx32>(cfg, &[(160, 80, 1)]);
-    assert_eq!(report.qat_switch_step, Some(80), "schedule must fire");
-    assert!(fleet.agent().qat_frozen());
+    let ddpg = DdpgConfig::small_test().with_seed(5).with_qat(80, 16);
+    let td3 = ddpg.clone().with_td3(Td3Config::default());
+    for cfg in [ddpg, td3] {
+        let twin = cfg.td3.is_some();
+        let (report, fleet) = assert_fleet_of_one_matches_oracle::<Fx32>(cfg, &[(160, 80, 1)]);
+        assert_eq!(report.qat_switch_step, Some(80), "schedule must fire");
+        assert!(fleet.agent().qat_frozen());
+        assert_eq!(fleet.agent().critic_twin().is_some(), twin);
+        assert_eq!(fleet.agent().train_steps(), 160 - 64, "one update per step");
+    }
 }
 
 /// Pillar 1 under prioritized replay: sum-tree inserts, priority-stream

@@ -9,7 +9,7 @@
 //!    included, at every `FIXAR_WORKERS` setting (CI sweeps 1/2/8 over
 //!    this file).
 //! 2. A mixed-precision agent (8-bit actor, 16-bit critics) trains,
-//!    freezes, and serves through the real [`ActionServer`]; every
+//!    freezes, and serves through the real [`Server`]; every
 //!    served action replays bit-identically offline against the frozen
 //!    snapshot, whose per-point formats are inspectable.
 //! 3. Cross-worker range merging ([`QatRuntime::merge_from`]) rejects
@@ -131,7 +131,7 @@ fn uniform_policy_fleet_runs_reproduce_legacy_at_every_fleet_size() {
 /// Serves `n` requests from 2 concurrent clients and replays every
 /// response offline against `snap`, asserting bit equality.
 fn serve_and_replay(snap: &PolicySnapshot<Fx32>, id: u64, n: usize, what: &str) {
-    let server = ActionServer::start(
+    let server = Server::start(
         snap.clone(),
         ServeConfig {
             max_batch: 8,
@@ -174,7 +174,7 @@ fn serve_and_replay(snap: &PolicySnapshot<Fx32>, id: u64, n: usize, what: &str) 
 /// Pillar 2: a mixed-precision DDPG agent (8-bit actor, 16-bit critic)
 /// trains, freezes at its per-network widths, exposes its per-point
 /// formats on the frozen snapshot, and serves through the real
-/// `ActionServer` with bit-exact offline replay.
+/// `Server` with bit-exact offline replay.
 #[test]
 fn mixed_precision_agent_trains_freezes_and_serves_bit_exactly() {
     let cfg = DdpgConfig {
@@ -214,12 +214,11 @@ fn mixed_precision_agent_trains_freezes_and_serves_bit_exactly() {
 /// freezes all six runtimes and its snapshot serves bit-exactly too.
 #[test]
 fn td3_mixed_precision_snapshot_serves_and_replays_bit_exactly() {
-    let cfg = Td3Config {
-        seed: 6,
-        ..Td3Config::small_test()
-    }
-    .with_mixed_precision_qat(2, 8, 16);
-    let mut a = Td3::<Fx32>::new(STATE_DIM, ACTION_DIM, cfg).unwrap();
+    let cfg = DdpgConfig::small_test()
+        .with_seed(6)
+        .with_td3(Td3Config::default())
+        .with_mixed_precision_qat(2, 8, 16);
+    let mut a = Ddpg::<Fx32>::new(STATE_DIM, ACTION_DIM, cfg).unwrap();
     let data = toy_batch(16);
     let refs: Vec<&Transition> = data.iter().collect();
     let batch = TransitionBatch::from_transitions(&refs).unwrap();

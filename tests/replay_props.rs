@@ -28,7 +28,7 @@ use fixar_bench::legacy_replay::{
 };
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
-use fixar_rl::{PrioritizedConfig, ReplaySampler, ReplayStrategy, Td3, Td3Config, TransitionBatch};
+use fixar_rl::{PrioritizedConfig, ReplaySampler, ReplayStrategy, TransitionBatch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -230,48 +230,34 @@ fn unit_weights_are_bit_exact_and_real_weights_bite() {
     let ones = vec![1.0; batch.len()];
     let skewed: Vec<f64> = (0..batch.len()).map(|i| 1.0 / (1.0 + i as f64)).collect();
 
-    // DDPG.
-    let mut plain = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-    let mut weighted = plain.clone();
-    let mut skewed_agent = plain.clone();
-    for _ in 0..3 {
-        let m = plain.train_minibatch(&batch).unwrap();
-        let (mw, tds) = weighted
-            .train_minibatch_weighted(&batch, Some(&ones))
-            .unwrap();
-        assert_eq!(m, mw, "DDPG: unit weights must not re-round");
-        assert_eq!(tds.len(), batch.len());
-        assert!(tds.iter().all(|t| t.is_finite()));
-        skewed_agent
-            .train_minibatch_weighted(&batch, Some(&skewed))
-            .unwrap();
+    // DDPG, and TD3 (twin critics; four updates fire the delayed actor
+    // update twice).
+    let td3 = DdpgConfig::small_test().with_td3(Td3Config::default());
+    for (name, cfg) in [("DDPG", DdpgConfig::small_test()), ("TD3", td3)] {
+        let mut plain = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
+        let mut weighted = plain.clone();
+        let mut skewed_agent = plain.clone();
+        for _ in 0..4 {
+            let m = plain.train_minibatch(&batch).unwrap();
+            let (mw, tds) = weighted
+                .train_minibatch_weighted(&batch, Some(&ones))
+                .unwrap();
+            assert_eq!(m, mw, "{name}: unit weights must not re-round");
+            assert_eq!(tds.len(), batch.len());
+            assert!(tds.iter().all(|t| t.is_finite()));
+            skewed_agent
+                .train_minibatch_weighted(&batch, Some(&skewed))
+                .unwrap();
+        }
+        assert_eq!(plain.actor(), weighted.actor());
+        assert_eq!(plain.critic(), weighted.critic());
+        assert_eq!(plain.critic_twin(), weighted.critic_twin());
+        assert_ne!(
+            plain.critic(),
+            skewed_agent.critic(),
+            "{name}: non-uniform weights must change the critic"
+        );
     }
-    assert_eq!(plain.actor(), weighted.actor());
-    assert_eq!(plain.critic(), weighted.critic());
-    assert_ne!(
-        plain.critic(),
-        skewed_agent.critic(),
-        "DDPG: non-uniform weights must change the critic"
-    );
-
-    // TD3 (twin critics, delayed actor).
-    let mut plain = Td3::<Fx32>::new(3, 1, Td3Config::small_test()).unwrap();
-    let mut weighted = plain.clone();
-    let mut skewed_agent = plain.clone();
-    for _ in 0..4 {
-        let m = plain.train_minibatch(&batch).unwrap();
-        let (mw, tds) = weighted
-            .train_minibatch_weighted(&batch, Some(&ones))
-            .unwrap();
-        assert_eq!(m, mw, "TD3: unit weights must not re-round");
-        assert_eq!(tds.len(), batch.len());
-        skewed_agent
-            .train_minibatch_weighted(&batch, Some(&skewed))
-            .unwrap();
-    }
-    assert_eq!(plain.actor(), weighted.actor());
-    assert_eq!(plain.critics(), weighted.critics());
-    assert_ne!(plain.critics().0, skewed_agent.critics().0);
 }
 
 /// Pillar 4 through the trainer: prioritized runs are deterministic

@@ -4,11 +4,11 @@
 //!
 //! Two pillars, mirroring `tests/fleet_props.rs`:
 //!
-//! 1. **Fused ≡ sequential** — the fused-scope training updates (TD3's
-//!    twin critics under single-join scopes, DDPG's fused target/critic
-//!    forwards, the per-layer fused backward everywhere) are
-//!    bit-identical to the per-sample sequential reference, down to raw
-//!    `Fx32` weights, at workers {1, 2, 8}.
+//! 1. **Fused ≡ sequential** — the one fused-scope training update
+//!    (phase 1 `[actor target] ∪ [critics]`, phase 2 `[critic targets]`,
+//!    one fused backward group — a group of one critic for DDPG, of the
+//!    twins for TD3) is bit-identical to the per-sample sequential
+//!    reference, down to raw `Fx32` weights, at workers {1, 2, 8}.
 //! 2. **Model/software agreement** — the accelerator's fused-schedule
 //!    accounting runs exactly the summed MAC work of the passes it
 //!    fuses, mirroring the software contract that fusing never changes
@@ -18,7 +18,7 @@ use fixar_accel::BatchedInferenceSchedule;
 use fixar_nn::{forward_batch, ForwardPass};
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
-use fixar_rl::{Td3, Td3Config, Transition, TransitionBatch};
+use fixar_rl::{Transition, TransitionBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,49 +37,18 @@ fn toy_batch(seed: u64, n: usize) -> Vec<Transition> {
         .collect()
 }
 
-/// Pillar 1, TD3 (the acceptance criterion): the fused twin-critic
-/// minibatch step — fused target forwards, fused regression forwards,
-/// fused twin backward — equals the per-sample sequential reference
-/// bit-for-bit at workers {1, 2, 8}, across enough updates to fire the
-/// delayed actor update twice.
-#[test]
-fn fused_td3_twin_critic_step_is_bit_exact_at_workers_1_2_8() {
-    let data = toy_batch(3, 20);
-    let refs: Vec<&Transition> = data.iter().collect();
-    let batch = TransitionBatch::from_transitions(&refs).unwrap();
-
-    let mut reference = Td3::<Fx32>::new(3, 1, Td3Config::small_test()).unwrap();
-    let mut fused: Vec<Td3<Fx32>> = [1usize, 2, 8]
-        .iter()
-        .map(|&w| {
-            let mut agent = reference.clone();
-            agent.set_parallelism(Parallelism::with_workers(w));
-            agent
-        })
-        .collect();
-    for step in 0..4 {
-        let m_ref = reference.train_batch(&refs).unwrap();
-        for agent in fused.iter_mut() {
-            let m = agent.train_minibatch(&batch).unwrap();
-            assert_eq!(m_ref, m, "metrics diverged at step {step}");
-        }
-    }
-    for agent in &fused {
-        assert_eq!(reference.actor(), agent.actor(), "actor weights");
-        assert_eq!(reference.critics(), agent.critics(), "twin critic weights");
-    }
+fn td3_config() -> DdpgConfig {
+    DdpgConfig::small_test().with_td3(Td3Config::default())
 }
 
-/// Pillar 1, DDPG: the fused target-actor/online-critic forward phase
-/// keeps `train_minibatch` bit-identical to the per-sample reference at
-/// workers {1, 2, 8}.
-#[test]
-fn fused_ddpg_step_is_bit_exact_at_workers_1_2_8() {
-    let data = toy_batch(5, 24);
+/// Pillar 1: the fused minibatch step equals the per-sample sequential
+/// reference bit-for-bit at workers {1, 2, 8}, across enough updates to
+/// fire TD3's delayed actor update twice.
+fn fused_step_is_bit_exact(cfg: DdpgConfig, data: &[Transition]) {
     let refs: Vec<&Transition> = data.iter().collect();
     let batch = TransitionBatch::from_transitions(&refs).unwrap();
 
-    let mut reference = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
+    let mut reference = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
     let mut fused: Vec<Ddpg<Fx32>> = [1usize, 2, 8]
         .iter()
         .map(|&w| {
@@ -96,9 +65,24 @@ fn fused_ddpg_step_is_bit_exact_at_workers_1_2_8() {
         }
     }
     for agent in &fused {
-        assert_eq!(reference.actor(), agent.actor());
-        assert_eq!(reference.critic(), agent.critic());
+        assert_eq!(reference.actor(), agent.actor(), "actor weights");
+        assert_eq!(reference.critic(), agent.critic(), "critic weights");
+        assert_eq!(reference.critic_twin(), agent.critic_twin(), "twin weights");
     }
+}
+
+/// Pillar 1, TD3 (the acceptance criterion): fused phase-1 forwards
+/// (target actor + both critics), fused twin target forwards, fused
+/// twin backward.
+#[test]
+fn fused_td3_twin_critic_step_is_bit_exact_at_workers_1_2_8() {
+    fused_step_is_bit_exact(td3_config(), &toy_batch(3, 20));
+}
+
+/// Pillar 1, DDPG: the fused target-actor/online-critic forward phase.
+#[test]
+fn fused_ddpg_step_is_bit_exact_at_workers_1_2_8() {
+    fused_step_is_bit_exact(DdpgConfig::small_test(), &toy_batch(5, 24));
 }
 
 /// Pillar 2: the accelerator's fused-schedule accounting and the
@@ -107,8 +91,8 @@ fn fused_ddpg_step_is_bit_exact_at_workers_1_2_8() {
 /// schedules.
 #[test]
 fn fused_schedule_accounting_agrees_with_software_fused_forward() {
-    let td3 = Td3::<Fx32>::new(3, 1, Td3Config::small_test()).unwrap();
-    let (c1, c2) = td3.critics();
+    let td3 = Ddpg::<Fx32>::new(3, 1, td3_config()).unwrap();
+    let (c1, c2) = (td3.critic(), td3.critic_twin().unwrap());
     let x = fixar_tensor::Matrix::<f64>::from_fn(16, 4, |b, i| {
         ((b * 5 + i * 3) % 13) as f64 * 0.21 - 1.2
     })

@@ -15,6 +15,7 @@
 //! compares raw bits.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -41,7 +42,7 @@ fn obs(i: usize) -> Vec<f64> {
 /// Serves `n` requests from `clients` concurrent client threads and
 /// returns every (observation, response) pair.
 fn serve_all(
-    server: &ActionServer<Fx32>,
+    server: &Server<PolicySnapshot<Fx32>>,
     n: usize,
     clients: usize,
 ) -> Vec<(Vec<f64>, ActionResponse)> {
@@ -103,7 +104,7 @@ fn served_trajectory_is_bit_equal_to_offline_replay_at_every_shard_count() {
     let mut snapshots = HashMap::new();
     snapshots.insert(0, a.policy_snapshot(0));
     for shards in [1usize, 2, 4] {
-        let server = ActionServer::start(
+        let server = Server::start(
             a.policy_snapshot(0),
             ServeConfig {
                 max_batch: 8,
@@ -136,7 +137,7 @@ fn served_actions_are_identical_across_worker_counts_and_batch_knobs() {
         (2, 32, 1_000),
         (4, 4, 0),
     ] {
-        let server = ActionServer::start(
+        let server = Server::start(
             a.policy_snapshot(0),
             ServeConfig {
                 max_batch,
@@ -180,7 +181,7 @@ fn mid_run_snapshot_swap_replays_against_the_recorded_ids() {
     );
 
     for shards in [1usize, 2, 4] {
-        let server = ActionServer::start(
+        let server = Server::start(
             a0.policy_snapshot(0),
             ServeConfig {
                 max_batch: 4,
@@ -249,7 +250,7 @@ fn qat_frozen_actor_serves_and_replays_bit_identically() {
     snapshots.insert(9, frozen.clone());
 
     for shards in [1usize, 2, 4] {
-        let server = ActionServer::start(
+        let server = Server::start(
             frozen.clone(),
             ServeConfig {
                 max_batch: 8,
@@ -273,7 +274,7 @@ fn qat_frozen_actor_serves_and_replays_bit_identically() {
 #[test]
 fn stats_account_for_every_request() {
     let a = agent(2);
-    let server = ActionServer::start(
+    let server = Server::start(
         a.policy_snapshot(0),
         ServeConfig {
             max_batch: 8,
@@ -300,4 +301,64 @@ fn stats_account_for_every_request() {
     for (_, resp) in &served {
         assert!(resp.batch_rows >= 1 && resp.batch_rows <= 8);
     }
+}
+
+/// A replica whose second batch fails — nothing else about it is real.
+struct FailsSecondBatch(AtomicUsize);
+
+impl ServedReplica for FailsSecondBatch {
+    type Response = Vec<f64>;
+    fn id(&self) -> u64 {
+        0
+    }
+    fn state_dim(&self) -> usize {
+        1
+    }
+    fn action_dim(&self) -> usize {
+        1
+    }
+    fn serve_batch(
+        &self,
+        obs: &fixar_tensor::Matrix<f64>,
+        _: &Parallelism,
+    ) -> Result<fixar_tensor::Matrix<f64>, ServeError> {
+        match self.0.fetch_add(1, Ordering::SeqCst) {
+            1 => Err(ServeError::Inference("injected".into())),
+            _ => Ok(obs.clone()),
+        }
+    }
+    fn respond(&self, action: Vec<f64>, _: usize) -> Vec<f64> {
+        action
+    }
+}
+
+/// Fault injection at the batcher: a failing batch fails exactly its own
+/// pending replies, each with the replica's error, and the shard serves
+/// the next batch. Batches are cut by count (`max_batch` 2, a deadline
+/// no run reaches), so which requests share the failing one is fixed.
+#[test]
+fn failed_batch_fails_only_its_own_replies_and_the_shard_keeps_serving() {
+    let server = Server::start(
+        FailsSecondBatch(AtomicUsize::new(0)),
+        ServeConfig {
+            max_batch: 2,
+            max_delay: Duration::from_secs(30),
+            shards: 1,
+            workers: 1,
+        },
+    )
+    .unwrap();
+    let client = server.client();
+    let batch = |base: f64| {
+        let pending = [base, base + 1.0].map(|v| client.submit(&[v]).unwrap());
+        pending.map(|p| p.wait())
+    };
+    assert_eq!(batch(0.0), [Ok(vec![0.0]), Ok(vec![1.0])]);
+    let injected = Err(ServeError::Inference("injected".into()));
+    assert_eq!(batch(2.0), [injected.clone(), injected]);
+    assert_eq!(batch(4.0), [Ok(vec![4.0]), Ok(vec![5.0])]);
+    let stats = server.shutdown();
+    assert_eq!((stats.requests(), stats.batches()), (6, 3));
+    assert_eq!(stats.shards[0].full_flushes, 3);
+    assert_eq!(stats.shards[0].dropped_replies, 0);
 }

@@ -195,7 +195,7 @@ proptest! {
         seed in 0u64..1000,
         batch_size in 2usize..14,
     ) {
-        use fixar_rl::{Td3, Td3Config, TransitionBatch};
+        use fixar_rl::TransitionBatch;
         use fixar_tensor::Parallelism;
         let data: Vec<Transition> = (0..batch_size)
             .map(|i| {
@@ -212,51 +212,31 @@ proptest! {
         let refs: Vec<&Transition> = data.iter().collect();
         let batch = TransitionBatch::from_transitions(&refs).unwrap();
 
-        // DDPG: per-sample reference vs minibatch at workers 1..=4.
-        let cfg = DdpgConfig::small_test().with_seed(seed);
-        let mut reference = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
-        let mut agents: Vec<Ddpg<Fx32>> = (1usize..=4)
-            .map(|w| {
-                let mut a = reference.clone();
-                a.set_parallelism(Parallelism::with_workers(w));
-                a
-            })
-            .collect();
-        for _ in 0..2 {
-            let m_ref = reference.train_batch(&refs).unwrap();
-            for a in agents.iter_mut() {
-                prop_assert_eq!(m_ref, a.train_minibatch(&batch).unwrap());
+        // Per-sample reference vs minibatch at workers 1..=4, for DDPG
+        // and for TD3 (twin critics, shared smoothing-noise stream; the
+        // second update fires the delayed actor update).
+        let ddpg = DdpgConfig::small_test().with_seed(seed);
+        let td3 = ddpg.clone().with_td3(Td3Config::default());
+        for cfg in [ddpg, td3] {
+            let mut reference = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
+            let mut agents: Vec<Ddpg<Fx32>> = (1usize..=4)
+                .map(|w| {
+                    let mut a = reference.clone();
+                    a.set_parallelism(Parallelism::with_workers(w));
+                    a
+                })
+                .collect();
+            for _ in 0..2 {
+                let m_ref = reference.train_batch(&refs).unwrap();
+                for a in agents.iter_mut() {
+                    prop_assert_eq!(m_ref, a.train_minibatch(&batch).unwrap());
+                }
             }
-        }
-        for a in &agents {
-            for l in 0..reference.actor().num_layers() {
-                prop_assert_eq!(reference.actor().weight(l), a.actor().weight(l));
-                prop_assert_eq!(reference.critic().weight(l), a.critic().weight(l));
-                prop_assert_eq!(reference.actor().bias(l), a.actor().bias(l));
-                prop_assert_eq!(reference.critic().bias(l), a.critic().bias(l));
+            for a in &agents {
+                prop_assert_eq!(reference.actor(), a.actor());
+                prop_assert_eq!(reference.critic(), a.critic());
+                prop_assert_eq!(reference.critic_twin(), a.critic_twin());
             }
-        }
-
-        // TD3: twin critics, delayed policy, shared RNG stream.
-        let tcfg = Td3Config { seed, ..Td3Config::small_test() };
-        let mut treference = Td3::<Fx32>::new(3, 1, tcfg).unwrap();
-        let mut tagents: Vec<Td3<Fx32>> = (1usize..=4)
-            .map(|w| {
-                let mut a = treference.clone();
-                a.set_parallelism(Parallelism::with_workers(w));
-                a
-            })
-            .collect();
-        // Two updates: the second fires the delayed actor update.
-        for _ in 0..2 {
-            let m_ref = treference.train_batch(&refs).unwrap();
-            for a in tagents.iter_mut() {
-                prop_assert_eq!(m_ref, a.train_minibatch(&batch).unwrap());
-            }
-        }
-        for a in &tagents {
-            prop_assert_eq!(treference.actor(), a.actor());
-            prop_assert_eq!(treference.critics(), a.critics());
         }
     }
 }
