@@ -8,17 +8,27 @@
 //! The batched arms run the one entry each operation has
 //! (`WeightPack::gemv_batch` / `gemv_t_batch`, `Matrix::add_outer_batch`)
 //! inside `Parallelism::fused`, asserted bit-identical to the per-row
-//! chain before timing. The batched kernels pick a clamp-free loop nest
-//! when an interval guard proves a chain cannot saturate, so each has
-//! two arms: the ordinary operands, asserted to pass the guard, and a
-//! `rails` arm at ±1900 amplitude, asserted to fail it — both sides of
-//! the data-dependent choice stay in the trajectory. The gradient
-//! accumulators are zeroed before every repetition, outside the timed
-//! region: left to accumulate they would drift up to the rails and
-//! switch sides mid-measurement. Two further arms ride along:
+//! chain before timing. The batched kernels pick a clamp-free instance
+//! of their loop nest when an interval guard proves a chain cannot
+//! saturate, so each has two arms: the ordinary operands, asserted to
+//! pass the guard, and a `rails` arm at ±1900 amplitude, asserted to
+//! fail it — both sides of the data-dependent choice stay in the
+//! trajectory. The nest also drops every term whose broadcast
+//! coefficient is exactly zero, so each kernel has two more arms,
+//! `sparse50` and `sparse66`: the ordinary operands with a seeded
+//! Bernoulli 50 % / 66 % of the activations and error words zeroed —
+//! the shares measured on the paper-size update (post-ReLU activations,
+//! ReLU′ = 0 and underflowed error words). The ordinary activations
+//! contain no zero at all, so `gemv_batch w1` prices the compare alone;
+//! one ordinary error word in seven is zero. The gradient accumulators
+//! are zeroed before every repetition, outside the timed region: left to
+//! accumulate they would drift up to the rails and switch sides
+//! mid-measurement. Three further arms ride along:
 //!
-//! * `gemv_t_batch` at 256×192, the widest panel walk the quick-study
-//!   nets reach;
+//! * `gemv_t_batch` at 256×192, the longest chain per sample the
+//!   quick-study nets reach;
+//! * `pack 400x300`: one `Matrix::pack()` of a paper-size layer (the
+//!   update re-packs four networks), ns per pack;
 //! * `quantizer_micro`: the per-element cost of each deploy-time
 //!   quantizer spec (Shift, affine fast path, threshold-table search),
 //!   isolated by subtracting a passthrough baseline artifact.
@@ -34,13 +44,14 @@
 use fixar_deploy::{ActKind, PolicyArtifact};
 use fixar_fixed::{AffineQuantizer, Fx32, QFormat, Scalar};
 use fixar_tensor::{Matrix, Parallelism};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// Timed arms of every batched kernel, `(workers, name suffix)`: the
+/// Timed arms of every batched kernel, `(workers, operand set)`: the
 /// worker sweep on the ordinary operands, then the sequential arm on
-/// the rail-amplitude ones.
-const ARMS: [(usize, &str); 5] = [(1, ""), (2, ""), (4, ""), (8, ""), (1, " rails")];
+/// each of the other sets (indices into `main`'s `sets`).
+const ARMS: [(usize, usize); 7] = [(1, 0), (2, 0), (4, 0), (8, 0), (1, 1), (1, 2), (1, 3)];
 const BATCH: usize = 128;
 const ROWS: usize = 192;
 const COLS: usize = 128;
@@ -152,21 +163,37 @@ fn main() {
     };
     let a_rails = rails(BATCH, COLS, 1);
     let e_rails = rails(BATCH, ROWS, 2);
+    // The ordinary operands with a seeded Bernoulli share of the words
+    // zeroed: the nest skips those terms.
+    let sparse = |m: &Matrix<Fx32>, zero_share: f64, seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = m.clone();
+        out.map_inplace(|v| {
+            if rng.gen_bool(zero_share) {
+                Fx32::ZERO
+            } else {
+                v
+            }
+        });
+        out
+    };
+    // Operand sets `(name suffix, activations, errors)`; `ARMS` indexes
+    // this list.
+    let sparse50 = (" sparse50", sparse(&a, 0.50, 50), sparse(&e, 0.50, 51));
+    let sparse66 = (" sparse66", sparse(&a, 0.66, 66), sparse(&e, 0.66, 67));
+    let sets = [("", a, e), (" rails", a_rails, e_rails), sparse50, sparse66];
+    let (_, a, e) = &sets[0];
     let wt = w.transposed();
-    assert_eq!(rows_admitted(&w, &a), BATCH, "gemv_batch operands");
-    assert_eq!(rows_admitted(&wt, &e), BATCH, "gemv_t_batch operands");
-    assert_eq!(
-        outer_rows_admitted(&e, &a),
-        ROWS,
-        "add_outer_batch operands"
-    );
-    assert_eq!(rows_admitted(&w, &a_rails), 0, "gemv_batch rails");
-    assert_eq!(rows_admitted(&wt, &e_rails), 0, "gemv_t_batch rails");
-    assert_eq!(
-        outer_rows_admitted(&e_rails, &a_rails),
-        0,
-        "add_outer rails"
-    );
+    for (tail, a, e) in &sets {
+        let (rows, outer_rows) = if *tail == " rails" {
+            (0, 0)
+        } else {
+            (BATCH, ROWS)
+        };
+        assert_eq!(rows_admitted(&w, a), rows, "gemv_batch{tail}");
+        assert_eq!(rows_admitted(&wt, e), rows, "gemv_t_batch{tail}");
+        assert_eq!(outer_rows_admitted(e, a), outer_rows, "add_outer{tail}");
+    }
     let mut records: Vec<Record> = Vec::new();
 
     // Per-row (per-sample) references.
@@ -201,29 +228,42 @@ fn main() {
     let pack = w.pack();
     let mut y = Matrix::<Fx32>::zeros(BATCH, ROWS);
     let mut yt = Matrix::<Fx32>::zeros(BATCH, COLS);
-    for (a, e) in [(&a, &e), (&a_rails, &e_rails)] {
+    for (tail, a, e) in &sets {
         Parallelism::sequential()
             .fused(|ks| {
                 pack.gemv_batch(a, &mut y, ks).unwrap();
-                pack.gemv_t_batch(e, &mut yt, ks).unwrap();
+                pack.gemv_t_batch(&w, e, &mut yt, ks).unwrap();
             })
             .unwrap();
         for b in 0..BATCH {
             assert_eq!(
                 y.row(b),
                 w.gemv_alloc(a.row(b)).unwrap(),
-                "gemv_batch diverged from the per-row kernel"
+                "gemv_batch{tail} diverged from the per-row kernel"
             );
             assert_eq!(
                 yt.row(b),
                 w.gemv_t_alloc(e.row(b)).unwrap(),
-                "gemv_t_batch diverged from the per-row kernel"
+                "gemv_t_batch{tail} diverged from the per-row kernel"
             );
         }
+        let mut g_ref = Matrix::<Fx32>::zeros(ROWS, COLS);
+        g.fill_zero();
+        Parallelism::sequential()
+            .fused(|ks| g.add_outer_batch(e, a, ks))
+            .unwrap()
+            .unwrap();
+        for b in 0..BATCH {
+            g_ref.add_outer(e.row(b), a.row(b)).unwrap();
+        }
+        assert_eq!(
+            g, g_ref,
+            "add_outer_batch{tail} diverged from the per-row kernel"
+        );
     }
-    for (workers, tail) in ARMS {
+    for (workers, set) in ARMS {
         let par = Parallelism::with_workers(workers);
-        let a = if tail.is_empty() { &a } else { &a_rails };
+        let (tail, a, _) = &sets[set];
         let ns = time_ns_per_sample(reps, BATCH, || {
             par.fused(|ks| pack.gemv_batch(std::hint::black_box(a), &mut y, ks))
                 .unwrap()
@@ -232,24 +272,20 @@ fn main() {
         });
         push(&mut records, format!("gemv_batch w{workers}{tail}"), ns);
     }
-    for (workers, tail) in ARMS {
+    for (workers, set) in ARMS {
         let par = Parallelism::with_workers(workers);
-        let e = if tail.is_empty() { &e } else { &e_rails };
+        let (tail, _, e) = &sets[set];
         let ns = time_ns_per_sample(reps, BATCH, || {
-            par.fused(|ks| pack.gemv_t_batch(std::hint::black_box(e), &mut yt, ks))
+            par.fused(|ks| pack.gemv_t_batch(&w, std::hint::black_box(e), &mut yt, ks))
                 .unwrap()
                 .unwrap();
             std::hint::black_box(&yt);
         });
         push(&mut records, format!("gemv_t_batch w{workers}{tail}"), ns);
     }
-    for (workers, tail) in ARMS {
+    for (workers, set) in ARMS {
         let par = Parallelism::with_workers(workers);
-        let (e, a) = if tail.is_empty() {
-            (&e, &a)
-        } else {
-            (&e_rails, &a_rails)
-        };
+        let (tail, a, e) = &sets[set];
         let ns = time_accumulating_ns_per_sample(reps, BATCH, &mut g, |g| {
             par.fused(|ks| g.add_outer_batch(std::hint::black_box(e), std::hint::black_box(a), ks))
                 .unwrap()
@@ -262,7 +298,7 @@ fn main() {
         );
     }
 
-    // Wider shape arm: 256×192 is the longest panel walk per sample.
+    // Wider shape arm: 256×192 is the longest chain per sample.
     const ROWS2: usize = 256;
     const COLS2: usize = 192;
     let w2 = Matrix::<f64>::from_fn(ROWS2, COLS2, |r, c| ((r * 5 + c) % 17) as f64 * 0.08 - 0.6)
@@ -273,12 +309,20 @@ fn main() {
     let mut y2 = Matrix::<Fx32>::zeros(BATCH, COLS2);
     let seq = Parallelism::sequential();
     let ns = time_ns_per_sample(reps, BATCH, || {
-        seq.fused(|ks| pack2.gemv_t_batch(std::hint::black_box(&e2), &mut y2, ks))
+        seq.fused(|ks| pack2.gemv_t_batch(&w2, std::hint::black_box(&e2), &mut y2, ks))
             .unwrap()
             .unwrap();
         std::hint::black_box(&y2);
     });
     push(&mut records, "gemv_t_batch 256x192 w1".into(), ns);
+
+    // One pack of a paper-size layer, reported per pack (samples = 1).
+    let w3 = Matrix::<f64>::from_fn(400, 300, |r, c| ((r * 11 + c) % 19) as f64 * 0.07 - 0.6)
+        .cast::<Fx32>();
+    let ns = time_ns_per_sample(reps, 1, || {
+        std::hint::black_box(std::hint::black_box(&w3).pack());
+    });
+    push(&mut records, "pack 400x300".into(), ns);
 
     quantizer_micro(reps, &mut records);
 

@@ -75,13 +75,13 @@ fn time_twin_step(
                         mlp: c1,
                         trace: &traces[0],
                         dl_dout: dl,
-                        grads: &mut g1,
+                        grads: Some(&mut g1),
                     },
                     BackwardPass {
                         mlp: c2,
                         trace: &traces[1],
                         dl_dout: dl,
-                        grads: &mut g2,
+                        grads: Some(&mut g2),
                     },
                 ],
                 par,
@@ -91,8 +91,8 @@ fn time_twin_step(
             // One group per critic: each pass joins its own scopes.
             let t1 = c1.forward_batch(x, QatPhase::Off, par).unwrap();
             let t2 = c2.forward_batch(x, QatPhase::Off, par).unwrap();
-            c1.backward_batch(&t1, dl, &mut g1, par).unwrap();
-            c2.backward_batch(&t2, dl, &mut g2, par).unwrap();
+            c1.backward_batch(&t1, dl, Some(&mut g1), par).unwrap();
+            c2.backward_batch(&t2, dl, Some(&mut g2), par).unwrap();
         }
         std::hint::black_box((&g1, &g2));
     }

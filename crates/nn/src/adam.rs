@@ -60,7 +60,7 @@ impl AdamConfig {
 /// let mut opt = Adam::new(&mlp, AdamConfig::default());
 /// let mut grads = MlpGrads::zeros_like(&mlp);
 /// let trace = mlp.forward_trace(&[0.5, -0.5])?;
-/// mlp.backward(&trace, &[1.0], &mut grads)?;
+/// mlp.backward(&trace, &[1.0], Some(&mut grads))?;
 /// opt.step(&mut mlp, &grads)?;
 /// # Ok::<(), fixar_nn::NnError>(())
 /// ```
@@ -153,7 +153,15 @@ impl<S: Scalar> Adam<S> {
     }
 }
 
-/// Elementwise Adam update — the inner loop of the FPGA Adam unit.
+/// Elementwise Adam update — the inner loop of the FPGA Adam unit, in
+/// two passes: the moment recurrences (multiply-adds only, no branch,
+/// so the pass vectorizes) and then the `sqrt`/divide tail that applies
+/// the step.
+///
+/// In fixed point the tail skips elements whose first moment is exactly
+/// zero: `0 / denom` is `0` for any non-zero `denom`, `lr_t · 0` is `0`,
+/// and `denom ≥ eps`, so with a representable `eps` the step it skips is
+/// exactly zero. The float backends run every element.
 #[allow(clippy::type_complexity)]
 fn update_slice<S: Scalar>(
     params: &mut [S],
@@ -162,12 +170,22 @@ fn update_slice<S: Scalar>(
     v: &mut [S],
     (b1, omb1, b2, omb2, lr_t, eps): (S, S, S, S, S, S),
 ) {
-    for i in 0..params.len() {
-        let g = grads[i];
-        m[i] = b1 * m[i] + omb1 * g;
-        v[i] = b2 * v[i] + omb2 * (g * g);
-        let denom = v[i].sqrt() + eps;
-        params[i] -= lr_t * (m[i] / denom);
+    let n = params.len();
+    assert!(
+        grads.len() == n && m.len() == n && v.len() == n,
+        "Adam state, gradient and parameter lengths agree"
+    );
+    for ((mi, vi), &g) in m.iter_mut().zip(v.iter_mut()).zip(grads) {
+        *mi = b1 * *mi + omb1 * g;
+        *vi = b2 * *vi + omb2 * (g * g);
+    }
+    let skip_zero_m = S::IS_FIXED_POINT && eps > S::zero();
+    for ((p, &mi), &vi) in params.iter_mut().zip(m.iter()).zip(v.iter()) {
+        if skip_zero_m && mi == S::zero() {
+            continue;
+        }
+        let denom = vi.sqrt() + eps;
+        *p -= lr_t * (mi / denom);
     }
 }
 
@@ -191,7 +209,7 @@ mod tests {
             loss = 0.5 * err * err;
             let dl = vec![S::from_f64(err)];
             let mut grads = MlpGrads::zeros_like(&mlp);
-            mlp.backward(&trace, &dl, &mut grads).unwrap();
+            mlp.backward(&trace, &dl, Some(&mut grads)).unwrap();
             opt.step(&mut mlp, &grads).unwrap();
         }
         loss
@@ -221,13 +239,67 @@ mod tests {
             let trace = mlp.forward_trace(&x).unwrap();
             let err = trace.output[0].to_f64() - 0.75;
             let mut grads = MlpGrads::zeros_like(&mlp);
-            mlp.backward(&trace, &[Fx16::from_f64(err)], &mut grads)
+            mlp.backward(&trace, &[Fx16::from_f64(err)], Some(&mut grads))
                 .unwrap();
             opt.step(&mut mlp, &grads).unwrap();
         }
         assert_eq!(mlp, before, "fixed16 training must stagnate completely");
         // Meanwhile the same protocol in f64 makes measurable progress.
         assert!(fit_line::<f64>(1e-2, 500) < 1e-4);
+    }
+
+    /// The unsplit elementwise recurrence `update_slice` must reproduce.
+    fn update_slice_reference<S: Scalar>(
+        params: &mut [S],
+        grads: &[S],
+        m: &mut [S],
+        v: &mut [S],
+        (b1, omb1, b2, omb2, lr_t, eps): (S, S, S, S, S, S),
+    ) {
+        for i in 0..params.len() {
+            let g = grads[i];
+            m[i] = b1 * m[i] + omb1 * g;
+            v[i] = b2 * v[i] + omb2 * (g * g);
+            params[i] -= lr_t * (m[i] / (v[i].sqrt() + eps));
+        }
+    }
+
+    fn split_update_case<S: Scalar>(lr: f64, eps: f64) {
+        let k = |x: f64| S::from_f64(x);
+        let consts = (k(0.9), k(0.1), k(0.999), k(0.001), k(lr), k(eps));
+        // Gradients with exact zeros, values that underflow `omb2 · g²`,
+        // and ordinary ones; three steps so moments decay through zero.
+        let grads: Vec<S> = (0..64)
+            .map(|i| match i % 4 {
+                0 => S::zero(),
+                1 => k(1e-4 * (i as f64 - 30.0)),
+                _ => k(0.05 * (i as f64 - 30.0)),
+            })
+            .collect();
+        let start: Vec<S> = (0..64).map(|i| k(0.01 * i as f64 - 0.3)).collect();
+        let (mut p, mut m, mut v) = (start.clone(), vec![S::zero(); 64], vec![S::zero(); 64]);
+        let (mut p_ref, mut m_ref, mut v_ref) = (p.clone(), m.clone(), v.clone());
+        for step in 0..3 {
+            update_slice(&mut p, &grads, &mut m, &mut v, consts);
+            update_slice_reference(&mut p_ref, &grads, &mut m_ref, &mut v_ref, consts);
+            assert_eq!(p, p_ref, "{} params, step {step}", S::NAME);
+            assert_eq!(m, m_ref, "{} first moment, step {step}", S::NAME);
+            assert_eq!(v, v_ref, "{} second moment, step {step}", S::NAME);
+        }
+    }
+
+    #[test]
+    fn split_update_matches_the_single_loop_recurrence() {
+        split_update_case::<Fx32>(1e-4, 1e-4);
+        split_update_case::<Fx32>(1e-2, 1e-4);
+        split_update_case::<f64>(1e-4, 1e-4);
+        split_update_case::<f32>(1e-2, 1e-4);
+        // In Q6.10 `eps = 1e-4` rounds to zero, so `0 / 0` saturates the
+        // quotient and a zero first moment still moves the parameter:
+        // the tail must not skip it.
+        assert_eq!(Fx16::from_f64(1e-4), Fx16::ZERO);
+        split_update_case::<Fx16>(1e-2, 1e-4);
+        split_update_case::<Fx32>(1e-2, 0.0);
     }
 
     #[test]

@@ -503,9 +503,10 @@ impl<S: Scalar> Mlp<S> {
 
     /// Back-propagates a minibatch of output gradients (`dl_dout`, one
     /// sample per row) through the batched trace, accumulating parameter
-    /// gradients into `grads` and returning the `(batch, input_dim)`
-    /// matrix of input gradients — the one-pass convenience over the
-    /// group entry [`backward_batch`].
+    /// gradients into `grads` — or, with `None`, running only the error
+    /// MVMs — and returning the `(batch, input_dim)` matrix of input
+    /// gradients — the one-pass convenience over the group entry
+    /// [`backward_batch`].
     ///
     /// Gradient accumulation across the batch runs in **ascending sample
     /// order** (the documented reduction order of the gradient memory),
@@ -520,7 +521,7 @@ impl<S: Scalar> Mlp<S> {
         &self,
         trace: &BatchTrace<S>,
         dl_dout: &Matrix<S>,
-        grads: &mut MlpGrads<S>,
+        grads: Option<&mut MlpGrads<S>>,
         par: &Parallelism,
     ) -> Result<Matrix<S>, NnError> {
         let mut pass = [BackwardPass {
@@ -536,7 +537,9 @@ impl<S: Scalar> Mlp<S> {
     /// Back-propagates `dl_dout` (∂loss/∂output) through the trace,
     /// accumulating parameter gradients into `grads` and returning
     /// ∂loss/∂input (the path by which the critic "leads the BP and WU of
-    /// the actor network").
+    /// the actor network"). With `grads == None` only the error chain
+    /// runs — the same input gradient, no weight-update work (Fig. 3 has
+    /// none on the pass that leads the actor).
     ///
     /// # Errors
     ///
@@ -546,7 +549,7 @@ impl<S: Scalar> Mlp<S> {
         &self,
         trace: &ForwardTrace<S>,
         dl_dout: &[S],
-        grads: &mut MlpGrads<S>,
+        mut grads: Option<&mut MlpGrads<S>>,
     ) -> Result<Vec<S>, NnError> {
         let n = self.num_layers();
         if dl_dout.len() != self.output_dim() {
@@ -556,7 +559,7 @@ impl<S: Scalar> Mlp<S> {
                 (dl_dout.len(), 1),
             )));
         }
-        if grads.w.len() != n {
+        if grads.as_ref().is_some_and(|g| g.w.len() != n) {
             return Err(NnError::InvalidConfig(
                 "gradient buffer has wrong layer count".into(),
             ));
@@ -570,9 +573,11 @@ impl<S: Scalar> Mlp<S> {
 
         let mut input_err = Vec::new();
         for l in (0..n).rev() {
-            grads.w[l].add_outer(&delta, &trace.inputs[l])?;
-            for (gb, &d) in grads.b[l].iter_mut().zip(&delta) {
-                *gb += d;
+            if let Some(grads) = grads.as_deref_mut() {
+                grads.w[l].add_outer(&delta, &trace.inputs[l])?;
+                for (gb, &d) in grads.b[l].iter_mut().zip(&delta) {
+                    *gb += d;
+                }
             }
             let err = self.weights[l].gemv_t_alloc(&delta)?;
             if l > 0 {
@@ -763,7 +768,8 @@ pub fn forward_batch<S: Scalar>(
 
 /// One independent batched backward pass in a group: the network, its
 /// forward trace, the output gradient, and the gradient buffer it
-/// accumulates into. See [`backward_batch`].
+/// accumulates into — `None` for a pass that is run only for its input
+/// gradient. See [`backward_batch`].
 pub struct BackwardPass<'a, S: Scalar> {
     /// Network to back-propagate through.
     pub mlp: &'a Mlp<S>,
@@ -771,18 +777,19 @@ pub struct BackwardPass<'a, S: Scalar> {
     pub trace: &'a BatchTrace<S>,
     /// `(batch, output_dim)` loss gradient w.r.t. the output.
     pub dl_dout: &'a Matrix<S>,
-    /// Gradient buffer shaped by [`MlpGrads::zeros_like`] on `mlp`.
-    pub grads: &'a mut MlpGrads<S>,
+    /// Gradient buffer shaped by [`MlpGrads::zeros_like`] on `mlp`;
+    /// `None` submits only the error MVMs.
+    pub grads: Option<&'a mut MlpGrads<S>>,
 }
 
 /// Runs several **independent** batched backward passes layer-locked
 /// through fused scopes, returning each pass's `(batch, input_dim)`
 /// input gradient. Per layer step one fused scope hosts, for every
-/// active pass, its gradient outer product (weight-row shards) *and*
-/// its error MVM (batch-row shards) — for TD3's twin critics that is
-/// four kernels under a single join. Bias gradients accumulate on the
-/// calling thread (ascending sample order, as documented) while the
-/// shards run.
+/// active pass, its gradient outer product (weight-row shards; passes
+/// with a gradient buffer only) *and* its error MVM (batch-row shards)
+/// — for TD3's twin critics that is four kernels under a single join.
+/// Bias gradients accumulate on the calling thread (ascending sample
+/// order, as documented) while the shards run.
 ///
 /// Element `i` of the result — and `passes[i].grads` — is bit-identical
 /// to running pass `i` on its own, and to [`Mlp::backward`] over its
@@ -807,7 +814,7 @@ pub fn backward_batch<S: Scalar>(
                 p.dl_dout.shape(),
             )));
         }
-        if p.grads.w.len() != n {
+        if p.grads.as_ref().is_some_and(|g| g.w.len() != n) {
             return Err(NnError::InvalidConfig(
                 "gradient buffer has wrong layer count".into(),
             ));
@@ -852,10 +859,14 @@ pub fn backward_batch<S: Scalar>(
                 }
                 let l = n - 1 - s;
                 let delta = &deltas[i];
-                let MlpGrads { w, b } = &mut *p.grads;
-                w[l].add_outer_batch(delta, &p.trace.inputs[l], ks)?;
                 let err = err_slot.as_mut().expect("active pass has an err buffer");
-                p.mlp.pack(l).gemv_t_batch(delta, err, ks)?;
+                p.mlp
+                    .pack(l)
+                    .gemv_t_batch(&p.mlp.weights[l], delta, err, ks)?;
+                let Some(MlpGrads { w, b }) = p.grads.as_deref_mut() else {
+                    continue;
+                };
+                w[l].add_outer_batch(delta, &p.trace.inputs[l], ks)?;
                 // Bias gradients: ascending sample order on the calling
                 // thread, overlapping the queued shards (disjoint from
                 // both kernel outputs).
@@ -945,7 +956,7 @@ mod tests {
         let trace = mlp.forward_trace(&x).unwrap();
         let dl_dout = trace.output.clone();
         let mut grads = MlpGrads::zeros_like(&mlp);
-        let input_err = mlp.backward(&trace, &dl_dout, &mut grads).unwrap();
+        let input_err = mlp.backward(&trace, &dl_dout, Some(&mut grads)).unwrap();
 
         let loss = |m: &Mlp<f64>| -> f64 {
             let y = m.forward(&x).unwrap();
@@ -1104,11 +1115,13 @@ mod tests {
         let bt = forward(&mlp);
         let dl = fx32_batch(5, 4);
         let mut batched = MlpGrads::zeros_like(&mlp);
-        let input_err = mlp.backward_batch(&bt, &dl, &mut batched, &seq()).unwrap();
+        let input_err = mlp
+            .backward_batch(&bt, &dl, Some(&mut batched), &seq())
+            .unwrap();
         let mut looped = MlpGrads::zeros_like(&mlp);
         for b in 0..x.rows() {
             let t = mlp.forward_trace(x.row(b)).unwrap();
-            let err = mlp.backward(&t, dl.row(b), &mut looped).unwrap();
+            let err = mlp.backward(&t, dl.row(b), Some(&mut looped)).unwrap();
             assert_eq!(input_err.row(b), err.as_slice(), "input grad row {b}");
         }
         assert_eq!(batched.w, looped.w);
@@ -1150,20 +1163,53 @@ mod tests {
         let mut err_rows = Vec::new();
         for b in 0..x.rows() {
             let t = mlp.forward_trace(x.row(b)).unwrap();
-            err_rows.push(mlp.backward(&t, dl.row(b), &mut looped).unwrap());
+            err_rows.push(mlp.backward(&t, dl.row(b), Some(&mut looped)).unwrap());
         }
 
         for workers in [1, 2, 3, 4, 8] {
             let par = Parallelism::with_workers(workers);
             let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
             let mut grads = MlpGrads::zeros_like(&mlp);
-            let err = mlp.backward_batch(&trace, &dl, &mut grads, &par).unwrap();
+            let err = mlp
+                .backward_batch(&trace, &dl, Some(&mut grads), &par)
+                .unwrap();
             for (b, err_row) in err_rows.iter().enumerate() {
                 assert_trace_row(&mlp, &trace, b, &mlp.forward_trace(x.row(b)).unwrap());
                 assert_eq!(err.row(b), err_row.as_slice(), "{workers} workers row {b}");
             }
             assert_eq!(grads.w, looped.w, "{workers} workers weight grads");
             assert_eq!(grads.b, looped.b, "{workers} workers bias grads");
+        }
+    }
+
+    #[test]
+    fn input_gradient_only_backward_matches_the_full_one() {
+        // `grads == None` runs only the error chain: the same input
+        // gradient as the accumulating form, per sample and batched, at
+        // every worker count — and it still validates `dl_dout`.
+        let cfg = MlpConfig::new(vec![5, 14, 8, 2]).with_output_activation(Activation::Tanh);
+        let mlp = Mlp::<Fx32>::new_random(&cfg, 21).unwrap();
+        let x = fx32_batch(11, 5);
+        let dl = Matrix::<f64>::from_fn(11, 2, |b, i| ((b + i * 3) % 5) as f64 * 0.2 - 0.4)
+            .cast::<Fx32>();
+        let mut grads = MlpGrads::zeros_like(&mlp);
+        for b in 0..x.rows() {
+            let t = mlp.forward_trace(x.row(b)).unwrap();
+            let full = mlp.backward(&t, dl.row(b), Some(&mut grads)).unwrap();
+            assert_eq!(mlp.backward(&t, dl.row(b), None).unwrap(), full, "row {b}");
+            assert!(mlp.backward(&t, &dl.row(b)[..1], None).is_err());
+        }
+        for workers in [1, 2, 8] {
+            let par = Parallelism::with_workers(workers);
+            let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            let mut grads = MlpGrads::zeros_like(&mlp);
+            let full = mlp
+                .backward_batch(&trace, &dl, Some(&mut grads), &par)
+                .unwrap();
+            let lean = mlp.backward_batch(&trace, &dl, None, &par).unwrap();
+            assert_eq!(lean, full, "{workers} workers");
+            let bad_dl = Matrix::<Fx32>::zeros(3, 2);
+            assert!(mlp.backward_batch(&trace, &bad_dl, None, &par).is_err());
         }
     }
 
@@ -1228,7 +1274,9 @@ mod tests {
         let t = mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
         let bad_dl = Matrix::<f64>::zeros(3, 2);
         let mut grads = MlpGrads::zeros_like(&mlp);
-        assert!(mlp.backward_batch(&t, &bad_dl, &mut grads, &seq()).is_err());
+        assert!(mlp
+            .backward_batch(&t, &bad_dl, Some(&mut grads), &seq())
+            .is_err());
         // Mismatched runtime point counts are rejected up front, in
         // both runtime-carrying phases.
         let mut wrong = QatRuntime::disabled(mlp.num_layers() + 5);
@@ -1350,8 +1398,12 @@ mod tests {
         let t2 = c2.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
         let mut g1_ref = MlpGrads::zeros_like(&c1);
         let mut g2_ref = MlpGrads::zeros_like(&c2);
-        let e1_ref = c1.backward_batch(&t1, &dl1, &mut g1_ref, &seq()).unwrap();
-        let e2_ref = c2.backward_batch(&t2, &dl2, &mut g2_ref, &seq()).unwrap();
+        let e1_ref = c1
+            .backward_batch(&t1, &dl1, Some(&mut g1_ref), &seq())
+            .unwrap();
+        let e2_ref = c2
+            .backward_batch(&t2, &dl2, Some(&mut g2_ref), &seq())
+            .unwrap();
 
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
@@ -1363,13 +1415,13 @@ mod tests {
                         mlp: &c1,
                         trace: &t1,
                         dl_dout: &dl1,
-                        grads: &mut g1,
+                        grads: Some(&mut g1),
                     },
                     BackwardPass {
                         mlp: &c2,
                         trace: &t2,
                         dl_dout: &dl2,
-                        grads: &mut g2,
+                        grads: Some(&mut g2),
                     },
                 ],
                 &par,
@@ -1389,7 +1441,7 @@ mod tests {
         let mlp = Mlp::<f64>::new_random(&tiny_cfg(), 3).unwrap();
         let mut grads = MlpGrads::zeros_like(&mlp);
         let trace = mlp.forward_trace(&[1.0, 1.0, 1.0]).unwrap();
-        mlp.backward(&trace, &[1.0, 1.0], &mut grads).unwrap();
+        mlp.backward(&trace, &[1.0, 1.0], Some(&mut grads)).unwrap();
         let norm_before = grads.w[0].max_abs();
         assert!(norm_before > 0.0);
         grads.scale(0.5);

@@ -376,7 +376,6 @@ pub struct Ddpg<S: Scalar> {
     /// Critic 0 leads the actor and reports the metrics; a second entry
     /// is TD3's twin.
     critics: Vec<Critic<S>>,
-    critic_scratch: MlpGrads<S>,
     cfg: DdpgConfig,
     par: Parallelism,
     state_dim: usize,
@@ -461,7 +460,6 @@ impl<S: Scalar> Ddpg<S> {
             actor_qat: make_qat(points, QatSchedule::actor_policy)?,
             actor_target_qat: make_qat(points, QatSchedule::actor_policy)?,
             actor_grads,
-            critic_scratch: critics[0].grads.clone(),
             actor,
             critics,
             par: Parallelism::from_env_or(cfg.parallel_workers),
@@ -806,7 +804,7 @@ impl<S: Scalar> Ddpg<S> {
                 mlp: &c.net,
                 trace,
                 dl_dout,
-                grads: &mut c.grads,
+                grads: Some(&mut c.grads),
             })
             .collect();
         fixar_nn::backward_batch(&mut passes, &self.par)?;
@@ -820,7 +818,6 @@ impl<S: Scalar> Ddpg<S> {
         // updates under TD3, every update otherwise.
         if self.actor_update_due() {
             self.actor_grads.reset();
-            self.critic_scratch.reset();
             let atrace = self.actor.forward_batch(
                 &states,
                 QatPhase::Observing(&mut self.actor_qat),
@@ -836,15 +833,13 @@ impl<S: Scalar> Ddpg<S> {
                 &self.par,
             )?;
             let minus_scale = Matrix::from_fn(b, 1, |_, _| S::from_f64(-scale));
-            let dq_dinput = lead.net.backward_batch(
-                &ctrace,
-                &minus_scale,
-                &mut self.critic_scratch,
-                &self.par,
-            )?;
+            // Only ∂Q/∂a is needed: no weight update rides on this pass.
+            let dq_dinput = lead
+                .net
+                .backward_batch(&ctrace, &minus_scale, None, &self.par)?;
             let dq_da = dq_dinput.columns(self.state_dim, self.state_dim + self.action_dim);
             self.actor
-                .backward_batch(&atrace, &dq_da, &mut self.actor_grads, &self.par)?;
+                .backward_batch(&atrace, &dq_da, Some(&mut self.actor_grads), &self.par)?;
             self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
             self.soft_update_targets()?;
         }
@@ -949,7 +944,7 @@ impl<S: Scalar> Ddpg<S> {
                 let td = q.to_f64() - y.to_f64();
                 critic_loss += 0.5 * td * td * scale * share;
                 let dl = [(q - y) * S::from_f64(scale)];
-                c.net.backward(&trace, &dl, &mut c.grads)?;
+                c.net.backward(&trace, &dl, Some(&mut c.grads))?;
             }
             c.opt.step(&mut c.net, &c.grads)?;
         }
@@ -959,7 +954,6 @@ impl<S: Scalar> Ddpg<S> {
         // "leads the BP and WU of the actor network".
         if self.actor_update_due() {
             self.actor_grads.reset();
-            self.critic_scratch.reset();
             let minus_scale = [S::from_f64(-scale)];
             let lead = &mut self.critics[0];
             for t in batch {
@@ -968,11 +962,10 @@ impl<S: Scalar> Ddpg<S> {
                 let mut critic_in = s;
                 critic_in.extend_from_slice(&atrace.output);
                 let ctrace = lead.net.forward_qat(&critic_in, &mut lead.qat)?;
-                let dq_dinput =
-                    lead.net
-                        .backward(&ctrace, &minus_scale, &mut self.critic_scratch)?;
+                let dq_dinput = lead.net.backward(&ctrace, &minus_scale, None)?;
                 let dq_da = &dq_dinput[self.state_dim..];
-                self.actor.backward(&atrace, dq_da, &mut self.actor_grads)?;
+                self.actor
+                    .backward(&atrace, dq_da, Some(&mut self.actor_grads))?;
             }
             self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
             self.soft_update_targets()?;

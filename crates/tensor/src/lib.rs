@@ -33,6 +33,19 @@
 //! with running the per-sample kernel row by row — only the loop nest
 //! (and the throughput) differs.
 //!
+//! All three batched kernels are one loop nest: `acc_row ← acc_row +
+//! c · src_row` over a list of `(c, src_row)` terms in ascending order
+//! — sample `b` of `gemv_batch` lists `(A[b][j], row j of Wᵀ)`, sample
+//! `b` of `gemv_t_batch` lists `(E[b][i], row i of W)`, gradient row `i`
+//! of `add_outer_batch` lists `(E[b][i], A[b])` over the batch. **Zero
+//! terms are dropped:** in fixed point a term whose coefficient `c` is
+//! exactly zero is not issued, because every product `round(w · 0)` is
+//! `0` and `acc + 0 = acc` whether the add saturates or (under the
+//! interval guard below) wraps; the remaining terms keep their order, so
+//! the result is still the per-sample kernel's, which multiplies by the
+//! zeros. The float backends issue every term — `w · 0` is `NaN` for a
+//! non-finite `w`, and `-0.0 + 0.0` would lose its sign.
+//!
 //! Each batched operation has **one entry**, which takes a
 //! [`KernelScope`]: work shards into **disjoint output regions** —
 //! batch rows for the forward/transposed MVMs, *weight rows* for
@@ -49,13 +62,13 @@
 //! backend including saturating `Fx32`, independent of thread
 //! scheduling.
 //!
-//! The MVM entries live on [`WeightPack`] ([`Matrix::pack`]), a
-//! cache-resident image of the weights in both hot-loop layouts:
-//! [`WeightPack::gemv_batch`] streams the cached transpose instead of
-//! rebuilding it per batch, and [`WeightPack::gemv_t_batch`] turns the
-//! transposed MVM into unit-stride register-accumulated dot products.
-//! Only the loop nests differ from the per-sample kernels — per-element
-//! chains are unchanged. A pack is a snapshot of the weights at
+//! The MVM entries live on [`WeightPack`] ([`Matrix::pack`]): the
+//! cached transpose [`WeightPack::gemv_batch`] streams instead of
+//! rebuilding it per batch, plus the weight side of the interval guard;
+//! [`WeightPack::gemv_t_batch`] streams the rows of the source matrix,
+//! which it takes beside the pack. Only the loop nest differs from the
+//! per-sample kernels — per-element chains are unchanged. A pack is a
+//! snapshot of the weights at
 //! [`Matrix::pack`] time; mutating the source matrix afterwards does not
 //! update it (callers invalidate and re-pack, as `fixar-nn`'s `Mlp` does
 //! on weight updates).
@@ -68,15 +81,15 @@
 //! [`Scalar::mac_chain_is_clamp_free`] on bounds of the data in hand —
 //! the largest weight magnitude and the largest row / column abs-sum
 //! (derived once, in [`Matrix::pack`]) against one max-magnitude scan of
-//! the sample row (forward), of the four-sample tile (transposed), or of
-//! column `i` of `E`, all of `A` and gradient row `i`
-//! (`add_outer_batch`). When the bounds prove that no product and no
+//! the sample row (forward and transposed), or of column `i` of `E`,
+//! all of `A` and gradient row `i` (`add_outer_batch`). When the bounds prove that no product and no
 //! partial sum can leave the format, both clamps are dead code and the
 //! kernel runs the same loop nest with [`Scalar::mac_unclamped`] — the
 //! same bits from about half the instructions. Anything the guard
 //! cannot prove (rail-valued inputs, exploding gradients, an
 //! accumulator already near the rail) runs the saturating step as
-//! before. The choice is per chain group and made by the data alone;
+//! before (a dropped zero term only shortens a chain the bounds already
+//! cover). The choice is per chain group and made by the data alone;
 //! results cannot differ because the skipped operations were
 //! identities, so every bit-equality statement above holds on either
 //! side. The per-sample kernels ([`Matrix::gemv`], [`Matrix::gemv_t`],

@@ -522,9 +522,21 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Returns the transposed matrix (a data copy; the accelerator never
-    /// materializes this — it redistributes reads instead).
+    /// materializes this — it redistributes reads instead). Written in
+    /// destination order, one exact-size `extend` per source column, so
+    /// no element is stored twice; the strided reads of one column touch
+    /// `rows` cache lines, which the neighbouring columns then reuse.
     pub fn transposed(&self) -> Matrix<S> {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.data[c * self.cols + r])
+        let (rows, cols) = (self.rows, self.cols);
+        let mut data = Vec::with_capacity(rows * cols);
+        for j in 0..cols {
+            data.extend((0..rows).map(|i| self.data[i * cols + j]));
+        }
+        Matrix {
+            rows: cols,
+            cols: rows,
+            data,
+        }
     }
 
     /// Converts every element to another scalar backend through `f64`.
@@ -545,38 +557,27 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Builds the cache-resident packed layout for this matrix — see
-    /// [`WeightPack`].
+    /// [`WeightPack`]: the transpose, and the weight side of the interval
+    /// guard from one unit-stride pass over the rows.
     pub fn pack(&self) -> WeightPack<S> {
-        let panels = self.cols.div_ceil(GEMV_T_PANEL);
-        let mut w_panels = vec![S::zero(); panels * self.rows * GEMV_T_PANEL];
-        for p in 0..panels {
-            for i in 0..self.rows {
-                let j0 = p * GEMV_T_PANEL;
-                let width = GEMV_T_PANEL.min(self.cols - j0);
-                let dst = (p * self.rows + i) * GEMV_T_PANEL;
-                w_panels[dst..dst + width]
-                    .copy_from_slice(&self.data[i * self.cols + j0..i * self.cols + j0 + width]);
+        let mut w_max = 0u32;
+        let mut row_abs_sum = 0u64;
+        let mut col_sums = vec![0u64; self.cols];
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            let mut row_sum = 0u64;
+            for (col_sum, w) in col_sums.iter_mut().zip(row) {
+                let m = w.raw_magnitude();
+                w_max = w_max.max(m);
+                row_sum += u64::from(m);
+                *col_sum += u64::from(m);
             }
+            row_abs_sum = row_abs_sum.max(row_sum);
         }
-        // The weight side of the interval guard, read off the two images
-        // (rows of `self` are the forward chains' weights, rows of `wt`
-        // the transposed chains') without another allocation.
-        let wt = self.transposed();
-        let max_row_abs_sum = |m: &Matrix<S>| {
-            m.data
-                .chunks_exact(m.cols.max(1))
-                .map(|row| row.iter().map(|w| u64::from(w.raw_magnitude())).sum())
-                .max()
-                .unwrap_or(0)
-        };
         WeightPack {
-            rows: self.rows,
-            cols: self.cols,
-            w_max: max_magnitude(&self.data),
-            row_abs_sum: max_row_abs_sum(self),
-            col_abs_sum: max_row_abs_sum(&wt),
-            wt,
-            w_panels,
+            wt: self.transposed(),
+            w_max,
+            row_abs_sum,
+            col_abs_sum: col_sums.into_iter().max().unwrap_or(0),
         }
     }
 }
@@ -587,25 +588,18 @@ fn max_magnitude<S: Scalar>(xs: &[S]) -> u32 {
     xs.iter().fold(0, |m, x| m.max(x.raw_magnitude()))
 }
 
-/// Width of the register-blocked output panel in the `gemv_t_batch`
-/// kernel: one panel of accumulators stays resident while a weight
-/// panel streams past with unit stride.
-const GEMV_T_PANEL: usize = 16;
-
-/// Cache-resident packed image of a weight matrix, in both hot-loop
-/// layouts — the operand of the batched MVM kernels.
+/// Cache-resident packed image of a weight matrix — the operand of the
+/// batched MVM kernels.
 ///
-/// The batched MVMs want *two* purpose-built layouts of `W`: the
-/// forward kernel streams rows of `Wᵀ` (one per input column), and the
-/// backward kernel streams zero-padded width-`GEMV_T_PANEL` column
-/// panels of `W` (layout `[panel][row][lane]`) so a register-resident
-/// panel of outputs accumulates from unit-stride loads with no
-/// per-step output-row traffic. A `WeightPack` hoists both copies out
-/// of the hot loop so a layer that is applied many times between weight
-/// updates (training batches, serving) pays for the pack once.
+/// The forward kernel streams rows of `Wᵀ` (one per input column); a
+/// `WeightPack` hoists that transposed copy, and the weight side of the
+/// interval guard, out of the hot loop, so a layer that is applied many
+/// times between weight updates (training batches, serving) pays for
+/// the pack once. The backward kernel streams rows of `W` itself and
+/// takes the source matrix beside the pack.
 ///
 /// The kernels are **bit-identical** to the per-sample [`Matrix::gemv`]
-/// / [`Matrix::gemv_t`] run row by row: only the loop nests differ,
+/// / [`Matrix::gemv_t`] run row by row: only the loop nest differs,
 /// never the per-element reduction chains (ascending `j` for
 /// `gemv_batch`, ascending `i` for `gemv_t_batch` — the crate's
 /// accumulation-order contract), in every backend, including
@@ -616,14 +610,8 @@ const GEMV_T_PANEL: usize = 16;
 /// `fixar-nn`'s `Mlp`, invalidate and lazily rebuild) the pack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightPack<S> {
-    rows: usize,
-    cols: usize,
     /// `(cols, rows)` row-major transpose of the source matrix.
     wt: Matrix<S>,
-    /// Zero-padded column panels of the source matrix for the
-    /// `gemv_t_batch` kernel: element `(i, p * GEMV_T_PANEL + t)` of the
-    /// source lives at `(p * rows + i) * GEMV_T_PANEL + t`.
-    w_panels: Vec<S>,
     /// Weight side of the interval guard, derived by [`Matrix::pack`]:
     /// the largest [`Scalar::raw_magnitude`] of any weight, and the
     /// largest sum of magnitudes along one source row (a forward chain)
@@ -638,20 +626,20 @@ impl<S: Scalar> WeightPack<S> {
     /// [`WeightPack::gemv_batch`]).
     #[inline]
     pub fn rows(&self) -> usize {
-        self.rows
+        self.wt.cols()
     }
 
     /// Column count of the *source* matrix (the output dimension of
     /// [`WeightPack::gemv_t_batch`]).
     #[inline]
     pub fn cols(&self) -> usize {
-        self.cols
+        self.wt.rows()
     }
 
     /// `(rows, cols)` of the source matrix.
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.rows(), self.cols())
     }
 
     /// Batched matrix-vector product `Y[b] = W·A[b]` for a minibatch
@@ -693,83 +681,78 @@ impl<S: Scalar> WeightPack<S> {
         y: &'scope mut Matrix<S>,
         ks: &KernelScope<'_, '_, 'scope>,
     ) -> Result<(), ShapeError> {
-        if a.cols != self.cols {
-            return Err(ShapeError::new(
-                "gemv_batch input",
-                (a.rows, self.cols),
-                a.shape(),
-            ));
-        }
-        if y.shape() != (a.rows, self.rows) {
-            return Err(ShapeError::new(
-                "gemv_batch output",
-                (a.rows, self.rows),
-                y.shape(),
-            ));
-        }
-        let out_dim = self.rows;
-        let shards = ks.shards(a.rows);
-        let mut rest = y.data.as_mut_slice();
-        for range in split_ranges(a.rows, shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
-            rest = tail;
-            ks.submit(move || gemv_batch_span(self, a, range, chunk));
-        }
-        Ok(())
+        let what = ["gemv_batch input", "gemv_batch output"];
+        mvm_batch(&self.wt, (self.w_max, self.row_abs_sum), a, y, ks, what)
     }
 
     /// Batched transposed product `Y[b] = Wᵀ·E[b]` (back-propagation of a
-    /// whole minibatch of error rows): `e` is `(batch, rows)`, `y` is
-    /// `(batch, cols)`.
+    /// whole minibatch of error rows): `w` is the source matrix this
+    /// pack was built from, `e` is `(batch, rows)`, `y` is
+    /// `(batch, cols)`. The transposed chains stream the rows of `w`
+    /// itself, so the pack contributes only their guard bounds — which
+    /// describe `w` as it was when packed (see the snapshot note on
+    /// [`WeightPack`]).
     ///
     /// # Accumulation order
     ///
     /// Bit-exact with calling [`Matrix::gemv_t`] on every row of `e` in
     /// row order: for each output element `y[b][j]`, contributions are
     /// reduced over `i` (the rows of `W`) in ascending order, exactly as
-    /// the row-broadcast transpose dataflow produces them. The kernel
-    /// walks the cached column panels — a register-resident panel of
-    /// outputs per sample accumulates from unit-stride weight loads,
-    /// four samples per tile — which changes the loop nest, never the
-    /// chain.
+    /// the row-broadcast transpose dataflow produces them.
     ///
     /// Batch rows shard through `ks`; see [`WeightPack::gemv_batch`]
     /// for the kernel-scope contract.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] unless `e.cols() == rows` and `y` is
-    /// `(e.rows(), cols)`, checked before anything enqueues.
+    /// Returns [`ShapeError`] unless `w` has the packed shape,
+    /// `e.cols() == rows` and `y` is `(e.rows(), cols)`, checked before
+    /// anything enqueues.
     pub fn gemv_t_batch<'scope>(
         &'scope self,
+        w: &'scope Matrix<S>,
         e: &'scope Matrix<S>,
         y: &'scope mut Matrix<S>,
         ks: &KernelScope<'_, '_, 'scope>,
     ) -> Result<(), ShapeError> {
-        if e.cols != self.rows {
+        if w.shape() != self.shape() {
             return Err(ShapeError::new(
-                "gemv_t_batch input",
-                (e.rows, self.rows),
-                e.shape(),
+                "gemv_t_batch weights",
+                self.shape(),
+                w.shape(),
             ));
         }
-        if y.shape() != (e.rows, self.cols) {
-            return Err(ShapeError::new(
-                "gemv_t_batch output",
-                (e.rows, self.cols),
-                y.shape(),
-            ));
-        }
-        let cols = self.cols;
-        let shards = ks.shards(e.rows);
-        let mut rest = y.data.as_mut_slice();
-        for range in split_ranges(e.rows, shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-            rest = tail;
-            ks.submit(move || gemv_t_batch_span(self, e, range, chunk));
-        }
-        Ok(())
+        let what = ["gemv_t_batch input", "gemv_t_batch output"];
+        mvm_batch(w, (self.w_max, self.col_abs_sum), e, y, ks, what)
     }
+}
+
+/// The shared front of the two batched MVMs, `Y[b] = Σ_k X[b][k] ·
+/// src_row(k)`: shape checks on the calling thread, then the batch rows
+/// shard through `ks` into disjoint slices of `y`, each shard one
+/// [`mvm_batch_span`]. `bounds` is the weight side of the interval guard
+/// for chains along a column of `src`.
+fn mvm_batch<'scope, S: Scalar>(
+    src: &'scope Matrix<S>,
+    bounds: (u32, u64),
+    x: &'scope Matrix<S>,
+    y: &'scope mut Matrix<S>,
+    ks: &KernelScope<'_, '_, 'scope>,
+    [what_in, what_out]: [&'static str; 2],
+) -> Result<(), ShapeError> {
+    if x.cols != src.rows {
+        return Err(ShapeError::new(what_in, (x.rows, src.rows), x.shape()));
+    }
+    if y.shape() != (x.rows, src.cols) {
+        return Err(ShapeError::new(what_out, (x.rows, src.cols), y.shape()));
+    }
+    let mut rest = y.data.as_mut_slice();
+    for range in split_ranges(x.rows, ks.shards(x.rows)) {
+        let (chunk, tail) = rest.split_at_mut(range.len() * src.cols);
+        rest = tail;
+        ks.submit(move || mvm_batch_span(src, bounds, x, range, chunk));
+    }
+    Ok(())
 }
 
 impl<S: Scalar> Index<(usize, usize)> for Matrix<S> {
@@ -794,14 +777,12 @@ impl<S: Scalar> IndexMut<(usize, usize)> for Matrix<S> {
 // Each span computes a contiguous output region with exactly the
 // per-element reduction chain of its per-sample kernel; the batched
 // kernels submit one span per shard over disjoint ranges (a single
-// full-range span on the sequential scope). Sharing the loop nests is
+// full-range span on the sequential scope). Sharing the loop nest is
 // what *guarantees* sequential ≡ parallel bit-for-bit.
 
-/// One multiply-accumulate step of a span kernel: the saturating
-/// `acc + w * x`, or — for a chain the interval guard admitted —
-/// [`Scalar::mac_unclamped`], which yields the same bits without the
-/// two clamps. Each kernel below has one loop nest, compiled once per
-/// value of `FREE`; the data in hand picks the instance.
+/// One multiply-accumulate step: the saturating `acc + w * x`, or — for
+/// a chain the interval guard admitted — [`Scalar::mac_unclamped`],
+/// which yields the same bits without the two clamps.
 #[inline(always)]
 fn mac<S: Scalar, const FREE: bool>(acc: S, w: S, x: S) -> S {
     if FREE {
@@ -811,121 +792,79 @@ fn mac<S: Scalar, const FREE: bool>(acc: S, w: S, x: S) -> S {
     }
 }
 
-/// Forward-MVM span: output rows `batch` of `Y = A·Wᵀ` into `y_chunk`
-/// (`batch.len() * pack.rows` elements), reading the pre-transposed
-/// weights `pack.wt` (`(in_dim, out_dim)` row-major). Ascending-`j`
-/// chains, guarded per sample row.
-fn gemv_batch_span<S: Scalar>(
-    pack: &WeightPack<S>,
-    a: &Matrix<S>,
-    batch: Range<usize>,
-    y_chunk: &mut [S],
-) {
-    let out_dim = pack.rows;
-    for (local_b, b) in batch.enumerate() {
-        let a_row = a.row(b);
-        let y_row = &mut y_chunk[local_b * out_dim..(local_b + 1) * out_dim];
-        let x_max = max_magnitude(a_row);
-        if S::mac_chain_is_clamp_free(pack.w_max, pack.row_abs_sum, x_max, 0, pack.cols) {
-            gemv_row::<S, true>(&pack.wt, a_row, y_row);
-        } else {
-            gemv_row::<S, false>(&pack.wt, a_row, y_row);
-        }
-    }
-}
-
-/// The loop nest of [`gemv_batch_span`] for one sample row.
-fn gemv_row<S: Scalar, const FREE: bool>(wt: &Matrix<S>, a_row: &[S], y_row: &mut [S]) {
-    let out_dim = y_row.len();
-    y_row.fill(S::zero());
-    for (j, &xj) in a_row.iter().enumerate() {
-        let wt_row = &wt.data[j * out_dim..(j + 1) * out_dim];
-        for (yi, &w) in y_row.iter_mut().zip(wt_row) {
-            *yi = mac::<S, FREE>(*yi, w, xj);
-        }
-    }
-}
-
-/// Transposed-MVM span over the pack's zero-padded column panels:
-/// output rows `batch` of `Y = E·W` into `y_chunk`, four samples per
-/// tile and the remainder rows one at a time through the same
-/// [`gemv_t_tile`] nest.
-fn gemv_t_batch_span<S: Scalar>(
-    pack: &WeightPack<S>,
-    e: &Matrix<S>,
-    batch: Range<usize>,
-    y_chunk: &mut [S],
-) {
-    let cols = pack.cols;
-    let mut b = batch.start;
-    while b < batch.end {
-        let y_tile = &mut y_chunk[(b - batch.start) * cols..];
-        if b + 4 <= batch.end {
-            gemv_t_guarded::<S, 4>(pack, core::array::from_fn(|s| e.row(b + s)), y_tile);
-            b += 4;
-        } else {
-            gemv_t_guarded(pack, [e.row(b)], y_tile);
-            b += 1;
-        }
-    }
-}
-
-/// Evaluates the interval guard over the `N` error rows of one tile and
-/// runs the matching instance of [`gemv_t_tile`].
-fn gemv_t_guarded<S: Scalar, const N: usize>(
-    pack: &WeightPack<S>,
-    e_rows: [&[S]; N],
-    y_tile: &mut [S],
-) {
-    let x_max = e_rows.iter().fold(0, |m, r| m.max(max_magnitude(r)));
-    if S::mac_chain_is_clamp_free(pack.w_max, pack.col_abs_sum, x_max, 0, pack.rows) {
-        gemv_t_tile::<S, true, N>(pack, e_rows, y_tile);
-    } else {
-        gemv_t_tile::<S, false, N>(pack, e_rows, y_tile);
-    }
-}
-
-/// The loop nest of [`gemv_t_batch_span`] for a tile of `N` samples.
+/// The one MAC loop nest of the crate: `acc ← acc + c · src` for every
+/// `(c, src)` of `terms`, in the order the iterator yields them. All
+/// three batched kernels are this operation — one broadcast coefficient
+/// per step against a contiguous row, the output dimension being the
+/// vector dimension, as on the column-broadcast AAP core.
 ///
-/// One width-[`GEMV_T_PANEL`] panel of output accumulators per sample
-/// stays register-resident while the matching weight panel streams past
-/// with unit stride, so the inner loop touches memory only to read.
-/// The samples of a tile share each streamed panel row. The padded
-/// lanes multiply zero weights and are sliced off at store time; the
-/// real lanes' chains sum their products in ascending `i` — bit-exact
-/// with `gemv_t` per row.
-fn gemv_t_tile<S: Scalar, const FREE: bool, const N: usize>(
-    pack: &WeightPack<S>,
-    e_rows: [&[S]; N],
-    y_tile: &mut [S],
+/// A fixed-point term whose coefficient is exactly zero is dropped:
+/// every product `round(w · 0)` is `0` and `acc + 0 = acc` whether the
+/// add saturates or wraps, so the surviving terms — still in their
+/// original order — leave the same bits, and every bound the interval
+/// guard proved over the full chain holds for the shorter one. The
+/// float backends step through every term (`w · 0` is `NaN` for a
+/// non-finite weight, and `-0.0 + 0.0` loses the sign).
+#[inline]
+fn accumulate_rows_as<'a, S: Scalar, const FREE: bool>(
+    acc: &mut [S],
+    terms: impl Iterator<Item = (S, &'a [S])>,
 ) {
-    const PW: usize = GEMV_T_PANEL;
-    let (in_dim, cols) = (pack.rows, pack.cols);
-    for p in 0..cols.div_ceil(PW) {
-        let panel = &pack.w_panels[p * in_dim * PW..(p + 1) * in_dim * PW];
-        let mut acc = [[S::zero(); PW]; N];
-        for i in 0..in_dim {
-            let w: &[S; PW] = panel[i * PW..i * PW + PW].try_into().unwrap();
-            for (s, e_row) in e_rows.iter().enumerate() {
-                let ei = e_row[i];
-                for (t, &wt) in w.iter().enumerate() {
-                    acc[s][t] = mac::<S, FREE>(acc[s][t], wt, ei);
-                }
-            }
+    for (c, src) in terms {
+        if S::IS_FIXED_POINT && c == S::zero() {
+            continue;
         }
-        let j0 = p * PW;
-        let width = PW.min(cols - j0);
-        for (s, row) in acc.iter().enumerate() {
-            y_tile[s * cols + j0..s * cols + j0 + width].copy_from_slice(&row[..width]);
+        for (y, &w) in acc.iter_mut().zip(src) {
+            *y = mac::<S, FREE>(*y, w, c);
         }
+    }
+}
+
+/// [`accumulate_rows_as`], compiled once per side of the interval guard;
+/// `clamp_free` (the guard's verdict on the data in hand) picks the
+/// instance.
+#[inline]
+fn accumulate_rows<'a, S: Scalar>(
+    clamp_free: bool,
+    acc: &mut [S],
+    terms: impl Iterator<Item = (S, &'a [S])>,
+) {
+    if clamp_free {
+        accumulate_rows_as::<S, true>(acc, terms);
+    } else {
+        accumulate_rows_as::<S, false>(acc, terms);
+    }
+}
+
+/// MVM span: output rows `batch` of `Y[b] = Σ_k X[b][k] · src_row(k)`
+/// into `y_chunk` (`batch.len() * src.cols` elements), ascending-`k`
+/// chains from zero, guarded per sample row. `src` is the packed `Wᵀ`
+/// for the forward product and `W` itself for the transposed one.
+fn mvm_batch_span<S: Scalar>(
+    src: &Matrix<S>,
+    (w_max, w_abs_sum): (u32, u64),
+    x: &Matrix<S>,
+    batch: Range<usize>,
+    y_chunk: &mut [S],
+) {
+    let out_dim = src.cols.max(1);
+    for (b, y_row) in batch.zip(y_chunk.chunks_exact_mut(out_dim)) {
+        let x_row = x.row(b);
+        let x_max = max_magnitude(x_row);
+        let free = S::mac_chain_is_clamp_free(w_max, w_abs_sum, x_max, 0, x_row.len());
+        y_row.fill(S::zero());
+        let src_rows = src.data.chunks_exact(out_dim);
+        accumulate_rows(free, y_row, x_row.iter().copied().zip(src_rows));
     }
 }
 
 /// Gradient-accumulation span: rows `w_rows` of `W += Σ_b E[b] ⊗ A[b]`
 /// into `w_chunk`, guarded per gradient row: the chain of element
 /// `(i, j)` starts at `W[i][j]` and adds `E[b][i]·A[b][j]` over the
-/// batch, so its bounds are column `i` of `E`, `a_max` (the largest
-/// magnitude anywhere in `A`) and the row's largest starting value.
+/// batch **in ascending sample order** — the documented batch-reduction
+/// order — so its bounds are column `i` of `E`, `a_max` (the largest
+/// magnitude anywhere in `A`) and the row's largest starting value. The
+/// row stays resident while the samples stream past.
 fn add_outer_batch_span<S: Scalar>(
     e: &Matrix<S>,
     a: &Matrix<S>,
@@ -934,61 +873,16 @@ fn add_outer_batch_span<S: Scalar>(
     w_cols: usize,
     w_chunk: &mut [S],
 ) {
-    for (local_i, i) in w_rows.enumerate() {
-        let w_row = &mut w_chunk[local_i * w_cols..(local_i + 1) * w_cols];
-        let (mut e_max, mut e_abs_sum) = (0u32, 0u64);
-        for b in 0..e.rows {
-            let m = e.data[b * e.cols + i].raw_magnitude();
-            e_max = e_max.max(m);
-            e_abs_sum += u64::from(m);
-        }
+    for (i, w_row) in w_rows.zip(w_chunk.chunks_exact_mut(w_cols.max(1))) {
+        let e_col = (0..e.rows).map(|b| e.data[b * e.cols + i]);
+        let (e_max, e_abs_sum) = e_col.clone().fold((0u32, 0u64), |(max, sum), eb| {
+            let m = eb.raw_magnitude();
+            (max.max(m), sum + u64::from(m))
+        });
         let w_max = max_magnitude(w_row);
-        if S::mac_chain_is_clamp_free(e_max, e_abs_sum, a_max, w_max, e.rows) {
-            add_outer_row::<S, true>(e, a, i, w_row);
-        } else {
-            add_outer_row::<S, false>(e, a, i, w_row);
-        }
-    }
-}
-
-/// The loop nest of [`add_outer_batch_span`] for gradient row `i`. It
-/// keeps the row resident (four samples per tile) instead of
-/// re-streaming the whole gradient matrix once per sample, but every
-/// element still accumulates its batch contributions **in ascending
-/// sample order** — the documented batch-reduction order (the four
-/// lanes of a tile apply to each element sequentially, `b`, `b+1`,
-/// `b+2`, `b+3`).
-fn add_outer_row<S: Scalar, const FREE: bool>(
-    e: &Matrix<S>,
-    a: &Matrix<S>,
-    i: usize,
-    w_row: &mut [S],
-) {
-    let batch = e.rows;
-    let mut b = 0;
-    while b + 4 <= batch {
-        let e0 = e.data[b * e.cols + i];
-        let e1 = e.data[(b + 1) * e.cols + i];
-        let e2 = e.data[(b + 2) * e.cols + i];
-        let e3 = e.data[(b + 3) * e.cols + i];
-        let a0 = &a.data[b * a.cols..(b + 1) * a.cols];
-        let a1 = &a.data[(b + 1) * a.cols..(b + 2) * a.cols];
-        let a2 = &a.data[(b + 2) * a.cols..(b + 3) * a.cols];
-        let a3 = &a.data[(b + 3) * a.cols..(b + 4) * a.cols];
-        for (j, w) in w_row.iter_mut().enumerate() {
-            *w = mac::<S, FREE>(*w, e0, a0[j]);
-            *w = mac::<S, FREE>(*w, e1, a1[j]);
-            *w = mac::<S, FREE>(*w, e2, a2[j]);
-            *w = mac::<S, FREE>(*w, e3, a3[j]);
-        }
-        b += 4;
-    }
-    for b in b..batch {
-        let eb = e.data[b * e.cols + i];
-        let a_row = &a.data[b * a.cols..(b + 1) * a.cols];
-        for (w, &aj) in w_row.iter_mut().zip(a_row) {
-            *w = mac::<S, FREE>(*w, eb, aj);
-        }
+        let free = S::mac_chain_is_clamp_free(e_max, e_abs_sum, a_max, w_max, e.rows);
+        let a_rows = a.data.chunks_exact(w_cols.max(1));
+        accumulate_rows(free, w_row, e_col.zip(a_rows));
     }
 }
 
@@ -1159,10 +1053,9 @@ mod tests {
 
     #[test]
     fn batched_kernels_bit_exact_with_per_sample_kernels() {
-        // Odd shapes and batches around the tile sizes (4 samples for
-        // the transposed MVM and the outer product) so every remainder
-        // path runs, each on its own sequential scope (a scope borrows
-        // its kernels' outputs for as long as it lives).
+        // Odd shapes and small batches, each kernel on its own
+        // sequential scope (a scope borrows its kernels' outputs for as
+        // long as it lives).
         for &(rows, cols, batch) in &[(5, 7, 1), (5, 7, 2), (5, 7, 3), (6, 4, 4), (3, 9, 7)] {
             let (w, a) = fx32_case(rows, cols, batch);
             let e = fx32_errs(batch, rows);
@@ -1175,7 +1068,7 @@ mod tests {
             assert_eq!(fwd, gemv_rows(&w, &a));
 
             let mut bwd = Matrix::zeros(batch, cols);
-            pack.gemv_t_batch(&e, &mut bwd, &KernelScope::sequential())
+            pack.gemv_t_batch(&w, &e, &mut bwd, &KernelScope::sequential())
                 .unwrap();
             assert_eq!(bwd, gemv_t_rows(&w, &e));
 
@@ -1192,7 +1085,7 @@ mod tests {
     #[test]
     fn batched_kernels_saturate_like_per_sample() {
         // Near-rail Q16 values so the saturating adds actually clamp:
-        // the batched tiles must replay the exact per-element chains,
+        // the batched nest must replay the exact per-element chains,
         // on the sequential scope and W-row / batch-row sharded.
         type Q = Q16<10>;
         let w = Matrix::<f64>::from_fn(6, 5, |r, c| if (r + c) % 2 == 0 { 31.0 } else { -31.0 })
@@ -1217,7 +1110,7 @@ mod tests {
             let mut g = Matrix::<Q>::zeros(6, 5);
             par.fused(|ks| -> Result<(), ShapeError> {
                 pack.gemv_batch(&a, &mut fwd, ks)?;
-                pack.gemv_t_batch(&e, &mut bwd, ks)?;
+                pack.gemv_t_batch(&w, &e, &mut bwd, ks)?;
                 g.add_outer_batch(&e, &a, ks)
             })
             .unwrap()
@@ -1273,7 +1166,7 @@ mod tests {
             let mut g = Matrix::<Fx32>::zeros(7, 9);
             par.fused(|ks| -> Result<(), ShapeError> {
                 pack.gemv_batch(&a, &mut y, ks)?;
-                pack.gemv_t_batch(&e, &mut yt, ks)?;
+                pack.gemv_t_batch(&w, &e, &mut yt, ks)?;
                 g.add_outer_batch(&e, &a, ks)
             })
             .unwrap()
@@ -1335,6 +1228,7 @@ mod tests {
         let mut bad_out = Matrix::<Fx32>::zeros(5, 5);
         let e = Matrix::<Fx32>::zeros(5, 4);
         let mut yt = Matrix::<Fx32>::zeros(5, 6);
+        let mut yt2 = yt.clone();
         let mut bad_t = Matrix::<Fx32>::zeros(5, 5);
         let mut g1 = Matrix::<Fx32>::zeros(4, 6);
         let (mut g2, mut g3) = (g1.clone(), g1.clone());
@@ -1342,8 +1236,9 @@ mod tests {
         par.fused(|ks| {
             assert!(pack.gemv_batch(&bad_in, &mut y, ks).is_err());
             assert!(pack.gemv_batch(&a, &mut bad_out, ks).is_err());
-            assert!(pack.gemv_t_batch(&a, &mut yt, ks).is_err());
-            assert!(pack.gemv_t_batch(&e, &mut bad_t, ks).is_err());
+            assert!(pack.gemv_t_batch(&w, &a, &mut yt, ks).is_err());
+            assert!(pack.gemv_t_batch(&w, &e, &mut bad_t, ks).is_err());
+            assert!(pack.gemv_t_batch(&bad_in, &e, &mut yt2, ks).is_err());
             assert!(g1.add_outer_batch(&e3, &a, ks).is_err());
             assert!(g2.add_outer_batch(&a, &a, ks).is_err());
             assert!(g3.add_outer_batch(&e, &e, ks).is_err());

@@ -1,6 +1,17 @@
 //! Property-based tests for the tensor kernels.
+//!
+//! The batched kernels share one row-accumulation nest that drops every
+//! fixed-point term whose broadcast coefficient is exactly zero; the
+//! per-sample `gemv` / `gemv_t` / `add_outer` they are compared with
+//! below never skip anything. Mutation note for
+//! `zero_skipping_kernels_equal_the_oracles_that_do_not_skip`: widening
+//! the skip to `|c| ≤ 1` raw ulp must fail it (its operands carry 1-ulp
+//! coefficients against weights of magnitude 8), and so must keying the
+//! skip on the weight row instead of the coefficient by testing the
+//! row's leading word (its weights carry rows that merely *start* with
+//! a zero next to a whole-zero row).
 
-use fixar_fixed::{Fx32, Scalar};
+use fixar_fixed::{Fx16, Fx32, Scalar};
 use fixar_tensor::{vector, Matrix, Parallelism};
 use proptest::prelude::*;
 
@@ -78,7 +89,7 @@ proptest! {
         // Bit-exactness of the batched forward and transposed kernels
         // against the per-sample chain, on the sequential scope and
         // pooled — `amp` near the Fx32 rail makes the saturating adds
-        // clamp, so any chain-order deviation in the tiles would show.
+        // clamp, so any chain-order deviation in the nest would show.
         let wq: Matrix<Fx32> = w.cast();
         let pack = wq.pack();
         let a = Matrix::<f64>::from_fn(batch, w.cols(), |b, c| {
@@ -93,7 +104,7 @@ proptest! {
             let mut bwd = Matrix::zeros(batch, w.cols());
             par.fused(|ks| {
                 pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                pack.gemv_t_batch(&e, &mut bwd, ks).unwrap();
+                pack.gemv_t_batch(&wq, &e, &mut bwd, ks).unwrap();
             }).unwrap();
             for b in 0..batch {
                 let fwd_ref = wq.gemv_alloc(a.row(b)).unwrap();
@@ -111,9 +122,10 @@ proptest! {
         amp in 1.0..2000.0f64,
     ) {
         // The documented batch-reduction order: ascending sample index.
-        // The gradient span's row-resident four-sample tiles must keep
-        // that chain per element even when every add saturates; the
-        // per-sample loop is the reference semantics.
+        // The gradient span keeps each row resident while the samples
+        // stream past and must keep that chain per element even when
+        // every add saturates; the per-sample loop is the reference
+        // semantics.
         let e = Matrix::<f64>::from_fn(batch, w.rows(), |b, r| {
             ((b * 3 + r) as f64 * 0.41).sin() * amp
         }).cast::<Fx32>();
@@ -181,13 +193,14 @@ fn rail_matrix(rows: usize, cols: usize, salt: usize) -> Matrix<Fx32> {
 }
 
 #[test]
-fn batched_kernels_equal_per_sample_across_panel_edges() {
-    // `gemv_t_batch` walks width-16 column panels: fan-ins of 15, 16,
-    // 17, 23 and 33 cover one partial panel, one exact panel, and
-    // multi-panel walks with a partial last panel (the paper's 17- and
-    // 23-wide layers). Batches 1..7 hit every 2- and 4-sample tile
-    // remainder; rows = 5 under-subscribes 8 workers for the W-row
-    // sharded outer product.
+fn batched_kernels_equal_per_sample_across_vector_width_edges() {
+    // The nest's inner loop runs along the output row, sixteen 32-bit
+    // lanes to a vector: row widths of 15, 16, 17, 23 and 33 cover one
+    // partial vector, one exact vector, and multi-vector rows with a
+    // partial tail (the paper's 17- and 23-wide layers) — the cases the
+    // width-16 panel walk this nest replaced was tested on. Batches
+    // 1..7 cover every shard remainder of the batch-row split; rows = 5
+    // under-subscribes 8 workers for the W-row sharded outer product.
     const ROWS: usize = 5;
     for cols in [15usize, 16, 17, 23, 33] {
         let w = rail_matrix(ROWS, cols, 0);
@@ -218,7 +231,7 @@ fn batched_kernels_equal_per_sample_across_panel_edges() {
                 let mut g = g_start.clone();
                 par.fused(|ks| {
                     pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                    pack.gemv_t_batch(&e, &mut bwd, ks).unwrap();
+                    pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
                     g.add_outer_batch(&e, &a, ks).unwrap();
                 })
                 .unwrap();
@@ -244,7 +257,7 @@ fn guarded_mvms_equal_per_sample_on_both_sides_of_the_threshold() {
     // sample row gets its own amplitude around x* — a little under it
     // the unclamped nest runs, a little over it the chain really
     // saturates and must take the saturating nest — and in the second
-    // variant exactly one row of the batch is rail-valued, so its tile
+    // variant exactly one row of the batch is rail-valued, so its
     // neighbours are checked whichever path each of them takes.
     const ROWS: usize = 5;
     const W_AMP: f64 = 8.0;
@@ -312,7 +325,7 @@ fn guarded_mvms_equal_per_sample_on_both_sides_of_the_threshold() {
                         let mut bwd = Matrix::<Fx32>::zeros(batch, cols);
                         par.fused(|ks| {
                             pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                            pack.gemv_t_batch(&e, &mut bwd, ks).unwrap();
+                            pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
                         })
                         .unwrap();
                         let case = format!(
@@ -372,4 +385,142 @@ fn guarded_add_outer_batch_equals_per_sample_around_the_init_headroom() {
             }
         }
     }
+}
+
+/// Deterministic hash of a coordinate pair onto `0..10`.
+fn decile(r: usize, c: usize, salt: usize) -> usize {
+    (r.wrapping_mul(2654435761) ^ c.wrapping_mul(40503) ^ salt.wrapping_mul(977)) % 1013 % 10
+}
+
+/// One backend's share of
+/// `zero_skipping_kernels_equal_the_oracles_that_do_not_skip`.
+fn zero_skipping_case<S: Scalar>() {
+    const ROWS: usize = 6;
+    // One raw ulp of the fixed-point formats under test (any tiny value
+    // for the float ones).
+    let ulp = if S::BITS == 16 {
+        2f64.powi(-10)
+    } else {
+        2f64.powi(-20)
+    };
+    let (rail_hi, rail_lo) = (S::from_f64(1e12), S::from_f64(-1e12));
+    let hits_rail = |m: &Matrix<S>| m.as_slice().iter().any(|&v| v == rail_hi || v == rail_lo);
+    let mut railed = false;
+    for rails in [false, true] {
+        // Small operands keep every Fx32 chain inside the interval guard;
+        // rail-valued ones (saturating on the cast) fail it, so the
+        // saturating instance of the nest runs next to the zeros.
+        let amp = if rails { 1900.0 } else { 0.4 };
+        for cols in [15usize, 16, 17, 33] {
+            // Row 2 is entirely zero, rows 1 and 4 merely start with one.
+            let w = Matrix::<f64>::from_fn(ROWS, cols, |r, c| match (r, c) {
+                (2, _) | (1, 0) | (4, 0) => 0.0,
+                _ => ((r * 31 + c * 17) as f64 * 0.37).sin() * 4.0 + 8.0,
+            })
+            .cast::<S>();
+            let pack = w.pack();
+            for tenths in [0usize, 5, 9, 10] {
+                for batch in [1usize, 3, 4, 5, 7] {
+                    // `A` loses whole rows, `E` whole columns, both a
+                    // hashed share of the rest; `tenths == 10` is the
+                    // all-zero batch. Survivors alternate between a
+                    // 1-ulp word and a full-size one.
+                    let value = |r: usize, c: usize, salt: usize| {
+                        if (r + c + salt).is_multiple_of(3) {
+                            ulp
+                        } else {
+                            ((r * 13 + c * 7 + salt) as f64 * 0.29).cos() * amp
+                        }
+                    };
+                    let a = Matrix::<f64>::from_fn(batch, cols, |b, c| {
+                        let dead_row = tenths > 0 && batch > 1 && b == batch / 2;
+                        if dead_row || decile(b, c, 1) < tenths {
+                            0.0
+                        } else {
+                            value(b, c, 1)
+                        }
+                    })
+                    .cast::<S>();
+                    let e = Matrix::<f64>::from_fn(batch, ROWS, |b, i| {
+                        let dead_col = tenths > 0 && i == 3;
+                        if dead_col || decile(b, i, 2) < tenths {
+                            0.0
+                        } else {
+                            value(b, i, 2)
+                        }
+                    })
+                    .cast::<S>();
+                    // Pre-loaded at the rail, so a term that is *not*
+                    // skipped really clamps the gradient element.
+                    let g_start = Matrix::<f64>::from_fn(ROWS, cols, |i, j| {
+                        let sign = if (i + j) % 2 == 0 { 1.0 } else { -1.0 };
+                        sign * if rails { 1e12 } else { 0.25 }
+                    })
+                    .cast::<S>();
+
+                    let mut fwd_ref = Matrix::<S>::zeros(batch, ROWS);
+                    let mut bwd_ref = Matrix::<S>::zeros(batch, cols);
+                    let mut g_ref = g_start.clone();
+                    for b in 0..batch {
+                        w.gemv(a.row(b), fwd_ref.row_mut(b)).unwrap();
+                        w.gemv_t(e.row(b), bwd_ref.row_mut(b)).unwrap();
+                        g_ref.add_outer(e.row(b), a.row(b)).unwrap();
+                    }
+                    railed |= rails && hits_rail(&fwd_ref) && hits_rail(&bwd_ref);
+                    if S::IS_FIXED_POINT && rails && tenths == 0 {
+                        assert_ne!(g_ref, g_start, "rail-loaded chains must move");
+                    }
+                    for workers in [1usize, 2, 8] {
+                        let par = Parallelism::with_workers(workers);
+                        let mut fwd = Matrix::<S>::zeros(batch, ROWS);
+                        let mut bwd = Matrix::<S>::zeros(batch, cols);
+                        let mut g = g_start.clone();
+                        par.fused(|ks| {
+                            pack.gemv_batch(&a, &mut fwd, ks).unwrap();
+                            pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
+                            g.add_outer_batch(&e, &a, ks).unwrap();
+                        })
+                        .unwrap();
+                        let case = format!(
+                            "{} rails {rails} cols {cols} zeros {tenths}/10 batch {batch} workers {workers}",
+                            S::NAME
+                        );
+                        assert_eq!(fwd, fwd_ref, "gemv_batch, {case}");
+                        assert_eq!(bwd, bwd_ref, "gemv_t_batch, {case}");
+                        assert_eq!(g, g_ref, "add_outer_batch, {case}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        railed || !S::IS_FIXED_POINT,
+        "{}: no chain ended on the rail",
+        S::NAME
+    );
+}
+
+#[test]
+fn zero_skipping_kernels_equal_the_oracles_that_do_not_skip() {
+    zero_skipping_case::<Fx32>();
+    zero_skipping_case::<Fx16>();
+    zero_skipping_case::<f32>();
+    zero_skipping_case::<f64>();
+}
+
+#[test]
+fn zero_skipping_runs_on_both_sides_of_the_fx32_guard() {
+    // The operand amplitudes `zero_skipping_case` uses really sit on
+    // opposite sides of the interval guard for the widest shape.
+    let one = u64::from(Fx32::ONE.raw_magnitude());
+    let (w_max, w_sum) = ((12 * one) as u32, 33 * 12 * one);
+    let small = (0.4 * one as f64) as u32;
+    assert!(Fx32::mac_chain_is_clamp_free(w_max, w_sum, small, 0, 33));
+    assert!(!Fx32::mac_chain_is_clamp_free(
+        w_max,
+        w_sum,
+        (1900 * one) as u32,
+        0,
+        33
+    ));
 }

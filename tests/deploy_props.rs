@@ -313,6 +313,90 @@ fn interpreter_equals_the_frozen_forward_on_both_sides_of_the_interval_guard() {
     check(&hostile, &raw_obs(&obs(3)), [false, true], "rail weights");
 }
 
+#[test]
+fn interpreter_equals_the_frozen_forward_on_zero_inputs() {
+    // A broadcast step whose input word is zero adds a column of exact
+    // zeros, so an interpreter may issue it or drop it (the batched
+    // tensor kernels drop it; this one, today, issues it).
+    // `forward_qat_frozen` (the per-sample `gemv`) multiplies by those
+    // zeros, and the two must agree word for word: on an all-zero
+    // observation, behind a first hidden layer that is entirely dead
+    // (non-positive weights and biases under non-negative inputs, so
+    // ReLU hands the second layer nothing but zeros), and with zeros
+    // next to rail-valued inputs, where the saturating chain runs.
+    let mut cfg = MlpConfig::new(vec![STATE_DIM, 8, 2]);
+    cfg.output_activation = Activation::Tanh;
+    let live = Mlp::<Fx32>::new_random(&cfg, 7).unwrap();
+    let mut dead = live.clone();
+    dead.weight_mut(0).map_inplace(|w| -w.abs());
+    dead.bias_mut(0).iter_mut().for_each(|b| *b = -b.abs());
+    // Quantizers on the way in and on the way out; the hidden point is
+    // left bare so a dead layer reaches the next one as exact zeros.
+    let mut qat = QatRuntime::builder(3)
+        .uniform_bits(16)
+        .exclude_point(1)
+        .build()
+        .unwrap();
+    for i in 0..16 {
+        let x: Vec<Fx32> = obs(i).iter().map(|&v| Fx32::from_f64(v)).collect();
+        live.forward_qat(&x, &mut qat).unwrap();
+    }
+    qat.freeze().unwrap();
+
+    let positive: Vec<i32> = raw_obs(&obs(3))
+        .iter()
+        .map(|w| w.saturating_abs())
+        .collect();
+    let cases: [(&str, &Mlp<Fx32>, Vec<i32>, bool); 4] = [
+        ("zero observation", &live, vec![0; STATE_DIM], false),
+        ("dead hidden layer", &dead, positive, true),
+        (
+            "zero observation, dead layer",
+            &dead,
+            vec![0; STATE_DIM],
+            true,
+        ),
+        (
+            "zero beside the rails",
+            &live,
+            vec![i32::MAX, 0, i32::MIN],
+            false,
+        ),
+    ];
+    for (case, mlp, raw, hidden_is_zero) in cases {
+        let art = PolicyArtifact::from_parts(
+            mlp.layer_sizes(),
+            ActKind::Relu,
+            ActKind::Tanh,
+            (0..2)
+                .map(|l| Fx32::raw_words(mlp.weight(l).as_slice()))
+                .collect(),
+            (0..2).map(|l| Fx32::raw_words(mlp.bias(l))).collect(),
+            &[qat.quantizer(0), qat.quantizer(1), qat.quantizer(2)],
+        )
+        .unwrap();
+        let art = PolicyArtifact::decode(&art.encode()).unwrap();
+        let trace = mlp
+            .forward_qat_frozen(&Fx32::from_raw_words(&raw), &qat)
+            .unwrap();
+        // The zeros the case is named for really reach a layer's input.
+        assert!(
+            trace.inputs[0].contains(&Fx32::ZERO) || hidden_is_zero,
+            "{case}"
+        );
+        assert_eq!(
+            trace.inputs[1].iter().all(|&v| v == Fx32::ZERO),
+            hidden_is_zero,
+            "{case}"
+        );
+        assert_eq!(
+            art.infer_raw(&raw).unwrap(),
+            Fx32::raw_words(&trace.output),
+            "{case}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pillar 2: serving through the artifact front door.
 // ---------------------------------------------------------------------
