@@ -32,6 +32,26 @@
 //! * `quantizer_micro`: the per-element cost of each deploy-time
 //!   quantizer spec (Shift, affine fast path, threshold-table search),
 //!   isolated by subtracting a passthrough baseline artifact.
+//! * `narrow_layer_micro`: the paper-size update's narrow calls at batch
+//!   64 on `sparse50` operands, named `in×out` — `gemv_batch 300x1` /
+//!   `300x6` (the critic and actor output layers), `gemv_t_batch 400x23`
+//!   and `add_outer_batch 400x23` (layer 0 of the critic). A batched
+//!   kernel whose output is narrow against the batch
+//!   (`out · LANE_RATIO ≤ batch`) turns the rows of its nest into batch
+//!   lanes; these arms run that form, bit-equality gated like the rest.
+//!   The `lane sweep` beside them is where `LANE_RATIO` comes from:
+//!   `gemv_batch` with 300 inputs at batch 64, output width swept 1…64,
+//!   **both** forms timed at every width. The library has no switch for
+//!   the form, so the bench forces each through the public entry — rows
+//!   by handing the batch over in pieces too short for the rule, lanes by
+//!   swapping the operands' roles (`Yᵀ = W·Xᵀ` is the row form of the
+//!   transposed problem), with the transposes a lane call pays inside
+//!   the timed region.
+//! * `elementwise_micro`: `adam_step 400x300` (one `Adam::step` of a
+//!   paper-size layer with the moments at the densities measured on the
+//!   paper workload: `m ≠ 0` for 63 % of the elements, `v = 0` for
+//!   99.9 %) and `fake_quantize 64x400` (one activation matrix through a
+//!   frozen 16-bit quantizer), both ns per element.
 //!
 //! Environment:
 //!
@@ -43,7 +63,8 @@
 
 use fixar_deploy::{ActKind, PolicyArtifact};
 use fixar_fixed::{AffineQuantizer, Fx32, QFormat, Scalar};
-use fixar_tensor::{Matrix, Parallelism};
+use fixar_nn::{Adam, AdamConfig, Mlp, MlpConfig, MlpGrads};
+use fixar_tensor::{KernelScope, Matrix, Parallelism, LANE_RATIO};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -78,24 +99,36 @@ fn time_ns_per_sample(reps: usize, samples: usize, mut f: impl FnMut()) -> f64 {
     t.elapsed().as_secs_f64() * 1e9 / (reps * samples) as f64
 }
 
-/// As [`time_ns_per_sample`] for a kernel that accumulates into `g`:
-/// `g` is zeroed before every repetition and only `f` is timed.
-fn time_accumulating_ns_per_sample(
+/// As [`time_ns_per_sample`] for a kernel that updates `state` in place:
+/// `reset` restores it before every repetition and only `f` is timed.
+fn time_resetting_ns_per_sample<T>(
     reps: usize,
     samples: usize,
-    g: &mut Matrix<Fx32>,
-    mut f: impl FnMut(&mut Matrix<Fx32>),
+    state: &mut T,
+    mut reset: impl FnMut(&mut T),
+    mut f: impl FnMut(&mut T),
 ) -> f64 {
     let mut busy = Duration::ZERO;
     for rep in 0..=reps {
-        g.fill_zero();
+        reset(state);
         let t = Instant::now();
-        f(g);
+        f(state);
         if rep > 0 {
             busy += t.elapsed(); // repetition 0 is the warmup
         }
     }
     busy.as_secs_f64() * 1e9 / (reps * samples) as f64
+}
+
+/// [`time_resetting_ns_per_sample`] for a kernel that accumulates into a
+/// gradient matrix, zeroed before every repetition.
+fn time_accumulating_ns_per_sample(
+    reps: usize,
+    samples: usize,
+    g: &mut Matrix<Fx32>,
+    f: impl FnMut(&mut Matrix<Fx32>),
+) -> f64 {
+    time_resetting_ns_per_sample(reps, samples, g, Matrix::fill_zero, f)
 }
 
 /// Largest raw magnitude and sum of raw magnitudes of a slice — the
@@ -165,18 +198,6 @@ fn main() {
     let e_rails = rails(BATCH, ROWS, 2);
     // The ordinary operands with a seeded Bernoulli share of the words
     // zeroed: the nest skips those terms.
-    let sparse = |m: &Matrix<Fx32>, zero_share: f64, seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut out = m.clone();
-        out.map_inplace(|v| {
-            if rng.gen_bool(zero_share) {
-                Fx32::ZERO
-            } else {
-                v
-            }
-        });
-        out
-    };
     // Operand sets `(name suffix, activations, errors)`; `ARMS` indexes
     // this list.
     let sparse50 = (" sparse50", sparse(&a, 0.50, 50), sparse(&e, 0.50, 51));
@@ -325,6 +346,8 @@ fn main() {
     push(&mut records, "pack 400x300".into(), ns);
 
     quantizer_micro(reps, &mut records);
+    narrow_layer_micro(reps, &mut records);
+    elementwise_micro(reps, &mut records);
 
     if let Ok(path) = std::env::var("FIXAR_BENCH_JSON") {
         let mut json = String::from("{\n");
@@ -426,4 +449,244 @@ fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
         let ns = (time_arm(art) - base_ns).max(0.0);
         push(records, name.into(), ns);
     }
+}
+
+/// `m` with a seeded Bernoulli `zero_share` of its words zeroed.
+fn sparse(m: &Matrix<Fx32>, zero_share: f64, seed: u64) -> Matrix<Fx32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = m.clone();
+    out.map_inplace(|v| {
+        if rng.gen_bool(zero_share) {
+            Fx32::ZERO
+        } else {
+            v
+        }
+    });
+    out
+}
+
+/// A seeded operand uniform in `[-amp, amp]` with half of its words
+/// zeroed — the `sparse50` density of the main arms.
+fn sparse50(rows: usize, cols: usize, amp: f64, seed: u64) -> Matrix<Fx32> {
+    sparse(&dense(rows, cols, amp, seed), 0.5, seed + 1)
+}
+
+/// Dense seeded `Fx32` words uniform in `[-amp, amp]`.
+fn dense(rows: usize, cols: usize, amp: f64, seed: u64) -> Matrix<Fx32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Matrix::from_fn(rows, cols, |_, _| Fx32::from_f64(rng.gen_range(-amp..amp)))
+}
+
+/// `gemv_batch` of `x` on the sequential scope into `y`.
+fn gemv_batch_seq(pack: &fixar_tensor::WeightPack<Fx32>, x: &Matrix<Fx32>, y: &mut Matrix<Fx32>) {
+    pack.gemv_batch(x, y, &KernelScope::sequential()).unwrap();
+}
+
+/// The narrow calls of the paper-size update at batch 64, and the sweep
+/// that justifies the shape rule's constant (see the module docs).
+fn narrow_layer_micro(reps: usize, records: &mut Vec<Record>) {
+    const B: usize = 64;
+    println!("narrow_layer_micro: batch {B}, sparse50 operands, Fx32, LANE_RATIO {LANE_RATIO}");
+
+    // Forward output layers: 300 inputs, 1 (critic) and 6 (actor) outputs.
+    let a300 = sparse50(B, 300, 0.8, 300);
+    for out in [1usize, 6] {
+        assert!(out * LANE_RATIO <= B, "the arm must take the lane form");
+        let w = dense(out, 300, 0.05, 30 + out as u64);
+        let pack = w.pack();
+        let mut y = Matrix::<Fx32>::zeros(B, out);
+        gemv_batch_seq(&pack, &a300, &mut y);
+        for b in 0..B {
+            assert_eq!(
+                y.row(b),
+                w.gemv_alloc(a300.row(b)).unwrap(),
+                "gemv_batch 300x{out} diverged from the per-row kernel"
+            );
+        }
+        let ns = time_ns_per_sample(reps, B, || {
+            gemv_batch_seq(&pack, std::hint::black_box(&a300), &mut y);
+            std::hint::black_box(&y);
+        });
+        push(records, format!("gemv_batch 300x{out}"), ns);
+    }
+
+    // Layer 0 of the critic: 23 inputs, 400 outputs, back-propagated.
+    let w0 = dense(400, 23, 0.2, 23);
+    let pack0 = w0.pack();
+    let e400 = sparse50(B, 400, 0.01, 400);
+    let a23 = sparse50(B, 23, 0.8, 230);
+    let mut yt = Matrix::<Fx32>::zeros(B, 23);
+    let mut g = Matrix::<Fx32>::zeros(400, 23);
+    let mut g_ref = g.clone();
+    pack0
+        .gemv_t_batch(&w0, &e400, &mut yt, &KernelScope::sequential())
+        .unwrap();
+    g.add_outer_batch(&e400, &a23, &KernelScope::sequential())
+        .unwrap();
+    for b in 0..B {
+        assert_eq!(
+            yt.row(b),
+            w0.gemv_t_alloc(e400.row(b)).unwrap(),
+            "gemv_t_batch 400x23 diverged from the per-row kernel"
+        );
+        g_ref.add_outer(e400.row(b), a23.row(b)).unwrap();
+    }
+    assert_eq!(
+        g, g_ref,
+        "add_outer_batch 400x23 diverged from the per-row kernel"
+    );
+    let ns = time_ns_per_sample(reps, B, || {
+        pack0
+            .gemv_t_batch(
+                &w0,
+                std::hint::black_box(&e400),
+                &mut yt,
+                &KernelScope::sequential(),
+            )
+            .unwrap();
+        std::hint::black_box(&yt);
+    });
+    push(records, "gemv_t_batch 400x23".into(), ns);
+    let ns = time_accumulating_ns_per_sample(reps, B, &mut g, |g| {
+        g.add_outer_batch(
+            std::hint::black_box(&e400),
+            std::hint::black_box(&a23),
+            &KernelScope::sequential(),
+        )
+        .unwrap();
+    });
+    push(records, "add_outer_batch 400x23".into(), ns);
+
+    // The sweep behind LANE_RATIO: both forms of one kernel at every
+    // output width, whichever of them the rule picks there.
+    println!("lane sweep: gemv_batch, 300 inputs, batch {B}; both forms at every output width");
+    let x_pack = a300.pack(); // `X` in the weight role, for the swapped call
+    let mut crossover = None;
+    for out in [1usize, 2, 4, 6, 8, 12, 16, 24, 32, 40, 48, 64] {
+        let w = dense(out, 300, 0.05, 64 + out as u64);
+        let pack = w.pack();
+        let lanes_picked = out * LANE_RATIO <= B;
+        let mut y_ref = Matrix::<Fx32>::zeros(B, out);
+        for b in 0..B {
+            w.gemv(a300.row(b), y_ref.row_mut(b)).unwrap();
+        }
+
+        // Rows: pieces of the batch too short for the rule to pick lanes
+        // (the whole batch where it picks rows anyway).
+        let piece = if lanes_picked {
+            out * LANE_RATIO - 1
+        } else {
+            B
+        };
+        let xs: Vec<Matrix<Fx32>> = (0..B)
+            .step_by(piece)
+            .map(|lo| Matrix::from_fn(piece.min(B - lo), 300, |b, c| a300[(lo + b, c)]))
+            .collect();
+        let mut ys: Vec<Matrix<Fx32>> = xs.iter().map(|x| Matrix::zeros(x.rows(), out)).collect();
+        let run_rows = |ys: &mut Vec<Matrix<Fx32>>| {
+            for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                gemv_batch_seq(&pack, std::hint::black_box(x), y);
+            }
+        };
+        run_rows(&mut ys);
+        let stacked: Vec<Fx32> = ys.iter().flat_map(|y| y.as_slice().to_vec()).collect();
+        assert_eq!(stacked, y_ref.as_slice(), "lane sweep rows, out {out}");
+        let rows_ns = time_ns_per_sample(reps, B, || {
+            run_rows(&mut ys);
+            std::hint::black_box(&ys);
+        });
+
+        // Lanes: the direct call where the rule picks them; elsewhere the
+        // transposed problem in row form, paying the same two transposes.
+        let mut y = Matrix::<Fx32>::zeros(B, out);
+        let mut yt = Matrix::<Fx32>::zeros(out, B);
+        let lanes_ns = if lanes_picked {
+            gemv_batch_seq(&pack, &a300, &mut y);
+            assert_eq!(y, y_ref, "lane sweep lanes, out {out}");
+            time_ns_per_sample(reps, B, || {
+                gemv_batch_seq(&pack, std::hint::black_box(&a300), &mut y);
+                std::hint::black_box(&y);
+            })
+        } else {
+            assert!(
+                B * LANE_RATIO > out,
+                "the swapped call must take the row form"
+            );
+            gemv_batch_seq(&x_pack, &w, &mut yt);
+            assert_eq!(yt.transposed(), y_ref, "lane sweep lanes, out {out}");
+            time_ns_per_sample(reps, B, || {
+                let xt = std::hint::black_box(&a300).transposed();
+                gemv_batch_seq(&x_pack, &w, &mut yt);
+                std::hint::black_box((&xt, yt.transposed()));
+            })
+        };
+        push(records, format!("lane_sweep out{out} rows"), rows_ns);
+        push(records, format!("lane_sweep out{out} lanes"), lanes_ns);
+        if crossover.is_none() && rows_ns <= lanes_ns {
+            crossover = Some(out);
+        }
+    }
+    let rule = format!(
+        "LANE_RATIO = {LANE_RATIO} picks lanes up to out {}",
+        B / LANE_RATIO
+    );
+    match crossover {
+        Some(out) => println!("lane sweep: rows first win at out {out}; {rule}"),
+        None => println!("lane sweep: lanes win at every width; {rule}"),
+    }
+}
+
+/// The two elementwise units of the update: the Adam step of a
+/// paper-size layer and the frozen activation quantizer, ns per element.
+fn elementwise_micro(reps: usize, records: &mut Vec<Record>) {
+    // One 300 → 400 layer. The gradient is zero for 37 % of the elements
+    // and small elsewhere, so after the first step `m ≠ 0` for 63 % and
+    // `v` (`0.001 · g²`, which underflows Q12.20 below |g| ≈ 0.02) stays
+    // zero for all but the 0.1 % of larger words.
+    let cfg = MlpConfig::new(vec![300, 400]);
+    let mut mlp = Mlp::<Fx32>::new_random(&cfg, 9).unwrap();
+    let mut opt = Adam::new(&mlp, AdamConfig::default());
+    let mut grads = MlpGrads::zeros_like(&mlp);
+    let mut rng = StdRng::seed_from_u64(63);
+    grads.w[0].map_inplace(|_| {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        if u < 0.37 {
+            Fx32::ZERO
+        } else if u < 0.999 {
+            Fx32::from_f64(rng.gen_range(1e-4..1e-3))
+        } else {
+            Fx32::from_f64(0.05)
+        }
+    });
+    let elements = mlp.param_count();
+    let ns = time_ns_per_sample(reps, elements, || {
+        opt.step(&mut mlp, std::hint::black_box(&grads)).unwrap();
+    });
+    std::hint::black_box(&mlp);
+    push(records, "adam_step 400x300".into(), ns);
+
+    // One hidden activation matrix through a frozen 16-bit quantizer,
+    // restored before every repetition (the projection is not idempotent
+    // once the result is rounded back to Q12.20).
+    let q = AffineQuantizer::from_range(-0.9, 1.2, 16).unwrap();
+    let acts = sparse50(64, 400, 1.0, 64);
+    let mut xs = acts.clone();
+    let ns = time_resetting_ns_per_sample(
+        reps,
+        acts.len(),
+        &mut xs,
+        |xs| xs.as_mut_slice().copy_from_slice(acts.as_slice()),
+        |xs| q.fake_quantize_slice(std::hint::black_box(xs.as_mut_slice())),
+    );
+    let want: Vec<Fx32> = acts
+        .as_slice()
+        .iter()
+        .map(|&x| q.fake_quantize_scalar(x))
+        .collect();
+    assert_eq!(
+        xs.as_slice(),
+        want,
+        "fake_quantize_slice diverged from the scalar path"
+    );
+    push(records, "fake_quantize 64x400".into(), ns);
 }

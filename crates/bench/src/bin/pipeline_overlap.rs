@@ -76,12 +76,14 @@ fn time_twin_step(
                         trace: &traces[0],
                         dl_dout: dl,
                         grads: Some(&mut g1),
+                        input_grad: false,
                     },
                     BackwardPass {
                         mlp: c2,
                         trace: &traces[1],
                         dl_dout: dl,
                         grads: Some(&mut g2),
+                        input_grad: false,
                     },
                 ],
                 par,
@@ -91,8 +93,10 @@ fn time_twin_step(
             // One group per critic: each pass joins its own scopes.
             let t1 = c1.forward_batch(x, QatPhase::Off, par).unwrap();
             let t2 = c2.forward_batch(x, QatPhase::Off, par).unwrap();
-            c1.backward_batch(&t1, dl, Some(&mut g1), par).unwrap();
-            c2.backward_batch(&t2, dl, Some(&mut g2), par).unwrap();
+            c1.backward_batch(&t1, dl, Some(&mut g1), false, par)
+                .unwrap();
+            c2.backward_batch(&t2, dl, Some(&mut g2), false, par)
+                .unwrap();
         }
         std::hint::black_box((&g1, &g2));
     }

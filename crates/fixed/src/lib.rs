@@ -26,6 +26,30 @@
 //!   `fixar-tensor` kernels (floats admit every chain, [`Q16`]
 //!   declines).
 //!
+//! # Float-assisted, integer-exact elementwise units
+//!
+//! FIXAR's Adam and quantization units are pipelines, so the operations
+//! they run per element must not be scalar loops here either.
+//! [`Q32::saturating_div`] and [`Q32::sqrt`] are **defined** by integer
+//! arithmetic — [`math::div_raw`] (the `i64` quotient of the widened
+//! dividend, truncated toward zero) and [`math::sqrt_raw`] (`⌊√(raw ·
+//! 2^F)⌋`, a Newton iteration) — and **computed**, for `F ≤ 20`, from one
+//! correctly-rounded `f64` operation plus an exact integer repair: the
+//! operands (at most `2^(31+F) ≤ 2^51`) are exact in `f64`, the rounded
+//! estimate is provably within one of the answer, and an exact remainder
+//! (or square) test settles which. Float-*assisted*, integer-*exact*:
+//! every result is the definition's, bit for bit, but the code is
+//! straight-line — no data-dependent branch, no `idiv`, no loop — so the
+//! Adam tail auto-vectorises. Wider fractions (`F > 20`) would push the
+//! operands past what an `f64` holds exactly; a `const` branch keeps the
+//! integer path for them. [`Q32::from_f64`] and
+//! [`AffineQuantizer::fake_quantize_slice`] are written the same way
+//! (NaN as a select, saturation as a clamp in the `f64` domain, the
+//! float→int move through the bit pattern rather than a saturating `as`
+//! cast, which LLVM scalarises). The integer definitions stay public in
+//! [`math`] as the oracles `tests/props.rs` sweeps the fast forms
+//! against.
+//!
 //! # Default formats
 //!
 //! The paper does not publish its binary-point positions, so FIXAR-rs picks

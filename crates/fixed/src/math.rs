@@ -194,15 +194,114 @@ pub(crate) fn isqrt_u64(v: u64) -> u64 {
     }
 }
 
-/// Fixed-point square root: `sqrt(raw / 2^frac) * 2^frac` for `raw >= 0`.
+/// Fixed-point square root: `sqrt(raw / 2^frac) * 2^frac` for `raw >= 0`,
+/// zero for negative input — the integer **definition** of [`Q32::sqrt`]
+/// (its oracle where the float-assisted form runs).
 ///
 /// `sqrt(v)` in format Qf is `isqrt(raw << frac)` because
 /// `sqrt(raw/2^f)·2^f = sqrt(raw·2^f)`.
-pub(crate) fn sqrt_raw(raw: i64, frac: u32) -> i64 {
+///
+/// [`Q32::sqrt`]: crate::Q32::sqrt
+pub fn sqrt_raw(raw: i64, frac: u32) -> i64 {
     if raw <= 0 {
         return 0;
     }
     isqrt_u64((raw as u64) << frac) as i64
+}
+
+/// Fixed-point quotient `(num << frac) / den`, truncated toward zero —
+/// the integer **definition** of [`Q32::saturating_div`] before its clamp
+/// to `i32` (its oracle where the float-assisted form runs). A zero
+/// divisor overflows by the dividend's sign: `i64::MIN` for a negative
+/// dividend, `i64::MAX` otherwise (`0/0` included).
+///
+/// [`Q32::saturating_div`]: crate::Q32::saturating_div
+pub fn div_raw(num: i32, den: i32, frac: u32) -> i64 {
+    if den == 0 {
+        return if num < 0 { i64::MIN } else { i64::MAX };
+    }
+    ((num as i64) << frac) / den as i64
+}
+
+// --- float-assisted, integer-exact elementwise units ------------------------
+//
+// The Adam unit divides and takes a square root per parameter, and the
+// quantization unit converts `f64 → i32` per activation. The integer
+// definitions above are a Newton loop and a 64-bit `idiv`; `as` casts
+// from float saturate, which LLVM scalarises. None of that vectorises.
+// The forms below are straight-line: one correctly-rounded `f64`
+// operation gives an estimate that is provably within one of the answer,
+// and an exact integer remainder test settles it. No early return, no
+// float→int cast — so a loop over them auto-vectorises — and every
+// result is the integer definition's, bit for bit.
+
+/// Largest `frac` the float-assisted forms accept: their operands reach
+/// `2^(31+frac)`, which must stay well inside the 2^53 integers an `f64`
+/// holds exactly (and inside [`round_to_i64`]'s ±2^51 domain).
+pub(crate) const FLOAT_ASSIST_MAX_FRAC: u32 = 20;
+
+/// `1.5 · 2^52`. Adding it to a value of magnitude at most 2^51 lands in
+/// `[2^52, 2^53]`, where an `f64`'s spacing is exactly 1: the add itself
+/// rounds to the nearest integer (ties to even), and that integer is the
+/// distance between the two bit patterns.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// Nearest integer to `v` (ties to even) for `|v| ≤ 2^51`, moved through
+/// the bit pattern instead of a saturating `as` cast. Meaningless (never
+/// undefined) outside that domain or for NaN.
+#[inline(always)]
+pub(crate) fn round_to_i64(v: f64) -> i64 {
+    ((v + ROUND_MAGIC).to_bits() as i64).wrapping_sub(ROUND_MAGIC.to_bits() as i64)
+}
+
+/// [`div_raw`] clamped to `i32`, for `frac ≤ 20`, without a branch or an
+/// integer divide.
+///
+/// Dividend `n = num·2^frac` (`|n| ≤ 2^51`) and divisor are exact in
+/// `f64`, so the correctly-rounded float quotient is within `2^51·2^-53
+/// = ¼` of the real one — and equal to it when that is an integer.
+/// Rounded to the nearest integer it is therefore the real quotient's
+/// floor or ceiling: the truncation, or one step past it. The exact
+/// remainder `n − q·den` tells which — past it exactly when it is
+/// non-zero with the sign opposite to `n`'s — and one step toward zero
+/// repairs it. Quotients beyond `i32` are pinned one past the rail in the
+/// float domain first (the repair moves at most one step back, and the
+/// final clamp absorbs it). The zero-divisor lane computes garbage and is
+/// overridden by a select.
+#[inline(always)]
+pub(crate) fn div_q32_assisted(num: i32, den: i32, frac: u32) -> i32 {
+    debug_assert!(frac <= FLOAT_ASSIST_MAX_FRAC);
+    let n = (num as i64) << frac;
+    let d = den as i64;
+    let estimate = f64::from(num) * (1u64 << frac) as f64 / f64::from(den);
+    let q0 = round_to_i64(estimate.clamp(-2_147_483_649.0, 2_147_483_648.0));
+    let rem = n.wrapping_sub(q0.wrapping_mul(d));
+    let past = ((rem ^ n) < 0) & (rem != 0);
+    let quotient_sign = ((n ^ d) >> 63) | 1;
+    let q = q0 - quotient_sign * i64::from(past);
+    let q = q.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+    let overflow = if num < 0 { i32::MIN } else { i32::MAX };
+    if den == 0 {
+        overflow
+    } else {
+        q
+    }
+}
+
+/// [`sqrt_raw`] for `frac ≤ 20`, without a loop.
+///
+/// `v = raw·2^frac ≤ 2^51` is exact in `f64`; its correctly-rounded
+/// square root is within 2^-27 of `√v`, never below `⌊√v⌋` (which is
+/// representable, and `sqrt` is monotone) and exact when `√v` is an
+/// integer. Rounded to nearest it is `⌊√v⌋` or one above; squaring it
+/// exactly tells which.
+#[inline(always)]
+pub(crate) fn sqrt_q32_assisted(raw: i32, frac: u32) -> i32 {
+    debug_assert!(frac <= FLOAT_ASSIST_MAX_FRAC);
+    let raw = raw.max(0);
+    let v = (raw as i64) << frac;
+    let r0 = round_to_i64((f64::from(raw) * (1u64 << frac) as f64).sqrt());
+    (r0 - i64::from(r0 * r0 > v)) as i32
 }
 
 #[cfg(test)]

@@ -84,23 +84,22 @@ impl<const F: u32> Q32<F> {
         raws.iter().map(|&r| Self::from_raw(r)).collect()
     }
 
-    /// Converts from `f64`, rounding to nearest and saturating out-of-range
-    /// inputs (including NaN, which maps to zero).
+    /// Converts from `f64`, rounding to nearest (ties away from zero) and
+    /// saturating out-of-range inputs (including NaN, which maps to zero).
+    ///
+    /// Straight-line: NaN is a select, the saturation is a clamp in the
+    /// `f64` domain, and the rounded value moves to an integer through
+    /// its bit pattern instead of a saturating `as` cast, so a loop
+    /// of conversions vectorises (the quantization unit runs one per
+    /// activation).
     #[inline]
     pub fn from_f64(x: f64) -> Self {
         #[allow(clippy::let_unit_value)]
         let _ = Self::VALID;
-        if x.is_nan() {
-            return Self::ZERO;
-        }
         let scaled = x * (1i64 << F) as f64;
-        if scaled >= i32::MAX as f64 {
-            Self::MAX
-        } else if scaled <= i32::MIN as f64 {
-            Self::MIN
-        } else {
-            Self(scaled.round() as i32)
-        }
+        let scaled = if scaled.is_nan() { 0.0 } else { scaled };
+        let rounded = scaled.clamp(i32::MIN as f64, i32::MAX as f64).round();
+        Self(math::round_to_i64(rounded) as i32)
     }
 
     /// Converts from `f32` (see [`Q32::from_f64`] for saturation rules).
@@ -156,13 +155,20 @@ impl<const F: u32> Q32<F> {
     /// Division by zero saturates to [`Q32::MAX`] or [`Q32::MIN`] according
     /// to the sign of the dividend (`0/0` yields `MAX`), matching a
     /// hardware divider's overflow flag rather than panicking.
+    ///
+    /// The result is [`math::div_raw`] clamped to `i32`, always. For
+    /// `F ≤ 20` it is reached float-*assisted* and integer-*exact* — an
+    /// `f64` estimate repaired by an exact remainder test, no branch and
+    /// no `idiv`, so the Adam tail vectorises; wider fractions would
+    /// push the dividend past what an `f64` holds exactly and keep the
+    /// integer divide.
     #[inline]
     pub fn saturating_div(self, rhs: Self) -> Self {
-        if rhs.0 == 0 {
-            return if self.0 < 0 { Self::MIN } else { Self::MAX };
+        if F <= math::FLOAT_ASSIST_MAX_FRAC {
+            Self(math::div_q32_assisted(self.0, rhs.0, F))
+        } else {
+            Self(clamp_i64(math::div_raw(self.0, rhs.0, F)))
         }
-        let num = (self.0 as i64) << F;
-        Self(clamp_i64(num / rhs.0 as i64))
     }
 
     /// Absolute value (saturating: `|MIN|` is `MAX`).
@@ -173,10 +179,17 @@ impl<const F: u32> Q32<F> {
 
     /// Square root over the non-negative range; negative inputs clamp to 0.
     ///
-    /// Computed by integer-only Newton iteration.
+    /// The result is [`math::sqrt_raw`] — `⌊√(raw·2^F)⌋` — always. For
+    /// `F ≤ 20` it is reached from one `f64` square root and an exact
+    /// integer square test instead of the Newton loop (see
+    /// [`Q32::saturating_div`] for the bound).
     #[inline]
     pub fn sqrt(self) -> Self {
-        Self(clamp_i64(math::sqrt_raw(self.0 as i64, F)))
+        if F <= math::FLOAT_ASSIST_MAX_FRAC {
+            Self(math::sqrt_q32_assisted(self.0, F))
+        } else {
+            Self(clamp_i64(math::sqrt_raw(self.0 as i64, F)))
+        }
     }
 
     /// Hyperbolic tangent via the 64-segment piecewise-linear ROM of the

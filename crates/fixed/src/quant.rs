@@ -359,10 +359,12 @@ impl AffineQuantizer {
         self.bits
     }
 
-    /// Quantizes a value to an n-bit code: `clamp(floor(x/δ) + z)`.
+    /// Quantizes a value to an n-bit code: `clamp(floor(x/δ) + z)`. The
+    /// add saturates, so inputs far outside the range (±∞ included)
+    /// land on the end codes; NaN takes code `clamp(z)`.
     #[inline]
     pub fn quantize(&self, x: f64) -> i64 {
-        let q = (x / self.delta).floor() as i64 + self.zero_point;
+        let q = ((x / self.delta).floor() as i64).saturating_add(self.zero_point);
         q.clamp(0, self.max_code)
     }
 
@@ -386,10 +388,22 @@ impl AffineQuantizer {
         S::from_f64(self.fake_quantize(x.to_f64()))
     }
 
-    /// Fake-quantizes a slice in place.
+    /// Fake-quantizes a slice in place — [`AffineQuantizer::fake_quantize_scalar`]
+    /// on every element, bit for bit, computed without leaving the `f64`
+    /// domain: `code − z` is `floor(x/δ)` clamped to `[−z, max_code − z]`
+    /// (both bounds exact in `f64`; NaN and `-0.0` take the place the
+    /// saturating cast gives them, `floor = +0`), and the reconstruction
+    /// multiplies that by `δ`. No integer code is materialised and
+    /// nothing branches, so the loop vectorises — the software image of
+    /// the pipelined quantization unit.
     pub fn fake_quantize_slice<S: Scalar>(&self, xs: &mut [S]) {
+        let lo = 0.0 - self.zero_point as f64;
+        let hi = (self.max_code - self.zero_point) as f64;
         for x in xs {
-            *x = self.fake_quantize_scalar(*x);
+            // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+            let steps = (x.to_f64() / self.delta).floor() + 0.0;
+            let steps = if steps.is_nan() { 0.0 } else { steps };
+            *x = S::from_f64(steps.clamp(lo, hi) * self.delta);
         }
     }
 

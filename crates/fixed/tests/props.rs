@@ -182,3 +182,294 @@ proptest! {
         prop_assert!((mac::<Q32<16>>(x, w, acc) - want).abs() < 1e-2);
     }
 }
+
+// --- float-assisted units against their integer definitions ----------------
+//
+// `Q32::saturating_div`, `Q32::sqrt` and `Q32::from_f64` reach their
+// results through an `f64` estimate or a bit-pattern move; the oracles
+// below are the definitions that do not: the `i64` division, the Newton
+// `math::sqrt_raw`, and the early-return conversion. Dense seeded sweeps
+// rather than 64 proptest cases, because the failure mode is an
+// off-by-one on a thin set of operands.
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A word with a uniformly drawn bit length, either sign — uniform words
+/// alone would almost never be small.
+fn draw_word(rng: &mut u64) -> i32 {
+    let bits = splitmix(rng) % 33;
+    let mag = if bits == 0 {
+        0
+    } else {
+        splitmix(rng) & ((1u64 << bits) - 1)
+    };
+    let v = mag.min(1 << 31) as i64;
+    (if splitmix(rng) & 1 == 1 { -v } else { v }).clamp(i32::MIN as i64, i32::MAX as i64) as i32
+}
+
+/// The definition of `Q32::<F>::saturating_div`: the `i64` quotient of
+/// the widened dividend, truncated toward zero, clamped.
+fn div_oracle<const F: u32>(a: i32, b: i32) -> i32 {
+    if b == 0 {
+        return if a < 0 { i32::MIN } else { i32::MAX };
+    }
+    (((a as i64) << F) / b as i64).clamp(i32::MIN as i64, i32::MAX as i64) as i32
+}
+
+fn assert_div<const F: u32>(a: i32, b: i32) {
+    let got = (Q32::<F>::from_raw(a) / Q32::<F>::from_raw(b)).raw();
+    assert_eq!(got, div_oracle::<F>(a, b), "Q32<{F}>: {a} / {b}");
+    assert_eq!(
+        i64::from(got),
+        fixar_fixed::math::div_raw(a, b, F).clamp(i32::MIN as i64, i32::MAX as i64),
+        "Q32<{F}>: div_raw({a}, {b})"
+    );
+}
+
+fn assert_sqrt<const F: u32>(a: i32) {
+    let want = fixar_fixed::math::sqrt_raw(a as i64, F);
+    assert_eq!(
+        i64::from(Q32::<F>::from_raw(a).sqrt().raw()),
+        want,
+        "Q32<{F}>: sqrt({a})"
+    );
+}
+
+fn div_and_sqrt_sweep<const F: u32>(random_pairs: usize, seed: u64) {
+    let edges = [
+        i32::MIN,
+        i32::MIN + 1,
+        -(1 << F) - 1,
+        -(1 << F),
+        -2,
+        -1,
+        0,
+        1,
+        2,
+        (1 << F) - 1,
+        1 << F,
+        (1 << F) + 1,
+        i32::MAX - 1,
+        i32::MAX,
+    ];
+    // Rails and unit values in every position, zero divisor with either
+    // dividend sign and `0/0` included.
+    for &a in &edges {
+        assert_sqrt::<F>(a);
+        for &b in &edges {
+            assert_div::<F>(a, b);
+        }
+    }
+    let mut rng = seed;
+    // Small divisors of either sign — 1…300 covers the raw word of Adam's
+    // ε (105 in Q12.20) and its neighbourhood — under random dividends.
+    for b in 1..=300 {
+        for &a in &edges {
+            assert_div::<F>(a, b);
+            assert_div::<F>(a, -b);
+        }
+        for _ in 0..200 {
+            let a = draw_word(&mut rng);
+            assert_div::<F>(a, b);
+            assert_div::<F>(a, -b);
+        }
+    }
+    for _ in 0..random_pairs {
+        let (a, b) = (draw_word(&mut rng), draw_word(&mut rng));
+        assert_div::<F>(a, b);
+        assert_div::<F>(splitmix(&mut rng) as i32, splitmix(&mut rng) as i32);
+        assert_sqrt::<F>(a);
+        assert_sqrt::<F>((splitmix(&mut rng) as i32).wrapping_abs().max(0));
+    }
+    // Perfect squares and their neighbours: the words whose widened value
+    // `raw << F` sits on, just below and just above `k²`.
+    for step in 0..40_000u64 {
+        let k = 1 + step * 1_187 % (1u64 << ((31 + F) / 2));
+        let at = (k * k) >> F;
+        for raw in [at.saturating_sub(1), at, at + 1] {
+            assert_sqrt::<F>(raw.min(i32::MAX as u64) as i32);
+        }
+    }
+}
+
+#[test]
+fn q32_div_and_sqrt_equal_their_integer_definitions() {
+    // The float-assisted forms (F ≤ 20) …
+    div_and_sqrt_sweep::<20>(1_000_000, 23);
+    div_and_sqrt_sweep::<16>(200_000, 24);
+    div_and_sqrt_sweep::<1>(100_000, 25);
+    // … and the integer branch wider fractions keep.
+    div_and_sqrt_sweep::<21>(100_000, 26);
+    div_and_sqrt_sweep::<30>(100_000, 27);
+}
+
+/// `Q32::<F>::from_f64` as it was written with early returns and a
+/// saturating cast — the oracle of the straight-line form.
+fn from_f64_oracle<const F: u32>(x: f64) -> i32 {
+    if x.is_nan() {
+        return 0;
+    }
+    let scaled = x * (1i64 << F) as f64;
+    if scaled >= i32::MAX as f64 {
+        i32::MAX
+    } else if scaled <= i32::MIN as f64 {
+        i32::MIN
+    } else {
+        scaled.round() as i32
+    }
+}
+
+fn from_f64_sweep<const F: u32>(seed: u64) {
+    let one = (1i64 << F) as f64;
+    let check = |x: f64| {
+        assert_eq!(
+            Q32::<F>::from_f64(x).raw(),
+            from_f64_oracle::<F>(x),
+            "Q32<{F}>::from_f64({x:e})"
+        );
+    };
+    for x in [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1e300,
+        -1e300,
+    ] {
+        check(x);
+    }
+    // Around both rails in half-ulp steps, and the ties next to zero —
+    // `0.49999999999999994` is the value `floor(x + 0.5)` rounds wrongly.
+    for rail in [i32::MAX as f64, i32::MIN as f64, 0.0] {
+        for half_steps in -6..=6 {
+            check((rail + 0.5 * half_steps as f64) / one);
+        }
+    }
+    for s in [
+        0.499_999_999_999_999_94,
+        0.5,
+        0.500_000_000_000_000_1,
+        1.5,
+        2.5,
+    ] {
+        check(s / one);
+        check(-s / one);
+    }
+    let mut rng = seed;
+    for _ in 0..300_000 {
+        // Any bit pattern at all (NaNs, subnormals, 1e±300 included) …
+        check(f64::from_bits(splitmix(&mut rng)));
+        // … in-range values on and between grid points, and exact ties.
+        let word = draw_word(&mut rng) as f64;
+        check((word + (splitmix(&mut rng) % 2001) as f64 / 1000.0 - 1.0) / one);
+        check((word + 0.5) / one);
+    }
+}
+
+#[test]
+fn q32_from_f64_equals_the_early_return_form() {
+    from_f64_sweep::<20>(31);
+    from_f64_sweep::<16>(32);
+    from_f64_sweep::<30>(33);
+}
+
+// --- quantizer: saturating code add, and slice ≡ scalar ---------------------
+
+#[test]
+fn quantize_saturates_on_huge_inputs_instead_of_wrapping() {
+    // `floor(x/δ) as i64` saturates to `i64::MAX`; adding `z` to that used
+    // to overflow (debug: panic; release: wrap negative, clamp to code 0).
+    let q = AffineQuantizer::from_range(-1.0, 1.0, 8).unwrap();
+    assert_eq!(q.zero_point(), 128);
+    for huge in [1e300, f64::INFINITY, f64::MAX] {
+        assert_eq!(q.quantize(huge), 255, "{huge:e}");
+        assert_eq!(q.quantize(-huge), 0, "-{huge:e}");
+        assert_eq!(q.fake_quantize(huge), q.fake_quantize(100.0));
+        assert_eq!(q.fake_quantize(-huge), q.fake_quantize(-100.0));
+    }
+    // NaN takes the zero-point code, whose value is 0.
+    assert_eq!(q.quantize(f64::NAN), 128);
+    assert_eq!(q.fake_quantize(f64::NAN), 0.0);
+}
+
+/// Every element of `fake_quantize_slice` must carry the bits of
+/// `fake_quantize_scalar` — the slice path never forms the integer code.
+fn assert_slice_equals_scalar<S: Scalar>(q: &AffineQuantizer, inputs: &[f64]) {
+    let xs: Vec<S> = inputs.iter().map(|&x| S::from_f64(x)).collect();
+    let mut sliced = xs.clone();
+    q.fake_quantize_slice(&mut sliced);
+    for (&x, &got) in xs.iter().zip(&sliced) {
+        let want = q.fake_quantize_scalar(x);
+        assert_eq!(
+            got.to_f64().to_bits(),
+            want.to_f64().to_bits(),
+            "{}: fake_quantize({x:?}) with δ={} z={}",
+            S::NAME,
+            q.delta(),
+            q.zero_point()
+        );
+    }
+}
+
+#[test]
+fn fake_quantize_slice_equals_the_scalar_path_in_every_backend() {
+    let quantizers = [
+        AffineQuantizer::from_range(-1.0, 1.0, 8).unwrap(),
+        // z = 0 (post-ReLU), z below 0, z above the last code.
+        AffineQuantizer::from_range(0.0, 10.0, 16).unwrap(),
+        AffineQuantizer::from_range(1.0, 2.0, 8).unwrap(),
+        AffineQuantizer::from_range(-2.0, 0.0, 8).unwrap(),
+        AffineQuantizer::from_range(-5000.0, 5000.0, 16).unwrap(),
+        AffineQuantizer::from_range(-0.9, 1.2, 16).unwrap(),
+        AffineQuantizer::from_range(-3.0, 0.5, 4).unwrap(),
+        AffineQuantizer::from_format(fixar_fixed::QFormat::q(4, 12).unwrap()).unwrap(),
+    ];
+    let mut inputs = vec![
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        -1e300,
+        0.0,
+        -0.0,
+        0.499_999_999_999_999_94,
+        -0.499_999_999_999_999_94,
+        2047.999999,
+        -2048.0,
+        31.999,
+        -32.0,
+    ];
+    let mut rng = 41u64;
+    for _ in 0..20_000 {
+        let unit = (splitmix(&mut rng) % 2_000_001) as f64 / 1e6 - 1.0;
+        inputs.push(unit * 12.0);
+        inputs.push(unit * 6000.0);
+        // Exact ties of the Q12.20 and Q6.10 grids.
+        inputs.push((draw_word(&mut rng) as f64 + 0.5) / (1u64 << 20) as f64);
+        inputs.push(((splitmix(&mut rng) % 65_536) as f64 - 32_768.0 + 0.5) / 1024.0);
+    }
+    assert!(q_is_exercised_on_both_clamps(&quantizers[0], &inputs));
+    for q in &quantizers {
+        assert_slice_equals_scalar::<Fx32>(q, &inputs);
+        assert_slice_equals_scalar::<Fx16>(q, &inputs);
+        assert_slice_equals_scalar::<f32>(q, &inputs);
+        assert_slice_equals_scalar::<f64>(q, &inputs);
+    }
+}
+
+/// The input set reaches the first code, the last code and the interior.
+fn q_is_exercised_on_both_clamps(q: &AffineQuantizer, inputs: &[f64]) -> bool {
+    let last = (1i64 << q.bits()) - 1;
+    let codes: Vec<i64> = inputs.iter().map(|&x| q.quantize(x)).collect();
+    codes.contains(&0) && codes.contains(&last) && codes.iter().any(|&c| 0 < c && c < last)
+}

@@ -6,6 +6,14 @@
 //! scalar `S` and computes only the per-step scalar constant
 //! `lr_t = lr·sqrt(1−β₂ᵗ)/(1−β₁ᵗ)` in `f64` — exactly what a hardware
 //! control processor would precompute once per step.
+//!
+//! The hardware Adam unit is a pipeline, not a scalar loop, and so is
+//! this one: the elementwise update is two branch-free passes over the
+//! parameter slices (moments, then the `sqrt`/divide tail) that the
+//! compiler vectorises in every backend. In fixed point that rests on
+//! `Q32::sqrt` and `Q32::saturating_div` being float-*assisted* and
+//! integer-*exact* — straight-line code with the integer definitions'
+//! bits — so the recurrence below is unchanged word for word.
 
 use fixar_fixed::Scalar;
 use fixar_tensor::Matrix;
@@ -60,7 +68,7 @@ impl AdamConfig {
 /// let mut opt = Adam::new(&mlp, AdamConfig::default());
 /// let mut grads = MlpGrads::zeros_like(&mlp);
 /// let trace = mlp.forward_trace(&[0.5, -0.5])?;
-/// mlp.backward(&trace, &[1.0], Some(&mut grads))?;
+/// mlp.backward(&trace, &[1.0], Some(&mut grads), false)?;
 /// opt.step(&mut mlp, &grads)?;
 /// # Ok::<(), fixar_nn::NnError>(())
 /// ```
@@ -154,14 +162,13 @@ impl<S: Scalar> Adam<S> {
 }
 
 /// Elementwise Adam update — the inner loop of the FPGA Adam unit, in
-/// two passes: the moment recurrences (multiply-adds only, no branch,
-/// so the pass vectorizes) and then the `sqrt`/divide tail that applies
-/// the step.
-///
-/// In fixed point the tail skips elements whose first moment is exactly
-/// zero: `0 / denom` is `0` for any non-zero `denom`, `lr_t · 0` is `0`,
-/// and `denom ≥ eps`, so with a representable `eps` the step it skips is
-/// exactly zero. The float backends run every element.
+/// two straight-line passes that both vectorise: the moment recurrences
+/// (multiply-adds only), then the `sqrt`/divide tail that applies the
+/// step. Nothing is skipped and nothing branches on the data — the
+/// fixed-point `sqrt` and divide are themselves branch-free (see
+/// `fixar-fixed`) — so the cost per element does not depend on how many
+/// moments are zero. One fused loop computes the same values but measured
+/// slower (`kernel_micro`'s `adam_step` arm: 3.3 vs 4.0 ns/element).
 #[allow(clippy::type_complexity)]
 fn update_slice<S: Scalar>(
     params: &mut [S],
@@ -179,11 +186,7 @@ fn update_slice<S: Scalar>(
         *mi = b1 * *mi + omb1 * g;
         *vi = b2 * *vi + omb2 * (g * g);
     }
-    let skip_zero_m = S::IS_FIXED_POINT && eps > S::zero();
     for ((p, &mi), &vi) in params.iter_mut().zip(m.iter()).zip(v.iter()) {
-        if skip_zero_m && mi == S::zero() {
-            continue;
-        }
         let denom = vi.sqrt() + eps;
         *p -= lr_t * (mi / denom);
     }
@@ -209,7 +212,7 @@ mod tests {
             loss = 0.5 * err * err;
             let dl = vec![S::from_f64(err)];
             let mut grads = MlpGrads::zeros_like(&mlp);
-            mlp.backward(&trace, &dl, Some(&mut grads)).unwrap();
+            mlp.backward(&trace, &dl, Some(&mut grads), false).unwrap();
             opt.step(&mut mlp, &grads).unwrap();
         }
         loss
@@ -239,7 +242,7 @@ mod tests {
             let trace = mlp.forward_trace(&x).unwrap();
             let err = trace.output[0].to_f64() - 0.75;
             let mut grads = MlpGrads::zeros_like(&mlp);
-            mlp.backward(&trace, &[Fx16::from_f64(err)], Some(&mut grads))
+            mlp.backward(&trace, &[Fx16::from_f64(err)], Some(&mut grads), false)
                 .unwrap();
             opt.step(&mut mlp, &grads).unwrap();
         }

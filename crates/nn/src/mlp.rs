@@ -398,6 +398,13 @@ impl<S: Scalar> Mlp<S> {
     /// Quantization point `0` is the network input; point `l+1` is the
     /// post-activation output of layer `l`.
     ///
+    /// The per-sample `forward*` family runs the stride-`cols`
+    /// [`Matrix::gemv`] and is no longer on any production hot path: it is
+    /// the bit-equality oracle of [`forward_batch`], the body of
+    /// `Ddpg::train_batch` (the per-sample update oracle), and
+    /// ([`Mlp::forward_qat_frozen`]) `PolicySnapshot` inference. Rollout
+    /// action selection goes through the batched path, one row included.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::Shape`] on input-size mismatch and
@@ -504,9 +511,10 @@ impl<S: Scalar> Mlp<S> {
     /// Back-propagates a minibatch of output gradients (`dl_dout`, one
     /// sample per row) through the batched trace, accumulating parameter
     /// gradients into `grads` — or, with `None`, running only the error
-    /// MVMs — and returning the `(batch, input_dim)` matrix of input
-    /// gradients — the one-pass convenience over the group entry
-    /// [`backward_batch`].
+    /// MVMs — and, when `input_grad` asks for it, returning the
+    /// `(batch, input_dim)` matrix of input gradients (`None` otherwise:
+    /// layer 0's error MVM is then never issued) — the one-pass
+    /// convenience over the group entry [`backward_batch`].
     ///
     /// Gradient accumulation across the batch runs in **ascending sample
     /// order** (the documented reduction order of the gradient memory),
@@ -522,24 +530,28 @@ impl<S: Scalar> Mlp<S> {
         trace: &BatchTrace<S>,
         dl_dout: &Matrix<S>,
         grads: Option<&mut MlpGrads<S>>,
+        input_grad: bool,
         par: &Parallelism,
-    ) -> Result<Matrix<S>, NnError> {
+    ) -> Result<Option<Matrix<S>>, NnError> {
         let mut pass = [BackwardPass {
             mlp: self,
             trace,
             dl_dout,
             grads,
+            input_grad,
         }];
         let mut outs = backward_batch(&mut pass, par)?;
-        Ok(outs.pop().expect("one pass in, one input gradient out"))
+        Ok(outs.pop().expect("one pass in, one result out"))
     }
 
     /// Back-propagates `dl_dout` (∂loss/∂output) through the trace,
-    /// accumulating parameter gradients into `grads` and returning
-    /// ∂loss/∂input (the path by which the critic "leads the BP and WU of
-    /// the actor network"). With `grads == None` only the error chain
-    /// runs — the same input gradient, no weight-update work (Fig. 3 has
-    /// none on the pass that leads the actor).
+    /// accumulating parameter gradients into `grads` and, when
+    /// `input_grad` asks for it, returning ∂loss/∂input (the path by
+    /// which the critic "leads the BP and WU of the actor network";
+    /// `None` otherwise — layer 0's transposed product is then skipped).
+    /// With `grads == None` only the error chain runs — the same input
+    /// gradient, no weight-update work (Fig. 3 has none on the pass that
+    /// leads the actor).
     ///
     /// # Errors
     ///
@@ -550,7 +562,8 @@ impl<S: Scalar> Mlp<S> {
         trace: &ForwardTrace<S>,
         dl_dout: &[S],
         mut grads: Option<&mut MlpGrads<S>>,
-    ) -> Result<Vec<S>, NnError> {
+        input_grad: bool,
+    ) -> Result<Option<Vec<S>>, NnError> {
         let n = self.num_layers();
         if dl_dout.len() != self.output_dim() {
             return Err(NnError::Shape(fixar_tensor::ShapeError::new(
@@ -571,7 +584,6 @@ impl<S: Scalar> Mlp<S> {
             .map(|(&g, (&z, &y))| g * self.output_act.derivative(z, y))
             .collect();
 
-        let mut input_err = Vec::new();
         for l in (0..n).rev() {
             if let Some(grads) = grads.as_deref_mut() {
                 grads.w[l].add_outer(&delta, &trace.inputs[l])?;
@@ -579,18 +591,21 @@ impl<S: Scalar> Mlp<S> {
                     *gb += d;
                 }
             }
-            let err = self.weights[l].gemv_t_alloc(&delta)?;
-            if l > 0 {
-                delta = err
-                    .iter()
-                    .zip(trace.pre[l - 1].iter().zip(&trace.inputs[l]))
-                    .map(|(&e, (&z, &y))| e * self.hidden_act.derivative(z, y))
-                    .collect();
-            } else {
-                input_err = err;
+            if l == 0 {
+                break;
             }
+            delta = self.weights[l]
+                .gemv_t_alloc(&delta)?
+                .iter()
+                .zip(trace.pre[l - 1].iter().zip(&trace.inputs[l]))
+                .map(|(&e, (&z, &y))| e * self.hidden_act.derivative(z, y))
+                .collect();
         }
-        Ok(input_err)
+        if input_grad {
+            Ok(Some(self.weights[0].gemv_t_alloc(&delta)?))
+        } else {
+            Ok(None)
+        }
     }
 
     /// Polyak/soft update `θ ← τ·θ_src + (1−τ)·θ` used for DDPG target
@@ -780,11 +795,15 @@ pub struct BackwardPass<'a, S: Scalar> {
     /// Gradient buffer shaped by [`MlpGrads::zeros_like`] on `mlp`;
     /// `None` submits only the error MVMs.
     pub grads: Option<&'a mut MlpGrads<S>>,
+    /// Whether the caller reads this pass's `(batch, input_dim)` input
+    /// gradient. A pass that declines never issues layer 0's error MVM.
+    pub input_grad: bool,
 }
 
 /// Runs several **independent** batched backward passes layer-locked
 /// through fused scopes, returning each pass's `(batch, input_dim)`
-/// input gradient. Per layer step one fused scope hosts, for every
+/// input gradient — `None` for a pass that did not ask for one
+/// ([`BackwardPass::input_grad`]). Per layer step one fused scope hosts, for every
 /// active pass, its gradient outer product (weight-row shards; passes
 /// with a gradient buffer only) *and* its error MVM (batch-row shards)
 /// — for TD3's twin critics that is four kernels under a single join.
@@ -804,7 +823,7 @@ pub struct BackwardPass<'a, S: Scalar> {
 pub fn backward_batch<S: Scalar>(
     passes: &mut [BackwardPass<'_, S>],
     par: &Parallelism,
-) -> Result<Vec<Matrix<S>>, NnError> {
+) -> Result<Vec<Option<Matrix<S>>>, NnError> {
     for p in passes.iter() {
         let n = p.mlp.num_layers();
         if p.dl_dout.shape() != (p.trace.batch_size(), p.mlp.output_dim()) {
@@ -843,11 +862,13 @@ pub fn backward_batch<S: Scalar>(
     let mut input_grads: Vec<Option<Matrix<S>>> = (0..k).map(|_| None).collect();
     // Step `s` processes layer `n_i - 1 - s` of every pass deep enough.
     for s in 0..steps {
+        // A pass still active at this step gets an error buffer, unless
+        // the step is its layer 0 and nobody reads the input gradient.
         let mut errs: Vec<Option<Matrix<S>>> = passes
             .iter()
             .map(|p| {
                 let n = p.mlp.num_layers();
-                (s < n)
+                (s < n && (s + 1 < n || p.input_grad))
                     .then(|| Matrix::zeros(p.trace.batch_size(), p.mlp.weights[n - 1 - s].cols()))
             })
             .collect();
@@ -859,10 +880,11 @@ pub fn backward_batch<S: Scalar>(
                 }
                 let l = n - 1 - s;
                 let delta = &deltas[i];
-                let err = err_slot.as_mut().expect("active pass has an err buffer");
-                p.mlp
-                    .pack(l)
-                    .gemv_t_batch(&p.mlp.weights[l], delta, err, ks)?;
+                if let Some(err) = err_slot.as_mut() {
+                    p.mlp
+                        .pack(l)
+                        .gemv_t_batch(&p.mlp.weights[l], delta, err, ks)?;
+                }
                 let Some(MlpGrads { w, b }) = p.grads.as_deref_mut() else {
                     continue;
                 };
@@ -879,12 +901,10 @@ pub fn backward_batch<S: Scalar>(
             Ok(())
         })??;
         for (i, p) in passes.iter().enumerate() {
-            let n = p.mlp.num_layers();
-            if s >= n {
+            let Some(mut err) = errs[i].take() else {
                 continue;
-            }
-            let l = n - 1 - s;
-            let mut err = errs[i].take().expect("active pass has an err buffer");
+            };
+            let l = p.mlp.num_layers() - 1 - s;
             if l > 0 {
                 for ((d, &z), &y) in err
                     .as_mut_slice()
@@ -900,10 +920,7 @@ pub fn backward_batch<S: Scalar>(
             }
         }
     }
-    Ok(input_grads
-        .into_iter()
-        .map(|g| g.expect("every validated network has at least one layer"))
-        .collect())
+    Ok(input_grads)
 }
 
 #[cfg(test)]
@@ -956,7 +973,10 @@ mod tests {
         let trace = mlp.forward_trace(&x).unwrap();
         let dl_dout = trace.output.clone();
         let mut grads = MlpGrads::zeros_like(&mlp);
-        let input_err = mlp.backward(&trace, &dl_dout, Some(&mut grads)).unwrap();
+        let input_err = mlp
+            .backward(&trace, &dl_dout, Some(&mut grads), true)
+            .unwrap()
+            .unwrap();
 
         let loss = |m: &Mlp<f64>| -> f64 {
             let y = m.forward(&x).unwrap();
@@ -1116,12 +1136,16 @@ mod tests {
         let dl = fx32_batch(5, 4);
         let mut batched = MlpGrads::zeros_like(&mlp);
         let input_err = mlp
-            .backward_batch(&bt, &dl, Some(&mut batched), &seq())
+            .backward_batch(&bt, &dl, Some(&mut batched), true, &seq())
+            .unwrap()
             .unwrap();
         let mut looped = MlpGrads::zeros_like(&mlp);
         for b in 0..x.rows() {
             let t = mlp.forward_trace(x.row(b)).unwrap();
-            let err = mlp.backward(&t, dl.row(b), Some(&mut looped)).unwrap();
+            let err = mlp
+                .backward(&t, dl.row(b), Some(&mut looped), true)
+                .unwrap()
+                .unwrap();
             assert_eq!(input_err.row(b), err.as_slice(), "input grad row {b}");
         }
         assert_eq!(batched.w, looped.w);
@@ -1163,7 +1187,11 @@ mod tests {
         let mut err_rows = Vec::new();
         for b in 0..x.rows() {
             let t = mlp.forward_trace(x.row(b)).unwrap();
-            err_rows.push(mlp.backward(&t, dl.row(b), Some(&mut looped)).unwrap());
+            err_rows.push(
+                mlp.backward(&t, dl.row(b), Some(&mut looped), true)
+                    .unwrap()
+                    .unwrap(),
+            );
         }
 
         for workers in [1, 2, 3, 4, 8] {
@@ -1171,7 +1199,8 @@ mod tests {
             let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
             let mut grads = MlpGrads::zeros_like(&mlp);
             let err = mlp
-                .backward_batch(&trace, &dl, Some(&mut grads), &par)
+                .backward_batch(&trace, &dl, Some(&mut grads), true, &par)
+                .unwrap()
                 .unwrap();
             for (b, err_row) in err_rows.iter().enumerate() {
                 assert_trace_row(&mlp, &trace, b, &mlp.forward_trace(x.row(b)).unwrap());
@@ -1183,33 +1212,53 @@ mod tests {
     }
 
     #[test]
-    fn input_gradient_only_backward_matches_the_full_one() {
-        // `grads == None` runs only the error chain: the same input
-        // gradient as the accumulating form, per sample and batched, at
-        // every worker count — and it still validates `dl_dout`.
+    fn each_half_of_the_backward_is_the_same_with_or_without_the_other() {
+        // The two outputs of a backward pass are requested separately:
+        // `grads == None` runs only the error chain, `input_grad == false`
+        // stops it after layer 1. Whatever is requested must carry the
+        // bits of the call that requests both, per sample and batched, at
+        // every worker count — and every form still validates `dl_dout`.
         let cfg = MlpConfig::new(vec![5, 14, 8, 2]).with_output_activation(Activation::Tanh);
         let mlp = Mlp::<Fx32>::new_random(&cfg, 21).unwrap();
         let x = fx32_batch(11, 5);
         let dl = Matrix::<f64>::from_fn(11, 2, |b, i| ((b + i * 3) % 5) as f64 * 0.2 - 0.4)
             .cast::<Fx32>();
         let mut grads = MlpGrads::zeros_like(&mlp);
+        let mut declined = MlpGrads::zeros_like(&mlp);
         for b in 0..x.rows() {
             let t = mlp.forward_trace(x.row(b)).unwrap();
-            let full = mlp.backward(&t, dl.row(b), Some(&mut grads)).unwrap();
-            assert_eq!(mlp.backward(&t, dl.row(b), None).unwrap(), full, "row {b}");
-            assert!(mlp.backward(&t, &dl.row(b)[..1], None).is_err());
+            let full = mlp.backward(&t, dl.row(b), Some(&mut grads), true).unwrap();
+            assert!(full.is_some());
+            assert_eq!(mlp.backward(&t, dl.row(b), None, true).unwrap(), full);
+            let none = mlp.backward(&t, dl.row(b), Some(&mut declined), false);
+            assert_eq!(none.unwrap(), None);
+            assert_eq!(declined, grads, "row {b}");
+            assert!(mlp.backward(&t, &dl.row(b)[..1], None, true).is_err());
         }
         for workers in [1, 2, 8] {
             let par = Parallelism::with_workers(workers);
             let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
-            let mut grads = MlpGrads::zeros_like(&mlp);
+            let mut batched = MlpGrads::zeros_like(&mlp);
             let full = mlp
-                .backward_batch(&trace, &dl, Some(&mut grads), &par)
+                .backward_batch(&trace, &dl, Some(&mut batched), true, &par)
                 .unwrap();
-            let lean = mlp.backward_batch(&trace, &dl, None, &par).unwrap();
+            assert!(full.is_some());
+            assert_eq!(batched, grads, "{workers} workers");
+            let lean = mlp.backward_batch(&trace, &dl, None, true, &par).unwrap();
             assert_eq!(lean, full, "{workers} workers");
+            let mut declined = MlpGrads::zeros_like(&mlp);
+            let none = mlp
+                .backward_batch(&trace, &dl, Some(&mut declined), false, &par)
+                .unwrap();
+            assert_eq!(none, None);
+            assert_eq!(
+                declined, grads,
+                "{workers} workers, input gradient declined"
+            );
             let bad_dl = Matrix::<Fx32>::zeros(3, 2);
-            assert!(mlp.backward_batch(&trace, &bad_dl, None, &par).is_err());
+            assert!(mlp
+                .backward_batch(&trace, &bad_dl, None, true, &par)
+                .is_err());
         }
     }
 
@@ -1275,7 +1324,7 @@ mod tests {
         let bad_dl = Matrix::<f64>::zeros(3, 2);
         let mut grads = MlpGrads::zeros_like(&mlp);
         assert!(mlp
-            .backward_batch(&t, &bad_dl, Some(&mut grads), &seq())
+            .backward_batch(&t, &bad_dl, Some(&mut grads), true, &seq())
             .is_err());
         // Mismatched runtime point counts are rejected up front, in
         // both runtime-carrying phases.
@@ -1399,10 +1448,10 @@ mod tests {
         let mut g1_ref = MlpGrads::zeros_like(&c1);
         let mut g2_ref = MlpGrads::zeros_like(&c2);
         let e1_ref = c1
-            .backward_batch(&t1, &dl1, Some(&mut g1_ref), &seq())
+            .backward_batch(&t1, &dl1, Some(&mut g1_ref), true, &seq())
             .unwrap();
         let e2_ref = c2
-            .backward_batch(&t2, &dl2, Some(&mut g2_ref), &seq())
+            .backward_batch(&t2, &dl2, Some(&mut g2_ref), true, &seq())
             .unwrap();
 
         for workers in [1usize, 2, 8] {
@@ -1416,12 +1465,14 @@ mod tests {
                         trace: &t1,
                         dl_dout: &dl1,
                         grads: Some(&mut g1),
+                        input_grad: true,
                     },
                     BackwardPass {
                         mlp: &c2,
                         trace: &t2,
                         dl_dout: &dl2,
                         grads: Some(&mut g2),
+                        input_grad: true,
                     },
                 ],
                 &par,
@@ -1441,7 +1492,8 @@ mod tests {
         let mlp = Mlp::<f64>::new_random(&tiny_cfg(), 3).unwrap();
         let mut grads = MlpGrads::zeros_like(&mlp);
         let trace = mlp.forward_trace(&[1.0, 1.0, 1.0]).unwrap();
-        mlp.backward(&trace, &[1.0, 1.0], Some(&mut grads)).unwrap();
+        mlp.backward(&trace, &[1.0, 1.0], Some(&mut grads), false)
+            .unwrap();
         let norm_before = grads.w[0].max_abs();
         assert!(norm_before > 0.0);
         grads.scale(0.5);

@@ -586,13 +586,22 @@ impl<S: Scalar> Ddpg<S> {
     /// returned as `f64` for the environment. During QAT calibration this
     /// also feeds the activation range monitors.
     ///
+    /// This is [`Ddpg::select_actions_batch`] on a one-row batch: the
+    /// packed batched kernels, bit-identical to the per-sample
+    /// [`Mlp::forward_qat`] chain (a fleet of one ≡ the scalar loop). The
+    /// actor pack it builds is the one the next update's actor forward
+    /// reuses. The per-sample `Mlp::forward*` family stays as the oracle
+    /// of the batched passes, under [`Ddpg::train_batch`], and for
+    /// [`PolicySnapshot`](crate::PolicySnapshot) inference.
+    ///
     /// # Errors
     ///
     /// Returns [`RlError::Nn`] on dimension mismatch.
     pub fn act(&mut self, state: &[f64]) -> Result<Vec<f64>, RlError> {
-        let s: Vec<S> = state.iter().map(|&v| S::from_f64(v)).collect();
-        let trace = self.actor.forward_qat(&s, &mut self.actor_qat)?;
-        Ok(trace.output.iter().map(|v| v.to_f64()).collect())
+        let states = Matrix::from_vec(1, state.len(), state.to_vec())
+            .expect("one row of state.len() elements");
+        let actions = self.select_actions_batch(&states)?;
+        Ok(actions.as_slice().to_vec())
     }
 
     /// Batched actor inference for a fleet of environments: one
@@ -602,12 +611,13 @@ impl<S: Scalar> Ddpg<S> {
     /// [`Trainer`](crate::Trainer) and the software twin of
     /// `FixarAccelerator::actor_inference_batch`.
     ///
-    /// Row `i` of the result is **bit-identical** to
-    /// [`Ddpg::act`]`(states.row(i))` (the batched kernels preserve
-    /// per-element reduction order, and QAT range monitors are
-    /// order-independent), so serving a fleet never perturbs any single
-    /// env's action stream. During QAT calibration the pass feeds the
-    /// activation range monitors, exactly like [`Ddpg::act`].
+    /// Row `i` of the result is **bit-identical** to the per-sample
+    /// [`Mlp::forward_qat`] of `states.row(i)` — and so to
+    /// [`Ddpg::act`]`(states.row(i))`, which is this call on one row —
+    /// because the batched kernels preserve per-element reduction order
+    /// and QAT range monitors are order-independent: serving a fleet
+    /// never perturbs any single env's action stream. During QAT
+    /// calibration the pass feeds the activation range monitors.
     ///
     /// # Errors
     ///
@@ -805,6 +815,8 @@ impl<S: Scalar> Ddpg<S> {
                 trace,
                 dl_dout,
                 grads: Some(&mut c.grads),
+                // A regression pass ends at its weight gradients.
+                input_grad: false,
             })
             .collect();
         fixar_nn::backward_batch(&mut passes, &self.par)?;
@@ -833,13 +845,20 @@ impl<S: Scalar> Ddpg<S> {
                 &self.par,
             )?;
             let minus_scale = Matrix::from_fn(b, 1, |_, _| S::from_f64(-scale));
-            // Only ∂Q/∂a is needed: no weight update rides on this pass.
+            // Only ∂Q/∂a is needed: no weight update rides on this pass —
+            // and nothing reads the actor's own input gradient.
             let dq_dinput = lead
                 .net
-                .backward_batch(&ctrace, &minus_scale, None, &self.par)?;
+                .backward_batch(&ctrace, &minus_scale, None, true, &self.par)?
+                .expect("input gradient requested");
             let dq_da = dq_dinput.columns(self.state_dim, self.state_dim + self.action_dim);
-            self.actor
-                .backward_batch(&atrace, &dq_da, Some(&mut self.actor_grads), &self.par)?;
+            self.actor.backward_batch(
+                &atrace,
+                &dq_da,
+                Some(&mut self.actor_grads),
+                false,
+                &self.par,
+            )?;
             self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
             self.soft_update_targets()?;
         }
@@ -944,7 +963,7 @@ impl<S: Scalar> Ddpg<S> {
                 let td = q.to_f64() - y.to_f64();
                 critic_loss += 0.5 * td * td * scale * share;
                 let dl = [(q - y) * S::from_f64(scale)];
-                c.net.backward(&trace, &dl, Some(&mut c.grads))?;
+                c.net.backward(&trace, &dl, Some(&mut c.grads), false)?;
             }
             c.opt.step(&mut c.net, &c.grads)?;
         }
@@ -962,10 +981,13 @@ impl<S: Scalar> Ddpg<S> {
                 let mut critic_in = s;
                 critic_in.extend_from_slice(&atrace.output);
                 let ctrace = lead.net.forward_qat(&critic_in, &mut lead.qat)?;
-                let dq_dinput = lead.net.backward(&ctrace, &minus_scale, None)?;
+                let dq_dinput = lead
+                    .net
+                    .backward(&ctrace, &minus_scale, None, true)?
+                    .expect("input gradient requested");
                 let dq_da = &dq_dinput[self.state_dim..];
                 self.actor
-                    .backward(&atrace, dq_da, Some(&mut self.actor_grads))?;
+                    .backward(&atrace, dq_da, Some(&mut self.actor_grads), false)?;
             }
             self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
             self.soft_update_targets()?;

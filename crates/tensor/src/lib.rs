@@ -46,11 +46,32 @@
 //! zeros. The float backends issue every term — `w · 0` is `NaN` for a
 //! non-finite `w`, and `-0.0 + 0.0` would lose its sign.
 //!
+//! **The vector dimension is a per-call choice.** The nest does not care
+//! what a "row" is, only that it is contiguous and that each of its
+//! elements is one whole chain. FIXAR's array core adapts its parallel
+//! dimension to the layer — PEs across output neurons (intra-layer) or
+//! across the samples of a batch (intra-batch) — and so does the nest:
+//! when a kernel's output is narrow against the batch (`out_dim ·`
+//! [`LANE_RATIO`] `≤ batch`; a 1- or 6-wide row is all per-term
+//! overhead) the rows become **batch lanes**. The MVMs run `Yᵀ[i][·] ←
+//! Σ_k src[k][i] · Xᵀ[k][·]` — the weight is the coefficient, the row one
+//! input column across all samples — and `add_outer_batch` runs
+//! `Gᵀ[j][·] ← Gᵀ[j][·] + Σ_b A[b][j] · E[b][·]`. Element `(b, i)` still
+//! sums ascending `k` from zero and gradient element `(i, j)` still
+//! starts at `G[i][j]` and adds over ascending `b` — a product does not
+//! depend on which factor is broadcast — so both forms give the
+//! per-sample kernel's bits, on either side of the interval guard. The
+//! rule reads operand shapes only (never the data, never the guard's
+//! verdict); its constant is where the two forms cross in
+//! `kernel_micro`'s `lane sweep`.
+//!
 //! Each batched operation has **one entry**, which takes a
 //! [`KernelScope`]: work shards into **disjoint output regions** —
 //! batch rows for the forward/transposed MVMs, *weight rows* for
-//! `add_outer_batch` (whose reduction runs across the batch) — and every
-//! shard executes the very same span loop nest over its range. Inside
+//! `add_outer_batch` (whose reduction runs across the batch), and
+//! column ranges of the output (the output index) for either in its lane
+//! form — and every shard executes the very same span loop nest over its
+//! range. Inside
 //! [`fixar_pool::Parallelism::fused`] the shards of several
 //! *independent* kernels — the twin TD3 critics' MVMs, or a layer's
 //! gradient outer product alongside its error MVM — enqueue into one
@@ -82,7 +103,10 @@
 //! the largest weight magnitude and the largest row / column abs-sum
 //! (derived once, in [`Matrix::pack`]) against one max-magnitude scan of
 //! the sample row (forward and transposed), or of column `i` of `E`,
-//! all of `A` and gradient row `i` (`add_outer_batch`). When the bounds prove that no product and no
+//! all of `A` and gradient row `i` (`add_outer_batch`). A batch-lane row
+//! holds one chain per sample, so its verdict bounds them all: the whole
+//! input matrix for the MVMs; column `j` of `A`, all of `E` and gradient
+//! column `j` for the gradient. When the bounds prove that no product and no
 //! partial sum can leave the format, both clamps are dead code and the
 //! kernel runs the same loop nest with [`Scalar::mac_unclamped`] — the
 //! same bits from about half the instructions. Anything the guard
@@ -108,4 +132,4 @@ mod matrix;
 pub mod vector;
 
 pub use fixar_pool::{KernelScope, Parallelism, PoolError, WorkerPool};
-pub use matrix::{Matrix, ShapeError, WeightPack};
+pub use matrix::{Matrix, ShapeError, WeightPack, LANE_RATIO};

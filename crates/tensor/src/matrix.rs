@@ -3,6 +3,7 @@
 use core::fmt;
 use core::ops::{Index, IndexMut, Range};
 use std::error::Error;
+use std::sync::Arc;
 
 use fixar_fixed::Scalar;
 use fixar_pool::{split_ranges, KernelScope, Parallelism};
@@ -307,7 +308,11 @@ impl<S: Scalar> Matrix<S> {
     /// shard through `ks`: each shard owns a disjoint row range of the
     /// gradient matrix and walks the whole batch in ascending sample
     /// order for those rows — the exact sequential chain per element,
-    /// hence bit-identical at every worker count in every backend. See
+    /// hence bit-identical at every worker count in every backend. A
+    /// gradient whose rows are narrow against the batch (layer 0: 23 or
+    /// 17 inputs) runs the nest over its *columns* instead — one
+    /// `rows`-wide lane row per column, sharded over the columns, the
+    /// same chain per element (crate docs). See
     /// [`WeightPack::gemv_batch`] for the kernel-scope contract.
     ///
     /// # Errors
@@ -344,6 +349,17 @@ impl<S: Scalar> Matrix<S> {
         }
         let cols = self.cols;
         let rows = self.rows;
+        if batch_lanes(cols, e.rows) {
+            // Narrow gradient rows: one lane row per gradient *column*,
+            // sharded over the columns.
+            let e_max = max_magnitude(&e.data);
+            let ranges = split_ranges(cols, ks.shards(cols));
+            let shards = column_shards(&mut self.data, cols, &ranges);
+            for (range, g_cols) in ranges.into_iter().zip(shards) {
+                ks.submit(move || add_outer_lanes_span(e, a, e_max, range, g_cols));
+            }
+            return Ok(());
+        }
         let a_max = max_magnitude(&a.data);
         let shards = ks.shards(rows);
         let mut rest = self.data.as_mut_slice();
@@ -588,6 +604,15 @@ fn max_magnitude<S: Scalar>(xs: &[S]) -> u32 {
     xs.iter().fold(0, |m, x| m.max(x.raw_magnitude()))
 }
 
+/// Largest [`Scalar::raw_magnitude`] and sum of magnitudes of a chain's
+/// coefficients — the coefficient side of the interval guard.
+fn magnitudes<S: Scalar>(xs: impl Iterator<Item = S>) -> (u32, u64) {
+    xs.fold((0, 0), |(max, sum), x| {
+        let m = x.raw_magnitude();
+        (max.max(m), sum + u64::from(m))
+    })
+}
+
 /// Cache-resident packed image of a weight matrix — the operand of the
 /// batched MVM kernels.
 ///
@@ -660,7 +685,10 @@ impl<S: Scalar> WeightPack<S> {
     /// # Kernel scope
     ///
     /// Batch rows shard contiguously through `ks` into disjoint output
-    /// slices, every shard running the one span loop nest. Inside a
+    /// slices, every shard running the one span loop nest (a call whose
+    /// output is narrow against the batch runs the nest over batch lanes
+    /// and shards the output columns instead — see the crate docs; the
+    /// result is the same bits). Inside a
     /// [`fixar_pool::Parallelism::fused`] call the shards enqueue and
     /// join together with every other kernel submitted to the same
     /// scope — one barrier per phase; the result is only complete once
@@ -730,7 +758,9 @@ impl<S: Scalar> WeightPack<S> {
 /// The shared front of the two batched MVMs, `Y[b] = Σ_k X[b][k] ·
 /// src_row(k)`: shape checks on the calling thread, then the batch rows
 /// shard through `ks` into disjoint slices of `y`, each shard one
-/// [`mvm_batch_span`]. `bounds` is the weight side of the interval guard
+/// [`mvm_batch_span`] — or, for an output narrow against the batch
+/// ([`batch_lanes`]), the output columns shard, each shard one
+/// [`mvm_lanes_span`]. `bounds` is the weight side of the interval guard
 /// for chains along a column of `src`.
 fn mvm_batch<'scope, S: Scalar>(
     src: &'scope Matrix<S>,
@@ -746,6 +776,23 @@ fn mvm_batch<'scope, S: Scalar>(
     if y.shape() != (x.rows, src.cols) {
         return Err(ShapeError::new(what_out, (x.rows, src.cols), y.shape()));
     }
+    if batch_lanes(src.cols, x.rows) {
+        // Narrow outputs: one lane row per output *column*, sharded over
+        // the columns; every shard streams the same `Xᵀ`, and one guard
+        // verdict — on the largest magnitude anywhere in `X` — covers
+        // every sample a lane row holds.
+        let (w_max, w_abs_sum) = bounds;
+        let x_max = max_magnitude(&x.data);
+        let free = S::mac_chain_is_clamp_free(w_max, w_abs_sum, x_max, 0, x.cols);
+        let xt = Arc::new(x.transposed());
+        let ranges = split_ranges(src.cols, ks.shards(src.cols));
+        let shards = column_shards(&mut y.data, src.cols, &ranges);
+        for (range, y_cols) in ranges.into_iter().zip(shards) {
+            let xt = Arc::clone(&xt);
+            ks.submit(move || mvm_lanes_span(src, &xt, free, range, y_cols));
+        }
+        return Ok(());
+    }
     let mut rest = y.data.as_mut_slice();
     for range in split_ranges(x.rows, ks.shards(x.rows)) {
         let (chunk, tail) = rest.split_at_mut(range.len() * src.cols);
@@ -753,6 +800,45 @@ fn mvm_batch<'scope, S: Scalar>(
         ks.submit(move || mvm_batch_span(src, bounds, x, range, chunk));
     }
     Ok(())
+}
+
+/// How many samples a batch must hold **per output element** before a
+/// batched kernel turns its vector dimension from the output neurons to
+/// the batch samples: the lane form runs when `out_dim · LANE_RATIO ≤
+/// batch`. Measured, not tuned: `kernel_micro`'s `lane sweep` times both
+/// forms at batch 64 for output widths 1…64 and prints where they cross.
+pub const LANE_RATIO: usize = 2;
+
+/// The shape rule behind the per-call choice of vector dimension — the
+/// software image of the AAP core switching between intra-layer and
+/// intra-batch parallelism. It reads operand shapes only (never the data,
+/// never the guard): an output `out_dim` wide against `batch` samples
+/// vectorises over the samples once the batch is [`LANE_RATIO`] times
+/// wider than the output.
+#[inline]
+fn batch_lanes(out_dim: usize, batch: usize) -> bool {
+    out_dim * LANE_RATIO <= batch
+}
+
+/// Splits a row-major buffer of `width`-wide rows by **column** ranges
+/// (consecutive, covering `0..width`): element `r` of shard `s` is row
+/// `r` restricted to `ranges[s]` — the disjoint output regions of the
+/// lane-form kernels, which shard over the output index.
+fn column_shards<'a, S>(
+    data: &'a mut [S],
+    width: usize,
+    ranges: &[Range<usize>],
+) -> Vec<Vec<&'a mut [S]>> {
+    let rows = data.len() / width.max(1);
+    let mut shards: Vec<_> = ranges.iter().map(|_| Vec::with_capacity(rows)).collect();
+    for mut row in data.chunks_exact_mut(width.max(1)) {
+        for (range, shard) in ranges.iter().zip(&mut shards) {
+            let (head, tail) = row.split_at_mut(range.len());
+            shard.push(head);
+            row = tail;
+        }
+    }
+    shards
 }
 
 impl<S: Scalar> Index<(usize, usize)> for Matrix<S> {
@@ -795,8 +881,10 @@ fn mac<S: Scalar, const FREE: bool>(acc: S, w: S, x: S) -> S {
 /// The one MAC loop nest of the crate: `acc ← acc + c · src` for every
 /// `(c, src)` of `terms`, in the order the iterator yields them. All
 /// three batched kernels are this operation — one broadcast coefficient
-/// per step against a contiguous row, the output dimension being the
-/// vector dimension, as on the column-broadcast AAP core.
+/// per step against a contiguous row. What a row *is* belongs to the
+/// caller: an output row (the vector dimension is the output neurons, as
+/// on the column-broadcast AAP core) or a batch lane row (the vector
+/// dimension is the samples); see [`batch_lanes`].
 ///
 /// A fixed-point term whose coefficient is exactly zero is dropped:
 /// every product `round(w · 0)` is `0` and `acc + 0 = acc` whether the
@@ -875,14 +963,75 @@ fn add_outer_batch_span<S: Scalar>(
 ) {
     for (i, w_row) in w_rows.zip(w_chunk.chunks_exact_mut(w_cols.max(1))) {
         let e_col = (0..e.rows).map(|b| e.data[b * e.cols + i]);
-        let (e_max, e_abs_sum) = e_col.clone().fold((0u32, 0u64), |(max, sum), eb| {
-            let m = eb.raw_magnitude();
-            (max.max(m), sum + u64::from(m))
-        });
+        let (e_max, e_abs_sum) = magnitudes(e_col.clone());
         let w_max = max_magnitude(w_row);
         let free = S::mac_chain_is_clamp_free(e_max, e_abs_sum, a_max, w_max, e.rows);
         let a_rows = a.data.chunks_exact(w_cols.max(1));
         accumulate_rows(free, w_row, e_col.zip(a_rows));
+    }
+}
+
+/// Lane-form MVM span: output columns `outs` of `Y[b] = Σ_k X[b][k] ·
+/// src_row(k)`, one **lane row** per column — `Yᵀ[i][·] ← Σ_k src[k][i]
+/// · Xᵀ[k][·]`, the coefficient being the weight and the row one input
+/// column across all samples. Element `(b, i)` still sums ascending `k`
+/// from zero, so the bits are [`mvm_batch_span`]'s; `free` is the one
+/// guard verdict that bounds every sample. `y_cols[b]` is sample `b`'s
+/// slice of the output restricted to `outs`.
+fn mvm_lanes_span<S: Scalar>(
+    src: &Matrix<S>,
+    xt: &Matrix<S>,
+    free: bool,
+    outs: Range<usize>,
+    mut y_cols: Vec<&mut [S]>,
+) {
+    let mut lane = vec![S::zero(); xt.cols];
+    for (slot, i) in outs.enumerate() {
+        lane.fill(S::zero());
+        let coeffs = (0..src.rows).map(|k| src.data[k * src.cols + i]);
+        accumulate_rows(
+            free,
+            &mut lane,
+            coeffs.zip(xt.data.chunks_exact(xt.cols.max(1))),
+        );
+        for (y, &v) in y_cols.iter_mut().zip(&lane) {
+            y[slot] = v;
+        }
+    }
+}
+
+/// Lane-form gradient span: columns `g_range` of `W += Σ_b E[b] ⊗ A[b]`,
+/// one lane row per gradient **column** — `Gᵀ[j][·] ← Gᵀ[j][·] + Σ_b
+/// A[b][j] · E[b][·]`. Element `(i, j)` still starts at `W[i][j]` and
+/// adds over ascending `b`, so the bits are [`add_outer_batch_span`]'s.
+/// The guard of lane row `j` bounds every gradient row at once: column
+/// `j` of `A` as the coefficients, `e_max` (the largest magnitude
+/// anywhere in `E`) and the column's largest starting value. `g_cols[i]`
+/// is gradient row `i` restricted to `g_range`.
+fn add_outer_lanes_span<S: Scalar>(
+    e: &Matrix<S>,
+    a: &Matrix<S>,
+    e_max: u32,
+    g_range: Range<usize>,
+    mut g_cols: Vec<&mut [S]>,
+) {
+    let mut lane = vec![S::zero(); g_cols.len()];
+    for (slot, j) in g_range.enumerate() {
+        for (v, g) in lane.iter_mut().zip(&g_cols) {
+            *v = g[slot];
+        }
+        let a_col = (0..a.rows).map(|b| a.data[b * a.cols + j]);
+        let (a_max, a_abs_sum) = magnitudes(a_col.clone());
+        let g_max = max_magnitude(&lane);
+        let free = S::mac_chain_is_clamp_free(a_max, a_abs_sum, e_max, g_max, a.rows);
+        accumulate_rows(
+            free,
+            &mut lane,
+            a_col.zip(e.data.chunks_exact(e.cols.max(1))),
+        );
+        for (g, &v) in g_cols.iter_mut().zip(&lane) {
+            g[slot] = v;
+        }
     }
 }
 

@@ -10,6 +10,16 @@
 //! skip on the weight row instead of the coefficient by testing the
 //! row's leading word (its weights carry rows that merely *start* with
 //! a zero next to a whole-zero row).
+//!
+//! The batched kernels also pick their vector dimension per call from the
+//! operand shapes (`out_dim · LANE_RATIO ≤ batch` turns the rows of the
+//! nest into batch lanes); the per-sample oracles have no such form.
+//! Mutation note for
+//! `shape_chosen_vector_dimension_equals_the_per_sample_oracles`: taking
+//! the lane form's guard bound from one sample (`x.row(0)` in `mvm_batch`,
+//! `e.row(0)` in `add_outer_batch`) instead of the whole operand must fail
+//! it — its rail-valued sample sits mid-batch, so sample 0 alone proves a
+//! chain clamp-free that then wraps.
 
 use fixar_fixed::{Fx16, Fx32, Scalar};
 use fixar_tensor::{vector, Matrix, Parallelism};
@@ -523,4 +533,110 @@ fn zero_skipping_runs_on_both_sides_of_the_fx32_guard() {
         0,
         33
     ));
+}
+
+/// One backend's share of
+/// `shape_chosen_vector_dimension_equals_the_per_sample_oracles`.
+fn vector_dimension_case<S: Scalar>() -> (usize, usize) {
+    // The other dimension of every weight matrix: wide enough that it
+    // keeps the row form at every batch below, so each call mixes forms.
+    const INNER: usize = 40;
+    let (rail_hi, rail_lo) = (S::from_f64(1e12), S::from_f64(-1e12));
+    let hits_rail = |m: &Matrix<S>| m.as_slice().iter().any(|&v| v == rail_hi || v == rail_lo);
+    let (mut lane_calls, mut row_calls, mut railed) = (0, 0, 0);
+    for narrow in [1usize, 2, 6, 17, 23, 31, 32, 33] {
+        // `narrow` as the forward output (W is narrow × INNER), then as
+        // the transposed output and the gradient width (INNER × narrow).
+        for (rows, cols) in [(narrow, INNER), (INNER, narrow)] {
+            let w = Matrix::<f64>::from_fn(rows, cols, |r, c| {
+                ((r * 31 + c * 17) as f64 * 0.37).sin() * 4.0 + 8.0
+            })
+            .cast::<S>();
+            let pack = w.pack();
+            for batch in [1usize, 2, 31, 32, 64, 65] {
+                if narrow * fixar_tensor::LANE_RATIO <= batch {
+                    lane_calls += 1;
+                } else {
+                    row_calls += 1;
+                }
+                for (rails, g_rails) in [(false, false), (true, false), (true, true)] {
+                    // Small operands pass the Fx32 guard. The rail
+                    // variants make ONE mid-batch sample rail-valued —
+                    // every lane row then holds a sample whose chain
+                    // really clamps — and the last one also pre-loads the
+                    // gradient at the rail.
+                    let hot = batch / 2;
+                    let value = |b: usize, c: usize, salt: usize| {
+                        let v = ((b * 13 + c * 7 + salt) as f64 * 0.29).cos();
+                        // Same-signed against the positive weights, so the
+                        // hot sample's chains run into the rail and stay.
+                        if rails && b == hot {
+                            v.abs() * 1900.0
+                        } else {
+                            v * 0.4
+                        }
+                    };
+                    let a = Matrix::<f64>::from_fn(batch, cols, |b, c| value(b, c, 1)).cast::<S>();
+                    let e = Matrix::<f64>::from_fn(batch, rows, |b, i| value(b, i, 2)).cast::<S>();
+                    let g_start = Matrix::<f64>::from_fn(rows, cols, |i, j| {
+                        let sign = if (i + j) % 2 == 0 { 1.0 } else { -1.0 };
+                        sign * if g_rails { 1e12 } else { 0.25 }
+                    })
+                    .cast::<S>();
+
+                    let mut fwd_ref = Matrix::<S>::zeros(batch, rows);
+                    let mut bwd_ref = Matrix::<S>::zeros(batch, cols);
+                    let mut g_ref = g_start.clone();
+                    for b in 0..batch {
+                        w.gemv(a.row(b), fwd_ref.row_mut(b)).unwrap();
+                        w.gemv_t(e.row(b), bwd_ref.row_mut(b)).unwrap();
+                        g_ref.add_outer(e.row(b), a.row(b)).unwrap();
+                    }
+                    if S::IS_FIXED_POINT && rails {
+                        let all = hits_rail(&fwd_ref) && hits_rail(&bwd_ref) && hits_rail(&g_ref);
+                        railed += usize::from(all);
+                    }
+                    for workers in [1usize, 2, 8] {
+                        let par = Parallelism::with_workers(workers);
+                        let mut fwd = Matrix::<S>::zeros(batch, rows);
+                        let mut bwd = Matrix::<S>::zeros(batch, cols);
+                        let mut g = g_start.clone();
+                        par.fused(|ks| {
+                            pack.gemv_batch(&a, &mut fwd, ks).unwrap();
+                            pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
+                            g.add_outer_batch(&e, &a, ks).unwrap();
+                        })
+                        .unwrap();
+                        let case = format!(
+                            "{} W {rows}x{cols} batch {batch} rails {rails}/{g_rails} workers {workers}",
+                            S::NAME
+                        );
+                        assert_eq!(fwd, fwd_ref, "gemv_batch, {case}");
+                        assert_eq!(bwd, bwd_ref, "gemv_t_batch, {case}");
+                        assert_eq!(g, g_ref, "add_outer_batch, {case}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        railed >= 160 || !S::IS_FIXED_POINT,
+        "{}: only {railed} of 192 rail cases ended on the rail",
+        S::NAME
+    );
+    (lane_calls, row_calls)
+}
+
+#[test]
+fn shape_chosen_vector_dimension_equals_the_per_sample_oracles() {
+    // Output widths 1…33 against batches 1…65 put every kernel on both
+    // sides of the shape rule, and both sides of the interval guard.
+    let (lane_calls, row_calls) = vector_dimension_case::<Fx32>();
+    assert!(
+        lane_calls >= 20 && row_calls >= 20,
+        "{lane_calls}/{row_calls}"
+    );
+    vector_dimension_case::<Fx16>();
+    vector_dimension_case::<f32>();
+    vector_dimension_case::<f64>();
 }

@@ -193,7 +193,7 @@ fn fixed_point_training_matches_across_kernel_paths() {
     for net in [&mut a, &mut b] {
         let trace = net.forward_trace(&x).unwrap();
         let mut grads = MlpGrads::zeros_like(net);
-        net.backward(&trace, &dl, Some(&mut grads)).unwrap();
+        net.backward(&trace, &dl, Some(&mut grads), false).unwrap();
         let mut opt = Adam::new(net, AdamConfig::default());
         opt.step(net, &grads).unwrap();
     }

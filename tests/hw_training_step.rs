@@ -120,7 +120,9 @@ fn full_hardware_training_step_is_bit_exact() {
         // Software step.
         let trace = sw_net.forward_trace(&x).unwrap();
         let mut sw_grads = MlpGrads::zeros_like(&sw_net);
-        sw_net.backward(&trace, &dl, Some(&mut sw_grads)).unwrap();
+        sw_net
+            .backward(&trace, &dl, Some(&mut sw_grads), false)
+            .unwrap();
 
         // Hardware step against the memory image.
         let (inputs, pre, output) = hw_forward(&mem, &image, &core, &x);
