@@ -1,7 +1,7 @@
 //! Emits deployment codegen artifacts for the `codegen-embedded` CI job.
 //!
 //! Trains a tiny DDPG actor through its QAT freeze (8-bit, so the
-//! frozen quantizers carry real threshold tables sized for firmware),
+//! emitted source carries real calibrated shift/clamp quantizers),
 //! exports the `PolicyArtifact`, and writes to the output directory
 //! (first CLI argument, default `target/codegen`):
 //!
@@ -78,8 +78,8 @@ fn main() {
     println!("content_hash {:016x}", art.content_hash());
     println!("source_bytes {}", src.len());
     println!(
-        "blob_bytes {} (uncompressed {}, {}/{} tables packed)",
-        stats.bytes, stats.bytes_uncompressed, stats.tables_compressed, stats.table_points
+        "blob_bytes {} (tables_affine {})",
+        stats.bytes, stats.tables_affine
     );
     println!("wrote {dir}/policy.rs and {dir}/policy_blob.bin");
 }

@@ -14,16 +14,11 @@
 //!   raw Q12.20 words);
 //! * `codegen` — the `emit_rust()` output compiled by the host `rustc`
 //!   and timed in-process by a generated runner: the firmware path,
-//!   where quantizer tables are resolved statics (or inlined affine
-//!   multiply-shifts) instead of interpreter dispatch. The 16-bit
-//!   `Table` quantizers here qualify for the O(1) affine fast path
-//!   (`blob_tables_affine` in the JSON counts them), so raw
-//!   interpretation runs at or above snapshot speed — before that fast
-//!   path, per-element binary searches dragged it to ~0.54×.
+//!   where every quantizer is an inlined shift/clamp with literal
+//!   operands instead of interpreter dispatch.
 //!
-//! Blob-size accounting is reported alongside: the packed-delta wire
-//! form (`encode`) against the raw v1 table layout
-//! (`encode_uncompressed`), plus the generated source size.
+//! Blob size (weights plus ≈ 100 bytes) and generated source size are
+//! reported alongside.
 //!
 //! **Bit-equality gate:** before any timing, every path (including an
 //! encode → decode round-trip of the blob and a short `ArtifactServer`
@@ -259,8 +254,7 @@ fn main() {
     let obs = obs_pool();
     bit_equality_gate(&snap, &art, &obs);
 
-    let stats = art.blob_stats();
-    let blob_bytes = stats.bytes;
+    let blob_bytes = art.blob_stats().bytes;
     let raw_obs: Vec<Vec<i32>> = (0..obs.rows())
         .map(|r| {
             Fx32::raw_words(
@@ -286,15 +280,7 @@ fn main() {
     });
     let (codegen_ns, gen_source_bytes) = codegen_arm(&art, &raw_obs, reps);
 
-    println!(
-        "blob size        {blob_bytes:>10} bytes ({} uncompressed, {}/{} tables packed, \
-         {}/{} affine fast path)",
-        stats.bytes_uncompressed,
-        stats.tables_compressed,
-        stats.table_points,
-        stats.tables_affine,
-        stats.table_points
-    );
+    println!("blob size        {blob_bytes:>10} bytes");
     println!("generated source {gen_source_bytes:>10} bytes");
     println!("snapshot         {snapshot_ns:>10.0} ns/action");
     println!("artifact (f64)   {artifact_ns:>10.0} ns/action");
@@ -317,18 +303,6 @@ fn main() {
         let _ = writeln!(json, "  \"bit_equality_gate\": \"passed\",");
         let _ = writeln!(json, "  \"content_hash\": \"{:016x}\",", art.content_hash());
         let _ = writeln!(json, "  \"blob_bytes\": {blob_bytes},");
-        let _ = writeln!(
-            json,
-            "  \"blob_bytes_uncompressed\": {},",
-            stats.bytes_uncompressed
-        );
-        let _ = writeln!(json, "  \"blob_table_points\": {},", stats.table_points);
-        let _ = writeln!(
-            json,
-            "  \"blob_tables_compressed\": {},",
-            stats.tables_compressed
-        );
-        let _ = writeln!(json, "  \"blob_tables_affine\": {},", stats.tables_affine);
         let _ = writeln!(json, "  \"codegen_source_bytes\": {gen_source_bytes},");
         let _ = writeln!(json, "  \"snapshot_ns_per_action\": {snapshot_ns:.1},");
         let _ = writeln!(json, "  \"artifact_ns_per_action\": {artifact_ns:.1},");

@@ -30,8 +30,9 @@
 //! * `pack 400x300`: one `Matrix::pack()` of a paper-size layer (the
 //!   update re-packs four networks), ns per pack;
 //! * `quantizer_micro`: the per-element cost of each deploy-time
-//!   quantizer spec (Shift, affine fast path, threshold-table search),
-//!   isolated by subtracting a passthrough baseline artifact.
+//!   quantizer spec (a shifting one, and the `shift: 0` clamp a step
+//!   finer than the word grid exports as), isolated by subtracting a
+//!   passthrough baseline artifact.
 //! * `narrow_layer_micro`: the paper-size update's narrow calls at batch
 //!   64 on `sparse50` operands, named `in×out` — `gemv_batch 300x1` /
 //!   `300x6` (the critic and actor output layers), `gemv_t_batch 400x23`
@@ -376,13 +377,13 @@ fn main() {
 
 /// Per-element cost of each deploy-time quantizer spec.
 ///
-/// Four single-layer `[3, 64]` artifacts share identical weights and
+/// Three single-layer `[3, 64]` artifacts share identical weights and
 /// differ only in the output activation point's spec: no quantizer at
-/// all (the baseline), a power-of-two `Shift`, a 16-bit range whose
-/// threshold table admits the O(1) affine multiply-shift, and a 16-bit
-/// range whose bottom-clamped table forces the binary-search fallback.
-/// The quantizer's per-element cost is the arm's ns/element minus the
-/// baseline's, so the shared matrix walk cancels out.
+/// all (the baseline), a shifting spec (Q4.12), and a 31-bit range whose
+/// step is finer than the word grid — the same arm at distance 0, a clamp
+/// between two words. The quantizer's per-element cost is the arm's
+/// ns/element minus the baseline's, so the shared matrix walk cancels
+/// out.
 fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
     const QDIM: usize = 64;
     const OBS: usize = 3;
@@ -407,20 +408,9 @@ fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
     let base = build(None);
     let q_shift = AffineQuantizer::from_format(QFormat::q(4, 12).unwrap()).unwrap();
     let shift = build(Some(&q_shift));
-    let q_affine = AffineQuantizer::from_range(-0.9, 1.2, 16).unwrap();
-    let affine = build(Some(&q_affine));
-    let q_table = AffineQuantizer::from_range(-5000.0, 5000.0, 16).unwrap();
-    let table = build(Some(&q_table));
-
-    // The arms must actually exercise the code paths they claim to: the
-    // affine range's table qualifies for the multiply-shift fast path,
-    // the wide bottom-clamped range provably does not.
-    assert_eq!(base.blob_stats().table_points, 0);
-    assert_eq!(shift.blob_stats().table_points, 0);
-    assert_eq!(affine.blob_stats().table_points, 1);
-    assert_eq!(affine.blob_stats().tables_affine, 1);
-    assert_eq!(table.blob_stats().table_points, 1);
-    assert_eq!(table.blob_stats().tables_affine, 0);
+    let q_clamp = AffineQuantizer::from_range(-2.0, 3.0, 31).unwrap();
+    assert!(q_clamp.delta() < Fx32::from_raw(1).to_f64());
+    let clamp = build(Some(&q_clamp));
 
     let pool: Vec<[i32; OBS]> = (0..POOL)
         .map(|k| {
@@ -441,11 +431,7 @@ fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
     };
     let base_ns = time_arm(&base);
     push(records, "quant baseline (no spec)".into(), base_ns);
-    for (name, art) in [
-        ("quant_shift", &shift),
-        ("quant_affine", &affine),
-        ("quant_table_search", &table),
-    ] {
+    for (name, art) in [("quant_shift", &shift), ("quant_clamp", &clamp)] {
         let ns = (time_arm(art) - base_ns).max(0.0);
         push(records, name.into(), ns);
     }

@@ -3,16 +3,15 @@
 //!
 //! An artifact is everything a frozen policy needs and nothing it does
 //! not: raw `i32` weight/bias words on the `Fx32` grid, the activation
-//! kinds, and one integer [`QuantSpec`] per activation point. The float
-//! machinery of `fixar-nn` is consulted once, at export time, to compile
-//! each [`AffineQuantizer`] into either a shift (power-of-two step) or a
-//! threshold table (arbitrary calibrated step); after that the interpreter
-//! in `interp.rs` never touches a float.
+//! kinds, and one integer [`QuantSpec`] per activation point. Every
+//! [`AffineQuantizer`] lives on a power-of-two step, so its spec is read
+//! straight off it at export time — the shift distance, the zero point
+//! and the code window — and the interpreter in `interp.rs` never
+//! touches a float.
 
 use bytes::Bytes;
 use fixar_fixed::{AffineQuantizer, Fx32};
 
-use crate::compress::{self, CompressedTable, PackedSeq};
 use crate::error::DeployError;
 use crate::guard;
 use crate::interp;
@@ -22,13 +21,13 @@ use crate::interp;
 pub const ARTIFACT_FRAC_BITS: u32 = 20;
 
 const MAGIC: [u8; 4] = *b"FXDA";
-/// v2 added compressed threshold tables (spec tag 3) to the wire format.
-const VERSION: u32 = 2;
+/// v3 dropped spec tags 2 and 3 of v1/v2 (tabulated quantizers): every
+/// quantizer is a shift.
+const VERSION: u32 = 3;
 
-/// Widest code space representable as a threshold table (2^16 codes).
-/// Wider quantizers must have a power-of-two step or export fails with
-/// [`DeployError::UnsupportedQuantizer`].
-const MAX_TABLE_BITS: u32 = 16;
+/// Widest shift distance a [`QuantSpec::Shift`] carries (an `i64` has no
+/// shift by 64; past 31 every `i32` word is already one of two codes).
+const MAX_SHIFT: u32 = 62;
 
 /// Decode-time cap on the layer count; real FIXAR actors have 2-3 layers,
 /// so anything huge is a corrupt or hostile blob, rejected before any
@@ -75,142 +74,73 @@ pub(crate) enum QuantSpec {
     /// No quantization at this point (no quantizer, excluded point, or a
     /// runtime that never reached quantize mode).
     PassThrough,
-    /// Power-of-two step: quantization is an arithmetic shift.
+    /// Quantization is an arithmetic shift onto the code grid, an offset
+    /// and a clamp; `shift: 0` is a plain clamp between two words.
     Shift {
         /// `frac_bits + log2(step)` — the shift distance.
         shift: u32,
         /// Algorithm 1's zero point `z`.
         zero_point: i64,
-        /// Largest code, `2^bits - 1`.
+        /// Largest code.
         max_code: i64,
     },
-    /// Arbitrary calibrated step: quantization is a sorted threshold
-    /// search, dequantization a direct table lookup.
-    Table {
-        /// Entry `k` is the smallest raw word reaching code `k + 1`
-        /// (`i64::MAX` marks codes no `i32` raw word reaches).
-        thresholds: Vec<i64>,
-        /// Raw output word for each code (`thresholds.len() + 1` entries).
-        dequant: Vec<i32>,
-        /// O(1) multiply-shift replacement for the threshold search,
-        /// present when the table is exactly an affine code ramp.
-        /// Derived from `thresholds` at construction (never serialized),
-        /// so `PartialEq` on the derived fields stays sound.
-        affine: Option<compress::AffineIndex>,
-    },
 }
 
-impl QuantSpec {
-    /// The one way to build a [`QuantSpec::Table`]: fits the O(1) affine
-    /// fast path against the thresholds (proven, not assumed — see
-    /// [`compress::affine_fit`]) so every producer, including
-    /// [`PolicyArtifact::decode`] on hostile blobs, gets the
-    /// specialization exactly when it is bit-exact.
-    pub(crate) fn table(thresholds: Vec<i64>, dequant: Vec<i32>) -> Self {
-        let affine = compress::affine_fit(&thresholds);
-        QuantSpec::Table {
-            thresholds,
-            dequant,
-            affine,
-        }
-    }
-}
-
-/// The exact base-2 exponent of `x`, when `x` is a positive power of two
-/// (normal, zero mantissa); `None` otherwise.
-fn exact_log2(x: f64) -> Option<i32> {
-    let bits = x.to_bits();
-    let exp = (bits >> 52) & 0x7ff;
-    let mantissa = bits & ((1u64 << 52) - 1);
-    if x <= 0.0 || exp == 0 || exp == 0x7ff || mantissa != 0 {
-        return None;
-    }
-    Some(exp as i32 - 1023)
-}
-
-/// The code the reference float path assigns to a raw `Fx32` word — the
-/// oracle the threshold tables are compiled against.
-fn quantize_code(q: &AffineQuantizer, raw: i32) -> i64 {
-    guard::float_op("quantizer oracle evaluation during export");
-    q.quantize(Fx32::from_raw(raw).to_f64())
-}
-
-/// The smallest raw word whose code reaches `c`, by binary search over the
-/// monotone quantize-of-raw map; `i64::MAX` when no raw word reaches it.
-fn threshold_for(q: &AffineQuantizer, c: i64) -> i64 {
-    if quantize_code(q, i32::MAX) < c {
-        return i64::MAX;
-    }
-    let (mut lo, mut hi) = (i32::MIN as i64, i32::MAX as i64);
-    // Invariant: quantize_code(hi) >= c; converges on the smallest such raw.
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if quantize_code(q, mid as i32) >= c {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    hi
-}
-
-/// Compiles a frozen [`AffineQuantizer`] into its integer-only spec.
+/// Reads a frozen [`AffineQuantizer`] out as its integer-only spec.
 ///
-/// Power-of-two steps become [`QuantSpec::Shift`]; any other step becomes
-/// a [`QuantSpec::Table`] when the code space fits, and is rejected
-/// otherwise. Both forms reproduce `fake_quantize_scalar` on the `Fx32`
-/// grid bit-for-bit — the shift because every float step of the reference
-/// path is exact power-of-two scaling, the table because it is compiled
-/// against the reference path as an oracle.
+/// The quantizer's step is `2^e`, so on raw words of the `2^-F` grid
+/// `floor(x / step)` is an arithmetic right shift by `F + e` and every
+/// float step of `fake_quantize_scalar` is an exact power-of-two scaling:
+/// [`QuantSpec::Shift`] with the quantizer's own zero point and code
+/// window reproduces it bit for bit.
+///
+/// A step finer than the word grid (`F + e < 0`) separates no two words:
+/// between the clips every word is already on the quantizer's grid and
+/// maps to itself, below and above it maps to the clip value rounded onto
+/// the word grid. That is a clamp between two words, which is the same arm
+/// at `shift: 0` with the low clip word as the (negated) zero point.
+///
+/// # Errors
+///
+/// [`DeployError::UnsupportedQuantizer`] when the step is too coarse for
+/// a shift (`F + e > 62`; every `i32` word would fall on one of two codes).
 fn spec_for_quantizer(point: usize, q: &AffineQuantizer) -> Result<QuantSpec, DeployError> {
     guard::float_op("freezing a quantizer into an integer spec");
-    let max_code = (1i64 << q.bits()) - 1;
-    if let Some(e) = exact_log2(q.delta()) {
-        let s = ARTIFACT_FRAC_BITS as i64 + e as i64;
-        if (0..=62).contains(&s) {
-            return Ok(QuantSpec::Shift {
-                shift: s as u32,
-                zero_point: q.zero_point(),
-                max_code,
-            });
-        }
-    }
-    if q.bits() > MAX_TABLE_BITS {
+    let shift = ARTIFACT_FRAC_BITS as i32 - q.format().frac_bits();
+    if shift > MAX_SHIFT as i32 {
         return Err(DeployError::UnsupportedQuantizer {
             point,
             bits: q.bits(),
         });
     }
-    let thresholds: Vec<i64> = (1..=max_code).map(|c| threshold_for(q, c)).collect();
-    let dequant: Vec<i32> = (0..=max_code)
-        .map(|c| Fx32::from_f64(q.dequantize(c)).raw())
-        .collect();
-    // pow2-snap: a table that is exactly equivalent to a shift spec
-    // (arithmetic thresholds at a power-of-two step, matching dequant
-    // ramp) is stored as the shift — verified code-by-code first, so
-    // the snap cannot change any output word.
-    if let Some(snapped) = compress::pow2_snap(&thresholds, &dequant) {
-        return Ok(snapped);
+    if shift >= 0 {
+        return Ok(QuantSpec::Shift {
+            shift: shift as u32,
+            zero_point: q.zero_point(),
+            max_code: q.max_code(),
+        });
     }
-    Ok(QuantSpec::table(thresholds, dequant))
+    let clip_word = |code: i64| i64::from(Fx32::from_f64(q.dequantize(code)).raw());
+    let low = clip_word(0);
+    Ok(QuantSpec::Shift {
+        shift: 0,
+        zero_point: -low,
+        max_code: clip_word(q.max_code()) - low,
+    })
 }
 
 /// Blob-size accounting for a [`PolicyArtifact`], as reported by
 /// [`PolicyArtifact::blob_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlobStats {
-    /// Size of [`PolicyArtifact::encode`] (threshold tables
-    /// delta-compressed where that is smaller).
+    /// Size of [`PolicyArtifact::encode`]: the weight and bias words plus
+    /// a few bytes of header, one small spec per activation point, and
+    /// the checksum.
     pub bytes: usize,
-    /// Size of [`PolicyArtifact::encode_uncompressed`] (every table
-    /// stored raw, the v1 layout).
-    pub bytes_uncompressed: usize,
-    /// Activation points carrying threshold-table quantizers.
-    pub table_points: usize,
-    /// How many of those tables pack smaller than their raw form.
-    pub tables_compressed: usize,
-    /// How many of those tables qualified for the O(1) affine
-    /// multiply-shift quantizer instead of the threshold search.
+    /// Always zero: no quantizer is tabulated any more, so none can take
+    /// the old affine fast path. The field stays only because the frozen
+    /// repository benchmark reads it (`deploy.tables_affine`); it goes
+    /// with the next benchmark issue.
     pub tables_affine: usize,
 }
 
@@ -263,7 +193,8 @@ impl PolicyArtifact {
     /// [`DeployError::DimensionMismatch`] when any component length
     /// disagrees with `layer_sizes`, [`DeployError::Corrupt`] for empty or
     /// degenerate shapes, and [`DeployError::UnsupportedQuantizer`] when a
-    /// quantizer has no integer-only form.
+    /// quantizer's step is too coarse to shift (`2^43` or more on the
+    /// Q12.20 grid — no quantizer calibrated on `Fx32` activations).
     ///
     /// # Example
     ///
@@ -470,25 +401,7 @@ impl PolicyArtifact {
     /// crate docs for the diagram). Encoding is deterministic: equal
     /// artifacts produce identical blobs, which is what makes
     /// [`PolicyArtifact::content_hash`] a stable identity.
-    ///
-    /// Threshold tables are stored delta-compressed (spec tag 3)
-    /// whenever the lossless packed form is smaller than the raw table;
-    /// [`PolicyArtifact::decode`] reproduces every threshold and
-    /// dequant word exactly, so compression never affects inference.
     pub fn encode(&self) -> Bytes {
-        self.encode_with(true)
-    }
-
-    /// Serializes the artifact with every threshold table stored raw
-    /// (spec tag 2), i.e. the v1 table layout. Decodes to the same
-    /// artifact as [`PolicyArtifact::encode`]; exists so blob-size
-    /// accounting (and the `deploy_inference` bench) can report the
-    /// uncompressed baseline.
-    pub fn encode_uncompressed(&self) -> Bytes {
-        self.encode_with(false)
-    }
-
-    fn encode_with(&self, compress_tables: bool) -> Bytes {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         put_u32(&mut out, VERSION);
@@ -521,34 +434,6 @@ impl PolicyArtifact {
                     put_i64(&mut out, *zero_point);
                     put_i64(&mut out, *max_code);
                 }
-                QuantSpec::Table {
-                    thresholds,
-                    dequant,
-                    affine: _,
-                } => {
-                    let compressed = if compress_tables {
-                        compress::compress_table(thresholds, dequant)
-                    } else {
-                        None
-                    };
-                    match compressed {
-                        Some(ct) => {
-                            out.push(3);
-                            put_compressed_table(&mut out, &ct);
-                        }
-                        None => {
-                            out.push(2);
-                            put_u32(&mut out, thresholds.len() as u32);
-                            for &t in thresholds {
-                                put_i64(&mut out, t);
-                            }
-                            put_u32(&mut out, dequant.len() as u32);
-                            for &d in dequant {
-                                put_i32(&mut out, d);
-                            }
-                        }
-                    }
-                }
             }
         }
         let checksum = fnv1a64(&out);
@@ -556,46 +441,11 @@ impl PolicyArtifact {
         Bytes::from(out)
     }
 
-    /// Blob-size accounting: compressed and uncompressed encodings side
-    /// by side, plus how many activation points carry threshold tables
-    /// and how many of those pack smaller than raw.
+    /// Blob-size accounting for [`PolicyArtifact::encode`].
     pub fn blob_stats(&self) -> BlobStats {
-        let table_points = self
-            .specs
-            .iter()
-            .filter(|s| matches!(s, QuantSpec::Table { .. }))
-            .count();
-        let tables_compressed = self
-            .specs
-            .iter()
-            .filter(|s| match s {
-                QuantSpec::Table {
-                    thresholds,
-                    dequant,
-                    ..
-                } => compress::compress_table(thresholds, dequant).is_some(),
-                _ => false,
-            })
-            .count();
-        let tables_affine = self
-            .specs
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    QuantSpec::Table {
-                        affine: Some(_),
-                        ..
-                    }
-                )
-            })
-            .count();
         BlobStats {
             bytes: self.encode().len(),
-            bytes_uncompressed: self.encode_uncompressed().len(),
-            table_points,
-            tables_compressed,
-            tables_affine,
+            tables_affine: 0,
         }
     }
 
@@ -675,7 +525,7 @@ impl PolicyArtifact {
                 0 => QuantSpec::PassThrough,
                 1 => {
                     let shift = cur.u32()?;
-                    if shift > 62 {
+                    if shift > MAX_SHIFT {
                         return Err(DeployError::Corrupt(format!(
                             "shift distance {shift} out of range"
                         )));
@@ -690,49 +540,6 @@ impl PolicyArtifact {
                         zero_point,
                         max_code,
                     }
-                }
-                2 => {
-                    let tlen = cur.u32()? as usize;
-                    let thresholds = cur.i64_vec(tlen)?;
-                    let dlen = cur.u32()? as usize;
-                    if dlen != tlen + 1 {
-                        return Err(DeployError::Corrupt(format!(
-                            "table with {tlen} thresholds but {dlen} dequant entries"
-                        )));
-                    }
-                    let dequant = cur.i32_vec(dlen)?;
-                    QuantSpec::table(thresholds, dequant)
-                }
-                3 => {
-                    let n_thresholds = cur.u32()?;
-                    if n_thresholds == 0 || n_thresholds > 1 << MAX_TABLE_BITS {
-                        return Err(DeployError::Corrupt(format!(
-                            "implausible compressed table with {n_thresholds} thresholds"
-                        )));
-                    }
-                    let n_finite = cur.u32()?;
-                    if n_finite > n_thresholds {
-                        return Err(DeployError::Corrupt(format!(
-                            "compressed table declares {n_finite} finite of {n_thresholds} \
-                             thresholds"
-                        )));
-                    }
-                    let finite = if n_finite > 0 {
-                        Some(read_packed_seq(&mut cur, n_finite)?)
-                    } else {
-                        None
-                    };
-                    let dequant = read_packed_seq(&mut cur, n_thresholds + 1)?;
-                    let ct = CompressedTable {
-                        n_thresholds,
-                        finite,
-                        dequant,
-                    };
-                    let (thresholds, dequant) =
-                        compress::decompress_table(&ct).ok_or_else(|| {
-                            DeployError::Corrupt("compressed table does not reconstruct".into())
-                        })?;
-                    QuantSpec::table(thresholds, dequant)
                 }
                 t => {
                     return Err(DeployError::Corrupt(format!("unknown spec tag {t}")));
@@ -784,54 +591,6 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_packed_seq(out: &mut Vec<u8>, p: &PackedSeq) {
-    put_i64(out, p.base);
-    put_i64(out, p.min_delta);
-    out.push(p.width);
-    for &w in &p.words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-/// Tag-3 wire form: total count, finite count, then the packed finite
-/// prefix (when present) and the packed dequant ramp. Sequence element
-/// counts are implied by the two header counts, and word counts by
-/// count × width, so the layout stays self-describing without
-/// redundancy a corrupt blob could make inconsistent.
-fn put_compressed_table(out: &mut Vec<u8>, ct: &CompressedTable) {
-    put_u32(out, ct.n_thresholds);
-    put_u32(out, ct.finite.as_ref().map_or(0, |p| p.count));
-    if let Some(p) = &ct.finite {
-        put_packed_seq(out, p);
-    }
-    put_packed_seq(out, &ct.dequant);
-}
-
-/// Reads one packed sequence whose element count is known from the table
-/// header, validating the width before sizing the word read from it.
-fn read_packed_seq(cur: &mut Cursor<'_>, count: u32) -> Result<PackedSeq, DeployError> {
-    let base = cur.i64()?;
-    let min_delta = cur.i64()?;
-    let width = cur.u8()?;
-    if width > 63 {
-        return Err(DeployError::Corrupt(format!(
-            "packed-sequence width {width} out of range"
-        )));
-    }
-    let n_words = PackedSeq::expected_words(count, width);
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(cur.u64()?);
-    }
-    Ok(PackedSeq {
-        base,
-        min_delta,
-        width,
-        count,
-        words,
-    })
-}
-
 /// Bounds-checked reader over a blob; every read reports exactly what was
 /// needed versus what remained, so truncation errors are actionable.
 struct Cursor<'a> {
@@ -879,17 +638,6 @@ impl Cursor<'_> {
         Ok(bytes
             .chunks_exact(4)
             .map(|c| i32::from_le_bytes(c.try_into().expect("exactly 4 bytes")))
-            .collect())
-    }
-
-    fn i64_vec(&mut self, len: usize) -> Result<Vec<i64>, DeployError> {
-        let needed = len
-            .checked_mul(8)
-            .ok_or_else(|| DeployError::Corrupt("element count overflow".into()))?;
-        let bytes = self.take(needed)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("exactly 8 bytes")))
             .collect())
     }
 }
@@ -967,15 +715,46 @@ mod tests {
 
     #[test]
     fn shift_spec_replicates_format_quantizer_exactly() {
-        for fmt in [
+        let mut quantizers: Vec<(String, AffineQuantizer)> = [
             QFormat::q(4, 12).unwrap(),
             QFormat::q(2, 6).unwrap(),
             QFormat::q(8, 8).unwrap(),
             QFormat::q(1, 15).unwrap(),
+            QFormat::q(2, 29).unwrap(), // finer than the word grid
+        ]
+        .into_iter()
+        .map(|fmt| (fmt.to_string(), AffineQuantizer::from_format(fmt).unwrap()))
+        .collect();
+        // Range-calibrated: asymmetric, post-ReLU (`min = 0`), `min > 0`,
+        // all-negative, headroom-widened, rail-wide, and spans whose
+        // step is finer than the word grid (the `shift: 0` clamp form).
+        for (min, max) in [
+            (-3.58, 1.22),
+            (-0.7, 0.4),
+            (0.0, 10.0),
+            (2.0, 6.0),
+            (-6.0, -2.5),
+            (-1.5 * 3.58, 1.5 * 1.22),
+            (-2048.0, 2047.9),
+            (0.0, 1.0 / 64.0),
+            (-0.0131, 0.0077),
+            (0.25, 0.2501),
         ] {
-            let q = AffineQuantizer::from_format(fmt).unwrap();
-            let spec = spec_for_quantizer(0, &q).unwrap();
-            assert!(matches!(spec, QuantSpec::Shift { .. }), "{fmt}");
+            for bits in 2..=31 {
+                let q = AffineQuantizer::from_range(min, max, bits).unwrap();
+                quantizers.push((format!("[{min}, {max}]x{bits}"), q));
+            }
+        }
+        let mut clamp_forms = 0;
+        for (name, q) in &quantizers {
+            let spec = spec_for_quantizer(0, q).unwrap();
+            let frac = q.format().frac_bits();
+            assert_eq!(
+                matches!(spec, QuantSpec::Shift { shift: 0, .. }),
+                frac >= ARTIFACT_FRAC_BITS as i32,
+                "{name}"
+            );
+            clamp_forms += usize::from(frac > ARTIFACT_FRAC_BITS as i32);
             let art = PolicyArtifact::assemble(
                 ARTIFACT_FRAC_BITS,
                 vec![1, 1],
@@ -985,62 +764,40 @@ mod tests {
                 vec![vec![0]],
                 vec![spec, QuantSpec::PassThrough],
             );
-            for r in [
-                0,
-                1,
-                -1,
-                12345,
-                -98765,
-                raw(1.3),
-                raw(-7.9),
-                i32::MAX,
-                i32::MIN,
-                raw(500.0),
-            ] {
+            // Both clip words ± 2, every word (so every code boundary)
+            // within ± 64 of zero, the rails, and a seeded sweep.
+            let clips = [0, q.max_code()].map(|c| Fx32::from_f64(q.dequantize(c)).raw());
+            let mut words: Vec<i32> = (-64..=64).chain([i32::MIN, i32::MAX]).collect();
+            for clip in clips {
+                words.extend((-2..=2).map(|d| clip.saturating_add(d)));
+            }
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            words.extend((0..2000).map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 32) as i32
+            }));
+            for r in words {
                 let want = q.fake_quantize_scalar(Fx32::from_raw(r)).raw();
                 let got = art.infer_raw(&[r]).unwrap()[0];
-                assert_eq!(got, want, "fmt={fmt} raw={r}");
+                assert_eq!(got, want, "{name} raw={r}");
             }
         }
+        assert!(clamp_forms > 60, "sub-grid steps must be covered");
     }
 
     #[test]
-    fn table_spec_replicates_range_quantizer_exactly() {
-        // Calibrated ranges produce non-power-of-two steps → Table specs.
-        for (min, max, bits) in [(-3.0, 4.0, 8), (-0.7, 0.4, 10), (0.0, 10.0, 6)] {
-            let q = AffineQuantizer::from_range(min, max, bits).unwrap();
-            assert!(exact_log2(q.delta()).is_none(), "step must not be 2^k");
-            let spec = spec_for_quantizer(0, &q).unwrap();
-            assert!(matches!(spec, QuantSpec::Table { .. }));
-            let art = PolicyArtifact::assemble(
-                ARTIFACT_FRAC_BITS,
-                vec![1, 1],
-                ActKind::Identity,
-                ActKind::Identity,
-                vec![vec![Fx32::ONE.raw()]],
-                vec![vec![0]],
-                vec![spec, QuantSpec::PassThrough],
-            );
-            for i in -400..400 {
-                let r = i * 37_991; // sweep the raw range, off-grid
-                let want = q.fake_quantize_scalar(Fx32::from_raw(r)).raw();
-                let got = art.infer_raw(&[r]).unwrap()[0];
-                assert_eq!(got, want, "range=[{min},{max}]x{bits} raw={r}");
-            }
-            for r in [i32::MAX, i32::MIN, 0] {
-                let want = q.fake_quantize_scalar(Fx32::from_raw(r)).raw();
-                assert_eq!(art.infer_raw(&[r]).unwrap()[0], want);
-            }
-        }
-    }
-
-    #[test]
-    fn wide_non_power_of_two_quantizer_is_rejected() {
-        let q = AffineQuantizer::from_range(-3.0, 4.0, 20).unwrap();
-        let err = spec_for_quantizer(7, &q).unwrap_err();
+    fn step_too_coarse_to_shift_is_a_typed_error() {
+        // δ′ = 2^42 shifts by 62, the widest distance; 2^43 has no spec.
+        let edge = (1u64 << 45) as f64;
+        let q = AffineQuantizer::from_range(-edge, edge, 4).unwrap();
+        assert!(matches!(
+            spec_for_quantizer(0, &q),
+            Ok(QuantSpec::Shift { shift: 62, .. })
+        ));
+        let q = AffineQuantizer::from_range(-2.0 * edge, 2.0 * edge, 4).unwrap();
         assert_eq!(
-            err,
-            DeployError::UnsupportedQuantizer { point: 7, bits: 20 }
+            spec_for_quantizer(7, &q).unwrap_err(),
+            DeployError::UnsupportedQuantizer { point: 7, bits: 4 }
         );
     }
 
@@ -1071,12 +828,15 @@ mod tests {
             PolicyArtifact::decode(&bad_magic).unwrap_err(),
             DeployError::BadMagic
         );
-        let mut bad_version = blob.clone();
-        bad_version[4] = 99;
-        assert_eq!(
-            PolicyArtifact::decode(&bad_version).unwrap_err(),
-            DeployError::UnsupportedVersion(99)
-        );
+        // A newer version, and the table-carrying v2 this one replaced.
+        for version in [99, 2] {
+            let mut bad_version = blob.clone();
+            bad_version[4] = version;
+            assert_eq!(
+                PolicyArtifact::decode(&bad_version).unwrap_err(),
+                DeployError::UnsupportedVersion(u32::from(version))
+            );
+        }
         let mut bad_frac = blob.clone();
         bad_frac[8] = 7;
         assert_eq!(
@@ -1099,6 +859,16 @@ mod tests {
             PolicyArtifact::decode(&flipped).unwrap_err(),
             DeployError::ChecksumMismatch { .. }
         ));
+        // The first spec (pass-through, tag 0) rewritten as v2's table
+        // tag: no such spec any more.
+        let mut table_tag = blob.clone();
+        let first_spec = weight_offset + (4 + 2 + 2 + 1) * 4 + 4;
+        assert_eq!(table_tag[first_spec], 0);
+        table_tag[first_spec] = 2;
+        assert_eq!(
+            PolicyArtifact::decode(&table_tag).unwrap_err(),
+            DeployError::Corrupt("unknown spec tag 2".into())
+        );
         // Trailing garbage is rejected.
         let mut padded = blob.clone();
         padded.push(0);

@@ -4,29 +4,18 @@
 //! self-contained source file: weights and biases as `static` `i32`
 //! arrays on the artifact grid, the i64-accumulated MAC loop, the
 //! piecewise-linear tanh ROM, and each activation point's quantizer
-//! unrolled inline — [`QuantSpec::Shift`] as shift/clamp expressions,
-//! [`QuantSpec::Table`] as an O(1) multiply-shift when the table fit
-//! the affine fast path (no threshold array in the source at all), or
-//! a `static` threshold array plus a binary search otherwise. The
-//! artifact's FNV-1a content hash is baked in as a `pub const` so
+//! unrolled inline as the [`QuantSpec::Shift`] shift/clamp expressions.
+//! The artifact's FNV-1a content hash is baked in as a `pub const` so
 //! deployed firmware is auditable against the serving fleet.
 //!
 //! The emitted file declares `#![no_std]`, contains no `use` items,
 //! and reaches nothing outside `core` — [`verify_generated_source`]
 //! is the static gate, and `tests/deploy_props.rs` compiles the
 //! output and proves it bit-equal to [`PolicyArtifact::infer_raw`].
-//!
-//! Large threshold tables are emitted in the same packed-delta form
-//! the wire format uses (`compress.rs`): a compact `const` word array
-//! plus a `const fn` that reconstructs the full table at *compile
-//! time*, shrinking the generated source by roughly the blob's
-//! compression ratio while the unpacking arithmetic is checked by the
-//! compiler's const evaluator (any overflow is a build error).
 
 use std::fmt::Write;
 
 use crate::artifact::{ActKind, PolicyArtifact, QuantSpec};
-use crate::compress::{self, PackedSeq};
 
 /// Float tokens forbidden in generated source — the same list the
 /// interpreter's static gate uses. Hex literals are emitted with
@@ -71,12 +60,10 @@ pub fn verify_generated_source(src: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `i64` literal text, with the rails spelled symbolically so the
-/// sentinel conventions stay readable and no literal overflows.
+/// `i64` literal text; `i64::MIN` (a decoded blob may carry any zero
+/// point) has no negatable literal form.
 fn lit_i64(v: i64) -> String {
-    if v == i64::MAX {
-        "i64::MAX".into()
-    } else if v == i64::MIN {
+    if v == i64::MIN {
         "i64::MIN".into()
     } else {
         v.to_string()
@@ -92,118 +79,14 @@ fn lit_i32(v: i32) -> String {
     }
 }
 
-/// Emits `decl name: [ty; len] = [ ... ];`, wrapped a few values per
+/// Emits `static name: [ty; len] = [ ... ];`, wrapped a few values per
 /// line so the file stays diffable.
-fn emit_array(out: &mut String, decl: &str, name: &str, ty: &str, vals: &[String]) {
-    if vals.is_empty() {
-        let _ = writeln!(out, "{decl} {name}: [{ty}; 0] = [];");
-        return;
-    }
-    let _ = writeln!(out, "{decl} {name}: [{ty}; {}] = [", vals.len());
+fn emit_array(out: &mut String, name: &str, ty: &str, vals: &[String]) {
+    let _ = writeln!(out, "static {name}: [{ty}; {}] = [", vals.len());
     for chunk in vals.chunks(12) {
         let _ = writeln!(out, "    {},", chunk.join(", "));
     }
     let _ = writeln!(out, "];");
-}
-
-/// Emits the packed-word `const` plus the `static` initializer call
-/// that unpacks it at compile time.
-fn emit_packed_i64(out: &mut String, name: &str, p: &PackedSeq, total_len: usize) {
-    let words: Vec<String> = p.words.iter().map(|w| format!("{w:#018X}")).collect();
-    emit_array(out, "const", &format!("{name}_W"), "u64", &words);
-    let _ = writeln!(
-        out,
-        "static {name}: [i64; {total_len}] = unpack_i64::<{total_len}>({}, {}, {}, {}, &{name}_W);",
-        lit_i64(p.base),
-        lit_i64(p.min_delta),
-        p.width,
-        p.count,
-    );
-}
-
-/// As [`emit_packed_i64`] for a fully-finite `i32` sequence.
-fn emit_packed_i32(out: &mut String, name: &str, p: &PackedSeq) {
-    let words: Vec<String> = p.words.iter().map(|w| format!("{w:#018X}")).collect();
-    emit_array(out, "const", &format!("{name}_W"), "u64", &words);
-    let _ = writeln!(
-        out,
-        "static {name}: [i32; {count}] = unpack_i32::<{count}>({}, {}, {}, &{name}_W);",
-        lit_i64(p.base),
-        lit_i64(p.min_delta),
-        p.width,
-        count = p.count,
-    );
-}
-
-/// The compile-time unpackers, emitted only for the variants the file
-/// actually uses (an affine-quantized artifact carries no threshold
-/// arrays, so it gets `unpack_i32` alone — nothing dead in the source).
-/// They mirror `compress::unpack_seq` exactly; entries past `n` in the
-/// `i64` variant are the `i64::MAX` sentinel (codes no input reaches).
-fn emit_unpack_helpers(out: &mut String, need_i64: bool, need_i32: bool) {
-    if need_i64 {
-        out.push_str(
-            "const fn unpack_i64<const N: usize>(\n\
-             \x20   base: i64,\n\
-             \x20   min_delta: i64,\n\
-             \x20   width: u32,\n\
-             \x20   n: u32,\n\
-             \x20   words: &[u64],\n\
-             ) -> [i64; N] {\n\
-             \x20   let mut out = [i64::MAX; N];\n\
-             \x20   if n == 0 {\n\
-             \x20       return out;\n\
-             \x20   }\n\
-             \x20   out[0] = base;\n\
-             \x20   let mut acc = base;\n\
-             \x20   let mut k = 0;\n\
-             \x20   while k + 1 < n as usize {\n\
-             \x20       acc = acc + min_delta + unpack_field(width, k, words) as i64;\n\
-             \x20       out[k + 1] = acc;\n\
-             \x20       k += 1;\n\
-             \x20   }\n\
-             \x20   out\n\
-             }\n\n",
-        );
-    }
-    if need_i32 {
-        out.push_str(
-            "const fn unpack_i32<const N: usize>(\n\
-             \x20   base: i64,\n\
-             \x20   min_delta: i64,\n\
-             \x20   width: u32,\n\
-             \x20   words: &[u64],\n\
-             ) -> [i32; N] {\n\
-             \x20   let mut out = [0i32; N];\n\
-             \x20   out[0] = base as i32;\n\
-             \x20   let mut acc = base;\n\
-             \x20   let mut k = 0;\n\
-             \x20   while k + 1 < N {\n\
-             \x20       acc = acc + min_delta + unpack_field(width, k, words) as i64;\n\
-             \x20       out[k + 1] = acc as i32;\n\
-             \x20       k += 1;\n\
-             \x20   }\n\
-             \x20   out\n\
-             }\n\n",
-        );
-    }
-    if need_i64 || need_i32 {
-        out.push_str(
-            "const fn unpack_field(width: u32, k: usize, words: &[u64]) -> u64 {\n\
-             \x20   if width == 0 {\n\
-             \x20       return 0;\n\
-             \x20   }\n\
-             \x20   let bit = k * width as usize;\n\
-             \x20   let word = bit >> 6;\n\
-             \x20   let off = (bit & 63) as u32;\n\
-             \x20   let mut field = words[word] >> off;\n\
-             \x20   if off + width > 64 {\n\
-             \x20       field |= words[word + 1] << (64 - off);\n\
-             \x20   }\n\
-             \x20   field & ((1u64 << width) - 1)\n\
-             }\n\n",
-        );
-    }
 }
 
 impl PolicyArtifact {
@@ -254,66 +137,10 @@ impl PolicyArtifact {
         // the generated column-broadcast loop below is unit-stride.
         for l in 0..n {
             let w: Vec<String> = self.weights_t[l].iter().map(|&v| lit_i32(v)).collect();
-            emit_array(&mut out, "static", &format!("W{l}"), "i32", &w);
+            emit_array(&mut out, &format!("W{l}"), "i32", &w);
             let b: Vec<String> = self.biases[l].iter().map(|&v| lit_i32(v)).collect();
-            emit_array(&mut out, "static", &format!("B{l}"), "i32", &b);
+            emit_array(&mut out, &format!("B{l}"), "i32", &b);
         }
-        out.push('\n');
-
-        // Table statics, packed where the wire format would pack them.
-        // Affine-qualified tables drop their threshold array entirely —
-        // the quantizer fn below is a multiply-shift and only the
-        // dequant ramp survives into the source.
-        let mut need_unpack_i64 = false;
-        let mut need_unpack_i32 = false;
-        let mut table_decls = String::new();
-        for (p, spec) in self.specs.iter().enumerate() {
-            if let QuantSpec::Table {
-                thresholds,
-                dequant,
-                affine,
-            } = spec
-            {
-                let packed = compress::compress_table(thresholds, dequant);
-                if affine.is_none() {
-                    match packed.as_ref().map(|ct| &ct.finite) {
-                        Some(Some(seq)) => {
-                            need_unpack_i64 = true;
-                            emit_packed_i64(
-                                &mut table_decls,
-                                &format!("T{p}"),
-                                seq,
-                                thresholds.len(),
-                            );
-                        }
-                        Some(None) => {
-                            let _ = writeln!(
-                                table_decls,
-                                "static T{p}: [i64; {}] = [i64::MAX; {}];",
-                                thresholds.len(),
-                                thresholds.len(),
-                            );
-                        }
-                        None => {
-                            let t: Vec<String> = thresholds.iter().map(|&v| lit_i64(v)).collect();
-                            emit_array(&mut table_decls, "static", &format!("T{p}"), "i64", &t);
-                        }
-                    }
-                }
-                match packed {
-                    Some(ct) => {
-                        need_unpack_i32 = true;
-                        emit_packed_i32(&mut table_decls, &format!("D{p}"), &ct.dequant);
-                    }
-                    None => {
-                        let d: Vec<String> = dequant.iter().map(|&v| lit_i32(v)).collect();
-                        emit_array(&mut table_decls, "static", &format!("D{p}"), "i32", &d);
-                    }
-                }
-            }
-        }
-        emit_unpack_helpers(&mut out, need_unpack_i64, need_unpack_i32);
-        out.push_str(&table_decls);
         out.push('\n');
 
         // The tanh ROM, only when some layer uses it.
@@ -332,7 +159,7 @@ impl PolicyArtifact {
                 .iter()
                 .map(|v| v.to_string())
                 .collect();
-            emit_array(&mut out, "static", "TANH_Q30", "i64", &rom);
+            emit_array(&mut out, "TANH_Q30", "i64", &rom);
             out.push('\n');
         }
 
@@ -427,56 +254,6 @@ impl PolicyArtifact {
                         max = lit_i64(*max_code),
                     );
                 }
-                QuantSpec::Table {
-                    affine: Some(aff), ..
-                } => {
-                    // O(1) affine fast path: the fitted multiply-shift is
-                    // proven equal to the lower-bound search over the
-                    // whole i32 domain, so no threshold array is emitted.
-                    let _ = writeln!(
-                        out,
-                        "#[inline]\n\
-                         fn quant_p{p}(r: i32) -> i32 {{\n\
-                         \x20   let x = r as i64 - ({base});\n\
-                         \x20   let code = if x < 0 {{\n\
-                         \x20       0\n\
-                         \x20   }} else if x >= {span} {{\n\
-                         \x20       {nf}\n\
-                         \x20   }} else {{\n\
-                         \x20       (((x as u128 * {mul}u128 + {add}u128) >> {shift}) as usize) + 1\n\
-                         \x20   }};\n\
-                         \x20   D{p}[code]\n\
-                         }}\n",
-                        shift = compress::AFFINE_SHIFT,
-                        base = lit_i64(aff.base),
-                        span = lit_i64(aff.span),
-                        nf = aff.n_finite,
-                        mul = aff.mul,
-                        add = aff.add,
-                    );
-                }
-                QuantSpec::Table { affine: None, .. } => {
-                    // Manual lower-bound search computing exactly
-                    // `thresholds.partition_point(|&t| t <= r as i64)`.
-                    let _ = writeln!(
-                        out,
-                        "#[inline]\n\
-                         fn quant_p{p}(r: i32) -> i32 {{\n\
-                         \x20   let key = r as i64;\n\
-                         \x20   let mut lo = 0;\n\
-                         \x20   let mut hi = T{p}.len();\n\
-                         \x20   while lo < hi {{\n\
-                         \x20       let mid = lo + (hi - lo) / 2;\n\
-                         \x20       if T{p}[mid] <= key {{\n\
-                         \x20           lo = mid + 1;\n\
-                         \x20       }} else {{\n\
-                         \x20           hi = mid;\n\
-                         \x20       }}\n\
-                         \x20   }}\n\
-                         \x20   D{p}[lo]\n\
-                         }}\n",
-                    );
-                }
             }
         }
 
@@ -561,11 +338,11 @@ mod tests {
     }
 
     fn artifact_with_all_spec_kinds() -> PolicyArtifact {
-        // Shift spec on the hidden point (format quantizer), Table spec
-        // on the output point (calibrated range), pass-through input.
+        // Pass-through input, a shifting spec on the hidden point (format
+        // quantizer), and on the output point a calibrated step finer
+        // than the word grid — the `shift: 0` clamp form.
         let q_shift = AffineQuantizer::from_format(QFormat::q(4, 12).unwrap()).unwrap();
-        // Range width 2.1 → delta 2.1/256, not a power of two → Table.
-        let q_table = AffineQuantizer::from_range(-0.9, 1.2, 8).unwrap();
+        let q_clamp = AffineQuantizer::from_range(-0.0131, 0.0077, 16).unwrap();
         PolicyArtifact::from_parts(
             &[2, 3, 1],
             ActKind::Relu,
@@ -582,7 +359,7 @@ mod tests {
                 vec![raw(1.0), raw(-0.75), raw(0.4)],
             ],
             vec![vec![raw(0.1), raw(-0.2), raw(0.3)], vec![raw(0.05)]],
-            &[None, Some(&q_shift), Some(&q_table)],
+            &[None, Some(&q_shift), Some(&q_clamp)],
         )
         .unwrap()
     }
@@ -610,83 +387,22 @@ mod tests {
     #[test]
     fn emitted_source_unrolls_each_spec_kind() {
         let src = artifact_with_all_spec_kinds().emit_rust();
-        // Shift point: shift/clamp expressions, no table statics.
+        // Pass-through input: no quantizer fn, the observation is used as is.
+        assert!(!src.contains("fn quant_p0"));
+        assert!(src.contains("let x0 = *obs;"));
+        // Shift point: shift/clamp expressions over the full code window.
         assert!(src.contains("fn quant_p1"));
+        assert!(src.contains("((r as i64) >> 8)"));
         assert!(src.contains(".clamp(0, 65535)"));
-        // Table point: the calibrated ramp fits the affine fast path, so
-        // the quantizer is a multiply-shift over the dequant ramp alone —
-        // no threshold array survives into the source.
+        // Sub-grid point: the same expressions at distance 0, i.e. a clamp
+        // between the two clip words (-0.0131 and 0.0077 on the grid).
         assert!(src.contains("fn quant_p2"));
-        assert!(
-            !src.contains("static T2"),
-            "affine table emitted thresholds"
-        );
-        assert!(src.contains(&format!(">> {}", compress::AFFINE_SHIFT)));
-        assert!(src.contains("static D2"));
-        // Tanh output layer pulls in the ROM.
+        assert!(src.contains("((r as i64) >> 0)"));
+        assert!(src.contains(".saturating_add(13736)"));
+        assert!(src.contains(".clamp(0, 21810)"));
+        // Nothing but weights, biases and the ROM is tabulated.
+        assert_eq!(src.matches("static ").count(), 2 * 2 + 1);
         assert!(src.contains("static TANH_Q30"));
-    }
-
-    #[test]
-    fn non_affine_tables_keep_the_search() {
-        // A sorted table bent off any affine line must fall back to the
-        // emitted threshold array + binary search.
-        let mut thresholds: Vec<i64> = (0..16).map(|k| k * 48).collect();
-        thresholds[7] += 5;
-        let dequant: Vec<i32> = (0..17).map(|c| c * 40).collect();
-        let spec = QuantSpec::table(thresholds, dequant);
-        assert!(matches!(spec, QuantSpec::Table { affine: None, .. }));
-        let art = PolicyArtifact::assemble(
-            20,
-            vec![1, 1],
-            ActKind::Identity,
-            ActKind::Identity,
-            vec![vec![Fx32::ONE.raw()]],
-            vec![vec![0]],
-            vec![QuantSpec::PassThrough, spec],
-        );
-        let src = art.emit_rust();
-        verify_generated_source(&src).unwrap();
-        assert!(
-            src.contains("static T1"),
-            "fallback needs the threshold array"
-        );
-        assert!(src.contains("while lo < hi"), "fallback needs the search");
-    }
-
-    #[test]
-    fn large_tables_are_emitted_packed() {
-        let q = AffineQuantizer::from_range(-0.9, 1.2, 12).unwrap();
-        let art = PolicyArtifact::from_parts(
-            &[1, 1],
-            ActKind::Identity,
-            ActKind::Identity,
-            vec![vec![Fx32::ONE.raw()]],
-            vec![vec![0]],
-            &[None, Some(&q)],
-        )
-        .unwrap();
-        let src = art.emit_rust();
-        verify_generated_source(&src).unwrap();
-        // The 12-bit calibrated ramp is affine, so no threshold array is
-        // emitted at all — only the packed dequant ramp and its unpacker.
-        assert!(
-            !src.contains("const T1_W"),
-            "affine table emitted thresholds"
-        );
-        assert!(src.contains("const D1_W"), "dequant ramp should be packed");
-        assert!(src.contains("unpack_i32"), "i32 unpacker should be emitted");
-        assert!(
-            !src.contains("unpack_i64"),
-            "no threshold array, no i64 unpacker"
-        );
-        // A 12-bit raw table would be ~4095 i64 literals plus ~4096 i32
-        // literals; affine + packed emission must come in far under that.
-        assert!(
-            src.len() < 120_000,
-            "packed emission should shrink the source ({} bytes)",
-            src.len()
-        );
     }
 
     #[test]
@@ -704,7 +420,6 @@ mod tests {
         verify_generated_source(&src).unwrap();
         assert!(!src.contains("TANH_Q30"), "no tanh layer, no ROM");
         assert!(!src.contains("quant_p"), "no quantizers, no quant fns");
-        assert!(!src.contains("unpack_i64"), "no tables, no unpackers");
     }
 
     #[test]

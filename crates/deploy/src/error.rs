@@ -1,6 +1,6 @@
 //! Typed errors of the deployment-artifact layer.
 //!
-//! Every failure mode — malformed blobs, unsupported quantizers, shape
+//! Every failure mode — malformed blobs, unshiftable quantizers, shape
 //! mismatches — is a [`DeployError`] variant. Decoding untrusted bytes
 //! never panics; the proptest suite in `tests/deploy_props.rs` feeds
 //! truncated and corrupted blobs through the decoder to hold that line.
@@ -29,7 +29,7 @@ pub enum DeployError {
         frac_bits: u32,
     },
     /// A structural invariant of the layout is violated (zero layer size,
-    /// unknown tag, inconsistent table lengths, trailing bytes, ...).
+    /// unknown tag, out-of-range shift, trailing bytes, ...).
     Corrupt(String),
     /// The trailing checksum does not match the body.
     ChecksumMismatch {
@@ -38,9 +38,8 @@ pub enum DeployError {
         /// Checksum recomputed over the body.
         computed: u64,
     },
-    /// A frozen quantizer cannot be expressed as an integer-only spec
-    /// (its step is not a power of two and its code space is too wide for
-    /// a threshold table).
+    /// A frozen quantizer's step is too coarse to express as a shift of
+    /// 32-bit words (`2^43` or more on the Q12.20 grid).
     UnsupportedQuantizer {
         /// Activation-point index of the offending quantizer.
         point: usize,
@@ -85,8 +84,8 @@ impl fmt::Display for DeployError {
             DeployError::UnsupportedQuantizer { point, bits } => {
                 write!(
                     f,
-                    "quantizer at point {point} ({bits} bits, non-power-of-two step) has no \
-                     integer-only form"
+                    "quantizer at point {point} ({bits} bits) steps too coarsely to shift a \
+                     32-bit word"
                 )
             }
             DeployError::DimensionMismatch { expected, got } => {

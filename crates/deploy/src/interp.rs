@@ -1,12 +1,12 @@
 //! The integer-only artifact interpreter.
 //!
 //! Every operation in this module is plain `i32`/`i64`/`i128` arithmetic:
-//! shifts, saturating adds, threshold-table lookups, and the shared
-//! piecewise-linear tanh ROM from `fixar_fixed::math`. The module contains
-//! no floating-point tokens at all — a static test in `lib.rs` greps this
-//! file's source to keep it that way — and [`run`] arms a
-//! [`NoFloatZone`] so the `deploy-float-guard` feature would catch any
-//! instrumented helper of this crate being reached from the walk.
+//! shifts, saturating adds, clamps, and the shared piecewise-linear tanh
+//! ROM from `fixar_fixed::math`. The module contains no floating-point
+//! tokens at all — a static test in `lib.rs` greps this file's source to
+//! keep it that way — and [`run`] arms a [`NoFloatZone`] so the
+//! `deploy-float-guard` feature would catch any instrumented helper of
+//! this crate being reached from the walk.
 //!
 //! Bit-exactness with the frozen `fixar-nn` path comes from replicating
 //! its arithmetic one operation at a time, in the same order: the
@@ -84,24 +84,6 @@ fn apply_spec(spec: &QuantSpec, r: i32) -> i32 {
             } else {
                 scaled as i32
             }
-        }
-        QuantSpec::Table {
-            thresholds,
-            dequant,
-            affine,
-        } => {
-            // Entry `k` of `thresholds` is the smallest raw word reaching
-            // code `k + 1`, so the number of entries at or below `r` is
-            // exactly r's code; `dequant` maps the code straight back to
-            // a raw word on the artifact grid. When decode proved the
-            // table an exact affine ramp, the count collapses to one
-            // integer multiply-shift (`AffineIndex` is verified equal to
-            // this search over the whole i32 domain before it exists).
-            let code = match affine {
-                Some(a) => a.index_for(r as i64),
-                None => thresholds.partition_point(|&t| t <= r as i64),
-            };
-            dequant[code]
         }
     }
 }

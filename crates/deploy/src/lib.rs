@@ -32,12 +32,12 @@
 //!    ≡ `forward_qat_frozen` bit-for-bit across agents, precision-policy
 //!    arms, and serialization round-trips.
 //!
-//! # Blob layout (v2, little-endian)
+//! # Blob layout (v3, little-endian)
 //!
 //! ```text
 //! ┌──────────┬─────────┬───────────┬────────────┬──────────────────┐
 //! │ "FXDA"   │ version │ frac_bits │ num_layers │ layer_sizes      │
-//! │ 4 bytes  │ u32 = 2 │ u32 = 20  │ u32 = n    │ (n+1) × u32      │
+//! │ 4 bytes  │ u32 = 3 │ u32 = 20  │ u32 = n    │ (n+1) × u32      │
 //! ├──────────┴─────────┴───────────┴────────────┴──────────────────┤
 //! │ hidden_act u8 · output_act u8                                  │
 //! ├────────────────────────────────────────────────────────────────┤
@@ -46,24 +46,18 @@
 //! │ num_points u32 = n+1, then per point one spec:                 │
 //! │   tag 0 = pass-through                                         │
 //! │   tag 1 = shift     (shift u32, zero_point i64, max_code i64)  │
-//! │   tag 2 = table     (len u32, thresholds len×i64,              │
-//! │                      len+1 u32, dequant (len+1)×i32)           │
-//! │   tag 3 = packed table (len u32, n_finite u32, then per packed │
-//! │           sequence: base i64, min_delta i64, width u8,         │
-//! │           ⌈(count-1)·width/64⌉ × u64 — finite thresholds when  │
-//! │           n_finite > 0, then the len+1 dequant words)          │
 //! ├────────────────────────────────────────────────────────────────┤
 //! │ FNV-1a 64 checksum of everything above · u64                   │
 //! └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Tag 3 is the delta-compressed form of tag 2 (see `compress.rs`):
-//! thresholds of a calibrated quantizer are rounded-affine ramps whose
-//! consecutive differences span one or two values, so they bit-pack at
-//! 1-2 bits per entry instead of 64. Compression is lossless and the
-//! encoder verifies the round-trip before emitting tag 3, falling back
-//! to tag 2 otherwise — decoding reproduces every threshold word
-//! exactly, so inference is unaffected by the wire form.
+//! Every activation quantizer lives on a power-of-two step
+//! (`fixar_fixed::AffineQuantizer`), so a spec is three integers read
+//! straight off it — `shift = 20 + log₂ step`, the zero point, the top
+//! code — and a blob is its weights plus ≈ 100 bytes. A step finer than
+//! the word grid is the same arm at `shift = 0`: a clamp between the two
+//! clip words. v1/v2 blobs, whose tags 2 and 3 tabulated quantizers with
+//! arbitrary real steps, decode to [`DeployError::UnsupportedVersion`].
 //!
 //! The trailing checksum doubles as the artifact's
 //! [`PolicyArtifact::content_hash`]: encoding is canonical, so equal
@@ -99,7 +93,6 @@
 
 mod artifact;
 mod codegen;
-mod compress;
 mod error;
 pub mod guard;
 mod interp;

@@ -14,8 +14,16 @@
 //!   [`Q16`]. Swapping the scalar swaps the arithmetic of the entire
 //!   training pipeline, which is how the Fig. 7 precision study is run.
 //! * [`AffineQuantizer`] — the paper's activation quantizer
-//!   `Qn(A) = floor(A/δ) + z` with `δ = (|Amin|+|Amax|)/2^n` and
-//!   `z = floor(−Amin/δ)`.
+//!   `Qn(A) = floor(A/δ′) + z`, on a power-of-two step: Algorithm 1's
+//!   `δ = (|Amin|+|Amax|)/2^n` rounded **up** to `δ′ = 2^⌈log₂ δ⌉` (so
+//!   the `2^n` codes still cover the calibrated range),
+//!   `z = floor(−Amin/δ′)`, and the code window narrowed to
+//!   `max_code = min(2^n − 1, floor(Amax/δ′) + z)` so both clip points
+//!   stay where calibration put them instead of moving out with the
+//!   wider step. A deliberate departure from the paper's real-valued δ:
+//!   on `δ′` the quantizer of a fixed-point word is an arithmetic shift
+//!   and a clamp, the same integer map in training, snapshot inference,
+//!   the `fixar-deploy` interpreter and its emitted `no_std` source.
 //! * [`RangeMonitor`] — running min/max capture used during the
 //!   quantization-delay window to calibrate the quantizer.
 //! * [`math::mac_chain_is_clamp_free`] / [`math::mac_unclamped`] — the

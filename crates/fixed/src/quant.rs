@@ -40,6 +40,12 @@ impl Error for QuantError {}
 /// `frac_bits` sit right of the binary point (so `m = total_bits -
 /// frac_bits` integer bits, sign included).
 ///
+/// [`QFormat::new`] / [`QFormat::q`] keep the binary point inside the
+/// word (`0 <= n <= total_bits`); the format a range-calibrated quantizer
+/// reports ([`AffineQuantizer::format`]) may not — 16 bits over a span of
+/// 2^-6 step by 2^-22 (`Q-6.22`), 8 bits over 2^20 by 2^12 (`Q20.-12`) —
+/// which is why both counts are signed.
+///
 /// `QFormat` is the value type of the per-layer precision axis: FIXAR's
 /// ADFP picks one Qm.n per tensor by range observation, and the
 /// precision-policy machinery in `fixar-nn` lets every activation point
@@ -63,7 +69,7 @@ impl Error for QuantError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QFormat {
     total_bits: u32,
-    frac_bits: u32,
+    frac_bits: i32,
 }
 
 impl QFormat {
@@ -89,7 +95,7 @@ impl QFormat {
         }
         Ok(Self {
             total_bits,
-            frac_bits,
+            frac_bits: frac_bits as i32,
         })
     }
 
@@ -130,20 +136,20 @@ impl QFormat {
 
     /// Fractional bits (right of the binary point).
     #[inline]
-    pub fn frac_bits(&self) -> u32 {
+    pub fn frac_bits(&self) -> i32 {
         self.frac_bits
     }
 
     /// Integer bits `m = total_bits - frac_bits`, sign included.
     #[inline]
-    pub fn int_bits(&self) -> u32 {
-        self.total_bits - self.frac_bits
+    pub fn int_bits(&self) -> i32 {
+        self.total_bits as i32 - self.frac_bits
     }
 
     /// Grid step size `2^-frac_bits`.
     #[inline]
     pub fn delta(&self) -> f64 {
-        (0.5f64).powi(self.frac_bits as i32)
+        (0.5f64).powi(self.frac_bits)
     }
 
     /// Smallest representable value, `-2^(m-1)` (two's complement).
@@ -196,10 +202,13 @@ impl QFormat {
     /// ```
     pub fn requantize(&self, raw: i64, to: QFormat) -> i64 {
         let v = raw as i128;
-        let shifted = if to.frac_bits >= self.frac_bits {
-            v << (to.frac_bits - self.frac_bits)
+        // Past 64 places left an `i64` is beyond every rail, past 127
+        // right it is its sign: capping the distance changes no result.
+        let widen = to.frac_bits - self.frac_bits;
+        let shifted = if widen >= 0 {
+            v << widen.min(64)
         } else {
-            v >> (self.frac_bits - to.frac_bits)
+            v >> (-widen).min(127)
         };
         shifted.clamp(to.min_raw() as i128, to.max_raw() as i128) as i64
     }
@@ -211,26 +220,45 @@ impl fmt::Display for QFormat {
     }
 }
 
-/// Affine (asymmetric) quantizer implementing the paper's Algorithm 1:
+/// Affine (asymmetric) quantizer implementing the paper's Algorithm 1
+/// on a power-of-two step:
 ///
 /// ```text
-/// Qn(A, Amin, Amax) = floor(A / δ) + z
-///     δ = (|Amin| + |Amax|) / 2^n
-///     z = floor(-Amin / δ)
+/// Qn(A, Amin, Amax) = clamp(floor(A / δ′) + z, 0, max_code)
+///     δ  = (|Amin| + |Amax|) / 2^n          the paper's real-valued step
+///     δ′ = 2^⌈log₂ δ⌉                       rounded UP to a power of two
+///     z  = floor(-Amin / δ′)
+///     max_code = min(2^n - 1, floor(Amax / δ′) + z)
 /// ```
 ///
-/// Codes are clamped to `[0, 2^n - 1]`; dequantization is
-/// `(q - z) · δ`. The quantizer is calibrated once, from the min/max
-/// captured by a [`RangeMonitor`] during the quantization-delay window,
-/// and then stays frozen for the rest of training — exactly the paper's
-/// protocol.
+/// Dequantization is `(q - z) · δ′`. Snapping the step is a deliberate
+/// departure from the paper, whose δ is an arbitrary real: on a
+/// power-of-two step `floor(A / δ′)` of a fixed-point word is an
+/// arithmetic shift, so training, snapshot inference, the `fixar-deploy`
+/// interpreter and its emitted `no_std` source all run the same
+/// shift/clamp on the same words, and [`AffineQuantizer::format`] names
+/// the grid exactly. The step rounds **up** so the `2^n` codes still
+/// cover the calibrated range (rounding down could leave up to half of
+/// it unreachable); that costs at most one bit of resolution. The
+/// **clip points stay where calibration put them**: the wider step would
+/// let a full `2^n`-code window reach up to twice the observed span, so
+/// the window is narrowed to end at `floor(Amax / δ′)` instead — values
+/// outside `[Amin, Amax]` clamp to within one step of it, as they did on
+/// the real-valued grid.
+///
+/// The quantizer is calibrated once, from the min/max captured by a
+/// [`RangeMonitor`] during the quantization-delay window, and then stays
+/// frozen for the rest of training — exactly the paper's protocol.
 ///
 /// # Example
 ///
 /// ```
 /// use fixar_fixed::AffineQuantizer;
 ///
-/// let q = AffineQuantizer::from_range(-2.0, 6.0, 16)?;
+/// let q = AffineQuantizer::from_range(-2.0, 5.0, 16)?;
+/// // δ = 7/2^16 snaps up to 2^-13; the window ends at the calibrated max.
+/// assert_eq!(q.delta(), 1.0 / 8192.0);
+/// assert_eq!(q.dequantize(q.max_code()), 5.0);
 /// let x = 1.2345_f64;
 /// let err = (q.dequantize(q.quantize(x)) - x).abs();
 /// assert!(err <= q.delta());
@@ -239,6 +267,8 @@ impl fmt::Display for QFormat {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AffineQuantizer {
     delta: f64,
+    /// `log₂ δ′`; `delta` is exactly `2^log2_delta`.
+    log2_delta: i32,
     zero_point: i64,
     bits: u32,
     max_code: i64,
@@ -251,22 +281,32 @@ impl AffineQuantizer {
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidBits`] for `bits == 0 || bits > 31` and
-    /// [`QuantError::DegenerateRange`] when `min > max` or both are zero.
+    /// [`QuantError::DegenerateRange`] when `min > max`, an endpoint is
+    /// not finite, or the span is too small to carry a step (both zero,
+    /// or `(|min| + |max|) / 2^n` below the smallest normal `f64`).
     pub fn from_range(min: f64, max: f64, bits: u32) -> Result<Self, QuantError> {
         if bits == 0 || bits > 31 {
             return Err(QuantError::InvalidBits(bits));
         }
-        if min > max || (min == 0.0 && max == 0.0) || !min.is_finite() || !max.is_finite() {
+        let real_delta = (min.abs() + max.abs()) / (1u64 << bits) as f64;
+        if min > max || !real_delta.is_normal() {
             return Err(QuantError::DegenerateRange { min, max });
         }
-        let levels = (1u64 << bits) as f64;
-        let delta = (min.abs() + max.abs()) / levels;
+        // ⌈log₂ δ⌉ off the bit pattern: the exponent, plus one unless
+        // the mantissa is zero (δ already a power of two).
+        let pattern = real_delta.to_bits();
+        let log2_delta = (pattern >> 52) as i32 - 1023 + i32::from(pattern & ((1 << 52) - 1) != 0);
+        let delta = f64::from_bits(((log2_delta + 1023) as u64) << 52);
         let zero_point = (-min / delta).floor() as i64;
+        let top_code = (max / delta).floor() as i64 + zero_point;
         Ok(Self {
             delta,
+            log2_delta,
             zero_point,
             bits,
-            max_code: (1i64 << bits) - 1,
+            // A range narrower than one step can hold no grid point;
+            // code 0 (the grid point just above `min`) then stands alone.
+            max_code: top_code.clamp(0, (1i64 << bits) - 1),
         })
     }
 
@@ -321,23 +361,22 @@ impl AffineQuantizer {
         }
         Ok(Self {
             delta: format.delta(),
+            log2_delta: -format.frac_bits(),
             zero_point: 1i64 << (bits - 1),
             bits,
             max_code: (1i64 << bits) - 1,
         })
     }
 
-    /// The effective `Qm.n` format of this quantizer's grid: total width
-    /// is the code width, fractional bits from `round(-log2(δ))` (clamped
-    /// into the format's validity window). Exact for
-    /// [`AffineQuantizer::from_format`] quantizers; for range-calibrated
-    /// ones this is the nearest power-of-two description of the learned
-    /// step, which is what resource pricing wants.
+    /// The `Qm.n` format of this quantizer's grid: total width is the
+    /// code width, fractional bits are `-log₂ δ′`. Exact for every
+    /// constructor — [`QFormat::delta`] of the result equals
+    /// [`AffineQuantizer::delta`] — so for a range-calibrated quantizer
+    /// the binary point may lie outside the word (see [`QFormat`]).
     pub fn format(&self) -> QFormat {
-        let frac = (-self.delta.log2()).round().clamp(0.0, self.bits as f64) as u32;
         QFormat {
             total_bits: self.bits,
-            frac_bits: frac,
+            frac_bits: -self.log2_delta,
         }
     }
 
@@ -359,8 +398,15 @@ impl AffineQuantizer {
         self.bits
     }
 
-    /// Quantizes a value to an n-bit code: `clamp(floor(x/δ) + z)`. The
-    /// add saturates, so inputs far outside the range (±∞ included)
+    /// Largest code: `2^n - 1`, or less when calibration narrowed the
+    /// window to end at the observed maximum.
+    #[inline]
+    pub fn max_code(&self) -> i64 {
+        self.max_code
+    }
+
+    /// Quantizes a value to a code: `clamp(floor(x/δ) + z, 0, max_code)`.
+    /// The add saturates, so inputs far outside the range (±∞ included)
     /// land on the end codes; NaN takes code `clamp(z)`.
     #[inline]
     pub fn quantize(&self, x: f64) -> i64 {
@@ -422,10 +468,43 @@ mod tests {
 
     #[test]
     fn algorithm1_formulas() {
-        // δ = (|min|+|max|)/2^n, z = floor(−min/δ)
+        // δ = (|min|+|max|)/2^n is already 2^-1 here; z = floor(−min/δ′).
         let q = AffineQuantizer::from_range(-2.0, 6.0, 4).unwrap();
-        assert!((q.delta() - 8.0 / 16.0).abs() < 1e-12);
+        assert_eq!(q.delta(), 8.0 / 16.0);
         assert_eq!(q.zero_point(), 4);
+        // floor(6/δ′) + z = 16 would be a 17th code: the top one is 2^n − 1.
+        assert_eq!(q.max_code(), 15);
+    }
+
+    #[test]
+    fn step_snaps_up_and_the_window_narrows_to_the_calibrated_clips() {
+        // δ = 4.8/2^16 ≈ 2^-13.8 rounds UP to 2^-13: the 2^16 codes would
+        // now reach 8.0 wide, so the window ends at floor(max/δ′) instead.
+        let (lo, hi) = (-3.58, 1.22);
+        let q = AffineQuantizer::from_range(lo, hi, 16).unwrap();
+        assert_eq!(q.delta(), (0.5f64).powi(13));
+        assert!(q.delta() >= 4.8 / 65536.0 && q.delta() < 2.0 * 4.8 / 65536.0);
+        assert_eq!(q.zero_point(), (3.58f64 * 8192.0).floor() as i64);
+        assert!(q.max_code() < 65535);
+        // Both clips sit within one step of the calibrated range...
+        let (low_clip, high_clip) = (q.dequantize(0), q.dequantize(q.max_code()));
+        assert!(lo <= low_clip && low_clip < lo + q.delta());
+        assert!(hi - q.delta() < high_clip && high_clip <= hi);
+        // ...so an outlier clamps to the range, not to twice it.
+        assert_eq!(q.fake_quantize(8.83), high_clip);
+        assert_eq!(q.fake_quantize(-8.83), low_clip);
+        // Ranges off zero keep both clips too (z < 0, and z > max_code).
+        for (lo, hi) in [(2.0, 6.0), (-6.0, -2.0), (2.3, 2.3)] {
+            let q = AffineQuantizer::from_range(lo, hi, 8).unwrap();
+            assert!(
+                (q.fake_quantize(100.0) - hi).abs() <= q.delta(),
+                "[{lo}, {hi}]"
+            );
+            assert!(
+                (q.fake_quantize(-100.0) - lo).abs() <= q.delta(),
+                "[{lo}, {hi}]"
+            );
+        }
     }
 
     #[test]
@@ -464,14 +543,21 @@ mod tests {
             AffineQuantizer::from_range(-1.0, 1.0, 32),
             Err(QuantError::InvalidBits(32))
         ));
-        assert!(matches!(
-            AffineQuantizer::from_range(1.0, -1.0, 8),
-            Err(QuantError::DegenerateRange { .. })
-        ));
-        assert!(matches!(
-            AffineQuantizer::from_range(0.0, 0.0, 8),
-            Err(QuantError::DegenerateRange { .. })
-        ));
+        // Inverted, and no step to snap: zero, non-finite, overflowing
+        // and subnormal spans.
+        for (min, max) in [
+            (1.0, -1.0),
+            (0.0, 0.0),
+            (f64::NEG_INFINITY, 1.0),
+            (-1.0, f64::NAN),
+            (-f64::MAX, f64::MAX),
+            (0.0, 1e-310),
+        ] {
+            assert!(matches!(
+                AffineQuantizer::from_range(min, max, 8),
+                Err(QuantError::DegenerateRange { .. })
+            ));
+        }
     }
 
     #[test]
@@ -639,10 +725,21 @@ mod tests {
     }
 
     #[test]
-    fn range_calibrated_format_reports_nearest_grid() {
+    fn range_calibrated_format_is_the_exact_grid() {
         let q = AffineQuantizer::from_range(-2.0, 2.0, 8).unwrap();
         // δ = 4/256 = 2^-6 exactly → Q2.6.
         assert_eq!(q.format(), QFormat::q(2, 6).unwrap());
+        // Snapped steps, binary point inside and outside the word.
+        for (lo, hi, bits, name) in [
+            (-3.0, 4.0, 8, "Q3.5"),
+            (0.0, 1.0 / 64.0, 16, "Q-6.22"),
+            (-1e6, 1e6, 8, "Q21.-13"),
+        ] {
+            let q = AffineQuantizer::from_range(lo, hi, bits).unwrap();
+            assert_eq!(q.format().delta(), q.delta(), "{name}");
+            assert_eq!(q.format().total_bits(), bits, "{name}");
+            assert_eq!(q.format().to_string(), name);
+        }
     }
 
     #[test]

@@ -553,16 +553,15 @@ impl QatRuntime {
         Ok(())
     }
 
-    /// Narrowest width in `[min_bits, max_bits]` whose Algorithm 1 step
-    /// `δ = (|lo| + |hi|) / 2^bits` meets `target_delta`.
+    /// Narrowest width in `[min_bits, max_bits]` at which the quantizer
+    /// the freeze will build — snapped step included — meets
+    /// `target_delta`.
     fn adaptive_bits(lo: f64, hi: f64, min_bits: u32, max_bits: u32, target_delta: f64) -> u32 {
-        let span = lo.abs() + hi.abs();
-        for bits in min_bits..=max_bits {
-            if span / (1u64 << bits) as f64 <= target_delta {
-                return bits;
-            }
-        }
-        max_bits
+        (min_bits..=max_bits)
+            .find(|&bits| {
+                AffineQuantizer::from_range(lo, hi, bits).is_ok_and(|q| q.delta() <= target_delta)
+            })
+            .unwrap_or(max_bits)
     }
 
     /// Processes one activation point in place according to the mode.
@@ -1057,6 +1056,30 @@ mod tests {
         qat.freeze_at_step(0).unwrap();
         assert_eq!(qat.quantizer(0).unwrap().bits(), 7);
         assert_eq!(qat.quantizer(1).unwrap().bits(), 13);
+
+        // The step that counts is the one that freezes. Span 3 against a
+        // target of 0.012: 3/2^8 = 0.0117 would meet it, but freezes
+        // snapped up to 2^-6 = 0.0156 — the point needs the ninth bit.
+        let target_delta = 0.012;
+        let mut qat = QatRuntime::builder(3)
+            .policy(PrecisionPolicy::Adaptive {
+                min_bits: 4,
+                max_bits: 16,
+                target_delta,
+            })
+            .build()
+            .unwrap();
+        qat.process(0, &mut [1.5f64, -1.5]);
+        qat.process(1, &mut [0.0f64, 300.0]);
+        qat.process(2, &mut [-0.001f64, 0.002]);
+        qat.freeze_at_step(0).unwrap();
+        assert_eq!(qat.quantizer(0).unwrap().bits(), 9);
+        for p in 0..3 {
+            assert!(
+                qat.quantizer(p).unwrap().delta() <= target_delta,
+                "point {p}"
+            );
+        }
     }
 
     #[test]
@@ -1128,13 +1151,18 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(qat.point_formats(), vec![None, None, None]);
-        qat.process(0, &mut [-2.0f64, 2.0]);
+        qat.process(0, &mut [-3.0f64, 2.0]);
         qat.process(2, &mut [1.0f64]);
         qat.freeze_at_step(0).unwrap();
         let formats = qat.point_formats();
         assert_eq!(formats[1], Some(fmt));
         assert_eq!(formats[2], None, "excluded point stays pass-through");
+        // A calibrated point reports the grid it froze to, not a guess.
         assert_eq!(formats[0].unwrap().total_bits(), 8);
+        assert_eq!(
+            formats[0].unwrap().delta(),
+            qat.quantizer(0).unwrap().delta()
+        );
     }
 
     #[test]

@@ -170,8 +170,8 @@ impl PolicySnapshot<fixar_fixed::Fx32> {
     /// # Errors
     ///
     /// Returns [`DeployError::UnsupportedQuantizer`] when a frozen
-    /// quantizer has no integer-only form (a step that is not a power of
-    /// two with a code space wider than a threshold table supports).
+    /// quantizer's step is too coarse to shift — `2^43` or more, which no
+    /// point calibrated on `Fx32` activations reaches.
     pub fn export_artifact(&self) -> Result<PolicyArtifact, DeployError> {
         use fixar_fixed::Fx32;
         let n = self.actor.num_layers();

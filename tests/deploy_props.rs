@@ -177,8 +177,7 @@ fn every_arm_replays_the_snapshot_bit_for_bit() {
 #[test]
 fn legacy_uniform_qat_builder_exports_identically() {
     // The pre-policy `with_qat(delay, bits)` path (1.5× calibration
-    // headroom ⇒ non-power-of-two grids ⇒ table specs) must freeze just
-    // as exactly as the policy arms.
+    // headroom) must freeze just as exactly as the policy arms.
     let cfg = DdpgConfig {
         seed: 5,
         ..DdpgConfig::small_test()
@@ -628,267 +627,8 @@ fn emitted_no_std_source_compiles_and_is_bit_equal_across_arms() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ---------------------------------------------------------------------
-// Pillar 6: compressed threshold tables are exact and smaller.
-// ---------------------------------------------------------------------
-
-#[test]
-fn compressed_and_uncompressed_encodings_decode_identically() {
-    for (name, _, art) in fixtures() {
-        let packed = PolicyArtifact::decode(&art.encode()).unwrap();
-        let raw = PolicyArtifact::decode(&art.encode_uncompressed()).unwrap();
-        assert_eq!(
-            packed, raw,
-            "{name}: wire form must not change the artifact"
-        );
-        assert_eq!(&packed, art, "{name}");
-        for i in 0..6 {
-            let o = raw_obs(&obs(i));
-            assert_eq!(
-                packed.infer_raw(&o).unwrap(),
-                art.infer_raw(&o).unwrap(),
-                "{name} obs {i}"
-            );
-        }
-    }
-}
-
-#[test]
-fn table_heavy_blobs_shrink_measurably() {
-    // The 16-bit arms carry 65 535-entry threshold tables; packed-delta
-    // compression must cut the blob by well over half.
-    let mut saw_table_arm = false;
-    for (name, _, art) in fixtures() {
-        let stats = art.blob_stats();
-        assert!(stats.bytes <= stats.bytes_uncompressed, "{name}");
-        assert!(stats.tables_compressed <= stats.table_points, "{name}");
-        if name.ends_with("uniform16") {
-            saw_table_arm = true;
-            assert!(stats.table_points > 0, "{name} should carry tables");
-            assert_eq!(
-                stats.tables_compressed, stats.table_points,
-                "{name}: every big table should pack"
-            );
-            assert!(
-                stats.bytes * 2 < stats.bytes_uncompressed,
-                "{name}: expected >2x shrink, got {} -> {}",
-                stats.bytes_uncompressed,
-                stats.bytes
-            );
-        }
-    }
-    assert!(saw_table_arm);
-}
-
-// ---------------------------------------------------------------------
-// Pillar 7: the O(1) affine quantizer fast path is bit-equal to the
-// threshold search — proven from outside the crate by hand-assembling
-// raw table blobs (tag 2) and replaying them against a partition_point
-// oracle, for both the affine arm and the guaranteed search fallback.
-// ---------------------------------------------------------------------
-
-/// Assembles a v2 blob for a 1×1 identity policy whose output point is a
-/// raw (tag 2) threshold table, byte-by-byte per the wire format, with
-/// the trailing FNV-1a 64 checksum. The weight is exactly 1.0 on the
-/// grid, so the pre-quantizer word equals the input word and
-/// `infer_raw([r])[0]` is precisely `dequant[code(r)]`.
-fn table_blob(thresholds: &[i64], dequant: &[i32]) -> Vec<u8> {
-    assert_eq!(dequant.len(), thresholds.len() + 1);
-    let mut out = Vec::new();
-    out.extend_from_slice(b"FXDA");
-    out.extend_from_slice(&2u32.to_le_bytes()); // version
-    out.extend_from_slice(&ARTIFACT_FRAC_BITS.to_le_bytes());
-    out.extend_from_slice(&1u32.to_le_bytes()); // n_layers
-    out.extend_from_slice(&1u32.to_le_bytes()); // input dim
-    out.extend_from_slice(&1u32.to_le_bytes()); // output dim
-    out.push(0); // hidden act: identity
-    out.push(0); // output act: identity
-    out.extend_from_slice(&(1i32 << ARTIFACT_FRAC_BITS).to_le_bytes()); // weight 1.0
-    out.extend_from_slice(&0i32.to_le_bytes()); // bias 0
-    out.extend_from_slice(&2u32.to_le_bytes()); // num points
-    out.push(0); // spec 0: pass-through
-    out.push(2); // spec 1: raw table
-    out.extend_from_slice(&(thresholds.len() as u32).to_le_bytes());
-    for &t in thresholds {
-        out.extend_from_slice(&t.to_le_bytes());
-    }
-    out.extend_from_slice(&(dequant.len() as u32).to_le_bytes());
-    for &d in dequant {
-        out.extend_from_slice(&d.to_le_bytes());
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &out {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    out.extend_from_slice(&h.to_le_bytes());
-    out
-}
-
-/// Keys that pin down a table's step function: every interval edge
-/// (`t`, `t - 1`) plus the domain rails and a few interior probes.
-fn probe_keys(thresholds: &[i64]) -> Vec<i32> {
-    let mut keys = vec![i32::MIN, -1, 0, 1, i32::MAX];
-    for &t in thresholds {
-        for k in [t.saturating_sub(1), t, t.saturating_add(1)] {
-            if let Ok(k32) = i32::try_from(k) {
-                keys.push(k32);
-            }
-        }
-    }
-    keys
-}
-
-/// Replays a decoded table artifact against the `partition_point`
-/// definition at every probe key, inside an armed no-float zone.
-fn assert_table_matches_oracle(
-    art: &PolicyArtifact,
-    thresholds: &[i64],
-    dequant: &[i32],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    for key in probe_keys(thresholds) {
-        let want = dequant[thresholds.partition_point(|&t| t <= key as i64)];
-        let got = art.infer_raw(&[key]).unwrap();
-        prop_assert_eq!(got[0], want, "key {}", key);
-    }
-    Ok(())
-}
-
-#[test]
-fn affine_and_fallback_table_codegen_pass_the_differential_gate() {
-    // Fixed-case codegen check for both quantizer arms: a uniform ramp
-    // (affine fast path — no threshold array in the source) and a bent
-    // ramp (search fallback — threshold array present), each compiled
-    // with the host rustc and replayed bit-for-bit against infer_raw.
-    let uniform: Vec<i64> = (0..64).map(|k| -2000 + k * 131).collect();
-    let mut bent = uniform.clone();
-    bent[31] += 7;
-    let dequant: Vec<i32> = (0..65).map(|c| -4000 + c * 125).collect();
-
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("affine_codegen_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    for (name, thresholds, want_search) in [("affine", &uniform, false), ("fallback", &bent, true)]
-    {
-        let art = PolicyArtifact::decode(&table_blob(thresholds, &dequant)).unwrap();
-        let src = art.emit_rust();
-        verify_generated_source(&src).unwrap();
-        let has_threshold_static = src.contains("static T1");
-        assert_eq!(
-            has_threshold_static, want_search,
-            "{name}: emitted arm does not match the table's affine fit"
-        );
-
-        let src_path = dir.join(format!("{name}.rs"));
-        let mut runner = String::new();
-        for key in probe_keys(thresholds)
-            .iter()
-            .step_by(7)
-            .chain([&i32::MIN, &i32::MAX])
-        {
-            runner += &format!(
-                "    {{ let mut a = [0i32; 1]; infer(&[{key}], &mut a); \
-                 println!(\"{key} {{}}\", a[0]); }}\n"
-            );
-        }
-        // Strip the crate-level attribute and doc comments so the file
-        // can be `include!`d into a std runner.
-        let included: String = src
-            .lines()
-            .filter(|l| !l.starts_with("//!") && !l.starts_with("#![no_std]"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        std::fs::write(&src_path, included).unwrap();
-        let main_path = dir.join(format!("{name}_main.rs"));
-        std::fs::write(
-            &main_path,
-            format!(
-                "include!(\"{}\");\nfn main() {{\n{runner}}}\n",
-                src_path.display()
-            ),
-        )
-        .unwrap();
-        let bin = dir.join(name);
-        let out = std::process::Command::new("rustc")
-            .arg("--edition=2021")
-            .arg("-o")
-            .arg(&bin)
-            .arg(&main_path)
-            .output()
-            .expect("host rustc must be invocable");
-        assert!(
-            out.status.success(),
-            "{name}: generated source failed to compile:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let run = std::process::Command::new(&bin).output().unwrap();
-        assert!(run.status.success(), "{name}: runner crashed");
-        for line in String::from_utf8(run.stdout).unwrap().lines() {
-            let mut parts = line.split_whitespace();
-            let key: i32 = parts.next().unwrap().parse().unwrap();
-            let got: i32 = parts.next().unwrap().parse().unwrap();
-            assert_eq!(
-                got,
-                art.infer_raw(&[key]).unwrap()[0],
-                "{name}: compiled codegen diverged at key {key}"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Pillar 7a: random uniform-step tables decode onto the affine fast
-    /// path and replay the `partition_point` definition exactly at every
-    /// interval edge, the rails, and the sentinel-saturated top codes.
-    #[test]
-    fn affine_fast_path_tables_match_the_search_definition(
-        base in -100_000i64..100_000,
-        step in 1i64..5_000,
-        len in 1usize..200,
-        sentinel_tail in 0usize..4,
-    ) {
-        let mut thresholds: Vec<i64> =
-            (0..len as i64).map(|k| base + k * step).collect();
-        thresholds.extend(std::iter::repeat_n(i64::MAX, sentinel_tail));
-        let dequant: Vec<i32> = (0..=thresholds.len() as i64)
-            .map(|c| (c * 977 - 40_000) as i32)
-            .collect();
-        let art = PolicyArtifact::decode(&table_blob(&thresholds, &dequant)).unwrap();
-        // A uniform integer ramp always fits, so this arm genuinely
-        // exercises the multiply-shift, not the fallback.
-        prop_assert_eq!(art.blob_stats().tables_affine, 1);
-        assert_table_matches_oracle(&art, &thresholds, &dequant)?;
-    }
-
-    /// Pillar 7b: unsorted tables can never fit the affine form (the fit
-    /// requires a sorted ramp), so they are guaranteed onto the search
-    /// fallback — which must still reproduce `partition_point`, whose
-    /// semantics on unsorted input are exactly "some valid binary-search
-    /// partition", the same one the interpreter uses.
-    #[test]
-    fn non_affine_tables_fall_back_to_the_search(
-        base in -50_000i64..50_000,
-        step in 10i64..2_000,
-        len in 4usize..100,
-        swap in 1usize..99,
-    ) {
-        let mut thresholds: Vec<i64> =
-            (0..len as i64).map(|k| base + k * step).collect();
-        // Swap an adjacent pair strictly out of order.
-        let i = swap % (len - 1);
-        thresholds.swap(i, i + 1);
-        let dequant: Vec<i32> = (0..=len as i64).map(|c| (c * 613) as i32).collect();
-        let art = PolicyArtifact::decode(&table_blob(&thresholds, &dequant)).unwrap();
-        prop_assert_eq!(
-            art.blob_stats().tables_affine, 0,
-            "unsorted table must not fit the affine form"
-        );
-        assert_table_matches_oracle(&art, &thresholds, &dequant)?;
-    }
 
     /// Randomized pillar 1: arbitrary observations (including values far
     /// outside the calibrated ranges) replay bit-for-bit on every arm.
@@ -927,16 +667,16 @@ proptest! {
         prop_assert_eq!(decoded.content_hash(), art.content_hash(), "{}", name);
     }
 
-    /// Randomized pillar 6: for arbitrary calibrated ranges (non-pow2
-    /// grids ⇒ threshold tables), the compressed wire form decodes to
-    /// an artifact whose every threshold word is identical — structural
-    /// equality, byte-identical re-encode, and identical quantization of
-    /// raw words across the grid, including the saturating rails.
+    /// Randomized pillar 4c: every calibrated range at every width
+    /// exports as a shift — no width is refused, the blob is its weights
+    /// plus a few bytes per point, it survives the wire structurally and
+    /// byte for byte, and the integer path equals the training quantizer
+    /// word for word, rails and both clips included.
     #[test]
-    fn random_range_quantizer_tables_roundtrip_exactly(
+    fn random_range_quantizers_export_as_shifts(
         min in -8.0f64..-0.01,
         span in 0.02f64..16.0,
-        bits in 2u32..13,
+        bits in 2u32..=31,
     ) {
         let q = AffineQuantizer::from_range(min, min + span, bits).unwrap();
         let one = Fx32::ONE.raw();
@@ -952,10 +692,19 @@ proptest! {
         let decoded = PolicyArtifact::decode(&art.encode()).unwrap();
         prop_assert_eq!(&decoded, &art);
         prop_assert_eq!(decoded.encode(), art.encode());
-        for r in [i32::MIN, -(1 << 24), -12345, 0, 999, 1 << 22, i32::MAX] {
+        // One weight and one bias word; header, point count and checksum
+        // are 38 bytes, a spec at most 21.
+        let stats = art.blob_stats();
+        prop_assert_eq!(stats.bytes, art.encode().len());
+        prop_assert!(stats.bytes <= 2 * 4 + 38 + 2 * 21, "{} bytes", stats.bytes);
+        let clips = [0, q.max_code()].map(|c| Fx32::from_f64(q.dequantize(c)).raw());
+        for r in [i32::MIN, -(1 << 24), -12345, -1, 0, 999, 1 << 22, i32::MAX]
+            .into_iter()
+            .chain(clips.iter().flat_map(|&c| (-2..=2).map(move |d| c + d)))
+        {
             prop_assert_eq!(
-                decoded.infer_raw(&[r]).unwrap(),
-                art.infer_raw(&[r]).unwrap(),
+                decoded.infer_raw(&[r]).unwrap()[0],
+                q.fake_quantize_scalar(Fx32::from_raw(r)).raw(),
                 "raw={}", r
             );
         }

@@ -141,3 +141,35 @@ fn per_layer_quantizers_cover_live_activation_ranges() {
     let action_b = agent.act(&obs).unwrap();
     assert_eq!(action_a, action_b, "quantized inference is deterministic");
 }
+
+/// First slice of the Fig. 7 fidelity harness: 16-bit QAT judged against
+/// the seed spread of the unquantized runs, not against one run (QuaRL's
+/// protocol). Fig. 7's default configuration — Pendulum, 64×48 nets,
+/// 12 000 steps, quantization delay 4 000 — at seeds 1, 2, 3 per arm.
+#[test]
+#[ignore = "≈ 2–3 min in release: cargo test --release --test qat_pipeline -- --ignored"]
+fn qat16_reward_sits_inside_the_unquantized_seed_spread() {
+    let tail = |mode: PrecisionMode, seed: u64| {
+        let cfg = fixar_bench::quick_study_config()
+            .with_seed(seed)
+            .with_qat(4_000, 16);
+        FixarSystem::new(EnvKind::Pendulum, mode)
+            .with_config(cfg)
+            .with_seeds(seed, seed + 100)
+            .run(12_000, 1_500, 5)
+            .unwrap()
+            .training
+            .tail_mean(3)
+    };
+    let plain = [1, 2, 3].map(|seed| tail(PrecisionMode::Fixed32, seed));
+    let quantized = [1, 2, 3].map(|seed| tail(PrecisionMode::DynamicFixed, seed));
+    let lo = plain.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = plain.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let slack = 0.1 * (hi - lo);
+    let mean = quantized.iter().sum::<f64>() / 3.0;
+    println!("Fx32 {plain:?} | Fx32 + 16-bit QAT {quantized:?} (mean {mean:.1})");
+    assert!(
+        (lo - slack..=hi + slack).contains(&mean),
+        "QAT mean {mean:.1} outside the unquantized spread [{lo:.1}, {hi:.1}] ± 10 %"
+    );
+}
