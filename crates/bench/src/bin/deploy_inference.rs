@@ -12,10 +12,13 @@
 //! * `artifact_raw` — `PolicyArtifact::infer_raw`, the pure integer
 //!   path a deployment target would run (observations pre-quantized to
 //!   raw Q12.20 words);
+//! * `artifact batch32` — `PolicyArtifact::infer_batch` on 32
+//!   observations at a time, the served path's one interpreter walk per
+//!   micro-batch (ns per action);
 //! * `codegen` — the `emit_rust()` output compiled by the host `rustc`
 //!   and timed in-process by a generated runner: the firmware path,
-//!   where every quantizer is an inlined shift/clamp with literal
-//!   operands instead of interpreter dispatch.
+//!   where every quantizer is an inlined mask and clamp with literal
+//!   operands.
 //!
 //! Blob size (weights plus ≈ 100 bytes) and generated source size are
 //! reported alongside.
@@ -42,6 +45,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 const OBS_POOL: usize = 256;
+/// Rows per `infer_batch` call: the `serve_sat_model` micro-batch.
+const BATCH: usize = 32;
 
 fn frozen_snapshot() -> PolicySnapshot<Fx32> {
     let mut cfg = DdpgConfig::small_test().with_qat(4, 16);
@@ -96,6 +101,17 @@ fn bit_equality_gate(snap: &PolicySnapshot<Fx32>, art: &PolicyArtifact, obs: &Ma
             "BIT-EQUALITY GATE FAILED: decoded artifact diverges at row {r}"
         );
     }
+    for (b, rows) in obs.as_slice().chunks(BATCH * obs.cols()).enumerate() {
+        let actions = art.infer_batch(rows).unwrap();
+        for (k, action) in actions.chunks(art.output_dim()).enumerate() {
+            let r = b * BATCH + k;
+            assert_eq!(
+                action,
+                snap.select_action(obs.row(r)).unwrap(),
+                "BIT-EQUALITY GATE FAILED: batched artifact diverges at row {r}"
+            );
+        }
+    }
 
     let server = ArtifactServer::start(ArtifactReplica::new(decoded, 0), ServeConfig::default())
         .expect("gate server");
@@ -111,8 +127,8 @@ fn bit_equality_gate(snap: &PolicySnapshot<Fx32>, art: &PolicyArtifact, obs: &Ma
     }
     drop(server);
     println!(
-        "bit-equality gate: {} offline + 64 served inferences match the snapshot exactly \
-         (content hash {hash:016x})",
+        "bit-equality gate: {} offline (one at a time and {BATCH} per batch) + 64 served \
+         inferences match the snapshot exactly (content hash {hash:016x})",
         obs.rows()
     );
 }
@@ -278,6 +294,10 @@ fn main() {
         let row = &raw_obs[i % OBS_POOL];
         std::hint::black_box(art.infer_raw(row).unwrap());
     });
+    let batches: Vec<&[f64]> = obs.as_slice().chunks(BATCH * obs.cols()).collect();
+    let batch_ns = time_ns(reps.div_ceil(BATCH), |i| {
+        std::hint::black_box(art.infer_batch(batches[i % batches.len()]).unwrap());
+    }) / BATCH as f64;
     let (codegen_ns, gen_source_bytes) = codegen_arm(&art, &raw_obs, reps);
 
     println!("blob size        {blob_bytes:>10} bytes");
@@ -285,6 +305,7 @@ fn main() {
     println!("snapshot         {snapshot_ns:>10.0} ns/action");
     println!("artifact (f64)   {artifact_ns:>10.0} ns/action");
     println!("artifact (raw)   {raw_ns:>10.0} ns/action");
+    println!("artifact (batch32) {batch_ns:>8.0} ns/action");
     println!("codegen          {codegen_ns:>10.0} ns/action");
     println!("raw interpreter vs snapshot: {:.2}x", snapshot_ns / raw_ns);
     println!(
@@ -307,6 +328,7 @@ fn main() {
         let _ = writeln!(json, "  \"snapshot_ns_per_action\": {snapshot_ns:.1},");
         let _ = writeln!(json, "  \"artifact_ns_per_action\": {artifact_ns:.1},");
         let _ = writeln!(json, "  \"artifact_raw_ns_per_action\": {raw_ns:.1},");
+        let _ = writeln!(json, "  \"artifact_batch32_ns_per_action\": {batch_ns:.1},");
         let _ = writeln!(json, "  \"codegen_ns_per_action\": {codegen_ns:.1},");
         let _ = writeln!(
             json,

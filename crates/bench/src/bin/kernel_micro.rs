@@ -381,9 +381,11 @@ fn main() {
 /// differ only in the output activation point's spec: no quantizer at
 /// all (the baseline), a shifting spec (Q4.12), and a 31-bit range whose
 /// step is finer than the word grid — the same arm at distance 0, a clamp
-/// between two words. The quantizer's per-element cost is the arm's
-/// ns/element minus the baseline's, so the shared matrix walk cancels
-/// out.
+/// between two words. The interpreter applies either as one mask and one
+/// clamp (a pass-through is the same mask and clamp with identity
+/// words), so the arms price a spec's words, not its kind. The
+/// quantizer's per-element cost is the arm's ns/element minus the
+/// baseline's, so the shared matrix walk cancels out.
 fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
     const QDIM: usize = 64;
     const OBS: usize = 3;

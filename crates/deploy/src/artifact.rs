@@ -86,6 +86,52 @@ pub(crate) enum QuantSpec {
     },
 }
 
+/// A [`QuantSpec`] as the interpreter applies it: `(r & mask).clamp(lo,
+/// hi)` on a raw word. Derived at assembly, never serialized.
+///
+/// Let `q = r >> shift`. The `Shift` arm computes `f(clamp(q + z, 0, M))`
+/// with `f(c) = clamp_i32((c − z)·2^shift)`, which is monotone, so it
+/// equals `clamp(f(q + z), f(0), f(M))`; and `f(q + z) =
+/// clamp_i32((r >> shift) << shift)` is `r` with its low `min(shift, 31)`
+/// bits cleared (past 31 a word is `0` or `i32::MIN` either way).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct QuantWords {
+    pub(crate) mask: i32,
+    pub(crate) lo: i32,
+    pub(crate) hi: i32,
+}
+
+impl QuantWords {
+    const PASS_THROUGH: Self = Self {
+        mask: -1,
+        lo: i32::MIN,
+        hi: i32::MAX,
+    };
+
+    fn of(spec: &QuantSpec) -> Self {
+        let QuantSpec::Shift {
+            shift,
+            zero_point,
+            max_code,
+        } = *spec
+        else {
+            return Self::PASS_THROUGH;
+        };
+        // `(code − z)·2^shift` on the rails. A difference past ±2³¹ is on
+        // a rail after any shift, so clamping it there first keeps the
+        // shifted value inside an `i64` (at most 2⁶²).
+        let dequantize = |code: i64| {
+            let d = code.saturating_sub(zero_point).clamp(-(1 << 31), 1 << 31);
+            (d << shift.min(31)).clamp(i32::MIN.into(), i32::MAX.into()) as i32
+        };
+        Self {
+            mask: !((1u32 << shift.min(31)) - 1) as i32,
+            lo: dequantize(0),
+            hi: dequantize(max_code),
+        }
+    }
+}
+
 /// Reads a frozen [`AffineQuantizer`] out as its integer-only spec.
 ///
 /// The quantizer's step is `2^e`, so on raw words of the `2^-F` grid
@@ -150,8 +196,8 @@ pub struct BlobStats {
 /// assembled directly with [`PolicyArtifact::from_parts`]), serialized
 /// with [`PolicyArtifact::encode`] / [`PolicyArtifact::decode`], and
 /// evaluated with [`PolicyArtifact::infer_raw`] — which performs zero
-/// floating-point operations — or the `f64` convenience wrapper
-/// [`PolicyArtifact::infer`].
+/// floating-point operations — or the `f64` convenience wrappers
+/// [`PolicyArtifact::infer`] and [`PolicyArtifact::infer_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyArtifact {
     /// Fractional bits of the grid (always [`ARTIFACT_FRAC_BITS`] in v1).
@@ -181,6 +227,9 @@ pub struct PolicyArtifact {
     /// sum of them along one row (one output's chain). Derived with
     /// `weights_t`, never serialized.
     pub(crate) weight_bounds: Vec<(u32, u64)>,
+    /// Per activation point, `specs` as the interpreter applies them.
+    /// Derived with `weights_t`, never serialized.
+    pub(crate) quant_words: Vec<QuantWords>,
 }
 
 impl PolicyArtifact {
@@ -286,8 +335,9 @@ impl PolicyArtifact {
     }
 
     /// Finishes construction from validated parts: derives the
-    /// transposed weight images the interpreter streams and the weight
-    /// bounds its interval guard reads. Every constructor
+    /// transposed weight images the interpreter streams, the weight
+    /// bounds its interval guard reads and the words of its quantizers.
+    /// Every constructor
     /// ([`PolicyArtifact::from_parts`], [`PolicyArtifact::decode`],
     /// in-crate tests) funnels through here so the derived fields can
     /// never disagree with `weights`.
@@ -321,6 +371,7 @@ impl PolicyArtifact {
                 (wt, (w_max, row_abs_sum))
             })
             .unzip();
+        let quant_words = specs.iter().map(QuantWords::of).collect();
         Self {
             frac_bits,
             layer_sizes,
@@ -331,6 +382,7 @@ impl PolicyArtifact {
             specs,
             weights_t,
             weight_bounds,
+            quant_words,
         }
     }
 
@@ -359,6 +411,17 @@ impl PolicyArtifact {
         self.layer_sizes.iter().map(|&s| s as usize).collect()
     }
 
+    /// `Err` unless `len` is exactly one observation.
+    fn check_one_row(&self, len: usize) -> Result<(), DeployError> {
+        if len != self.input_dim() {
+            return Err(DeployError::DimensionMismatch {
+                expected: self.input_dim(),
+                got: len,
+            });
+        }
+        Ok(())
+    }
+
     /// Evaluates the policy on one raw `Fx32` observation vector using
     /// only integer arithmetic — the deployment inference path. The
     /// result words are bit-identical to the frozen `fixar-nn` forward
@@ -369,29 +432,55 @@ impl PolicyArtifact {
     /// [`DeployError::DimensionMismatch`] when `obs` is not
     /// [`PolicyArtifact::input_dim`] long.
     pub fn infer_raw(&self, obs: &[i32]) -> Result<Vec<i32>, DeployError> {
-        if obs.len() != self.input_dim() {
-            return Err(DeployError::DimensionMismatch {
-                expected: self.input_dim(),
-                got: obs.len(),
-            });
-        }
-        Ok(interp::run(self, obs))
+        self.check_one_row(obs.len())?;
+        Ok(interp::run(self, obs, 1))
     }
 
     /// `f64` convenience wrapper around [`PolicyArtifact::infer_raw`]:
-    /// projects the observation onto the `Fx32` grid, runs the integer
-    /// interpreter, and converts the action back. The conversions at the
-    /// edges are the only float operations — they happen *outside* the
-    /// interpreter's no-float zone.
+    /// [`PolicyArtifact::infer_batch`] on one observation.
     ///
     /// # Errors
     ///
-    /// As [`PolicyArtifact::infer_raw`].
+    /// As [`PolicyArtifact::infer_batch`], and
+    /// [`DeployError::DimensionMismatch`] when `obs` is not exactly
+    /// [`PolicyArtifact::input_dim`] long.
     pub fn infer(&self, obs: &[f64]) -> Result<Vec<f64>, DeployError> {
+        self.check_one_row(obs.len())?;
+        self.infer_batch(obs)
+    }
+
+    /// Evaluates the policy on a batch of row-major observations
+    /// (`rows × input_dim`) and returns the row-major actions
+    /// (`rows × output_dim`). Projects the observations onto the `Fx32`
+    /// grid, runs the integer interpreter over the whole batch in one
+    /// walk, and converts the actions back; the conversions at the edges
+    /// are the only float operations — they happen *outside* the
+    /// interpreter's no-float zone. Every row's action is bit-identical
+    /// to [`PolicyArtifact::infer`] on that row alone.
+    ///
+    /// # Errors
+    ///
+    /// [`DeployError::DimensionMismatch`] when `obs.len()` is not a
+    /// multiple of [`PolicyArtifact::input_dim`], and
+    /// [`DeployError::NonFiniteObservation`] for a NaN or infinite word
+    /// (the grid has no image for it).
+    pub fn infer_batch(&self, obs: &[f64]) -> Result<Vec<f64>, DeployError> {
         guard::float_op("observation/action conversion at the artifact boundary");
+        let dim = self.input_dim();
+        if !obs.len().is_multiple_of(dim) {
+            return Err(DeployError::DimensionMismatch {
+                expected: obs.len().next_multiple_of(dim),
+                got: obs.len(),
+            });
+        }
+        if let Some(k) = obs.iter().position(|x| !x.is_finite()) {
+            return Err(DeployError::NonFiniteObservation {
+                row: k / dim,
+                index: k % dim,
+            });
+        }
         let raw: Vec<i32> = obs.iter().map(|&x| Fx32::from_f64(x).raw()).collect();
-        let out = self.infer_raw(&raw)?;
-        Ok(out
+        Ok(interp::run(self, &raw, obs.len() / dim)
             .into_iter()
             .map(|r| Fx32::from_raw(r).to_f64())
             .collect())
@@ -713,8 +802,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shift_spec_replicates_format_quantizer_exactly() {
+    /// The `Shift` arm as PR 24 applied it, word by word through `i128`:
+    /// the oracle the derived [`QuantWords`] are checked against.
+    fn apply_spec(spec: &QuantSpec, r: i32) -> i32 {
+        match spec {
+            QuantSpec::PassThrough => r,
+            QuantSpec::Shift {
+                shift,
+                zero_point,
+                max_code,
+            } => {
+                let code = ((r as i64) >> shift)
+                    .saturating_add(*zero_point)
+                    .clamp(0, *max_code);
+                let scaled = (code.saturating_sub(*zero_point) as i128) << shift;
+                if scaled > i32::MAX as i128 {
+                    i32::MAX
+                } else if scaled < i32::MIN as i128 {
+                    i32::MIN
+                } else {
+                    scaled as i32
+                }
+            }
+        }
+    }
+
+    /// A seeded stream of raw words (64-bit LCG, high half).
+    fn lcg_words(seed: u64) -> impl Iterator<Item = i32> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 32) as i32
+        })
+    }
+
+    /// Format-pinned quantizers and range-calibrated ones at every width
+    /// 1…31: asymmetric, post-ReLU (`min = 0`), `min > 0`, all-negative,
+    /// headroom-widened, rail-wide, and spans whose step is finer than
+    /// the word grid (the `shift: 0` clamp form).
+    fn calibrated_quantizers() -> Vec<(String, AffineQuantizer)> {
         let mut quantizers: Vec<(String, AffineQuantizer)> = [
             QFormat::q(4, 12).unwrap(),
             QFormat::q(2, 6).unwrap(),
@@ -725,9 +851,6 @@ mod tests {
         .into_iter()
         .map(|fmt| (fmt.to_string(), AffineQuantizer::from_format(fmt).unwrap()))
         .collect();
-        // Range-calibrated: asymmetric, post-ReLU (`min = 0`), `min > 0`,
-        // all-negative, headroom-widened, rail-wide, and spans whose
-        // step is finer than the word grid (the `shift: 0` clamp form).
         for (min, max) in [
             (-3.58, 1.22),
             (-0.7, 0.4),
@@ -740,11 +863,94 @@ mod tests {
             (-0.0131, 0.0077),
             (0.25, 0.2501),
         ] {
-            for bits in 2..=31 {
+            for bits in 1..=31 {
                 let q = AffineQuantizer::from_range(min, max, bits).unwrap();
                 quantizers.push((format!("[{min}, {max}]x{bits}"), q));
             }
         }
+        quantizers
+    }
+
+    #[test]
+    fn quant_words_equal_the_shift_oracle() {
+        // Every spec export builds, then hand-built ones only `decode`
+        // can produce: shift distances at and past the word width,
+        // extreme zero points, empty / one-code / widest code windows.
+        let mut specs: Vec<(String, QuantSpec)> = calibrated_quantizers()
+            .iter()
+            .map(|(name, q)| (name.clone(), spec_for_quantizer(0, q).unwrap()))
+            .collect();
+        for shift in [0, 31, 32, 62] {
+            for zero_point in [i64::MIN, -(1 << 62), 0, 1 << 62, i64::MAX] {
+                for max_code in [0, 1, i64::MAX] {
+                    let spec = QuantSpec::Shift {
+                        shift,
+                        zero_point,
+                        max_code,
+                    };
+                    specs.push((format!("{spec:?}"), spec));
+                }
+            }
+        }
+        specs.push(("pass-through".into(), QuantSpec::PassThrough));
+        let sweep: Vec<i32> = lcg_words(0x9E37_79B9_7F4A_7C15).take(100_000).collect();
+        for (name, spec) in &specs {
+            let q = QuantWords::of(spec);
+            // The rails, both clip words ± 2 (the oracle's images of the
+            // lowest and highest word), every word within ± 64 of zero.
+            let clips = [i32::MIN, i32::MAX].map(|r| apply_spec(spec, r));
+            let edges = clips
+                .into_iter()
+                .flat_map(|c| (-2..=2).map(move |d| c.saturating_add(d)));
+            let words = [i32::MIN, i32::MAX]
+                .into_iter()
+                .chain(edges)
+                .chain(-64..=64)
+                .chain(sweep.iter().copied());
+            for r in words {
+                assert_eq!(
+                    interp::quantize(q, r),
+                    apply_spec(spec, r),
+                    "{name} raw={r}"
+                );
+            }
+        }
+    }
+
+    /// Every `i32` word through each spec of the two policies the
+    /// repository benchmark serves (seed 12: input point shared, then the
+    /// 400×300 and the 64×48 actor's hidden points). 2³² words per spec,
+    /// so release only: `cargo test --release -p fixar-deploy --
+    /// --ignored`.
+    #[test]
+    #[ignore = "exhaustive 2^32-word sweeps; release only"]
+    fn quant_words_equal_the_shift_oracle_on_every_word_of_the_served_specs() {
+        for (shift, zero_point, max_code) in [
+            (14, 29533, 47478),
+            (11, 0, 44272),
+            (10, 0, 57550),
+            (12, 0, 44011),
+            (12, 0, 46024),
+        ] {
+            let spec = QuantSpec::Shift {
+                shift,
+                zero_point,
+                max_code,
+            };
+            let q = QuantWords::of(&spec);
+            for r in i32::MIN..=i32::MAX {
+                assert_eq!(
+                    interp::quantize(q, r),
+                    apply_spec(&spec, r),
+                    "{spec:?} raw={r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shift_spec_replicates_format_quantizer_exactly() {
+        let quantizers = calibrated_quantizers();
         let mut clamp_forms = 0;
         for (name, q) in &quantizers {
             let spec = spec_for_quantizer(0, q).unwrap();
@@ -771,11 +977,7 @@ mod tests {
             for clip in clips {
                 words.extend((-2..=2).map(|d| clip.saturating_add(d)));
             }
-            let mut state = 0x9E37_79B9_7F4A_7C15u64;
-            words.extend((0..2000).map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 32) as i32
-            }));
+            words.extend(lcg_words(0x9E37_79B9_7F4A_7C15).take(2000));
             for r in words {
                 let want = q.fake_quantize_scalar(Fx32::from_raw(r)).raw();
                 let got = art.infer_raw(&[r]).unwrap()[0];
@@ -935,10 +1137,150 @@ mod tests {
                 got: 1
             }
         );
+        // `infer` takes exactly one observation; a batch takes a whole
+        // number of them, none included.
+        assert_eq!(
+            art.infer(&[0.0; 4]).unwrap_err(),
+            DeployError::DimensionMismatch {
+                expected: 2,
+                got: 4
+            }
+        );
+        assert_eq!(
+            art.infer_batch(&[0.0; 5]).unwrap_err(),
+            DeployError::DimensionMismatch {
+                expected: 6,
+                got: 5
+            }
+        );
+        assert_eq!(art.infer_batch(&[]).unwrap(), Vec::<f64>::new());
         assert_eq!(art.input_dim(), 2);
         assert_eq!(art.output_dim(), 1);
         assert_eq!(art.num_layers(), 2);
         assert_eq!(art.layer_sizes(), vec![2, 2, 1]);
         assert_eq!(art.frac_bits(), ARTIFACT_FRAC_BITS);
+    }
+
+    /// A 3 → 16 → 12 → 2 policy (relu hidden, tanh output) with seeded
+    /// weights in ±1.0, range quantizers behind every layer and none on
+    /// the way in, so a rail-valued observation reaches the first layer
+    /// as is; its first output's weights `[0.75, −0.75, 0.75]` saturate
+    /// that chain on `[MAX, MIN, MAX]`. `dead` makes every first-layer
+    /// weight and bias non-positive: behind a non-negative observation
+    /// ReLU hands the second layer nothing but zeros.
+    fn batch_artifact(dead: bool) -> PolicyArtifact {
+        let sizes = [3, 16, 12, 2];
+        let mut words = lcg_words(7);
+        let mut weights: Vec<Vec<i32>> = (0..3)
+            .map(|l| {
+                let n = sizes[l] * sizes[l + 1];
+                words.by_ref().take(n).map(|w| w >> 11).collect()
+            })
+            .collect();
+        let mut biases: Vec<Vec<i32>> = (0..3)
+            .map(|l| words.by_ref().take(sizes[l + 1]).map(|b| b >> 14).collect())
+            .collect();
+        weights[0][..3].copy_from_slice(&[raw(0.75), raw(-0.75), raw(0.75)]);
+        if dead {
+            for w in weights[0].iter_mut().chain(biases[0].iter_mut()) {
+                *w = -w.abs();
+            }
+        }
+        let q1 = AffineQuantizer::from_range(0.0, 4.0, 8).unwrap();
+        let q2 = AffineQuantizer::from_range(0.0, 6.0, 12).unwrap();
+        let q3 = AffineQuantizer::from_range(-1.0, 1.0, 16).unwrap();
+        PolicyArtifact::from_parts(
+            &sizes,
+            ActKind::Relu,
+            ActKind::Tanh,
+            weights,
+            biases,
+            &[None, Some(&q1), Some(&q2), Some(&q3)],
+        )
+        .unwrap()
+    }
+
+    /// The mutant this must catch: the interval-guard verdict taken once
+    /// per batch (from its first row) rather than once per sample — a
+    /// rail row behind a small first row then wraps instead of
+    /// saturating.
+    #[test]
+    fn infer_batch_equals_per_row_infer() {
+        let small = |i: usize| -> Vec<f64> {
+            (0..3)
+                .map(|c| ((i * 3 + c) as f64 * 0.7).sin() * 2.0)
+                .collect()
+        };
+        let rail = vec![1e6, -1e6, 1e6];
+        let admitted = |art: &PolicyArtifact, o: &[f64]| {
+            let (w_max, row_abs_sum) = art.weight_bounds[0];
+            let x_max = o.iter().map(|&x| raw(x).unsigned_abs()).max().unwrap();
+            fixar_fixed::math::mac_chain_is_clamp_free(
+                ARTIFACT_FRAC_BITS,
+                w_max,
+                row_abs_sum,
+                x_max,
+                0,
+                3,
+            )
+        };
+        for (name, dead) in [("live", false), ("dead first layer", true)] {
+            let art = batch_artifact(dead);
+            // Mixed verdicts within one batch: the rail row fails the
+            // guard on the first layer, the small rows pass it.
+            assert!(
+                !admitted(&art, &rail) && admitted(&art, &small(0)),
+                "{name}"
+            );
+            for rows in [1, 2, 7, 32, 33] {
+                let batch: Vec<Vec<f64>> = (0..rows)
+                    .map(|i| {
+                        let o = if rows > 1 && i == rows / 2 {
+                            rail.clone()
+                        } else if rows > 2 && i == rows - 1 {
+                            vec![0.0; 3]
+                        } else {
+                            small(i)
+                        };
+                        // Non-negative observations keep a dead layer dead.
+                        o.into_iter()
+                            .map(|x| if dead { x.abs() } else { x })
+                            .collect()
+                    })
+                    .collect();
+                let want: Vec<f64> = batch.iter().flat_map(|o| art.infer(o).unwrap()).collect();
+                assert_eq!(
+                    art.infer_batch(&batch.concat()).unwrap(),
+                    want,
+                    "{name}, {rows} rows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infer_batch_refuses_non_finite_words() {
+        // At the parent `Fx32::from_f64` mapped NaN to 0 and ±∞ to the
+        // rails, and the action of that other observation came back.
+        let art = batch_artifact(false);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for index in 0..3 {
+                for row in [0, 2] {
+                    let mut batch = vec![0.25; 3 * 3];
+                    batch[row * 3 + index] = bad;
+                    assert_eq!(
+                        art.infer_batch(&batch),
+                        Err(DeployError::NonFiniteObservation { row, index }),
+                        "{bad} at row {row}, index {index}"
+                    );
+                }
+                let mut one = vec![0.25; 3];
+                one[index] = bad;
+                assert_eq!(
+                    art.infer(&one),
+                    Err(DeployError::NonFiniteObservation { row: 0, index })
+                );
+            }
+        }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! [`PolicyArtifact::emit_rust`] turns a frozen policy into one
 //! self-contained source file: weights and biases as `static` `i32`
-//! arrays on the artifact grid, the i64-accumulated MAC loop, the
-//! piecewise-linear tanh ROM, and each activation point's quantizer
-//! unrolled inline as the [`QuantSpec::Shift`] shift/clamp expressions.
+//! arrays on the artifact grid, the saturating MAC loop (which, like the
+//! interpreter, skips zero input words), the piecewise-linear tanh ROM,
+//! and each activation point's quantizer inline as the interpreter's
+//! mask and clamp with literal operands.
 //! The artifact's FNV-1a content hash is baked in as a `pub const` so
 //! deployed firmware is auditable against the serving fleet.
 //!
@@ -58,16 +59,6 @@ pub fn verify_generated_source(src: &str) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// `i64` literal text; `i64::MIN` (a decoded blob may carry any zero
-/// point) has no negatable literal form.
-fn lit_i64(v: i64) -> String {
-    if v == i64::MIN {
-        "i64::MIN".into()
-    } else {
-        v.to_string()
-    }
 }
 
 /// `i32` literal text; `i32::MIN` has no negatable literal form.
@@ -225,35 +216,20 @@ impl PolicyArtifact {
             );
         }
 
-        // One quantizer fn per non-pass-through activation point.
-        for (p, spec) in self.specs.iter().enumerate() {
-            match spec {
-                QuantSpec::PassThrough => {}
-                QuantSpec::Shift {
-                    shift,
-                    zero_point,
-                    max_code,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "#[inline]\n\
-                         fn quant_p{p}(r: i32) -> i32 {{\n\
-                         \x20   let code = ((r as i64) >> {shift})\n\
-                         \x20       .saturating_add({zp})\n\
-                         \x20       .clamp(0, {max});\n\
-                         \x20   let scaled = (code.saturating_sub({zp}) as i128) << {shift};\n\
-                         \x20   if scaled > i32::MAX as i128 {{\n\
-                         \x20       i32::MAX\n\
-                         \x20   }} else if scaled < i32::MIN as i128 {{\n\
-                         \x20       i32::MIN\n\
-                         \x20   }} else {{\n\
-                         \x20       scaled as i32\n\
-                         \x20   }}\n\
-                         }}\n",
-                        zp = lit_i64(*zero_point),
-                        max = lit_i64(*max_code),
-                    );
-                }
+        // One quantizer fn per non-pass-through activation point: the
+        // interpreter's mask and clamp, with its three words as literals.
+        for (p, (spec, q)) in self.specs.iter().zip(&self.quant_words).enumerate() {
+            if matches!(spec, QuantSpec::Shift { .. }) {
+                let _ = writeln!(
+                    out,
+                    "#[inline]\n\
+                     fn quant_p{p}(r: i32) -> i32 {{\n\
+                     \x20   (r & {}).clamp({}, {})\n\
+                     }}\n",
+                    lit_i32(q.mask),
+                    lit_i32(q.lo),
+                    lit_i32(q.hi),
+                );
             }
         }
 
@@ -286,14 +262,16 @@ impl PolicyArtifact {
                  \x20   let mut j = 0;\n\
                  \x20   while j < {cols} {{\n\
                  \x20       let xj = x{l}[j];\n\
-                 \x20       let col: &[i32; {rows}] = match W{l}[j * {rows}..(j + 1) * {rows}].try_into() {{\n\
-                 \x20           Ok(c) => c,\n\
-                 \x20           Err(_) => unreachable!(),\n\
-                 \x20       }};\n\
-                 \x20       let mut i = 0;\n\
-                 \x20       while i < {rows} {{\n\
-                 \x20           x{next}[i] = fx_add(x{next}[i], fx_mul(col[i], xj));\n\
-                 \x20           i += 1;\n\
+                 \x20       if xj != 0 {{\n\
+                 \x20           let col: &[i32; {rows}] = match W{l}[j * {rows}..(j + 1) * {rows}].try_into() {{\n\
+                 \x20               Ok(c) => c,\n\
+                 \x20               Err(_) => unreachable!(),\n\
+                 \x20           }};\n\
+                 \x20           let mut i = 0;\n\
+                 \x20           while i < {rows} {{\n\
+                 \x20               x{next}[i] = fx_add(x{next}[i], fx_mul(col[i], xj));\n\
+                 \x20               i += 1;\n\
+                 \x20           }}\n\
                  \x20       }}\n\
                  \x20       j += 1;\n\
                  \x20   }}\n\
@@ -390,16 +368,19 @@ mod tests {
         // Pass-through input: no quantizer fn, the observation is used as is.
         assert!(!src.contains("fn quant_p0"));
         assert!(src.contains("let x0 = *obs;"));
-        // Shift point: shift/clamp expressions over the full code window.
+        // Shift point (Q4.12, shift 8): the low 8 bits cleared, clamped
+        // to the format's range [-8, 8 - 2^-12] on the word grid.
         assert!(src.contains("fn quant_p1"));
-        assert!(src.contains("((r as i64) >> 8)"));
-        assert!(src.contains(".clamp(0, 65535)"));
-        // Sub-grid point: the same expressions at distance 0, i.e. a clamp
-        // between the two clip words (-0.0131 and 0.0077 on the grid).
+        assert!(src.contains("(r & -256).clamp(-8388608, 8388352)"));
+        // Sub-grid point (shift 0): no bit cleared, a clamp between the
+        // two clip words (-0.0131 and 0.0077 on the grid).
         assert!(src.contains("fn quant_p2"));
-        assert!(src.contains("((r as i64) >> 0)"));
-        assert!(src.contains(".saturating_add(13736)"));
-        assert!(src.contains(".clamp(0, 21810)"));
+        assert!(src.contains("(r & -1).clamp(-13736, 8074)"));
+        // No quantizer widens a word.
+        assert!(!src.contains("i128"));
+        assert!(!src.contains("as i64) >>"));
+        // The column loop does not issue a zero input word.
+        assert!(src.contains("if xj != 0 {"));
         // Nothing but weights, biases and the ROM is tabulated.
         assert_eq!(src.matches("static ").count(), 2 * 2 + 1);
         assert!(src.contains("static TANH_Q30"));

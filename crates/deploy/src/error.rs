@@ -1,7 +1,7 @@
 //! Typed errors of the deployment-artifact layer.
 //!
 //! Every failure mode — malformed blobs, unshiftable quantizers, shape
-//! mismatches — is a [`DeployError`] variant. Decoding untrusted bytes
+//! mismatches, non-finite observations — is a [`DeployError`] variant. Decoding untrusted bytes
 //! never panics; the proptest suite in `tests/deploy_props.rs` feeds
 //! truncated and corrupted blobs through the decoder to hold that line.
 
@@ -53,6 +53,14 @@ pub enum DeployError {
         /// Actual length.
         got: usize,
     },
+    /// An observation word is NaN or infinite: the `Fx32` grid has no
+    /// image for it, so it is refused rather than silently mapped.
+    NonFiniteObservation {
+        /// Row of the offending word within the batch.
+        row: usize,
+        /// Its index within that observation.
+        index: usize,
+    },
 }
 
 impl fmt::Display for DeployError {
@@ -90,6 +98,9 @@ impl fmt::Display for DeployError {
             }
             DeployError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
+            }
+            DeployError::NonFiniteObservation { row, index } => {
+                write!(f, "non-finite observation word at row {row}, index {index}")
             }
         }
     }
@@ -138,6 +149,10 @@ mod tests {
                     got: 2,
                 },
                 "expected 4",
+            ),
+            (
+                DeployError::NonFiniteObservation { row: 5, index: 1 },
+                "row 5, index 1",
             ),
         ];
         for (err, needle) in cases {

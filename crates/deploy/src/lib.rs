@@ -18,7 +18,11 @@
 //! hand, and a layer it admits accumulates with the clamp-free step —
 //! the same words, since neither clamp could have fired. A rail-valued
 //! observation or a hostile blob's huge weights simply fail the guard
-//! and take the saturating chain.
+//! and take the saturating chain. A chain issues only the input words
+//! that are non-zero (a zero word adds exact zeros), every quantizer is
+//! one mask and one clamp on words derived at assembly, and one walk
+//! evaluates a whole batch ([`PolicyArtifact::infer_batch`]), one
+//! verdict per sample.
 //!
 //! The no-float contract is machine-checked three ways:
 //!

@@ -89,23 +89,22 @@ impl ServedReplica for ArtifactReplica {
         self.artifact.output_dim()
     }
 
-    // Rows are served sequentially: the integer interpreter is bit-exact
-    // per sample, so worker parallelism cannot change any answer and is
-    // not worth spinning up for the artifact's small single-sample nets.
+    // The micro-batch is one interpreter walk on this thread: every row's
+    // action is bit-identical to `infer` on it alone, so worker
+    // parallelism could not change an answer and is not spun up.
     fn serve_batch(
         &self,
         obs: &Matrix<f64>,
         _par: &Parallelism,
     ) -> Result<Matrix<f64>, ServeError> {
-        let mut actions = Matrix::zeros(obs.rows(), self.artifact.output_dim());
-        for i in 0..obs.rows() {
-            let action = self
-                .artifact
-                .infer(obs.row(i))
-                .map_err(|e| ServeError::Inference(e.to_string()))?;
-            actions.row_mut(i).copy_from_slice(&action);
-        }
-        Ok(actions)
+        let actions = self
+            .artifact
+            .infer_batch(obs.as_slice())
+            .map_err(|e| ServeError::Inference(e.to_string()))?;
+        Ok(
+            Matrix::from_vec(obs.rows(), self.artifact.output_dim(), actions)
+                .expect("infer_batch returns one action per observation row"),
+        )
     }
 
     fn respond(&self, action: Vec<f64>, batch_rows: usize) -> ArtifactResponse {
