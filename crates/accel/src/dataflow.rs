@@ -568,7 +568,7 @@ mod tests {
         );
         let util = sched.utilization();
         // Slot-level occupancy; the paper's 92.4% counts busy PEs rather
-        // than busy MAC slots, so our figure reads lower (DESIGN.md §4).
+        // than busy MAC slots, so our figure reads lower.
         assert!(
             (0.5..=1.0).contains(&util),
             "utilization {util} out of range at batch 512"

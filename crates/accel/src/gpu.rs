@@ -1,6 +1,6 @@
 //! Analytic model of the CPU-GPU baseline's accelerator (Titan RTX).
 //!
-//! We have no Titan RTX; per DESIGN.md §1 the baseline is modelled with
+//! No Titan RTX is available to measure, so the baseline is modelled with
 //! the standard launch-overhead + utilization-ramp law that GPU DNN
 //! training of *small* MLPs obeys: a training timestep issues dozens of
 //! small kernels whose fixed launch cost dominates at small batch sizes,

@@ -25,8 +25,9 @@
 //!
 //! # Hardware substitution
 //!
-//! We have no U50 card; see `DESIGN.md` §1. The datapath is bit-exact and
-//! the schedules are structural (derived from the tiling the paper
+//! No U50 card is available, so the accelerator is modelled, not run.
+//! The datapath is bit-exact and the schedules are structural (derived
+//! from the tiling the paper
 //! describes), so throughput *shape* — flat accelerator IPS across batch
 //! sizes, the half-precision speedup, the GPU crossover — is preserved.
 

@@ -1,12 +1,14 @@
 //! Deployment-artifact inference: the integer-only interpreter against
-//! the float-side snapshot path it freezes.
+//! the per-sample oracle it freezes.
 //!
 //! A DDPG actor is trained through its QAT freeze (so the artifact
 //! carries real activation quantizers, not pass-throughs), exported
 //! with `PolicySnapshot::export_artifact`, and timed on three paths:
 //!
-//! * `snapshot` — `PolicySnapshot::select_action`, the training-side
-//!   reference the artifact must match bit-for-bit;
+//! * `snapshot (oracle)` — `PolicySnapshot::select_action`, the
+//!   per-sample frozen forward every differential test replays against
+//!   (not a serving path: only artifacts are served). The artifact must
+//!   match it bit-for-bit; its JSON keys keep the `snapshot` name;
 //! * `artifact` — `PolicyArtifact::infer`, the interpreter with f64
 //!   conversion at the observation/action edges;
 //! * `artifact_raw` — `PolicyArtifact::infer_raw`, the pure integer
@@ -302,12 +304,12 @@ fn main() {
 
     println!("blob size        {blob_bytes:>10} bytes");
     println!("generated source {gen_source_bytes:>10} bytes");
-    println!("snapshot         {snapshot_ns:>10.0} ns/action");
+    println!("snapshot (oracle) {snapshot_ns:>9.0} ns/action");
     println!("artifact (f64)   {artifact_ns:>10.0} ns/action");
     println!("artifact (raw)   {raw_ns:>10.0} ns/action");
     println!("artifact (batch32) {batch_ns:>8.0} ns/action");
     println!("codegen          {codegen_ns:>10.0} ns/action");
-    println!("raw interpreter vs snapshot: {:.2}x", snapshot_ns / raw_ns);
+    println!("raw interpreter vs oracle: {:.2}x", snapshot_ns / raw_ns);
     println!(
         "compiled codegen vs interpreter: {:.2}x",
         raw_ns / codegen_ns

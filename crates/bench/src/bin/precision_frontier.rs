@@ -3,8 +3,8 @@
 //!
 //! Each arm trains a Pendulum agent with an identical seed and schedule
 //! but a different [`PrecisionPolicy`] assignment, freezes per its
-//! policy, publishes a [`PolicySnapshot`], and is then measured on three
-//! axes:
+//! policy, exports its [`PolicySnapshot`] as an integer-only artifact,
+//! and is then measured on three axes:
 //!
 //! 1. **Fidelity** — mean absolute action deviation from the
 //!    full-precision reference arm over a fixed probe set (the software
@@ -12,14 +12,16 @@
 //! 2. **Silicon** — the plan priced through
 //!    [`ResourceModel::price_layer_formats`] (MAC width, LUT, BRAM,
 //!    weight bytes);
-//! 3. **Serving throughput** — batched snapshot actions/sec.
+//! 3. **Serving throughput** — artifact actions/sec, one `infer_batch`
+//!    walk over the probe set per call (the served path).
 //!
 //! Before any timing, a **bit-equality gate** proves the redesigned
 //! policy API is conservative: the `uniform16_policy` arm must reproduce
 //! the legacy `with_qat(delay, 16)` arm bit-for-bit (weights and served
-//! actions), and every arm's snapshot must replay its own served probe
-//! actions exactly. A TD3 mixed-precision arm rides along, exercising
-//! the twin-critic QAT wiring end to end.
+//! actions), and every arm's artifact must serve the probe exactly as its
+//! snapshot's per-sample `select_action` answers it. A TD3
+//! mixed-precision arm rides along, exercising the twin-critic QAT wiring
+//! end to end.
 //!
 //! Environment:
 //!
@@ -29,10 +31,11 @@
 //!   as a JSON document (the `BENCH_precision_frontier.json` artifact).
 
 use fixar_accel::{AccelConfig, LayerFormat, ResourceModel};
+use fixar_deploy::PolicyArtifact;
 use fixar_fixed::{Fx32, QFormat};
 use fixar_nn::PrecisionPolicy;
 use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot, Td3Config, Transition, TransitionBatch};
-use fixar_tensor::{Matrix, Parallelism};
+use fixar_tensor::Matrix;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -91,14 +94,15 @@ fn train_ddpg_arm(cfg: DdpgConfig, steps: u64) -> (Ddpg<Fx32>, PolicySnapshot<Fx
 }
 
 /// Mean |a - b| over all probe actions.
-fn mean_abs_dev(a: &Matrix<f64>, b: &Matrix<f64>) -> f64 {
-    let n = (a.rows() * a.cols()) as f64;
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| (x - y).abs())
-        .sum::<f64>()
-        / n
+fn mean_abs_dev(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64
+}
+
+/// The probe set's actions as served: the exported artifact, one
+/// `infer_batch` walk over all probe rows.
+fn serve_probe(art: &PolicyArtifact) -> Vec<f64> {
+    art.infer_batch(probe_observations().as_slice())
+        .expect("artifact inference")
 }
 
 /// Maps a snapshot's per-point formats onto priced layers: layer `l`'s
@@ -128,14 +132,13 @@ fn priced_plan(snap: &PolicySnapshot<Fx32>, hidden: (usize, usize)) -> Vec<Layer
         .collect()
 }
 
-/// Batched serving actions/sec of a snapshot over the probe set.
-fn time_serving(snap: &PolicySnapshot<Fx32>, iters: usize) -> f64 {
+/// Served actions/sec of an artifact over the probe set.
+fn time_serving(art: &PolicyArtifact, iters: usize) -> f64 {
     let probe = probe_observations();
-    let par = Parallelism::with_workers(2);
-    snap.select_actions_batch(&probe, &par).unwrap();
+    art.infer_batch(probe.as_slice()).unwrap();
     let t = Instant::now();
     for _ in 0..iters {
-        snap.select_actions_batch(&probe, &par).unwrap();
+        std::hint::black_box(art.infer_batch(probe.as_slice()).unwrap());
     }
     (iters * PROBE_ROWS) as f64 / t.elapsed().as_secs_f64()
 }
@@ -156,20 +159,20 @@ fn record(
     name: &'static str,
     algo: &'static str,
     snap: &PolicySnapshot<Fx32>,
-    reference_actions: &Matrix<f64>,
+    reference_actions: &[f64],
     hidden: (usize, usize),
     model: &ResourceModel,
     iters: usize,
 ) -> ArmResult {
     let probe = probe_observations();
-    let par = Parallelism::sequential();
-    let served = snap.select_actions_batch(&probe, &par).unwrap();
-    // Replay gate: the snapshot must reproduce its own served actions
-    // per-sample, bit-for-bit, before we bother timing it.
-    for r in 0..probe.rows() {
+    let art = snap.export_artifact().expect("export artifact");
+    let served = serve_probe(&art);
+    // Replay gate: the served actions must equal the snapshot's
+    // per-sample frozen forward, bit-for-bit, before we bother timing.
+    for (r, action) in served.chunks(ACTION_DIM).enumerate() {
         let replayed = snap.select_action(probe.row(r)).unwrap();
         assert_eq!(
-            served.row(r),
+            action,
             replayed.as_slice(),
             "{name}: served row {r} failed bit-exact replay"
         );
@@ -189,7 +192,7 @@ fn record(
         pe_lut: cost.pe.lut,
         mem_bram: cost.memory.bram,
         action_dev: mean_abs_dev(&served, reference_actions),
-        actions_per_sec: time_serving(snap, iters),
+        actions_per_sec: time_serving(&art, iters),
         formats,
     }
 }
@@ -208,13 +211,11 @@ fn main() {
     );
 
     let model = ResourceModel::new(AccelConfig::default());
-    let probe = probe_observations();
+    let export = |snap: &PolicySnapshot<Fx32>| snap.export_artifact().expect("export artifact");
 
     // Full-precision reference arm (no QAT): the fidelity anchor.
     let (_, fp_snap) = train_ddpg_arm(base_config(), steps);
-    let fp_actions = fp_snap
-        .select_actions_batch(&probe, &Parallelism::sequential())
-        .unwrap();
+    let fp_actions = serve_probe(&export(&fp_snap));
 
     // Bit-equality gate: uniform policy == legacy global-bits runtime.
     let (legacy_agent, legacy_snap) = train_ddpg_arm(base_config().with_qat(delay, 16), steps);
@@ -231,16 +232,9 @@ fn main() {
         policy_agent.actor(),
         "GATE FAILED: uniform policy diverged from legacy actor weights"
     );
-    let seq = Parallelism::sequential();
     assert_eq!(
-        legacy_snap
-            .select_actions_batch(&probe, &seq)
-            .unwrap()
-            .as_slice(),
-        policy_snap
-            .select_actions_batch(&probe, &seq)
-            .unwrap()
-            .as_slice(),
+        serve_probe(&export(&legacy_snap)),
+        serve_probe(&export(&policy_snap)),
         "GATE FAILED: uniform policy served different actions than legacy"
     );
     println!("bit-equality gate: uniform16 policy == legacy runtime OK");

@@ -2,16 +2,19 @@
 //! front door under open-loop client load.
 //!
 //! Simulated clients submit observations without waiting for their own
-//! responses (a bounded in-flight window keeps memory sane), the
-//! per-shard batchers coalesce them — flush on `max_batch` or
-//! `max_delay`, whichever first — and every response is stamped with the
-//! snapshot id that served it. The sweep covers request counts
-//! {1k, 10k, 100k} × batch deadlines {0, 100µs, 1ms} × shards {1, 2, 4},
-//! reporting p50/p99 client-observed latency and served actions/sec.
+//! responses (a bounded in-flight window keeps memory sane) to an
+//! `ArtifactServer`, the per-shard batchers coalesce them — flush on
+//! `max_batch` or `max_delay`, whichever first — and every response is
+//! stamped with the id and content hash of the artifact that served it.
+//! The sweep covers request counts {1k, 10k, 100k} × batch deadlines
+//! {0, 100µs, 1ms} × shards {1, 2, 4}, reporting p50/p99 client-observed
+//! latency and served actions/sec.
 //!
 //! **Bit-equality gate:** before any timing, a serving run (including a
-//! live mid-run snapshot swap) is replayed offline against the recorded
-//! snapshot ids and must match bit-for-bit — the timing numbers of a
+//! live mid-run artifact swap) is replayed offline by the recorded
+//! artifact ids — each stamp checked against that artifact's content
+//! hash, each action against its `infer` and against the snapshot it was
+//! exported from — and must match bit-for-bit. The timing numbers of a
 //! server that broke the determinism contract would be meaningless, so
 //! the bench panics instead of reporting them.
 //!
@@ -22,9 +25,10 @@
 //! * `FIXAR_BENCH_JSON` — when set to a path, also writes the results
 //!   as a JSON document (the `BENCH_serve_latency.json` CI artifact).
 
+use fixar_deploy::PolicyArtifact;
 use fixar_fixed::Fx32;
-use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot};
-use fixar_serve::{ActionResponse, PendingReply, ServeConfig, Server};
+use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot, Transition, TransitionBatch};
+use fixar_serve::{ArtifactReplica, ArtifactResponse, ArtifactServer, PendingReply, ServeConfig};
 use std::fmt::Write as _;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -46,13 +50,32 @@ struct Record {
     max_batch_rows: u64,
 }
 
-fn agent(seed: u64) -> Ddpg<Fx32> {
-    // Pendulum-shaped agent at the quick-study network scale (64×48
-    // hidden), matching the fleet_serving bench.
-    let mut cfg = DdpgConfig::small_test();
+/// A Pendulum-shaped policy at the quick-study network scale (64×48
+/// hidden, matching the fleet_serving bench), trained through a 16-bit
+/// QAT freeze so its artifact serves through real quantizers.
+fn trained_snapshot(seed: u64, id: u64) -> PolicySnapshot<Fx32> {
+    let mut cfg = DdpgConfig::small_test().with_qat(4, 16);
     cfg.hidden = (64, 48);
     cfg.seed = seed;
-    Ddpg::new(3, 1, cfg).unwrap()
+    let mut agent = Ddpg::<Fx32>::new(3, 1, cfg).unwrap();
+    let transitions: Vec<Transition> = (0..agent.config().batch_size)
+        .map(|i| Transition {
+            state: obs(i),
+            action: vec![(i as f64 * 0.3).sin()],
+            reward: (i as f64).cos(),
+            next_state: obs(i + 1),
+            terminal: i % 7 == 0,
+        })
+        .collect();
+    let refs: Vec<&Transition> = transitions.iter().collect();
+    let batch = TransitionBatch::from_transitions(&refs).unwrap();
+    for t in 0..8 {
+        agent.act(&obs(t)).unwrap();
+        agent.train_minibatch(&batch).unwrap();
+        agent.on_timestep(t as u64).unwrap();
+    }
+    assert!(agent.qat_frozen(), "QAT schedule must have fired");
+    agent.policy_snapshot(id)
 }
 
 fn obs(i: usize) -> Vec<f64> {
@@ -61,7 +84,7 @@ fn obs(i: usize) -> Vec<f64> {
 
 /// Serves `total` requests from `CLIENTS` open-loop client threads,
 /// returning (sorted latencies in µs, wall seconds).
-fn drive(server: &Server<PolicySnapshot<Fx32>>, total: usize, record_obs: bool) -> DriveResult {
+fn drive(server: &ArtifactServer, total: usize, record_obs: bool) -> DriveResult {
     let per_client = total / CLIENTS;
     let wall = Instant::now();
     let threads: Vec<_> = (0..CLIENTS)
@@ -75,15 +98,15 @@ fn drive(server: &Server<PolicySnapshot<Fx32>>, total: usize, record_obs: bool) 
                     |w: &mut std::collections::VecDeque<(
                         Vec<f64>,
                         Instant,
-                        PendingReply<ActionResponse>,
+                        PendingReply<ArtifactResponse>,
                     )>,
                      latencies: &mut Vec<f64>,
-                     served: &mut Vec<(Vec<f64>, u64, Vec<f64>)>| {
+                     served: &mut Vec<(Vec<f64>, ArtifactResponse)>| {
                         let (o, t0, pending) = w.pop_front().expect("window underflow");
                         let resp = pending.wait().expect("serving failed");
                         latencies.push(t0.elapsed().as_secs_f64() * 1e6);
                         if record_obs {
-                            served.push((o, resp.snapshot_id, resp.action));
+                            served.push((o, resp));
                         }
                     };
                 for i in 0..per_client {
@@ -120,7 +143,7 @@ fn drive(server: &Server<PolicySnapshot<Fx32>>, total: usize, record_obs: bool) 
 struct DriveResult {
     latencies_us: Vec<f64>,
     wall_s: f64,
-    served: Vec<(Vec<f64>, u64, Vec<f64>)>,
+    served: Vec<(Vec<f64>, ArtifactResponse)>,
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -131,44 +154,55 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-/// The determinism gate: serve with a mid-run snapshot swap, replay
-/// offline against the recorded ids, panic on any bit difference.
-fn bit_equality_gate(a0: &Ddpg<Fx32>, a1: &Ddpg<Fx32>) {
-    let server = Server::start(
-        a0.policy_snapshot(0),
+/// The determinism gate: serve with a mid-run artifact swap, replay
+/// offline by the recorded ids, panic on any bit difference.
+fn bit_equality_gate(snaps: &[PolicySnapshot<Fx32>; 2], artifacts: &[PolicyArtifact; 2]) {
+    let server = ArtifactServer::start(
+        ArtifactReplica::new(artifacts[0].clone(), 0),
         ServeConfig {
             max_batch: 32,
             max_delay: Duration::from_micros(100),
             shards: 2,
-            workers: 2,
+            workers: 1,
         },
     )
     .expect("gate server");
-    let publisher = server.publisher();
     let swap = {
-        let publisher = publisher.clone();
-        let snap = a1.policy_snapshot(1);
+        let publisher = server.publisher();
+        let replica = ArtifactReplica::new(artifacts[1].clone(), 1);
         thread::spawn(move || {
             thread::sleep(Duration::from_millis(1));
-            publisher.publish(snap).expect("mid-run publish");
+            publisher.publish(replica).expect("mid-run publish");
         })
     };
     let result = drive(&server, 512, true);
     swap.join().unwrap();
     drop(server);
 
-    let replicas: [PolicySnapshot<Fx32>; 2] = [a0.policy_snapshot(0), a1.policy_snapshot(1)];
     assert_eq!(result.served.len(), 512, "gate lost responses");
-    for (o, id, action) in &result.served {
-        let snap = &replicas[*id as usize];
-        let replayed = snap.select_action(o).expect("offline replay");
+    for (o, resp) in &result.served {
+        let id = resp.artifact_id as usize;
+        let art = &artifacts[id];
         assert_eq!(
-            action, &replayed,
-            "BIT-EQUALITY GATE FAILED: served action diverges from offline replay \
-             of snapshot {id} — refusing to report timings"
+            resp.content_hash,
+            art.content_hash(),
+            "BIT-EQUALITY GATE FAILED: artifact {id} stamped with another hash"
         );
+        for (replayed, what) in [
+            (art.infer(o).expect("offline replay"), "artifact"),
+            (snaps[id].select_action(o).expect("oracle"), "snapshot"),
+        ] {
+            assert_eq!(
+                resp.action, replayed,
+                "BIT-EQUALITY GATE FAILED: served action diverges from the {what} \
+                 of artifact {id} — refusing to report timings"
+            );
+        }
     }
-    println!("bit-equality gate: 512 served responses (with mid-run snapshot swap) replay exactly");
+    println!(
+        "bit-equality gate: 512 served responses (with mid-run artifact swap) replay exactly \
+         against the artifact and the snapshot"
+    );
 }
 
 fn main() {
@@ -183,9 +217,11 @@ fn main() {
          (window {INFLIGHT_WINDOW}), request cap {cap}, {cores} host core(s)"
     );
 
-    let a0 = agent(0);
-    let a1 = agent(1);
-    bit_equality_gate(&a0, &a1);
+    let snaps = [trained_snapshot(0, 0), trained_snapshot(1, 1)];
+    let artifacts = snaps
+        .each_ref()
+        .map(|s| s.export_artifact().expect("export artifact"));
+    bit_equality_gate(&snaps, &artifacts);
 
     let counts: Vec<usize> = REQUEST_COUNTS
         .iter()
@@ -198,13 +234,13 @@ fn main() {
     for &requests in &counts {
         for &deadline_us in &DEADLINES_US {
             for &shards in &SHARD_COUNTS {
-                let server = Server::start(
-                    a0.policy_snapshot(0),
+                let server = ArtifactServer::start(
+                    ArtifactReplica::new(artifacts[0].clone(), 0),
                     ServeConfig {
                         max_batch: 32,
                         max_delay: Duration::from_micros(deadline_us),
                         shards,
-                        workers: 2,
+                        workers: 1,
                     },
                 )
                 .expect("bench server");
@@ -236,7 +272,7 @@ fn main() {
         let _ = writeln!(json, "  \"bench\": \"serve_latency\",");
         let _ = writeln!(json, "  \"env\": \"Pendulum\",");
         let _ = writeln!(json, "  \"hidden\": [64, 48],");
-        let _ = writeln!(json, "  \"backend\": \"Fx32\",");
+        let _ = writeln!(json, "  \"backend\": \"Fx32 artifact, 16-bit QAT\",");
         let _ = writeln!(json, "  \"clients\": {CLIENTS},");
         let _ = writeln!(json, "  \"inflight_window\": {INFLIGHT_WINDOW},");
         let _ = writeln!(json, "  \"max_batch\": 32,");

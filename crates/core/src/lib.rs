@@ -17,7 +17,7 @@
 //!   MuJoCo-dimensioned locomotion benchmarks,
 //! * [`fixar_rl`] — DDPG with the QAT controller,
 //! * [`fixar_serve`] — the request-driven serving front door (deadline
-//!   micro-batching over published policy snapshots),
+//!   micro-batching over published deployment artifacts),
 //! * [`fixar_deploy`] — integer-only deployment artifacts: a trained
 //!   QAT actor frozen into a self-contained blob plus a no-float
 //!   interpreter,
@@ -74,9 +74,8 @@ pub mod prelude {
         Transition, TransitionBatch,
     };
     pub use fixar_serve::{
-        ActionResponse, ArtifactClient, ArtifactReplica, ArtifactResponse, ArtifactServer, Client,
-        PendingReply, Publisher, ServeConfig, ServeError, ServeStats, ServedReplica, Server,
-        ShardStats, Store,
+        ArtifactClient, ArtifactReplica, ArtifactResponse, ArtifactServer, Client, PendingReply,
+        Publisher, ServeConfig, ServeError, ServeStats, ServedReplica, Server, ShardStats, Store,
     };
 
     pub use crate::{FixarRunReport, FixarSystem};

@@ -26,7 +26,8 @@ const FALL_ANGLE: f64 = 0.7;
 /// over — the paper's "agent falls down" criterion for evaluation.
 ///
 /// The paper's text says "6-dimensional action" for Hopper, which is a
-/// typo (three actuated joints); see DESIGN.md §1.
+/// typo: a planar hopper has three actuated joints, so its action is
+/// 3-dimensional, as in MuJoCo's Hopper.
 #[derive(Debug, Clone)]
 pub struct Hopper {
     rig: Rig,

@@ -12,7 +12,7 @@
 //! | [`Pendulum`]    | 3           | 1       | analytic; fast tests/examples |
 //!
 //! (The paper prints "6-dimensional action" for Hopper — a typo; a hopper
-//! has three actuated joints. See DESIGN.md §1.)
+//! has three actuated joints, as in MuJoCo's Hopper.)
 //!
 //! Episodes are 1000 steps (200 for Pendulum), matching the paper's
 //! "episode = 1000 timesteps". All environments are deterministic given a

@@ -61,8 +61,7 @@
 //! # Default formats
 //!
 //! The paper does not publish its binary-point positions, so FIXAR-rs picks
-//! formats that make its Fig. 7 behaviour numerically honest (see
-//! `DESIGN.md` §4):
+//! formats that make its Fig. 7 behaviour numerically honest:
 //!
 //! * [`Fx32`] = `Q32<20>` (Q12.20): range ±2048, resolution ≈ 9.5e-7 —
 //!   viable for Adam moments and 1e-4 learning-rate updates.

@@ -32,8 +32,9 @@ pub struct AdamConfig {
     pub beta2: f64,
     /// Denominator offset. The default `1e-4` is chosen to be representable
     /// in Q12.20 and to degrade gracefully when tiny second moments
-    /// underflow in fixed point (see DESIGN.md §4); it is applied to every
-    /// backend so precision comparisons are confound-free.
+    /// underflow in fixed point (`(1 − β₂)·g²` is below one Q12.20 step
+    /// unless |g| ≳ 0.02, and the step is then bounded by `lr·m̂/ε`); it is
+    /// applied to every backend so precision comparisons are confound-free.
     pub eps: f64,
 }
 

@@ -487,8 +487,7 @@ impl<S: Scalar> Mlp<S> {
     /// Row `b` of every trace matrix is bit-identical to the per-sample
     /// pass on `x.row(b)` ([`Mlp::forward_trace`] for
     /// [`QatPhase::Off`], [`Mlp::forward_qat`] for
-    /// [`QatPhase::Observing`], [`Mlp::forward_qat_frozen`] for
-    /// [`QatPhase::Frozen`]) at every worker count of `par`.
+    /// [`QatPhase::Observing`]) at every worker count of `par`.
     ///
     /// # Errors
     ///
@@ -1296,13 +1295,8 @@ mod tests {
             .forward_batch(&x, QatPhase::Observing(&mut qat_batched), &par)
             .unwrap()
             .output;
-        // The frozen (read-only) phase agrees with the observing one …
-        let yf = mlp
-            .forward_batch(&x, QatPhase::Frozen(&qat_batched), &seq())
-            .unwrap()
-            .output;
-        assert_eq!(yf, yb);
-        // … and both with the per-sample frozen and observing passes.
+        // The quantizing batch agrees with the per-sample frozen and
+        // observing passes.
         for b in 0..x.rows() {
             let frozen = mlp
                 .forward_qat_frozen(x.row(b), &qat_looped)
@@ -1326,12 +1320,8 @@ mod tests {
         assert!(mlp
             .backward_batch(&t, &bad_dl, Some(&mut grads), true, &seq())
             .is_err());
-        // Mismatched runtime point counts are rejected up front, in
-        // both runtime-carrying phases.
+        // Mismatched runtime point counts are rejected up front.
         let mut wrong = QatRuntime::disabled(mlp.num_layers() + 5);
-        assert!(mlp
-            .forward_batch(&x, QatPhase::Frozen(&wrong), &seq())
-            .is_err());
         assert!(mlp
             .forward_batch(&x, QatPhase::Observing(&mut wrong), &seq())
             .is_err());

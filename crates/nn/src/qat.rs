@@ -652,9 +652,6 @@ pub enum QatPhase<'a> {
     /// `Quantize` projects activations onto the frozen grids — the
     /// training phase ([`QatRuntime::process`]).
     Observing(&'a mut QatRuntime),
-    /// Frozen quantizers apply, nothing is recorded — the shared
-    /// read-only serving phase ([`QatRuntime::apply`]).
-    Frozen(&'a QatRuntime),
 }
 
 impl QatPhase<'_> {
@@ -663,7 +660,6 @@ impl QatPhase<'_> {
         match self {
             Self::Off => None,
             Self::Observing(qat) => Some(qat.num_points()),
-            Self::Frozen(qat) => Some(qat.num_points()),
         }
     }
 
@@ -672,7 +668,6 @@ impl QatPhase<'_> {
         match self {
             Self::Off => {}
             Self::Observing(qat) => qat.process(point, xs),
-            Self::Frozen(qat) => qat.apply(point, xs),
         }
     }
 }

@@ -31,8 +31,10 @@
 //!   from [`Ddpg::act`],
 //! * [`PrecisionMode`] — the four arms of the Fig. 7 precision study,
 //! * [`PolicySnapshot`] — an immutable actor replica (weights + frozen
-//!   QAT runtime + snapshot id), the unit the serving front door
-//!   (`fixar-serve`) publishes and replays against.
+//!   QAT runtime + id): on `Fx32` it exports the integer artifact the
+//!   serving front door (`fixar-serve`) publishes, and its
+//!   `select_action` is the per-sample oracle served actions replay
+//!   against.
 //!
 //! Everything is generic over the numeric backend, so the *same* code
 //! runs the float baseline and the fixed-point FIXAR runs.

@@ -1,56 +1,42 @@
-//! Immutable policy snapshots — the unit of publication for request
-//! serving.
+//! Immutable policy snapshots — the export vehicle and the per-sample
+//! oracle of a deployed policy.
 //!
 //! A [`PolicySnapshot`] freezes the online actor at one instant: the
 //! weights, the QAT runtime (whose frozen quantizers are applied
-//! *immutably* — serving never feeds the range monitors), and a caller
-//! chosen **snapshot id**. The serving layer (`fixar-serve`) keeps the
-//! current snapshot behind an atomic swap and stamps every response with
-//! the id of the snapshot that produced it, which is what makes served
-//! trajectories replayable: feed the same observation to
-//! [`PolicySnapshot::select_action`] on the snapshot with the recorded
-//! id and the action is bit-identical.
+//! *immutably* — a snapshot never feeds the range monitors), and a caller
+//! chosen id. On `Fx32` it exports the integer-only
+//! [`PolicyArtifact`] that `fixar-serve` serves and firmware runs
+//! ([`PolicySnapshot::export_artifact`]); on any backend it answers one
+//! observation through the frozen per-sample forward
+//! ([`PolicySnapshot::select_action`]), the independent reference every
+//! differential test replays served and deployed actions against.
 
 use fixar_deploy::{ActKind, DeployError, PolicyArtifact};
 use fixar_fixed::Scalar;
-use fixar_nn::{Mlp, QatMode, QatPhase, QatRuntime};
-use fixar_pool::Parallelism;
-use fixar_tensor::Matrix;
+use fixar_nn::{Mlp, QatMode, QatRuntime};
 
 use crate::{Ddpg, RlError};
 
-/// An immutable actor replica: frozen weights + frozen QAT runtime +
-/// monotonically increasing snapshot id.
+/// An immutable actor replica: frozen weights + frozen QAT runtime + id.
 ///
 /// Snapshots are cheap value types (`Clone`) and `Send + Sync`, so the
-/// trainer can keep training its own copy while any number of serving
-/// shards read a published one — the PR 5 double-buffer pattern with an
-/// id attached.
-///
-/// # Determinism
-///
-/// [`PolicySnapshot::select_actions_batch`] composes the bit-exact
-/// batched kernels with the immutable QAT application, so row `i` of a
-/// batched call equals the per-sample [`PolicySnapshot::select_action`]
-/// on row `i` — for every batch composition, worker count, and backend
-/// (including saturating `Fx32`). That is the whole serving determinism
-/// contract: responses do not depend on which requests happened to share
-/// a micro-batch.
+/// trainer keeps training its own copy while a snapshot is exported or
+/// replayed elsewhere. `f32` snapshots are a training-side value only;
+/// `Fx32` snapshots also export.
 ///
 /// # Example
 ///
 /// ```
-/// use fixar_pool::Parallelism;
+/// use fixar_fixed::Fx32;
 /// use fixar_rl::{Ddpg, DdpgConfig};
-/// use fixar_tensor::Matrix;
 ///
-/// let agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test())?;
+/// let agent = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test())?;
 /// let snap = agent.policy_snapshot(1);
-/// let obs = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f64 * 0.1);
-/// let batched = snap.select_actions_batch(&obs, &Parallelism::sequential())?;
-/// let single = snap.select_action(obs.row(2))?;
-/// assert_eq!(batched.row(2), single.as_slice());
-/// # Ok::<(), fixar_rl::RlError>(())
+/// let obs = [0.1, 0.2, 0.3];
+/// // The deployed artifact answers exactly as the frozen forward does.
+/// let artifact = snap.export_artifact()?;
+/// assert_eq!(artifact.infer(&obs)?, snap.select_action(&obs)?);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct PolicySnapshot<S: Scalar> {
@@ -78,20 +64,10 @@ impl<S: Scalar> PolicySnapshot<S> {
         Ok(Self { actor, qat, id })
     }
 
-    /// The publication id stamped on every response served from this
-    /// snapshot.
+    /// The id the snapshot was taken under (by convention the id its
+    /// exported artifact is published under).
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Observation dimension the snapshot accepts.
-    pub fn state_dim(&self) -> usize {
-        self.actor.input_dim()
-    }
-
-    /// Action dimension the snapshot produces.
-    pub fn action_dim(&self) -> usize {
-        self.actor.output_dim()
     }
 
     /// The frozen actor network.
@@ -118,30 +94,9 @@ impl<S: Scalar> PolicySnapshot<S> {
         self.qat.point_formats()
     }
 
-    /// Selects actions for a whole micro-batch of observations (one row
-    /// per request), sharding rows over `par`'s pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::Nn`] if `states.cols()` differs from the
-    /// observation dimension, [`RlError::Worker`] if a pool worker
-    /// panicked.
-    pub fn select_actions_batch(
-        &self,
-        states: &Matrix<f64>,
-        par: &Parallelism,
-    ) -> Result<Matrix<f64>, RlError> {
-        let s: Matrix<S> = states.cast();
-        let out = self
-            .actor
-            .forward_batch(&s, QatPhase::Frozen(&self.qat), par)?
-            .output;
-        Ok(out.cast())
-    }
-
-    /// Selects the action for one observation — the per-sample offline
-    /// replay reference. Bit-equal to the corresponding row of any
-    /// [`PolicySnapshot::select_actions_batch`] call containing it.
+    /// Selects the action for one observation through the frozen
+    /// per-sample forward — the offline replay reference. On `Fx32` the
+    /// exported artifact's `infer` and `infer_batch` equal it bit for bit.
     ///
     /// # Errors
     ///
@@ -224,6 +179,7 @@ mod tests {
     use super::*;
     use crate::{DdpgConfig, Td3Config};
     use fixar_fixed::Fx32;
+    use fixar_tensor::Matrix;
 
     fn td3_config() -> DdpgConfig {
         DdpgConfig::small_test().with_td3(Td3Config::default())
@@ -250,84 +206,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_rows_equal_per_sample_replay() {
-        let agent = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        let snap = agent.policy_snapshot(7);
-        assert_eq!(snap.id(), 7);
-        let obs = obs_batch(9, 3);
-        let batched = snap
-            .select_actions_batch(&obs, &Parallelism::sequential())
-            .unwrap();
-        for r in 0..obs.rows() {
-            assert_eq!(batched.row(r), snap.select_action(obs.row(r)).unwrap());
-        }
-    }
-
-    #[test]
-    fn snapshot_is_insensitive_to_batch_composition_and_workers() {
-        let agent = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        let snap = agent.policy_snapshot(1);
-        let obs = obs_batch(8, 3);
-        let whole = snap
-            .select_actions_batch(&obs, &Parallelism::with_workers(4))
-            .unwrap();
-        // Same rows served in two smaller, shuffled batches.
-        let idx = [5usize, 1, 7, 0, 3, 6, 2, 4];
-        for (k, &i) in idx.iter().enumerate() {
-            let sub = Matrix::from_fn(1, 3, |_, c| obs[(i, c)]);
-            let got = snap
-                .select_actions_batch(&sub, &Parallelism::with_workers(1 + k % 3))
-                .unwrap();
-            assert_eq!(got.row(0), whole.row(i), "row {i} depends on composition");
-        }
-    }
-
-    #[test]
     fn snapshot_matches_training_actor_then_diverges_after_updates() {
         let mut agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test()).unwrap();
         let snap = agent.policy_snapshot(0);
         let obs = obs_batch(1, 3);
         let live = agent.select_actions_batch(&obs).unwrap();
-        let frozen = snap
-            .select_actions_batch(&obs, &Parallelism::sequential())
-            .unwrap();
-        assert_eq!(live.row(0), frozen.row(0));
+        let before = snap.select_action(obs.row(0)).unwrap();
+        assert_eq!(live.row(0), before.as_slice());
         // The snapshot is a value copy: training the agent afterwards
-        // must not change what the snapshot serves.
-        let before: Vec<f64> = frozen.row(0).to_vec();
+        // must not change what the snapshot answers.
         let batch = synthetic_batch(agent.config().batch_size, 3, 1);
         for _ in 0..10 {
             agent.train_minibatch(&batch).unwrap();
         }
-        let after = snap
-            .select_actions_batch(&obs, &Parallelism::sequential())
-            .unwrap();
-        assert_eq!(after.row(0), before.as_slice());
-    }
-
-    #[test]
-    fn qat_frozen_snapshot_serves_quantized_actions() {
-        let mut agent = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test().with_qat(4, 16)).unwrap();
-        // Feed every runtime's range monitors (actor via act, critics
-        // via training), then drive the schedule past the delay so the
-        // quantizers freeze.
-        let batch = synthetic_batch(agent.config().batch_size, 3, 1);
-        for t in 0..8u64 {
-            let s = obs_batch(1, 3);
-            agent.act(s.row(0)).unwrap();
-            agent.train_minibatch(&batch).unwrap();
-            agent.on_timestep(t).unwrap();
-        }
-        assert!(agent.qat_frozen());
-        let snap = agent.policy_snapshot(3);
-        assert!(snap.qat_frozen());
-        let obs = obs_batch(5, 3);
-        let batched = snap
-            .select_actions_batch(&obs, &Parallelism::with_workers(2))
-            .unwrap();
-        for r in 0..obs.rows() {
-            assert_eq!(batched.row(r), snap.select_action(obs.row(r)).unwrap());
-        }
+        assert_eq!(snap.select_action(obs.row(0)).unwrap(), before);
     }
 
     #[test]
@@ -336,20 +228,16 @@ mod tests {
         let snap = agent.policy_snapshot(2);
         assert!(!snap.qat_frozen());
         let obs = obs_batch(6, 3);
-        let batched = snap
-            .select_actions_batch(&obs, &Parallelism::with_workers(2))
-            .unwrap();
         let live = agent.select_actions_batch(&obs).unwrap();
         for r in 0..obs.rows() {
-            assert_eq!(batched.row(r), live.row(r));
-            assert_eq!(batched.row(r), snap.select_action(obs.row(r)).unwrap());
+            assert_eq!(live.row(r), snap.select_action(obs.row(r)).unwrap());
         }
     }
 
     #[test]
     fn mixed_precision_snapshot_reports_its_formats_and_replays() {
         // 8-bit actor / 16-bit critics: the snapshot must carry the
-        // actor's 8-bit grids and serve bit-reproducibly through them.
+        // actor's 8-bit grids and export them bit-reproducibly.
         let mut agent =
             Ddpg::<Fx32>::new(3, 1, td3_config().with_mixed_precision_qat(2, 8, 16)).unwrap();
         let batch = synthetic_batch(16, 3, 1);
@@ -368,12 +256,13 @@ mod tests {
             .iter()
             .all(|f| f.map(|q| q.total_bits()) == Some(8)));
         assert!(formats[formats.len() - 1].is_none());
+        let art = snap.export_artifact().unwrap();
         let obs = obs_batch(6, 3);
-        let batched = snap
-            .select_actions_batch(&obs, &Parallelism::with_workers(2))
-            .unwrap();
         for r in 0..obs.rows() {
-            assert_eq!(batched.row(r), snap.select_action(obs.row(r)).unwrap());
+            assert_eq!(
+                art.infer(obs.row(r)).unwrap(),
+                snap.select_action(obs.row(r)).unwrap()
+            );
         }
     }
 
@@ -389,9 +278,10 @@ mod tests {
         }
         assert!(agent.qat_frozen());
         let snap = agent.policy_snapshot(1);
+        assert_eq!(snap.id(), 1);
+        assert!(snap.qat_frozen());
         let art = snap.export_artifact().unwrap();
-        assert_eq!(art.input_dim(), snap.state_dim());
-        assert_eq!(art.output_dim(), snap.action_dim());
+        assert_eq!((art.input_dim(), art.output_dim()), (3, 1));
         let obs = obs_batch(7, 3);
         for r in 0..obs.rows() {
             let want = snap.select_action(obs.row(r)).unwrap();

@@ -1,25 +1,51 @@
-//! Serving integer-only deployment artifacts.
+//! The served replica: an integer-only deployment artifact.
 //!
-//! [`ArtifactReplica`] is the deployment-side replica kind: behind the
-//! same [`Server`] front door as a `PolicySnapshot`, every batch is
-//! answered by the `fixar-deploy` integer interpreter instead of the
-//! float-capable snapshot path. Responses are stamped with the
-//! replica's publication id **and** the artifact's content hash, so a
-//! served trajectory can be audited against the exact frozen blob that
-//! produced it: decode the blob, check
+//! Every batch is answered by the `fixar-deploy` integer interpreter, and
+//! every response is stamped with the replica's publication id **and** the
+//! artifact's content hash, so a served trajectory can be audited against
+//! the exact frozen blob that produced it: decode the blob, check
 //! [`PolicyArtifact::content_hash`], replay each observation through
 //! [`PolicyArtifact::infer`], and the actions match bit-for-bit.
 
 use fixar_deploy::PolicyArtifact;
-use fixar_pool::Parallelism;
-use fixar_tensor::Matrix;
 
-use crate::replica::ServedReplica;
 use crate::server::{Client, Server};
 use crate::ServeError;
 
-/// One served action from an integer-only artifact, stamped with its
-/// provenance.
+/// One immutable, id-stamped policy replica a [`Server`] can serve
+/// micro-batches from.
+///
+/// [`ArtifactReplica`] is the replica; the trait is the seam through which
+/// a test substitutes a fake (a replica whose batches fail, say). A
+/// replica never changes after construction: the server loads it once per
+/// batch, so every row of a batch — and every response stamped with its
+/// [`id`](ServedReplica::id) — comes from exactly one replica.
+pub trait ServedReplica: Send + Sync + 'static {
+    /// Publication id; a [`Store`](crate::Store) only accepts replicas
+    /// whose id strictly exceeds the served one.
+    fn id(&self) -> u64;
+
+    /// Content hash stamped on every response served from this replica.
+    fn content_hash(&self) -> u64;
+
+    /// Observation dimension the replica accepts.
+    fn state_dim(&self) -> usize;
+
+    /// Action dimension the replica produces.
+    fn action_dim(&self) -> usize;
+
+    /// Answers a whole micro-batch: `obs` holds one observation per row,
+    /// row-major, and the result one action per row, row-major. Row `i`
+    /// of the result must not depend on which other rows share the batch.
+    ///
+    /// # Errors
+    ///
+    /// Whatever error fails the batch; the server hands a copy to every
+    /// request in it and keeps serving.
+    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError>;
+}
+
+/// One served action, stamped with its provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArtifactResponse {
     /// The artifact's action for the submitted observation.
@@ -57,28 +83,15 @@ impl ArtifactReplica {
             content_hash,
         }
     }
-
-    /// Publication id of this replica.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Cached [`PolicyArtifact::content_hash`] of the wrapped artifact.
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash
-    }
-
-    /// The wrapped artifact.
-    pub fn artifact(&self) -> &PolicyArtifact {
-        &self.artifact
-    }
 }
 
 impl ServedReplica for ArtifactReplica {
-    type Response = ArtifactResponse;
-
     fn id(&self) -> u64 {
         self.id
+    }
+
+    fn content_hash(&self) -> u64 {
+        self.content_hash
     }
 
     fn state_dim(&self) -> usize {
@@ -89,157 +102,19 @@ impl ServedReplica for ArtifactReplica {
         self.artifact.output_dim()
     }
 
-    // The micro-batch is one interpreter walk on this thread: every row's
-    // action is bit-identical to `infer` on it alone, so worker
-    // parallelism could not change an answer and is not spun up.
-    fn serve_batch(
-        &self,
-        obs: &Matrix<f64>,
-        _par: &Parallelism,
-    ) -> Result<Matrix<f64>, ServeError> {
-        let actions = self
-            .artifact
-            .infer_batch(obs.as_slice())
-            .map_err(|e| ServeError::Inference(e.to_string()))?;
-        Ok(
-            Matrix::from_vec(obs.rows(), self.artifact.output_dim(), actions)
-                .expect("infer_batch returns one action per observation row"),
-        )
-    }
-
-    fn respond(&self, action: Vec<f64>, batch_rows: usize) -> ArtifactResponse {
-        ArtifactResponse {
-            action,
-            artifact_id: self.id,
-            content_hash: self.content_hash,
-            batch_rows,
-        }
+    // One interpreter walk on the batcher's thread: every row's action is
+    // bit-identical to `infer` on it alone, so worker parallelism could
+    // not change an answer and none is spun up.
+    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError> {
+        self.artifact
+            .infer_batch(obs)
+            .map_err(|e| ServeError::Inference(e.to_string()))
     }
 }
 
-/// The deployment-side serving front door: [`Server`] over
-/// [`ArtifactReplica`]s (the name the repository benchmark starts).
+/// The serving front door over [`ArtifactReplica`]s (the name the
+/// repository benchmark starts).
 pub type ArtifactServer = Server<ArtifactReplica>;
 
 /// Client handle of an [`ArtifactServer`].
 pub type ArtifactClient = Client<ArtifactReplica>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ServeConfig;
-    use fixar_fixed::Fx32;
-    use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot};
-
-    fn snapshot(id: u64) -> PolicySnapshot<Fx32> {
-        Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test())
-            .unwrap()
-            .policy_snapshot(id)
-    }
-
-    fn replica(id: u64) -> ArtifactReplica {
-        ArtifactReplica::new(snapshot(0).export_artifact().unwrap(), id)
-    }
-
-    fn obs(i: usize) -> Vec<f64> {
-        (0..3).map(|c| ((i * 3 + c) as f64).sin() * 0.8).collect()
-    }
-
-    #[test]
-    fn serves_artifact_actions_stamped_with_content_hash() {
-        let snap = snapshot(0);
-        let art = snap.export_artifact().unwrap();
-        let hash = art.content_hash();
-        let server =
-            ArtifactServer::start(ArtifactReplica::new(art, 7), ServeConfig::default()).unwrap();
-        assert_eq!(server.current_id(), 7);
-        assert_eq!(server.current().content_hash(), hash);
-        let client = server.client();
-        assert_eq!(client.state_dim(), 3);
-        assert_eq!(client.action_dim(), 1);
-        let offline = snap.export_artifact().unwrap();
-        for i in 0..24 {
-            let resp = client.request(&obs(i)).unwrap();
-            assert_eq!(resp.artifact_id, 7);
-            assert_eq!(resp.content_hash, hash);
-            assert!(resp.batch_rows >= 1);
-            assert_eq!(resp.action, offline.infer(&obs(i)).unwrap());
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.requests(), 24);
-    }
-
-    #[test]
-    fn publish_swaps_replicas_and_rejects_stale_or_mismatched_ones() {
-        let server = ArtifactServer::start(replica(1), ServeConfig::default()).unwrap();
-        let publisher = server.publisher();
-        assert_eq!(publisher.current_id(), 1);
-        assert_eq!(publisher.publish(replica(2)).unwrap(), 2);
-        assert!(matches!(
-            publisher.publish(replica(2)),
-            Err(ServeError::StaleSnapshot {
-                current: 2,
-                offered: 2
-            })
-        ));
-        let wrong_shape = ArtifactReplica::new(
-            Ddpg::<Fx32>::new(5, 2, DdpgConfig::small_test())
-                .unwrap()
-                .policy_snapshot(0)
-                .export_artifact()
-                .unwrap(),
-            9,
-        );
-        assert!(matches!(
-            publisher.publish(wrong_shape),
-            Err(ServeError::WrongDimension {
-                expected: 3,
-                got: 5
-            })
-        ));
-        let resp = server.client().request(&obs(0)).unwrap();
-        assert_eq!(resp.artifact_id, 2);
-    }
-
-    #[test]
-    fn non_finite_observations_never_reach_the_interpreter() {
-        // At the parent `[NaN, 0.3, -0.2]` was answered exactly like
-        // `[0.0, 0.3, -0.2]`, hash-stamped and all.
-        let server = ArtifactServer::start(replica(0), ServeConfig::default()).unwrap();
-        let client = server.client();
-        for (index, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
-            .into_iter()
-            .enumerate()
-        {
-            let mut o = vec![0.0, 0.3, -0.2];
-            o[index] = bad;
-            assert_eq!(
-                client.request(&o),
-                Err(ServeError::NonFiniteObservation { index })
-            );
-        }
-        client.request(&[0.0, 0.3, -0.2]).unwrap();
-        let stats = server.shutdown();
-        assert_eq!(stats.shards[0].requests, 1);
-        assert_eq!(stats.shards[0].served_rows, 1);
-    }
-
-    #[test]
-    fn rejects_bad_dimensions_and_drains_on_shutdown() {
-        let server = ArtifactServer::start(replica(0), ServeConfig::default()).unwrap();
-        let client = server.client();
-        assert!(matches!(
-            client.request(&[0.5]),
-            Err(ServeError::WrongDimension {
-                expected: 3,
-                got: 1
-            })
-        ));
-        let pending: Vec<_> = (0..8).map(|i| client.submit(&obs(i)).unwrap()).collect();
-        drop(server);
-        for p in pending {
-            p.wait().unwrap();
-        }
-        assert!(matches!(client.submit(&obs(0)), Err(ServeError::Shutdown)));
-    }
-}

@@ -2,57 +2,57 @@
 //!
 //! Everything upstream of this crate is trainer-driven lockstep; this is
 //! the opposite direction: many concurrent clients submit observations
-//! and a **deadline micro-batcher** coalesces them into batched
-//! inference on immutable replicas. One front door serves every replica
-//! kind — anything implementing [`ServedReplica`]: the float-capable
-//! [`PolicySnapshot`](fixar_rl::PolicySnapshot) (`select_actions_batch`)
-//! and the integer-only [`ArtifactReplica`].
+//! and a **deadline micro-batcher** coalesces them into one walk of the
+//! integer-only interpreter per batch, on an immutable
+//! [`ArtifactReplica`] — an id-stamped [`fixar_deploy::PolicyArtifact`],
+//! the deployed unit of a trained policy.
 //!
-//! * [`Server`] — owns N shards, each a hand-rolled MPMC request queue
-//!   drained by a dedicated batcher thread. A batch flushes when it
-//!   reaches [`ServeConfig::max_batch`] **or** the oldest request has
-//!   waited [`ServeConfig::max_delay`], whichever comes first.
-//! * [`Client`] — cheap clonable handle: [`Client::submit`] enqueues an
-//!   observation (rejecting mis-sized and non-finite ones with a typed
-//!   [`ServeError`] before they reach a queue) and returns a
-//!   [`PendingReply`] one-shot; [`Client::request`] is the blocking
-//!   convenience wrapper.
+//! * [`Server`] ([`ArtifactServer`]) — owns N shards, each a hand-rolled
+//!   MPMC request queue drained by a dedicated batcher thread. A batch
+//!   flushes when it reaches [`ServeConfig::max_batch`] **or** the oldest
+//!   request has waited [`ServeConfig::max_delay`], whichever comes
+//!   first.
+//! * [`Client`] ([`ArtifactClient`]) — cheap clonable handle:
+//!   [`Client::submit`] enqueues an observation (rejecting mis-sized and
+//!   non-finite ones with a typed [`ServeError`] before they reach a
+//!   queue) and returns a [`PendingReply`] one-shot; [`Client::request`]
+//!   is the blocking convenience wrapper.
 //! * [`Publisher`] — the trainer-side handle: [`Publisher::publish`]
 //!   atomically swaps a new replica into the [`Store`] (monotonically
 //!   increasing id enforced) without ever blocking the request path.
 //!
-//! # The snapshot-id contract
+//! The handles are generic over [`ServedReplica`] only so a test can serve
+//! through a fake replica; each defaults to [`ArtifactReplica`].
 //!
-//! Every [`ActionResponse`] carries the id of the snapshot that produced
-//! it, and one micro-batch is served from exactly one snapshot. Because
-//! the underlying kernels are bit-exact under batching and pool
-//! parallelism, a served trajectory is **bit-equal to an offline
-//! replay**: feed each recorded observation to
-//! `PolicySnapshot::select_action` on the snapshot with the recorded id
-//! and the actions match exactly — regardless of which requests shared a
-//! batch, the deadline knobs, the shard count, or `FIXAR_WORKERS`.
-//! `tests/serve_props.rs` in the workspace proves this end to end,
-//! including across mid-run snapshot swaps and QAT-frozen actors.
+//! # The audit contract
 //!
-//! # Serving deployment artifacts
-//!
-//! Started on an [`ArtifactReplica`] (an id-stamped
-//! [`fixar_deploy::PolicyArtifact`]) the same server — [`ArtifactServer`]
-//! and [`ArtifactClient`] are its aliases — produces every action with
-//! the no-float interpreter and stamps every [`ArtifactResponse`] with
-//! the artifact's **content hash** in addition to its publication id:
-//! auditing a served trajectory needs nothing but the frozen blob.
+//! Every [`ArtifactResponse`] carries the publication id of the replica
+//! that produced it and the artifact's **content hash**, and one
+//! micro-batch is served from exactly one replica. Because the
+//! interpreter answers every row of a batch exactly as it answers that
+//! row alone, a served trajectory is **bit-equal to an offline replay**:
+//! decode the blob with the recorded hash, feed each recorded observation
+//! to [`PolicyArtifact::infer`](fixar_deploy::PolicyArtifact::infer), and
+//! the actions match exactly — regardless of which requests shared a
+//! batch, the deadline knobs or the shard count. They match
+//! `PolicySnapshot::select_action`, the per-sample training-side oracle
+//! the artifact was exported from, too. `tests/deploy_props.rs` in the
+//! workspace proves this end to end, including across mid-run swaps and
+//! QAT-frozen actors.
 //!
 //! # Example
 //!
 //! ```
+//! use fixar_fixed::Fx32;
 //! use fixar_rl::{Ddpg, DdpgConfig};
-//! use fixar_serve::{ServeConfig, Server};
+//! use fixar_serve::{ArtifactReplica, ArtifactServer, ServeConfig};
 //! use std::time::Duration;
 //!
-//! let agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test())?;
-//! let server = Server::start(
-//!     agent.policy_snapshot(0),
+//! let agent = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test())?;
+//! let artifact = agent.policy_snapshot(0).export_artifact()?;
+//! let hash = artifact.content_hash();
+//! let server = ArtifactServer::start(
+//!     ArtifactReplica::new(artifact.clone(), 0),
 //!     ServeConfig {
 //!         max_batch: 8,
 //!         max_delay: Duration::from_micros(100),
@@ -61,29 +61,29 @@
 //!     },
 //! )?;
 //! let client = server.client();
-//! let resp = client.request(&[0.1, -0.4, 0.25])?;
-//! assert_eq!(resp.snapshot_id, 0);
-//! assert_eq!(resp.action.len(), 1);
+//! let obs = [0.1, -0.4, 0.25];
+//! let resp = client.request(&obs)?;
+//! assert_eq!((resp.artifact_id, resp.content_hash), (0, hash));
+//! assert_eq!(resp.action, artifact.infer(&obs)?);
 //!
-//! // Trainer publishes a fresher snapshot; later responses carry id 1.
-//! server.publisher().publish(agent.policy_snapshot(1))?;
-//! assert_eq!(client.request(&[0.1, -0.4, 0.25])?.snapshot_id, 1);
-//! # Ok::<(), fixar_serve::ServeError>(())
+//! // The trainer publishes a fresher policy; later responses carry id 1.
+//! let fresher = agent.policy_snapshot(1).export_artifact()?;
+//! server.publisher().publish(ArtifactReplica::new(fresher, 1))?;
+//! assert_eq!(client.request(&obs)?.artifact_id, 1);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod artifact;
-mod replica;
 mod server;
 mod store;
 
-pub use artifact::{ArtifactClient, ArtifactReplica, ArtifactResponse, ArtifactServer};
-pub use replica::ServedReplica;
-pub use server::{
-    ActionResponse, Client, PendingReply, Publisher, ServeConfig, ServeStats, Server, ShardStats,
+pub use artifact::{
+    ArtifactClient, ArtifactReplica, ArtifactResponse, ArtifactServer, ServedReplica,
 };
+pub use server::{Client, PendingReply, Publisher, ServeConfig, ServeStats, Server, ShardStats};
 pub use store::Store;
 
 use std::error::Error;
@@ -101,7 +101,7 @@ pub enum ServeError {
         /// Dimension the request carried.
         got: usize,
     },
-    /// A publish offered a snapshot whose id does not advance the
+    /// A publish offered a replica whose id does not advance the
     /// current one — publication ids must increase strictly
     /// monotonically.
     StaleSnapshot {
@@ -120,7 +120,8 @@ pub enum ServeError {
     /// The server has shut down; the request was not (or will not be)
     /// served.
     Shutdown,
-    /// Inference on the batcher thread failed (stringified `RlError`).
+    /// Inference on the batcher thread failed (a stringified
+    /// [`DeployError`](fixar_deploy::DeployError)).
     Inference(String),
 }
 
@@ -148,9 +149,3 @@ impl fmt::Display for ServeError {
 }
 
 impl Error for ServeError {}
-
-impl From<fixar_rl::RlError> for ServeError {
-    fn from(e: fixar_rl::RlError) -> Self {
-        ServeError::Inference(e.to_string())
-    }
-}

@@ -1,20 +1,17 @@
 //! The sharded deadline micro-batcher and its front door.
 //!
-//! Everything here is generic over the [`ServedReplica`] being served:
-//! the same queues, deadline logic, counters and handles serve
-//! float-side [`PolicySnapshot`](fixar_rl::PolicySnapshot) replicas and
-//! integer-only deployment artifacts
-//! ([`ArtifactReplica`](crate::ArtifactReplica)).
+//! The queues, deadline logic, counters and handles are generic over the
+//! [`ServedReplica`] only so a test can serve through a fake; every
+//! parameter defaults to [`ArtifactReplica`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use fixar_pool::{oneshot, MpmcQueue, OneShotReceiver, OneShotSender, Parallelism};
-use fixar_tensor::Matrix;
+use fixar_pool::{oneshot, MpmcQueue, OneShotReceiver, OneShotSender};
 
-use crate::replica::ServedReplica;
+use crate::artifact::{ArtifactReplica, ArtifactResponse, ServedReplica};
 use crate::{ServeError, Store};
 
 /// Knobs of the serving front door.
@@ -29,11 +26,11 @@ pub struct ServeConfig {
     pub max_delay: Duration,
     /// Independent shards: each has its own request queue and batcher
     /// thread, and requests are routed round-robin. More shards = more
-    /// concurrent `select_actions_batch` calls.
+    /// concurrent interpreter walks.
     pub shards: usize,
-    /// Kernel workers per batched inference (the pool the batch rows
-    /// shard over). The `FIXAR_WORKERS` environment variable overrides
-    /// this, exactly as it does for training configs.
+    /// Ignored. A micro-batch is one interpreter walk on its shard's
+    /// batcher thread, so no worker pool is started, whatever this or
+    /// `FIXAR_WORKERS` says; the field stays for existing callers.
     pub workers: usize,
 }
 
@@ -48,23 +45,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// One served action, stamped with its provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActionResponse {
-    /// The policy's action for the submitted observation.
-    pub action: Vec<f64>,
-    /// Id of the [`PolicySnapshot`](fixar_rl::PolicySnapshot) that
-    /// produced it — replaying the observation against this snapshot
-    /// reproduces `action` bit-for-bit.
-    pub snapshot_id: u64,
-    /// Number of requests that shared the micro-batch (diagnostics; has
-    /// no effect on the action by the bit-exactness contract).
-    pub batch_rows: usize,
-}
-
-struct Request<Resp> {
+struct Request {
     obs: Vec<f64>,
-    reply: OneShotSender<Result<Resp, ServeError>>,
+    reply: OneShotSender<Result<ArtifactResponse, ServeError>>,
 }
 
 /// Per-shard counters, updated with relaxed atomics (monotonic event
@@ -141,7 +124,7 @@ impl ServeStats {
 
 struct Shared<R: ServedReplica> {
     store: Store<R>,
-    queues: Vec<MpmcQueue<Request<R::Response>>>,
+    queues: Vec<MpmcQueue<Request>>,
     counters: Vec<ShardCounters>,
     next_shard: AtomicUsize,
     state_dim: usize,
@@ -150,9 +133,7 @@ struct Shared<R: ServedReplica> {
 
 /// The request-driven serving front door: N sharded request queues, one
 /// deadline micro-batcher thread per shard, all serving immutable
-/// replicas ([`PolicySnapshot`](fixar_rl::PolicySnapshot)s,
-/// [`ArtifactReplica`](crate::ArtifactReplica)s, or any other
-/// [`ServedReplica`]) loaded from a [`Store`] once per batch.
+/// [`ArtifactReplica`]s loaded from a [`Store`] once per batch.
 ///
 /// See the [crate docs](crate) for semantics and an end-to-end example;
 /// `examples/serve_quickstart.rs` drives a live trainer against it.
@@ -160,7 +141,7 @@ struct Shared<R: ServedReplica> {
 /// Dropping the server closes every queue (in-flight and already-queued
 /// requests are still served — graceful drain) and joins the batcher
 /// threads.
-pub struct Server<R: ServedReplica> {
+pub struct Server<R: ServedReplica = ArtifactReplica> {
     shared: Arc<Shared<R>>,
     batchers: Vec<JoinHandle<()>>,
 }
@@ -180,7 +161,6 @@ impl<R: ServedReplica> Server<R> {
         if cfg.shards == 0 {
             return Err(ServeError::InvalidConfig("shards must be ≥ 1".into()));
         }
-        let par = Parallelism::from_env_or(cfg.workers);
         let shared = Arc::new(Shared {
             state_dim: initial.state_dim(),
             action_dim: initial.action_dim(),
@@ -192,11 +172,10 @@ impl<R: ServedReplica> Server<R> {
         let batchers = (0..cfg.shards)
             .map(|shard| {
                 let shared = Arc::clone(&shared);
-                let par = par.clone();
                 let (max_batch, max_delay) = (cfg.max_batch, cfg.max_delay);
                 thread::Builder::new()
                     .name(format!("fixar-serve-{shard}"))
-                    .spawn(move || batcher_loop(&shared, shard, max_batch, max_delay, &par))
+                    .spawn(move || batcher_loop(&shared, shard, max_batch, max_delay))
                     .expect("spawning batcher thread")
             })
             .collect();
@@ -215,16 +194,6 @@ impl<R: ServedReplica> Server<R> {
         Publisher {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Id of the replica the *next* batch will be served from.
-    pub fn current_id(&self) -> u64 {
-        self.shared.store.current_id()
-    }
-
-    /// The replica the *next* batch will be served from.
-    pub fn current(&self) -> Arc<R> {
-        self.shared.store.load()
     }
 
     /// Point-in-time serving counters.
@@ -277,7 +246,6 @@ fn batcher_loop<R: ServedReplica>(
     shard: usize,
     max_batch: usize,
     max_delay: Duration,
-    par: &Parallelism,
 ) {
     let queue = &shared.queues[shard];
     let counters = &shared.counters[shard];
@@ -309,14 +277,23 @@ fn batcher_loop<R: ServedReplica>(
 
         // One batch = one replica: load once, serve every row from it.
         let replica = shared.store.load();
-        let mut obs = Matrix::zeros(rows, shared.state_dim);
-        for (i, r) in requests.iter().enumerate() {
-            obs.row_mut(i).copy_from_slice(&r.obs);
+        let mut obs = Vec::with_capacity(rows * shared.state_dim);
+        for r in &requests {
+            obs.extend_from_slice(&r.obs);
         }
-        match replica.serve_batch(&obs, par) {
+        match replica.serve_batch(&obs) {
             Ok(actions) => {
-                for (i, r) in requests.into_iter().enumerate() {
-                    let resp = replica.respond(actions.row(i).to_vec(), rows);
+                debug_assert_eq!(actions.len(), rows * shared.action_dim);
+                for (r, action) in requests
+                    .into_iter()
+                    .zip(actions.chunks_exact(shared.action_dim))
+                {
+                    let resp = ArtifactResponse {
+                        action: action.to_vec(),
+                        artifact_id: replica.id(),
+                        content_hash: replica.content_hash(),
+                        batch_rows: rows,
+                    };
                     if r.reply.send(Ok(resp)).is_err() {
                         counters.dropped_replies.fetch_add(1, Ordering::Relaxed);
                     }
@@ -338,7 +315,7 @@ fn batcher_loop<R: ServedReplica>(
 ///
 /// Cloning is cheap (an `Arc` bump); clones may be moved freely across
 /// client threads.
-pub struct Client<R: ServedReplica> {
+pub struct Client<R: ServedReplica = ArtifactReplica> {
     shared: Arc<Shared<R>>,
 }
 
@@ -351,16 +328,6 @@ impl<R: ServedReplica> Clone for Client<R> {
 }
 
 impl<R: ServedReplica> Client<R> {
-    /// Observation dimension the served policy expects.
-    pub fn state_dim(&self) -> usize {
-        self.shared.state_dim
-    }
-
-    /// Action dimension the served policy produces.
-    pub fn action_dim(&self) -> usize {
-        self.shared.action_dim
-    }
-
     /// Enqueues an observation (round-robin across shards) and returns
     /// immediately with a [`PendingReply`] to collect the response
     /// from — the open-loop submission path.
@@ -373,7 +340,7 @@ impl<R: ServedReplica> Client<R> {
     /// into a valid-looking zero or rail value), and
     /// [`ServeError::Shutdown`] if the server has shut down. A rejected
     /// observation is never enqueued or counted.
-    pub fn submit(&self, obs: &[f64]) -> Result<PendingReply<R::Response>, ServeError> {
+    pub fn submit(&self, obs: &[f64]) -> Result<PendingReply<ArtifactResponse>, ServeError> {
         let shared = &*self.shared;
         if obs.len() != shared.state_dim {
             return Err(ServeError::WrongDimension {
@@ -407,7 +374,7 @@ impl<R: ServedReplica> Client<R> {
     ///
     /// As [`Client::submit`], plus anything the batcher reports (e.g.
     /// [`ServeError::Inference`]).
-    pub fn request(&self, obs: &[f64]) -> Result<R::Response, ServeError> {
+    pub fn request(&self, obs: &[f64]) -> Result<ArtifactResponse, ServeError> {
         self.submit(obs)?.wait()
     }
 }
@@ -434,7 +401,7 @@ impl<R> PendingReply<R> {
 
 /// Trainer-side handle: publish fresher replicas without ever blocking
 /// the request path (the swap is O(1) under a lock no inference holds).
-pub struct Publisher<R: ServedReplica> {
+pub struct Publisher<R: ServedReplica = ArtifactReplica> {
     shared: Arc<Shared<R>>,
 }
 
@@ -468,21 +435,25 @@ impl<R: ServedReplica> Publisher<R> {
         }
         self.shared.store.publish(replica)
     }
-
-    /// Id currently being served (the floor for the next publish).
-    pub fn current_id(&self) -> u64 {
-        self.shared.store.current_id()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fixar_deploy::PolicyArtifact;
     use fixar_fixed::Fx32;
     use fixar_rl::{Ddpg, DdpgConfig};
 
-    fn agent() -> Ddpg<Fx32> {
-        Ddpg::new(3, 1, DdpgConfig::small_test()).unwrap()
+    fn artifact(state_dim: usize, action_dim: usize) -> PolicyArtifact {
+        Ddpg::<Fx32>::new(state_dim, action_dim, DdpgConfig::small_test())
+            .unwrap()
+            .policy_snapshot(0)
+            .export_artifact()
+            .unwrap()
+    }
+
+    fn replica(id: u64) -> ArtifactReplica {
+        ArtifactReplica::new(artifact(3, 1), id)
     }
 
     fn obs(i: usize) -> Vec<f64> {
@@ -490,37 +461,42 @@ mod tests {
     }
 
     #[test]
-    fn serves_and_stamps_snapshot_ids() {
-        let a = agent();
-        let server = Server::start(a.policy_snapshot(0), ServeConfig::default()).unwrap();
+    fn serves_actions_stamped_with_id_and_content_hash() {
+        let art = artifact(3, 1);
+        let hash = art.content_hash();
+        let server =
+            Server::start(ArtifactReplica::new(art.clone(), 7), ServeConfig::default()).unwrap();
         let client = server.client();
-        let snap = a.policy_snapshot(0);
-        for i in 0..32 {
+        for i in 0..24 {
             let resp = client.request(&obs(i)).unwrap();
-            assert_eq!(resp.snapshot_id, 0);
+            assert_eq!((resp.artifact_id, resp.content_hash), (7, hash));
             assert!(resp.batch_rows >= 1);
-            assert_eq!(resp.action, snap.select_action(&obs(i)).unwrap());
+            assert_eq!(resp.action, art.infer(&obs(i)).unwrap());
         }
         let stats = server.shutdown();
-        assert_eq!(stats.requests(), 32);
+        assert_eq!(stats.requests(), 24);
         assert_eq!(stats.shards.len(), 1);
         assert!(stats.batches() >= 1);
     }
 
     #[test]
     fn rejects_bad_configs_and_bad_dimensions() {
-        let a = agent();
-        assert!(matches!(
-            Server::start(
-                a.policy_snapshot(0),
-                ServeConfig {
-                    max_batch: 0,
-                    ..ServeConfig::default()
-                }
-            ),
-            Err(ServeError::InvalidConfig(_))
-        ));
-        let server = Server::start(a.policy_snapshot(0), ServeConfig::default()).unwrap();
+        for cfg in [
+            ServeConfig {
+                max_batch: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                shards: 0,
+                ..ServeConfig::default()
+            },
+        ] {
+            assert!(matches!(
+                Server::start(replica(0), cfg),
+                Err(ServeError::InvalidConfig(_))
+            ));
+        }
+        let server = Server::start(replica(0), ServeConfig::default()).unwrap();
         assert!(matches!(
             server.client().request(&[1.0]),
             Err(ServeError::WrongDimension {
@@ -531,51 +507,72 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_observations_are_rejected_before_the_queue() {
-        // `Fx32::from_f64` maps NaN to 0 and ±∞ to the rails, and an
-        // `f32` snapshot answers NaN: either way a valid-looking reply
-        // to a request that carried no observation.
-        let fx = Server::start(agent().policy_snapshot(0), ServeConfig::default()).unwrap();
-        let float = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        let fl = Server::start(float.policy_snapshot(0), ServeConfig::default()).unwrap();
+    fn non_finite_observations_never_reach_the_interpreter() {
+        // `Fx32::from_f64` maps NaN to 0 and ±∞ to the rails: a
+        // valid-looking, hash-stamped reply to a request that carried no
+        // observation.
+        let server = Server::start(replica(0), ServeConfig::default()).unwrap();
+        let client = server.client();
         for (index, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
             .into_iter()
             .enumerate()
         {
             let mut o = obs(0);
             o[index] = bad;
-            let want = Err(ServeError::NonFiniteObservation { index });
-            assert_eq!(fx.client().request(&o), want);
-            assert_eq!(fl.client().request(&o), want);
+            assert_eq!(
+                client.request(&o),
+                Err(ServeError::NonFiniteObservation { index })
+            );
         }
-        fx.client().request(&obs(0)).unwrap();
-        assert_eq!(fx.shutdown().requests(), 1);
-        assert_eq!(fl.shutdown().requests(), 0);
+        client.request(&obs(0)).unwrap();
+        let stats = server.shutdown();
+        assert_eq!(stats.shards[0].requests, 1);
+        assert_eq!(stats.shards[0].served_rows, 1);
     }
 
     #[test]
-    fn publish_swaps_ids_and_rejects_stale_ones() {
-        let a = agent();
-        let server = Server::start(a.policy_snapshot(3), ServeConfig::default()).unwrap();
+    fn publish_swaps_replicas_and_rejects_stale_or_mismatched_ones() {
+        let server = Server::start(replica(1), ServeConfig::default()).unwrap();
         let publisher = server.publisher();
-        assert_eq!(publisher.publish(a.policy_snapshot(4)).unwrap(), 4);
-        assert_eq!(server.current_id(), 4);
+        assert_eq!(publisher.publish(replica(2)).unwrap(), 2);
         assert!(matches!(
-            publisher.publish(a.policy_snapshot(4)),
+            publisher.publish(replica(2)),
             Err(ServeError::StaleSnapshot {
-                current: 4,
-                offered: 4
+                current: 2,
+                offered: 2
             })
         ));
-        let resp = server.client().request(&obs(0)).unwrap();
-        assert_eq!(resp.snapshot_id, 4);
+        assert!(matches!(
+            publisher.publish(ArtifactReplica::new(artifact(5, 2), 9)),
+            Err(ServeError::WrongDimension {
+                expected: 3,
+                got: 5
+            })
+        ));
+        assert_eq!(server.client().request(&obs(0)).unwrap().artifact_id, 2);
+    }
+
+    #[test]
+    fn store_enforces_monotone_ids_and_old_arcs_survive() {
+        let store = Store::new(replica(5));
+        let held = store.load();
+        assert_eq!(store.publish(replica(9)).unwrap(), 9);
+        assert_eq!(store.load().id(), 9);
+        // A batcher holding the old replica still serves id 5.
+        assert_eq!(held.id(), 5);
+        assert_eq!(
+            store.publish(replica(9)),
+            Err(ServeError::StaleSnapshot {
+                current: 9,
+                offered: 9
+            })
+        );
     }
 
     #[test]
     fn shutdown_drains_queued_requests_then_rejects_new_ones() {
-        let a = agent();
         let server = Server::start(
-            a.policy_snapshot(0),
+            replica(0),
             ServeConfig {
                 shards: 2,
                 max_delay: Duration::from_millis(1),
@@ -594,18 +591,17 @@ mod tests {
 
     #[test]
     fn concurrent_clients_all_get_correct_rows() {
-        let a = agent();
+        let art = artifact(3, 1);
         let server = Server::start(
-            a.policy_snapshot(0),
+            ArtifactReplica::new(art.clone(), 0),
             ServeConfig {
                 shards: 2,
                 max_batch: 8,
                 max_delay: Duration::from_micros(200),
-                workers: 2,
+                workers: 1,
             },
         )
         .unwrap();
-        let reference = a.policy_snapshot(0);
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let client = server.client();
@@ -621,11 +617,35 @@ mod tests {
             .collect();
         for t in threads {
             for (o, resp) in t.join().unwrap() {
-                assert_eq!(resp.action, reference.select_action(&o).unwrap());
+                assert_eq!(resp.action, art.infer(&o).unwrap());
             }
         }
         let stats = server.shutdown();
         assert_eq!(stats.requests(), 100);
         assert_eq!(stats.shards.iter().map(|s| s.served_rows).sum::<u64>(), 100);
+    }
+
+    #[test]
+    fn worker_count_is_ignored_and_changes_no_served_bit() {
+        let served_bits = |workers| {
+            let server = Server::start(
+                replica(0),
+                ServeConfig {
+                    max_batch: 8,
+                    shards: 2,
+                    workers,
+                    ..ServeConfig::default()
+                },
+            )
+            .unwrap();
+            let client = server.client();
+            let pending: Vec<_> = (0..40).map(|i| client.submit(&obs(i)).unwrap()).collect();
+            pending
+                .into_iter()
+                .flat_map(|p| p.wait().unwrap().action)
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(served_bits(8), served_bits(1));
     }
 }

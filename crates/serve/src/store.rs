@@ -3,8 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::replica::ServedReplica;
-use crate::ServeError;
+use crate::{ArtifactReplica, ServeError, ServedReplica};
 
 /// Holds the replica currently being served, swapped atomically on
 /// publish.
@@ -19,19 +18,21 @@ use crate::ServeError;
 /// # Example
 ///
 /// ```
+/// use fixar_fixed::Fx32;
 /// use fixar_rl::{Ddpg, DdpgConfig};
-/// use fixar_serve::Store;
+/// use fixar_serve::{ArtifactReplica, ServedReplica, Store};
 ///
-/// let agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-/// let store = Store::new(agent.policy_snapshot(0));
+/// let agent = Ddpg::<Fx32>::new(3, 1, DdpgConfig::small_test()).unwrap();
+/// let artifact = agent.policy_snapshot(0).export_artifact().unwrap();
+/// let store = Store::new(ArtifactReplica::new(artifact.clone(), 0));
 /// assert_eq!(store.load().id(), 0);
-/// store.publish(agent.policy_snapshot(1)).unwrap();
+/// store.publish(ArtifactReplica::new(artifact.clone(), 1)).unwrap();
 /// assert_eq!(store.load().id(), 1);
 /// // Ids must strictly increase.
-/// assert!(store.publish(agent.policy_snapshot(1)).is_err());
+/// assert!(store.publish(ArtifactReplica::new(artifact, 1)).is_err());
 /// ```
 #[derive(Debug)]
-pub struct Store<R> {
+pub struct Store<R = ArtifactReplica> {
     slot: Mutex<Arc<R>>,
 }
 
@@ -48,11 +49,6 @@ impl<R: ServedReplica> Store<R> {
     /// even across later publishes.
     pub fn load(&self) -> Arc<R> {
         Arc::clone(&self.slot.lock().expect("replica slot"))
-    }
-
-    /// Id of the replica currently being served.
-    pub fn current_id(&self) -> u64 {
-        self.slot.lock().expect("replica slot").id()
     }
 
     /// Atomically swaps in `replica`, returning its id.
@@ -73,29 +69,5 @@ impl<R: ServedReplica> Store<R> {
         let id = replica.id();
         *slot = Arc::new(replica);
         Ok(id)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fixar_rl::{Ddpg, DdpgConfig};
-
-    #[test]
-    fn publish_enforces_monotone_ids_and_old_arcs_survive() {
-        let agent = Ddpg::<f32>::new(3, 1, DdpgConfig::small_test()).unwrap();
-        let store = Store::new(agent.policy_snapshot(5));
-        let held = store.load();
-        assert_eq!(store.publish(agent.policy_snapshot(9)).unwrap(), 9);
-        assert_eq!(store.current_id(), 9);
-        // A batcher holding the old snapshot still serves id 5.
-        assert_eq!(held.id(), 5);
-        assert_eq!(
-            store.publish(agent.policy_snapshot(9)),
-            Err(ServeError::StaleSnapshot {
-                current: 9,
-                offered: 9
-            })
-        );
     }
 }

@@ -2,13 +2,13 @@
 //! request-driven front door end to end.
 //!
 //! A trainer improves a Pendulum policy in short chunks; after every
-//! chunk it publishes an immutable snapshot of the actor to the
-//! [`Server`]. Meanwhile client threads stream observations at
-//! the server; the per-shard batchers coalesce them into micro-batches
-//! (flush on `max_batch` or `max_delay`, whichever comes first) and
-//! every response is stamped with the id of the snapshot that served
-//! it — so at the end the whole served trajectory replays offline,
-//! bit-for-bit.
+//! chunk it exports the actor as an integer-only artifact and publishes
+//! it to the [`ArtifactServer`]. Meanwhile client threads stream
+//! observations at the server; the per-shard batchers coalesce them into
+//! micro-batches (flush on `max_batch` or `max_delay`, whichever comes
+//! first) and every response is stamped with the id and content hash of
+//! the artifact that served it — so at the end the whole served
+//! trajectory replays offline, bit-for-bit.
 //!
 //! ```text
 //! cargo run --release --example serve_quickstart
@@ -22,24 +22,25 @@ use fixar_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small Pendulum agent; the server starts on its untrained
-    // weights as snapshot 0.
+    // weights as artifact 0.
     let cfg = DdpgConfig::small_test().with_seed(11);
     let pool = EnvPool::from_kind(EnvKind::Pendulum, 1, 1);
     let mut trainer = Trainer::<Fx32>::new(pool, EnvKind::Pendulum.make(2), cfg)?;
-    let server = Server::start(
-        trainer.agent().policy_snapshot(0),
+    let initial = trainer.agent().policy_snapshot(0).export_artifact()?;
+    let server = ArtifactServer::start(
+        ArtifactReplica::new(initial.clone(), 0),
         ServeConfig {
             max_batch: 16,
             max_delay: Duration::from_micros(200),
             shards: 2,
-            workers: 2,
+            workers: 1,
         },
     )?;
     let publisher = server.publisher();
 
-    // Keep a replica of every published snapshot for the offline audit.
-    let mut replicas: HashMap<u64, PolicySnapshot<Fx32>> = HashMap::new();
-    replicas.insert(0, trainer.agent().policy_snapshot(0));
+    // Keep every published artifact for the offline audit.
+    let mut published: HashMap<u64, PolicyArtifact> = HashMap::new();
+    published.insert(0, initial);
 
     // Three clients stream 200 observations each, a handful in flight
     // at a time, recording what they were served.
@@ -63,13 +64,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    // Meanwhile: train in chunks, publishing a fresh snapshot after
+    // Meanwhile: train in chunks, publishing a fresh artifact after
     // each one. Clients never block on training — they keep being
     // served by the last published replica.
     for round in 1..=3u64 {
         trainer.run(150, 150, 1)?;
-        publisher.publish(trainer.agent().policy_snapshot(round))?;
-        replicas.insert(round, trainer.agent().policy_snapshot(round));
+        let artifact = trainer.agent().policy_snapshot(round).export_artifact()?;
+        publisher.publish(ArtifactReplica::new(artifact.clone(), round))?;
+        published.insert(round, artifact);
     }
 
     let mut served = Vec::new();
@@ -81,13 +83,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let stats = server.shutdown();
 
-    // Every response replays bit-identically against the snapshot it
-    // names — the determinism contract that makes serving auditable.
-    let mut per_snapshot: HashMap<u64, usize> = HashMap::new();
+    // Every response replays bit-identically against the artifact it
+    // names, whose content hash it carries — the determinism contract
+    // that makes serving auditable.
+    let mut per_artifact: HashMap<u64, usize> = HashMap::new();
     for (obs, resp) in &served {
-        let replayed = replicas[&resp.snapshot_id].select_action(obs)?;
-        assert_eq!(resp.action, replayed, "served ≠ offline replay");
-        *per_snapshot.entry(resp.snapshot_id).or_default() += 1;
+        let artifact = &published[&resp.artifact_id];
+        assert_eq!(resp.content_hash, artifact.content_hash(), "wrong hash");
+        assert_eq!(resp.action, artifact.infer(obs)?, "served ≠ offline replay");
+        *per_artifact.entry(resp.artifact_id).or_default() += 1;
     }
 
     latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -99,10 +103,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.mean_batch_rows()
     );
     println!("latency p50 {:.0}us  p99 {:.0}us", pct(0.50), pct(0.99));
-    let mut ids: Vec<_> = per_snapshot.into_iter().collect();
+    let mut ids: Vec<_> = per_artifact.into_iter().collect();
     ids.sort_unstable();
     for (id, n) in ids {
-        println!("  snapshot {id}: {n} responses, all replay bit-identically");
+        let hash = published[&id].content_hash();
+        println!("  artifact {id} ({hash:016x}): {n} responses, all replay bit-identically");
     }
     Ok(())
 }

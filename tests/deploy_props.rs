@@ -1,15 +1,26 @@
 //! Deployment-artifact determinism suite: the differential no-float
-//! harness behind `fixar-deploy`.
+//! harness behind `fixar-deploy`, and the audit contract of the serving
+//! front door that answers from it.
 //!
-//! **The contract:** freezing a trained QAT actor into a
+//! **The freeze contract:** freezing a trained QAT actor into a
 //! [`PolicyArtifact`] — raw integer weights, per-point quantizer specs,
 //! a trailing content hash — must change *nothing*. For every agent
 //! type (DDPG and TD3), every precision-policy arm (uniform 8/16,
 //! mixed, tapered per-point, adaptive-frozen), every observation, and
 //! across serialization round-trips, the integer-only interpreter must
 //! reproduce `PolicySnapshot::select_action` **bit-for-bit** — at every
-//! `FIXAR_WORKERS` setting (CI sweeps 1/2/8 over this whole file) and
-//! through the `ArtifactServer` front door.
+//! `FIXAR_WORKERS` setting (CI sweeps 1/2/8 over this whole file).
+//!
+//! **The serving contract:** every [`ArtifactResponse`] carries the id
+//! and the content hash of the artifact that served it, and replaying
+//! the recorded observation offline — through the artifact with that id,
+//! whose hash must match the stamp, and through the snapshot it was
+//! exported from — reproduces the action **bit-for-bit**. This must hold
+//! at every shard count, every batch composition the racy arrival order
+//! happens to produce, across live mid-run swaps, and for QAT-frozen
+//! actors serving through quantizers. Those tests serve through real
+//! concurrent clients against the real batcher threads — nothing is
+//! mocked except the one replica whose batch is made to fail.
 //!
 //! The no-float side of the contract is enforced twice: statically (the
 //! interpreter source contains no float tokens — a unit test inside
@@ -20,12 +31,13 @@
 //! path executes zero float ops.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
+use std::time::Duration;
 
 use fixar_deploy::guard::{self, NoFloatZone};
 use fixar_repro::prelude::*;
-use fixar_tensor::Matrix;
 use proptest::prelude::*;
 
 const STATE_DIM: usize = 3;
@@ -203,22 +215,19 @@ fn legacy_uniform_qat_builder_exports_identically() {
 
 #[test]
 fn batched_inference_matches_the_artifact_at_env_worker_counts() {
-    // `select_actions_batch` under the CI `FIXAR_WORKERS` sweep must
-    // agree row-for-row with the single-sample interpreter.
-    let par = Parallelism::from_env_or(2);
+    // One `infer_batch` walk — the served path — must agree row for row
+    // with the per-sample oracle on snapshots trained under whatever
+    // `FIXAR_WORKERS` the CI matrix sets.
+    let rows = 9;
+    let batch: Vec<f64> = (0..rows).flat_map(obs).collect();
     for (name, snap, art) in fixtures() {
-        let rows = 9;
-        let mut batch = Matrix::zeros(rows, STATE_DIM);
-        for r in 0..rows {
-            batch.row_mut(r).copy_from_slice(&obs(r));
-        }
-        let actions = snap.select_actions_batch(&batch, &par).unwrap();
-        for r in 0..rows {
+        let actions = art.infer_batch(&batch).unwrap();
+        assert_eq!(actions.len(), rows * ACTION_DIM, "{name}");
+        for (r, action) in actions.chunks(ACTION_DIM).enumerate() {
             assert_eq!(
-                actions.row(r),
-                art.infer(batch.row(r)).unwrap(),
-                "{name} row {r} (workers {})",
-                par.workers()
+                action,
+                snap.select_action(&obs(r)).unwrap(),
+                "{name} row {r}"
             );
         }
     }
@@ -438,6 +447,324 @@ fn served_artifact_responses_replay_offline_by_content_hash() {
     }
     assert_eq!(by_hash.len(), 1, "one replica ⇒ one content hash");
     assert_eq!(by_hash[&hash], 60);
+}
+
+/// An untrained `Fx32` policy as the snapshot it was taken under and the
+/// artifact exported from it.
+fn exported(seed: u64) -> (PolicySnapshot<Fx32>, PolicyArtifact) {
+    let cfg = DdpgConfig {
+        seed,
+        ..DdpgConfig::small_test()
+    };
+    let snap = Ddpg::<Fx32>::new(STATE_DIM, ACTION_DIM, cfg)
+        .unwrap()
+        .policy_snapshot(seed);
+    let art = snap.export_artifact().unwrap();
+    (snap, art)
+}
+
+/// Everything published during a run, by artifact id: the snapshot
+/// oracle and the artifact a recorded response is audited against.
+type Published = HashMap<u64, (PolicySnapshot<Fx32>, PolicyArtifact)>;
+
+/// Serves `n` requests from `clients` concurrent client threads and
+/// returns every (observation, response) pair.
+fn serve_all(
+    server: &ArtifactServer,
+    n: usize,
+    clients: usize,
+) -> Vec<(Vec<f64>, ArtifactResponse)> {
+    let per_client = n / clients;
+    let threads: Vec<_> = (0..clients)
+        .map(|t| {
+            let client = server.client();
+            thread::spawn(move || {
+                let mut out = Vec::with_capacity(per_client);
+                // Submit in windows so real micro-batches form.
+                let mut window = Vec::new();
+                for i in 0..per_client {
+                    let o = obs(t * 1_000_000 + i);
+                    window.push((o.clone(), client.submit(&o).unwrap()));
+                    if window.len() == 16 {
+                        for (o, p) in window.drain(..) {
+                            out.push((o, p.wait().unwrap()));
+                        }
+                    }
+                }
+                for (o, p) in window {
+                    out.push((o, p.wait().unwrap()));
+                }
+                out
+            })
+        })
+        .collect();
+    threads
+        .into_iter()
+        .flat_map(|t| t.join().unwrap())
+        .collect()
+}
+
+/// Replays every response twice — through the artifact its id names,
+/// whose content hash must equal the stamp, and through the snapshot that
+/// artifact was exported from — and asserts bit equality.
+fn assert_replays_bit_identically(
+    served: &[(Vec<f64>, ArtifactResponse)],
+    published: &Published,
+    what: &str,
+) {
+    for (o, resp) in served {
+        let id = resp.artifact_id;
+        let (snap, art) = published
+            .get(&id)
+            .unwrap_or_else(|| panic!("{what}: response stamped unknown id {id}"));
+        assert_eq!(
+            resp.content_hash,
+            art.content_hash(),
+            "{what}: id {id} stamped with another artifact's hash"
+        );
+        assert_eq!(
+            resp.action,
+            art.infer(o).unwrap(),
+            "{what}: served action diverges from offline replay of artifact {id}"
+        );
+        assert_eq!(
+            resp.action,
+            snap.select_action(o).unwrap(),
+            "{what}: served action diverges from the snapshot artifact {id} froze"
+        );
+    }
+}
+
+/// The headline acceptance criterion: served ≡ offline replay at shards
+/// {1, 2, 4}.
+#[test]
+fn served_trajectory_is_bit_equal_to_offline_replay_at_every_shard_count() {
+    let (snap, art) = exported(7);
+    let table = Published::from([(0, (snap, art.clone()))]);
+    for shards in [1usize, 2, 4] {
+        let server = ArtifactServer::start(
+            ArtifactReplica::new(art.clone(), 0),
+            ServeConfig {
+                max_batch: 8,
+                max_delay: Duration::from_micros(100),
+                shards,
+                workers: 1,
+            },
+        )
+        .unwrap();
+        let served = serve_all(&server, 96, 3);
+        let stats = server.shutdown();
+        assert_eq!(served.len(), 96);
+        assert_eq!(stats.requests(), 96);
+        assert_eq!(stats.shards.len(), shards);
+        assert_replays_bit_identically(&served, &table, &format!("shards={shards}"));
+    }
+}
+
+/// The contract is composition-independent, so neither the batch knobs
+/// nor the (ignored) `workers` setting change a served bit.
+#[test]
+fn served_actions_are_identical_across_worker_counts_and_batch_knobs() {
+    let (snap, art) = exported(11);
+    let table = Published::from([(0, (snap, art.clone()))]);
+    let mut by_obs: HashMap<Vec<u64>, Vec<f64>> = HashMap::new();
+    for (workers, max_batch, delay_us) in [
+        (1usize, 1usize, 0u64),
+        (2, 8, 100),
+        (2, 32, 1_000),
+        (4, 4, 0),
+    ] {
+        let server = ArtifactServer::start(
+            ArtifactReplica::new(art.clone(), 0),
+            ServeConfig {
+                max_batch,
+                max_delay: Duration::from_micros(delay_us),
+                shards: 2,
+                workers,
+            },
+        )
+        .unwrap();
+        let served = serve_all(&server, 48, 2);
+        drop(server);
+        assert_replays_bit_identically(&served, &table, &format!("workers={workers}"));
+        for (o, resp) in served {
+            // Key on raw bits of the observation.
+            let key: Vec<u64> = o.iter().map(|v| v.to_bits()).collect();
+            if let Some(prev) = by_obs.insert(key, resp.action.clone()) {
+                assert_eq!(
+                    prev, resp.action,
+                    "action changed across serving configurations"
+                );
+            }
+        }
+    }
+}
+
+/// Mid-run swaps: responses before and after the swap replay against
+/// their own recorded ids, and ids never move backwards.
+#[test]
+fn mid_run_snapshot_swap_replays_against_the_recorded_ids() {
+    let (snap0, art0) = exported(3);
+    let (snap1, art1) = exported(4);
+    // Genuinely different weights: the policies must actually disagree
+    // somewhere, otherwise the swap test is vacuous.
+    let probe = obs(42);
+    assert_ne!(
+        snap0.select_action(&probe).unwrap(),
+        snap1.select_action(&probe).unwrap()
+    );
+    assert_ne!(art0.content_hash(), art1.content_hash());
+    let table = Published::from([(0, (snap0, art0.clone())), (1, (snap1, art1.clone()))]);
+
+    for shards in [1usize, 2, 4] {
+        let server = ArtifactServer::start(
+            ArtifactReplica::new(art0.clone(), 0),
+            ServeConfig {
+                max_batch: 4,
+                max_delay: Duration::from_micros(200),
+                shards,
+                workers: 1,
+            },
+        )
+        .unwrap();
+        let publisher = server.publisher();
+        let server = Arc::new(server);
+
+        // Clients stream while the trainer swaps the artifact mid-run.
+        let serving = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || serve_all(&server, 120, 3))
+        };
+        thread::sleep(Duration::from_millis(2));
+        publisher
+            .publish(ArtifactReplica::new(art1.clone(), 1))
+            .unwrap();
+        let served = serving.join().unwrap();
+
+        assert_replays_bit_identically(&served, &table, &format!("swap, shards={shards}"));
+        // The publisher's floor advanced; stale re-publication is
+        // rejected, so "replay against the recorded id" stays unique.
+        assert!(matches!(
+            publisher.publish(ArtifactReplica::new(art1.clone(), 1)),
+            Err(ServeError::StaleSnapshot { .. })
+        ));
+    }
+}
+
+/// QAT-frozen actors serve through their frozen quantizers, and the
+/// quantized responses replay bit-identically too — every agent type ×
+/// every precision arm, across the shard counts.
+#[test]
+fn qat_frozen_actor_serves_and_replays_bit_identically() {
+    for (k, (name, snap, art)) in fixtures().iter().enumerate() {
+        assert!(snap.qat_frozen(), "{name}");
+        let table = Published::from([(9, (snap.clone(), art.clone()))]);
+        let shards = [1usize, 2, 4][k % 3];
+        let server = ArtifactServer::start(
+            ArtifactReplica::new(art.clone(), 9),
+            ServeConfig {
+                max_batch: 8,
+                max_delay: Duration::from_micros(100),
+                shards,
+                workers: 1,
+            },
+        )
+        .unwrap();
+        let served = serve_all(&server, 60, 2);
+        drop(server);
+        assert_replays_bit_identically(&served, &table, &format!("{name}, shards={shards}"));
+    }
+}
+
+/// The batcher's flush accounting is coherent: every request is served
+/// exactly once, rows sum to requests, and no batch exceeds the cap.
+#[test]
+fn stats_account_for_every_request() {
+    let (snap, art) = exported(2);
+    let table = Published::from([(0, (snap, art.clone()))]);
+    let server = ArtifactServer::start(
+        ArtifactReplica::new(art, 0),
+        ServeConfig {
+            max_batch: 8,
+            max_delay: Duration::from_micros(50),
+            shards: 2,
+            workers: 1,
+        },
+    )
+    .unwrap();
+    let served = serve_all(&server, 80, 4);
+    let stats = server.shutdown();
+    assert_eq!(served.len(), 80);
+    assert_eq!(stats.requests(), 80);
+    assert_eq!(stats.shards.iter().map(|s| s.served_rows).sum::<u64>(), 80);
+    assert_eq!(
+        stats.batches(),
+        stats
+            .shards
+            .iter()
+            .map(|s| s.full_flushes + s.deadline_flushes)
+            .sum::<u64>()
+    );
+    assert!(stats.max_batch_rows() <= 8);
+    for (_, resp) in &served {
+        assert!(resp.batch_rows >= 1 && resp.batch_rows <= 8);
+    }
+    assert_replays_bit_identically(&served, &table, "stats");
+}
+
+/// A replica whose second batch fails — nothing else about it is real.
+struct FailsSecondBatch(AtomicUsize);
+
+impl ServedReplica for FailsSecondBatch {
+    fn id(&self) -> u64 {
+        0
+    }
+    fn content_hash(&self) -> u64 {
+        0
+    }
+    fn state_dim(&self) -> usize {
+        1
+    }
+    fn action_dim(&self) -> usize {
+        1
+    }
+    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError> {
+        match self.0.fetch_add(1, Ordering::SeqCst) {
+            1 => Err(ServeError::Inference("injected".into())),
+            _ => Ok(obs.to_vec()),
+        }
+    }
+}
+
+/// Fault injection at the batcher: a failing batch fails exactly its own
+/// pending replies, each with the replica's error, and the shard serves
+/// the next batch. Batches are cut by count (`max_batch` 2, a deadline
+/// no run reaches), so which requests share the failing one is fixed.
+#[test]
+fn failed_batch_fails_only_its_own_replies_and_the_shard_keeps_serving() {
+    let server = Server::start(
+        FailsSecondBatch(AtomicUsize::new(0)),
+        ServeConfig {
+            max_batch: 2,
+            max_delay: Duration::from_secs(30),
+            shards: 1,
+            workers: 1,
+        },
+    )
+    .unwrap();
+    let client = server.client();
+    let batch = |base: f64| {
+        let pending = [base, base + 1.0].map(|v| client.submit(&[v]).unwrap());
+        pending.map(|p| p.wait().map(|r| r.action))
+    };
+    assert_eq!(batch(0.0), [Ok(vec![0.0]), Ok(vec![1.0])]);
+    let injected = Err(ServeError::Inference("injected".into()));
+    assert_eq!(batch(2.0), [injected.clone(), injected]);
+    assert_eq!(batch(4.0), [Ok(vec![4.0]), Ok(vec![5.0])]);
+    let stats = server.shutdown();
+    assert_eq!((stats.requests(), stats.batches()), (6, 3));
+    assert_eq!(stats.shards[0].full_flushes, 3);
+    assert_eq!(stats.shards[0].dropped_replies, 0);
 }
 
 // ---------------------------------------------------------------------

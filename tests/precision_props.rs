@@ -9,9 +9,10 @@
 //!    included, at every `FIXAR_WORKERS` setting (CI sweeps 1/2/8 over
 //!    this file).
 //! 2. A mixed-precision agent (8-bit actor, 16-bit critics) trains,
-//!    freezes, and serves through the real [`Server`]; every
-//!    served action replays bit-identically offline against the frozen
-//!    snapshot, whose per-point formats are inspectable.
+//!    freezes, exports and serves through the real [`ArtifactServer`];
+//!    every served action replays bit-identically offline against the
+//!    artifact and the frozen snapshot, whose per-point formats are
+//!    inspectable.
 //! 3. Cross-worker range merging ([`QatRuntime::merge_from`]) rejects
 //!    divergent precision plans with a typed [`PrecisionError`] instead
 //!    of silently freezing one runtime with another plan's statistics.
@@ -128,16 +129,19 @@ fn uniform_policy_fleet_runs_reproduce_legacy_at_every_fleet_size() {
     }
 }
 
-/// Serves `n` requests from 2 concurrent clients and replays every
-/// response offline against `snap`, asserting bit equality.
+/// Exports `snap`, serves `n` requests from 2 concurrent clients through
+/// an `ArtifactServer`, and replays every response offline — against the
+/// artifact (by content hash) and against `snap` — asserting bit
+/// equality.
 fn serve_and_replay(snap: &PolicySnapshot<Fx32>, id: u64, n: usize, what: &str) {
-    let server = Server::start(
-        snap.clone(),
+    let art = snap.export_artifact().unwrap();
+    let server = ArtifactServer::start(
+        ArtifactReplica::new(art.clone(), id),
         ServeConfig {
             max_batch: 8,
             max_delay: Duration::from_micros(100),
             shards: 2,
-            workers: 2,
+            workers: 1,
         },
     )
     .unwrap();
@@ -155,14 +159,20 @@ fn serve_and_replay(snap: &PolicySnapshot<Fx32>, id: u64, n: usize, what: &str) 
             })
         })
         .collect();
-    let served: Vec<(Vec<f64>, ActionResponse)> = threads
+    let served: Vec<(Vec<f64>, ArtifactResponse)> = threads
         .into_iter()
         .flat_map(|t| t.join().unwrap())
         .collect();
     drop(server);
     assert_eq!(served.len(), n);
     for (o, resp) in &served {
-        assert_eq!(resp.snapshot_id, id, "{what}: wrong snapshot id");
+        assert_eq!(resp.artifact_id, id, "{what}: wrong artifact id");
+        assert_eq!(resp.content_hash, art.content_hash(), "{what}: wrong hash");
+        assert_eq!(
+            resp.action,
+            art.infer(o).unwrap(),
+            "{what}: served action diverges from the artifact"
+        );
         assert_eq!(
             resp.action,
             snap.select_action(o).unwrap(),
@@ -173,8 +183,8 @@ fn serve_and_replay(snap: &PolicySnapshot<Fx32>, id: u64, n: usize, what: &str) 
 
 /// Pillar 2: a mixed-precision DDPG agent (8-bit actor, 16-bit critic)
 /// trains, freezes at its per-network widths, exposes its per-point
-/// formats on the frozen snapshot, and serves through the real
-/// `Server` with bit-exact offline replay.
+/// formats on the frozen snapshot, and serves its exported artifact
+/// through the real `ArtifactServer` with bit-exact offline replay.
 #[test]
 fn mixed_precision_agent_trains_freezes_and_serves_bit_exactly() {
     let cfg = DdpgConfig {
@@ -211,7 +221,8 @@ fn mixed_precision_agent_trains_freezes_and_serves_bit_exactly() {
 }
 
 /// Pillar 2, TD3 arm: the twin-critic agent on the same mixed schedule
-/// freezes all six runtimes and its snapshot serves bit-exactly too.
+/// freezes all six runtimes and its exported snapshot serves bit-exactly
+/// too.
 #[test]
 fn td3_mixed_precision_snapshot_serves_and_replays_bit_exactly() {
     let cfg = DdpgConfig::small_test()
