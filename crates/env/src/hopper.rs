@@ -136,15 +136,14 @@ impl Hopper {
 
     fn observation(&self) -> Vec<f64> {
         let torso = self.rig.world.body(self.rig.torso);
-        let (angles, vels) = self.rig.joint_obs();
         let mut obs = Vec::with_capacity(11);
         obs.push(torso.position().y);
         obs.push(self.torso_pitch_deviation());
-        obs.extend_from_slice(&angles);
+        self.rig.push_joint_angles(&mut obs);
         obs.push(torso.velocity().x);
         obs.push(torso.velocity().y);
         obs.push(torso.angular_velocity());
-        obs.extend_from_slice(&vels);
+        self.rig.push_joint_velocities(&mut obs);
         obs
     }
 }

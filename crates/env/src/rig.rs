@@ -85,16 +85,14 @@ impl Rig {
         }
     }
 
-    /// Relative angle and velocity of every joint.
-    pub fn joint_obs(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut angles = Vec::with_capacity(self.joints.len());
-        let mut vels = Vec::with_capacity(self.joints.len());
-        for &j in &self.joints {
-            let (a, v) = self.world.joint_state(j);
-            angles.push(a);
-            vels.push(v);
-        }
-        (angles, vels)
+    /// Appends every joint's relative angle to an observation.
+    pub fn push_joint_angles(&self, obs: &mut Vec<f64>) {
+        obs.extend(self.joints.iter().map(|&j| self.world.joint_state(j).0));
+    }
+
+    /// Appends every joint's relative angular velocity to an observation.
+    pub fn push_joint_velocities(&self, obs: &mut Vec<f64>) {
+        obs.extend(self.joints.iter().map(|&j| self.world.joint_state(j).1));
     }
 
     /// Control timestep in seconds.

@@ -99,15 +99,14 @@ impl Swimmer {
 
     fn observation(&self) -> Vec<f64> {
         let head = self.rig.world.body(self.rig.torso);
-        let (angles, vels) = self.rig.joint_obs();
         let com_v = self.center_of_mass_velocity();
         let mut obs = Vec::with_capacity(8);
         obs.push(head.angle());
-        obs.extend_from_slice(&angles);
+        self.rig.push_joint_angles(&mut obs);
         obs.push(com_v.x);
         obs.push(com_v.y);
         obs.push(head.angular_velocity());
-        obs.extend_from_slice(&vels);
+        self.rig.push_joint_velocities(&mut obs);
         obs
     }
 }

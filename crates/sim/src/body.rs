@@ -44,23 +44,17 @@ impl Shape {
     }
 
     /// Contact sample points in the body frame (the points tested against
-    /// the ground plane). Ends and center for elongated shapes; bottom
-    /// corners for boxes.
-    pub fn contact_points(&self) -> Vec<Vec2> {
-        match *self {
-            Shape::Capsule { half_len, .. } => vec![
-                Vec2::new(-half_len, 0.0),
-                Vec2::new(0.0, 0.0),
-                Vec2::new(half_len, 0.0),
-            ],
-            Shape::Box { hx, hy } => vec![
-                Vec2::new(-hx, -hy),
-                Vec2::new(hx, -hy),
-                Vec2::new(-hx, hy),
-                Vec2::new(hx, hy),
-            ],
-            Shape::Circle { .. } => vec![Vec2::ZERO],
-        }
+    /// the ground plane), read from a fixed array without allocating.
+    /// Ends and center for elongated shapes; corners for boxes.
+    pub fn contact_points(&self) -> impl Iterator<Item = Vec2> {
+        let (points, n) = match *self {
+            Shape::Capsule { half_len: h, .. } => {
+                ([(-h, 0.0), (0.0, 0.0), (h, 0.0), (0.0, 0.0)], 3)
+            }
+            Shape::Box { hx, hy } => ([(-hx, -hy), (hx, -hy), (-hx, hy), (hx, hy)], 4),
+            Shape::Circle { .. } => ([(0.0, 0.0); 4], 1),
+        };
+        points.into_iter().take(n).map(|(x, y)| Vec2::new(x, y))
     }
 
     /// Effective surface offset below a contact point (capsule/circle
@@ -213,7 +207,13 @@ impl RigidBody {
     /// Transforms a body-local point into world coordinates.
     #[inline]
     pub fn world_point(&self, local: Vec2) -> Vec2 {
-        self.position + local.rotated(self.angle)
+        self.world_point_by(local, self.angle.sin_cos())
+    }
+
+    /// [`world_point`](Self::world_point) given the angle's `sin_cos`.
+    #[inline]
+    pub(crate) fn world_point_by(&self, local: Vec2, rot: (f64, f64)) -> Vec2 {
+        self.position + local.rotated_by(rot)
     }
 
     /// Velocity of a world-space point rigidly attached to the body.
@@ -329,11 +329,12 @@ mod tests {
 
     #[test]
     fn capsule_contact_points_span_the_segment() {
-        let pts = Shape::Capsule {
+        let pts: Vec<Vec2> = Shape::Capsule {
             half_len: 0.5,
             radius: 0.05,
         }
-        .contact_points();
+        .contact_points()
+        .collect();
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[0].x, -0.5);
         assert_eq!(pts[2].x, 0.5);

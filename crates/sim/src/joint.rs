@@ -142,16 +142,18 @@ impl RevoluteJoint {
         a.apply_torque(-torque);
     }
 
-    /// One velocity-level sequential-impulse iteration of the
-    /// point-to-point constraint, with Baumgarte position feedback.
-    pub(crate) fn solve_velocity(
+    /// The constraint's pose-derived terms, from the bodies and their
+    /// `sin_cos`; `None` if singular (two static bodies: nothing to solve).
+    pub(crate) fn geometry(
         &self,
-        a: &mut RigidBody,
-        b: &mut RigidBody,
+        bodies: &[RigidBody],
+        rot: &[(f64, f64)],
         baumgarte_over_dt: f64,
-    ) {
-        let pa = a.world_point(self.def.local_anchor_a);
-        let pb = b.world_point(self.def.local_anchor_b);
+    ) -> Option<JointGeometry> {
+        let (ia, ib) = (self.def.body_a.0, self.def.body_b.0);
+        let (a, b) = (&bodies[ia], &bodies[ib]);
+        let pa = a.world_point_by(self.def.local_anchor_a, rot[ia]);
+        let pb = b.world_point_by(self.def.local_anchor_b, rot[ib]);
         let ra = pa - a.position;
         let rb = pb - b.position;
 
@@ -163,22 +165,54 @@ impl RevoluteJoint {
             a.inv_mass + b.inv_mass + a.inv_inertia * ra.x * ra.x + b.inv_inertia * rb.x * rb.x;
         let det = k11 * k22 - k12 * k12;
         if det.abs() < 1e-12 {
-            return; // two static bodies — nothing to solve
+            return None;
         }
+        let bias = (pb - pa) * baumgarte_over_dt;
+        Some(JointGeometry {
+            pa,
+            pb,
+            ra,
+            rb,
+            k11,
+            k12,
+            k22,
+            det,
+            bias,
+        })
+    }
+}
 
-        // Velocity error plus position (Baumgarte) bias.
-        let vel_err = (b.velocity + Vec2::cross_scalar(b.angular_velocity, rb))
-            - (a.velocity + Vec2::cross_scalar(a.angular_velocity, ra));
-        let c = pb - pa;
-        let rhs = -(vel_err + c * baumgarte_over_dt);
+/// What a joint's solver iterations read from the poses. Impulses change
+/// velocities only, so it holds for every iteration of a step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JointGeometry {
+    pa: Vec2,
+    pb: Vec2,
+    ra: Vec2,
+    rb: Vec2,
+    k11: f64,
+    k12: f64,
+    k22: f64,
+    det: f64,
+    /// Baumgarte position feedback `(pb − pa) · baumgarte / dt`.
+    bias: Vec2,
+}
+
+impl JointGeometry {
+    /// One velocity-level sequential-impulse iteration of the
+    /// point-to-point constraint, with Baumgarte position feedback.
+    pub(crate) fn solve_velocity(&self, a: &mut RigidBody, b: &mut RigidBody) {
+        let vel_err = (b.velocity + Vec2::cross_scalar(b.angular_velocity, self.rb))
+            - (a.velocity + Vec2::cross_scalar(a.angular_velocity, self.ra));
+        let rhs = -(vel_err + self.bias);
 
         // Solve K·P = rhs (2x2 inverse).
         let p = Vec2::new(
-            (k22 * rhs.x - k12 * rhs.y) / det,
-            (k11 * rhs.y - k12 * rhs.x) / det,
+            (self.k22 * rhs.x - self.k12 * rhs.y) / self.det,
+            (self.k11 * rhs.y - self.k12 * rhs.x) / self.det,
         );
-        a.apply_impulse_at(-p, pa);
-        b.apply_impulse_at(p, pb);
+        a.apply_impulse_at(-p, self.pa);
+        b.apply_impulse_at(p, self.pb);
     }
 }
 
@@ -270,8 +304,12 @@ mod tests {
             Vec2::ZERO,
         ));
         b.set_state(Vec2::new(1.0, 0.0), 0.0, Vec2::new(0.0, 2.0), 0.0);
+        let rot = [a.angle.sin_cos(), b.angle.sin_cos()];
+        let g = j
+            .geometry(&[a.clone(), b.clone()], &rot, 0.0)
+            .expect("one dynamic body");
         for _ in 0..10 {
-            j.solve_velocity(&mut a, &mut b, 0.0);
+            g.solve_velocity(&mut a, &mut b);
         }
         // Anchor coincides with b's CoM, so b's velocity must vanish.
         assert!(b.velocity().length() < 1e-9);

@@ -22,6 +22,11 @@
 //! runs that must see identical environments given identical action
 //! streams.
 //!
+//! On a 64-environment fleet the simulator is the largest layer of a
+//! training step, so [`World::step`] derives pose-only terms once per
+//! step into reused scratch and allocates nothing; a test-only reference
+//! stepper that re-derives them at every use pins this bit for bit.
+//!
 //! # Example
 //!
 //! ```

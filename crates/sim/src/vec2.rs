@@ -60,7 +60,13 @@ impl Vec2 {
     /// Rotates the vector by `angle` radians.
     #[inline]
     pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
+        self.rotated_by(angle.sin_cos())
+    }
+
+    /// Rotates the vector by the angle whose `(sin, cos)` is given: the
+    /// one rotation formula, for callers that reuse an angle's `sin_cos`.
+    #[inline]
+    pub fn rotated_by(self, (s, c): (f64, f64)) -> Vec2 {
         Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
     }
 
@@ -171,6 +177,8 @@ mod tests {
         // Rotating by 90° gives perp.
         let p = v.rotated(std::f64::consts::FRAC_PI_2);
         assert!((p - v.perp()).length() < 1e-12);
+        // The angle form is the (sin, cos) form on the angle's sin_cos.
+        assert_eq!(r, v.rotated_by(1.234f64.sin_cos()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The simulation world: integration loop, contacts, drag.
 
 use crate::body::{BodyDef, BodyHandle, RigidBody};
-use crate::joint::{JointDef, JointHandle, RevoluteJoint};
+use crate::joint::{JointDef, JointGeometry, JointHandle, RevoluteJoint};
 use crate::vec2::Vec2;
 
 /// Tunable parameters of a [`World`].
@@ -74,6 +74,10 @@ pub struct World {
     joints: Vec<RevoluteJoint>,
     time: f64,
     steps: u64,
+    /// Per-step scratch, rebuilt by every [`World::step`]: each body's
+    /// `(sin, cos)` and each joint's solver geometry.
+    rot: Vec<(f64, f64)>,
+    geometry: Vec<Option<JointGeometry>>,
 }
 
 impl World {
@@ -91,6 +95,8 @@ impl World {
             joints: Vec::new(),
             time: 0.0,
             steps: 0,
+            rot: Vec::new(),
+            geometry: Vec::new(),
         }
     }
 
@@ -208,8 +214,18 @@ impl World {
     /// Advances the simulation by one `dt`:
     /// forces (gravity, motors, limits, contacts, drag) → velocity
     /// integration → joint impulses → position integration.
+    ///
+    /// Phases 1–3 write forces and velocities only; no position or angle
+    /// moves before phase 4. So every pose-derived quantity is computed
+    /// once per step: one `sin_cos` per body, shared by contacts, drag
+    /// and joint anchors, and each joint's anchors, effective mass and
+    /// Baumgarte bias once for all solver iterations. Code that moves a
+    /// pose inside phases 1–3 must rebuild them.
     pub fn step(&mut self) {
         let cfg = self.config;
+        self.rot.clear();
+        self.rot
+            .extend(self.bodies.iter().map(|b| b.angle.sin_cos()));
 
         // 1. External forces.
         for body in &mut self.bodies {
@@ -254,14 +270,15 @@ impl World {
 
         // 3. Sequential-impulse joint solve.
         let bias = cfg.baumgarte / cfg.dt;
+        self.geometry.clear();
+        let geometry = |j: &RevoluteJoint| j.geometry(&self.bodies, &self.rot, bias);
+        self.geometry.extend(self.joints.iter().map(geometry));
         for _ in 0..cfg.solver_iterations {
-            for ji in 0..self.joints.len() {
-                let (ai, bi) = {
-                    let j = &self.joints[ji];
-                    (j.def.body_a.0, j.def.body_b.0)
-                };
-                let (a, b) = borrow_two(&mut self.bodies, ai, bi);
-                self.joints[ji].solve_velocity(a, b, bias);
+            for (j, g) in self.joints.iter().zip(&self.geometry) {
+                if let Some(g) = g {
+                    let (a, b) = borrow_two(&mut self.bodies, j.def.body_a.0, j.def.body_b.0);
+                    g.solve_velocity(a, b);
+                }
             }
         }
 
@@ -282,14 +299,14 @@ impl World {
     /// friction clamp, applied at each shape's contact sample points.
     fn apply_ground_contacts(&mut self) {
         let cfg = self.config;
-        for body in &mut self.bodies {
+        for (body, &rot) in self.bodies.iter_mut().zip(&self.rot) {
             if body.is_static() {
                 continue;
             }
             let shape = body.shape();
             let radius = shape.contact_radius();
             for local in shape.contact_points() {
-                let p = body.world_point(local);
+                let p = body.world_point_by(local, rot);
                 let surface_y = p.y - radius;
                 let penetration = cfg.ground_y - surface_y;
                 if penetration <= 0.0 {
@@ -312,13 +329,13 @@ impl World {
     /// which is what makes undulation propulsive.
     fn apply_fluid_drag(&mut self) {
         let cfg = self.config;
-        for body in &mut self.bodies {
+        for (body, &rot) in self.bodies.iter_mut().zip(&self.rot) {
             if body.is_static() {
                 continue;
             }
-            let axis = Vec2::new(1.0, 0.0).rotated(body.angle());
+            let axis = Vec2::new(1.0, 0.0).rotated_by(rot);
             for local in body.shape().contact_points() {
-                let p = body.world_point(local);
+                let p = body.world_point_by(local, rot);
                 let v = body.velocity_at(p);
                 let v_par = axis * v.dot(axis);
                 let v_perp = v - v_par;
@@ -343,6 +360,9 @@ fn borrow_two(bodies: &mut [RigidBody], i: usize, j: usize) -> (&mut RigidBody, 
         (&mut hi[0], &mut lo[j])
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
