@@ -27,8 +27,10 @@
 //!
 //! * `gemv_t_batch` at 256×192, the longest chain per sample the
 //!   quick-study nets reach;
-//! * `pack 400x300`: one `Matrix::pack()` of a paper-size layer (the
-//!   update re-packs four networks), ns per pack;
+//! * `pack 400x300`: one `Matrix::pack()` of a paper-size layer, ns per
+//!   pack, and `refresh 400x300`: the same layer refreshed into an
+//!   existing pack, as every weight write ends (an update refreshes the
+//!   layers of four networks);
 //! * `quantizer_micro`: the per-element cost of each deploy-time
 //!   quantizer spec (a shifting one, and the `shift: 0` clamp a step
 //!   finer than the word grid exports as), isolated by subtracting a
@@ -345,6 +347,17 @@ fn main() {
         std::hint::black_box(std::hint::black_box(&w3).pack());
     });
     push(&mut records, "pack 400x300".into(), ns);
+    // The same layer refreshed in place, as every weight write ends. The
+    // pack was last built for a smaller matrix of another shape; after
+    // one refresh it must equal a fresh pack of `w3`, before any timing.
+    let mut refreshed = w2.transposed().pack();
+    refreshed.refresh(&w3);
+    assert_eq!(refreshed, w3.pack(), "refresh diverged from a fresh pack");
+    let ns = time_ns_per_sample(reps, 1, || {
+        refreshed.refresh(std::hint::black_box(&w3));
+        std::hint::black_box(&refreshed);
+    });
+    push(&mut records, "refresh 400x300".into(), ns);
 
     quantizer_micro(reps, &mut records);
     narrow_layer_micro(reps, &mut records);

@@ -114,14 +114,25 @@ impl<S: Scalar> Adam<S> {
         self.t
     }
 
-    /// Applies one Adam update of `mlp` from accumulated `grads`.
+    /// Applies one Adam update of `mlp` from accumulated `grads`, writing
+    /// the weights through [`Mlp::update_weight`].
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] if `grads` (or this optimizer)
-    /// was shaped for a different network.
+    /// was shaped for a different network — checked for every layer
+    /// before anything is written, so a rejected step leaves `mlp` and
+    /// [`Adam::steps`] as they were.
     pub fn step(&mut self, mlp: &mut Mlp<S>, grads: &MlpGrads<S>) -> Result<(), NnError> {
-        if grads.w.len() != mlp.num_layers() || self.m_w.len() != mlp.num_layers() {
+        let n = mlp.num_layers();
+        let shaped = |l: usize| {
+            let (w, b) = (mlp.weight(l).shape(), mlp.bias(l).len());
+            grads.w[l].shape() == w
+                && grads.b[l].len() == b
+                && self.m_w[l].shape() == w
+                && self.m_b[l].len() == b
+        };
+        if grads.w.len() != n || grads.b.len() != n || self.m_w.len() != n || !(0..n).all(shaped) {
             return Err(NnError::InvalidConfig(
                 "optimizer/gradient shape does not match network".into(),
             ));
@@ -130,32 +141,31 @@ impl<S: Scalar> Adam<S> {
         let t = self.t as i32;
         // Per-step scalar constants (host/control-processor side).
         let bias_corr = (1.0 - self.cfg.beta2.powi(t)).sqrt() / (1.0 - self.cfg.beta1.powi(t));
-        let lr_t = S::from_f64(self.cfg.lr * bias_corr);
-        let b1 = S::from_f64(self.cfg.beta1);
-        let one_minus_b1 = S::from_f64(1.0 - self.cfg.beta1);
-        let b2 = S::from_f64(self.cfg.beta2);
-        let one_minus_b2 = S::from_f64(1.0 - self.cfg.beta2);
-        let eps = S::from_f64(self.cfg.eps);
-
-        for l in 0..mlp.num_layers() {
-            if grads.w[l].shape() != mlp.weight(l).shape() {
-                return Err(NnError::InvalidConfig(
-                    "gradient matrix shape mismatch".into(),
-                ));
-            }
-            update_slice(
-                mlp.weight_mut(l).as_mut_slice(),
-                grads.w[l].as_slice(),
-                self.m_w[l].as_mut_slice(),
-                self.v_w[l].as_mut_slice(),
-                (b1, one_minus_b1, b2, one_minus_b2, lr_t, eps),
-            );
+        let consts = (
+            S::from_f64(self.cfg.beta1),
+            S::from_f64(1.0 - self.cfg.beta1),
+            S::from_f64(self.cfg.beta2),
+            S::from_f64(1.0 - self.cfg.beta2),
+            S::from_f64(self.cfg.lr * bias_corr),
+            S::from_f64(self.cfg.eps),
+        );
+        for l in 0..n {
+            let (m, v) = (&mut self.m_w[l], &mut self.v_w[l]);
+            mlp.update_weight(l, |w| {
+                update_slice(
+                    w.as_mut_slice(),
+                    grads.w[l].as_slice(),
+                    m.as_mut_slice(),
+                    v.as_mut_slice(),
+                    consts,
+                );
+            });
             update_slice(
                 mlp.bias_mut(l),
                 &grads.b[l],
                 &mut self.m_b[l],
                 &mut self.v_b[l],
-                (b1, one_minus_b1, b2, one_minus_b2, lr_t, eps),
+                consts,
             );
         }
         Ok(())
@@ -336,5 +346,36 @@ mod tests {
         let grads = MlpGrads::zeros_like(&other);
         let mut opt = Adam::new(&mlp, AdamConfig::default());
         assert!(opt.step(&mut mlp, &grads).is_err());
+
+        // A gradient that is wrong only in a later layer — its weight
+        // shape, or a truncated bias — is rejected before layer 0 moves
+        // or the step counter advances.
+        let mut mlp = Mlp::<f64>::new_random(&MlpConfig::new(vec![2, 3, 2]), 0).unwrap();
+        let wide = Mlp::<f64>::new_random(&MlpConfig::new(vec![2, 3, 5]), 0).unwrap();
+        let mut opt = Adam::new(&mlp, AdamConfig::default());
+        let before = mlp.clone();
+        let mut wrong_w = MlpGrads::zeros_like(&wide);
+        let mut short_b = MlpGrads::zeros_like(&mlp);
+        for grads in [&mut wrong_w, &mut short_b] {
+            for w in &mut grads.w {
+                w.map_inplace(|_| 0.5);
+            }
+            for b in &mut grads.b {
+                b.fill(0.5);
+            }
+        }
+        short_b.b[1].pop();
+        for grads in [&wrong_w, &short_b] {
+            assert!(matches!(
+                opt.step(&mut mlp, grads),
+                Err(NnError::InvalidConfig(_))
+            ));
+            assert_eq!(mlp, before);
+            assert_eq!(opt.steps(), 0);
+        }
+        // The same gradients, correctly shaped, do move the network.
+        short_b.b[1].push(0.5);
+        opt.step(&mut mlp, &short_b).unwrap();
+        assert_ne!(mlp.weight(0), before.weight(0));
     }
 }

@@ -1,7 +1,5 @@
 //! Multilayer perceptron with back-propagation and QAT hooks.
 
-use std::sync::OnceLock;
-
 use fixar_fixed::Scalar;
 use fixar_pool::Parallelism;
 use fixar_tensor::{vector, Matrix, WeightPack};
@@ -186,49 +184,19 @@ impl<S: Scalar> BatchTrace<S> {
 /// Fully-connected network, generic over the numeric backend.
 ///
 /// See the [crate docs](crate) for an example.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp<S> {
     weights: Vec<Matrix<S>>,
     biases: Vec<Vec<S>>,
     hidden_act: Activation,
     output_act: Activation,
     layer_sizes: Vec<usize>,
-    /// Lazily built packed (pre-transposed) weight layouts, one per
-    /// layer — the cache behind every batched forward/backward MVM.
-    /// Invalidated ([`OnceLock::take`]) by [`Mlp::weight_mut`] and
-    /// [`Mlp::soft_update_from`]; bias updates don't touch it. Pure
-    /// cache: never part of equality, never cloned.
-    packs: Vec<OnceLock<WeightPack<S>>>,
-}
-
-impl<S: Clone> Clone for Mlp<S> {
-    fn clone(&self) -> Self {
-        Self {
-            weights: self.weights.clone(),
-            biases: self.biases.clone(),
-            hidden_act: self.hidden_act,
-            output_act: self.output_act,
-            layer_sizes: self.layer_sizes.clone(),
-            // A fresh clone starts with a cold cache rather than deep-
-            // copying transposes it may never use (target-network clones
-            // are mutated immediately anyway).
-            packs: fresh_packs(self.weights.len()),
-        }
-    }
-}
-
-impl<S: PartialEq> PartialEq for Mlp<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.weights == other.weights
-            && self.biases == other.biases
-            && self.hidden_act == other.hidden_act
-            && self.output_act == other.output_act
-            && self.layer_sizes == other.layer_sizes
-    }
-}
-
-fn fresh_packs<S>(n: usize) -> Vec<OnceLock<WeightPack<S>>> {
-    (0..n).map(|_| OnceLock::new()).collect()
+    /// Packed (pre-transposed) weight layout of each layer — the operand
+    /// of every batched forward/backward MVM. Built with the network and
+    /// refreshed in place by [`Mlp::update_weight`], the only writer of
+    /// the weights, so it always describes them; bias writes don't touch
+    /// it.
+    packs: Vec<WeightPack<S>>,
 }
 
 impl<S: Scalar> Mlp<S> {
@@ -262,7 +230,7 @@ impl<S: Scalar> Mlp<S> {
             biases.push(bf.into_iter().map(S::from_f64).collect());
         }
         Ok(Self {
-            packs: fresh_packs(weights.len()),
+            packs: weights.iter().map(Matrix::pack).collect(),
             weights,
             biases,
             hidden_act: cfg.hidden_activation,
@@ -317,25 +285,21 @@ impl<S: Scalar> Mlp<S> {
         &self.weights[l]
     }
 
-    /// Mutable weight matrix of layer `l` (used by optimizers and the
-    /// accelerator write-back path). Invalidates the layer's cached
-    /// packed layout — the next batched pass re-packs from the updated
-    /// weights.
+    /// Writes the weights of layer `l` through `write` — the one writer
+    /// of the weights (optimizers, the soft update, tests) — then
+    /// refreshes the layer's packed layout in place
+    /// ([`WeightPack::refresh`]), so the next batched pass reads it as
+    /// it is.
     ///
     /// # Panics
     ///
-    /// Panics if `l >= num_layers()`.
-    #[inline]
-    pub fn weight_mut(&mut self, l: usize) -> &mut Matrix<S> {
-        self.packs[l].take();
-        &mut self.weights[l]
-    }
-
-    /// The cached packed layout of layer `l`, building it on first use
-    /// after construction or invalidation.
-    #[inline]
-    fn pack(&self, l: usize) -> &WeightPack<S> {
-        self.packs[l].get_or_init(|| self.weights[l].pack())
+    /// Panics if `l >= num_layers()` or if `write` reshapes the matrix.
+    pub fn update_weight(&mut self, l: usize, write: impl FnOnce(&mut Matrix<S>)) {
+        let w = &mut self.weights[l];
+        let shape = w.shape();
+        write(w);
+        assert_eq!(w.shape(), shape, "update_weight reshaped layer {l}");
+        self.packs[l].refresh(w);
     }
 
     /// Bias vector of layer `l`.
@@ -620,14 +584,12 @@ impl<S: Scalar> Mlp<S> {
             ));
         }
         let t = S::from_f64(tau);
-        for p in &mut self.packs {
-            p.take();
-        }
-        for (w, ws) in self.weights.iter_mut().zip(&src.weights) {
-            let dst = w.as_mut_slice();
-            for (d, &s) in dst.iter_mut().zip(ws.as_slice()) {
-                *d = *d + t * (s - *d);
-            }
+        for (l, ws) in src.weights.iter().enumerate() {
+            self.update_weight(l, |w| {
+                for (d, &s) in w.as_mut_slice().iter_mut().zip(ws.as_slice()) {
+                    *d = *d + t * (s - *d);
+                }
+            });
         }
         for (b, bs) in self.biases.iter_mut().zip(&src.biases) {
             for (d, &s) in b.iter_mut().zip(bs) {
@@ -641,9 +603,10 @@ impl<S: Scalar> Mlp<S> {
     /// dynamic-fixed mode hands a pre-trained full-precision model to the
     /// quantized phase, and to build bit-identical accelerator images).
     pub fn cast<T: Scalar>(&self) -> Mlp<T> {
+        let weights: Vec<Matrix<T>> = self.weights.iter().map(Matrix::cast).collect();
         Mlp {
-            packs: fresh_packs(self.weights.len()),
-            weights: self.weights.iter().map(Matrix::cast).collect(),
+            packs: weights.iter().map(Matrix::pack).collect(),
+            weights,
             biases: self
                 .biases
                 .iter()
@@ -754,7 +717,7 @@ pub fn forward_batch<S: Scalar>(
         par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
             for ((p, a), z) in passes.iter().zip(&acts).zip(zs.iter_mut()) {
                 if let Some(z) = z.as_mut() {
-                    p.mlp.pack(l).gemv_batch(a, z, ks)?;
+                    p.mlp.packs[l].gemv_batch(a, z, ks)?;
                 }
             }
             Ok(())
@@ -880,9 +843,7 @@ pub fn backward_batch<S: Scalar>(
                 let l = n - 1 - s;
                 let delta = &deltas[i];
                 if let Some(err) = err_slot.as_mut() {
-                    p.mlp
-                        .pack(l)
-                        .gemv_t_batch(&p.mlp.weights[l], delta, err, ks)?;
+                    p.mlp.packs[l].gemv_t_batch(&p.mlp.weights[l], delta, err, ks)?;
                 }
                 let Some(MlpGrads { w, b }) = p.grads.as_deref_mut() else {
                     continue;
@@ -989,9 +950,9 @@ mod tests {
                     continue;
                 }
                 let mut plus = mlp.clone();
-                plus.weight_mut(l)[(r, c)] += eps;
+                plus.update_weight(l, |w| w[(r, c)] += eps);
                 let mut minus = mlp.clone();
-                minus.weight_mut(l)[(r, c)] -= eps;
+                minus.update_weight(l, |w| w[(r, c)] -= eps);
                 let fd = (loss(&plus) - loss(&minus)) / (2.0 * eps);
                 let an = grads.w[l][(r, c)];
                 assert!(
@@ -1099,40 +1060,68 @@ mod tests {
         }
     }
 
+    /// Asserts every layer's pack equals one built afresh from its
+    /// weights — transpose and guard bounds.
+    fn assert_packs_current(mlp: &Mlp<Fx32>, writer: &str) {
+        for l in 0..mlp.num_layers() {
+            assert_eq!(
+                mlp.packs[l],
+                mlp.weight(l).pack(),
+                "layer {l} after {writer}"
+            );
+        }
+    }
+
     #[test]
-    fn weight_updates_invalidate_cached_packs() {
-        // The batched paths cache a packed transpose per layer; a stale
+    fn every_weight_writer_leaves_the_packs_current() {
+        // The batched paths read a packed transpose per layer; a stale
         // pack would keep serving the old weights. The per-sample
-        // forward never touches the cache, so it is the oracle.
+        // forward never reads the packs, so it is the oracle.
         let cfg = MlpConfig::new(vec![6, 16, 4]).with_output_activation(Activation::Tanh);
         let mut mlp = Mlp::<Fx32>::new_random(&cfg, 31).unwrap();
+        assert_packs_current(&mlp, "construction");
+        assert_packs_current(&mlp.clone(), "clone");
+        assert_packs_current(&mlp.cast::<f64>().cast(), "cast");
         let x = fx32_batch(5, 6);
         let forward = |mlp: &Mlp<Fx32>| mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
-        let before = forward(&mlp).output; // populates the pack cache
+        let agrees_per_sample = |mlp: &Mlp<Fx32>, y: &Matrix<Fx32>| {
+            for b in 0..x.rows() {
+                assert_eq!(y.row(b), mlp.forward(x.row(b)).unwrap().as_slice());
+            }
+        };
+        let before = forward(&mlp).output;
 
-        // Direct weight write through `weight_mut`.
-        mlp.weight_mut(0)[(0, 0)] = Fx32::from_f64(1.25);
-        mlp.weight_mut(1)[(2, 3)] = Fx32::from_f64(-0.75);
+        // Direct weight writes.
+        mlp.update_weight(0, |w| w[(0, 0)] = Fx32::from_f64(1.25));
+        mlp.update_weight(1, |w| w[(2, 3)] = Fx32::from_f64(-0.75));
+        assert_packs_current(&mlp, "update_weight");
         let after = forward(&mlp).output;
         assert_ne!(before, after, "weight change must be visible");
-        for b in 0..x.rows() {
-            assert_eq!(after.row(b), mlp.forward(x.row(b)).unwrap().as_slice());
-        }
+        agrees_per_sample(&mlp, &after);
 
         // Polyak update path.
         let src = Mlp::<Fx32>::new_random(&cfg, 77).unwrap();
-        let warm = forward(&mlp).output; // re-populate the cache
         mlp.soft_update_from(&src, 0.5).unwrap();
+        assert_packs_current(&mlp, "soft_update_from");
         let updated = forward(&mlp).output;
-        assert_ne!(warm, updated, "soft update must be visible");
-        for b in 0..x.rows() {
-            assert_eq!(updated.row(b), mlp.forward(x.row(b)).unwrap().as_slice());
-        }
+        assert_ne!(after, updated, "soft update must be visible");
+        agrees_per_sample(&mlp, &updated);
 
-        // The backward path reads the same cache: gradients after the
+        // Optimizer path.
+        let mut grads = MlpGrads::zeros_like(&mlp);
+        let dl = fx32_batch(5, 4);
+        mlp.backward_batch(&forward(&mlp), &dl, Some(&mut grads), false, &seq())
+            .unwrap();
+        let mut opt = crate::Adam::new(&mlp, crate::AdamConfig::default().with_lr(1e-2));
+        opt.step(&mut mlp, &grads).unwrap();
+        assert_packs_current(&mlp, "Adam::step");
+        let stepped = forward(&mlp).output;
+        assert_ne!(updated, stepped, "Adam step must be visible");
+        agrees_per_sample(&mlp, &stepped);
+
+        // The backward path reads the same packs: gradients after the
         // updates must match the per-sample reference.
         let bt = forward(&mlp);
-        let dl = fx32_batch(5, 4);
         let mut batched = MlpGrads::zeros_like(&mlp);
         let input_err = mlp
             .backward_batch(&bt, &dl, Some(&mut batched), true, &seq())
@@ -1268,7 +1257,10 @@ mod tests {
         let x = fx32_batch(8, 4);
         let par = Parallelism::with_workers(4);
 
-        let mut qat_batched = QatRuntime::new(mlp.num_layers() + 1, 8);
+        let mut qat_batched = QatRuntime::builder(mlp.num_layers() + 1)
+            .uniform_bits(8)
+            .build()
+            .unwrap();
         let mut qat_looped = qat_batched.clone();
 
         mlp.forward_batch(&x, QatPhase::Observing(&mut qat_batched), &par)
@@ -1380,7 +1372,10 @@ mod tests {
         let x_b = fx32_batch(6, 4);
 
         // Separate reference passes.
-        let mut qat_a_ref = QatRuntime::new(net_a.num_layers() + 1, 8);
+        let mut qat_a_ref = QatRuntime::builder(net_a.num_layers() + 1)
+            .uniform_bits(8)
+            .build()
+            .unwrap();
         let mut qat_b_ref = qat_a_ref.clone();
         let out_a_ref = net_a
             .forward_batch(&x_a, QatPhase::Observing(&mut qat_a_ref), &seq())
@@ -1393,7 +1388,10 @@ mod tests {
 
         // One group over a 2-worker pool.
         let par = Parallelism::with_workers(2);
-        let mut qat_a = QatRuntime::new(net_a.num_layers() + 1, 8);
+        let mut qat_a = QatRuntime::builder(net_a.num_layers() + 1)
+            .uniform_bits(8)
+            .build()
+            .unwrap();
         let mut qat_b = qat_a.clone();
         let traces = forward_batch(
             &mut [

@@ -22,8 +22,7 @@ use fixar_fixed::{AffineQuantizer, QFormat, QuantError, RangeMonitor, Scalar};
 /// the per-point quantizer grid is derived:
 ///
 /// * [`PrecisionPolicy::Uniform`] — one global bit width, ranges
-///   calibrated per point. Bit-identical to the legacy
-///   `QatRuntime::new(num_points, bits)` runtime.
+///   calibrated per point (Algorithm 1).
 /// * [`PrecisionPolicy::PerPoint`] — an explicit [`QFormat`] table;
 ///   points without an entry fall back to range calibration at
 ///   `base_bits`. Explicit points are *data independent*: the grid is
@@ -88,7 +87,7 @@ pub enum PrecisionPolicy {
 }
 
 impl PrecisionPolicy {
-    /// The uniform policy at `bits` — what the legacy constructor uses.
+    /// The uniform policy at `bits`.
     pub fn uniform(bits: u32) -> Self {
         PrecisionPolicy::Uniform { bits }
     }
@@ -317,19 +316,6 @@ pub struct QatRuntime {
 }
 
 impl QatRuntime {
-    /// Creates a runtime in `Calibrate` mode with `num_points` activation
-    /// points (a network with `L` layers needs `L + 1`) quantizing every
-    /// point to `bits` bits after freezing.
-    ///
-    /// This is the legacy uniform-precision constructor, kept as a thin
-    /// shim over [`QatRuntime::builder`] with
-    /// [`PrecisionPolicy::Uniform`] — bit-for-bit identical behaviour.
-    /// New code should prefer the builder, which can express per-point
-    /// formats, schedules, and adaptive widths.
-    pub fn new(num_points: usize, bits: u32) -> Self {
-        Self::with_policy_unchecked(num_points, PrecisionPolicy::Uniform { bits })
-    }
-
     /// Starts a [`QatRuntimeBuilder`] for a runtime with `num_points`
     /// activation points (a network with `L` layers needs `L + 1`).
     pub fn builder(num_points: usize) -> QatRuntimeBuilder {
@@ -673,8 +659,7 @@ impl QatPhase<'_> {
 }
 
 /// Builder for a [`QatRuntime`] with a validated [`PrecisionPolicy`] —
-/// the redesigned construction API (the legacy
-/// [`QatRuntime::new`] shim covers only the uniform case).
+/// the one way to construct a calibrating runtime.
 ///
 /// # Example
 ///
@@ -818,7 +803,7 @@ mod tests {
 
     #[test]
     fn calibrate_then_freeze_then_quantize() {
-        let mut qat = QatRuntime::new(2, 8);
+        let mut qat = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
         let mut xs = [Fx32::from_f64(1.0), Fx32::from_f64(-2.0)];
         qat.process(0, &mut xs);
         qat.process(1, &mut xs);
@@ -839,14 +824,14 @@ mod tests {
 
     #[test]
     fn freeze_without_observations_fails() {
-        let mut qat = QatRuntime::new(2, 8);
+        let mut qat = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
         assert!(qat.freeze().is_err());
         assert_eq!(qat.mode(), QatMode::Calibrate);
     }
 
     #[test]
     fn dead_points_pass_through_after_freeze() {
-        let mut qat = QatRuntime::new(2, 8);
+        let mut qat = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
         let mut xs = [1.0f64, 2.0];
         qat.process(0, &mut xs); // point 1 never observed
         qat.freeze().unwrap();
@@ -859,7 +844,7 @@ mod tests {
 
     #[test]
     fn excluded_points_stay_full_precision() {
-        let mut qat = QatRuntime::new(2, 8);
+        let mut qat = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
         qat.exclude_point(1);
         let mut xs = [1.0f64, -2.0];
         qat.process(0, &mut xs);
@@ -877,8 +862,12 @@ mod tests {
 
     #[test]
     fn headroom_widens_frozen_ranges_away_from_zero() {
-        let mut base = QatRuntime::new(1, 8);
-        let mut wide = QatRuntime::new(1, 8).with_headroom(2.0);
+        let mut base = QatRuntime::builder(1).uniform_bits(8).build().unwrap();
+        let mut wide = QatRuntime::builder(1)
+            .uniform_bits(8)
+            .build()
+            .unwrap()
+            .with_headroom(2.0);
         let mut xs = [-1.0f64, 3.0];
         base.process(0, &mut xs);
         wide.process(0, &mut xs);
@@ -902,12 +891,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "headroom")]
     fn headroom_below_one_rejected() {
-        let _ = QatRuntime::new(1, 8).with_headroom(0.5);
+        let _ = QatRuntime::builder(1)
+            .uniform_bits(8)
+            .build()
+            .unwrap()
+            .with_headroom(0.5);
     }
 
     #[test]
     fn apply_is_read_only_during_calibration() {
-        let qat = QatRuntime::new(1, 8);
+        let qat = QatRuntime::builder(1).uniform_bits(8).build().unwrap();
         let mut xs = [1.0f64];
         qat.apply(0, &mut xs);
         assert_eq!(qat.monitor(0).count(), 0, "apply must not record");
@@ -916,7 +909,7 @@ mod tests {
 
     #[test]
     fn merge_from_combines_worker_monitors() {
-        let mut main = QatRuntime::new(1, 8);
+        let mut main = QatRuntime::builder(1).uniform_bits(8).build().unwrap();
         let mut w1 = main.clone();
         let mut w2 = main.clone();
         w1.process(0, &mut [1.0f64, -3.0]);
@@ -929,8 +922,8 @@ mod tests {
 
     #[test]
     fn merge_from_rejects_point_count_mismatch() {
-        let mut a = QatRuntime::new(2, 8);
-        let b = QatRuntime::new(3, 8);
+        let mut a = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
+        let b = QatRuntime::builder(3).uniform_bits(8).build().unwrap();
         assert_eq!(
             a.merge_from(&b),
             Err(PrecisionError::PointCountMismatch { ours: 2, theirs: 3 })
@@ -956,7 +949,7 @@ mod tests {
             other => panic!("expected FormatMismatch, got {other:?}"),
         }
         // Different policy kinds are also typed rejections.
-        let c = QatRuntime::new(2, 8);
+        let c = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
         assert!(matches!(
             a.merge_from(&c),
             Err(PrecisionError::PolicyMismatch { .. })
@@ -970,8 +963,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_uniform_matches_legacy_runtime_bit_for_bit() {
-        let mut legacy = QatRuntime::new(3, 8).with_headroom(1.5);
+    fn builder_headroom_and_freeze_step_match_the_runtime_methods_bit_for_bit() {
+        // `headroom` at build time is `with_headroom` afterwards, and a
+        // uniform policy ignores the step it freezes at.
+        let mut after = QatRuntime::builder(3)
+            .uniform_bits(8)
+            .build()
+            .unwrap()
+            .with_headroom(1.5);
         let mut built = QatRuntime::builder(3)
             .uniform_bits(8)
             .headroom(1.5)
@@ -980,16 +979,16 @@ mod tests {
         let data = [0.37f64, -2.11, 5.9, 0.003];
         for p in 0..3 {
             let mut xs = data;
-            legacy.process(p, &mut xs);
+            after.process(p, &mut xs);
             let mut ys = data;
             built.process(p, &mut ys);
         }
-        legacy.freeze().unwrap();
+        after.freeze().unwrap();
         built.freeze_at_step(1234).unwrap();
         for p in 0..3 {
-            assert_eq!(legacy.quantizer(p), built.quantizer(p), "point {p}");
+            assert_eq!(after.quantizer(p), built.quantizer(p), "point {p}");
             let mut xs = data;
-            legacy.process(p, &mut xs);
+            after.process(p, &mut xs);
             let mut ys = data;
             built.process(p, &mut ys);
             assert_eq!(xs, ys, "point {p}");

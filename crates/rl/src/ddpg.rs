@@ -588,10 +588,11 @@ impl<S: Scalar> Ddpg<S> {
     ///
     /// This is [`Ddpg::select_actions_batch`] on a one-row batch: the
     /// packed batched kernels, bit-identical to the per-sample
-    /// [`Mlp::forward_qat`] chain (a fleet of one ≡ the scalar loop). The
-    /// actor pack it builds is the one the next update's actor forward
-    /// reuses. The per-sample `Mlp::forward*` family stays as the oracle
-    /// of the batched passes, under [`Ddpg::train_batch`], and for
+    /// [`Mlp::forward_qat`] chain (a fleet of one ≡ the scalar loop). It
+    /// finds the actor's packs current: the last update refreshed them
+    /// in place when it wrote the weights, so nothing is rebuilt here.
+    /// The per-sample `Mlp::forward*` family stays as the oracle of the
+    /// batched passes, under [`Ddpg::train_batch`], and for
     /// [`PolicySnapshot`](crate::PolicySnapshot) inference.
     ///
     /// # Errors

@@ -84,15 +84,15 @@
 //! scheduling.
 //!
 //! The MVM entries live on [`WeightPack`] ([`Matrix::pack`]): the
-//! cached transpose [`WeightPack::gemv_batch`] streams instead of
-//! rebuilding it per batch, plus the weight side of the interval guard;
+//! transpose [`WeightPack::gemv_batch`] streams instead of rebuilding it
+//! per batch, plus the weight side of the interval guard;
 //! [`WeightPack::gemv_t_batch`] streams the rows of the source matrix,
 //! which it takes beside the pack. Only the loop nest differs from the
-//! per-sample kernels — per-element chains are unchanged. A pack is a
-//! snapshot of the weights at
-//! [`Matrix::pack`] time; mutating the source matrix afterwards does not
-//! update it (callers invalidate and re-pack, as `fixar-nn`'s `Mlp` does
-//! on weight updates).
+//! per-sample kernels — per-element chains are unchanged. A pack
+//! describes the weights of its last [`WeightPack::refresh`]; the code
+//! that writes a matrix refreshes its pack in place when the write ends
+//! (as `fixar-nn`'s `Mlp` does in its one weight writer), so the next
+//! batched pass finds it current without rebuilding anything.
 //!
 //! # The interval guard
 //!
@@ -101,9 +101,10 @@
 //! a batched kernel runs a chain it evaluates
 //! [`Scalar::mac_chain_is_clamp_free`] on bounds of the data in hand —
 //! the largest weight magnitude and the largest row / column abs-sum
-//! (derived once, in [`Matrix::pack`]) against one max-magnitude scan of
-//! the sample row (forward and transposed), or of column `i` of `E`,
-//! all of `A` and gradient row `i` (`add_outer_batch`). A batch-lane row
+//! (derived once per weight write, in [`WeightPack::refresh`]) against
+//! one max-magnitude scan of the sample row (forward and transposed), or
+//! of column `i` of `E`, all of `A` and gradient row `i`
+//! (`add_outer_batch`). A batch-lane row
 //! holds one chain per sample, so its verdict bounds them all: the whole
 //! input matrix for the MVMs; column `j` of `A`, all of `E` and gradient
 //! column `j` for the gradient. When the bounds prove that no product and no

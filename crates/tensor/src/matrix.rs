@@ -538,19 +538,29 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Returns the transposed matrix (a data copy; the accelerator never
-    /// materializes this — it redistributes reads instead). Full 16 × 16
-    /// tiles pass through a local block read and written in contiguous
-    /// runs of 16 (a register transpose under 512-bit vectors); only the
-    /// ragged edges copy element by element. A per-element strided gather
-    /// over a 300 × 400 matrix measured anywhere from 53 to 93 µs on a
-    /// 2-core AVX-512 Xeon, depending only on where the loop landed in
-    /// the binary (the tiles: 44–51 µs), and a
-    /// layer's pack — rebuilt on `act`'s path after every update — is
-    /// this transpose.
+    /// materializes this — it redistributes reads instead). See
+    /// [`Matrix::transpose_into`].
     pub fn transposed(&self) -> Matrix<S> {
+        let mut t = Matrix::zeros(0, 0);
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// Writes the transpose of `self` into `out`, reshaping it to
+    /// `(cols, rows)` in place (see [`Matrix::reset_shape`]: no allocation
+    /// and no zero-fill once `out` has the capacity). Full 16 × 16 tiles
+    /// pass through a local block, so both sides are touched in
+    /// contiguous runs of 16; only the ragged edges copy element by
+    /// element. A per-element strided gather over a
+    /// 300 × 400 matrix measured anywhere from 53 to 93 µs on a 2-core
+    /// AVX-512 Xeon, depending only on where the loop landed in the binary
+    /// (the tiles: 44–51 µs), and a layer's [`WeightPack::refresh`] —
+    /// after every weight update — is this transpose.
+    pub fn transpose_into(&self, out: &mut Matrix<S>) {
         const TILE: usize = 16;
         let (rows, cols) = (self.rows, self.cols);
-        let mut data = vec![S::zero(); rows * cols];
+        out.reset_shape(cols, rows);
+        let data = &mut out.data;
         for i0 in (0..rows).step_by(TILE) {
             for j0 in (0..cols).step_by(TILE) {
                 if i0 + TILE <= rows && j0 + TILE <= cols {
@@ -573,11 +583,6 @@ impl<S: Scalar> Matrix<S> {
                 }
             }
         }
-        Matrix {
-            rows: cols,
-            cols: rows,
-            data,
-        }
     }
 
     /// Converts every element to another scalar backend through `f64`.
@@ -598,28 +603,18 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Builds the cache-resident packed layout for this matrix — see
-    /// [`WeightPack`]: the transpose, and the weight side of the interval
-    /// guard from one unit-stride pass over the rows.
+    /// [`WeightPack`]: an empty pack, [refreshed](WeightPack::refresh)
+    /// from `self`.
     pub fn pack(&self) -> WeightPack<S> {
-        let mut w_max = 0u32;
-        let mut row_abs_sum = 0u64;
-        let mut col_sums = vec![0u64; self.cols];
-        for row in self.data.chunks_exact(self.cols.max(1)) {
-            let mut row_sum = 0u64;
-            for (col_sum, w) in col_sums.iter_mut().zip(row) {
-                let m = w.raw_magnitude();
-                w_max = w_max.max(m);
-                row_sum += u64::from(m);
-                *col_sum += u64::from(m);
-            }
-            row_abs_sum = row_abs_sum.max(row_sum);
-        }
-        WeightPack {
-            wt: self.transposed(),
-            w_max,
-            row_abs_sum,
-            col_abs_sum: col_sums.into_iter().max().unwrap_or(0),
-        }
+        let mut pack = WeightPack {
+            wt: Matrix::zeros(0, 0),
+            w_max: 0,
+            row_abs_sum: 0,
+            col_sums: Vec::new(),
+            col_abs_sum: 0,
+        };
+        pack.refresh(self);
+        pack
     }
 }
 
@@ -655,23 +650,54 @@ fn magnitudes<S: Scalar>(xs: impl Iterator<Item = S>) -> (u32, u64) {
 /// accumulation-order contract), in every backend, including
 /// saturating `Fx32`, at every worker count.
 ///
-/// A pack is a snapshot: it does **not** track later mutations of the
-/// source matrix. Callers that mutate weights must rebuild (or, like
-/// `fixar-nn`'s `Mlp`, invalidate and lazily rebuild) the pack.
+/// A pack describes the weights it was last built or
+/// [refreshed](WeightPack::refresh) from; it does not see later writes
+/// to the source matrix. Whoever writes the weights refreshes the pack
+/// in place when the write ends, as `fixar-nn`'s `Mlp` does in its one
+/// weight writer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightPack<S> {
     /// `(cols, rows)` row-major transpose of the source matrix.
     wt: Matrix<S>,
-    /// Weight side of the interval guard, derived by [`Matrix::pack`]:
-    /// the largest [`Scalar::raw_magnitude`] of any weight, and the
-    /// largest sum of magnitudes along one source row (a forward chain)
-    /// and one source column (a transposed chain).
+    /// Weight side of the interval guard, derived by
+    /// [`WeightPack::refresh`]: the largest [`Scalar::raw_magnitude`] of
+    /// any weight, and the largest sum of magnitudes along one source row
+    /// (a forward chain) and one source column (a transposed chain).
     w_max: u32,
     row_abs_sum: u64,
+    /// Per-source-column sums of magnitudes (`col_abs_sum` is their
+    /// largest), kept so that a refresh reuses the buffer.
+    col_sums: Vec<u64>,
     col_abs_sum: u64,
 }
 
 impl<S: Scalar> WeightPack<S> {
+    /// Rewrites the pack in place from `w`: the transpose
+    /// ([`Matrix::transpose_into`]), then the guard bounds from one
+    /// unit-stride pass over the rows. The result equals `w.pack()`
+    /// whatever shape the pack had; at an unchanged shape nothing
+    /// allocates and the transpose buffer is not zero-filled.
+    pub fn refresh(&mut self, w: &Matrix<S>) {
+        w.transpose_into(&mut self.wt);
+        self.col_sums.clear();
+        self.col_sums.resize(w.cols, 0);
+        let mut w_max = 0u32;
+        let mut row_abs_sum = 0u64;
+        for row in w.data.chunks_exact(w.cols.max(1)) {
+            let mut row_sum = 0u64;
+            for (col_sum, x) in self.col_sums.iter_mut().zip(row) {
+                let m = x.raw_magnitude();
+                w_max = w_max.max(m);
+                row_sum += u64::from(m);
+                *col_sum += u64::from(m);
+            }
+            row_abs_sum = row_abs_sum.max(row_sum);
+        }
+        self.w_max = w_max;
+        self.row_abs_sum = row_abs_sum;
+        self.col_abs_sum = self.col_sums.iter().copied().max().unwrap_or(0);
+    }
+
     /// Row count of the *source* matrix (the output dimension of
     /// [`WeightPack::gemv_batch`]).
     #[inline]
@@ -743,8 +769,7 @@ impl<S: Scalar> WeightPack<S> {
     /// pack was built from, `e` is `(batch, rows)`, `y` is
     /// `(batch, cols)`. The transposed chains stream the rows of `w`
     /// itself, so the pack contributes only their guard bounds — which
-    /// describe `w` as it was when packed (see the snapshot note on
-    /// [`WeightPack`]).
+    /// describe `w` as it was at the last refresh (see [`WeightPack`]).
     ///
     /// # Accumulation order
     ///

@@ -640,3 +640,30 @@ fn shape_chosen_vector_dimension_equals_the_per_sample_oracles() {
     vector_dimension_case::<f32>();
     vector_dimension_case::<f64>();
 }
+
+/// Refreshes one pack through `SHAPES` in order and back again, so the
+/// refreshes land on packs last built for larger, smaller and equal
+/// shapes (with other data), and checks each against a fresh pack.
+fn refresh_case<S: Scalar>(make: impl Fn(usize, usize, usize) -> Matrix<S>) {
+    const SHAPES: [(usize, usize); 6] =
+        [(1, 1), (15, 17), (16, 16), (17, 400), (300, 6), (400, 300)];
+    let mut pack = make(2, 3, 0).pack();
+    let order = SHAPES.iter().chain(SHAPES.iter().rev());
+    for (salt, &(rows, cols)) in order.enumerate() {
+        let w = make(rows, cols, salt);
+        pack.refresh(&w);
+        assert_eq!(pack, w.pack(), "{} {rows}x{cols}", S::NAME);
+        assert_eq!(pack.shape(), (rows, cols));
+    }
+}
+
+#[test]
+fn refreshing_a_pack_of_another_shape_equals_packing_afresh() {
+    refresh_case(rail_matrix);
+    refresh_case(|rows, cols, salt| {
+        Matrix::<f64>::from_fn(rows, cols, |r, c| {
+            ((r * 13 + c * 5 + salt) as f64 * 0.29).sin()
+        })
+        .cast::<f32>()
+    });
+}

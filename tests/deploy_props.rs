@@ -312,12 +312,12 @@ fn interpreter_equals_the_frozen_forward_on_both_sides_of_the_interval_guard() {
     // (iii) First-layer weights of ±2047.0 (a hostile blob): an ordinary
     // observation is enough to saturate, and the guard says so.
     let mut hostile = actor.clone();
-    hostile
-        .weight_mut(0)
-        .as_mut_slice()
-        .iter_mut()
-        .enumerate()
-        .for_each(|(k, w)| *w = Fx32::from_f64(if k % 2 == 0 { 2047.0 } else { -2047.0 }));
+    hostile.update_weight(0, |w| {
+        w.as_mut_slice()
+            .iter_mut()
+            .enumerate()
+            .for_each(|(k, w)| *w = Fx32::from_f64(if k % 2 == 0 { 2047.0 } else { -2047.0 }))
+    });
     check(&hostile, &raw_obs(&obs(3)), [false, true], "rail weights");
 }
 
@@ -336,7 +336,7 @@ fn interpreter_equals_the_frozen_forward_on_zero_inputs() {
     cfg.output_activation = Activation::Tanh;
     let live = Mlp::<Fx32>::new_random(&cfg, 7).unwrap();
     let mut dead = live.clone();
-    dead.weight_mut(0).map_inplace(|w| -w.abs());
+    dead.update_weight(0, |w| w.map_inplace(|w| -w.abs()));
     dead.bias_mut(0).iter_mut().for_each(|b| *b = -b.abs());
     // Quantizers on the way in and on the way out; the hidden point is
     // left bare so a dead layer reaches the next one as exact zeros.
