@@ -3,7 +3,6 @@
 
 use fixar_fixed::Fx32;
 use fixar_nn::Mlp;
-use fixar_pool::{split_ranges, Parallelism};
 use fixar_tensor::Matrix;
 
 use crate::core_array::AapCore;
@@ -145,7 +144,6 @@ pub struct FixarAccelerator {
     prng: IrwinHallGaussian,
     actor_image: Option<NetworkImage>,
     critic_image: Option<NetworkImage>,
-    par: Parallelism,
 }
 
 impl FixarAccelerator {
@@ -165,22 +163,7 @@ impl FixarAccelerator {
             prng: IrwinHallGaussian::new(0xF1BA_0001),
             actor_image: None,
             critic_image: None,
-            // One lane per modelled AAP core by default; FIXAR_WORKERS
-            // overrides. Any count is bit-exact — the cross-core
-            // reduction below always runs in fixed core order.
-            par: Parallelism::from_env_or(cfg.n_cores),
         })
-    }
-
-    /// The parallelism handle the structural paths shard over.
-    pub fn parallelism(&self) -> &Parallelism {
-        &self.par
-    }
-
-    /// Replaces the parallelism handle (bit-exact at any worker count;
-    /// only simulation wall-clock changes).
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
     }
 
     /// Design parameters.
@@ -217,20 +200,6 @@ impl FixarAccelerator {
         self.actor_image = Some(actor_image);
         self.critic_image = Some(critic_image);
         Ok(())
-    }
-
-    /// Refreshes the weight memory after host-side training updates (the
-    /// Adam unit's write-back, batched).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FixarAccelerator::load_ddpg`].
-    pub fn refresh_weights(
-        &mut self,
-        actor: &Mlp<Fx32>,
-        critic: &Mlp<Fx32>,
-    ) -> Result<(), AccelError> {
-        self.load_ddpg(actor, critic)
     }
 
     /// Structural actor inference through the AAP cores: column-wise
@@ -305,46 +274,21 @@ impl FixarAccelerator {
         let mut act = input.to_vec();
         for (l, layer) in image.layers.iter().enumerate() {
             let w = self.weight_mem.layer_matrix(layer);
-            let mut partials = vec![vec![Fx32::ZERO; layer.rows]; self.cfg.n_cores];
-            // The AAP cores genuinely run concurrently: one thread per
-            // core computes its interleaved column share. The reduction
-            // below is in fixed core order, so the result is independent
-            // of thread scheduling.
+            let n_cores = self.cfg.n_cores;
+            let mut partials = vec![vec![Fx32::ZERO; layer.rows]; n_cores];
+            // Each modelled AAP core computes its interleaved column share
+            // into its own partial. The cores run one after another on
+            // this thread: their concurrency is the cycle model's, not the
+            // host's, and the reduction below fixes the bits.
             let half: Vec<HalfAct> = match precision {
                 Precision::Half16 => act.iter().map(|v| HalfAct::from_f64(v.to_f64())).collect(),
                 Precision::Full32 => Vec::new(),
             };
-            let n_cores = self.cfg.n_cores;
-            let core = &self.core;
-            let act_ref = &act;
-            let half_ref = &half;
-            let w_ref = &w;
-            let run_core = |c: usize, partial: &mut Vec<Fx32>| match precision {
-                Precision::Full32 => {
-                    core.mvm_columns(w_ref, act_ref, c, n_cores, partial);
+            for (c, partial) in partials.iter_mut().enumerate() {
+                match precision {
+                    Precision::Full32 => self.core.mvm_columns(&w, &act, c, n_cores, partial),
+                    Precision::Half16 => self.core.mvm_columns_half(&w, &half, c, n_cores, partial),
                 }
-                Precision::Half16 => {
-                    core.mvm_columns_half(w_ref, half_ref, c, n_cores, partial);
-                }
-            };
-            // The AAP cores run on the persistent worker pool (no
-            // per-call thread spawning); on the sequential handle — or
-            // nested under a row-sharded batch — they run in core order
-            // on this thread. Either way each core writes its own
-            // partial, so the schedule cannot change the result.
-            if self.par.shards(n_cores) <= 1 {
-                for (c, partial) in partials.iter_mut().enumerate() {
-                    run_core(c, partial);
-                }
-            } else {
-                let pool = self.par.pool().expect("shards > 1 implies a pool");
-                pool.scope(|scope| {
-                    let run_core = &run_core;
-                    for (c, partial) in partials.iter_mut().enumerate() {
-                        scope.execute(move || run_core(c, partial));
-                    }
-                })
-                .unwrap_or_else(|e| panic!("AAP core task panicked: {e}"));
             }
             // Cross-core accumulator tree, core order.
             let mut z = vec![Fx32::ZERO; layer.rows];
@@ -428,32 +372,9 @@ impl FixarAccelerator {
         }
         let out_dim = *image.sizes.last().expect("loaded image has layers");
         let mut out = Matrix::zeros(inputs.rows(), out_dim);
-        // Batch rows shard across the pool (disjoint output rows, each
-        // row's dataflow unchanged — bit-exact at any worker count);
-        // `forward_image` detects it is on a pool thread and runs its
-        // per-core loop inline instead of nesting a scope.
-        let shards = self.par.shards(inputs.rows());
-        if shards <= 1 {
-            for b in 0..inputs.rows() {
-                let y = self.forward_image(image, inputs.row(b), precision);
-                out.row_mut(b).copy_from_slice(&y);
-            }
-        } else {
-            let pool = self.par.pool().expect("shards > 1 implies a pool");
-            pool.scope(|scope| {
-                let mut rest = out.as_mut_slice();
-                for range in split_ranges(inputs.rows(), shards) {
-                    let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
-                    rest = tail;
-                    scope.execute(move || {
-                        for (local, b) in range.enumerate() {
-                            let y = self.forward_image(image, inputs.row(b), precision);
-                            chunk[local * out_dim..(local + 1) * out_dim].copy_from_slice(&y);
-                        }
-                    });
-                }
-            })
-            .unwrap_or_else(|e| panic!("batched inference task panicked: {e}"));
+        for b in 0..inputs.rows() {
+            let y = self.forward_image(image, inputs.row(b), precision);
+            out.row_mut(b).copy_from_slice(&y);
         }
         let cycles =
             BatchedInferenceSchedule::for_mlp(&self.cfg, &image.sizes, inputs.rows(), precision)
@@ -502,7 +423,7 @@ impl FixarAccelerator {
     /// Cycle breakdown for one training timestep driven by the batched
     /// matrix-matrix kernels (see
     /// [`TrainingSchedule::for_ddpg_batched`]) — the timing twin of
-    /// `Ddpg::train_minibatch`.
+    /// `Ddpg::train_minibatch_weighted`.
     ///
     /// # Errors
     ///

@@ -444,61 +444,6 @@ impl BatchedInferenceSchedule {
     pub fn lane_speedup(&self, lanes: usize) -> f64 {
         shard_lane_speedup(self.batch, lanes)
     }
-
-    /// Cycle schedule for **several independent networks' batched
-    /// inferences fused layer-locked** — the structural twin of the
-    /// software stack's multi-kernel scopes (`fixar-nn`'s group
-    /// `forward_batch`, which serves e.g. TD3's twin critics):
-    /// per layer *step*, every network still owning a layer streams its
-    /// shard back to back under **one** phase setup/join, so the
-    /// per-layer `phase_overhead_cycles` is paid once per step instead
-    /// of once per network per layer. The MAC work (tile passes) is
-    /// exactly the sum of the individual schedules — fused scheduling
-    /// never changes arithmetic, only the join count — so `macs` and
-    /// `ideal_cycles` are the per-network sums and the saved cycles are
-    /// precisely `Σ_steps (active_networks − 1) × phase_overhead`.
-    pub fn for_mlps_fused(
-        cfg: &AccelConfig,
-        nets: &[&[usize]],
-        batch: usize,
-        precision: Precision,
-    ) -> Self {
-        let samples_per_core = batch.div_ceil(cfg.n_cores) as u64;
-        let lanes = match precision {
-            Precision::Full32 => 1.0,
-            Precision::Half16 => 2.0,
-        };
-        let steps = nets
-            .iter()
-            .map(|sizes| sizes.len().saturating_sub(1))
-            .max()
-            .unwrap_or(0);
-        let mut cycles = 0u64;
-        let mut ideal = 0.0f64;
-        let mut macs = 0u64;
-        for l in 0..steps {
-            let mut active = false;
-            for sizes in nets {
-                let Some(w) = sizes.windows(2).nth(l) else {
-                    continue;
-                };
-                active = true;
-                let (q, p) = (w[0], w[1]);
-                cycles += tiles(cfg, p, q, 1, precision) * samples_per_core;
-                ideal += batch as f64 * (p * q) as f64 / (cfg.pe_count_total() as f64 * lanes);
-                macs += (p * q) as u64 * batch as u64;
-            }
-            if active {
-                cycles += cfg.phase_overhead_cycles;
-            }
-        }
-        Self {
-            batch,
-            cycles,
-            ideal_cycles: ideal,
-            macs,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -728,62 +673,6 @@ mod tests {
         let single = InferenceSchedule::for_mlp(&cfg, &ACTOR, Precision::Full32);
         assert!(b2.cycles < single.cycles * 64);
         assert!(b2.ips(&cfg) > 0.0 && b2.latency_s(&cfg) > 0.0);
-    }
-
-    #[test]
-    fn fused_multi_network_schedule_saves_exactly_the_phase_overheads() {
-        // The structural twin of the software fused scopes: identical
-        // MAC work and ideal cycles (arithmetic unchanged), cycles
-        // lower by exactly (active networks - 1) phase overheads per
-        // layer step — and therefore strictly higher occupancy.
-        let cfg = AccelConfig::default();
-        for precision in [Precision::Full32, Precision::Half16] {
-            for batch in [16usize, 64, 512] {
-                let c1 = BatchedInferenceSchedule::for_mlp(&cfg, &CRITIC, batch, precision);
-                let c2 = BatchedInferenceSchedule::for_mlp(&cfg, &CRITIC, batch, precision);
-                let fused = BatchedInferenceSchedule::for_mlps_fused(
-                    &cfg,
-                    &[&CRITIC, &CRITIC],
-                    batch,
-                    precision,
-                );
-                assert_eq!(fused.macs, c1.macs + c2.macs, "MAC work is the sum");
-                assert!((fused.ideal_cycles - (c1.ideal_cycles + c2.ideal_cycles)).abs() < 1e-9);
-                let layers = CRITIC.len() - 1;
-                let saved = layers as u64 * cfg.phase_overhead_cycles;
-                assert_eq!(
-                    fused.cycles,
-                    c1.cycles + c2.cycles - saved,
-                    "fusing twin critics saves one phase setup per layer step"
-                );
-                assert!(fused.utilization() > c1.utilization().min(c2.utilization()));
-            }
-        }
-
-        // Unequal depths: the shallower network stops contributing
-        // kernels, the deeper one still pays its overheads.
-        let shallow: [usize; 3] = [23, 400, 1];
-        let cfg = AccelConfig::default();
-        let a = BatchedInferenceSchedule::for_mlp(&cfg, &CRITIC, 64, Precision::Full32);
-        let b = BatchedInferenceSchedule::for_mlp(&cfg, &shallow, 64, Precision::Full32);
-        let fused = BatchedInferenceSchedule::for_mlps_fused(
-            &cfg,
-            &[&CRITIC, &shallow],
-            64,
-            Precision::Full32,
-        );
-        assert_eq!(fused.macs, a.macs + b.macs);
-        // Shared steps: min(layers) of them save one overhead each.
-        let shared = (shallow.len() - 1) as u64;
-        assert_eq!(
-            fused.cycles,
-            a.cycles + b.cycles - shared * cfg.phase_overhead_cycles
-        );
-        // Degenerate: a single network fused is the plain schedule.
-        let solo =
-            BatchedInferenceSchedule::for_mlps_fused(&cfg, &[&CRITIC], 64, Precision::Full32);
-        assert_eq!(solo.cycles, a.cycles);
-        assert_eq!(solo.macs, a.macs);
     }
 
     #[test]

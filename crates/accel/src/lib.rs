@@ -12,7 +12,9 @@
 //!   half-precision MACs (the post-QAT 2× throughput mode).
 //!   [`AapCore`] executes real matrix-vector products through that
 //!   datapath in the paper's column-wise decomposition order, bit-exact
-//!   against the `fixar-nn` reference kernels.
+//!   against the `fixar-nn` reference kernels. The model runs on the
+//!   calling thread — cores in core order, batch rows in row order — so
+//!   the cores' concurrency lives in the cycle count, not on the host.
 //! * **Cycle level** — [`InferenceSchedule`]/[`TrainingSchedule`] count
 //!   cycles for the two dataflows (intra-layer parallelism for forward,
 //!   intra-batch parallelism for training), including tile-quantization
@@ -46,7 +48,6 @@ mod pe;
 mod power;
 mod prng;
 mod resource;
-mod serving;
 
 pub use accelerator::{AccelConfig, FixarAccelerator, TimestepCycles};
 pub use adam_unit::AdamUnit;
@@ -59,4 +60,3 @@ pub use pe::{ConfigurablePe, PeMode};
 pub use power::PowerModel;
 pub use prng::{IrwinHallGaussian, Lfsr32};
 pub use resource::{LayerFormat, PrecisionPlanCost, ResourceModel, ResourceUsage, U50_BUDGET};
-pub use serving::MicroBatchServing;

@@ -1,7 +1,7 @@
 //! Per-sample vs batched DDPG training-step throughput across batch
 //! sizes {32, 64, 128} — the speedup delivered by routing a minibatch
 //! through the stack as one `Matrix` per layer
-//! (`Ddpg::train_minibatch`) instead of `batch` vector passes
+//! (`Ddpg::train_minibatch_weighted`) instead of `batch` vector passes
 //! (`Ddpg::train_batch`) — plus the **worker-count sweep** of the
 //! pool-parallel kernel path (workers 1/2/4/8 × the same batch sizes).
 //! Every path produces bit-identical `Fx32` weights (property-tested in
@@ -82,7 +82,9 @@ fn print_speedup_table() {
         );
         let t_batched = time_steps(
             || {
-                batched.train_minibatch(&batch).expect("train");
+                batched
+                    .train_minibatch_weighted(&batch, None)
+                    .expect("train");
             },
             reps,
         );
@@ -103,7 +105,7 @@ fn print_speedup_table() {
 }
 
 /// Worker-count sweep of the pool-parallel batched training step: the
-/// kernels of `train_minibatch` shard across 1/2/4/8 pool workers at a
+/// kernels of `train_minibatch_weighted` shard across 1/2/4/8 pool workers at a
 /// network scale where kernel time dominates (256×192 hidden). Speedup
 /// is reported against the 1-worker (sequential-kernel) batched path.
 fn print_worker_sweep_table() {
@@ -128,7 +130,7 @@ fn print_worker_sweep_table() {
             agent.set_parallelism(Parallelism::with_workers(workers));
             let t = time_steps(
                 || {
-                    agent.train_minibatch(&batch).expect("train");
+                    agent.train_minibatch_weighted(&batch, None).expect("train");
                 },
                 reps,
             );
@@ -184,7 +186,7 @@ fn bench_training_paths(c: &mut Criterion) {
             let mut agent = Ddpg::<Fx32>::new(3, 1, cfg.clone()).expect("valid config");
             b.iter(|| {
                 agent
-                    .train_minibatch(std::hint::black_box(&batch))
+                    .train_minibatch_weighted(std::hint::black_box(&batch), None)
                     .expect("train")
             });
         });
@@ -193,7 +195,7 @@ fn bench_training_paths(c: &mut Criterion) {
             agent.set_parallelism(Parallelism::with_workers(4));
             b.iter(|| {
                 agent
-                    .train_minibatch(std::hint::black_box(&batch))
+                    .train_minibatch_weighted(std::hint::black_box(&batch), None)
                     .expect("train")
             });
         });

@@ -51,7 +51,7 @@ fn main() {
             .map(|c| ((t as usize * 3 + c) as f64 * 0.31).sin())
             .collect();
         agent.act(&s).expect("act");
-        agent.train_minibatch(&batch).expect("train");
+        agent.train_minibatch_weighted(&batch, None).expect("train");
         agent.on_timestep(t).expect("timestep");
     }
     assert!(agent.qat_frozen(), "QAT schedule must have fired");

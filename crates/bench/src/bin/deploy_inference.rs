@@ -70,7 +70,7 @@ fn frozen_snapshot() -> PolicySnapshot<Fx32> {
             .map(|c| ((t as usize * 3 + c) as f64).sin())
             .collect();
         agent.act(&s).unwrap();
-        agent.train_minibatch(&batch).unwrap();
+        agent.train_minibatch_weighted(&batch, None).unwrap();
         agent.on_timestep(t).unwrap();
     }
     assert!(agent.qat_frozen(), "QAT schedule must have fired");

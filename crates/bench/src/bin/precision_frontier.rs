@@ -86,7 +86,7 @@ fn train_ddpg_arm(cfg: DdpgConfig, steps: u64) -> (Ddpg<Fx32>, PolicySnapshot<Fx
     for t in 0..steps {
         // Feed the actor's monitors (rollout path) and train.
         agent.select_actions_batch(&probe).unwrap();
-        agent.train_minibatch(&batch).unwrap();
+        agent.train_minibatch_weighted(&batch, None).unwrap();
         agent.on_timestep(t).unwrap();
     }
     let snap = agent.policy_snapshot(steps);

@@ -71,7 +71,7 @@ fn trained_snapshot(seed: u64, id: u64) -> PolicySnapshot<Fx32> {
     let batch = TransitionBatch::from_transitions(&refs).unwrap();
     for t in 0..8 {
         agent.act(&obs(t)).unwrap();
-        agent.train_minibatch(&batch).unwrap();
+        agent.train_minibatch_weighted(&batch, None).unwrap();
         agent.on_timestep(t as u64).unwrap();
     }
     assert!(agent.qat_frozen(), "QAT schedule must have fired");

@@ -39,10 +39,8 @@ pub mod paper {
 }
 
 /// The pre-SoA replay buffer, kept verbatim as the behavioural
-/// reference for the structure-of-arrays rewrite — **the** single copy
-/// shared by the `replay_scale` bench bin (timing baseline, bit-equality
-/// gate) and `tests/replay_props.rs` (legacy-equivalence pillar), so
-/// the two cannot drift onto different reference semantics.
+/// reference for the structure-of-arrays rewrite — the legacy model
+/// `tests/replay_props.rs` checks the ring against.
 pub mod legacy_replay {
     use fixar_rl::{Transition, TransitionBatch};
     use rand::rngs::StdRng;

@@ -52,8 +52,8 @@ pub use fixar_rl::{DdpgConfig, PrecisionMode, RlError, Trainer, TrainingReport};
 pub mod prelude {
     pub use fixar_accel::{
         AccelConfig, BatchedInferenceSchedule, FixarAccelerator, GpuModel, InferenceSchedule,
-        LayerFormat, MicroBatchServing, PowerModel, Precision, PrecisionPlanCost, ResourceModel,
-        TrainingSchedule, U50_BUDGET,
+        LayerFormat, PowerModel, Precision, PrecisionPlanCost, ResourceModel, TrainingSchedule,
+        U50_BUDGET,
     };
     pub use fixar_deploy::{
         verify_generated_source, ActKind, BlobStats, DeployError, PolicyArtifact,

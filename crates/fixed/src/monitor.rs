@@ -78,17 +78,6 @@ impl RangeMonitor {
         self.count
     }
 
-    /// Merges another monitor's captured range into this one (used when
-    /// per-core monitors are reduced, mirroring the accumulator tree).
-    #[inline]
-    pub fn merge(&mut self, other: &RangeMonitor) {
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-            self.count += other.count;
-        }
-    }
-
     /// Clears all observations.
     #[inline]
     pub fn reset(&mut self) {
@@ -141,21 +130,6 @@ mod tests {
         assert_eq!(m.range(), None);
         m.observe(1.0);
         assert_eq!(m.range(), Some((1.0, 1.0)));
-    }
-
-    #[test]
-    fn merge_combines_ranges() {
-        let mut a = RangeMonitor::new();
-        a.observe(-1.0);
-        let mut b = RangeMonitor::new();
-        b.observe(7.0);
-        a.merge(&b);
-        assert_eq!(a.range(), Some((-1.0, 7.0)));
-        assert_eq!(a.count(), 2);
-
-        let empty = RangeMonitor::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 2);
     }
 
     #[test]

@@ -452,13 +452,6 @@ impl AffineQuantizer {
             *x = S::from_f64(steps.clamp(lo, hi) * self.delta);
         }
     }
-
-    /// Worst-case absolute reconstruction error for in-range inputs (one
-    /// quantization step, since Algorithm 1 floors).
-    #[inline]
-    pub fn max_error(&self) -> f64 {
-        self.delta
-    }
 }
 
 #[cfg(test)]

@@ -154,21 +154,6 @@ proptest! {
     }
 
     #[test]
-    fn monitor_merge_equals_joint_observation(
-        xs in prop::collection::vec(-1e3..1e3f64, 1..20),
-        ys in prop::collection::vec(-1e3..1e3f64, 1..20),
-    ) {
-        let mut a = RangeMonitor::new();
-        let mut b = RangeMonitor::new();
-        let mut joint = RangeMonitor::new();
-        for &x in &xs { a.observe(x); joint.observe(x); }
-        for &y in &ys { b.observe(y); joint.observe(y); }
-        a.merge(&b);
-        prop_assert_eq!(a.range(), joint.range());
-        prop_assert_eq!(a.count(), joint.count());
-    }
-
-    #[test]
     fn scalar_generic_mac_consistent_with_f64(
         x in -10.0..10.0f64,
         w in -1.0..1.0f64,

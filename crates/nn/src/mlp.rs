@@ -46,12 +46,6 @@ impl MlpConfig {
         self
     }
 
-    /// Sets the hidden activation (builder style).
-    pub fn with_hidden_activation(mut self, act: Activation) -> Self {
-        self.hidden_activation = act;
-        self
-    }
-
     /// Number of weight layers (`layer_sizes.len() - 1`).
     pub fn num_layers(&self) -> usize {
         self.layer_sizes.len().saturating_sub(1)
@@ -379,10 +373,9 @@ impl<S: Scalar> Mlp<S> {
     }
 
     /// Forward pass against an immutable QAT runtime: frozen quantizers
-    /// apply but no ranges are recorded. This is the thread-parallel
-    /// training path — workers share `&self` and `&QatRuntime`,
-    /// calibrating (if needed) into per-worker clones merged afterwards
-    /// with [`QatRuntime::merge_from`].
+    /// apply but no ranges are recorded — the per-sample oracle a frozen
+    /// policy snapshot answers through, shared as `&self` and
+    /// `&QatRuntime`.
     ///
     /// # Errors
     ///

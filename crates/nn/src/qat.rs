@@ -198,32 +198,9 @@ impl PrecisionPolicy {
     }
 }
 
-/// Typed error for precision-policy construction and runtime merging.
+/// Typed error for precision-policy construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrecisionError {
-    /// Two runtimes with different activation-point counts were merged.
-    PointCountMismatch {
-        /// Point count of the receiving runtime.
-        ours: usize,
-        /// Point count of the runtime being merged in.
-        theirs: usize,
-    },
-    /// Two runtimes with per-point format tables disagreed at a point.
-    FormatMismatch {
-        /// First disagreeing activation point.
-        point: usize,
-        /// Receiving runtime's format at that point.
-        ours: Option<QFormat>,
-        /// Incoming runtime's format at that point.
-        theirs: Option<QFormat>,
-    },
-    /// Two runtimes ran different precision policies.
-    PolicyMismatch {
-        /// Receiving runtime's policy, rendered for the message.
-        ours: String,
-        /// Incoming runtime's policy, rendered for the message.
-        theirs: String,
-    },
     /// A policy failed validation (width out of `1..=31`, mis-sized
     /// format table, empty or unsorted schedule, …).
     InvalidPolicy(String),
@@ -232,31 +209,6 @@ pub enum PrecisionError {
 impl fmt::Display for PrecisionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PrecisionError::PointCountMismatch { ours, theirs } => write!(
-                f,
-                "cannot merge QAT runtimes with different point counts ({ours} vs {theirs})"
-            ),
-            PrecisionError::FormatMismatch {
-                point,
-                ours,
-                theirs,
-            } => {
-                let show = |fmt: &Option<QFormat>| {
-                    fmt.map_or_else(|| "calibrated".to_string(), |q| q.to_string())
-                };
-                write!(
-                    f,
-                    "per-point formats disagree at activation point {point}: {} vs {}",
-                    show(ours),
-                    show(theirs)
-                )
-            }
-            PrecisionError::PolicyMismatch { ours, theirs } => {
-                write!(
-                    f,
-                    "cannot merge QAT runtimes with different precision policies ({ours} vs {theirs})"
-                )
-            }
             PrecisionError::InvalidPolicy(msg) => write!(f, "invalid precision policy: {msg}"),
         }
     }
@@ -566,61 +518,14 @@ impl QatRuntime {
 
     /// Read-only variant of [`QatRuntime::process`]: applies frozen
     /// quantizers but records nothing. In `Calibrate` mode this is a
-    /// no-op — thread-parallel callers calibrate into per-worker clones
-    /// and merge them back with [`QatRuntime::merge_from`].
+    /// no-op — calibration observes whole batch matrices on the calling
+    /// thread through [`QatPhase::Observing`].
     pub fn apply<S: Scalar>(&self, point: usize, xs: &mut [S]) {
         if self.mode == QatMode::Quantize {
             if let Some(q) = &self.quantizers[point] {
                 q.fake_quantize_slice(xs);
             }
         }
-    }
-
-    /// Folds another runtime's captured ranges into this one (the
-    /// reduction step after per-worker calibration). Quantizers and mode
-    /// are not affected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrecisionError::PointCountMismatch`] when the runtimes
-    /// have different point counts,
-    /// [`PrecisionError::FormatMismatch`] when both run per-point
-    /// policies whose format tables disagree, and
-    /// [`PrecisionError::PolicyMismatch`] when the policies differ in
-    /// any other way — merging ranges across divergent precision plans
-    /// would freeze one runtime with the other's statistics.
-    pub fn merge_from(&mut self, other: &QatRuntime) -> Result<(), PrecisionError> {
-        if self.monitors.len() != other.monitors.len() {
-            return Err(PrecisionError::PointCountMismatch {
-                ours: self.monitors.len(),
-                theirs: other.monitors.len(),
-            });
-        }
-        if self.policy != other.policy {
-            if let (
-                PrecisionPolicy::PerPoint { formats: a, .. },
-                PrecisionPolicy::PerPoint { formats: b, .. },
-            ) = (&self.policy, &other.policy)
-            {
-                if let Some(point) = (0..a.len().max(b.len()))
-                    .find(|&i| a.get(i).copied().flatten() != b.get(i).copied().flatten())
-                {
-                    return Err(PrecisionError::FormatMismatch {
-                        point,
-                        ours: a.get(point).copied().flatten(),
-                        theirs: b.get(point).copied().flatten(),
-                    });
-                }
-            }
-            return Err(PrecisionError::PolicyMismatch {
-                ours: format!("{:?}", self.policy),
-                theirs: format!("{:?}", other.policy),
-            });
-        }
-        for (mine, theirs) in self.monitors.iter_mut().zip(&other.monitors) {
-            mine.merge(theirs);
-        }
-        Ok(())
     }
 }
 
@@ -905,61 +810,6 @@ mod tests {
         qat.apply(0, &mut xs);
         assert_eq!(qat.monitor(0).count(), 0, "apply must not record");
         assert_eq!(xs[0], 1.0);
-    }
-
-    #[test]
-    fn merge_from_combines_worker_monitors() {
-        let mut main = QatRuntime::builder(1).uniform_bits(8).build().unwrap();
-        let mut w1 = main.clone();
-        let mut w2 = main.clone();
-        w1.process(0, &mut [1.0f64, -3.0]);
-        w2.process(0, &mut [5.0f64]);
-        main.merge_from(&w1).unwrap();
-        main.merge_from(&w2).unwrap();
-        assert_eq!(main.monitor(0).range(), Some((-3.0, 5.0)));
-        assert_eq!(main.monitor(0).count(), 3);
-    }
-
-    #[test]
-    fn merge_from_rejects_point_count_mismatch() {
-        let mut a = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
-        let b = QatRuntime::builder(3).uniform_bits(8).build().unwrap();
-        assert_eq!(
-            a.merge_from(&b),
-            Err(PrecisionError::PointCountMismatch { ours: 2, theirs: 3 })
-        );
-    }
-
-    #[test]
-    fn merge_from_rejects_mismatched_formats_with_typed_error() {
-        let q44 = QFormat::q(4, 4).unwrap();
-        let q48 = QFormat::q(4, 8).unwrap();
-        let mut a = QatRuntime::builder(2).point_format(0, q44).build().unwrap();
-        let b = QatRuntime::builder(2).point_format(0, q48).build().unwrap();
-        match a.merge_from(&b) {
-            Err(PrecisionError::FormatMismatch {
-                point,
-                ours,
-                theirs,
-            }) => {
-                assert_eq!(point, 0);
-                assert_eq!(ours, Some(q44));
-                assert_eq!(theirs, Some(q48));
-            }
-            other => panic!("expected FormatMismatch, got {other:?}"),
-        }
-        // Different policy kinds are also typed rejections.
-        let c = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
-        assert!(matches!(
-            a.merge_from(&c),
-            Err(PrecisionError::PolicyMismatch { .. })
-        ));
-        // Identical format tables merge fine.
-        let mut d = QatRuntime::builder(2).point_format(0, q44).build().unwrap();
-        let mut e = d.clone();
-        e.process(0, &mut [1.0f64]);
-        d.merge_from(&e).unwrap();
-        assert_eq!(d.monitor(0).count(), 1);
     }
 
     #[test]

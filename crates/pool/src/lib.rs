@@ -482,18 +482,6 @@ impl Parallelism {
         }
     }
 
-    /// A handle over a caller-provided pool.
-    pub fn with_pool(pool: Arc<WorkerPool>, workers: usize) -> Self {
-        if workers <= 1 {
-            Self::sequential()
-        } else {
-            Self {
-                workers,
-                pool: Some(pool),
-            }
-        }
-    }
-
     /// Reads the [`WORKERS_ENV`] override, falling back to `default`
     /// when unset or unparsable. This is how agent configs resolve
     /// their effective worker count.

@@ -185,7 +185,7 @@ pub struct DdpgConfig {
     pub seed: u64,
     /// Worker threads for kernel-level parallel training (the software
     /// twin of the AAP core count): the batched kernels of
-    /// [`Ddpg::train_minibatch`] shard across a persistent pool,
+    /// [`Ddpg::train_minibatch_weighted`] shard across a persistent pool,
     /// bit-identical to the sequential path at every count. `1` keeps
     /// the strictly sequential reference path. The `FIXAR_WORKERS`
     /// environment variable overrides this at agent construction.
@@ -645,33 +645,23 @@ impl<S: Scalar> Ddpg<S> {
     /// ascending-sample gradient accumulation order are preserved (see
     /// the `fixar-tensor` crate docs), and TD3's smoothing-noise RNG is
     /// consumed in exactly the per-sample order (ascending sample, then
-    /// ascending action dimension), so the resulting weights are
-    /// **bit-identical** to the per-sample path on the same batch in
-    /// every backend, including `Fx32` — property-tested in
-    /// `tests/props.rs` and `tests/workspace_props.rs`.
+    /// ascending action dimension), so with `weights == None` the
+    /// resulting weights are **bit-identical** to the per-sample path on
+    /// the same batch in every backend, including `Fx32` —
+    /// property-tested in `tests/props.rs` and
+    /// `tests/workspace_props.rs`.
     ///
-    /// # Errors
-    ///
-    /// Returns [`RlError::ReplayUnderflow`] for an empty batch and
-    /// [`RlError::Nn`] on shape mismatches.
-    pub fn train_minibatch(&mut self, batch: &TransitionBatch) -> Result<TrainMetrics, RlError> {
-        self.train_minibatch_weighted(batch, None).map(|(m, _)| m)
-    }
-
-    /// [`Ddpg::train_minibatch`] with optional per-sample importance
-    /// weights — the prioritized-replay entry point. `weights[i]`
-    /// scales sample `i`'s contribution to the critic regression (both
-    /// the loss and the TD-error gradient, for every critic); the actor
-    /// ascent and the target updates are unweighted, per the usual
-    /// prioritized-DDPG formulation. Returns the metrics **and the
-    /// per-sample TD errors `q_i − y_i`** of critic 0 (the critic that
-    /// leads the actor) the caller feeds back into the priority
-    /// structure.
-    ///
-    /// With `weights == None` this is *exactly* [`Ddpg::train_minibatch`]
-    /// (the unweighted expressions are untouched, not multiplied by a
-    /// `1.0` that could re-round), so uniform-strategy training stays on
-    /// the bit-exact legacy path.
+    /// Optional per-sample importance weights make this the
+    /// prioritized-replay entry point too. `weights[i]` scales sample
+    /// `i`'s contribution to the critic regression (both the loss and
+    /// the TD-error gradient, for every critic); the actor ascent and
+    /// the target updates are unweighted, per the usual prioritized-DDPG
+    /// formulation. Returns the metrics **and the per-sample TD errors
+    /// `q_i − y_i`** of critic 0 (the critic that leads the actor) the
+    /// caller feeds back into the priority structure. With
+    /// `weights == None` the unweighted expressions are untouched, not
+    /// multiplied by a `1.0` that could re-round, so uniform-strategy
+    /// training stays on the bit-exact legacy path.
     ///
     /// # Errors
     ///
@@ -923,7 +913,7 @@ impl<S: Scalar> Ddpg<S> {
 
     /// One training update from a sampled batch, processed **one sample
     /// at a time** through the vector kernels — the bit-exactness
-    /// reference for [`Ddpg::train_minibatch`]. Critics update every
+    /// reference for [`Ddpg::train_minibatch_weighted`]. Critics update every
     /// call; under TD3 the actor and targets update every
     /// `policy_delay` calls.
     ///
@@ -1306,7 +1296,7 @@ mod tests {
             );
             assert!(
                 matches!(
-                    agent.train_minibatch(&empty),
+                    agent.train_minibatch_weighted(&empty, None),
                     Err(RlError::ReplayUnderflow { .. })
                 ),
                 "{name}"
@@ -1328,7 +1318,7 @@ mod tests {
             let mut batched = per_sample.clone();
             for step in 0..5 {
                 let a = per_sample.train_batch(&refs).unwrap();
-                let b = batched.train_minibatch(&batch).unwrap();
+                let b = batched.train_minibatch_weighted(&batch, None).unwrap().0;
                 assert_eq!(a, b, "{name}: metrics diverged at step {step}");
             }
             assert_eq!(per_sample.actor(), batched.actor(), "{name}: actor");
@@ -1350,7 +1340,7 @@ mod tests {
             let mut b = a.clone();
             for _ in 0..4 {
                 a.train_batch(&refs).unwrap();
-                b.train_minibatch(&batch).unwrap();
+                b.train_minibatch_weighted(&batch, None).unwrap();
             }
             assert_eq!(a.actor(), b.actor(), "{name}");
 
@@ -1360,12 +1350,12 @@ mod tests {
             qa.act(&[0.1, 0.2, 0.3]).unwrap();
             qb.act(&[0.1, 0.2, 0.3]).unwrap();
             qa.train_batch(&refs).unwrap();
-            qb.train_minibatch(&batch).unwrap();
+            qb.train_minibatch_weighted(&batch, None).unwrap();
             assert!(qa.on_timestep(2).unwrap());
             assert!(qb.on_timestep(2).unwrap());
             for step in 0..3 {
                 let ma = qa.train_batch(&refs).unwrap();
-                let mb = qb.train_minibatch(&batch).unwrap();
+                let mb = qb.train_minibatch_weighted(&batch, None).unwrap().0;
                 assert_eq!(ma, mb, "{name}: QAT metrics diverged at step {step}");
             }
             assert_eq!(qa.actor(), qb.actor(), "{name}: QAT actor weights");
@@ -1383,7 +1373,7 @@ mod tests {
     #[test]
     fn pooled_minibatch_bit_exact_across_worker_counts() {
         // The tentpole contract end to end: kernel-sharded
-        // train_minibatch produces bit-identical Fx32 weights at every
+        // train_minibatch_weighted produces bit-identical Fx32 weights at every
         // worker count — equal to the sequential batched path and to
         // the per-sample reference.
         let mut rng = StdRng::seed_from_u64(21);
@@ -1405,10 +1395,10 @@ mod tests {
                 .collect();
             for step in 0..4 {
                 let m_ref = reference.train_batch(&refs).unwrap();
-                let m_seq = sequential.train_minibatch(&batch).unwrap();
+                let m_seq = sequential.train_minibatch_weighted(&batch, None).unwrap().0;
                 assert_eq!(m_ref, m_seq, "{name}: sequential metrics at step {step}");
                 for agent in pooled.iter_mut() {
-                    let m = agent.train_minibatch(&batch).unwrap();
+                    let m = agent.train_minibatch_weighted(&batch, None).unwrap().0;
                     assert_eq!(m_ref, m, "{name}: pooled metrics at step {step}");
                 }
             }

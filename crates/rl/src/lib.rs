@@ -4,7 +4,7 @@
 //! Implements the paper's training pipeline end to end:
 //!
 //! * [`ReplayBuffer`] — the transition store the host CPU samples batches
-//!   from: a structure-of-arrays ring buffer whose `sample_batch_into` is a
+//!   from: a structure-of-arrays ring buffer whose `gather_into` is a
 //!   column gather straight into the batch matrices, with
 //!   [`ReplayStrategy`] selecting uniform (bit-exact legacy) or
 //!   proportional prioritized sampling ([`PrioritizedReplay`]),
@@ -12,7 +12,7 @@
 //!   with its PRNG module; here it is the software twin),
 //! * [`Ddpg`] — actor/critic networks with target networks, Adam, and
 //!   the Fig. 3 update sequence (critic BP/WU → actor BP/WU led by the
-//!   critic → actor FP). The hot path is [`Ddpg::train_minibatch`],
+//!   critic → actor FP). The hot path is [`Ddpg::train_minibatch_weighted`],
 //!   which moves the whole sampled batch ([`TransitionBatch`]) through
 //!   the stack as one matrix per layer, bit-identical to the per-sample
 //!   reference [`Ddpg::train_batch`]. TD3 is the same agent and the

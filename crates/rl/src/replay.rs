@@ -236,38 +236,6 @@ impl ReplayBuffer {
         indices.into_iter().map(|i| self.transition(i)).collect()
     }
 
-    /// Samples `batch` transitions **directly into batch matrices** —
-    /// the entry point of the batched training path, into a
-    /// caller-owned scratch batch: the scratch's lanes are reshaped in
-    /// place (storage reused once grown). The draw is
-    /// [`ReplayBuffer::sample_indices_into`] (one shared path with
-    /// [`ReplayBuffer::sample`], so the two cannot drift) on the calling
-    /// thread, and the pack is [`ReplayBuffer::gather_into`],
-    /// bit-identical to routing the same picks through
-    /// [`TransitionBatch::from_transitions`] at every worker count of
-    /// `par`.
-    ///
-    /// Returns `false` (scratch untouched, no RNG draws) when
-    /// `batch == 0` or the buffer holds fewer than `batch` transitions.
-    /// The indices are staged in a transient vector; callers that need
-    /// the fully allocation-free path hold the index scratch themselves
-    /// and go through [`ReplaySampler::sample_into`].
-    pub fn sample_batch_into(
-        &self,
-        batch: usize,
-        rng: &mut StdRng,
-        par: &Parallelism,
-        out: &mut TransitionBatch,
-    ) -> bool {
-        if batch == 0 || self.len < batch {
-            return false;
-        }
-        let mut indices = Vec::with_capacity(batch);
-        self.sample_indices_into(batch, rng, &mut indices);
-        self.gather_into(&indices, par, out);
-        true
-    }
-
     /// Gathers the transitions at `indices` into a caller-owned scratch
     /// batch (one contiguous column copy per pick, per panel; reshaped
     /// in place, storage reused — no allocation once grown), sharding
@@ -386,7 +354,7 @@ impl TransitionBatch {
     }
 
     /// An empty batch — the natural starting value for a reusable
-    /// sampling scratch (see [`ReplayBuffer::sample_batch_into`]): the
+    /// sampling scratch (see [`ReplayBuffer::gather_into`]): the
     /// first fill sizes every lane, later fills reuse the storage.
     pub fn empty() -> Self {
         Self {
@@ -685,11 +653,13 @@ impl PrioritizedReplay {
         }));
     }
 
-    /// The one weight computation all entry points share:
-    /// `w_i = (len · P(i))^-beta`, normalized by the batch maximum so
-    /// weights only scale updates **down**, filled into `out` (cleared
-    /// first, capacity reused).
-    fn fill_weights(tree: &SumTree, beta: f64, len: usize, indices: &[usize], out: &mut Vec<f64>) {
+    /// Importance weights `w_i = (len · P(i))^-beta`, normalized by the
+    /// batch maximum so weights only scale updates **down**, computed
+    /// into the structure's **cached** weight buffer — after the first
+    /// draw at a given batch size, no allocation happens. The returned
+    /// slice is valid until the next call.
+    pub fn weights_cached(&mut self, len: usize, indices: &[usize]) -> &[f64] {
+        let (tree, beta, out) = (&self.tree, self.cfg.beta, &mut self.weight_buf);
         let total = tree.total();
         out.clear();
         out.extend(indices.iter().map(|&i| {
@@ -702,25 +672,6 @@ impl PrioritizedReplay {
                 *v /= max;
             }
         }
-    }
-
-    /// Importance weights `w_i = (len · P(i))^-beta`, normalized by the
-    /// batch maximum so weights only scale updates **down**.
-    pub fn weights(&self, len: usize, indices: &[usize]) -> Vec<f64> {
-        let mut w = Vec::with_capacity(indices.len());
-        Self::fill_weights(&self.tree, self.cfg.beta, len, indices, &mut w);
-        w
-    }
-
-    /// [`PrioritizedReplay::weights`] computed into the structure's
-    /// **cached** weight buffer — the per-draw hot path: after the
-    /// first draw at a given batch size, no allocation happens. The
-    /// returned slice is valid until the next call.
-    pub fn weights_cached(&mut self, len: usize, indices: &[usize]) -> &[f64] {
-        let Self {
-            tree, weight_buf, ..
-        } = self;
-        Self::fill_weights(tree, self.cfg.beta, len, indices, weight_buf);
         &self.weight_buf
     }
 
@@ -730,15 +681,30 @@ impl PrioritizedReplay {
     ///
     /// # Panics
     ///
-    /// Panics if `indices` and `td_errors` disagree in length — a
-    /// silent `zip` truncation would leave the tail's insert-time max
-    /// priorities in place and permanently oversample those slots.
+    /// Panics, before writing anything, if `indices` and `td_errors`
+    /// disagree in length (a silent `zip` truncation would leave the
+    /// tail's insert-time max priorities in place and permanently
+    /// oversample those slots), if an index is `>= capacity` (it would
+    /// land in a padding leaf the draw then clamps onto the last slot),
+    /// or if a TD error is not finite (a NaN poisons the tree total, an
+    /// infinity the max priority every later insert receives).
     pub fn update_priorities(&mut self, indices: &[usize], td_errors: &[f64]) {
         assert_eq!(
             indices.len(),
             td_errors.len(),
             "one TD error per re-prioritized index"
         );
+        for (k, (&i, &td)) in indices.iter().zip(td_errors).enumerate() {
+            assert!(
+                i < self.capacity,
+                "re-prioritized index {i} at position {k} is outside capacity {}",
+                self.capacity
+            );
+            assert!(
+                td.is_finite(),
+                "TD error {td} at position {k} is not finite"
+            );
+        }
         for (&i, &td) in indices.iter().zip(td_errors) {
             let p = (td.abs() + self.cfg.eps).powf(self.cfg.alpha);
             self.tree.set(i, p);
@@ -873,11 +839,17 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    /// One sequential draw into a fresh scratch (`None` on underflow).
+    /// One sequential uniform draw into a fresh scratch (`None` on
+    /// underflow or an empty batch).
     fn draw(buf: &ReplayBuffer, batch: usize, rng: &mut StdRng) -> Option<TransitionBatch> {
+        let mut indices = Vec::new();
+        buf.sample_indices_into(batch, rng, &mut indices);
+        if indices.is_empty() {
+            return None;
+        }
         let mut out = TransitionBatch::empty();
-        buf.sample_batch_into(batch, rng, &Parallelism::sequential(), &mut out)
-            .then_some(out)
+        buf.gather_into(&indices, &Parallelism::sequential(), &mut out);
+        Some(out)
     }
 
     /// The legacy row-copy pack of the transitions at `indices`.
@@ -1041,7 +1013,7 @@ mod tests {
     #[test]
     fn sample_paths_share_one_gather_from_any_rng_state() {
         // The anti-drift contract: from the *same mid-stream* RNG state,
-        // `sample` and `sample_batch_into` draw identical indices and leave
+        // `sample` and the batch draw pick identical indices and leave
         // the RNG in identical states (a divergence means the shared
         // draw path was forked).
         let mut buf = ReplayBuffer::new(32);
@@ -1063,7 +1035,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_batch_into_reuses_storage_and_is_worker_invariant() {
+    fn uniform_sample_into_reuses_storage_and_is_worker_invariant() {
         // Same RNG stream → the bytes of the legacy row-copy pack, and
         // once the scratch has been sized, repeated draws never
         // reallocate any lane.
@@ -1072,20 +1044,25 @@ mod tests {
             buf.push(t(i as f64));
         }
         let seq = Parallelism::sequential();
-        let mut scratch = TransitionBatch::empty();
+        let mut sampler = ReplaySampler::Uniform;
+        let mut scratch = SampledBatch::scratch();
         let mut rng_a = StdRng::seed_from_u64(31);
         let mut rng_b = rng_a.clone();
-        assert!(buf.sample_batch_into(16, &mut rng_a, &seq, &mut scratch));
-        let ptr = scratch.states().as_slice().as_ptr();
+        assert!(sampler.sample_into(&buf, 16, &mut rng_a, &seq, &mut scratch));
+        let ptr = scratch.batch.states().as_slice().as_ptr();
         let mut indices = Vec::new();
         buf.sample_indices_into(16, &mut rng_b, &mut indices);
-        assert_eq!(scratch, row_copy(&buf, &indices), "same draws, same bytes");
+        assert_eq!(
+            scratch.batch,
+            row_copy(&buf, &indices),
+            "same draws, same bytes"
+        );
         for _ in 0..10 {
-            assert!(buf.sample_batch_into(16, &mut rng_a, &seq, &mut scratch));
+            assert!(sampler.sample_into(&buf, 16, &mut rng_a, &seq, &mut scratch));
             buf.sample_indices_into(16, &mut rng_b, &mut indices);
-            assert_eq!(scratch, row_copy(&buf, &indices));
+            assert_eq!(scratch.batch, row_copy(&buf, &indices));
             assert_eq!(
-                scratch.states().as_slice().as_ptr(),
+                scratch.batch.states().as_slice().as_ptr(),
                 ptr,
                 "steady-state draws must not reallocate"
             );
@@ -1094,19 +1071,20 @@ mod tests {
         assert_eq!(rng_a, rng_b);
         // Underflow leaves the scratch untouched and draws nothing.
         let small = ReplayBuffer::with_dims(8, 1, 1);
-        let before = scratch.clone();
+        let before = scratch.batch.clone();
         let mut rng_c = StdRng::seed_from_u64(1);
         let state = rng_c.clone();
-        assert!(!small.sample_batch_into(4, &mut rng_c, &seq, &mut scratch));
-        assert_eq!(scratch, before);
+        assert!(!sampler.sample_into(&small, 4, &mut rng_c, &seq, &mut scratch));
+        assert_eq!(scratch.batch, before);
         assert_eq!(rng_c, state);
         // The pooled arm agrees at every worker count.
         let reference = draw(&buf, 16, &mut StdRng::seed_from_u64(5)).unwrap();
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
-            let mut out = TransitionBatch::empty();
-            assert!(buf.sample_batch_into(16, &mut StdRng::seed_from_u64(5), &par, &mut out));
-            assert_eq!(out, reference, "workers {workers}");
+            let mut out = SampledBatch::scratch();
+            let mut rng = StdRng::seed_from_u64(5);
+            assert!(sampler.sample_into(&buf, 16, &mut rng, &par, &mut out));
+            assert_eq!(out.batch, reference, "workers {workers}");
         }
     }
 
@@ -1162,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_priority_weights_match_the_pure_form() {
+    fn cached_priority_weights_are_refilled_in_place() {
         let cap = 16;
         let mut pr = PrioritizedReplay::new(cap, PrioritizedConfig::default());
         for slot in 0..cap {
@@ -1171,9 +1149,6 @@ mod tests {
         let indices: Vec<usize> = (0..cap).collect();
         let tds: Vec<f64> = (0..cap).map(|i| 0.2 + i as f64 * 0.5).collect();
         pr.update_priorities(&indices, &tds);
-        let pure = pr.weights(cap, &indices);
-        let cached = pr.weights_cached(cap, &indices).to_vec();
-        assert_eq!(pure, cached);
         // The cache is refilled, not appended, and reuses its storage.
         let ptr = pr.weights_cached(cap, &indices).as_ptr();
         let again = pr.weights_cached(cap, &indices[..8]);
@@ -1194,7 +1169,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_batch_into_respects_underflow() {
+    fn uniform_draw_respects_underflow() {
         let mut buf = ReplayBuffer::new(8);
         buf.push(t(1.0));
         let mut rng = StdRng::seed_from_u64(0);
@@ -1320,7 +1295,7 @@ mod tests {
         let indices: Vec<usize> = (0..cap).collect();
         let tds: Vec<f64> = (0..cap).map(|i| 0.1 + i as f64).collect();
         pr.update_priorities(&indices, &tds);
-        let w = pr.weights(cap, &indices);
+        let w = pr.weights_cached(cap, &indices);
         // Normalized by the max: everything in (0, 1], rarest pick = 1.
         assert!(w.iter().all(|&v| v > 0.0 && v <= 1.0));
         assert_eq!(w[0], 1.0, "lowest-priority slot carries the max weight");

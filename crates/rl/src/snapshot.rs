@@ -217,7 +217,7 @@ mod tests {
         // must not change what the snapshot answers.
         let batch = synthetic_batch(agent.config().batch_size, 3, 1);
         for _ in 0..10 {
-            agent.train_minibatch(&batch).unwrap();
+            agent.train_minibatch_weighted(&batch, None).unwrap();
         }
         assert_eq!(snap.select_action(obs.row(0)).unwrap(), before);
     }
@@ -242,7 +242,7 @@ mod tests {
             Ddpg::<Fx32>::new(3, 1, td3_config().with_mixed_precision_qat(2, 8, 16)).unwrap();
         let batch = synthetic_batch(16, 3, 1);
         for t in 0..6u64 {
-            agent.train_minibatch(&batch).unwrap();
+            agent.train_minibatch_weighted(&batch, None).unwrap();
             agent.on_timestep(t).unwrap();
         }
         assert!(agent.qat_frozen());
@@ -273,7 +273,7 @@ mod tests {
         for t in 0..8u64 {
             let s = obs_batch(1, 3);
             agent.act(s.row(0)).unwrap();
-            agent.train_minibatch(&batch).unwrap();
+            agent.train_minibatch_weighted(&batch, None).unwrap();
             agent.on_timestep(t).unwrap();
         }
         assert!(agent.qat_frozen());

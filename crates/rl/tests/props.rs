@@ -104,7 +104,7 @@ proptest! {
             // Two updates: the second triggers TD3's delayed actor update.
             for _ in 0..2 {
                 let ma = per_sample.train_batch(&refs).unwrap();
-                let mb = batched.train_minibatch(&batch).unwrap();
+                let mb = batched.train_minibatch_weighted(&batch, None).unwrap().0;
                 prop_assert_eq!(ma, mb);
             }
             prop_assert_eq!(per_sample.actor(), batched.actor());

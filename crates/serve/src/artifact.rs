@@ -41,7 +41,8 @@ pub trait ServedReplica: Send + Sync + 'static {
     /// # Errors
     ///
     /// Whatever error fails the batch; the server hands a copy to every
-    /// request in it and keeps serving.
+    /// request in it and keeps serving. A panic fails the batch the same
+    /// way, as [`ServeError::Inference`].
     fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError>;
 }
 

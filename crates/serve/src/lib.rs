@@ -104,7 +104,7 @@ pub enum ServeError {
     /// A publish offered a replica whose id does not advance the
     /// current one — publication ids must increase strictly
     /// monotonically.
-    StaleSnapshot {
+    StaleReplica {
         /// Id currently being served.
         current: u64,
         /// Id that was offered.
@@ -135,9 +135,9 @@ impl fmt::Display for ServeError {
                     "observation has dimension {got}, policy expects {expected}"
                 )
             }
-            ServeError::StaleSnapshot { current, offered } => write!(
+            ServeError::StaleReplica { current, offered } => write!(
                 f,
-                "snapshot id {offered} does not advance the served id {current}"
+                "replica id {offered} does not advance the served id {current}"
             ),
             ServeError::NonFiniteObservation { index } => {
                 write!(f, "observation element {index} is NaN or infinite")

@@ -4,6 +4,7 @@
 //! [`ServedReplica`] only so a test can serve through a fake; every
 //! parameter defaults to [`ArtifactReplica`].
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -281,7 +282,19 @@ fn batcher_loop<R: ServedReplica>(
         for r in &requests {
             obs.extend_from_slice(&r.obs);
         }
-        match replica.serve_batch(&obs) {
+        // A panicking replica fails exactly this batch; the shard lives
+        // on, so later requests routed to it are still answered.
+        let served = catch_unwind(AssertUnwindSafe(|| replica.serve_batch(&obs))).unwrap_or_else(
+            |payload| {
+                let msg = payload
+                    .downcast_ref::<&'static str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                Err(ServeError::Inference(format!("replica panicked: {msg}")))
+            },
+        );
+        match served {
             Ok(actions) => {
                 debug_assert_eq!(actions.len(), rows * shared.action_dim);
                 for (r, action) in requests
@@ -423,7 +436,7 @@ impl<R: ServedReplica> Publisher<R> {
     ///
     /// Returns [`ServeError::WrongDimension`] if the replica's
     /// dimensions differ from the served policy's, and
-    /// [`ServeError::StaleSnapshot`] unless its id strictly increases.
+    /// [`ServeError::StaleReplica`] unless its id strictly increases.
     pub fn publish(&self, replica: R) -> Result<u64, ServeError> {
         for (expected, got) in [
             (self.shared.state_dim, replica.state_dim()),
@@ -537,7 +550,7 @@ mod tests {
         assert_eq!(publisher.publish(replica(2)).unwrap(), 2);
         assert!(matches!(
             publisher.publish(replica(2)),
-            Err(ServeError::StaleSnapshot {
+            Err(ServeError::StaleReplica {
                 current: 2,
                 offered: 2
             })
@@ -562,7 +575,7 @@ mod tests {
         assert_eq!(held.id(), 5);
         assert_eq!(
             store.publish(replica(9)),
-            Err(ServeError::StaleSnapshot {
+            Err(ServeError::StaleReplica {
                 current: 9,
                 offered: 9
             })

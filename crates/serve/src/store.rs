@@ -55,13 +55,13 @@ impl<R: ServedReplica> Store<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::StaleSnapshot`] unless the id strictly
+    /// Returns [`ServeError::StaleReplica`] unless the id strictly
     /// exceeds the served one — publication order is the id order, which
     /// is what makes "replay against the recorded id" well defined.
     pub fn publish(&self, replica: R) -> Result<u64, ServeError> {
         let mut slot = self.slot.lock().expect("replica slot");
         if replica.id() <= slot.id() {
-            return Err(ServeError::StaleSnapshot {
+            return Err(ServeError::StaleReplica {
                 current: slot.id(),
                 offered: replica.id(),
             });

@@ -67,11 +67,6 @@ pub fn from_f64_slice<S: Scalar>(x: &[f64]) -> Vec<S> {
     x.iter().map(|&v| S::from_f64(v)).collect()
 }
 
-/// Converts a scalar slice to `f64`.
-pub fn to_f64_vec<S: Scalar>(x: &[S]) -> Vec<f64> {
-    x.iter().map(|v| v.to_f64()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,9 +117,8 @@ mod tests {
     fn conversion_helpers_roundtrip() {
         let xs = [0.5, -1.25, 3.0];
         let q = from_f64_slice::<Fx32>(&xs);
-        let back = to_f64_vec(&q);
-        for (a, b) in xs.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-5);
+        for (a, b) in xs.iter().zip(&q) {
+            assert!((a - b.to_f64()).abs() < 1e-5);
         }
     }
 }

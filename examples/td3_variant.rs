@@ -25,7 +25,8 @@ fn main() -> Result<(), RlError> {
     let mut env = fixar_env::Pendulum::new(1);
     let mut eval_env = fixar_env::Pendulum::new(99);
     let mut replay = ReplayBuffer::new(20_000);
-    let mut scratch = TransitionBatch::empty();
+    let mut sampler = ReplaySampler::Uniform;
+    let mut scratch = SampledBatch::scratch();
     let mut rng = StdRng::seed_from_u64(7);
 
     let total_steps = 6_000;
@@ -57,9 +58,9 @@ fn main() -> Result<(), RlError> {
         };
 
         if step > warmup
-            && replay.sample_batch_into(batch, &mut rng, agent.parallelism(), &mut scratch)
+            && sampler.sample_into(&replay, batch, &mut rng, agent.parallelism(), &mut scratch)
         {
-            agent.train_minibatch(&scratch)?;
+            agent.train_minibatch_weighted(&scratch.batch, None)?;
         }
 
         if step % 1_500 == 0 {

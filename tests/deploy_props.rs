@@ -20,7 +20,7 @@
 //! happens to produce, across live mid-run swaps, and for QAT-frozen
 //! actors serving through quantizers. Those tests serve through real
 //! concurrent clients against the real batcher threads — nothing is
-//! mocked except the one replica whose batch is made to fail.
+//! mocked except the two replicas whose batch is made to fail or panic.
 //!
 //! The no-float side of the contract is enforced twice: statically (the
 //! interpreter source contains no float tokens — a unit test inside
@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -42,8 +42,6 @@ use proptest::prelude::*;
 
 const STATE_DIM: usize = 3;
 const ACTION_DIM: usize = 1;
-/// Activation points of the small-test actor (3 layers ⇒ 4 points).
-const ACTOR_POINTS: usize = 4;
 
 fn obs(i: usize) -> Vec<f64> {
     // Deliberately spans well past the calibrated activation ranges so
@@ -127,7 +125,7 @@ fn frozen_agent(
     let batch = synthetic_batch(agent.config().batch_size);
     for t in 0..8u64 {
         agent.act(&obs(t as usize)).unwrap();
-        agent.train_minibatch(&batch).unwrap();
+        agent.train_minibatch_weighted(&batch, None).unwrap();
         agent.on_timestep(t).unwrap();
     }
     assert!(agent.qat_frozen(), "QAT schedule must have fired");
@@ -199,7 +197,7 @@ fn legacy_uniform_qat_builder_exports_identically() {
     let batch = synthetic_batch(agent.config().batch_size);
     for t in 0..8u64 {
         agent.act(&obs(t as usize)).unwrap();
-        agent.train_minibatch(&batch).unwrap();
+        agent.train_minibatch_weighted(&batch, None).unwrap();
         agent.on_timestep(t).unwrap();
     }
     assert!(agent.qat_frozen());
@@ -646,7 +644,7 @@ fn mid_run_snapshot_swap_replays_against_the_recorded_ids() {
         // rejected, so "replay against the recorded id" stays unique.
         assert!(matches!(
             publisher.publish(ArtifactReplica::new(art1.clone(), 1)),
-            Err(ServeError::StaleSnapshot { .. })
+            Err(ServeError::StaleReplica { .. })
         ));
     }
 }
@@ -767,6 +765,73 @@ fn failed_batch_fails_only_its_own_replies_and_the_shard_keeps_serving() {
     assert_eq!(stats.shards[0].dropped_replies, 0);
 }
 
+/// A replica whose second batch panics — nothing else about it is real.
+struct PanicsOnSecondBatch(AtomicUsize);
+
+impl ServedReplica for PanicsOnSecondBatch {
+    fn id(&self) -> u64 {
+        0
+    }
+    fn content_hash(&self) -> u64 {
+        0
+    }
+    fn state_dim(&self) -> usize {
+        1
+    }
+    fn action_dim(&self) -> usize {
+        1
+    }
+    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError> {
+        if self.0.fetch_add(1, Ordering::SeqCst) == 1 {
+            panic!("injected panic");
+        }
+        Ok(obs.to_vec())
+    }
+}
+
+/// A panicking replica fails exactly its batch's replies, as an
+/// inference error, and the shard serves the next request. The requests
+/// run on a helper thread and every reply is awaited under a deadline,
+/// so a shard that died with its queue open fails the test instead of
+/// hanging it.
+#[test]
+fn panicking_batch_fails_only_its_own_replies_and_the_shard_keeps_serving() {
+    let (tx, rx) = mpsc::channel();
+    let requester = thread::spawn(move || {
+        let server = Server::start(
+            PanicsOnSecondBatch(AtomicUsize::new(0)),
+            ServeConfig {
+                max_batch: 1,
+                max_delay: Duration::from_secs(30),
+                shards: 1,
+                workers: 1,
+            },
+        )
+        .unwrap();
+        let client = server.client();
+        for v in [1.0, 2.0, 3.0] {
+            let reply = client.submit(&[v]).and_then(|p| p.wait());
+            tx.send(reply.map(|r| r.action)).unwrap();
+        }
+        server.shutdown()
+    });
+    let next = || {
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("reply within the deadline")
+    };
+    assert_eq!(next(), Ok(vec![1.0]));
+    match next() {
+        Err(ServeError::Inference(msg)) => {
+            assert_eq!(msg, "replica panicked: injected panic");
+        }
+        other => panic!("expected the panic as an inference error, got {other:?}"),
+    }
+    assert_eq!(next(), Ok(vec![3.0]));
+    let stats = requester.join().unwrap();
+    assert_eq!((stats.requests(), stats.batches()), (3, 3));
+    assert_eq!(stats.shards[0].dropped_replies, 0);
+}
+
 // ---------------------------------------------------------------------
 // Pillar 3: the no-float guarantee, enforced at runtime.
 // ---------------------------------------------------------------------
@@ -799,7 +864,7 @@ fn float_guard_arms_inside_zones_and_integer_path_is_clean() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn export_is_deterministic_and_merge_of_identical_runtimes_preserves_it() {
+fn export_is_deterministic() {
     // Same seed, same schedule ⇒ independently trained agents freeze to
     // byte-identical blobs with the same content hash.
     let (actor, critic) = {
@@ -812,34 +877,6 @@ fn export_is_deterministic_and_merge_of_identical_runtimes_preserves_it() {
     let blob_a = snap_a.export_artifact().unwrap().encode();
     let blob_b = snap_b.export_artifact().unwrap().encode();
     assert_eq!(blob_a, blob_b, "same training ⇒ same blob");
-
-    // Merging an identical worker runtime (the sharded-training
-    // synchronization step) must not perturb the frozen grids: the
-    // artifact exported after the merge is byte-identical.
-    let actor_net = snap_a.actor().clone();
-    let mut runtime = QatRuntime::builder(ACTOR_POINTS)
-        .uniform_bits(10)
-        .build()
-        .unwrap();
-    for point in 0..ACTOR_POINTS {
-        let mut xs: Vec<Fx32> = (0..32)
-            .map(|i| Fx32::from_f64(((i + point) as f64 * 0.21).sin() * 1.4))
-            .collect();
-        runtime.process(point, &mut xs);
-    }
-    runtime.freeze().unwrap();
-    let twin = runtime.clone();
-    let before = PolicySnapshot::new(actor_net.clone(), runtime.clone(), 9)
-        .unwrap()
-        .export_artifact()
-        .unwrap();
-    runtime.merge_from(&twin).unwrap();
-    let after = PolicySnapshot::new(actor_net, runtime, 9)
-        .unwrap()
-        .export_artifact()
-        .unwrap();
-    assert_eq!(before.encode(), after.encode());
-    assert_eq!(before.content_hash(), after.content_hash());
 }
 
 // ---------------------------------------------------------------------

@@ -13,9 +13,6 @@
 //!    every served action replays bit-identically offline against the
 //!    artifact and the frozen snapshot, whose per-point formats are
 //!    inspectable.
-//! 3. Cross-worker range merging ([`QatRuntime::merge_from`]) rejects
-//!    divergent precision plans with a typed [`PrecisionError`] instead
-//!    of silently freezing one runtime with another plan's statistics.
 
 use std::thread;
 use std::time::Duration;
@@ -198,7 +195,7 @@ fn mixed_precision_agent_trains_freezes_and_serves_bit_exactly() {
     let batch = TransitionBatch::from_transitions(&refs).unwrap();
     for t in 0..8u64 {
         a.act(&obs(t as usize)).unwrap();
-        a.train_minibatch(&batch).unwrap();
+        a.train_minibatch_weighted(&batch, None).unwrap();
         a.on_timestep(t).unwrap();
     }
     assert!(a.qat_frozen(), "mixed-precision schedule failed to freeze");
@@ -237,7 +234,7 @@ fn td3_mixed_precision_snapshot_serves_and_replays_bit_exactly() {
     // other critic update, so train past one delay cycle before the
     // freeze check.
     for t in 0..6u64 {
-        a.train_minibatch(&batch).unwrap();
+        a.train_minibatch_weighted(&batch, None).unwrap();
         a.on_timestep(t).unwrap();
     }
     assert!(
@@ -254,44 +251,4 @@ fn td3_mixed_precision_snapshot_serves_and_replays_bit_exactly() {
         .all(|f| f.total_bits() == 8));
 
     serve_and_replay(&snap, 4, 64, "td3 mixed 8/16");
-}
-
-/// Pillar 3: `merge_from` — the cross-worker range-merge step — rejects
-/// runtimes on divergent precision plans with typed errors rather than
-/// freezing one plan with another's statistics.
-#[test]
-fn merge_from_rejects_mismatched_per_point_formats_with_typed_error() {
-    let per_point = |frac: u32| {
-        QatRuntime::builder(3)
-            .uniform_bits(16)
-            .point_format(1, QFormat::new(16, frac).unwrap())
-            .build()
-            .unwrap()
-    };
-    let mut ours = per_point(12);
-    let theirs = per_point(10);
-    match ours.merge_from(&theirs) {
-        Err(PrecisionError::FormatMismatch { point, .. }) => assert_eq!(point, 1),
-        other => panic!("expected FormatMismatch, got {other:?}"),
-    }
-
-    // Different point counts are a structural mismatch.
-    let four = QatRuntime::builder(4).uniform_bits(16).build().unwrap();
-    match ours.merge_from(&four) {
-        Err(PrecisionError::PointCountMismatch { ours: 3, theirs: 4 }) => {}
-        other => panic!("expected PointCountMismatch, got {other:?}"),
-    }
-
-    // Identical plans still merge, and the error type threads through
-    // the facade as `NnError::Precision` / `RlError` at the call sites.
-    let same = per_point(12);
-    ours.merge_from(&same).unwrap();
-
-    // A mismatched pair of *agents* surfaces the same typed rejection:
-    // two fleets calibrated under different policies must not merge.
-    let uniform = QatRuntime::builder(3).uniform_bits(16).build().unwrap();
-    assert!(matches!(
-        ours.merge_from(&uniform),
-        Err(PrecisionError::PolicyMismatch { .. })
-    ));
 }

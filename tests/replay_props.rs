@@ -33,17 +33,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One draw through the single sampling entry into a fresh scratch
-/// (`None` on underflow).
+/// One uniform draw — the buffer's one index draw, then its gather —
+/// into a fresh scratch (`None` on underflow).
 fn draw(
     buf: &ReplayBuffer,
     batch: usize,
     rng: &mut StdRng,
     par: &Parallelism,
 ) -> Option<TransitionBatch> {
-    let mut out = TransitionBatch::empty();
-    buf.sample_batch_into(batch, rng, par, &mut out)
-        .then_some(out)
+    let mut indices = Vec::new();
+    buf.sample_indices_into(batch, rng, &mut indices);
+    (!indices.is_empty()).then(|| gather(buf, &indices, par))
 }
 
 /// Gathers `indices` into a fresh scratch over `par`.
@@ -238,7 +238,7 @@ fn unit_weights_are_bit_exact_and_real_weights_bite() {
         let mut weighted = plain.clone();
         let mut skewed_agent = plain.clone();
         for _ in 0..4 {
-            let m = plain.train_minibatch(&batch).unwrap();
+            let m = plain.train_minibatch_weighted(&batch, None).unwrap().0;
             let (mw, tds) = weighted
                 .train_minibatch_weighted(&batch, Some(&ones))
                 .unwrap();
@@ -312,6 +312,57 @@ fn uniform_sampler_shares_the_buffer_draw_path() {
     assert_eq!(via_sampler.batch, direct);
     assert!(via_sampler.weights.is_none());
     assert_eq!(r1, r2);
+}
+
+/// A re-prioritization with an index past the capacity (into the
+/// sum-tree's padding leaves) or a non-finite TD error panics before it
+/// writes anything: every priority, the priority the next insert gets,
+/// and the next draw's indices equal those of a clone taken before the
+/// call. Each bad entry sits behind a valid one, so a check interleaved
+/// with the writes would still be caught.
+#[test]
+fn update_priorities_rejects_bad_input_before_writing() {
+    let capacity = 10; // sum-tree padded to 16 leaves
+    let mut pr = PrioritizedReplay::new(capacity, PrioritizedConfig::default());
+    for slot in 0..capacity {
+        pr.on_insert(slot);
+    }
+    let indices: Vec<usize> = (0..capacity).collect();
+    let tds: Vec<f64> = (0..capacity).map(|i| 0.3 + 0.7 * i as f64).collect();
+    pr.update_priorities(&indices, &tds);
+
+    let bad: [(&[usize], &[f64]); 4] = [
+        (&[0, 12], &[5.0, 0.1]),
+        (&[0, 3], &[5.0, f64::NAN]),
+        (&[0, 3], &[5.0, f64::INFINITY]),
+        (&[0, 3], &[5.0, f64::NEG_INFINITY]),
+    ];
+    for (idx, td) in bad {
+        let before = pr.clone();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pr.update_priorities(idx, td);
+        }));
+        assert!(result.is_err(), "{idx:?} / {td:?} must panic");
+        for slot in 0..capacity {
+            assert_eq!(
+                pr.priority(slot).to_bits(),
+                before.priority(slot).to_bits(),
+                "slot {slot} after {idx:?} / {td:?}"
+            );
+        }
+        let (mut after, mut earlier) = (pr.clone(), before);
+        after.on_insert(4);
+        earlier.on_insert(4);
+        assert_eq!(
+            after.priority(4).to_bits(),
+            earlier.priority(4).to_bits(),
+            "insert priority after {idx:?} / {td:?}"
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        after.sample_indices_into(capacity, 32, &mut StdRng::seed_from_u64(9), &mut a);
+        earlier.sample_indices_into(capacity, 32, &mut StdRng::seed_from_u64(9), &mut b);
+        assert_eq!(a, b, "next draw after {idx:?} / {td:?}");
+    }
 }
 
 proptest! {

@@ -9,12 +9,9 @@
 //!    one fused backward group — a group of one critic for DDPG, of the
 //!    twins for TD3) is bit-identical to the per-sample sequential
 //!    reference, down to raw `Fx32` weights, at workers {1, 2, 8}.
-//! 2. **Model/software agreement** — the accelerator's fused-schedule
-//!    accounting runs exactly the summed MAC work of the passes it
-//!    fuses, mirroring the software contract that fusing never changes
-//!    arithmetic.
+//! 2. **Fusing never changes arithmetic** — a group forward over both
+//!    twin critics returns, critic for critic, the solo forward's bits.
 
-use fixar_accel::BatchedInferenceSchedule;
 use fixar_nn::{forward_batch, ForwardPass};
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
@@ -60,7 +57,7 @@ fn fused_step_is_bit_exact(cfg: DdpgConfig, data: &[Transition]) {
     for step in 0..4 {
         let m_ref = reference.train_batch(&refs).unwrap();
         for agent in fused.iter_mut() {
-            let m = agent.train_minibatch(&batch).unwrap();
+            let m = agent.train_minibatch_weighted(&batch, None).unwrap().0;
             assert_eq!(m_ref, m, "metrics diverged at step {step}");
         }
     }
@@ -85,12 +82,10 @@ fn fused_ddpg_step_is_bit_exact_at_workers_1_2_8() {
     fused_step_is_bit_exact(DdpgConfig::small_test(), &toy_batch(5, 24));
 }
 
-/// Pillar 2: the accelerator's fused-schedule accounting and the
-/// software fused forward agree — same MAC work as the separate
-/// passes, outputs unchanged, strictly fewer cycles than back-to-back
-/// schedules.
+/// Pillar 2: the twin group forward (both critics' kernels in ONE fused
+/// call per layer) equals one fused call per critic over the same entry.
 #[test]
-fn fused_schedule_accounting_agrees_with_software_fused_forward() {
+fn fused_twin_group_forward_equals_solo_forward() {
     let td3 = Ddpg::<Fx32>::new(3, 1, td3_config()).unwrap();
     let (c1, c2) = (td3.critic(), td3.critic_twin().unwrap());
     let x = fixar_tensor::Matrix::<f64>::from_fn(16, 4, |b, i| {
@@ -98,8 +93,6 @@ fn fused_schedule_accounting_agrees_with_software_fused_forward() {
     })
     .cast::<Fx32>();
     let par = Parallelism::with_workers(2);
-    // Software: the twin group (both critics' kernels in ONE fused
-    // call per layer) ≡ one fused call per kernel over the same entry.
     let pass = |mlp| ForwardPass {
         mlp,
         input: &x,
@@ -110,13 +103,4 @@ fn fused_schedule_accounting_agrees_with_software_fused_forward() {
         let solo = forward_batch(&mut [pass(critic)], &par).unwrap();
         assert_eq!(twin.output, solo[0].output);
     }
-    // Structural model: fused schedule = summed MACs, fewer cycles.
-    let acc = AccelConfig::default();
-    let sizes: Vec<usize> = c1.layer_sizes().to_vec();
-    let solo = BatchedInferenceSchedule::for_mlp(&acc, &sizes, 16, Precision::Full32);
-    let twin =
-        BatchedInferenceSchedule::for_mlps_fused(&acc, &[&sizes, &sizes], 16, Precision::Full32);
-    assert_eq!(twin.macs, 2 * solo.macs, "fused work is the sum");
-    assert!(twin.cycles < 2 * solo.cycles, "fused joins cost less");
-    assert!(twin.utilization() > solo.utilization());
 }

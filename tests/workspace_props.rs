@@ -125,42 +125,6 @@ proptest! {
         prop_assert_eq!(run(seed), run(seed));
     }
 
-    /// The pool-parallel batched inference path of the accelerator is
-    /// bit-identical to its sequential form at every worker count.
-    #[test]
-    fn accel_batched_inference_bit_exact_across_worker_counts(
-        seed in 0u64..100,
-        in_dim in 2usize..6,
-        hidden in 4usize..16,
-        batch in 1usize..12,
-    ) {
-        use fixar_tensor::{Matrix, Parallelism};
-        let actor = Mlp::<Fx32>::new_random(
-            &MlpConfig::new(vec![in_dim, hidden, 2])
-                .with_output_activation(Activation::Tanh),
-            seed,
-        ).unwrap();
-        let critic = Mlp::<Fx32>::new_random(
-            &MlpConfig::new(vec![in_dim + 2, hidden, 1]),
-            seed + 1,
-        ).unwrap();
-        let mut accel = FixarAccelerator::new(AccelConfig::default()).unwrap();
-        accel.load_ddpg(&actor, &critic).unwrap();
-        let states = Matrix::<f64>::from_fn(batch, in_dim, |b, i| {
-            ((b * 11 + i * 5) as f64 * 0.17 + seed as f64 * 0.01).sin()
-        }).cast::<Fx32>();
-
-        accel.set_parallelism(Parallelism::sequential());
-        let (seq, seq_cycles) = accel.actor_inference_batch(&states, Precision::Full32).unwrap();
-        for workers in [2usize, 4] {
-            accel.set_parallelism(Parallelism::with_workers(workers));
-            let (par, cycles) = accel.actor_inference_batch(&states, Precision::Full32).unwrap();
-            prop_assert_eq!(&par, &seq, "workers {}", workers);
-            // The cycle model describes the hardware, not the host pool.
-            prop_assert_eq!(cycles, seq_cycles);
-        }
-    }
-
     /// The resource model scales monotonically with every driving
     /// parameter and never reports negative usage.
     #[test]
@@ -187,7 +151,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The tentpole contract across the whole stack: pool-parallel
-    /// `train_minibatch` ≡ sequential `train_minibatch` ≡ per-sample
+    /// `train_minibatch_weighted` ≡ sequential ≡ per-sample
     /// `train_batch`, down to the raw `Fx32` weight bits, for DDPG and
     /// TD3 across worker counts 1–4.
     #[test]
@@ -229,7 +193,7 @@ proptest! {
             for _ in 0..2 {
                 let m_ref = reference.train_batch(&refs).unwrap();
                 for a in agents.iter_mut() {
-                    prop_assert_eq!(m_ref, a.train_minibatch(&batch).unwrap());
+                    prop_assert_eq!(m_ref, a.train_minibatch_weighted(&batch, None).unwrap().0);
                 }
             }
             for a in &agents {
