@@ -33,8 +33,8 @@
 //!    float helper of this crate runs while the interpreter holds a
 //!    [`guard::NoFloatZone`].
 //! 3. **Differentially** — `tests/deploy_props.rs` proves artifact output
-//!    ≡ `forward_qat_frozen` bit-for-bit across agents, precision-policy
-//!    arms, and serialization round-trips.
+//!    ≡ the frozen per-sample `forward_qat` bit-for-bit across agents,
+//!    precision-policy arms, and serialization round-trips.
 //!
 //! # Blob layout (v3, little-endian)
 //!

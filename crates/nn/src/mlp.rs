@@ -348,20 +348,22 @@ impl<S: Scalar> Mlp<S> {
         self.forward_qat(x, &mut qat)
     }
 
-    /// Forward pass through the QAT runtime: in `Calibrate` mode every
-    /// activation point feeds its [`fixar_fixed::RangeMonitor`]; in
-    /// `Quantize` mode activations are projected onto the n-bit grid
-    /// before being stored and propagated.
+    /// Per-sample forward pass through the QAT runtime: in `Calibrate`
+    /// mode every activation point feeds its
+    /// [`fixar_fixed::RangeMonitor`]; in `Quantize` mode activations are
+    /// projected onto the n-bit grid before being stored and propagated.
     ///
     /// Quantization point `0` is the network input; point `l+1` is the
     /// post-activation output of layer `l`.
     ///
     /// The per-sample `forward*` family runs the stride-`cols`
     /// [`Matrix::gemv`] and is no longer on any production hot path: it is
-    /// the bit-equality oracle of [`forward_batch`], the body of
+    /// the bit-equality oracle of [`Mlp::forward_batch`], the body of
     /// `Ddpg::train_batch` (the per-sample update oracle), and
-    /// ([`Mlp::forward_qat_frozen`]) `PolicySnapshot` inference. Rollout
-    /// action selection goes through the batched path, one row included.
+    /// `PolicySnapshot` inference, which passes a clone of its runtime so
+    /// the snapshot's own is never written (in `Quantize` mode `process`
+    /// records nothing, so the clone changes no bit). Rollout action
+    /// selection goes through the batched path, one row included.
     ///
     /// # Errors
     ///
@@ -369,31 +371,6 @@ impl<S: Scalar> Mlp<S> {
     /// [`NnError::InvalidConfig`] if `qat` was built for a different
     /// number of points.
     pub fn forward_qat(&self, x: &[S], qat: &mut QatRuntime) -> Result<ForwardTrace<S>, NnError> {
-        self.forward_with(x, qat.num_points(), |point, xs| qat.process(point, xs))
-    }
-
-    /// Forward pass against an immutable QAT runtime: frozen quantizers
-    /// apply but no ranges are recorded — the per-sample oracle a frozen
-    /// policy snapshot answers through, shared as `&self` and
-    /// `&QatRuntime`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Mlp::forward_qat`].
-    pub fn forward_qat_frozen(
-        &self,
-        x: &[S],
-        qat: &QatRuntime,
-    ) -> Result<ForwardTrace<S>, NnError> {
-        self.forward_with(x, qat.num_points(), |point, xs| qat.apply(point, xs))
-    }
-
-    fn forward_with(
-        &self,
-        x: &[S],
-        qat_points: usize,
-        mut process: impl FnMut(usize, &mut [S]),
-    ) -> Result<ForwardTrace<S>, NnError> {
         if x.len() != self.input_dim() {
             return Err(NnError::Shape(fixar_tensor::ShapeError::new(
                 "mlp input",
@@ -401,32 +378,21 @@ impl<S: Scalar> Mlp<S> {
                 (x.len(), 1),
             )));
         }
-        if qat_points != self.num_layers() + 1 {
-            return Err(NnError::InvalidConfig(format!(
-                "qat runtime has {} points, network needs {}",
-                qat_points,
-                self.num_layers() + 1
-            )));
-        }
+        self.check_qat_points(Some(qat.num_points()))?;
         let n = self.num_layers();
         let mut inputs = Vec::with_capacity(n);
         let mut pre = Vec::with_capacity(n);
 
         let mut a = x.to_vec();
-        process(0, &mut a);
+        qat.process(0, &mut a);
         for l in 0..n {
             let mut z = self.weights[l].gemv_alloc(&a)?;
             for (zi, &bi) in z.iter_mut().zip(&self.biases[l]) {
                 *zi += bi;
             }
-            let act = if l + 1 == n {
-                self.output_act
-            } else {
-                self.hidden_act
-            };
             let mut y = z.clone();
-            act.apply_slice(&mut y);
-            process(l + 1, &mut y);
+            self.activation(l).apply_slice(&mut y);
+            qat.process(l + 1, &mut y);
             inputs.push(a);
             pre.push(z);
             a = y;
@@ -439,29 +405,60 @@ impl<S: Scalar> Mlp<S> {
     }
 
     /// Batched forward pass: one minibatch sample per row of `x`,
-    /// capturing the trace needed by [`Mlp::backward_batch`] — the
-    /// one-pass convenience over the group entry [`forward_batch`].
-    /// Row `b` of every trace matrix is bit-identical to the per-sample
-    /// pass on `x.row(b)` ([`Mlp::forward_trace`] for
-    /// [`QatPhase::Off`], [`Mlp::forward_qat`] for
-    /// [`QatPhase::Observing`]) at every worker count of `par`.
+    /// capturing the trace needed by [`Mlp::backward_batch`]. Each layer
+    /// is one fused scope (`Parallelism::fused`) holding its
+    /// `gemv_batch`; bias broadcast, activation and QAT run on the
+    /// calling thread.
+    ///
+    /// Every quantization point observes (or quantizes) the whole
+    /// activation matrix in one call. Range monitors see exactly the
+    /// values `batch` per-sample passes would (min/max/count are
+    /// order-independent) and frozen quantizers apply elementwise, so row
+    /// `b` of every trace matrix is bit-identical to the per-sample pass
+    /// on `x.row(b)` ([`Mlp::forward_trace`] for [`QatPhase::Off`],
+    /// [`Mlp::forward_qat`] for [`QatPhase::Observing`]), in every
+    /// backend, at every worker count of `par`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`forward_batch`].
+    /// Returns [`NnError::Shape`] on input-width mismatch,
+    /// [`NnError::InvalidConfig`] if the QAT runtime was built for a
+    /// different point count, and [`NnError::Pool`] if a kernel shard
+    /// panicked (contained per task; the pool survives).
     pub fn forward_batch(
         &self,
         x: &Matrix<S>,
-        qat: QatPhase<'_>,
+        mut qat: QatPhase<'_>,
         par: &Parallelism,
     ) -> Result<BatchTrace<S>, NnError> {
-        let mut pass = [ForwardPass {
-            mlp: self,
-            input: x,
-            qat,
-        }];
-        let mut traces = forward_batch(&mut pass, par)?;
-        Ok(traces.pop().expect("one pass in, one trace out"))
+        self.check_qat_points(qat.num_points())?;
+        if x.cols() != self.input_dim() {
+            return Err(NnError::Shape(fixar_tensor::ShapeError::new(
+                "mlp batch input",
+                (x.rows(), self.input_dim()),
+                x.shape(),
+            )));
+        }
+        let n = self.num_layers();
+        let mut inputs = Vec::with_capacity(n);
+        let mut pre = Vec::with_capacity(n);
+        let mut a = x.clone();
+        qat.process(0, a.as_mut_slice());
+        for l in 0..n {
+            let mut z = Matrix::zeros(a.rows(), self.weights[l].rows());
+            par.fused(|ks| self.packs[l].gemv_batch(&a, &mut z, ks))??;
+            z.add_row_broadcast(&self.biases[l])?;
+            let mut y = z.clone();
+            self.activation(l).apply_slice(y.as_mut_slice());
+            qat.process(l + 1, y.as_mut_slice());
+            inputs.push(core::mem::replace(&mut a, y));
+            pre.push(z);
+        }
+        Ok(BatchTrace {
+            inputs,
+            pre,
+            output: a,
+        })
     }
 
     /// Back-propagates a minibatch of output gradients (`dl_dout`, one
@@ -469,9 +466,11 @@ impl<S: Scalar> Mlp<S> {
     /// gradients into `grads` — or, with `None`, running only the error
     /// MVMs — and, when `input_grad` asks for it, returning the
     /// `(batch, input_dim)` matrix of input gradients (`None` otherwise:
-    /// layer 0's error MVM is then never issued) — the one-pass
-    /// convenience over the group entry [`backward_batch`].
+    /// layer 0's error MVM is then never issued).
     ///
+    /// Each layer is one fused scope holding its error MVM (batch-row
+    /// shards) and its gradient outer product (weight-row shards); the
+    /// bias gradient accumulates on the calling thread while they run.
     /// Gradient accumulation across the batch runs in **ascending sample
     /// order** (the documented reduction order of the gradient memory),
     /// so the accumulated `grads` are bit-identical to calling
@@ -480,24 +479,76 @@ impl<S: Scalar> Mlp<S> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`backward_batch`].
+    /// Returns [`NnError::Shape`] if `dl_dout` is not
+    /// `(batch, output_dim)`, [`NnError::InvalidConfig`] if `grads` was
+    /// not shaped by [`MlpGrads::zeros_like`] on this network (checked
+    /// for every layer before anything is written), and
+    /// [`NnError::Pool`] if a kernel shard panicked (contained; the pool
+    /// survives).
     pub fn backward_batch(
         &self,
         trace: &BatchTrace<S>,
         dl_dout: &Matrix<S>,
-        grads: Option<&mut MlpGrads<S>>,
+        mut grads: Option<&mut MlpGrads<S>>,
         input_grad: bool,
         par: &Parallelism,
     ) -> Result<Option<Matrix<S>>, NnError> {
-        let mut pass = [BackwardPass {
-            mlp: self,
-            trace,
-            dl_dout,
-            grads,
-            input_grad,
-        }];
-        let mut outs = backward_batch(&mut pass, par)?;
-        Ok(outs.pop().expect("one pass in, one result out"))
+        let (n, batch) = (self.num_layers(), trace.batch_size());
+        if dl_dout.shape() != (batch, self.output_dim()) {
+            return Err(NnError::Shape(fixar_tensor::ShapeError::new(
+                "mlp batch backward",
+                (batch, self.output_dim()),
+                dl_dout.shape(),
+            )));
+        }
+        self.check_grads(grads.as_deref())?;
+        // Output-layer delta: dL/dZ = dL/dY ⊙ f'(Z), elementwise.
+        let mut delta = dl_dout.clone();
+        for ((d, &z), &y) in delta
+            .as_mut_slice()
+            .iter_mut()
+            .zip(trace.pre[n - 1].as_slice())
+            .zip(trace.output.as_slice())
+        {
+            *d *= self.output_act.derivative(z, y);
+        }
+        for l in (0..n).rev() {
+            // Every layer propagates its error, except layer 0 when
+            // nobody reads the input gradient.
+            let mut err =
+                (l > 0 || input_grad).then(|| Matrix::zeros(batch, self.weights[l].cols()));
+            par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
+                if let Some(err) = err.as_mut() {
+                    self.packs[l].gemv_t_batch(&self.weights[l], &delta, err, ks)?;
+                }
+                if let Some(MlpGrads { w, b }) = grads.as_deref_mut() {
+                    w[l].add_outer_batch(&delta, &trace.inputs[l], ks)?;
+                    // Bias gradients: ascending sample order on the
+                    // calling thread, overlapping the queued shards
+                    // (disjoint from both kernel outputs).
+                    for bi in 0..batch {
+                        for (gb, &d) in b[l].iter_mut().zip(delta.row(bi)) {
+                            *gb += d;
+                        }
+                    }
+                }
+                Ok(())
+            })??;
+            let Some(mut err) = err else { break };
+            if l == 0 {
+                return Ok(Some(err));
+            }
+            for ((d, &z), &y) in err
+                .as_mut_slice()
+                .iter_mut()
+                .zip(trace.pre[l - 1].as_slice())
+                .zip(trace.inputs[l].as_slice())
+            {
+                *d *= self.hidden_act.derivative(z, y);
+            }
+            delta = err;
+        }
+        Ok(None)
     }
 
     /// Back-propagates `dl_dout` (∂loss/∂output) through the trace,
@@ -511,8 +562,10 @@ impl<S: Scalar> Mlp<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Shape`] if `dl_dout.len() != output_dim()` or
-    /// `grads` was not shaped by [`MlpGrads::zeros_like`] on this network.
+    /// Returns [`NnError::Shape`] if `dl_dout.len() != output_dim()` and
+    /// [`NnError::InvalidConfig`] if `grads` was not shaped by
+    /// [`MlpGrads::zeros_like`] on this network (checked for every layer
+    /// before anything is written).
     pub fn backward(
         &self,
         trace: &ForwardTrace<S>,
@@ -528,11 +581,7 @@ impl<S: Scalar> Mlp<S> {
                 (dl_dout.len(), 1),
             )));
         }
-        if grads.as_ref().is_some_and(|g| g.w.len() != n) {
-            return Err(NnError::InvalidConfig(
-                "gradient buffer has wrong layer count".into(),
-            ));
-        }
+        self.check_grads(grads.as_deref())?;
         // Output-layer delta: dL/dz = dL/dy ⊙ f'(z).
         let mut delta: Vec<S> = dl_dout
             .iter()
@@ -610,270 +659,46 @@ impl<S: Scalar> Mlp<S> {
             layer_sizes: self.layer_sizes.clone(),
         }
     }
-}
 
-// --- batched passes ----------------------------------------------------------
-//
-// Independent networks fed independent inputs (TD3's twin critics, a
-// target actor alongside an online critic) run **layer-locked**: per
-// layer step, every still-active pass submits its kernels into ONE fused
-// scope (`Parallelism::fused`) and they all share a single barrier join
-// — `layers` joins per phase instead of `passes × layers`, with every
-// worker busy on the union of the kernels. Host-side work (bias
-// broadcast, activation, QAT observation, bias gradients) stays on the
-// calling thread in ascending pass order. Per-element reduction chains
-// are untouched and distinct passes write disjoint outputs, so a group
-// is **bit-identical** to running its passes one by one — and to the
-// per-sample passes — at every worker count.
-
-/// One independent batched forward pass in a group: the network, its
-/// `(batch, input_dim)` input, and the QAT phase its activations pass
-/// through. See [`forward_batch`].
-pub struct ForwardPass<'a, S: Scalar> {
-    /// Network to run.
-    pub mlp: &'a Mlp<S>,
-    /// `(batch, input_dim)` input matrix.
-    pub input: &'a Matrix<S>,
-    /// QAT phase of this pass.
-    pub qat: QatPhase<'a>,
-}
-
-/// Runs several **independent** batched forward passes layer-locked
-/// through fused scopes — one join per layer step for the whole group —
-/// returning each pass's [`BatchTrace`].
-///
-/// Every quantization point observes (or quantizes) the **whole
-/// activation matrix** of the minibatch in one call on the calling
-/// thread. Range monitors see exactly the values `batch` per-sample
-/// passes would (min/max/count are order-independent, so interleaving
-/// passes changes nothing either), and frozen quantizers apply
-/// elementwise, so row `b` of trace `i` is bit-identical to the
-/// per-sample pass of `passes[i]` on its input row `b` under every
-/// [`QatPhase`], in every backend, at every worker count.
-///
-/// Passes may have different depths; a shallower pass simply stops
-/// contributing kernels once its layers are exhausted.
-///
-/// # Errors
-///
-/// Returns [`NnError::Shape`] on input-width mismatch,
-/// [`NnError::InvalidConfig`] if a QAT runtime was built for a
-/// different point count, and [`NnError::Pool`] if a kernel shard
-/// panicked (contained per task; sibling kernels complete and the pool
-/// survives).
-pub fn forward_batch<S: Scalar>(
-    passes: &mut [ForwardPass<'_, S>],
-    par: &Parallelism,
-) -> Result<Vec<BatchTrace<S>>, NnError> {
-    for p in passes.iter() {
-        let points = p.mlp.num_layers() + 1;
-        match p.qat.num_points() {
-            Some(n) if n != points => {
-                return Err(NnError::InvalidConfig(format!(
-                    "qat runtime has {n} points, network needs {points}"
-                )));
-            }
-            _ => {}
-        }
-        if p.input.cols() != p.mlp.input_dim() {
-            return Err(NnError::Shape(fixar_tensor::ShapeError::new(
-                "mlp batch input",
-                (p.input.rows(), p.mlp.input_dim()),
-                p.input.shape(),
-            )));
+    /// Activation after layer `l`.
+    fn activation(&self, l: usize) -> Activation {
+        if l + 1 == self.num_layers() {
+            self.output_act
+        } else {
+            self.hidden_act
         }
     }
-    let mut acts: Vec<Matrix<S>> = passes.iter().map(|p| p.input.clone()).collect();
-    for (a, p) in acts.iter_mut().zip(passes.iter_mut()) {
-        p.qat.process(0, a.as_mut_slice());
-    }
-    let mut traces: Vec<BatchTrace<S>> = passes
-        .iter()
-        .map(|p| BatchTrace {
-            inputs: Vec::with_capacity(p.mlp.num_layers()),
-            pre: Vec::with_capacity(p.mlp.num_layers()),
-            output: Matrix::zeros(0, 0),
-        })
-        .collect();
-    let steps = passes.iter().map(|p| p.mlp.num_layers()).max().unwrap_or(0);
-    for l in 0..steps {
-        // Allocate this step's pre-activation outputs up front: the
-        // kernels write into caller-owned buffers that outlive the
-        // scope.
-        let mut zs: Vec<Option<Matrix<S>>> = passes
-            .iter()
-            .zip(&acts)
-            .map(|(p, a)| {
-                (l < p.mlp.num_layers()).then(|| Matrix::zeros(a.rows(), p.mlp.weights[l].rows()))
-            })
-            .collect();
-        par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
-            for ((p, a), z) in passes.iter().zip(&acts).zip(zs.iter_mut()) {
-                if let Some(z) = z.as_mut() {
-                    p.mlp.packs[l].gemv_batch(a, z, ks)?;
-                }
-            }
-            Ok(())
-        })??;
-        for (i, p) in passes.iter_mut().enumerate() {
-            let Some(mut z) = zs[i].take() else { continue };
-            z.add_row_broadcast(&p.mlp.biases[l])?;
-            let act = if l + 1 == p.mlp.num_layers() {
-                p.mlp.output_act
-            } else {
-                p.mlp.hidden_act
-            };
-            let mut y = z.clone();
-            act.apply_slice(y.as_mut_slice());
-            p.qat.process(l + 1, y.as_mut_slice());
-            traces[i].inputs.push(core::mem::replace(&mut acts[i], y));
-            traces[i].pre.push(z);
-        }
-    }
-    for (trace, output) in traces.iter_mut().zip(acts) {
-        trace.output = output;
-    }
-    Ok(traces)
-}
 
-/// One independent batched backward pass in a group: the network, its
-/// forward trace, the output gradient, and the gradient buffer it
-/// accumulates into — `None` for a pass that is run only for its input
-/// gradient. See [`backward_batch`].
-pub struct BackwardPass<'a, S: Scalar> {
-    /// Network to back-propagate through.
-    pub mlp: &'a Mlp<S>,
-    /// Trace captured by a batched forward of `mlp`.
-    pub trace: &'a BatchTrace<S>,
-    /// `(batch, output_dim)` loss gradient w.r.t. the output.
-    pub dl_dout: &'a Matrix<S>,
-    /// Gradient buffer shaped by [`MlpGrads::zeros_like`] on `mlp`;
-    /// `None` submits only the error MVMs.
-    pub grads: Option<&'a mut MlpGrads<S>>,
-    /// Whether the caller reads this pass's `(batch, input_dim)` input
-    /// gradient. A pass that declines never issues layer 0's error MVM.
-    pub input_grad: bool,
-}
-
-/// Runs several **independent** batched backward passes layer-locked
-/// through fused scopes, returning each pass's `(batch, input_dim)`
-/// input gradient — `None` for a pass that did not ask for one
-/// ([`BackwardPass::input_grad`]). Per layer step one fused scope hosts, for every
-/// active pass, its gradient outer product (weight-row shards; passes
-/// with a gradient buffer only) *and* its error MVM (batch-row shards)
-/// — for TD3's twin critics that is four kernels under a single join.
-/// Bias gradients accumulate on the calling thread (ascending sample
-/// order, as documented) while the shards run.
-///
-/// Element `i` of the result — and `passes[i].grads` — is bit-identical
-/// to running pass `i` on its own, and to [`Mlp::backward`] over its
-/// samples in row order, in every backend, at every worker count.
-///
-/// # Errors
-///
-/// Returns [`NnError::Shape`] if a `dl_dout` is not
-/// `(batch, output_dim)`, [`NnError::InvalidConfig`] for a gradient
-/// buffer shaped on another network, and [`NnError::Pool`] if a kernel
-/// shard panicked (contained; siblings complete, the pool survives).
-pub fn backward_batch<S: Scalar>(
-    passes: &mut [BackwardPass<'_, S>],
-    par: &Parallelism,
-) -> Result<Vec<Option<Matrix<S>>>, NnError> {
-    for p in passes.iter() {
-        let n = p.mlp.num_layers();
-        if p.dl_dout.shape() != (p.trace.batch_size(), p.mlp.output_dim()) {
-            return Err(NnError::Shape(fixar_tensor::ShapeError::new(
-                "mlp batch backward",
-                (p.trace.batch_size(), p.mlp.output_dim()),
-                p.dl_dout.shape(),
-            )));
-        }
-        if p.grads.as_ref().is_some_and(|g| g.w.len() != n) {
-            return Err(NnError::InvalidConfig(
-                "gradient buffer has wrong layer count".into(),
-            ));
+    /// Rejects a QAT runtime built for another point count.
+    fn check_qat_points(&self, points: Option<usize>) -> Result<(), NnError> {
+        let want = self.num_layers() + 1;
+        match points {
+            Some(n) if n != want => Err(NnError::InvalidConfig(format!(
+                "qat runtime has {n} points, network needs {want}"
+            ))),
+            _ => Ok(()),
         }
     }
-    let k = passes.len();
-    // Output-layer deltas: dL/dZ = dL/dY ⊙ f'(Z), elementwise per pass.
-    let mut deltas: Vec<Matrix<S>> = passes
-        .iter()
-        .map(|p| {
-            let n = p.mlp.num_layers();
-            let mut delta = p.dl_dout.clone();
-            for ((d, &z), &y) in delta
-                .as_mut_slice()
-                .iter_mut()
-                .zip(p.trace.pre[n - 1].as_slice())
-                .zip(p.trace.output.as_slice())
-            {
-                *d *= p.mlp.output_act.derivative(z, y);
-            }
-            delta
-        })
-        .collect();
 
-    let steps = passes.iter().map(|p| p.mlp.num_layers()).max().unwrap_or(0);
-    let mut input_grads: Vec<Option<Matrix<S>>> = (0..k).map(|_| None).collect();
-    // Step `s` processes layer `n_i - 1 - s` of every pass deep enough.
-    for s in 0..steps {
-        // A pass still active at this step gets an error buffer, unless
-        // the step is its layer 0 and nobody reads the input gradient.
-        let mut errs: Vec<Option<Matrix<S>>> = passes
-            .iter()
-            .map(|p| {
-                let n = p.mlp.num_layers();
-                (s < n && (s + 1 < n || p.input_grad))
-                    .then(|| Matrix::zeros(p.trace.batch_size(), p.mlp.weights[n - 1 - s].cols()))
-            })
-            .collect();
-        par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
-            for ((i, p), err_slot) in passes.iter_mut().enumerate().zip(errs.iter_mut()) {
-                let n = p.mlp.num_layers();
-                if s >= n {
-                    continue;
-                }
-                let l = n - 1 - s;
-                let delta = &deltas[i];
-                if let Some(err) = err_slot.as_mut() {
-                    p.mlp.packs[l].gemv_t_batch(&p.mlp.weights[l], delta, err, ks)?;
-                }
-                let Some(MlpGrads { w, b }) = p.grads.as_deref_mut() else {
-                    continue;
-                };
-                w[l].add_outer_batch(delta, &p.trace.inputs[l], ks)?;
-                // Bias gradients: ascending sample order on the calling
-                // thread, overlapping the queued shards (disjoint from
-                // both kernel outputs).
-                for bi in 0..delta.rows() {
-                    for (gb, &d) in b[l].iter_mut().zip(delta.row(bi)) {
-                        *gb += d;
-                    }
-                }
-            }
-            Ok(())
-        })??;
-        for (i, p) in passes.iter().enumerate() {
-            let Some(mut err) = errs[i].take() else {
-                continue;
-            };
-            let l = p.mlp.num_layers() - 1 - s;
-            if l > 0 {
-                for ((d, &z), &y) in err
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(p.trace.pre[l - 1].as_slice())
-                    .zip(p.trace.inputs[l].as_slice())
-                {
-                    *d *= p.mlp.hidden_act.derivative(z, y);
-                }
-                deltas[i] = err;
-            } else {
-                input_grads[i] = Some(err);
-            }
+    /// Rejects a gradient buffer not shaped by [`MlpGrads::zeros_like`]
+    /// on this network — every layer's weight and bias shape, checked
+    /// before a backward writes any of it.
+    fn check_grads(&self, grads: Option<&MlpGrads<S>>) -> Result<(), NnError> {
+        let n = self.num_layers();
+        let fits = |g: &MlpGrads<S>| {
+            (g.w.len(), g.b.len()) == (n, n)
+                && (0..n).all(|l| {
+                    g.w[l].shape() == self.weights[l].shape()
+                        && g.b[l].len() == self.biases[l].len()
+                })
+        };
+        match grads {
+            Some(g) if !fits(g) => Err(NnError::InvalidConfig(
+                "gradient buffer was shaped on another network".into(),
+            )),
+            _ => Ok(()),
         }
     }
-    Ok(input_grads)
 }
 
 #[cfg(test)]
@@ -1280,11 +1105,11 @@ mod tests {
             .forward_batch(&x, QatPhase::Observing(&mut qat_batched), &par)
             .unwrap()
             .output;
-        // The quantizing batch agrees with the per-sample frozen and
-        // observing passes.
+        // The quantizing batch agrees with the per-sample pass, on a
+        // clone of the runtime (the snapshot's spelling) and on itself.
         for b in 0..x.rows() {
             let frozen = mlp
-                .forward_qat_frozen(x.row(b), &qat_looped)
+                .forward_qat(x.row(b), &mut qat_looped.clone())
                 .unwrap()
                 .output;
             assert_eq!(yb.row(b), frozen.as_slice(), "frozen row {b}");
@@ -1310,162 +1135,6 @@ mod tests {
         assert!(mlp
             .forward_batch(&x, QatPhase::Observing(&mut wrong), &seq())
             .is_err());
-    }
-
-    #[test]
-    fn group_forward_matches_separate_passes() {
-        // Two independent networks of different depths on different
-        // inputs, layer-locked in one group: traces must equal the
-        // separate one-pass results bit-for-bit, in Fx32, at every
-        // worker count.
-        let cfg_a = MlpConfig::new(vec![5, 12, 7, 2]).with_output_activation(Activation::Tanh);
-        let cfg_b = MlpConfig::new(vec![6, 9, 1]);
-        let net_a = Mlp::<Fx32>::new_random(&cfg_a, 4).unwrap();
-        let net_b = Mlp::<Fx32>::new_random(&cfg_b, 5).unwrap();
-        let x_a = fx32_batch(8, 5);
-        let x_b = fx32_batch(8, 6);
-        let ref_a = net_a.forward_batch(&x_a, QatPhase::Off, &seq()).unwrap();
-        let ref_b = net_b.forward_batch(&x_b, QatPhase::Off, &seq()).unwrap();
-        let group = |x_b: &Matrix<Fx32>, par: &Parallelism| {
-            forward_batch(
-                &mut [
-                    ForwardPass {
-                        mlp: &net_a,
-                        input: &x_a,
-                        qat: QatPhase::Off,
-                    },
-                    ForwardPass {
-                        mlp: &net_b,
-                        input: x_b,
-                        qat: QatPhase::Off,
-                    },
-                ],
-                par,
-            )
-        };
-        for workers in [1usize, 2, 8] {
-            let traces = group(&x_b, &Parallelism::with_workers(workers)).unwrap();
-            assert_eq!(traces.len(), 2);
-            for (trace, reference) in traces.iter().zip([&ref_a, &ref_b]) {
-                assert_eq!(trace.output, reference.output, "workers {workers}");
-                assert_eq!(trace.inputs, reference.inputs, "workers {workers}");
-                assert_eq!(trace.pre, reference.pre, "workers {workers}");
-            }
-        }
-        // Shape errors surface before anything runs.
-        assert!(group(&fx32_batch(3, 4), &seq()).is_err());
-    }
-
-    #[test]
-    fn group_qat_forward_leaves_each_runtime_as_separate_passes_would() {
-        let cfg = MlpConfig::new(vec![4, 10, 2]).with_output_activation(Activation::Tanh);
-        let net_a = Mlp::<Fx32>::new_random(&cfg, 9).unwrap();
-        let net_b = Mlp::<Fx32>::new_random(&cfg, 10).unwrap();
-        let x_a = fx32_batch(6, 4);
-        let x_b = fx32_batch(6, 4);
-
-        // Separate reference passes.
-        let mut qat_a_ref = QatRuntime::builder(net_a.num_layers() + 1)
-            .uniform_bits(8)
-            .build()
-            .unwrap();
-        let mut qat_b_ref = qat_a_ref.clone();
-        let out_a_ref = net_a
-            .forward_batch(&x_a, QatPhase::Observing(&mut qat_a_ref), &seq())
-            .unwrap()
-            .output;
-        let out_b_ref = net_b
-            .forward_batch(&x_b, QatPhase::Observing(&mut qat_b_ref), &seq())
-            .unwrap()
-            .output;
-
-        // One group over a 2-worker pool.
-        let par = Parallelism::with_workers(2);
-        let mut qat_a = QatRuntime::builder(net_a.num_layers() + 1)
-            .uniform_bits(8)
-            .build()
-            .unwrap();
-        let mut qat_b = qat_a.clone();
-        let traces = forward_batch(
-            &mut [
-                ForwardPass {
-                    mlp: &net_a,
-                    input: &x_a,
-                    qat: QatPhase::Observing(&mut qat_a),
-                },
-                ForwardPass {
-                    mlp: &net_b,
-                    input: &x_b,
-                    qat: QatPhase::Observing(&mut qat_b),
-                },
-            ],
-            &par,
-        )
-        .unwrap();
-        assert_eq!(traces[0].output, out_a_ref);
-        assert_eq!(traces[1].output, out_b_ref);
-        for p in 0..qat_a.num_points() {
-            assert_eq!(qat_a.monitor(p).range(), qat_a_ref.monitor(p).range());
-            assert_eq!(qat_a.monitor(p).count(), qat_a_ref.monitor(p).count());
-            assert_eq!(qat_b.monitor(p).range(), qat_b_ref.monitor(p).range());
-        }
-    }
-
-    #[test]
-    fn group_twin_backward_matches_separate_backwards() {
-        // The TD3 twin-critic shape: two same-architecture networks,
-        // same input batch, different output gradients — the group
-        // backward must reproduce each separate backward bit-for-bit
-        // (grads and input gradients), at every worker count.
-        let cfg = MlpConfig::new(vec![6, 14, 8, 1]);
-        let c1 = Mlp::<Fx32>::new_random(&cfg, 31).unwrap();
-        let c2 = Mlp::<Fx32>::new_random(&cfg, 32).unwrap();
-        let x = fx32_batch(9, 6);
-        let dl1 = Matrix::<f64>::from_fn(9, 1, |b, _| (b as f64 - 4.0) * 0.11).cast::<Fx32>();
-        let dl2 = Matrix::<f64>::from_fn(9, 1, |b, _| (b as f64 - 2.0) * 0.07).cast::<Fx32>();
-
-        let t1 = c1.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
-        let t2 = c2.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
-        let mut g1_ref = MlpGrads::zeros_like(&c1);
-        let mut g2_ref = MlpGrads::zeros_like(&c2);
-        let e1_ref = c1
-            .backward_batch(&t1, &dl1, Some(&mut g1_ref), true, &seq())
-            .unwrap();
-        let e2_ref = c2
-            .backward_batch(&t2, &dl2, Some(&mut g2_ref), true, &seq())
-            .unwrap();
-
-        for workers in [1usize, 2, 8] {
-            let par = Parallelism::with_workers(workers);
-            let mut g1 = MlpGrads::zeros_like(&c1);
-            let mut g2 = MlpGrads::zeros_like(&c2);
-            let errs = backward_batch(
-                &mut [
-                    BackwardPass {
-                        mlp: &c1,
-                        trace: &t1,
-                        dl_dout: &dl1,
-                        grads: Some(&mut g1),
-                        input_grad: true,
-                    },
-                    BackwardPass {
-                        mlp: &c2,
-                        trace: &t2,
-                        dl_dout: &dl2,
-                        grads: Some(&mut g2),
-                        input_grad: true,
-                    },
-                ],
-                &par,
-            )
-            .unwrap();
-            assert_eq!(errs[0], e1_ref, "workers {workers}: input grads 1");
-            assert_eq!(errs[1], e2_ref, "workers {workers}: input grads 2");
-            assert_eq!(g1.w, g1_ref.w, "workers {workers}: weight grads 1");
-            assert_eq!(g1.b, g1_ref.b, "workers {workers}: bias grads 1");
-            assert_eq!(g2.w, g2_ref.w, "workers {workers}: weight grads 2");
-            assert_eq!(g2.b, g2_ref.b, "workers {workers}: bias grads 2");
-        }
     }
 
     #[test]

@@ -515,24 +515,12 @@ impl QatRuntime {
             }
         }
     }
-
-    /// Read-only variant of [`QatRuntime::process`]: applies frozen
-    /// quantizers but records nothing. In `Calibrate` mode this is a
-    /// no-op — calibration observes whole batch matrices on the calling
-    /// thread through [`QatPhase::Observing`].
-    pub fn apply<S: Scalar>(&self, point: usize, xs: &mut [S]) {
-        if self.mode == QatMode::Quantize {
-            if let Some(q) = &self.quantizers[point] {
-                q.fake_quantize_slice(xs);
-            }
-        }
-    }
 }
 
 /// The QAT phase of one batched forward pass, passed as a **value** to
-/// [`Mlp::forward_batch`](crate::Mlp::forward_batch) and
-/// [`forward_batch`](crate::forward_batch) — the explicit calibrate →
-/// quantize state of the pass, instead of a method-name suffix.
+/// [`Mlp::forward_batch`](crate::Mlp::forward_batch) — the explicit
+/// calibrate → quantize state of the pass, instead of a method-name
+/// suffix.
 #[derive(Debug)]
 pub enum QatPhase<'a> {
     /// No runtime: activations pass through untouched (plain inference
@@ -801,15 +789,6 @@ mod tests {
             .build()
             .unwrap()
             .with_headroom(0.5);
-    }
-
-    #[test]
-    fn apply_is_read_only_during_calibration() {
-        let qat = QatRuntime::builder(1).uniform_bits(8).build().unwrap();
-        let mut xs = [1.0f64];
-        qat.apply(0, &mut xs);
-        assert_eq!(qat.monitor(0).count(), 0, "apply must not record");
-        assert_eq!(xs[0], 1.0);
     }
 
     #[test]

@@ -289,12 +289,12 @@ impl Drop for Scope<'_, '_> {
     }
 }
 
-/// A fused multi-kernel phase: the handle through which several
-/// *independent* kernels (disjoint output regions) enqueue their shards
-/// into **one** pool scope and share a **single** barrier join — the
-/// phase-scoped heterogeneous scheduling that replaces one-scope-per-
-/// kernel calls on hot paths (e.g. TD3's twin critics, or a layer's
-/// gradient outer product fused with its error MVM).
+/// A fused multi-kernel phase: the handle through which one kernel's
+/// shards — or several *independent* kernels (disjoint output regions)
+/// — enqueue into **one** pool scope and share a **single** barrier
+/// join. On the hot path that is one scope per layer of a pass: a
+/// forward layer's MVM, or a backward layer's error MVM fused with its
+/// gradient outer product.
 ///
 /// Obtained from [`Parallelism::fused`]. Two shapes exist:
 ///

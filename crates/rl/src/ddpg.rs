@@ -21,8 +21,8 @@
 
 use fixar_fixed::Scalar;
 use fixar_nn::{
-    Activation, Adam, AdamConfig, BackwardPass, ForwardPass, Mlp, MlpConfig, MlpGrads,
-    PrecisionPolicy, QatMode, QatPhase, QatRuntime,
+    Activation, Adam, AdamConfig, Mlp, MlpConfig, MlpGrads, PrecisionPolicy, QatMode, QatPhase,
+    QatRuntime,
 };
 use fixar_pool::Parallelism;
 use fixar_tensor::Matrix;
@@ -312,6 +312,23 @@ impl DdpgConfig {
         if !(0.0..=1.0).contains(&self.tau) {
             return Err(RlError::InvalidConfig("tau must be in [0, 1]".into()));
         }
+        for (name, v) in [
+            ("actor_lr", self.actor_lr),
+            ("critic_lr", self.critic_lr),
+            ("adam_eps", self.adam_eps),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(RlError::InvalidConfig(format!(
+                    "{name} must be finite and positive, got {v}"
+                )));
+            }
+        }
+        if !(self.exploration_sigma.is_finite() && self.exploration_sigma >= 0.0) {
+            return Err(RlError::InvalidConfig(format!(
+                "exploration_sigma must be finite and non-negative, got {}",
+                self.exploration_sigma
+            )));
+        }
         if let Some(q) = &self.qat {
             if q.bits == 0 || q.bits > 31 {
                 return Err(RlError::InvalidConfig(format!(
@@ -327,9 +344,10 @@ impl DdpgConfig {
             if t.policy_delay == 0 {
                 return Err(RlError::InvalidConfig("policy_delay must be >= 1".into()));
             }
-            if t.target_noise_sigma < 0.0 || t.target_noise_clip < 0.0 {
+            let ok = |v: f64| v.is_finite() && v >= 0.0;
+            if !(ok(t.target_noise_sigma) && ok(t.target_noise_clip)) {
                 return Err(RlError::InvalidConfig(
-                    "noise parameters must be non-negative".into(),
+                    "noise parameters must be finite and non-negative".into(),
                 ));
             }
         }
@@ -347,8 +365,7 @@ pub struct TrainMetrics {
 }
 
 /// One critic with everything that is per critic: its target network,
-/// optimizer, gradient buffer (so twin critics can accumulate inside
-/// one fused backward scope — disjoint outputs) and QAT runtimes.
+/// optimizer, gradient buffer and QAT runtimes.
 #[derive(Debug, Clone)]
 struct Critic<S: Scalar> {
     net: Mlp<S>,
@@ -695,30 +712,30 @@ impl<S: Scalar> Ddpg<S> {
         // the single-critic metric keeps its bits).
         let share = 1.0 / self.critics.len() as f64;
 
-        // Phase 1 — one fused scope for the *independent* forward passes
-        // of the update: the target actor on s' (start of the TD target
-        // chain) and every online critic on (s, a) (the regression
-        // forwards). The critic-target passes cannot join them — they
-        // consume the target actor's output — so they form phase 2.
-        // Fusing saves a join per layer for each pass after the first
-        // while keeping every result bit-identical (disjoint outputs,
-        // unchanged per-element chains, separate QAT runtimes).
+        // Phase 1 — the forward passes that need nothing from the
+        // update: the target actor on s' (start of the TD target chain),
+        // then every online critic on (s, a) (the regression forwards).
+        // Each pass owns its QAT runtime, so the order changes no bit.
         let s_next: Matrix<S> = batch.next_states().cast();
         let states: Matrix<S> = batch.states().cast();
         let actions: Matrix<S> = batch.actions().cast();
         let critic_in = states.hcat(&actions).map_err(fixar_nn::NnError::Shape)?;
-        let mut passes = vec![ForwardPass {
-            mlp: &self.actor_target,
-            input: &s_next,
-            qat: QatPhase::Observing(&mut self.actor_target_qat),
-        }];
-        passes.extend(self.critics.iter_mut().map(|c| ForwardPass {
-            mlp: &c.net,
-            input: &critic_in,
-            qat: QatPhase::Observing(&mut c.qat),
-        }));
-        let mut traces = fixar_nn::forward_batch(&mut passes, &self.par)?;
-        let mut a_next = traces.remove(0).output;
+        let mut a_next = self
+            .actor_target
+            .forward_batch(
+                &s_next,
+                QatPhase::Observing(&mut self.actor_target_qat),
+                &self.par,
+            )?
+            .output;
+        let traces = self
+            .critics
+            .iter_mut()
+            .map(|c| {
+                c.net
+                    .forward_batch(&critic_in, QatPhase::Observing(&mut c.qat), &self.par)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Target policy smoothing (TD3): clipped Gaussian noise, then
         // clamp the action back into the tanh range.
@@ -733,22 +750,20 @@ impl<S: Scalar> Ddpg<S> {
         }
 
         // Phase 2 — the dependent tail of the TD-target chain: every
-        // target critic on the same (s', a') batch in one fused scope,
-        // bootstrapping from their minimum (clipped double-Q; with one
-        // critic, that critic). Scoped so the target traces are freed
-        // before the backward passes allocate.
+        // target critic on the same (s', a') batch, bootstrapping from
+        // their minimum (clipped double-Q; with one critic, that critic).
+        // Scoped so the target traces are freed before the backward
+        // passes allocate.
         let targets: Vec<S> = {
             let target_in = s_next.hcat(&a_next).map_err(fixar_nn::NnError::Shape)?;
-            let mut passes: Vec<_> = self
+            let q_next = self
                 .critics
                 .iter_mut()
-                .map(|c| ForwardPass {
-                    mlp: &c.target,
-                    input: &target_in,
-                    qat: QatPhase::Observing(&mut c.target_qat),
+                .map(|c| {
+                    let qat = QatPhase::Observing(&mut c.target_qat);
+                    c.target.forward_batch(&target_in, qat, &self.par)
                 })
-                .collect();
-            let q_next = fixar_nn::forward_batch(&mut passes, &self.par)?;
+                .collect::<Result<Vec<_>, _>>()?;
             (0..b)
                 .map(|i| {
                     let bootstrap = if batch.terminals()[i] {
@@ -764,19 +779,14 @@ impl<S: Scalar> Ddpg<S> {
                 .collect()
         };
 
-        // Every critic regresses toward the shared targets: the fused
-        // forwards from phase 1, losses accumulated critic-major (the
-        // per-sample order), then one fused backward group — each critic
-        // owning its gradient buffer, so per layer every critic's
-        // gradient outer product and error MVM share a single join —
-        // with gradients reduced in ascending sample order.
+        // Every critic regresses toward the shared targets: the forwards
+        // from phase 1, losses accumulated critic-major (the per-sample
+        // order), then each critic's backward into its own gradient
+        // buffer, reduced in ascending sample order.
         let mut critic_loss = 0.0;
         let mut q_sum = 0.0;
         let mut td_errors = Vec::with_capacity(b);
         let mut dls = vec![Matrix::<S>::zeros(b, 1); self.critics.len()];
-        for c in &mut self.critics {
-            c.grads.reset();
-        }
         for (k, (trace, dl)) in traces.iter().zip(&mut dls).enumerate() {
             for (i, &y) in targets.iter().enumerate() {
                 let q = trace.output[(i, 0)];
@@ -797,21 +807,11 @@ impl<S: Scalar> Ddpg<S> {
                 }
             }
         }
-        let mut passes: Vec<_> = self
-            .critics
-            .iter_mut()
-            .zip(traces.iter().zip(&dls))
-            .map(|(c, (trace, dl_dout))| BackwardPass {
-                mlp: &c.net,
-                trace,
-                dl_dout,
-                grads: Some(&mut c.grads),
-                // A regression pass ends at its weight gradients.
-                input_grad: false,
-            })
-            .collect();
-        fixar_nn::backward_batch(&mut passes, &self.par)?;
-        for c in &mut self.critics {
+        for (c, (trace, dl_dout)) in self.critics.iter_mut().zip(traces.iter().zip(&dls)) {
+            c.grads.reset();
+            // A regression pass ends at its weight gradients.
+            c.net
+                .backward_batch(trace, dl_dout, Some(&mut c.grads), false, &self.par)?;
             c.opt.step(&mut c.net, &c.grads)?;
         }
         self.train_steps += 1;
@@ -1038,6 +1038,18 @@ mod tests {
         assert!(rejected(
             |c| c.td3.as_mut().unwrap().target_noise_clip = -0.1
         ));
+        assert!(rejected(
+            |c| c.td3.as_mut().unwrap().target_noise_sigma = f64::NAN
+        ));
+        assert!(rejected(
+            |c| c.td3.as_mut().unwrap().target_noise_clip = f64::NAN
+        ));
+        assert!(rejected(|c| c.exploration_sigma = -0.1));
+        assert!(rejected(|c| c.exploration_sigma = f64::NAN));
+        assert!(rejected(|c| c.actor_lr = 0.0));
+        assert!(rejected(|c| c.critic_lr = f64::INFINITY));
+        assert!(rejected(|c| c.adam_eps = -1e-4));
+        assert!(rejected(|c| c.adam_eps = f64::NAN));
         for (name, cfg) in family() {
             assert!(Ddpg::<f64>::new(0, 1, cfg.clone()).is_err(), "{name}");
             let agent = Ddpg::<f64>::new(3, 1, cfg).unwrap();

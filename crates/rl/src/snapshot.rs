@@ -2,12 +2,11 @@
 //! oracle of a deployed policy.
 //!
 //! A [`PolicySnapshot`] freezes the online actor at one instant: the
-//! weights, the QAT runtime (whose frozen quantizers are applied
-//! *immutably* — a snapshot never feeds the range monitors), and a caller
-//! chosen id. On `Fx32` it exports the integer-only
-//! [`PolicyArtifact`] that `fixar-serve` serves and firmware runs
-//! ([`PolicySnapshot::export_artifact`]); on any backend it answers one
-//! observation through the frozen per-sample forward
+//! weights, the QAT runtime (never written again — a snapshot never feeds
+//! its own range monitors), and a caller chosen id. On `Fx32` it exports
+//! the integer-only [`PolicyArtifact`] that `fixar-serve` serves and
+//! firmware runs ([`PolicySnapshot::export_artifact`]); on any backend it
+//! answers one observation through the per-sample forward
 //! ([`PolicySnapshot::select_action`]), the independent reference every
 //! differential test replays served and deployed actions against.
 
@@ -94,9 +93,13 @@ impl<S: Scalar> PolicySnapshot<S> {
         self.qat.point_formats()
     }
 
-    /// Selects the action for one observation through the frozen
-    /// per-sample forward — the offline replay reference. On `Fx32` the
-    /// exported artifact's `infer` and `infer_batch` equal it bit for bit.
+    /// Selects the action for one observation through the per-sample
+    /// forward ([`Mlp::forward_qat`]) on a clone of the snapshot's QAT
+    /// runtime — the offline replay reference. A frozen runtime only
+    /// quantizes and a calibrating one only observes (into the clone), so
+    /// the snapshot's runtime is never written and every call answers
+    /// alike. On `Fx32` the exported artifact's `infer` and `infer_batch`
+    /// equal it bit for bit.
     ///
     /// # Errors
     ///
@@ -104,7 +107,7 @@ impl<S: Scalar> PolicySnapshot<S> {
     /// observation dimension.
     pub fn select_action(&self, state: &[f64]) -> Result<Vec<f64>, RlError> {
         let s: Vec<S> = state.iter().map(|&v| S::from_f64(v)).collect();
-        let trace = self.actor.forward_qat_frozen(&s, &self.qat)?;
+        let trace = self.actor.forward_qat(&s, &mut self.qat.clone())?;
         Ok(trace.output.iter().map(|v| v.to_f64()).collect())
     }
 }

@@ -94,12 +94,13 @@ pub struct TrainingReport {
 }
 
 impl TrainingReport {
-    /// Mean reward over the last `n` evaluation points (saturation level).
+    /// Mean reward over the last `n` evaluation points (saturation level);
+    /// `0.0` when there is nothing to average (an empty curve, or `n == 0`).
     pub fn tail_mean(&self, n: usize) -> f64 {
-        if self.curve.is_empty() {
+        let tail = &self.curve[self.curve.len().saturating_sub(n)..];
+        if tail.is_empty() {
             return 0.0;
         }
-        let tail = &self.curve[self.curve.len().saturating_sub(n)..];
         tail.iter().map(|p| p.avg_reward).sum::<f64>() / tail.len() as f64
     }
 }
@@ -598,5 +599,6 @@ mod tests {
         };
         assert_eq!(report.tail_mean(2), 15.0);
         assert_eq!(report.tail_mean(100), 10.0);
+        assert_eq!(report.tail_mean(0), 0.0);
     }
 }

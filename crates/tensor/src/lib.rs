@@ -73,9 +73,9 @@
 //! form — and every shard executes the very same span loop nest over its
 //! range. Inside
 //! [`fixar_pool::Parallelism::fused`] the shards of several
-//! *independent* kernels — the twin TD3 critics' MVMs, or a layer's
-//! gradient outer product alongside its error MVM — enqueue into one
-//! scope and share one barrier join per phase; with
+//! *independent* kernels — a backward layer's gradient outer product
+//! alongside its error MVM — enqueue into one scope and share one
+//! barrier join; with
 //! [`KernelScope::sequential`] (also what `fused` hands out at one
 //! worker, or on a pool thread) they run inline. No reduction chain
 //! changes and no two shards touch the same element, so the output is

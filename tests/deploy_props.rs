@@ -235,7 +235,7 @@ fn batched_inference_matches_the_artifact_at_env_worker_counts() {
 fn interpreter_equals_the_frozen_forward_on_both_sides_of_the_interval_guard() {
     // The interpreter skips both clamps of a layer's MAC chains when an
     // interval guard proves they cannot fire, and keeps the saturating
-    // chain otherwise. Either way it must equal `forward_qat_frozen`
+    // chain otherwise. Either way it must equal the frozen `forward_qat`
     // (the per-sample saturating `gemv`) word for word. Which side a
     // layer falls on is established here by evaluating the public
     // predicate on bounds recomputed from the network and the oracle's
@@ -272,7 +272,7 @@ fn interpreter_equals_the_frozen_forward_on_both_sides_of_the_interval_guard() {
         // Through the blob, as a served policy arrives.
         let art = PolicyArtifact::decode(&art.encode()).unwrap();
         let trace = mlp
-            .forward_qat_frozen(&Fx32::from_raw_words(raw), &qat)
+            .forward_qat(&Fx32::from_raw_words(raw), &mut qat.clone())
             .unwrap();
         let max_magnitude = |xs: &[Fx32]| xs.iter().map(|v| v.raw_magnitude()).max().unwrap();
         for (l, &want) in admitted.iter().enumerate() {
@@ -324,7 +324,7 @@ fn interpreter_equals_the_frozen_forward_on_zero_inputs() {
     // A broadcast step whose input word is zero adds a column of exact
     // zeros, so an interpreter may issue it or drop it (the batched
     // tensor kernels drop it; this one, today, issues it).
-    // `forward_qat_frozen` (the per-sample `gemv`) multiplies by those
+    // The frozen `forward_qat` (the per-sample `gemv`) multiplies by those
     // zeros, and the two must agree word for word: on an all-zero
     // observation, behind a first hidden layer that is entirely dead
     // (non-positive weights and biases under non-negative inputs, so
@@ -383,7 +383,7 @@ fn interpreter_equals_the_frozen_forward_on_zero_inputs() {
         .unwrap();
         let art = PolicyArtifact::decode(&art.encode()).unwrap();
         let trace = mlp
-            .forward_qat_frozen(&Fx32::from_raw_words(&raw), &qat)
+            .forward_qat(&Fx32::from_raw_words(&raw), &mut qat.clone())
             .unwrap();
         // The zeros the case is named for really reach a layer's input.
         assert!(

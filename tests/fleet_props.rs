@@ -319,6 +319,20 @@ fn each_slot_matches_a_solo_rollout_while_weights_are_frozen() {
     }
 }
 
+/// A config that would panic the trainer's exploration noise is a typed
+/// error from `Trainer::new`, as its docs promise.
+#[test]
+fn trainer_rejects_a_negative_exploration_sigma() {
+    let mut cfg = DdpgConfig::small_test();
+    cfg.exploration_sigma = -0.1;
+    let trainer = Trainer::<Fx32>::new(
+        EnvPool::from_kind(EnvKind::Pendulum, 2, cfg.seed),
+        EnvKind::Pendulum.make(cfg.seed.wrapping_add(1)),
+        cfg,
+    );
+    assert!(matches!(trainer, Err(RlError::InvalidConfig(_))));
+}
+
 /// Pillar 3 (acceptance criterion): whole fleet runs — weights, replay
 /// contents in order, reward curves — are bit-identical across worker
 /// counts {1, 2, 4}.

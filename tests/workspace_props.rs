@@ -204,3 +204,51 @@ proptest! {
         }
     }
 }
+
+/// A gradient buffer shaped on another network with the same layer
+/// count is rejected by both backward entries before anything is
+/// written: `grads` still equals its clone from before the call, at
+/// every worker count.
+#[test]
+fn backward_rejects_grads_of_another_network_without_writing() {
+    use fixar_nn::{MlpGrads, NnError};
+    use fixar_tensor::Matrix;
+    let cfg =
+        |hidden| MlpConfig::new(vec![5, hidden, 8, 2]).with_output_activation(Activation::Tanh);
+    let mlp = Mlp::<Fx32>::new_random(&cfg(14), 21).unwrap();
+    let other = Mlp::<Fx32>::new_random(&cfg(10), 22).unwrap();
+    let x =
+        Matrix::<f64>::from_fn(6, 5, |b, i| ((b * 3 + i) % 7) as f64 * 0.2 - 0.6).cast::<Fx32>();
+    let dl = Matrix::<f64>::from_fn(6, 2, |b, i| (b + i) as f64 * 0.1 - 0.3).cast::<Fx32>();
+    // A non-zero buffer, so a partial write could not go unnoticed.
+    let mut foreign = MlpGrads::zeros_like(&other);
+    let t = other
+        .forward_batch(&x, QatPhase::Off, &Parallelism::sequential())
+        .unwrap();
+    other
+        .backward_batch(
+            &t,
+            &dl,
+            Some(&mut foreign),
+            false,
+            &Parallelism::sequential(),
+        )
+        .unwrap();
+    let before = foreign.clone();
+    for workers in [1, 2] {
+        let par = Parallelism::with_workers(workers);
+        let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+        for input_grad in [false, true] {
+            let batched = mlp.backward_batch(&trace, &dl, Some(&mut foreign), input_grad, &par);
+            assert!(
+                matches!(batched, Err(NnError::InvalidConfig(_))),
+                "{workers} workers"
+            );
+            assert_eq!(foreign, before, "backward_batch at {workers} workers wrote");
+        }
+        let t = mlp.forward_trace(x.row(0)).unwrap();
+        let single = mlp.backward(&t, dl.row(0), Some(&mut foreign), true);
+        assert!(matches!(single, Err(NnError::InvalidConfig(_))));
+        assert_eq!(foreign, before, "backward wrote");
+    }
+}
