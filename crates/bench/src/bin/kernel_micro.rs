@@ -23,14 +23,17 @@
 //! one ordinary error word in seven is zero. The gradient accumulators
 //! are zeroed before every repetition, outside the timed region: left to
 //! accumulate they would drift up to the rails and switch sides
-//! mid-measurement. Three further arms ride along:
+//! mid-measurement. Further arms ride along:
 //!
 //! * `gemv_t_batch` at 256×192, the longest chain per sample the
 //!   quick-study nets reach;
 //! * `pack 400x300`: one `Matrix::pack()` of a paper-size layer, ns per
 //!   pack, and `refresh 400x300`: the same layer refreshed into an
 //!   existing pack, as every weight write ends (an update refreshes the
-//!   layers of four networks);
+//!   layers of the online networks); `soft_update 400x300 W+refresh`
+//!   / `soft_update 400x300 packed`: a target layer's soft update on `W`
+//!   followed by a refresh, against the same update in place on the pack
+//!   alone (what a target network runs), gated equal before timing;
 //! * `quantizer_micro`: the per-element cost of each deploy-time
 //!   quantizer spec (a shifting one, and the `shift: 0` clamp a step
 //!   finer than the word grid exports as), isolated by subtracting a
@@ -67,7 +70,7 @@
 use fixar_deploy::{ActKind, PolicyArtifact};
 use fixar_fixed::{AffineQuantizer, Fx32, QFormat, Scalar};
 use fixar_nn::{Adam, AdamConfig, Mlp, MlpConfig, MlpGrads};
-use fixar_tensor::{KernelScope, Matrix, Parallelism, LANE_RATIO};
+use fixar_tensor::{KernelScope, Matrix, Parallelism, WeightPack, LANE_RATIO};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -358,6 +361,40 @@ fn main() {
         std::hint::black_box(&refreshed);
     });
     push(&mut records, "refresh 400x300".into(), ns);
+    // A target layer's soft update toward its online layer in both
+    // forms, from the same words: on `W`, then the pack refreshed (the
+    // target keeping `W`), and in place on the pack alone. One step of
+    // each must leave the same pack before any timing.
+    let tau = Fx32::from_f64(0.005);
+    let src = Matrix::<f64>::from_fn(400, 300, |r, c| ((r * 5 + c * 3) % 23) as f64 * 0.05 - 0.55)
+        .cast::<Fx32>();
+    let src_pack = src.pack();
+    let w_form = |w: &mut Matrix<Fx32>, pack: &mut WeightPack<Fx32>| {
+        for (d, &s) in w.as_mut_slice().iter_mut().zip(src.as_slice()) {
+            *d = *d + tau * (s - *d);
+        }
+        pack.refresh(w);
+    };
+    let (mut w_target, mut w_target_pack) = (w3.clone(), w3.pack());
+    let mut packed_target = w3.pack();
+    w_form(&mut w_target, &mut w_target_pack);
+    packed_target.soft_update(&src_pack, tau).unwrap();
+    assert_eq!(
+        packed_target, w_target_pack,
+        "packed soft update diverged from the W-form update"
+    );
+    let ns = time_ns_per_sample(reps, 1, || {
+        w_form(&mut w_target, &mut w_target_pack);
+        std::hint::black_box(&w_target_pack);
+    });
+    push(&mut records, "soft_update 400x300 W+refresh".into(), ns);
+    let ns = time_ns_per_sample(reps, 1, || {
+        packed_target
+            .soft_update(std::hint::black_box(&src_pack), tau)
+            .unwrap();
+        std::hint::black_box(&packed_target);
+    });
+    push(&mut records, "soft_update 400x300 packed".into(), ns);
 
     quantizer_micro(reps, &mut records);
     narrow_layer_micro(reps, &mut records);

@@ -44,7 +44,7 @@ pub use adam::{Adam, AdamConfig};
 pub use error::NnError;
 pub use init::WeightInit;
 pub use loss::{half_mse, half_mse_grad};
-pub use mlp::{BatchTrace, ForwardTrace, Mlp, MlpConfig, MlpGrads};
+pub use mlp::{BatchTrace, ForwardTrace, Mlp, MlpConfig, MlpGrads, PackedMlp};
 pub use qat::{PrecisionError, PrecisionPolicy, QatMode, QatPhase, QatRuntime, QatRuntimeBuilder};
 
 pub use fixar_fixed::QFormat;

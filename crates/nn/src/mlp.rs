@@ -83,6 +83,7 @@ impl<S: Scalar> MlpGrads<S> {
                 .map(|w| Matrix::zeros(w.rows(), w.cols()))
                 .collect(),
             b: mlp
+                .packed
                 .biases
                 .iter()
                 .map(|b| vec![S::zero(); b.len()])
@@ -175,22 +176,162 @@ impl<S: Scalar> BatchTrace<S> {
     }
 }
 
+/// A network in its inference layout only: per-layer [`WeightPack`]s
+/// (the packed `Wᵀ` with its interval-guard bounds), biases and
+/// activations — no row-major `W`.
+///
+/// It is the part of an [`Mlp`] that a forward pass reads, and on its
+/// own it is a DDPG target network: a target only runs forward passes
+/// ([`PackedMlp::forward_batch`], output only, no trace) and follows its
+/// online network by [`PackedMlp::soft_update_from`], which writes the
+/// packed words in place. Neither needs `W`, so a target keeps none and
+/// is never re-transposed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedMlp<S> {
+    packs: Vec<WeightPack<S>>,
+    biases: Vec<Vec<S>>,
+    hidden_act: Activation,
+    output_act: Activation,
+    layer_sizes: Vec<usize>,
+}
+
+impl<S: Scalar> PackedMlp<S> {
+    /// Batched forward pass returning only the `(batch, output_dim)`
+    /// output: the walk of [`Mlp::forward_batch`] with nothing kept for a
+    /// backward pass. Row `b` is bit-identical to the output of
+    /// [`Mlp::forward_batch`] (and so of the per-sample pass) on the
+    /// network these packs describe, at every worker count of `par`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mlp::forward_batch`].
+    pub fn forward_batch(
+        &self,
+        x: &Matrix<S>,
+        qat: QatPhase<'_>,
+        par: &Parallelism,
+    ) -> Result<Matrix<S>, NnError> {
+        self.walk(x, qat, par, None)
+    }
+
+    /// Polyak/soft update `θ ← θ + τ·(θ_src − θ)` toward the online
+    /// network `src`, computed in the backend arithmetic on the packed
+    /// words ([`WeightPack::soft_update`]) and the biases. Every word is
+    /// the one the same update would give on `W`, then packed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] — before anything is written —
+    /// if `tau` is not a finite number in `[0, 1]` (a NaN would turn
+    /// every float weight into NaN and round to 0 in fixed point), or if
+    /// `src` differs in layer sizes or activations.
+    pub fn soft_update_from(&mut self, src: &Mlp<S>, tau: f64) -> Result<(), NnError> {
+        if !(0.0..=1.0).contains(&tau) {
+            return Err(NnError::InvalidConfig(format!(
+                "soft update rate must be a finite number in [0, 1], got {tau}"
+            )));
+        }
+        let src = &src.packed;
+        if (self.hidden_act, self.output_act) != (src.hidden_act, src.output_act)
+            || self.layer_sizes != src.layer_sizes
+        {
+            return Err(NnError::InvalidConfig(
+                "soft update requires identical architectures".into(),
+            ));
+        }
+        let t = S::from_f64(tau);
+        for (pack, from) in self.packs.iter_mut().zip(&src.packs) {
+            pack.soft_update(from, t)?;
+        }
+        for (b, bs) in self.biases.iter_mut().zip(&src.biases) {
+            for (d, &s) in b.iter_mut().zip(bs) {
+                *d = *d + t * (s - *d);
+            }
+        }
+        Ok(())
+    }
+
+    /// The one batched forward walk: each layer is one fused scope
+    /// (`Parallelism::fused`) holding its `gemv_batch`; bias broadcast,
+    /// activation and QAT run on the calling thread. With `trace`, each
+    /// layer's input and pre-activation are pushed onto its `inputs` and
+    /// `pre`; without, the activation runs in place on the
+    /// pre-activation and nothing is kept. Returns the output.
+    fn walk(
+        &self,
+        x: &Matrix<S>,
+        mut qat: QatPhase<'_>,
+        par: &Parallelism,
+        mut trace: Option<&mut BatchTrace<S>>,
+    ) -> Result<Matrix<S>, NnError> {
+        self.check_qat_points(qat.num_points())?;
+        let input_dim = self.layer_sizes[0];
+        if x.cols() != input_dim {
+            return Err(NnError::Shape(fixar_tensor::ShapeError::new(
+                "mlp batch input",
+                (x.rows(), input_dim),
+                x.shape(),
+            )));
+        }
+        let mut a = x.clone();
+        qat.process(0, a.as_mut_slice());
+        for (l, pack) in self.packs.iter().enumerate() {
+            let mut z = Matrix::zeros(a.rows(), pack.rows());
+            par.fused(|ks| pack.gemv_batch(&a, &mut z, ks))??;
+            z.add_row_broadcast(&self.biases[l])?;
+            let mut y = match trace.as_deref_mut() {
+                Some(t) => {
+                    let y = z.clone();
+                    t.pre.push(z);
+                    y
+                }
+                None => z,
+            };
+            self.activation(l).apply_slice(y.as_mut_slice());
+            qat.process(l + 1, y.as_mut_slice());
+            let input = core::mem::replace(&mut a, y);
+            if let Some(t) = trace.as_deref_mut() {
+                t.inputs.push(input);
+            }
+        }
+        Ok(a)
+    }
+
+    /// Activation after layer `l`.
+    fn activation(&self, l: usize) -> Activation {
+        if l + 1 == self.packs.len() {
+            self.output_act
+        } else {
+            self.hidden_act
+        }
+    }
+
+    /// Rejects a QAT runtime built for another point count.
+    fn check_qat_points(&self, points: Option<usize>) -> Result<(), NnError> {
+        let want = self.packs.len() + 1;
+        match points {
+            Some(n) if n != want => Err(NnError::InvalidConfig(format!(
+                "qat runtime has {n} points, network needs {want}"
+            ))),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Fully-connected network, generic over the numeric backend.
 ///
 /// See the [crate docs](crate) for an example.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp<S> {
+    /// Row-major `W` of each layer: the backward passes, the per-sample
+    /// passes and weight export read it.
     weights: Vec<Matrix<S>>,
-    biases: Vec<Vec<S>>,
-    hidden_act: Activation,
-    output_act: Activation,
-    layer_sizes: Vec<usize>,
-    /// Packed (pre-transposed) weight layout of each layer — the operand
-    /// of every batched forward/backward MVM. Built with the network and
-    /// refreshed in place by [`Mlp::update_weight`], the only writer of
-    /// the weights, so it always describes them; bias writes don't touch
-    /// it.
-    packs: Vec<WeightPack<S>>,
+    /// The inference layout: packed `Wᵀ` of each layer — the operand of
+    /// every batched forward/backward MVM — biases and activations.
+    /// Built with the network and refreshed in place by
+    /// [`Mlp::update_weight`], the only writer of the weights, so the
+    /// packs always describe them; bias writes don't touch them.
+    packed: PackedMlp<S>,
 }
 
 impl<S: Scalar> Mlp<S> {
@@ -224,12 +365,14 @@ impl<S: Scalar> Mlp<S> {
             biases.push(bf.into_iter().map(S::from_f64).collect());
         }
         Ok(Self {
-            packs: weights.iter().map(Matrix::pack).collect(),
+            packed: PackedMlp {
+                packs: weights.iter().map(Matrix::pack).collect(),
+                biases,
+                hidden_act: cfg.hidden_activation,
+                output_act: cfg.output_activation,
+                layer_sizes: cfg.layer_sizes.clone(),
+            },
             weights,
-            biases,
-            hidden_act: cfg.hidden_activation,
-            output_act: cfg.output_activation,
-            layer_sizes: cfg.layer_sizes.clone(),
         })
     }
 
@@ -242,31 +385,38 @@ impl<S: Scalar> Mlp<S> {
     /// Layer widths, input first.
     #[inline]
     pub fn layer_sizes(&self) -> &[usize] {
-        &self.layer_sizes
+        &self.packed.layer_sizes
     }
 
     /// Input dimension.
     #[inline]
     pub fn input_dim(&self) -> usize {
-        self.layer_sizes[0]
+        self.packed.layer_sizes[0]
     }
 
     /// Output dimension.
     #[inline]
     pub fn output_dim(&self) -> usize {
-        *self.layer_sizes.last().expect("validated non-empty")
+        *self.packed.layer_sizes.last().expect("validated non-empty")
     }
 
     /// Hidden activation function.
     #[inline]
     pub fn hidden_activation(&self) -> Activation {
-        self.hidden_act
+        self.packed.hidden_act
     }
 
     /// Output activation function.
     #[inline]
     pub fn output_activation(&self) -> Activation {
-        self.output_act
+        self.packed.output_act
+    }
+
+    /// The inference layout — packs, biases, activations — whose clone
+    /// is a [`PackedMlp`] target network of this one.
+    #[inline]
+    pub fn packed(&self) -> &PackedMlp<S> {
+        &self.packed
     }
 
     /// Weight matrix of layer `l` (rows = fan-out, cols = fan-in).
@@ -280,7 +430,7 @@ impl<S: Scalar> Mlp<S> {
     }
 
     /// Writes the weights of layer `l` through `write` — the one writer
-    /// of the weights (optimizers, the soft update, tests) — then
+    /// of the weights (optimizers, tests) — then
     /// refreshes the layer's packed layout in place
     /// ([`WeightPack::refresh`]), so the next batched pass reads it as
     /// it is.
@@ -293,7 +443,7 @@ impl<S: Scalar> Mlp<S> {
         let shape = w.shape();
         write(w);
         assert_eq!(w.shape(), shape, "update_weight reshaped layer {l}");
-        self.packs[l].refresh(w);
+        self.packed.packs[l].refresh(w);
     }
 
     /// Bias vector of layer `l`.
@@ -303,7 +453,7 @@ impl<S: Scalar> Mlp<S> {
     /// Panics if `l >= num_layers()`.
     #[inline]
     pub fn bias(&self, l: usize) -> &[S] {
-        &self.biases[l]
+        &self.packed.biases[l]
     }
 
     /// Mutable bias vector of layer `l`.
@@ -313,13 +463,13 @@ impl<S: Scalar> Mlp<S> {
     /// Panics if `l >= num_layers()`.
     #[inline]
     pub fn bias_mut(&mut self, l: usize) -> &mut [S] {
-        &mut self.biases[l]
+        &mut self.packed.biases[l]
     }
 
     /// Total number of parameters (weights + biases).
     pub fn param_count(&self) -> usize {
         self.weights.iter().map(Matrix::len).sum::<usize>()
-            + self.biases.iter().map(Vec::len).sum::<usize>()
+            + self.packed.biases.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Model size in bytes at this backend's precision (what the paper
@@ -378,7 +528,7 @@ impl<S: Scalar> Mlp<S> {
                 (x.len(), 1),
             )));
         }
-        self.check_qat_points(Some(qat.num_points()))?;
+        self.packed.check_qat_points(Some(qat.num_points()))?;
         let n = self.num_layers();
         let mut inputs = Vec::with_capacity(n);
         let mut pre = Vec::with_capacity(n);
@@ -387,11 +537,11 @@ impl<S: Scalar> Mlp<S> {
         qat.process(0, &mut a);
         for l in 0..n {
             let mut z = self.weights[l].gemv_alloc(&a)?;
-            for (zi, &bi) in z.iter_mut().zip(&self.biases[l]) {
+            for (zi, &bi) in z.iter_mut().zip(self.bias(l)) {
                 *zi += bi;
             }
             let mut y = z.clone();
-            self.activation(l).apply_slice(&mut y);
+            self.packed.activation(l).apply_slice(&mut y);
             qat.process(l + 1, &mut y);
             inputs.push(a);
             pre.push(z);
@@ -408,7 +558,8 @@ impl<S: Scalar> Mlp<S> {
     /// capturing the trace needed by [`Mlp::backward_batch`]. Each layer
     /// is one fused scope (`Parallelism::fused`) holding its
     /// `gemv_batch`; bias broadcast, activation and QAT run on the
-    /// calling thread.
+    /// calling thread. This is the walk [`PackedMlp::forward_batch`]
+    /// runs, keeping each layer's input and pre-activation.
     ///
     /// Every quantization point observes (or quantizes) the whole
     /// activation matrix in one call. Range monitors see exactly the
@@ -428,37 +579,17 @@ impl<S: Scalar> Mlp<S> {
     pub fn forward_batch(
         &self,
         x: &Matrix<S>,
-        mut qat: QatPhase<'_>,
+        qat: QatPhase<'_>,
         par: &Parallelism,
     ) -> Result<BatchTrace<S>, NnError> {
-        self.check_qat_points(qat.num_points())?;
-        if x.cols() != self.input_dim() {
-            return Err(NnError::Shape(fixar_tensor::ShapeError::new(
-                "mlp batch input",
-                (x.rows(), self.input_dim()),
-                x.shape(),
-            )));
-        }
         let n = self.num_layers();
-        let mut inputs = Vec::with_capacity(n);
-        let mut pre = Vec::with_capacity(n);
-        let mut a = x.clone();
-        qat.process(0, a.as_mut_slice());
-        for l in 0..n {
-            let mut z = Matrix::zeros(a.rows(), self.weights[l].rows());
-            par.fused(|ks| self.packs[l].gemv_batch(&a, &mut z, ks))??;
-            z.add_row_broadcast(&self.biases[l])?;
-            let mut y = z.clone();
-            self.activation(l).apply_slice(y.as_mut_slice());
-            qat.process(l + 1, y.as_mut_slice());
-            inputs.push(core::mem::replace(&mut a, y));
-            pre.push(z);
-        }
-        Ok(BatchTrace {
-            inputs,
-            pre,
-            output: a,
-        })
+        let mut trace = BatchTrace {
+            inputs: Vec::with_capacity(n),
+            pre: Vec::with_capacity(n),
+            output: Matrix::zeros(0, 0),
+        };
+        trace.output = self.packed.walk(x, qat, par, Some(&mut trace))?;
+        Ok(trace)
     }
 
     /// Back-propagates a minibatch of output gradients (`dl_dout`, one
@@ -510,7 +641,7 @@ impl<S: Scalar> Mlp<S> {
             .zip(trace.pre[n - 1].as_slice())
             .zip(trace.output.as_slice())
         {
-            *d *= self.output_act.derivative(z, y);
+            *d *= self.packed.output_act.derivative(z, y);
         }
         for l in (0..n).rev() {
             // Every layer propagates its error, except layer 0 when
@@ -519,7 +650,7 @@ impl<S: Scalar> Mlp<S> {
                 (l > 0 || input_grad).then(|| Matrix::zeros(batch, self.weights[l].cols()));
             par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
                 if let Some(err) = err.as_mut() {
-                    self.packs[l].gemv_t_batch(&self.weights[l], &delta, err, ks)?;
+                    self.packed.packs[l].gemv_t_batch(&self.weights[l], &delta, err, ks)?;
                 }
                 if let Some(MlpGrads { w, b }) = grads.as_deref_mut() {
                     w[l].add_outer_batch(&delta, &trace.inputs[l], ks)?;
@@ -544,7 +675,7 @@ impl<S: Scalar> Mlp<S> {
                 .zip(trace.pre[l - 1].as_slice())
                 .zip(trace.inputs[l].as_slice())
             {
-                *d *= self.hidden_act.derivative(z, y);
+                *d *= self.packed.hidden_act.derivative(z, y);
             }
             delta = err;
         }
@@ -586,7 +717,7 @@ impl<S: Scalar> Mlp<S> {
         let mut delta: Vec<S> = dl_dout
             .iter()
             .zip(trace.pre[n - 1].iter().zip(&trace.output))
-            .map(|(&g, (&z, &y))| g * self.output_act.derivative(z, y))
+            .map(|(&g, (&z, &y))| g * self.packed.output_act.derivative(z, y))
             .collect();
 
         for l in (0..n).rev() {
@@ -603,7 +734,7 @@ impl<S: Scalar> Mlp<S> {
                 .gemv_t_alloc(&delta)?
                 .iter()
                 .zip(trace.pre[l - 1].iter().zip(&trace.inputs[l]))
-                .map(|(&e, (&z, &y))| e * self.hidden_act.derivative(z, y))
+                .map(|(&e, (&z, &y))| e * self.packed.hidden_act.derivative(z, y))
                 .collect();
         }
         if input_grad {
@@ -613,70 +744,25 @@ impl<S: Scalar> Mlp<S> {
         }
     }
 
-    /// Polyak/soft update `θ ← τ·θ_src + (1−τ)·θ` used for DDPG target
-    /// networks, computed in the backend arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if the architectures differ.
-    pub fn soft_update_from(&mut self, src: &Mlp<S>, tau: f64) -> Result<(), NnError> {
-        if self.layer_sizes != src.layer_sizes {
-            return Err(NnError::InvalidConfig(
-                "soft update requires identical architectures".into(),
-            ));
-        }
-        let t = S::from_f64(tau);
-        for (l, ws) in src.weights.iter().enumerate() {
-            self.update_weight(l, |w| {
-                for (d, &s) in w.as_mut_slice().iter_mut().zip(ws.as_slice()) {
-                    *d = *d + t * (s - *d);
-                }
-            });
-        }
-        for (b, bs) in self.biases.iter_mut().zip(&src.biases) {
-            for (d, &s) in b.iter_mut().zip(bs) {
-                *d = *d + t * (s - *d);
-            }
-        }
-        Ok(())
-    }
-
     /// Converts the model to another backend through `f64` (used when the
     /// dynamic-fixed mode hands a pre-trained full-precision model to the
     /// quantized phase, and to build bit-identical accelerator images).
     pub fn cast<T: Scalar>(&self) -> Mlp<T> {
         let weights: Vec<Matrix<T>> = self.weights.iter().map(Matrix::cast).collect();
+        let p = &self.packed;
         Mlp {
-            packs: weights.iter().map(Matrix::pack).collect(),
+            packed: PackedMlp {
+                packs: weights.iter().map(Matrix::pack).collect(),
+                biases: p
+                    .biases
+                    .iter()
+                    .map(|b| b.iter().map(|v| T::from_f64(v.to_f64())).collect())
+                    .collect(),
+                hidden_act: p.hidden_act,
+                output_act: p.output_act,
+                layer_sizes: p.layer_sizes.clone(),
+            },
             weights,
-            biases: self
-                .biases
-                .iter()
-                .map(|b| b.iter().map(|v| T::from_f64(v.to_f64())).collect())
-                .collect(),
-            hidden_act: self.hidden_act,
-            output_act: self.output_act,
-            layer_sizes: self.layer_sizes.clone(),
-        }
-    }
-
-    /// Activation after layer `l`.
-    fn activation(&self, l: usize) -> Activation {
-        if l + 1 == self.num_layers() {
-            self.output_act
-        } else {
-            self.hidden_act
-        }
-    }
-
-    /// Rejects a QAT runtime built for another point count.
-    fn check_qat_points(&self, points: Option<usize>) -> Result<(), NnError> {
-        let want = self.num_layers() + 1;
-        match points {
-            Some(n) if n != want => Err(NnError::InvalidConfig(format!(
-                "qat runtime has {n} points, network needs {want}"
-            ))),
-            _ => Ok(()),
         }
     }
 
@@ -688,8 +774,7 @@ impl<S: Scalar> Mlp<S> {
         let fits = |g: &MlpGrads<S>| {
             (g.w.len(), g.b.len()) == (n, n)
                 && (0..n).all(|l| {
-                    g.w[l].shape() == self.weights[l].shape()
-                        && g.b[l].len() == self.biases[l].len()
+                    g.w[l].shape() == self.weights[l].shape() && g.b[l].len() == self.bias(l).len()
                 })
         };
         match grads {
@@ -801,25 +886,118 @@ mod tests {
         }
     }
 
-    #[test]
-    fn soft_update_moves_toward_source() {
-        let mut target = Mlp::<f64>::new_random(&tiny_cfg(), 1).unwrap();
-        let online = Mlp::<f64>::new_random(&tiny_cfg(), 2).unwrap();
-        let before = target.weight(0)[(0, 0)];
-        let src = online.weight(0)[(0, 0)];
-        target.soft_update_from(&online, 0.25).unwrap();
-        let after = target.weight(0)[(0, 0)];
-        assert!((after - (before + 0.25 * (src - before))).abs() < 1e-12);
-        // tau = 1 copies exactly.
-        target.soft_update_from(&online, 1.0).unwrap();
-        assert_eq!(target.weight(0)[(0, 0)], src);
+    /// The soft update on `W` (each layer's pack refreshed by
+    /// [`Mlp::update_weight`]): its packed layout is what a target
+    /// network must hold after [`PackedMlp::soft_update_from`].
+    fn w_form_soft_update<S: Scalar>(dst: &Mlp<S>, src: &Mlp<S>, tau: f64) -> Mlp<S> {
+        let t = S::from_f64(tau);
+        let mut out = dst.clone();
+        for l in 0..out.num_layers() {
+            out.update_weight(l, |w| {
+                for (d, &s) in w.as_mut_slice().iter_mut().zip(src.weight(l).as_slice()) {
+                    *d = *d + t * (s - *d);
+                }
+            });
+            for (d, &s) in out.bias_mut(l).iter_mut().zip(src.bias(l)) {
+                *d = *d + t * (s - *d);
+            }
+        }
+        out
     }
 
     #[test]
-    fn soft_update_rejects_architecture_mismatch() {
-        let mut a = Mlp::<f64>::new_random(&tiny_cfg(), 1).unwrap();
-        let b = Mlp::<f64>::new_random(&MlpConfig::new(vec![3, 4, 2]), 1).unwrap();
-        assert!(a.soft_update_from(&b, 0.1).is_err());
+    fn packed_soft_update_equals_the_w_form_update_packed() {
+        let cfg = MlpConfig::new(vec![6, 17, 9, 2]).with_output_activation(Activation::Tanh);
+        let dst = Mlp::<Fx32>::new_random(&cfg, 31).unwrap();
+        let src = Mlp::<Fx32>::new_random(&cfg, 32).unwrap();
+        let mut target = dst.packed().clone();
+        let mut oracle = dst;
+        for tau in [0.005, 0.25, 0.0, 1.0] {
+            target.soft_update_from(&src, tau).unwrap();
+            oracle = w_form_soft_update(&oracle, &src, tau);
+            assert_eq!(&target, oracle.packed(), "tau {tau}");
+        }
+        // tau = 1 copies the source exactly.
+        assert_eq!(&target, src.packed());
+        let f = Mlp::<f64>::new_random(&cfg, 1).unwrap();
+        let g = Mlp::<f64>::new_random(&cfg, 2).unwrap();
+        let mut target = f.packed().clone();
+        target.soft_update_from(&g, 0.25).unwrap();
+        assert_eq!(&target, w_form_soft_update(&f, &g, 0.25).packed());
+    }
+
+    /// Mutant: checking layer sizes only (accepting any `tau` and a
+    /// source with other activations) must fail this test — the NaN and
+    /// out-of-range rates and the other-activation sources then write.
+    #[test]
+    fn soft_update_rejects_bad_input_before_writing() {
+        let a = Mlp::<f64>::new_random(&tiny_cfg(), 1).unwrap();
+        let b = Mlp::<f64>::new_random(&tiny_cfg(), 2).unwrap();
+        let mut target = a.packed().clone();
+        let rejected = |target: &mut PackedMlp<f64>, src: &Mlp<f64>, tau: f64, what: &str| {
+            let before = target.clone();
+            let r = target.soft_update_from(src, tau);
+            assert!(matches!(r, Err(NnError::InvalidConfig(_))), "{what}: {r:?}");
+            assert_eq!(*target, before, "{what} wrote before failing");
+        };
+        for tau in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1, 1.5] {
+            rejected(&mut target, &b, tau, &format!("tau {tau}"));
+        }
+        let other_output = tiny_cfg().with_output_activation(Activation::Identity);
+        let mut other_hidden = tiny_cfg();
+        other_hidden.hidden_activation = Activation::Tanh;
+        for (cfg, what) in [
+            (other_output, "output activation"),
+            (other_hidden, "hidden activation"),
+            (MlpConfig::new(vec![3, 4, 2]), "layer sizes"),
+        ] {
+            let src = Mlp::<f64>::new_random(&cfg, 2).unwrap();
+            rejected(&mut target, &src, 0.5, what);
+        }
+        // The same source and rate are accepted.
+        target.soft_update_from(&b, 0.5).unwrap();
+        assert_eq!(&target, w_form_soft_update(&a, &b, 0.5).packed());
+    }
+
+    #[test]
+    fn packed_forward_equals_the_traced_forward_at_every_worker_count() {
+        // The target's output-only pass is the traced pass's walk: same
+        // output, same range-monitor observations, calibrating and
+        // frozen.
+        let cfg = MlpConfig::new(vec![5, 14, 8, 3]).with_output_activation(Activation::Tanh);
+        let mlp = Mlp::<Fx32>::new_random(&cfg, 21).unwrap();
+        let target = mlp.packed().clone();
+        let x = fx32_batch(11, 5);
+        for workers in [1, 2, 8] {
+            let par = Parallelism::with_workers(workers);
+            let y = target.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            assert_eq!(y, trace.output, "{workers} workers");
+            let mut qa = QatRuntime::builder(4).uniform_bits(8).build().unwrap();
+            let mut qb = qa.clone();
+            for frozen in [false, true] {
+                let ya = target
+                    .forward_batch(&x, QatPhase::Observing(&mut qa), &par)
+                    .unwrap();
+                let yb = mlp
+                    .forward_batch(&x, QatPhase::Observing(&mut qb), &par)
+                    .unwrap()
+                    .output;
+                assert_eq!(ya, yb, "{workers} workers, frozen {frozen}");
+                for p in 0..qa.num_points() {
+                    assert_eq!(qa.monitor(p).range(), qb.monitor(p).range());
+                    assert_eq!(qa.monitor(p).count(), qb.monitor(p).count());
+                }
+                qa.freeze().unwrap();
+                qb.freeze().unwrap();
+            }
+        }
+        let bad = Matrix::<Fx32>::zeros(2, 4);
+        assert!(target.forward_batch(&bad, QatPhase::Off, &seq()).is_err());
+        let mut wrong = QatRuntime::disabled(7);
+        assert!(target
+            .forward_batch(&x, QatPhase::Observing(&mut wrong), &seq())
+            .is_err());
     }
 
     #[test]
@@ -883,7 +1061,7 @@ mod tests {
     fn assert_packs_current(mlp: &Mlp<Fx32>, writer: &str) {
         for l in 0..mlp.num_layers() {
             assert_eq!(
-                mlp.packs[l],
+                mlp.packed.packs[l],
                 mlp.weight(l).pack(),
                 "layer {l} after {writer}"
             );
@@ -917,14 +1095,6 @@ mod tests {
         assert_ne!(before, after, "weight change must be visible");
         agrees_per_sample(&mlp, &after);
 
-        // Polyak update path.
-        let src = Mlp::<Fx32>::new_random(&cfg, 77).unwrap();
-        mlp.soft_update_from(&src, 0.5).unwrap();
-        assert_packs_current(&mlp, "soft_update_from");
-        let updated = forward(&mlp).output;
-        assert_ne!(after, updated, "soft update must be visible");
-        agrees_per_sample(&mlp, &updated);
-
         // Optimizer path.
         let mut grads = MlpGrads::zeros_like(&mlp);
         let dl = fx32_batch(5, 4);
@@ -934,7 +1104,7 @@ mod tests {
         opt.step(&mut mlp, &grads).unwrap();
         assert_packs_current(&mlp, "Adam::step");
         let stepped = forward(&mlp).output;
-        assert_ne!(updated, stepped, "Adam step must be visible");
+        assert_ne!(after, stepped, "Adam step must be visible");
         agrees_per_sample(&mlp, &stepped);
 
         // The backward path reads the same packs: gradients after the

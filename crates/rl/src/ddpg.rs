@@ -21,8 +21,8 @@
 
 use fixar_fixed::Scalar;
 use fixar_nn::{
-    Activation, Adam, AdamConfig, Mlp, MlpConfig, MlpGrads, PrecisionPolicy, QatMode, QatPhase,
-    QatRuntime,
+    Activation, Adam, AdamConfig, Mlp, MlpConfig, MlpGrads, PackedMlp, PrecisionPolicy, QatMode,
+    QatPhase, QatRuntime,
 };
 use fixar_pool::Parallelism;
 use fixar_tensor::Matrix;
@@ -369,7 +369,7 @@ pub struct TrainMetrics {
 #[derive(Debug, Clone)]
 struct Critic<S: Scalar> {
     net: Mlp<S>,
-    target: Mlp<S>,
+    target: PackedMlp<S>,
     opt: Adam<S>,
     grads: MlpGrads<S>,
     qat: QatRuntime,
@@ -380,12 +380,19 @@ struct Critic<S: Scalar> {
 /// [`DdpgConfig::td3`] is set), their target networks,
 /// fixed-point-capable optimizers, and the QAT runtimes of Algorithm 1.
 ///
+/// The online networks are [`Mlp`]s: row-major `W` for the backward
+/// passes plus the packed `Wᵀ` every forward pass reads, refreshed in
+/// place after each optimizer step. The target networks only run forward
+/// passes and soft updates, so they are [`PackedMlp`]s — the packed
+/// layout alone, no `W` — and each one is soft-updated on those packed
+/// words right after its source's optimizer step.
+///
 /// The generic parameter selects the arithmetic — `f32` for the CPU-GPU
 /// baseline, `Fx32`/`Fx16` for the FIXAR fixed-point modes.
 #[derive(Debug, Clone)]
 pub struct Ddpg<S: Scalar> {
     actor: Mlp<S>,
-    actor_target: Mlp<S>,
+    actor_target: PackedMlp<S>,
     actor_opt: Adam<S>,
     actor_qat: QatRuntime,
     actor_target_qat: QatRuntime,
@@ -450,11 +457,14 @@ impl<S: Scalar> Ddpg<S> {
         };
         // Actor side first, then each critic's buffers together: the
         // order of these ~0.5 MB allocations decides how the allocator
-        // lays the agent out, and interleaving the two sides measured
-        // +15 % `peak_rss_mb` on the paper-size benchmark workload.
+        // lays the agent out. Interleaving the two sides measured +15 %
+        // `peak_rss_mb` on the paper-size benchmark workload while the
+        // targets were whole `Mlp` clones; with pack-only targets both
+        // orders measure the same (seed 12: 11.34–11.38 MB in this order,
+        // 11.27–11.43 MB interleaved).
         let actor = Mlp::new_random(&actor_cfg, cfg.seed)?;
         let points = actor.num_layers() + 1;
-        let actor_target = actor.clone();
+        let actor_target = actor.packed().clone();
         let actor_opt = adam(cfg.actor_lr, &actor);
         let actor_grads = MlpGrads::zeros_like(&actor);
         let critics = (0..if cfg.td3.is_some() { 2 } else { 1 })
@@ -462,7 +472,7 @@ impl<S: Scalar> Ddpg<S> {
                 let net = Mlp::new_random(&critic_cfg, cfg.seed.wrapping_add(1 + k))?;
                 let cpoints = net.num_layers() + 1;
                 Ok(Critic {
-                    target: net.clone(),
+                    target: net.packed().clone(),
                     opt: adam(cfg.critic_lr, &net),
                     grads: MlpGrads::zeros_like(&net),
                     qat: make_qat(cpoints, QatSchedule::critic_policy)?,
@@ -607,7 +617,9 @@ impl<S: Scalar> Ddpg<S> {
     /// packed batched kernels, bit-identical to the per-sample
     /// [`Mlp::forward_qat`] chain (a fleet of one ≡ the scalar loop). It
     /// finds the actor's packs current: the last update refreshed them
-    /// in place when it wrote the weights, so nothing is rebuilt here.
+    /// in place when it wrote the weights, so nothing is rebuilt here —
+    /// and, since that update ends with the actor target's soft update,
+    /// which reads them, likely still in cache.
     /// The per-sample `Mlp::forward*` family stays as the oracle of the
     /// batched passes, under [`Ddpg::train_batch`], and for
     /// [`PolicySnapshot`](crate::PolicySnapshot) inference.
@@ -627,7 +639,9 @@ impl<S: Scalar> Ddpg<S> {
     /// pass over the worker pool instead of `states.rows()` per-sample
     /// `gemv` passes — the rollout hot path of
     /// [`Trainer`](crate::Trainer) and the software twin of
-    /// `FixarAccelerator::actor_inference_batch`.
+    /// `FixarAccelerator::actor_inference_batch`. It reads the actor's
+    /// packed layout alone and keeps no trace
+    /// ([`PackedMlp::forward_batch`]).
     ///
     /// Row `i` of the result is **bit-identical** to the per-sample
     /// [`Mlp::forward_qat`] of `states.row(i)` — and so to
@@ -643,10 +657,8 @@ impl<S: Scalar> Ddpg<S> {
     /// observation dimension.
     pub fn select_actions_batch(&mut self, states: &Matrix<f64>) -> Result<Matrix<f64>, RlError> {
         let s: Matrix<S> = states.cast();
-        let out = self
-            .actor
-            .forward_batch(&s, QatPhase::Observing(&mut self.actor_qat), &self.par)?
-            .output;
+        let qat = QatPhase::Observing(&mut self.actor_qat);
+        let out = self.actor.packed().forward_batch(&s, qat, &self.par)?;
         Ok(out.cast())
     }
 
@@ -657,10 +669,12 @@ impl<S: Scalar> Ddpg<S> {
     ///
     /// The update follows the paper's Fig. 3 sequence exactly like
     /// [`Ddpg::train_batch`]: critic BP/WU from TD targets, then actor
-    /// BP/WU led by the critic's action gradient, then target soft
-    /// updates. Per-element kernel reduction order and the
-    /// ascending-sample gradient accumulation order are preserved (see
-    /// the `fixar-tensor` crate docs), and TD3's smoothing-noise RNG is
+    /// BP/WU led by the critic's action gradient. Each target network is
+    /// soft-updated right after its source's optimizer step — the critic
+    /// targets after the critic steps, the actor target last — and only
+    /// when the policy update is due. Per-element kernel reduction order
+    /// and the ascending-sample gradient accumulation order are preserved
+    /// (see the `fixar-tensor` crate docs), and TD3's smoothing-noise RNG is
     /// consumed in exactly the per-sample order (ascending sample, then
     /// ascending action dimension), so with `weights == None` the
     /// resulting weights are **bit-identical** to the per-sample path on
@@ -720,14 +734,11 @@ impl<S: Scalar> Ddpg<S> {
         let states: Matrix<S> = batch.states().cast();
         let actions: Matrix<S> = batch.actions().cast();
         let critic_in = states.hcat(&actions).map_err(fixar_nn::NnError::Shape)?;
-        let mut a_next = self
-            .actor_target
-            .forward_batch(
-                &s_next,
-                QatPhase::Observing(&mut self.actor_target_qat),
-                &self.par,
-            )?
-            .output;
+        let mut a_next = self.actor_target.forward_batch(
+            &s_next,
+            QatPhase::Observing(&mut self.actor_target_qat),
+            &self.par,
+        )?;
         let traces = self
             .critics
             .iter_mut()
@@ -771,7 +782,7 @@ impl<S: Scalar> Ddpg<S> {
                     } else {
                         let q_min = q_next[1..]
                             .iter()
-                            .fold(q_next[0].output[(i, 0)], |m, t| m.min(t.output[(i, 0)]));
+                            .fold(q_next[0][(i, 0)], |m, q| m.min(q[(i, 0)]));
                         gamma * q_min
                     };
                     S::from_f64(batch.rewards()[i]) + bootstrap
@@ -807,19 +818,29 @@ impl<S: Scalar> Ddpg<S> {
                 }
             }
         }
+        // Each critic's target follows that critic's step at once, while
+        // its packs are still in cache — only when the policy update is
+        // due, as before. Nothing later in the update reads a critic
+        // target or writes a critic's weights.
+        self.train_steps += 1;
+        let due = self.actor_update_due();
         for (c, (trace, dl_dout)) in self.critics.iter_mut().zip(traces.iter().zip(&dls)) {
             c.grads.reset();
             // A regression pass ends at its weight gradients.
             c.net
                 .backward_batch(trace, dl_dout, Some(&mut c.grads), false, &self.par)?;
             c.opt.step(&mut c.net, &c.grads)?;
+            if due {
+                c.target.soft_update_from(&c.net, self.cfg.tau)?;
+            }
         }
-        self.train_steps += 1;
 
         // Actor ascent on Q through critic 0's batched input gradient,
-        // then the target soft updates — every `policy_delay` critic
-        // updates under TD3, every update otherwise.
-        if self.actor_update_due() {
+        // then the actor target's soft update — every `policy_delay`
+        // critic updates under TD3, every update otherwise. The actor
+        // target goes last: the update's final pass over memory reads the
+        // actor's packs, which the next `act` reads too.
+        if due {
             self.actor_grads.reset();
             let atrace = self.actor.forward_batch(
                 &states,
@@ -851,7 +872,8 @@ impl<S: Scalar> Ddpg<S> {
                 &self.par,
             )?;
             self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
-            self.soft_update_targets()?;
+            self.actor_target
+                .soft_update_from(&self.actor, self.cfg.tau)?;
         }
 
         Ok((
@@ -870,37 +892,30 @@ impl<S: Scalar> Ddpg<S> {
         self.train_steps.is_multiple_of(delay)
     }
 
-    fn soft_update_targets(&mut self) -> Result<(), RlError> {
-        self.actor_target
-            .soft_update_from(&self.actor, self.cfg.tau)?;
-        for c in &mut self.critics {
-            c.target.soft_update_from(&c.net, self.cfg.tau)?;
-        }
-        Ok(())
-    }
-
     /// TD target for one transition from the target networks (no
     /// gradients): the target action — smoothed under TD3, noise drawn
     /// per element in ascending order, the RNG contract shared with the
     /// batched path — bootstrapped through the minimum over the target
-    /// critics.
+    /// critics. A target network has only the batched forward, so each
+    /// runs here on a one-row batch, sequentially.
     fn td_target(&mut self, t: &Transition, gamma: S) -> Result<S, RlError> {
-        let s_next: Vec<S> = t.next_state.iter().map(|&v| S::from_f64(v)).collect();
-        let mut a_next = self
-            .actor_target
-            .forward_qat(&s_next, &mut self.actor_target_qat)?
-            .output;
+        let seq = Parallelism::sequential();
+        let s_next = Matrix::from_vec(1, t.next_state.len(), t.next_state.clone())
+            .expect("one row of next_state.len() elements")
+            .cast::<S>();
+        let qat = QatPhase::Observing(&mut self.actor_target_qat);
+        let mut a_next = self.actor_target.forward_batch(&s_next, qat, &seq)?;
         if let Some(td3) = self.cfg.td3 {
-            for a in a_next.iter_mut() {
+            for a in a_next.as_mut_slice() {
                 let noise = td3.smoothing_noise(&mut self.rng);
                 *a = S::from_f64((a.to_f64() + noise).clamp(-1.0, 1.0));
             }
         }
-        let mut critic_in = s_next;
-        critic_in.extend_from_slice(&a_next);
+        let critic_in = s_next.hcat(&a_next).map_err(fixar_nn::NnError::Shape)?;
         let mut q_min: Option<S> = None;
         for c in &mut self.critics {
-            let q = c.target.forward_qat(&critic_in, &mut c.target_qat)?.output[0];
+            let qat = QatPhase::Observing(&mut c.target_qat);
+            let q = c.target.forward_batch(&critic_in, qat, &seq)?[(0, 0)];
             q_min = Some(q_min.map_or(q, |m| m.min(q)));
         }
         let bootstrap = if t.terminal {
@@ -915,7 +930,9 @@ impl<S: Scalar> Ddpg<S> {
     /// at a time** through the vector kernels — the bit-exactness
     /// reference for [`Ddpg::train_minibatch_weighted`]. Critics update every
     /// call; under TD3 the actor and targets update every
-    /// `policy_delay` calls.
+    /// `policy_delay` calls, in the same order as the batched update. The
+    /// target networks have only the batched forward: each runs on a
+    /// one-row batch.
     ///
     /// # Errors
     ///
@@ -938,9 +955,12 @@ impl<S: Scalar> Ddpg<S> {
             targets.push(self.td_target(t, gamma)?);
         }
 
-        // Every critic regresses toward the shared targets.
+        // Every critic regresses toward the shared targets; its target
+        // follows its step when the policy update is due.
         let mut critic_loss = 0.0;
         let mut q_sum = 0.0;
+        self.train_steps += 1;
+        let due = self.actor_update_due();
         for (k, c) in self.critics.iter_mut().enumerate() {
             c.grads.reset();
             for (t, &y) in batch.iter().zip(&targets) {
@@ -957,12 +977,15 @@ impl<S: Scalar> Ddpg<S> {
                 c.net.backward(&trace, &dl, Some(&mut c.grads), false)?;
             }
             c.opt.step(&mut c.net, &c.grads)?;
+            if due {
+                c.target.soft_update_from(&c.net, self.cfg.tau)?;
+            }
         }
-        self.train_steps += 1;
 
         // Actor ascent on Q: critic 0's input gradient w.r.t. the action
-        // "leads the BP and WU of the actor network".
-        if self.actor_update_due() {
+        // "leads the BP and WU of the actor network"; the actor target
+        // follows last.
+        if due {
             self.actor_grads.reset();
             let minus_scale = [S::from_f64(-scale)];
             let lead = &mut self.critics[0];
@@ -981,7 +1004,8 @@ impl<S: Scalar> Ddpg<S> {
                     .backward(&atrace, dq_da, Some(&mut self.actor_grads), false)?;
             }
             self.actor_opt.step(&mut self.actor, &self.actor_grads)?;
-            self.soft_update_targets()?;
+            self.actor_target
+                .soft_update_from(&self.actor, self.cfg.tau)?;
         }
 
         Ok(TrainMetrics {
@@ -1214,8 +1238,14 @@ mod tests {
             let a_next = agent.act(&s_next).unwrap(); // online actor ≈ target at init
             let mut ci = s_next;
             ci.extend(a_next);
-            let q1 = agent.critics[0].target.forward(&ci).unwrap()[0];
-            let q2 = agent.critics[1].target.forward(&ci).unwrap()[0];
+            let ci = Matrix::from_vec(1, ci.len(), ci).unwrap();
+            let q = |k: usize| {
+                let target = &agent.critics[k].target;
+                target
+                    .forward_batch(&ci, QatPhase::Off, &Parallelism::sequential())
+                    .unwrap()[(0, 0)]
+            };
+            let (q1, q2) = (q(0), q(1));
             let upper = t.reward + gamma * q1.max(q2) + 0.2; // smoothing slack
             assert!(y <= upper, "target {y} above loose bound {upper}");
         }
@@ -1372,6 +1402,98 @@ mod tests {
             }
             assert_eq!(qa.actor(), qb.actor(), "{name}: QAT actor weights");
             assert_eq!(critic_nets(&qa), critic_nets(&qb), "{name}: QAT critics");
+        }
+    }
+
+    /// `dst` soft-updated toward `src` on its row-major weights — the
+    /// definition a target network's packed update must reproduce.
+    fn w_form_soft_update(dst: &mut Mlp<Fx32>, src: &Mlp<Fx32>, tau: f64) {
+        let t = Fx32::from_f64(tau);
+        for l in 0..dst.num_layers() {
+            dst.update_weight(l, |w| {
+                for (d, &s) in w.as_mut_slice().iter_mut().zip(src.weight(l).as_slice()) {
+                    *d = *d + t * (s - *d);
+                }
+            });
+            for (d, &s) in dst.bias_mut(l).iter_mut().zip(src.bias(l)) {
+                *d = *d + t * (s - *d);
+            }
+        }
+    }
+
+    /// The online networks of `agent`, actor first, then each critic.
+    fn online_nets(agent: &Ddpg<Fx32>) -> Vec<&Mlp<Fx32>> {
+        let critics = agent.critics.iter().map(|c| &c.net);
+        std::iter::once(&agent.actor).chain(critics).collect()
+    }
+
+    /// The target networks of `agent`, in [`online_nets`] order.
+    fn target_nets(agent: &Ddpg<Fx32>) -> Vec<&PackedMlp<Fx32>> {
+        let critics = agent.critics.iter().map(|c| &c.target);
+        std::iter::once(&agent.actor_target)
+            .chain(critics)
+            .collect()
+    }
+
+    #[test]
+    fn target_networks_follow_their_sources_word_for_word() {
+        // Pins the targets themselves, after every update: each one
+        // equals a W-form oracle soft-updated from its (post-step)
+        // online network exactly when the policy update was due, on the
+        // per-sample path and on the batched path at every worker count,
+        // for DDPG and TD3, calibrating and with frozen quantizers.
+        let mut rng = StdRng::seed_from_u64(22);
+        let data = toy_batch(&mut rng, 16);
+        let refs: Vec<&Transition> = data.iter().collect();
+        let batch = TransitionBatch::from_transitions(&refs).unwrap();
+        for (name, cfg) in family() {
+            let delay = cfg.td3.map_or(1, |t| t.policy_delay);
+            // After an update: the oracles follow the online nets when
+            // the policy update was due.
+            let follow = |oracles: &mut Vec<Mlp<Fx32>>, agent: &Ddpg<Fx32>| {
+                if agent.train_steps().is_multiple_of(delay) {
+                    for (o, src) in oracles.iter_mut().zip(online_nets(agent)) {
+                        w_form_soft_update(o, src, agent.cfg.tau);
+                    }
+                }
+            };
+            for frozen in [false, true] {
+                let qat_delay = if frozen { 1 } else { 1_000_000 };
+                let mut base =
+                    Ddpg::<Fx32>::new(3, 1, cfg.clone().with_qat(qat_delay, 16)).unwrap();
+                // A new agent's targets are copies of its online nets.
+                let mut oracles: Vec<Mlp<Fx32>> = online_nets(&base).into_iter().cloned().collect();
+                if frozen {
+                    base.act(&[0.1, 0.2, 0.3]).unwrap();
+                    for _ in 0..delay {
+                        base.train_batch(&refs).unwrap();
+                        follow(&mut oracles, &base);
+                    }
+                    assert!(base.on_timestep(2).unwrap(), "{name}: freeze");
+                }
+                let mut per_sample = base.clone();
+                let mut batched: Vec<Ddpg<Fx32>> = [1, 2, 8]
+                    .iter()
+                    .map(|&w| {
+                        let mut agent = base.clone();
+                        agent.set_parallelism(Parallelism::with_workers(w));
+                        agent
+                    })
+                    .collect();
+                for step in 0..4 {
+                    per_sample.train_batch(&refs).unwrap();
+                    for agent in &mut batched {
+                        agent.train_minibatch_weighted(&batch, None).unwrap();
+                    }
+                    follow(&mut oracles, &per_sample);
+                    let want: Vec<&PackedMlp<Fx32>> = oracles.iter().map(Mlp::packed).collect();
+                    let what = format!("{name}, frozen {frozen}, step {step}");
+                    assert_eq!(target_nets(&per_sample), want, "{what}: per-sample");
+                    for (agent, w) in batched.iter().zip([1, 2, 8]) {
+                        assert_eq!(target_nets(agent), want, "{what}: {w} workers");
+                    }
+                }
+            }
         }
     }
 

@@ -92,7 +92,9 @@
 //! describes the weights of its last [`WeightPack::refresh`]; the code
 //! that writes a matrix refreshes its pack in place when the write ends
 //! (as `fixar-nn`'s `Mlp` does in its one weight writer), so the next
-//! batched pass finds it current without rebuilding anything.
+//! batched pass finds it current without rebuilding anything. A pack
+//! that is the only copy of its weights (a target network's) is written
+//! in place by [`WeightPack::soft_update`] instead.
 //!
 //! # The interval guard
 //!
@@ -101,7 +103,8 @@
 //! a batched kernel runs a chain it evaluates
 //! [`Scalar::mac_chain_is_clamp_free`] on bounds of the data in hand —
 //! the largest weight magnitude and the largest row / column abs-sum
-//! (derived once per weight write, in [`WeightPack::refresh`]) against
+//! (derived once per weight write, in [`WeightPack::refresh`] or
+//! [`WeightPack::soft_update`]) against
 //! one max-magnitude scan of the sample row (forward and transposed), or
 //! of column `i` of `E`, all of `A` and gradient row `i`
 //! (`add_outer_batch`). A batch-lane row

@@ -667,3 +667,64 @@ fn refreshing_a_pack_of_another_shape_equals_packing_afresh() {
         .cast::<f32>()
     });
 }
+
+/// Soft-updates a pack of each shape toward a pack of other words
+/// (`make(rows, cols, salt)`) at `tau` 0, 0.005 and 1 and checks it
+/// against the update on `W`, packed; a source of another shape is
+/// refused before anything is written.
+fn soft_update_case<S: Scalar>(make: impl Fn(usize, usize, usize) -> Matrix<S>) {
+    const SHAPES: [(usize, usize); 5] = [(1, 1), (15, 17), (17, 400), (300, 6), (400, 300)];
+    for (salt, &(rows, cols)) in SHAPES.iter().enumerate() {
+        // Both directions: a pack moving onto the source's rows and one
+        // moving off them, so every bound grows in one and shrinks in
+        // the other.
+        for (d, s) in [(2 * salt, 2 * salt + 1), (2 * salt + 1, 2 * salt)] {
+            let (dst, src) = (make(rows, cols, d), make(rows, cols, s));
+            for tau in [0.0, 0.005, 1.0] {
+                let t = S::from_f64(tau);
+                let mut pack = dst.pack();
+                pack.soft_update(&src.pack(), t).unwrap();
+                let mut w = dst.clone();
+                for (d, &s) in w.as_mut_slice().iter_mut().zip(src.as_slice()) {
+                    *d = *d + t * (s - *d);
+                }
+                let what = format!("{} {rows}x{cols} tau {tau}", S::NAME);
+                assert_eq!(pack, w.pack(), "{what}");
+            }
+        }
+    }
+    let mut pack = make(3, 4, 0).pack();
+    let before = pack.clone();
+    assert!(pack.soft_update(&make(4, 3, 1).pack(), S::one()).is_err());
+    assert_eq!(pack, before, "a rejected soft update wrote");
+}
+
+/// The in-place soft update on `Wᵀ` equals the update on `W`, packed —
+/// the words and every guard bound. Mutant: `WeightPack::soft_update`
+/// keeping the `row_abs_sum` it found (restoring it after the bounds
+/// pass) must fail this test; a stale bound could admit a chain that
+/// saturates.
+#[test]
+fn packed_soft_update_equals_the_w_form_update_packed() {
+    // `Fx32` on the rails: even salts hold words at ±2048 (saturated)
+    // beside ordinary ones, odd salts small words, so `s − d` and the
+    // products clamp and each bound moves across the update.
+    soft_update_case(|rows, cols, salt| {
+        Matrix::<f64>::from_fn(rows, cols, |r, c| {
+            let x = ((r * 31 + c * 17 + salt * 7) as f64 * 0.37).sin();
+            match (salt % 2, (r + c + salt) % 3) {
+                (0, 0) => 2048.0_f64.copysign(x),
+                (0, _) => x * 1900.0,
+                _ => x * 0.5,
+            }
+        })
+        .cast::<Fx32>()
+    });
+    let float = |rows, cols, salt: usize| {
+        Matrix::<f64>::from_fn(rows, cols, |r, c| {
+            ((r * 13 + c * 5 + salt) as f64 * 0.29).sin() * (1 + salt % 2 * 99) as f64
+        })
+    };
+    soft_update_case(|rows, cols, salt| float(rows, cols, salt).cast::<f32>());
+    soft_update_case(float);
+}
