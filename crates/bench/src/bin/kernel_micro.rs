@@ -6,8 +6,9 @@
 //! speedups measured by `benches/batched_training.rs`.
 //!
 //! The batched arms run the one entry each operation has
-//! (`WeightPack::gemv_batch` / `gemv_t_batch`, `Matrix::add_outer_batch`)
-//! inside `Parallelism::fused`, asserted bit-identical to the per-row
+//! (`WeightPack::gemv_batch` / `gemv_t_batch`, `Matrix::add_outer_batch`,
+//! each sharding over the `Parallelism` it is handed), asserted
+//! bit-identical to the per-row
 //! chain before timing. The batched kernels pick a clamp-free instance
 //! of their loop nest when an interval guard proves a chain cannot
 //! saturate, so each has two arms: the ordinary operands, asserted to
@@ -70,7 +71,7 @@
 use fixar_deploy::{ActKind, PolicyArtifact};
 use fixar_fixed::{AffineQuantizer, Fx32, QFormat, Scalar};
 use fixar_nn::{Adam, AdamConfig, Mlp, MlpConfig, MlpGrads};
-use fixar_tensor::{KernelScope, Matrix, Parallelism, WeightPack, LANE_RATIO};
+use fixar_tensor::{Matrix, Parallelism, WeightPack, LANE_RATIO};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -248,20 +249,17 @@ fn main() {
     });
     push(&mut records, "add_outer per-row".into(), ns);
 
-    // Batched kernels across worker counts (1 worker = the sequential
-    // scope; every count is bit-identical, only throughput differs —
+    // Batched kernels across worker counts (1 worker = the shards run
+    // inline; every count is bit-identical, only throughput differs —
     // and scaling requires free host cores). The gate proves
     // bit-equality with the per-row chain before any timing is recorded.
     let pack = w.pack();
     let mut y = Matrix::<Fx32>::zeros(BATCH, ROWS);
     let mut yt = Matrix::<Fx32>::zeros(BATCH, COLS);
     for (tail, a, e) in &sets {
-        Parallelism::sequential()
-            .fused(|ks| {
-                pack.gemv_batch(a, &mut y, ks).unwrap();
-                pack.gemv_t_batch(&w, e, &mut yt, ks).unwrap();
-            })
-            .unwrap();
+        let seq = Parallelism::sequential();
+        pack.gemv_batch(a, &mut y, &seq).unwrap();
+        pack.gemv_t_batch(&w, e, &mut yt, &seq).unwrap();
         for b in 0..BATCH {
             assert_eq!(
                 y.row(b),
@@ -276,10 +274,7 @@ fn main() {
         }
         let mut g_ref = Matrix::<Fx32>::zeros(ROWS, COLS);
         g.fill_zero();
-        Parallelism::sequential()
-            .fused(|ks| g.add_outer_batch(e, a, ks))
-            .unwrap()
-            .unwrap();
+        g.add_outer_batch(e, a, &seq).unwrap();
         for b in 0..BATCH {
             g_ref.add_outer(e.row(b), a.row(b)).unwrap();
         }
@@ -292,8 +287,7 @@ fn main() {
         let par = Parallelism::with_workers(workers);
         let (tail, a, _) = &sets[set];
         let ns = time_ns_per_sample(reps, BATCH, || {
-            par.fused(|ks| pack.gemv_batch(std::hint::black_box(a), &mut y, ks))
-                .unwrap()
+            pack.gemv_batch(std::hint::black_box(a), &mut y, &par)
                 .unwrap();
             std::hint::black_box(&y);
         });
@@ -303,8 +297,7 @@ fn main() {
         let par = Parallelism::with_workers(workers);
         let (tail, _, e) = &sets[set];
         let ns = time_ns_per_sample(reps, BATCH, || {
-            par.fused(|ks| pack.gemv_t_batch(&w, std::hint::black_box(e), &mut yt, ks))
-                .unwrap()
+            pack.gemv_t_batch(&w, std::hint::black_box(e), &mut yt, &par)
                 .unwrap();
             std::hint::black_box(&yt);
         });
@@ -314,8 +307,7 @@ fn main() {
         let par = Parallelism::with_workers(workers);
         let (tail, a, e) = &sets[set];
         let ns = time_accumulating_ns_per_sample(reps, BATCH, &mut g, |g| {
-            par.fused(|ks| g.add_outer_batch(std::hint::black_box(e), std::hint::black_box(a), ks))
-                .unwrap()
+            g.add_outer_batch(std::hint::black_box(e), std::hint::black_box(a), &par)
                 .unwrap();
         });
         push(
@@ -336,8 +328,8 @@ fn main() {
     let mut y2 = Matrix::<Fx32>::zeros(BATCH, COLS2);
     let seq = Parallelism::sequential();
     let ns = time_ns_per_sample(reps, BATCH, || {
-        seq.fused(|ks| pack2.gemv_t_batch(&w2, std::hint::black_box(&e2), &mut y2, ks))
-            .unwrap()
+        pack2
+            .gemv_t_batch(&w2, std::hint::black_box(&e2), &mut y2, &seq)
             .unwrap();
         std::hint::black_box(&y2);
     });
@@ -515,9 +507,9 @@ fn dense(rows: usize, cols: usize, amp: f64, seed: u64) -> Matrix<Fx32> {
     Matrix::from_fn(rows, cols, |_, _| Fx32::from_f64(rng.gen_range(-amp..amp)))
 }
 
-/// `gemv_batch` of `x` on the sequential scope into `y`.
+/// `gemv_batch` of `x` at one worker into `y`.
 fn gemv_batch_seq(pack: &fixar_tensor::WeightPack<Fx32>, x: &Matrix<Fx32>, y: &mut Matrix<Fx32>) {
-    pack.gemv_batch(x, y, &KernelScope::sequential()).unwrap();
+    pack.gemv_batch(x, y, &Parallelism::sequential()).unwrap();
 }
 
 /// The narrow calls of the paper-size update at batch 64, and the sweep
@@ -556,11 +548,9 @@ fn narrow_layer_micro(reps: usize, records: &mut Vec<Record>) {
     let mut yt = Matrix::<Fx32>::zeros(B, 23);
     let mut g = Matrix::<Fx32>::zeros(400, 23);
     let mut g_ref = g.clone();
-    pack0
-        .gemv_t_batch(&w0, &e400, &mut yt, &KernelScope::sequential())
-        .unwrap();
-    g.add_outer_batch(&e400, &a23, &KernelScope::sequential())
-        .unwrap();
+    let seq = Parallelism::sequential();
+    pack0.gemv_t_batch(&w0, &e400, &mut yt, &seq).unwrap();
+    g.add_outer_batch(&e400, &a23, &seq).unwrap();
     for b in 0..B {
         assert_eq!(
             yt.row(b),
@@ -575,12 +565,7 @@ fn narrow_layer_micro(reps: usize, records: &mut Vec<Record>) {
     );
     let ns = time_ns_per_sample(reps, B, || {
         pack0
-            .gemv_t_batch(
-                &w0,
-                std::hint::black_box(&e400),
-                &mut yt,
-                &KernelScope::sequential(),
-            )
+            .gemv_t_batch(&w0, std::hint::black_box(&e400), &mut yt, &seq)
             .unwrap();
         std::hint::black_box(&yt);
     });
@@ -589,7 +574,7 @@ fn narrow_layer_micro(reps: usize, records: &mut Vec<Record>) {
         g.add_outer_batch(
             std::hint::black_box(&e400),
             std::hint::black_box(&a23),
-            &KernelScope::sequential(),
+            &seq,
         )
         .unwrap();
     });

@@ -3,8 +3,8 @@
 //!
 //! One series: the TD3 twin-critic shape (two 23-400-300-1 critics,
 //! Fx32, batch 64) forward + backward, one critic after the other, each
-//! layer one fused scope over the pool. Gated before any timing: the
-//! gradients are identical at every worker count.
+//! batched kernel sharding over the pool and joining on its own. Gated
+//! before any timing: the gradients are identical at every worker count.
 //!
 //! Environment:
 //!

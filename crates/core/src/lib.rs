@@ -66,7 +66,7 @@ pub mod prelude {
         QatPhase, QatRuntime, QatRuntimeBuilder,
     };
     pub use fixar_platform::{CpuGpuPlatformModel, FixarCosim, FixarPlatformModel};
-    pub use fixar_pool::{KernelScope, Parallelism, PoolError, WorkerPool, WORKERS_ENV};
+    pub use fixar_pool::{Parallelism, PoolError, WORKERS_ENV};
     pub use fixar_rl::{
         Ddpg, DdpgConfig, EvalPoint, GaussianNoise, PolicySnapshot, PrecisionMode,
         PrioritizedConfig, PrioritizedReplay, QatSchedule, ReplayBuffer, ReplaySampler,

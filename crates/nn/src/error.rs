@@ -4,7 +4,7 @@ use core::fmt;
 use std::error::Error;
 
 use fixar_fixed::QuantError;
-use fixar_tensor::{PoolError, ShapeError};
+use fixar_tensor::{KernelError, PoolError, ShapeError};
 
 use crate::qat::PrecisionError;
 
@@ -21,9 +21,9 @@ pub enum NnError {
     /// A precision policy was invalid or two runtimes' precision plans
     /// disagreed (see [`PrecisionError`]).
     Precision(PrecisionError),
-    /// A worker-pool task panicked inside a fused kernel scope. The
-    /// panic was contained on its worker (sibling kernels in the scope
-    /// still ran, the process did not abort) and the pool stays usable.
+    /// A batched kernel's shard panicked on the worker pool. The panic
+    /// was contained on its worker (the kernel's other shards still
+    /// ran, the process did not abort) and the pool stays usable.
     Pool(PoolError),
 }
 
@@ -34,7 +34,7 @@ impl fmt::Display for NnError {
             NnError::InvalidConfig(msg) => write!(f, "invalid network config: {msg}"),
             NnError::Quant(e) => write!(f, "quantization error: {e}"),
             NnError::Precision(e) => write!(f, "precision policy error: {e}"),
-            NnError::Pool(e) => write!(f, "pool scope error: {e}"),
+            NnError::Pool(e) => write!(f, "kernel shard failed: {e}"),
         }
     }
 }
@@ -69,9 +69,12 @@ impl From<PrecisionError> for NnError {
     }
 }
 
-impl From<PoolError> for NnError {
-    fn from(e: PoolError) -> Self {
-        NnError::Pool(e)
+impl From<KernelError> for NnError {
+    fn from(e: KernelError) -> Self {
+        match e {
+            KernelError::Shape(e) => NnError::Shape(e),
+            KernelError::Pool(e) => NnError::Pool(e),
+        }
     }
 }
 

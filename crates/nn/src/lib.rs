@@ -35,7 +35,6 @@ mod activation;
 mod adam;
 mod error;
 mod init;
-mod loss;
 mod mlp;
 mod qat;
 
@@ -43,7 +42,6 @@ pub use activation::Activation;
 pub use adam::{Adam, AdamConfig};
 pub use error::NnError;
 pub use init::WeightInit;
-pub use loss::{half_mse, half_mse_grad};
 pub use mlp::{BatchTrace, ForwardTrace, Mlp, MlpConfig, MlpGrads, PackedMlp};
 pub use qat::{PrecisionError, PrecisionPolicy, QatMode, QatPhase, QatRuntime, QatRuntimeBuilder};
 

@@ -251,8 +251,8 @@ impl<S: Scalar> PackedMlp<S> {
         Ok(())
     }
 
-    /// The one batched forward walk: each layer is one fused scope
-    /// (`Parallelism::fused`) holding its `gemv_batch`; bias broadcast,
+    /// The one batched forward walk: each layer is one `gemv_batch`
+    /// (sharded over `par` by the kernel itself); bias broadcast,
     /// activation and QAT run on the calling thread. With `trace`, each
     /// layer's input and pre-activation are pushed onto its `inputs` and
     /// `pre`; without, the activation runs in place on the
@@ -277,7 +277,7 @@ impl<S: Scalar> PackedMlp<S> {
         qat.process(0, a.as_mut_slice());
         for (l, pack) in self.packs.iter().enumerate() {
             let mut z = Matrix::zeros(a.rows(), pack.rows());
-            par.fused(|ks| pack.gemv_batch(&a, &mut z, ks))??;
+            pack.gemv_batch(&a, &mut z, par)?;
             z.add_row_broadcast(&self.biases[l])?;
             let mut y = match trace.as_deref_mut() {
                 Some(t) => {
@@ -556,8 +556,8 @@ impl<S: Scalar> Mlp<S> {
 
     /// Batched forward pass: one minibatch sample per row of `x`,
     /// capturing the trace needed by [`Mlp::backward_batch`]. Each layer
-    /// is one fused scope (`Parallelism::fused`) holding its
-    /// `gemv_batch`; bias broadcast, activation and QAT run on the
+    /// is one `gemv_batch`, sharded over `par` by the kernel itself;
+    /// bias broadcast, activation and QAT run on the
     /// calling thread. This is the walk [`PackedMlp::forward_batch`]
     /// runs, keeping each layer's input and pre-activation.
     ///
@@ -599,9 +599,10 @@ impl<S: Scalar> Mlp<S> {
     /// `(batch, input_dim)` matrix of input gradients (`None` otherwise:
     /// layer 0's error MVM is then never issued).
     ///
-    /// Each layer is one fused scope holding its error MVM (batch-row
-    /// shards) and its gradient outer product (weight-row shards); the
-    /// bias gradient accumulates on the calling thread while they run.
+    /// Each layer runs its error MVM (batch-row shards), then its
+    /// gradient outer product (weight-row shards), then its bias
+    /// gradient on the calling thread; each kernel shards over `par`
+    /// and joins before the next starts.
     /// Gradient accumulation across the batch runs in **ascending sample
     /// order** (the documented reduction order of the gradient memory),
     /// so the accumulated `grads` are bit-identical to calling
@@ -648,23 +649,18 @@ impl<S: Scalar> Mlp<S> {
             // nobody reads the input gradient.
             let mut err =
                 (l > 0 || input_grad).then(|| Matrix::zeros(batch, self.weights[l].cols()));
-            par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
-                if let Some(err) = err.as_mut() {
-                    self.packed.packs[l].gemv_t_batch(&self.weights[l], &delta, err, ks)?;
-                }
-                if let Some(MlpGrads { w, b }) = grads.as_deref_mut() {
-                    w[l].add_outer_batch(&delta, &trace.inputs[l], ks)?;
-                    // Bias gradients: ascending sample order on the
-                    // calling thread, overlapping the queued shards
-                    // (disjoint from both kernel outputs).
-                    for bi in 0..batch {
-                        for (gb, &d) in b[l].iter_mut().zip(delta.row(bi)) {
-                            *gb += d;
-                        }
+            if let Some(err) = err.as_mut() {
+                self.packed.packs[l].gemv_t_batch(&self.weights[l], &delta, err, par)?;
+            }
+            if let Some(MlpGrads { w, b }) = grads.as_deref_mut() {
+                w[l].add_outer_batch(&delta, &trace.inputs[l], par)?;
+                // Bias gradients: ascending sample order.
+                for bi in 0..batch {
+                    for (gb, &d) in b[l].iter_mut().zip(delta.row(bi)) {
+                        *gb += d;
                     }
                 }
-                Ok(())
-            })??;
+            }
             let Some(mut err) = err else { break };
             if l == 0 {
                 return Ok(Some(err));

@@ -24,7 +24,7 @@ use fixar_nn::{
     Activation, Adam, AdamConfig, Mlp, MlpConfig, MlpGrads, PackedMlp, PrecisionPolicy, QatMode,
     QatPhase, QatRuntime,
 };
-use fixar_pool::Parallelism;
+use fixar_pool::{Parallelism, MAX_WORKERS};
 use fixar_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,8 +187,9 @@ pub struct DdpgConfig {
     /// twin of the AAP core count): the batched kernels of
     /// [`Ddpg::train_minibatch_weighted`] shard across a persistent pool,
     /// bit-identical to the sequential path at every count. `1` keeps
-    /// the strictly sequential reference path. The `FIXAR_WORKERS`
-    /// environment variable overrides this at agent construction.
+    /// the strictly sequential reference path; at most
+    /// [`fixar_pool::MAX_WORKERS`]. The `FIXAR_WORKERS` environment
+    /// variable overrides this at agent construction.
     pub parallel_workers: usize,
     /// `None` is the paper's DDPG (one critic, no target smoothing,
     /// actor updated every step); `Some` makes the agent TD3 — twin
@@ -301,10 +302,11 @@ impl DdpgConfig {
                 "replay_capacity must be positive".into(),
             ));
         }
-        if self.parallel_workers == 0 {
-            return Err(RlError::InvalidConfig(
-                "parallel_workers must be at least 1".into(),
-            ));
+        if !(1..=MAX_WORKERS).contains(&self.parallel_workers) {
+            return Err(RlError::InvalidConfig(format!(
+                "parallel_workers must be in 1..={MAX_WORKERS}, got {}",
+                self.parallel_workers
+            )));
         }
         if !(0.0..=1.0).contains(&self.gamma) {
             return Err(RlError::InvalidConfig("gamma must be in [0, 1]".into()));
@@ -1498,10 +1500,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_rejected_by_config() {
-        let mut cfg = DdpgConfig::small_test();
-        cfg.parallel_workers = 0;
-        assert!(Ddpg::<f64>::new(3, 1, cfg).is_err());
+    fn worker_counts_outside_the_bound_rejected_by_config() {
+        // Rejected by `validate`, before any pool is looked up: none of
+        // these starts a thread.
+        for workers in [0, MAX_WORKERS + 1, usize::MAX] {
+            let mut cfg = DdpgConfig::small_test();
+            cfg.parallel_workers = workers;
+            assert!(
+                matches!(Ddpg::<f64>::new(3, 1, cfg), Err(RlError::InvalidConfig(_))),
+                "{workers}"
+            );
+        }
     }
 
     #[test]
@@ -1552,7 +1561,7 @@ mod tests {
         // Unless FIXAR_WORKERS overrides it, the config count sticks.
         if std::env::var(fixar_pool::WORKERS_ENV).is_err() {
             assert_eq!(agent.parallelism().workers(), 3);
-            assert!(agent.parallelism().pool().is_some());
+            assert_eq!(agent.parallelism().shards(100), 3, "pooled");
         } else {
             assert!(agent.parallelism().workers() >= 1);
         }

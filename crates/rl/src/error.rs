@@ -4,7 +4,6 @@ use core::fmt;
 use std::error::Error;
 
 use fixar_nn::NnError;
-use fixar_pool::PoolError;
 
 /// Error produced by agent construction or training.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,10 +21,10 @@ pub enum RlError {
         /// Batch size requested.
         need: usize,
     },
-    /// A pool worker panicked during a sharded training update. The
-    /// panic was contained on the worker thread (the process does not
-    /// abort) and the pool remains usable; the message carries the
-    /// panic payload.
+    /// A kernel shard panicked on the worker pool during a training
+    /// update ([`NnError::Pool`] converts to this). The panic was
+    /// contained on the worker thread (the process does not abort) and
+    /// the pool remains usable; the message carries the panic payload.
     Worker(String),
 }
 
@@ -56,13 +55,10 @@ impl Error for RlError {
 
 impl From<NnError> for RlError {
     fn from(e: NnError) -> Self {
-        RlError::Nn(e)
-    }
-}
-
-impl From<PoolError> for RlError {
-    fn from(e: PoolError) -> Self {
-        RlError::Worker(e.to_string())
+        match e {
+            NnError::Pool(e) => RlError::Worker(e.to_string()),
+            e => RlError::Nn(e),
+        }
     }
 }
 
@@ -79,13 +75,12 @@ mod tests {
 
     #[test]
     fn pool_panics_convert_to_worker_errors() {
-        // A contained worker panic surfaces as RlError::Worker carrying
-        // the panic message, not as a process abort.
-        let pool = fixar_pool::WorkerPool::new(2);
-        let err: RlError = pool
-            .scope(|scope| scope.execute(|| panic!("injected shard failure")))
-            .unwrap_err()
-            .into();
+        // A contained shard panic surfaces as NnError::Pool, then as
+        // RlError::Worker carrying the panic message, not as an abort.
+        let err = fixar_pool::Parallelism::with_workers(2)
+            .run_shards([|| panic!("injected shard failure")])
+            .unwrap_err();
+        let err: RlError = NnError::Pool(err).into();
         match &err {
             RlError::Worker(msg) => assert!(msg.contains("injected shard failure"), "got: {msg}"),
             other => panic!("expected RlError::Worker, got {other:?}"),

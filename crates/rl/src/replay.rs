@@ -6,7 +6,8 @@
 //! [`ReplayBuffer`] stores transitions **pre-transposed**: states,
 //! actions, and next-states live in column-major `Matrix<f64>` panels
 //! (one stored sample per logical column, held as the row-major
-//! transpose `(capacity, dim)` — see [`Matrix::gather_columns_into`]),
+//! transpose `(capacity, dim)`, so each stored sample is one contiguous
+//! row),
 //! rewards and terminal flags in one flat interleaved lane (a pick
 //! touches a single cache line for both). All lanes are
 //! allocated **once**, to full capacity, so steady-state insertion is a
@@ -23,8 +24,8 @@
 //!   bit-identical to packing the same picks through
 //!   [`TransitionBatch::from_transitions`] — so trainers built on this
 //!   buffer reproduce their pre-SoA runs bit-for-bit.
-//! * The gather ([`Matrix::gather_columns_into`]) is bit-identical at
-//!   every worker count.
+//! * The gather ([`ReplayBuffer::gather_into`]) is pure row copies, so
+//!   it is bit-identical to that pack and reads no worker count.
 //! * Prioritized sampling ([`PrioritizedReplay`]) draws from its own
 //!   RNG stream (`priority_stream_seed`) and walks a deterministic
 //!   sum-tree, so prioritized runs are reproducible per seed and
@@ -237,50 +238,31 @@ impl ReplayBuffer {
     }
 
     /// Gathers the transitions at `indices` into a caller-owned scratch
-    /// batch (one contiguous column copy per pick, per panel; reshaped
-    /// in place, storage reused — no allocation once grown), sharding
-    /// the copies over the pool of `par`, bit-identically at every
-    /// worker count.
+    /// batch in a single pass over the picks: one contiguous row copy
+    /// per pick and panel, reshaped in place, storage reused — no
+    /// allocation once grown. Pure copies, so the bytes are those of
+    /// packing the picked transitions row by row.
     ///
     /// # Panics
     ///
     /// Panics if any index is `>= len()` — evicted or unwritten slots
     /// can never be gathered.
-    pub fn gather_into(&self, indices: &[usize], par: &Parallelism, out: &mut TransitionBatch) {
+    pub fn gather_into(&self, indices: &[usize], out: &mut TransitionBatch) {
         assert!(
             indices.iter().all(|&i| i < self.len),
             "replay gather index out of live range"
         );
-        if par.shards(indices.len()) <= 1 {
-            // Sequential hot path: all five lanes fill in a single pass
-            // over the picks — plain row copies, so the bytes equal the
-            // per-panel kernel gathers below.
-            out.reset_for(indices.len(), self.states.cols(), self.actions.cols());
-            for (k, &i) in indices.iter().enumerate() {
-                out.states.row_mut(k).copy_from_slice(self.states.row(i));
-                out.actions.row_mut(k).copy_from_slice(self.actions.row(i));
-                out.next_states
-                    .row_mut(k)
-                    .copy_from_slice(self.next_states.row(i));
-                let (reward, terminal) = self.meta[i];
-                out.rewards.push(reward);
-                out.terminals.push(terminal);
-            }
-            return;
+        out.reset_for(indices.len(), self.states.cols(), self.actions.cols());
+        for (k, &i) in indices.iter().enumerate() {
+            out.states.row_mut(k).copy_from_slice(self.states.row(i));
+            out.actions.row_mut(k).copy_from_slice(self.actions.row(i));
+            out.next_states
+                .row_mut(k)
+                .copy_from_slice(self.next_states.row(i));
+            let (reward, terminal) = self.meta[i];
+            out.rewards.push(reward);
+            out.terminals.push(terminal);
         }
-        out.rewards.clear();
-        out.terminals.clear();
-        let gather = |panel: &Matrix<f64>, dst: &mut Matrix<f64>| {
-            panel
-                .gather_columns_into(indices, par, dst)
-                .expect("indices checked against len <= capacity");
-        };
-        gather(&self.states, &mut out.states);
-        gather(&self.actions, &mut out.actions);
-        gather(&self.next_states, &mut out.next_states);
-        out.rewards.extend(indices.iter().map(|&i| self.meta[i].0));
-        out.terminals
-            .extend(indices.iter().map(|&i| self.meta[i].1));
     }
 
     /// Materializes the transition at `slot` (ring order).
@@ -789,8 +771,10 @@ impl ReplaySampler {
     /// allocation happens after the first draw. Uniform consumes
     /// exactly the legacy draw sequence and carries no weights;
     /// prioritized draws through the sum-tree and attaches importance
-    /// weights. Both arms gather through the pool behind `par`,
-    /// bit-identical at every worker count.
+    /// weights. Both arms gather with [`ReplayBuffer::gather_into`].
+    /// `par` is unused (the gather is one pass of row copies, too
+    /// little work to shard); it stays because the frozen call surface
+    /// that `benchmarks/e2e` compiles against spells it.
     ///
     /// Returns `false` (scratch untouched, no RNG draws on either arm)
     /// when `batch == 0` or fewer than `batch` transitions are stored.
@@ -799,7 +783,7 @@ impl ReplaySampler {
         buf: &ReplayBuffer,
         batch: usize,
         rng: &mut StdRng,
-        par: &Parallelism,
+        _par: &Parallelism,
         out: &mut SampledBatch,
     ) -> bool {
         if batch == 0 || buf.len() < batch {
@@ -808,7 +792,7 @@ impl ReplaySampler {
         match self {
             Self::Uniform => {
                 buf.sample_indices_into(batch, rng, &mut out.indices);
-                buf.gather_into(&out.indices, par, &mut out.batch);
+                buf.gather_into(&out.indices, &mut out.batch);
                 out.weights = None;
                 true
             }
@@ -819,7 +803,7 @@ impl ReplaySampler {
                 wv.clear();
                 wv.extend_from_slice(w);
                 out.weights = Some(wv);
-                buf.gather_into(&out.indices, par, &mut out.batch);
+                buf.gather_into(&out.indices, &mut out.batch);
                 true
             }
         }
@@ -848,7 +832,7 @@ mod tests {
             return None;
         }
         let mut out = TransitionBatch::empty();
-        buf.gather_into(&indices, &Parallelism::sequential(), &mut out);
+        buf.gather_into(&indices, &mut out);
         Some(out)
     }
 
@@ -1178,19 +1162,20 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_is_bit_identical_across_worker_counts() {
+    fn gather_into_equals_the_row_copy_pack_and_reuses_storage() {
         let mut buf = ReplayBuffer::new(24);
         for i in 0..24 {
             buf.push(t(i as f64));
         }
-        let indices: Vec<usize> = (0..17).map(|k| (k * 5 + 2) % 24).collect();
-        let reference = row_copy(&buf, &indices);
+        let long: Vec<usize> = (0..17).map(|k| (k * 5 + 2) % 24).collect();
+        let short: Vec<usize> = (0..9).map(|k| (k * 7 + 1) % 24).collect();
         let mut out = TransitionBatch::empty();
-        for workers in [1usize, 2, 8] {
-            let par = Parallelism::with_workers(workers);
-            buf.gather_into(&indices, &par, &mut out);
-            assert_eq!(out, reference, "workers {workers}");
-        }
+        buf.gather_into(&long, &mut out);
+        assert_eq!(out, row_copy(&buf, &long));
+        let states = out.states().as_slice().as_ptr();
+        buf.gather_into(&short, &mut out);
+        assert_eq!(out, row_copy(&buf, &short));
+        assert_eq!(out.states().as_slice().as_ptr(), states, "scratch reused");
     }
 
     #[test]
@@ -1200,11 +1185,7 @@ mod tests {
         buf.push(t(0.0));
         buf.push(t(1.0));
         // Slot 2 is unwritten.
-        buf.gather_into(
-            &[0, 2],
-            &Parallelism::sequential(),
-            &mut TransitionBatch::empty(),
-        );
+        buf.gather_into(&[0, 2], &mut TransitionBatch::empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use fixar_pool::{oneshot, MpmcQueue, OneShotReceiver, OneShotSender};
+use fixar_pool::{oneshot, MpmcQueue, OneShotReceiver, OneShotSender, MAX_WORKERS};
 
 use crate::artifact::{ArtifactReplica, ArtifactResponse, ServedReplica};
 use crate::{ServeError, Store};
@@ -27,7 +27,7 @@ pub struct ServeConfig {
     pub max_delay: Duration,
     /// Independent shards: each has its own request queue and batcher
     /// thread, and requests are routed round-robin. More shards = more
-    /// concurrent interpreter walks.
+    /// concurrent interpreter walks. At most [`MAX_WORKERS`].
     pub shards: usize,
     /// Ignored. A micro-batch is one interpreter walk on its shard's
     /// batcher thread, so no worker pool is started, whatever this or
@@ -153,14 +153,18 @@ impl<R: ServedReplica> Server<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] if `max_batch` or `shards`
-    /// is zero.
+    /// Returns [`ServeError::InvalidConfig`] if `max_batch` is zero or
+    /// `shards` is outside `1..=`[`MAX_WORKERS`], before anything is
+    /// allocated or spawned.
     pub fn start(initial: R, cfg: ServeConfig) -> Result<Self, ServeError> {
         if cfg.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be ≥ 1".into()));
         }
-        if cfg.shards == 0 {
-            return Err(ServeError::InvalidConfig("shards must be ≥ 1".into()));
+        if !(1..=MAX_WORKERS).contains(&cfg.shards) {
+            return Err(ServeError::InvalidConfig(format!(
+                "shards must be in 1..={MAX_WORKERS}, got {}",
+                cfg.shards
+            )));
         }
         let shared = Arc::new(Shared {
             state_dim: initial.state_dim(),
@@ -501,6 +505,15 @@ mod tests {
             },
             ServeConfig {
                 shards: 0,
+                ..ServeConfig::default()
+            },
+            // Refused before a queue is allocated or a thread spawned.
+            ServeConfig {
+                shards: MAX_WORKERS + 1,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                shards: usize::MAX,
                 ..ServeConfig::default()
             },
         ] {

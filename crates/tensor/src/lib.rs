@@ -8,8 +8,7 @@
 //! ([`WeightPack::gemv_batch`], [`WeightPack::gemv_t_batch`],
 //! [`Matrix::add_outer_batch`]) that move a whole minibatch through a
 //! layer as one operand, the software image of the accelerator's
-//! intra-batch parallelism, and the replay gather
-//! [`Matrix::gather_columns_into`].
+//! intra-batch parallelism.
 //!
 //! # Accumulation-order contract
 //!
@@ -66,22 +65,18 @@
 //! `kernel_micro`'s `lane sweep`.
 //!
 //! Each batched operation has **one entry**, which takes a
-//! [`KernelScope`]: work shards into **disjoint output regions** —
-//! batch rows for the forward/transposed MVMs, *weight rows* for
-//! `add_outer_batch` (whose reduction runs across the batch), and
-//! column ranges of the output (the output index) for either in its lane
-//! form — and every shard executes the very same span loop nest over its
-//! range. Inside
-//! [`fixar_pool::Parallelism::fused`] the shards of several
-//! *independent* kernels — a backward layer's gradient outer product
-//! alongside its error MVM — enqueue into one scope and share one
-//! barrier join; with
-//! [`KernelScope::sequential`] (also what `fused` hands out at one
-//! worker, or on a pool thread) they run inline. No reduction chain
-//! changes and no two shards touch the same element, so the output is
-//! **bit-identical at every worker count**, fused or not, for every
-//! backend including saturating `Fx32`, independent of thread
-//! scheduling.
+//! [`Parallelism`] handle and owns its shards: work splits into
+//! **disjoint output regions** — batch rows for the forward/transposed
+//! MVMs, *weight rows* for `add_outer_batch` (whose reduction runs
+//! across the batch), and column ranges of the output (the output
+//! index) for either in its lane form — and every shard executes the
+//! very same span loop nest over its range.
+//! [`Parallelism::shards`] sets the shard count and
+//! [`Parallelism::run_shards`] runs them: on the pool under one barrier
+//! join, or inline at one worker and on a pool thread. No reduction
+//! chain changes and no two shards touch the same element, so the
+//! output is **bit-identical at every worker count**, for every backend
+//! including saturating `Fx32`, independent of thread scheduling.
 //!
 //! The MVM entries live on [`WeightPack`] ([`Matrix::pack`]): the
 //! transpose [`WeightPack::gemv_batch`] streams instead of rebuilding it
@@ -123,7 +118,6 @@
 //! side. The per-sample kernels ([`Matrix::gemv`], [`Matrix::gemv_t`],
 //! [`Matrix::add_outer`]) never consult the guard: they are the oracle.
 //!
-//! [`fixar_pool::Parallelism::fused`]: Parallelism::fused
 //! [`Scalar::mac_chain_is_clamp_free`]: fixar_fixed::Scalar::mac_chain_is_clamp_free
 //! [`Scalar::mac_unclamped`]: fixar_fixed::Scalar::mac_unclamped
 //!
@@ -135,5 +129,5 @@
 mod matrix;
 pub mod vector;
 
-pub use fixar_pool::{KernelScope, Parallelism, PoolError, WorkerPool};
-pub use matrix::{Matrix, ShapeError, WeightPack, LANE_RATIO};
+pub use fixar_pool::{Parallelism, PoolError};
+pub use matrix::{KernelError, Matrix, ShapeError, WeightPack, LANE_RATIO};

@@ -3,10 +3,9 @@
 use core::fmt;
 use core::ops::{Index, IndexMut, Range};
 use std::error::Error;
-use std::sync::Arc;
 
 use fixar_fixed::Scalar;
-use fixar_pool::{split_ranges, KernelScope, Parallelism};
+use fixar_pool::{split_ranges, Parallelism, PoolError};
 
 /// Error returned when operand shapes do not line up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +38,47 @@ impl fmt::Display for ShapeError {
 }
 
 impl Error for ShapeError {}
+
+/// Error of a batched kernel: a shape mismatch, reported before any
+/// shard runs, or a shard that panicked on the pool (contained there;
+/// see [`Parallelism::run_shards`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum KernelError {
+    /// The operands do not line up.
+    Shape(ShapeError),
+    /// A pooled shard panicked.
+    Pool(PoolError),
+}
+
+impl fmt::Display for KernelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KernelError::Shape(e) => e.fmt(f),
+            KernelError::Pool(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for KernelError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            KernelError::Shape(e) => Some(e),
+            KernelError::Pool(e) => Some(e),
+        }
+    }
+}
+
+impl From<ShapeError> for KernelError {
+    fn from(e: ShapeError) -> Self {
+        KernelError::Shape(e)
+    }
+}
+
+impl From<PoolError> for KernelError {
+    fn from(e: PoolError) -> Self {
+        KernelError::Pool(e)
+    }
+}
 
 /// Row-major dense matrix over any FIXAR scalar.
 ///
@@ -305,7 +345,7 @@ impl<S: Scalar> Matrix<S> {
     /// Unlike the MVM kernels, gradient accumulation reduces **across**
     /// the batch, so sharding the batch would change the per-element
     /// accumulation chain under saturation. Instead the *weight rows*
-    /// shard through `ks`: each shard owns a disjoint row range of the
+    /// shard over `par`: each shard owns a disjoint row range of the
     /// gradient matrix and walks the whole batch in ascending sample
     /// order for those rows — the exact sequential chain per element,
     /// hence bit-identical at every worker count in every backend. A
@@ -313,39 +353,32 @@ impl<S: Scalar> Matrix<S> {
     /// 17 inputs) runs the nest over its *columns* instead — one
     /// `rows`-wide lane row per column, sharded over the columns, the
     /// same chain per element (crate docs). See
-    /// [`WeightPack::gemv_batch`] for the kernel-scope contract.
+    /// [`WeightPack::gemv_batch`] for how the shards run.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] unless `e` is `(batch, rows)` and `a` is
-    /// `(batch, cols)` with equal batch sizes — checked on the calling
-    /// thread before anything enqueues.
-    pub fn add_outer_batch<'scope>(
-        &'scope mut self,
-        e: &'scope Matrix<S>,
-        a: &'scope Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
+    /// Returns [`KernelError::Shape`] unless `e` is `(batch, rows)` and
+    /// `a` is `(batch, cols)` with equal batch sizes — checked before
+    /// any shard runs — and [`KernelError::Pool`] if a pooled shard
+    /// panicked.
+    pub fn add_outer_batch(
+        &mut self,
+        e: &Matrix<S>,
+        a: &Matrix<S>,
+        par: &Parallelism,
+    ) -> Result<(), KernelError> {
         if e.rows != a.rows {
-            return Err(ShapeError::new(
-                "add_outer_batch batch",
-                e.shape(),
-                a.shape(),
-            ));
+            return Err(ShapeError::new("add_outer_batch batch", e.shape(), a.shape()).into());
         }
         if e.cols != self.rows {
-            return Err(ShapeError::new(
-                "add_outer_batch rows",
-                (e.rows, self.rows),
-                e.shape(),
-            ));
+            return Err(
+                ShapeError::new("add_outer_batch rows", (e.rows, self.rows), e.shape()).into(),
+            );
         }
         if a.cols != self.cols {
-            return Err(ShapeError::new(
-                "add_outer_batch cols",
-                (a.rows, self.cols),
-                a.shape(),
-            ));
+            return Err(
+                ShapeError::new("add_outer_batch cols", (a.rows, self.cols), a.shape()).into(),
+            );
         }
         let cols = self.cols;
         let rows = self.rows;
@@ -353,21 +386,26 @@ impl<S: Scalar> Matrix<S> {
             // Narrow gradient rows: one lane row per gradient *column*,
             // sharded over the columns.
             let e_max = max_magnitude(&e.data);
-            let ranges = split_ranges(cols, ks.shards(cols));
+            let ranges = split_ranges(cols, par.shards(cols));
             let shards = column_shards(&mut self.data, cols, &ranges);
-            for (range, g_cols) in ranges.into_iter().zip(shards) {
-                ks.submit(move || add_outer_lanes_span(e, a, e_max, range, g_cols));
-            }
+            par.run_shards(
+                ranges.into_iter().zip(shards).map(|(range, g_cols)| {
+                    move || add_outer_lanes_span(e, a, e_max, range, g_cols)
+                }),
+            )?;
             return Ok(());
         }
         let a_max = max_magnitude(&a.data);
-        let shards = ks.shards(rows);
         let mut rest = self.data.as_mut_slice();
-        for range in split_ranges(rows, shards) {
-            let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-            rest = tail;
-            ks.submit(move || add_outer_batch_span(e, a, a_max, range, cols, chunk));
-        }
+        par.run_shards(
+            split_ranges(rows, par.shards(rows))
+                .into_iter()
+                .map(|range| {
+                    let (chunk, tail) = core::mem::take(&mut rest).split_at_mut(range.len() * cols);
+                    rest = tail;
+                    move || add_outer_batch_span(e, a, a_max, range, cols, chunk)
+                }),
+        )?;
         Ok(())
     }
 
@@ -436,87 +474,15 @@ impl<S: Scalar> Matrix<S> {
         }
     }
 
-    /// Gathers columns of a **column-major panel** into a row-major
-    /// batch matrix — the replay buffer's sampling kernel.
-    ///
-    /// `Matrix` is row-major, so a column-major `(dim, n)` panel is held
-    /// as its row-major transpose: `self` is `(n, dim)` and logical
-    /// column `j` of the panel (one stored sample) is stored row `j`,
-    /// contiguous in memory. The caller-owned `out` is reshaped in place
-    /// to `(indices.len(), cols)` (reusing its storage once grown, see
-    /// [`Matrix::reset_shape`] — the allocation-free sampling path) and
-    /// its row `k` becomes logical column `indices[k]`: one contiguous
-    /// copy per gathered column, no reduction and no per-element
-    /// arithmetic. Repeated indices are allowed (sampling with
-    /// replacement).
-    ///
-    /// The gathered output rows shard contiguously across the pool of
-    /// `par` (inline at one worker or on a pool thread); gathers are pure
-    /// copies into disjoint regions, so the result is bit-identical at
-    /// every worker count in every backend.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fixar_tensor::{Matrix, Parallelism};
-    ///
-    /// // A 2-wide panel holding 3 samples (stored transpose: 3x2).
-    /// let panel = Matrix::<f64>::from_rows(&[&[0.0, 0.5], &[1.0, 1.5], &[2.0, 2.5]])?;
-    /// let mut batch = Matrix::zeros(0, 0);
-    /// panel.gather_columns_into(&[2, 0, 2], &Parallelism::sequential(), &mut batch)?;
-    /// assert_eq!(batch.row(0), &[2.0, 2.5]);
-    /// assert_eq!(batch.row(1), &[0.0, 0.5]);
-    /// assert_eq!(batch.row(2), &[2.0, 2.5]);
-    /// # Ok::<(), fixar_tensor::ShapeError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if any index is `>= rows()` (the panel's
-    /// column count); `out` is untouched in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics (a kernel bug).
-    pub fn gather_columns_into(
-        &self,
-        indices: &[usize],
-        par: &Parallelism,
-        out: &mut Matrix<S>,
-    ) -> Result<(), ShapeError> {
-        for (k, &j) in indices.iter().enumerate() {
-            if j >= self.rows {
-                return Err(ShapeError::new(
-                    "gather_columns index",
-                    (self.rows, self.cols),
-                    (j, k),
-                ));
-            }
-        }
-        out.reset_shape(indices.len(), self.cols);
-        let cols = self.cols;
-        par.fused(|ks| {
-            let mut rest = out.data.as_mut_slice();
-            for range in split_ranges(indices.len(), ks.shards(indices.len())) {
-                let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-                rest = tail;
-                let idx = &indices[range];
-                ks.submit(move || gather_columns_span(self, idx, chunk));
-            }
-        })
-        .unwrap_or_else(|err| panic!("gather_columns_into worker panicked: {err}"));
-        Ok(())
-    }
-
     /// Reshapes in place to `(rows, cols)`, reusing the existing
     /// allocation whenever its capacity suffices — the scratch-reuse
-    /// primitive behind the allocation-free replay sampling path
-    /// ([`Matrix::gather_columns_into`]). After the first call at a
-    /// given size, subsequent calls never allocate. The retained
-    /// elements keep **stale values** (only growth is zero-filled):
-    /// this is for callers that overwrite every element, like the
-    /// gather scratch path — zeroing first would double the memory
-    /// writes of the hot sampling loop for nothing.
+    /// primitive behind the allocation-free replay sampling path (the
+    /// replay buffer's `gather_into`). After the first call at a given
+    /// size, subsequent calls never allocate. The retained elements keep
+    /// **stale values** (only growth is zero-filled): this is for callers
+    /// that overwrite every element, like the gather scratch path —
+    /// zeroing first would double the memory writes of the hot sampling
+    /// loop for nothing.
     pub fn reset_shape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -793,35 +759,30 @@ impl<S: Scalar> WeightPack<S> {
     /// the step vectorizes; saturation and rounding are per-element, so
     /// the result is identical.)
     ///
-    /// # Kernel scope
+    /// # Shards
     ///
-    /// Batch rows shard contiguously through `ks` into disjoint output
+    /// Batch rows shard contiguously over `par` into disjoint output
     /// slices, every shard running the one span loop nest (a call whose
     /// output is narrow against the batch runs the nest over batch lanes
     /// and shards the output columns instead — see the crate docs; the
-    /// result is the same bits). Inside a
-    /// [`fixar_pool::Parallelism::fused`] call the shards enqueue and
-    /// join together with every other kernel submitted to the same
-    /// scope — one barrier per phase; the result is only complete once
-    /// that call returns, and `y` stays borrowed until then (the
-    /// `'scope` bound enforces it). Outputs of distinct kernels in one
-    /// scope must be disjoint. With [`KernelScope::sequential`] — also
-    /// what `fused` hands out at one worker or on a pool thread — the
-    /// shards run inline, bit-identically.
+    /// result is the same bits). The shards run through
+    /// [`Parallelism::run_shards`]: on the pool under one barrier join,
+    /// or inline at one worker and on a pool thread — bit-identically
+    /// either way. The result is complete when the call returns.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] unless `a.cols() == cols` and `y` is
-    /// `(a.rows(), rows)`, checked on the calling thread before anything
-    /// enqueues.
-    pub fn gemv_batch<'scope>(
-        &'scope self,
-        a: &'scope Matrix<S>,
-        y: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
+    /// Returns [`KernelError::Shape`] unless `a.cols() == cols` and `y`
+    /// is `(a.rows(), rows)`, checked before any shard runs, and
+    /// [`KernelError::Pool`] if a pooled shard panicked.
+    pub fn gemv_batch(
+        &self,
+        a: &Matrix<S>,
+        y: &mut Matrix<S>,
+        par: &Parallelism,
+    ) -> Result<(), KernelError> {
         let what = ["gemv_batch input", "gemv_batch output"];
-        mvm_batch(&self.wt, (self.w_max, self.row_abs_sum), a, y, ks, what)
+        mvm_batch(&self.wt, (self.w_max, self.row_abs_sum), a, y, par, what)
     }
 
     /// Batched transposed product `Y[b] = Wᵀ·E[b]` (back-propagation of a
@@ -838,53 +799,49 @@ impl<S: Scalar> WeightPack<S> {
     /// reduced over `i` (the rows of `W`) in ascending order, exactly as
     /// the row-broadcast transpose dataflow produces them.
     ///
-    /// Batch rows shard through `ks`; see [`WeightPack::gemv_batch`]
-    /// for the kernel-scope contract.
+    /// Batch rows shard over `par`; see [`WeightPack::gemv_batch`] for
+    /// how the shards run.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] unless `w` has the packed shape,
+    /// Returns [`KernelError::Shape`] unless `w` has the packed shape,
     /// `e.cols() == rows` and `y` is `(e.rows(), cols)`, checked before
-    /// anything enqueues.
-    pub fn gemv_t_batch<'scope>(
-        &'scope self,
-        w: &'scope Matrix<S>,
-        e: &'scope Matrix<S>,
-        y: &'scope mut Matrix<S>,
-        ks: &KernelScope<'_, '_, 'scope>,
-    ) -> Result<(), ShapeError> {
+    /// any shard runs, and [`KernelError::Pool`] if a pooled shard
+    /// panicked.
+    pub fn gemv_t_batch(
+        &self,
+        w: &Matrix<S>,
+        e: &Matrix<S>,
+        y: &mut Matrix<S>,
+        par: &Parallelism,
+    ) -> Result<(), KernelError> {
         if w.shape() != self.shape() {
-            return Err(ShapeError::new(
-                "gemv_t_batch weights",
-                self.shape(),
-                w.shape(),
-            ));
+            return Err(ShapeError::new("gemv_t_batch weights", self.shape(), w.shape()).into());
         }
         let what = ["gemv_t_batch input", "gemv_t_batch output"];
-        mvm_batch(w, (self.w_max, self.col_abs_sum), e, y, ks, what)
+        mvm_batch(w, (self.w_max, self.col_abs_sum), e, y, par, what)
     }
 }
 
 /// The shared front of the two batched MVMs, `Y[b] = Σ_k X[b][k] ·
-/// src_row(k)`: shape checks on the calling thread, then the batch rows
-/// shard through `ks` into disjoint slices of `y`, each shard one
-/// [`mvm_batch_span`] — or, for an output narrow against the batch
-/// ([`batch_lanes`]), the output columns shard, each shard one
-/// [`mvm_lanes_span`]. `bounds` is the weight side of the interval guard
-/// for chains along a column of `src`.
-fn mvm_batch<'scope, S: Scalar>(
-    src: &'scope Matrix<S>,
+/// src_row(k)`: shape checks first, then the batch rows shard over `par`
+/// into disjoint slices of `y`, each shard one [`mvm_batch_span`] — or,
+/// for an output narrow against the batch ([`batch_lanes`]), the output
+/// columns shard, each shard one [`mvm_lanes_span`]. `bounds` is the
+/// weight side of the interval guard for chains along a column of `src`.
+fn mvm_batch<S: Scalar>(
+    src: &Matrix<S>,
     bounds: (u32, u64),
-    x: &'scope Matrix<S>,
-    y: &'scope mut Matrix<S>,
-    ks: &KernelScope<'_, '_, 'scope>,
+    x: &Matrix<S>,
+    y: &mut Matrix<S>,
+    par: &Parallelism,
     [what_in, what_out]: [&'static str; 2],
-) -> Result<(), ShapeError> {
+) -> Result<(), KernelError> {
     if x.cols != src.rows {
-        return Err(ShapeError::new(what_in, (x.rows, src.rows), x.shape()));
+        return Err(ShapeError::new(what_in, (x.rows, src.rows), x.shape()).into());
     }
     if y.shape() != (x.rows, src.cols) {
-        return Err(ShapeError::new(what_out, (x.rows, src.cols), y.shape()));
+        return Err(ShapeError::new(what_out, (x.rows, src.cols), y.shape()).into());
     }
     if batch_lanes(src.cols, x.rows) {
         // Narrow outputs: one lane row per output *column*, sharded over
@@ -894,21 +851,27 @@ fn mvm_batch<'scope, S: Scalar>(
         let (w_max, w_abs_sum) = bounds;
         let x_max = max_magnitude(&x.data);
         let free = S::mac_chain_is_clamp_free(w_max, w_abs_sum, x_max, 0, x.cols);
-        let xt = Arc::new(x.transposed());
-        let ranges = split_ranges(src.cols, ks.shards(src.cols));
+        let xt = &x.transposed();
+        let ranges = split_ranges(src.cols, par.shards(src.cols));
         let shards = column_shards(&mut y.data, src.cols, &ranges);
-        for (range, y_cols) in ranges.into_iter().zip(shards) {
-            let xt = Arc::clone(&xt);
-            ks.submit(move || mvm_lanes_span(src, &xt, free, range, y_cols));
-        }
+        par.run_shards(
+            ranges
+                .into_iter()
+                .zip(shards)
+                .map(|(range, y_cols)| move || mvm_lanes_span(src, xt, free, range, y_cols)),
+        )?;
         return Ok(());
     }
     let mut rest = y.data.as_mut_slice();
-    for range in split_ranges(x.rows, ks.shards(x.rows)) {
-        let (chunk, tail) = rest.split_at_mut(range.len() * src.cols);
-        rest = tail;
-        ks.submit(move || mvm_batch_span(src, bounds, x, range, chunk));
-    }
+    par.run_shards(
+        split_ranges(x.rows, par.shards(x.rows))
+            .into_iter()
+            .map(|range| {
+                let (chunk, tail) = core::mem::take(&mut rest).split_at_mut(range.len() * src.cols);
+                rest = tail;
+                move || mvm_batch_span(src, bounds, x, range, chunk)
+            }),
+    )?;
     Ok(())
 }
 
@@ -972,8 +935,8 @@ impl<S: Scalar> IndexMut<(usize, usize)> for Matrix<S> {
 //
 // Each span computes a contiguous output region with exactly the
 // per-element reduction chain of its per-sample kernel; the batched
-// kernels submit one span per shard over disjoint ranges (a single
-// full-range span on the sequential scope). Sharing the loop nest is
+// kernels run one span per shard over disjoint ranges (a single
+// full-range span at one worker). Sharing the loop nest is
 // what *guarantees* sequential ≡ parallel bit-for-bit.
 
 /// One multiply-accumulate step: the saturating `acc + w * x`, or — for
@@ -1142,17 +1105,6 @@ fn add_outer_lanes_span<S: Scalar>(
         for (g, &v) in g_cols.iter_mut().zip(&lane) {
             g[slot] = v;
         }
-    }
-}
-
-/// Gather span: rows `k` of the output batch are stored rows
-/// `indices[k]` of the panel's stored transpose `src` — one contiguous
-/// `memcpy` per gathered column, no arithmetic at all (which is why the
-/// parallel form needs no accumulation-order argument).
-fn gather_columns_span<S: Scalar>(src: &Matrix<S>, indices: &[usize], out_chunk: &mut [S]) {
-    let dim = src.cols;
-    for (k, &j) in indices.iter().enumerate() {
-        out_chunk[k * dim..(k + 1) * dim].copy_from_slice(&src.data[j * dim..(j + 1) * dim]);
     }
 }
 
@@ -1334,9 +1286,7 @@ mod tests {
 
     #[test]
     fn batched_kernels_bit_exact_with_per_sample_kernels() {
-        // Odd shapes and small batches, each kernel on its own
-        // sequential scope (a scope borrows its kernels' outputs for as
-        // long as it lives).
+        // Odd shapes and small batches, each kernel run sequentially.
         for &(rows, cols, batch) in &[(5, 7, 1), (5, 7, 2), (5, 7, 3), (6, 4, 4), (3, 9, 7)] {
             let (w, a) = fx32_case(rows, cols, batch);
             let e = fx32_errs(batch, rows);
@@ -1344,18 +1294,18 @@ mod tests {
             assert_eq!(pack.shape(), w.shape());
 
             let mut fwd = Matrix::zeros(batch, rows);
-            pack.gemv_batch(&a, &mut fwd, &KernelScope::sequential())
+            pack.gemv_batch(&a, &mut fwd, &Parallelism::sequential())
                 .unwrap();
             assert_eq!(fwd, gemv_rows(&w, &a));
 
             let mut bwd = Matrix::zeros(batch, cols);
-            pack.gemv_t_batch(&w, &e, &mut bwd, &KernelScope::sequential())
+            pack.gemv_t_batch(&w, &e, &mut bwd, &Parallelism::sequential())
                 .unwrap();
             assert_eq!(bwd, gemv_t_rows(&w, &e));
 
             let mut batched = Matrix::<Fx32>::zeros(rows, cols);
             batched
-                .add_outer_batch(&e, &a, &KernelScope::sequential())
+                .add_outer_batch(&e, &a, &Parallelism::sequential())
                 .unwrap();
             let mut looped = Matrix::<Fx32>::zeros(rows, cols);
             add_outer_rows(&mut looped, &e, &a);
@@ -1367,7 +1317,7 @@ mod tests {
     fn batched_kernels_saturate_like_per_sample() {
         // Near-rail Q16 values so the saturating adds actually clamp:
         // the batched nest must replay the exact per-element chains,
-        // on the sequential scope and W-row / batch-row sharded.
+        // sequentially and W-row / batch-row sharded.
         type Q = Q16<10>;
         let w = Matrix::<f64>::from_fn(6, 5, |r, c| if (r + c) % 2 == 0 { 31.0 } else { -31.0 })
             .cast::<Q>();
@@ -1389,13 +1339,9 @@ mod tests {
             let mut fwd = Matrix::zeros(7, 6);
             let mut bwd = Matrix::zeros(7, 5);
             let mut g = Matrix::<Q>::zeros(6, 5);
-            par.fused(|ks| -> Result<(), ShapeError> {
-                pack.gemv_batch(&a, &mut fwd, ks)?;
-                pack.gemv_t_batch(&w, &e, &mut bwd, ks)?;
-                g.add_outer_batch(&e, &a, ks)
-            })
-            .unwrap()
-            .unwrap();
+            pack.gemv_batch(&a, &mut fwd, &par).unwrap();
+            pack.gemv_t_batch(&w, &e, &mut bwd, &par).unwrap();
+            g.add_outer_batch(&e, &a, &par).unwrap();
             assert_eq!(fwd, fwd_ref, "workers {workers}");
             assert_eq!(bwd, bwd_ref, "workers {workers}");
             assert_eq!(g, g_ref, "workers {workers}");
@@ -1422,18 +1368,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_scope_kernels_bit_exact_with_per_sample_across_worker_counts() {
-        // The contract at the tensor level: all four batched kernels
-        // fused into ONE scope (single join) produce exactly the bytes
-        // of their per-sample oracles, in saturating Fx32, at every
-        // worker count including over-subscription and awkward shard
-        // remainders.
+    fn batched_kernels_bit_exact_with_per_sample_across_worker_counts() {
+        // The contract at the tensor level: the three batched kernels
+        // produce exactly the bytes of their per-sample oracles, in
+        // saturating Fx32, at every worker count including
+        // over-subscription and awkward shard remainders.
         let (w, a) = fx32_case(7, 9, 13);
         let e = fx32_errs(13, 7);
         let pack = w.pack();
-        let panel =
-            Matrix::<f64>::from_fn(17, 5, |r, c| (r as f64 - c as f64) * 0.31).cast::<Fx32>();
-        let indices: Vec<usize> = (0..13).map(|k| (k * 7 + 3) % 17).collect();
 
         let y_ref = gemv_rows(&w, &a);
         let yt_ref = gemv_t_rows(&w, &e);
@@ -1445,86 +1387,86 @@ mod tests {
             let mut y = Matrix::<Fx32>::zeros(13, 7);
             let mut yt = Matrix::<Fx32>::zeros(13, 9);
             let mut g = Matrix::<Fx32>::zeros(7, 9);
-            par.fused(|ks| -> Result<(), ShapeError> {
-                pack.gemv_batch(&a, &mut y, ks)?;
-                pack.gemv_t_batch(&w, &e, &mut yt, ks)?;
-                g.add_outer_batch(&e, &a, ks)
-            })
-            .unwrap()
-            .unwrap();
+            pack.gemv_batch(&a, &mut y, &par).unwrap();
+            pack.gemv_t_batch(&w, &e, &mut yt, &par).unwrap();
+            g.add_outer_batch(&e, &a, &par).unwrap();
             assert_eq!(y, y_ref, "workers {workers}: gemv_batch");
             assert_eq!(yt, yt_ref, "workers {workers}: gemv_t_batch");
             assert_eq!(g, g_ref, "workers {workers}: add_outer_batch");
+        }
+    }
 
-            let mut gathered = Matrix::<Fx32>::zeros(0, 0);
-            panel
-                .gather_columns_into(&indices, &par, &mut gathered)
-                .unwrap();
-            assert_eq!(gathered.shape(), (13, 5));
-            for (k, &j) in indices.iter().enumerate() {
-                assert_eq!(gathered.row(k), panel.row(j), "workers {workers}: gather");
+    #[test]
+    fn kernel_called_from_a_pool_thread_runs_inline_with_the_same_bits() {
+        // Every worker of the pool runs an outer shard, and they meet at
+        // a barrier before calling the kernel, so no worker is free: a
+        // kernel that queued its shards onto the pool from here and
+        // waited would never return. The call must run inline instead,
+        // with the per-sample bits. A hang fails the test at the
+        // watchdog. (Five workers: no other test here uses that pool.)
+        const WORKERS: usize = 5;
+        const LIMIT: std::time::Duration = std::time::Duration::from_secs(2);
+        let (done, finished) = std::sync::mpsc::channel();
+        let round = std::thread::spawn(move || {
+            let (w, a) = fx32_case(5, 7, 6);
+            let pack = w.pack();
+            let par = Parallelism::with_workers(WORKERS);
+            let meet = std::sync::Barrier::new(WORKERS);
+            let mut ys = vec![Matrix::<Fx32>::zeros(6, 5); WORKERS];
+            par.run_shards(ys.iter_mut().map(|y| {
+                let (pack, a, par, meet) = (&pack, &a, &par, &meet);
+                move || {
+                    meet.wait();
+                    pack.gemv_batch(a, y, par).unwrap();
+                }
+            }))
+            .unwrap();
+            let y_ref = gemv_rows(&w, &a);
+            let _ = done.send(ys.iter().all(|y| *y == y_ref));
+        });
+        match finished.recv_timeout(LIMIT) {
+            Ok(same_bits) => {
+                round.join().unwrap();
+                assert!(same_bits, "a nested kernel changed the bits");
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(round.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a kernel called from a pool thread hung for {LIMIT:?}")
             }
         }
     }
 
     #[test]
-    fn fused_scope_kernels_degrade_on_pool_threads() {
-        // A batched kernel invoked from inside a pool task must run
-        // inline instead of deadlocking on a nested scope — the
-        // degradation contract.
-        let (w, a) = fx32_case(5, 7, 6);
-        let pack = w.pack();
-        let y_ref = gemv_rows(&w, &a);
-        let par = Parallelism::with_workers(2);
-        let mut y = Matrix::<Fx32>::zeros(6, 5);
-        par.fused(|outer| {
-            let par = &par;
-            let pack = &pack;
-            let a = &a;
-            let y = &mut y;
-            outer.submit(move || {
-                // On a pool thread: the nested fused scope is the
-                // sequential degradation, submissions run inline.
-                par.fused(|ks| {
-                    assert!(!ks.is_pooled());
-                    pack.gemv_batch(a, y, ks).unwrap();
-                })
-                .unwrap();
-            });
-        })
-        .unwrap();
-        assert_eq!(y, y_ref);
-    }
-
-    #[test]
-    fn batched_kernels_validate_shapes_before_enqueueing() {
-        // Operands live outside the scope (the `'scope` bound requires
-        // it); every malformed call errors on the calling thread before
-        // anything enqueues.
+    fn batched_kernels_validate_shapes_before_any_shard_runs() {
         let (w, a) = fx32_case(4, 6, 5);
         let pack = w.pack();
         let par = Parallelism::with_workers(2);
         let bad_in = Matrix::<Fx32>::zeros(5, 4);
-        let mut y = Matrix::<Fx32>::zeros(5, 4);
-        let mut bad_out = Matrix::<Fx32>::zeros(5, 5);
         let e = Matrix::<Fx32>::zeros(5, 4);
-        let mut yt = Matrix::<Fx32>::zeros(5, 6);
-        let mut yt2 = yt.clone();
-        let mut bad_t = Matrix::<Fx32>::zeros(5, 5);
-        let mut g1 = Matrix::<Fx32>::zeros(4, 6);
-        let (mut g2, mut g3) = (g1.clone(), g1.clone());
         let e3 = Matrix::<Fx32>::zeros(3, 4);
-        par.fused(|ks| {
-            assert!(pack.gemv_batch(&bad_in, &mut y, ks).is_err());
-            assert!(pack.gemv_batch(&a, &mut bad_out, ks).is_err());
-            assert!(pack.gemv_t_batch(&w, &a, &mut yt, ks).is_err());
-            assert!(pack.gemv_t_batch(&w, &e, &mut bad_t, ks).is_err());
-            assert!(pack.gemv_t_batch(&bad_in, &e, &mut yt2, ks).is_err());
-            assert!(g1.add_outer_batch(&e3, &a, ks).is_err());
-            assert!(g2.add_outer_batch(&a, &a, ks).is_err());
-            assert!(g3.add_outer_batch(&e, &e, ks).is_err());
-        })
-        .unwrap();
+        let shape_err = |r: Result<(), KernelError>| matches!(r, Err(KernelError::Shape(_)));
+        // Outputs start at a sentinel: a rejected call must not write.
+        let sentinel = |rows, cols| Matrix::from_fn(rows, cols, |_, _| Fx32::from_f64(0.5));
+        let mut y = sentinel(5, 4);
+        let mut bad_out = sentinel(5, 5);
+        let mut yt = sentinel(5, 6);
+        let mut bad_t = sentinel(5, 5);
+        let mut g = sentinel(4, 6);
+        assert!(shape_err(pack.gemv_batch(&bad_in, &mut y, &par)));
+        assert!(shape_err(pack.gemv_batch(&a, &mut bad_out, &par)));
+        assert!(shape_err(pack.gemv_t_batch(&w, &a, &mut yt, &par)));
+        assert!(shape_err(pack.gemv_t_batch(&w, &e, &mut bad_t, &par)));
+        assert!(shape_err(pack.gemv_t_batch(&bad_in, &e, &mut yt, &par)));
+        assert!(shape_err(g.add_outer_batch(&e3, &a, &par)));
+        assert!(shape_err(g.add_outer_batch(&a, &a, &par)));
+        assert!(shape_err(g.add_outer_batch(&e, &e, &par)));
+        assert_eq!(y, sentinel(5, 4));
+        assert_eq!(bad_out, sentinel(5, 5));
+        assert_eq!(yt, sentinel(5, 6));
+        assert_eq!(bad_t, sentinel(5, 5));
+        assert_eq!(g, sentinel(4, 6));
     }
 
     #[test]
@@ -1535,65 +1477,13 @@ mod tests {
         // Single-row batch: one shard, same bytes as the per-sample kernel.
         let one = fx32_case(4, 6, 1).1;
         let mut y = Matrix::<Fx32>::zeros(1, 4);
-        par.fused(|ks| pack.gemv_batch(&one, &mut y, ks))
-            .unwrap()
-            .unwrap();
+        pack.gemv_batch(&one, &mut y, &par).unwrap();
         assert_eq!(y, gemv_rows(&w, &one));
-        // Empty batch: nothing enqueues.
+        // Empty batch: no shard writes anything.
         let empty = Matrix::<Fx32>::zeros(0, 6);
         let mut none = Matrix::<Fx32>::zeros(0, 4);
-        par.fused(|ks| pack.gemv_batch(&empty, &mut none, ks))
-            .unwrap()
-            .unwrap();
+        pack.gemv_batch(&empty, &mut none, &par).unwrap();
         assert_eq!(none.shape(), (0, 4));
-    }
-
-    #[test]
-    fn gather_columns_picks_stored_rows_with_replacement() {
-        let panel = Matrix::<f64>::from_fn(5, 3, |r, c| (r * 10 + c) as f64);
-        let seq = Parallelism::sequential();
-        let mut batch = Matrix::zeros(0, 0);
-        panel
-            .gather_columns_into(&[4, 0, 4, 2], &seq, &mut batch)
-            .unwrap();
-        assert_eq!(batch.shape(), (4, 3));
-        assert_eq!(batch.row(0), panel.row(4));
-        assert_eq!(batch.row(1), panel.row(0));
-        assert_eq!(batch.row(2), panel.row(4));
-        assert_eq!(batch.row(3), panel.row(2));
-        // Empty gather: a 0-row batch with the panel's width.
-        panel.gather_columns_into(&[], &seq, &mut batch).unwrap();
-        assert_eq!(batch.shape(), (0, 3));
-    }
-
-    #[test]
-    fn gather_columns_rejects_out_of_range_indices() {
-        let panel = Matrix::<Fx32>::zeros(4, 2);
-        let mut out = Matrix::zeros(0, 0);
-        let err = panel
-            .gather_columns_into(&[1, 4], &Parallelism::sequential(), &mut out)
-            .unwrap_err();
-        assert!(err.to_string().contains("gather_columns index"));
-        let par = Parallelism::with_workers(2);
-        assert!(panel.gather_columns_into(&[0, 9], &par, &mut out).is_err());
-    }
-
-    #[test]
-    fn gather_columns_into_reuses_storage() {
-        let panel = Matrix::<f64>::from_fn(11, 4, |r, c| (r * 4 + c) as f64).cast::<Fx32>();
-        let idx_a: Vec<usize> = (0..9).map(|k| (k * 3 + 1) % 11).collect();
-        let idx_b: Vec<usize> = (0..6).map(|k| (k * 5) % 11).collect();
-        let seq = Parallelism::sequential();
-        let mut out = Matrix::<Fx32>::zeros(0, 0);
-        panel.gather_columns_into(&idx_a, &seq, &mut out).unwrap();
-        let ptr = out.as_slice().as_ptr();
-        // Smaller gather into the same scratch: no reallocation.
-        panel.gather_columns_into(&idx_b, &seq, &mut out).unwrap();
-        assert_eq!(out.shape(), (6, 4));
-        for (k, &j) in idx_b.iter().enumerate() {
-            assert_eq!(out.row(k), panel.row(j));
-        }
-        assert_eq!(out.as_slice().as_ptr(), ptr, "scratch must be reused");
     }
 
     #[test]

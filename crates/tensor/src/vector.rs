@@ -16,32 +16,6 @@ pub fn dot<S: Scalar>(a: &[S], b: &[S]) -> S {
     a.iter().zip(b).fold(S::zero(), |acc, (&x, &y)| acc + x * y)
 }
 
-/// `y[i] += alpha · x[i]`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "axpy requires equal lengths");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Elementwise product `out[i] = a[i]·b[i]` (used for activation-derivative
-/// masking in backprop).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn hadamard<S: Scalar>(a: &[S], b: &[S], out: &mut [S]) {
-    assert_eq!(a.len(), b.len(), "hadamard requires equal lengths");
-    assert_eq!(a.len(), out.len(), "hadamard requires equal lengths");
-    for i in 0..a.len() {
-        out[i] = a[i] * b[i];
-    }
-}
-
 /// Elementwise in-place scale `x[i] *= alpha`.
 pub fn scale<S: Scalar>(alpha: S, x: &mut [S]) {
     for xi in x {
@@ -52,14 +26,6 @@ pub fn scale<S: Scalar>(alpha: S, x: &mut [S]) {
 /// Largest absolute value in the slice, as `f64` (0 for an empty slice).
 pub fn max_abs<S: Scalar>(x: &[S]) -> f64 {
     x.iter().map(|v| v.to_f64().abs()).fold(0.0, f64::max)
-}
-
-/// Mean of the slice as `f64` (0 for an empty slice).
-pub fn mean_f64<S: Scalar>(x: &[S]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    x.iter().map(|v| v.to_f64()).sum::<f64>() / x.len() as f64
 }
 
 /// Converts a `f64` slice into any scalar backend.
@@ -85,20 +51,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn hadamard_masks() {
-        let mut out = vec![0.0; 3];
-        hadamard(&[1.0, 2.0, 3.0], &[0.0, 1.0, 0.5], &mut out);
-        assert_eq!(out, vec![0.0, 2.0, 1.5]);
-    }
-
-    #[test]
     fn scale_in_place() {
         let mut x = vec![2.0, -4.0];
         scale(0.5, &mut x);
@@ -106,11 +58,9 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_and_mean() {
+    fn max_abs_basic() {
         assert_eq!(max_abs(&[1.0, -5.0, 3.0]), 5.0);
-        assert_eq!(mean_f64(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(max_abs::<f64>(&[]), 0.0);
-        assert_eq!(mean_f64::<f64>(&[]), 0.0);
     }
 
     #[test]

@@ -97,7 +97,7 @@ proptest! {
         amp in 1.0..2000.0f64,
     ) {
         // Bit-exactness of the batched forward and transposed kernels
-        // against the per-sample chain, on the sequential scope and
+        // against the per-sample chain, at one worker and
         // pooled — `amp` near the Fx32 rail makes the saturating adds
         // clamp, so any chain-order deviation in the nest would show.
         let wq: Matrix<Fx32> = w.cast();
@@ -112,10 +112,8 @@ proptest! {
             let par = Parallelism::with_workers(workers);
             let mut fwd = Matrix::zeros(batch, w.rows());
             let mut bwd = Matrix::zeros(batch, w.cols());
-            par.fused(|ks| {
-                pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                pack.gemv_t_batch(&wq, &e, &mut bwd, ks).unwrap();
-            }).unwrap();
+            pack.gemv_batch(&a, &mut fwd, &par).unwrap();
+            pack.gemv_t_batch(&wq, &e, &mut bwd, &par).unwrap();
             for b in 0..batch {
                 let fwd_ref = wq.gemv_alloc(a.row(b)).unwrap();
                 prop_assert_eq!(fwd.row(b), fwd_ref.as_slice());
@@ -150,30 +148,8 @@ proptest! {
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
             let mut g = start.clone();
-            par.fused(|ks| g.add_outer_batch(&e, &a, ks)).unwrap().unwrap();
+            g.add_outer_batch(&e, &a, &par).unwrap();
             prop_assert_eq!(&g, &reference);
-        }
-    }
-
-    #[test]
-    fn gather_columns_rows_equal_indexed_panel_columns_fx32(
-        w in small_matrix(),
-        picks in prop::collection::vec(0usize..64, 0..24),
-        workers in 1usize..9,
-    ) {
-        // The replay gather contract: row k of the gathered batch is
-        // stored row picks[k] of the panel (logical column picks[k] of
-        // the column-major panel), bit-for-bit, at every worker count —
-        // including repeated indices (with-replacement draws).
-        let panel: Matrix<Fx32> = w.cast();
-        let indices: Vec<usize> = picks.into_iter().map(|p| p % panel.rows()).collect();
-        let mut out = Matrix::zeros(0, 0);
-        for par in [Parallelism::sequential(), Parallelism::with_workers(workers)] {
-            panel.gather_columns_into(&indices, &par, &mut out).unwrap();
-            prop_assert_eq!(out.shape(), (indices.len(), panel.cols()));
-            for (k, &j) in indices.iter().enumerate() {
-                prop_assert_eq!(out.row(k), panel.row(j));
-            }
         }
     }
 
@@ -239,12 +215,9 @@ fn batched_kernels_equal_per_sample_across_vector_width_edges() {
                 let mut fwd = Matrix::<Fx32>::zeros(batch, ROWS);
                 let mut bwd = Matrix::<Fx32>::zeros(batch, cols);
                 let mut g = g_start.clone();
-                par.fused(|ks| {
-                    pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                    pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
-                    g.add_outer_batch(&e, &a, ks).unwrap();
-                })
-                .unwrap();
+                pack.gemv_batch(&a, &mut fwd, &par).unwrap();
+                pack.gemv_t_batch(&w, &e, &mut bwd, &par).unwrap();
+                g.add_outer_batch(&e, &a, &par).unwrap();
                 let case = format!("cols {cols} batch {batch} workers {workers}");
                 assert_eq!(fwd, fwd_ref, "gemv_batch, {case}");
                 assert_eq!(bwd, bwd_ref, "gemv_t_batch, {case}");
@@ -333,11 +306,8 @@ fn guarded_mvms_equal_per_sample_on_both_sides_of_the_threshold() {
                         let par = Parallelism::with_workers(workers);
                         let mut fwd = Matrix::<Fx32>::zeros(batch, ROWS);
                         let mut bwd = Matrix::<Fx32>::zeros(batch, cols);
-                        par.fused(|ks| {
-                            pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                            pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
-                        })
-                        .unwrap();
+                        pack.gemv_batch(&a, &mut fwd, &par).unwrap();
+                        pack.gemv_t_batch(&w, &e, &mut bwd, &par).unwrap();
                         let case = format!(
                             "cols {cols} sign {w_sign} batch {batch} rail {rail_row:?} workers {workers}"
                         );
@@ -388,9 +358,7 @@ fn guarded_add_outer_batch_equals_per_sample_around_the_init_headroom() {
             for workers in [1usize, 2, 8] {
                 let par = Parallelism::with_workers(workers);
                 let mut g = start.clone();
-                par.fused(|ks| g.add_outer_batch(&e, &a, ks))
-                    .unwrap()
-                    .unwrap();
+                g.add_outer_batch(&e, &a, &par).unwrap();
                 assert_eq!(g, reference, "cols {cols} batch {batch} workers {workers}");
             }
         }
@@ -485,12 +453,9 @@ fn zero_skipping_case<S: Scalar>() {
                         let mut fwd = Matrix::<S>::zeros(batch, ROWS);
                         let mut bwd = Matrix::<S>::zeros(batch, cols);
                         let mut g = g_start.clone();
-                        par.fused(|ks| {
-                            pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                            pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
-                            g.add_outer_batch(&e, &a, ks).unwrap();
-                        })
-                        .unwrap();
+                        pack.gemv_batch(&a, &mut fwd, &par).unwrap();
+                        pack.gemv_t_batch(&w, &e, &mut bwd, &par).unwrap();
+                        g.add_outer_batch(&e, &a, &par).unwrap();
                         let case = format!(
                             "{} rails {rails} cols {cols} zeros {tenths}/10 batch {batch} workers {workers}",
                             S::NAME
@@ -601,12 +566,9 @@ fn vector_dimension_case<S: Scalar>() -> (usize, usize) {
                         let mut fwd = Matrix::<S>::zeros(batch, rows);
                         let mut bwd = Matrix::<S>::zeros(batch, cols);
                         let mut g = g_start.clone();
-                        par.fused(|ks| {
-                            pack.gemv_batch(&a, &mut fwd, ks).unwrap();
-                            pack.gemv_t_batch(&w, &e, &mut bwd, ks).unwrap();
-                            g.add_outer_batch(&e, &a, ks).unwrap();
-                        })
-                        .unwrap();
+                        pack.gemv_batch(&a, &mut fwd, &par).unwrap();
+                        pack.gemv_t_batch(&w, &e, &mut bwd, &par).unwrap();
+                        g.add_outer_batch(&e, &a, &par).unwrap();
                         let case = format!(
                             "{} W {rows}x{cols} batch {batch} rails {rails}/{g_rails} workers {workers}",
                             S::NAME

@@ -11,9 +11,9 @@
 //!    ring stores the same transitions, draws the same uniform indices
 //!    from the same RNG states, and gathers bit-identical
 //!    `TransitionBatch`es.
-//! 2. **Gather worker-invariance** — `gather_columns_into` through the
-//!    replay buffer is bit-identical to the sequential gather at every
-//!    worker count.
+//! 2. **Gather worker-invariance** — the sampler's gather
+//!    (`ReplaySampler::sample_into`, whose `par` the gather never reads)
+//!    equals the row-copy pack of the same picks at every worker count.
 //! 3. **Wrap-around** — insertion past capacity overwrites oldest
 //!    entries and sampling never yields evicted transitions, at
 //!    capacities that divide and don't divide the insertion count, both
@@ -35,22 +35,25 @@ use rand::{Rng, SeedableRng};
 
 /// One uniform draw — the buffer's one index draw, then its gather —
 /// into a fresh scratch (`None` on underflow).
-fn draw(
-    buf: &ReplayBuffer,
-    batch: usize,
-    rng: &mut StdRng,
-    par: &Parallelism,
-) -> Option<TransitionBatch> {
+fn draw(buf: &ReplayBuffer, batch: usize, rng: &mut StdRng) -> Option<TransitionBatch> {
     let mut indices = Vec::new();
     buf.sample_indices_into(batch, rng, &mut indices);
-    (!indices.is_empty()).then(|| gather(buf, &indices, par))
+    (!indices.is_empty()).then(|| gather(buf, &indices))
 }
 
-/// Gathers `indices` into a fresh scratch over `par`.
-fn gather(buf: &ReplayBuffer, indices: &[usize], par: &Parallelism) -> TransitionBatch {
+/// Gathers `indices` into a fresh scratch.
+fn gather(buf: &ReplayBuffer, indices: &[usize]) -> TransitionBatch {
     let mut out = TransitionBatch::empty();
-    buf.gather_into(indices, par, &mut out);
+    buf.gather_into(indices, &mut out);
     out
+}
+
+/// The row-copy pack of the transitions at `indices` — the oracle of
+/// every gather.
+fn row_copy(buf: &ReplayBuffer, indices: &[usize]) -> TransitionBatch {
+    let picks: Vec<Transition> = indices.iter().map(|&i| buf.transition(i)).collect();
+    let refs: Vec<&Transition> = picks.iter().collect();
+    TransitionBatch::from_transitions(&refs).unwrap()
 }
 
 /// Pillar 1 (acceptance criterion): same pushes, same mid-stream RNG
@@ -82,7 +85,7 @@ fn soa_ring_reproduces_the_legacy_buffer_bit_for_bit() {
         let mut rng_soa = rng.clone();
         let mut rng_leg = rng.clone();
         for batch in [1usize, 8, 23, 24, 25] {
-            let a = draw(&soa, batch, &mut rng_soa, &Parallelism::sequential());
+            let a = draw(&soa, batch, &mut rng_soa);
             let b = legacy.sample_batch(batch, &mut rng_leg);
             assert_eq!(a, b, "batch {batch} at fill {pushed}");
         }
@@ -90,34 +93,34 @@ fn soa_ring_reproduces_the_legacy_buffer_bit_for_bit() {
     }
 }
 
-/// Pillar 2: the pool-parallel gather is bit-identical to the
-/// sequential one at the matrix worker counts, for shard-awkward batch
-/// sizes (the acceptance criterion's workers {1, 2, 8}).
+/// Pillar 2: the sampler's gather equals the row-copy pack of the same
+/// picks at the matrix worker counts, for shard-awkward batch sizes
+/// (the acceptance criterion's workers {1, 2, 8}), and draws what the
+/// raw buffer draw does from equal RNG states.
 #[test]
 fn replay_gather_par_bit_identical_at_workers_1_2_8() {
     let mut buf = ReplayBuffer::new(37);
     for i in 0..37 {
         buf.push(synthetic(i, 5, 2));
     }
+    let mut sampler = ReplaySampler::new(ReplayStrategy::Uniform, 37);
     for batch in [1usize, 7, 16, 32] {
         let mut rng = StdRng::seed_from_u64(batch as u64);
         let mut indices = Vec::new();
         buf.sample_indices_into(batch, &mut rng, &mut indices);
-        let seq = gather(&buf, &indices, &Parallelism::sequential());
+        assert_eq!(gather(&buf, &indices), row_copy(&buf, &indices));
         for workers in [1usize, 2, 8] {
             let par = Parallelism::with_workers(workers);
-            assert_eq!(
-                gather(&buf, &indices, &par),
-                seq,
-                "batch {batch}, workers {workers}"
-            );
-            // And through the drawing entry point, from equal RNG states.
             let mut r1 = StdRng::seed_from_u64(99 + batch as u64);
             let mut r2 = r1.clone();
+            let mut sampled = SampledBatch::scratch();
+            assert!(sampler.sample_into(&buf, batch, &mut r1, &par, &mut sampled));
             assert_eq!(
-                draw(&buf, batch, &mut r1, &Parallelism::sequential()),
-                draw(&buf, batch, &mut r2, &par)
+                sampled.batch,
+                row_copy(&buf, &sampled.indices),
+                "batch {batch}, workers {workers}"
             );
+            assert_eq!(Some(sampled.batch), draw(&buf, batch, &mut r2));
             assert_eq!(r1, r2);
         }
     }
@@ -138,7 +141,7 @@ fn wraparound_sampling_never_yields_evicted_transitions() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..60 {
-            let batch = draw(&buf, capacity, &mut rng, &Parallelism::sequential()).unwrap();
+            let batch = draw(&buf, capacity, &mut rng).unwrap();
             for b in 0..batch.len() {
                 let r = batch.rewards()[b];
                 assert!(
@@ -306,7 +309,7 @@ fn uniform_sampler_shares_the_buffer_draw_path() {
     let par = Parallelism::with_workers(2);
     let mut r1 = StdRng::seed_from_u64(31);
     let mut r2 = r1.clone();
-    let direct = draw(&buf, 16, &mut r1, &Parallelism::sequential()).unwrap();
+    let direct = draw(&buf, 16, &mut r1).unwrap();
     let mut via_sampler = SampledBatch::scratch();
     assert!(sampler.sample_into(&buf, 16, &mut r2, &par, &mut via_sampler));
     assert_eq!(via_sampler.batch, direct);
@@ -390,14 +393,15 @@ proptest! {
         let mut ra = StdRng::seed_from_u64(seed);
         let mut rb = ra.clone();
         prop_assert_eq!(
-            draw(&soa, batch, &mut ra, &Parallelism::sequential()),
+            draw(&soa, batch, &mut ra),
             legacy.sample_batch(batch, &mut rb)
         );
         prop_assert_eq!(ra, rb);
     }
 
-    /// Randomized pillar 2: the parallel gather is worker-invariant for
-    /// arbitrary index multisets (duplicates included).
+    /// Randomized pillar 2: the sampler's gather at any worker count
+    /// equals the row-copy pack for arbitrary draws (duplicates
+    /// included).
     #[test]
     fn gather_worker_invariant_for_arbitrary_indices(
         capacity in 1usize..40,
@@ -409,8 +413,13 @@ proptest! {
             buf.push(synthetic(i, 3, 1));
         }
         let indices: Vec<usize> = picks.into_iter().map(|p| p % capacity).collect();
-        let seq = gather(&buf, &indices, &Parallelism::sequential());
+        prop_assert_eq!(gather(&buf, &indices), row_copy(&buf, &indices));
         let par = Parallelism::with_workers(workers);
-        prop_assert_eq!(gather(&buf, &indices, &par), seq);
+        let mut sampler = ReplaySampler::new(ReplayStrategy::Uniform, capacity);
+        let mut sampled = SampledBatch::scratch();
+        let mut rng = StdRng::seed_from_u64(indices.len() as u64);
+        let batch = indices.len().min(capacity);
+        prop_assert!(sampler.sample_into(&buf, batch, &mut rng, &par, &mut sampled));
+        prop_assert_eq!(sampled.batch, row_copy(&buf, &sampled.indices));
     }
 }
