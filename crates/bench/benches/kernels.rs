@@ -101,7 +101,7 @@ fn bench_quantizer(c: &mut Criterion) {
         .map(|i| Fx32::from_f64((i as f64 * 0.11).sin() * 3.0))
         .collect();
     c.bench_function("fake_quantize_512", |b| {
-        b.iter(|| q.fake_quantize_slice(std::hint::black_box(&mut xs)))
+        b.iter(|| Fx32::fake_quantize_slice(&q, std::hint::black_box(&mut xs)))
     });
 }
 

@@ -699,7 +699,7 @@ fn elementwise_micro(reps: usize, records: &mut Vec<Record>) {
         acts.len(),
         &mut xs,
         |xs| xs.as_mut_slice().copy_from_slice(acts.as_slice()),
-        |xs| q.fake_quantize_slice(std::hint::black_box(xs.as_mut_slice())),
+        |xs| Fx32::fake_quantize_slice(&q, std::hint::black_box(xs.as_mut_slice())),
     );
     let want: Vec<Fx32> = acts
         .as_slice()

@@ -15,7 +15,7 @@
 //!   perf trajectory with a scheduling series).
 
 use fixar_fixed::Fx32;
-use fixar_nn::{Mlp, MlpConfig, MlpGrads, QatPhase};
+use fixar_nn::{Mlp, MlpConfig, MlpGrads, QatRuntime};
 use fixar_tensor::{Matrix, Parallelism};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -51,7 +51,8 @@ fn main() {
     let twin_step = |grads: &mut [MlpGrads<Fx32>; 2], par: &Parallelism| {
         for (critic, g) in [&c1, &c2].into_iter().zip(grads.iter_mut()) {
             g.reset();
-            let trace = critic.forward_batch(&x, QatPhase::Off, par).unwrap();
+            let mut off = QatRuntime::disabled(critic.num_layers() + 1);
+            let trace = critic.forward_batch(&x, &mut off, par).unwrap();
             critic
                 .backward_batch(&trace, &dl, Some(g), false, par)
                 .unwrap();

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use fixar_fixed::{AffineQuantizer, Fx16, Fx32, QFormat, RangeMonitor, Scalar, Q16, Q32};
     pub use fixar_nn::{
         Activation, Adam, AdamConfig, Mlp, MlpConfig, PrecisionError, PrecisionPolicy, QatMode,
-        QatPhase, QatRuntime, QatRuntimeBuilder,
+        QatRuntime, QatRuntimeBuilder,
     };
     pub use fixar_platform::{CpuGpuPlatformModel, FixarCosim, FixarPlatformModel};
     pub use fixar_pool::{Parallelism, PoolError, WORKERS_ENV};

@@ -6,11 +6,11 @@
 //! kinds, and one integer [`QuantSpec`] per activation point. Every
 //! [`AffineQuantizer`] lives on a power-of-two step, so its spec is read
 //! straight off it at export time — the shift distance, the zero point
-//! and the code window — and the interpreter in `interp.rs` never
-//! touches a float.
+//! and the code window ([`AffineQuantizer::shift_form`]) — and the
+//! interpreter in `interp.rs` never touches a float.
 
 use bytes::Bytes;
-use fixar_fixed::{AffineQuantizer, Fx32};
+use fixar_fixed::{AffineQuantizer, Fx32, QuantWords, ShiftForm};
 
 use crate::error::DeployError;
 use crate::guard;
@@ -76,103 +76,38 @@ pub(crate) enum QuantSpec {
     PassThrough,
     /// Quantization is an arithmetic shift onto the code grid, an offset
     /// and a clamp; `shift: 0` is a plain clamp between two words.
-    Shift {
-        /// `frac_bits + log2(step)` — the shift distance.
-        shift: u32,
-        /// Algorithm 1's zero point `z`.
-        zero_point: i64,
-        /// Largest code.
-        max_code: i64,
-    },
+    Shift(ShiftForm),
 }
 
-/// A [`QuantSpec`] as the interpreter applies it: `(r & mask).clamp(lo,
-/// hi)` on a raw word. Derived at assembly, never serialized.
-///
-/// Let `q = r >> shift`. The `Shift` arm computes `f(clamp(q + z, 0, M))`
-/// with `f(c) = clamp_i32((c − z)·2^shift)`, which is monotone, so it
-/// equals `clamp(f(q + z), f(0), f(M))`; and `f(q + z) =
-/// clamp_i32((r >> shift) << shift)` is `r` with its low `min(shift, 31)`
-/// bits cleared (past 31 a word is `0` or `i32::MIN` either way).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct QuantWords {
-    pub(crate) mask: i32,
-    pub(crate) lo: i32,
-    pub(crate) hi: i32,
-}
-
-impl QuantWords {
-    const PASS_THROUGH: Self = Self {
-        mask: -1,
-        lo: i32::MIN,
-        hi: i32::MAX,
-    };
-
-    fn of(spec: &QuantSpec) -> Self {
-        let QuantSpec::Shift {
-            shift,
-            zero_point,
-            max_code,
-        } = *spec
-        else {
-            return Self::PASS_THROUGH;
-        };
-        // `(code − z)·2^shift` on the rails. A difference past ±2³¹ is on
-        // a rail after any shift, so clamping it there first keeps the
-        // shifted value inside an `i64` (at most 2⁶²).
-        let dequantize = |code: i64| {
-            let d = code.saturating_sub(zero_point).clamp(-(1 << 31), 1 << 31);
-            (d << shift.min(31)).clamp(i32::MIN.into(), i32::MAX.into()) as i32
-        };
-        Self {
-            mask: !((1u32 << shift.min(31)) - 1) as i32,
-            lo: dequantize(0),
-            hi: dequantize(max_code),
+impl QuantSpec {
+    /// The mask and clamp words the interpreter and the emitted source
+    /// apply.
+    fn words(&self) -> QuantWords {
+        match self {
+            QuantSpec::PassThrough => QuantWords::PASS_THROUGH,
+            QuantSpec::Shift(form) => form.words(),
         }
     }
 }
 
-/// Reads a frozen [`AffineQuantizer`] out as its integer-only spec.
-///
-/// The quantizer's step is `2^e`, so on raw words of the `2^-F` grid
-/// `floor(x / step)` is an arithmetic right shift by `F + e` and every
-/// float step of `fake_quantize_scalar` is an exact power-of-two scaling:
-/// [`QuantSpec::Shift`] with the quantizer's own zero point and code
-/// window reproduces it bit for bit.
-///
-/// A step finer than the word grid (`F + e < 0`) separates no two words:
-/// between the clips every word is already on the quantizer's grid and
-/// maps to itself, below and above it maps to the clip value rounded onto
-/// the word grid. That is a clamp between two words, which is the same arm
-/// at `shift: 0` with the low clip word as the (negated) zero point.
+/// Reads a frozen [`AffineQuantizer`] out as its integer-only spec on the
+/// artifact grid ([`AffineQuantizer::shift_form`]).
 ///
 /// # Errors
 ///
 /// [`DeployError::UnsupportedQuantizer`] when the step is too coarse for
-/// a shift (`F + e > 62`; every `i32` word would fall on one of two codes).
+/// the blob's shift field (`20 + e > 62`; every `i32` word would fall on
+/// one of two codes).
 fn spec_for_quantizer(point: usize, q: &AffineQuantizer) -> Result<QuantSpec, DeployError> {
     guard::float_op("freezing a quantizer into an integer spec");
-    let shift = ARTIFACT_FRAC_BITS as i32 - q.format().frac_bits();
-    if shift > MAX_SHIFT as i32 {
+    let form = q.shift_form(ARTIFACT_FRAC_BITS);
+    if form.shift > MAX_SHIFT {
         return Err(DeployError::UnsupportedQuantizer {
             point,
             bits: q.bits(),
         });
     }
-    if shift >= 0 {
-        return Ok(QuantSpec::Shift {
-            shift: shift as u32,
-            zero_point: q.zero_point(),
-            max_code: q.max_code(),
-        });
-    }
-    let clip_word = |code: i64| i64::from(Fx32::from_f64(q.dequantize(code)).raw());
-    let low = clip_word(0);
-    Ok(QuantSpec::Shift {
-        shift: 0,
-        zero_point: -low,
-        max_code: clip_word(q.max_code()) - low,
-    })
+    Ok(QuantSpec::Shift(form))
 }
 
 /// Blob-size accounting for a [`PolicyArtifact`], as reported by
@@ -208,27 +143,23 @@ pub struct PolicyArtifact {
     pub(crate) hidden_act: ActKind,
     /// Activation of the output layer.
     pub(crate) output_act: ActKind,
-    /// Per layer, `rows × cols` raw weight words in row-major order.
-    pub(crate) weights: Vec<Vec<i32>>,
+    /// Per layer, the `rows × cols` weight words stored column-major
+    /// (`cols × rows`, word `(i, j)` at `j · rows + i`): the interpreter
+    /// streams one column per input word, so its per-output accumulation
+    /// is unit-stride. The blob carries them row-major.
+    pub(crate) weights_t: Vec<Vec<i32>>,
     /// Per layer, `rows` raw bias words.
     pub(crate) biases: Vec<Vec<i32>>,
     /// One spec per activation point (`num_layers + 1`).
     pub(crate) specs: Vec<QuantSpec>,
-    /// Per layer, the `cols × rows` column-major (transposed) image of
-    /// `weights` — derived at construction, never serialized (the
-    /// derived value is a pure function of `weights`, so the derived
-    /// `PartialEq` stays consistent). The interpreter streams one
-    /// transposed row per input element, making its per-output
-    /// accumulation unit-stride instead of walking `weights` with a
-    /// `cols`-element stride.
-    pub(crate) weights_t: Vec<Vec<i32>>,
     /// Per layer, the weight side of the interpreter's interval guard:
     /// the largest `unsigned_abs` of any weight word and the largest
-    /// sum of them along one row (one output's chain). Derived with
-    /// `weights_t`, never serialized.
+    /// sum of them along one row (one output's chain). Derived at
+    /// construction, never serialized (a pure function of `weights_t`,
+    /// so the derived `PartialEq` stays consistent).
     pub(crate) weight_bounds: Vec<(u32, u64)>,
     /// Per activation point, `specs` as the interpreter applies them.
-    /// Derived with `weights_t`, never serialized.
+    /// Derived at construction, never serialized.
     pub(crate) quant_words: Vec<QuantWords>,
 }
 
@@ -323,64 +254,61 @@ impl PolicyArtifact {
                 None => Ok(QuantSpec::PassThrough),
             })
             .collect::<Result<Vec<_>, _>>()?;
+        let weights_t = weights
+            .iter()
+            .enumerate()
+            .map(|(l, w)| transposed(layer_sizes[l + 1], layer_sizes[l], w.iter().copied()))
+            .collect();
         Ok(Self::assemble(
             ARTIFACT_FRAC_BITS,
             layer_sizes.iter().map(|&s| s as u32).collect(),
             hidden_act,
             output_act,
-            weights,
+            weights_t,
             biases,
             specs,
         ))
     }
 
-    /// Finishes construction from validated parts: derives the
-    /// transposed weight images the interpreter streams, the weight
-    /// bounds its interval guard reads and the words of its quantizers.
-    /// Every constructor
-    /// ([`PolicyArtifact::from_parts`], [`PolicyArtifact::decode`],
-    /// in-crate tests) funnels through here so the derived fields can
-    /// never disagree with `weights`.
+    /// Finishes construction from validated parts: derives the weight
+    /// bounds the interpreter's interval guard reads and the words of its
+    /// quantizers. Both constructors ([`PolicyArtifact::from_parts`],
+    /// [`PolicyArtifact::decode`]) funnel through here so the derived
+    /// fields can never disagree with `weights_t`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
+    fn assemble(
         frac_bits: u32,
         layer_sizes: Vec<u32>,
         hidden_act: ActKind,
         output_act: ActKind,
-        weights: Vec<Vec<i32>>,
+        weights_t: Vec<Vec<i32>>,
         biases: Vec<Vec<i32>>,
         specs: Vec<QuantSpec>,
     ) -> Self {
-        let (weights_t, weight_bounds) = weights
+        let weight_bounds = weights_t
             .iter()
-            .enumerate()
-            .map(|(l, w)| {
-                let rows = layer_sizes[l + 1] as usize;
-                let cols = layer_sizes[l] as usize;
-                let mut wt = vec![0i32; w.len()];
-                let (mut w_max, mut row_abs_sum) = (0u32, 0u64);
-                for i in 0..rows {
-                    let mut abs_sum = 0u64;
-                    for (j, &wij) in w[i * cols..(i + 1) * cols].iter().enumerate() {
-                        wt[j * rows + i] = wij;
-                        w_max = w_max.max(wij.unsigned_abs());
-                        abs_sum += u64::from(wij.unsigned_abs());
+            .zip(&layer_sizes[1..])
+            .map(|(wt, &rows)| {
+                let mut row_abs_sums = vec![0u64; rows as usize];
+                let mut w_max = 0u32;
+                for col in wt.chunks_exact(rows as usize) {
+                    for (sum, &w) in row_abs_sums.iter_mut().zip(col) {
+                        w_max = w_max.max(w.unsigned_abs());
+                        *sum += u64::from(w.unsigned_abs());
                     }
-                    row_abs_sum = row_abs_sum.max(abs_sum);
                 }
-                (wt, (w_max, row_abs_sum))
+                (w_max, row_abs_sums.into_iter().max().unwrap_or(0))
             })
-            .unzip();
-        let quant_words = specs.iter().map(QuantWords::of).collect();
+            .collect();
+        let quant_words = specs.iter().map(QuantSpec::words).collect();
         Self {
             frac_bits,
             layer_sizes,
             hidden_act,
             output_act,
-            weights,
+            weights_t,
             biases,
             specs,
-            weights_t,
             weight_bounds,
             quant_words,
         }
@@ -398,7 +326,7 @@ impl PolicyArtifact {
 
     /// Number of weight layers.
     pub fn num_layers(&self) -> usize {
-        self.weights.len()
+        self.weights_t.len()
     }
 
     /// Fractional bits of the artifact's fixed-point grid.
@@ -495,17 +423,21 @@ impl PolicyArtifact {
         out.extend_from_slice(&MAGIC);
         put_u32(&mut out, VERSION);
         put_u32(&mut out, self.frac_bits);
-        put_u32(&mut out, self.weights.len() as u32);
+        put_u32(&mut out, self.num_layers() as u32);
         for &s in &self.layer_sizes {
             put_u32(&mut out, s);
         }
         out.push(self.hidden_act.tag());
         out.push(self.output_act.tag());
-        for l in 0..self.weights.len() {
-            for &w in &self.weights[l] {
-                put_i32(&mut out, w);
+        for (wt, bias) in self.weights_t.iter().zip(&self.biases) {
+            // Row-major: output `i`'s words are every column's `i`-th.
+            let rows = bias.len();
+            for i in 0..rows {
+                for col in wt.chunks_exact(rows) {
+                    put_i32(&mut out, col[i]);
+                }
             }
-            for &b in &self.biases[l] {
+            for &b in bias {
                 put_i32(&mut out, b);
             }
         }
@@ -513,15 +445,11 @@ impl PolicyArtifact {
         for spec in &self.specs {
             match spec {
                 QuantSpec::PassThrough => out.push(0),
-                QuantSpec::Shift {
-                    shift,
-                    zero_point,
-                    max_code,
-                } => {
+                QuantSpec::Shift(form) => {
                     out.push(1);
-                    put_u32(&mut out, *shift);
-                    put_i64(&mut out, *zero_point);
-                    put_i64(&mut out, *max_code);
+                    put_u32(&mut out, form.shift);
+                    put_i64(&mut out, form.zero_point);
+                    put_i64(&mut out, form.max_code);
                 }
             }
         }
@@ -590,16 +518,17 @@ impl PolicyArtifact {
             .ok_or_else(|| DeployError::Corrupt("unknown hidden activation tag".into()))?;
         let output_act = ActKind::from_tag(cur.u8()?)
             .ok_or_else(|| DeployError::Corrupt("unknown output activation tag".into()))?;
-        let mut weights = Vec::with_capacity(n);
+        let mut weights_t = Vec::with_capacity(n);
         let mut biases = Vec::with_capacity(n);
         for l in 0..n {
-            let rows = layer_sizes[l + 1] as usize;
-            let cols = layer_sizes[l] as usize;
+            let (rows, cols) = (layer_sizes[l + 1] as usize, layer_sizes[l] as usize);
             let elems = rows
                 .checked_mul(cols)
                 .ok_or_else(|| DeployError::Corrupt("layer size product overflow".into()))?;
-            weights.push(cur.i32_vec(elems)?);
-            biases.push(cur.i32_vec(rows)?);
+            // The body must hold every word before the image is sized
+            // from the header's claim.
+            weights_t.push(transposed(rows, cols, cur.i32_words(elems)?));
+            biases.push(cur.i32_words(rows)?.collect());
         }
         let num_points = cur.u32()? as usize;
         if num_points != n + 1 {
@@ -624,11 +553,11 @@ impl PolicyArtifact {
                     if max_code < 0 {
                         return Err(DeployError::Corrupt("negative code range".into()));
                     }
-                    QuantSpec::Shift {
+                    QuantSpec::Shift(ShiftForm {
                         shift,
                         zero_point,
                         max_code,
-                    }
+                    })
                 }
                 t => {
                     return Err(DeployError::Corrupt(format!("unknown spec tag {t}")));
@@ -650,11 +579,22 @@ impl PolicyArtifact {
             layer_sizes,
             hidden_act,
             output_act,
-            weights,
+            weights_t,
             biases,
             specs,
         ))
     }
+}
+
+/// The column-major (`cols × rows`) image of `rows × cols` row-major
+/// words.
+fn transposed(rows: usize, cols: usize, row_major: impl Iterator<Item = i32>) -> Vec<i32> {
+    let mut wt = vec![0; rows * cols];
+    let slots = (0..rows).flat_map(|i| (0..cols).map(move |j| j * rows + i));
+    for (slot, w) in slots.zip(row_major) {
+        wt[slot] = w;
+    }
+    wt
 }
 
 /// FNV-1a 64-bit hash — small, dependency-free, and deterministic across
@@ -719,15 +659,16 @@ impl Cursor<'_> {
         Ok(self.u64()? as i64)
     }
 
-    fn i32_vec(&mut self, len: usize) -> Result<Vec<i32>, DeployError> {
+    /// The next `len` little-endian `i32` words, once the blob is known
+    /// to hold them all.
+    fn i32_words(&mut self, len: usize) -> Result<impl Iterator<Item = i32> + '_, DeployError> {
         let needed = len
             .checked_mul(4)
             .ok_or_else(|| DeployError::Corrupt("element count overflow".into()))?;
         let bytes = self.take(needed)?;
         Ok(bytes
             .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().expect("exactly 4 bytes")))
-            .collect())
+            .map(|c| i32::from_le_bytes(c.try_into().expect("exactly 4 bytes"))))
     }
 }
 
@@ -802,31 +743,6 @@ mod tests {
         }
     }
 
-    /// The `Shift` arm as PR 24 applied it, word by word through `i128`:
-    /// the oracle the derived [`QuantWords`] are checked against.
-    fn apply_spec(spec: &QuantSpec, r: i32) -> i32 {
-        match spec {
-            QuantSpec::PassThrough => r,
-            QuantSpec::Shift {
-                shift,
-                zero_point,
-                max_code,
-            } => {
-                let code = ((r as i64) >> shift)
-                    .saturating_add(*zero_point)
-                    .clamp(0, *max_code);
-                let scaled = (code.saturating_sub(*zero_point) as i128) << shift;
-                if scaled > i32::MAX as i128 {
-                    i32::MAX
-                } else if scaled < i32::MIN as i128 {
-                    i32::MIN
-                } else {
-                    scaled as i32
-                }
-            }
-        }
-    }
-
     /// A seeded stream of raw words (64-bit LCG, high half).
     fn lcg_words(seed: u64) -> impl Iterator<Item = i32> {
         let mut state = seed;
@@ -836,157 +752,6 @@ mod tests {
         })
     }
 
-    /// Format-pinned quantizers and range-calibrated ones at every width
-    /// 1…31: asymmetric, post-ReLU (`min = 0`), `min > 0`, all-negative,
-    /// headroom-widened, rail-wide, and spans whose step is finer than
-    /// the word grid (the `shift: 0` clamp form).
-    fn calibrated_quantizers() -> Vec<(String, AffineQuantizer)> {
-        let mut quantizers: Vec<(String, AffineQuantizer)> = [
-            QFormat::q(4, 12).unwrap(),
-            QFormat::q(2, 6).unwrap(),
-            QFormat::q(8, 8).unwrap(),
-            QFormat::q(1, 15).unwrap(),
-            QFormat::q(2, 29).unwrap(), // finer than the word grid
-        ]
-        .into_iter()
-        .map(|fmt| (fmt.to_string(), AffineQuantizer::from_format(fmt).unwrap()))
-        .collect();
-        for (min, max) in [
-            (-3.58, 1.22),
-            (-0.7, 0.4),
-            (0.0, 10.0),
-            (2.0, 6.0),
-            (-6.0, -2.5),
-            (-1.5 * 3.58, 1.5 * 1.22),
-            (-2048.0, 2047.9),
-            (0.0, 1.0 / 64.0),
-            (-0.0131, 0.0077),
-            (0.25, 0.2501),
-        ] {
-            for bits in 1..=31 {
-                let q = AffineQuantizer::from_range(min, max, bits).unwrap();
-                quantizers.push((format!("[{min}, {max}]x{bits}"), q));
-            }
-        }
-        quantizers
-    }
-
-    #[test]
-    fn quant_words_equal_the_shift_oracle() {
-        // Every spec export builds, then hand-built ones only `decode`
-        // can produce: shift distances at and past the word width,
-        // extreme zero points, empty / one-code / widest code windows.
-        let mut specs: Vec<(String, QuantSpec)> = calibrated_quantizers()
-            .iter()
-            .map(|(name, q)| (name.clone(), spec_for_quantizer(0, q).unwrap()))
-            .collect();
-        for shift in [0, 31, 32, 62] {
-            for zero_point in [i64::MIN, -(1 << 62), 0, 1 << 62, i64::MAX] {
-                for max_code in [0, 1, i64::MAX] {
-                    let spec = QuantSpec::Shift {
-                        shift,
-                        zero_point,
-                        max_code,
-                    };
-                    specs.push((format!("{spec:?}"), spec));
-                }
-            }
-        }
-        specs.push(("pass-through".into(), QuantSpec::PassThrough));
-        let sweep: Vec<i32> = lcg_words(0x9E37_79B9_7F4A_7C15).take(100_000).collect();
-        for (name, spec) in &specs {
-            let q = QuantWords::of(spec);
-            // The rails, both clip words ± 2 (the oracle's images of the
-            // lowest and highest word), every word within ± 64 of zero.
-            let clips = [i32::MIN, i32::MAX].map(|r| apply_spec(spec, r));
-            let edges = clips
-                .into_iter()
-                .flat_map(|c| (-2..=2).map(move |d| c.saturating_add(d)));
-            let words = [i32::MIN, i32::MAX]
-                .into_iter()
-                .chain(edges)
-                .chain(-64..=64)
-                .chain(sweep.iter().copied());
-            for r in words {
-                assert_eq!(
-                    interp::quantize(q, r),
-                    apply_spec(spec, r),
-                    "{name} raw={r}"
-                );
-            }
-        }
-    }
-
-    /// Every `i32` word through each spec of the two policies the
-    /// repository benchmark serves (seed 12: input point shared, then the
-    /// 400×300 and the 64×48 actor's hidden points). 2³² words per spec,
-    /// so release only: `cargo test --release -p fixar-deploy --
-    /// --ignored`.
-    #[test]
-    #[ignore = "exhaustive 2^32-word sweeps; release only"]
-    fn quant_words_equal_the_shift_oracle_on_every_word_of_the_served_specs() {
-        for (shift, zero_point, max_code) in [
-            (14, 29533, 47478),
-            (11, 0, 44272),
-            (10, 0, 57550),
-            (12, 0, 44011),
-            (12, 0, 46024),
-        ] {
-            let spec = QuantSpec::Shift {
-                shift,
-                zero_point,
-                max_code,
-            };
-            let q = QuantWords::of(&spec);
-            for r in i32::MIN..=i32::MAX {
-                assert_eq!(
-                    interp::quantize(q, r),
-                    apply_spec(&spec, r),
-                    "{spec:?} raw={r}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shift_spec_replicates_format_quantizer_exactly() {
-        let quantizers = calibrated_quantizers();
-        let mut clamp_forms = 0;
-        for (name, q) in &quantizers {
-            let spec = spec_for_quantizer(0, q).unwrap();
-            let frac = q.format().frac_bits();
-            assert_eq!(
-                matches!(spec, QuantSpec::Shift { shift: 0, .. }),
-                frac >= ARTIFACT_FRAC_BITS as i32,
-                "{name}"
-            );
-            clamp_forms += usize::from(frac > ARTIFACT_FRAC_BITS as i32);
-            let art = PolicyArtifact::assemble(
-                ARTIFACT_FRAC_BITS,
-                vec![1, 1],
-                ActKind::Identity,
-                ActKind::Identity,
-                vec![vec![Fx32::ONE.raw()]],
-                vec![vec![0]],
-                vec![spec, QuantSpec::PassThrough],
-            );
-            // Both clip words ± 2, every word (so every code boundary)
-            // within ± 64 of zero, the rails, and a seeded sweep.
-            let clips = [0, q.max_code()].map(|c| Fx32::from_f64(q.dequantize(c)).raw());
-            let mut words: Vec<i32> = (-64..=64).chain([i32::MIN, i32::MAX]).collect();
-            for clip in clips {
-                words.extend((-2..=2).map(|d| clip.saturating_add(d)));
-            }
-            words.extend(lcg_words(0x9E37_79B9_7F4A_7C15).take(2000));
-            for r in words {
-                let want = q.fake_quantize_scalar(Fx32::from_raw(r)).raw();
-                let got = art.infer_raw(&[r]).unwrap()[0];
-                assert_eq!(got, want, "{name} raw={r}");
-            }
-        }
-        assert!(clamp_forms > 60, "sub-grid steps must be covered");
-    }
-
     #[test]
     fn step_too_coarse_to_shift_is_a_typed_error() {
         // δ′ = 2^42 shifts by 62, the widest distance; 2^43 has no spec.
@@ -994,7 +759,7 @@ mod tests {
         let q = AffineQuantizer::from_range(-edge, edge, 4).unwrap();
         assert!(matches!(
             spec_for_quantizer(0, &q),
-            Ok(QuantSpec::Shift { shift: 62, .. })
+            Ok(QuantSpec::Shift(ShiftForm { shift: 62, .. }))
         ));
         let q = AffineQuantizer::from_range(-2.0 * edge, 2.0 * edge, 4).unwrap();
         assert_eq!(

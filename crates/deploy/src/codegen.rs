@@ -94,7 +94,7 @@ impl PolicyArtifact {
     /// across agents and precision-policy arms.
     pub fn emit_rust(&self) -> String {
         let frac = self.frac_bits;
-        let n = self.weights.len();
+        let n = self.num_layers();
         let hash = self.content_hash();
         let mut out = String::new();
 
@@ -219,7 +219,7 @@ impl PolicyArtifact {
         // One quantizer fn per non-pass-through activation point: the
         // interpreter's mask and clamp, with its three words as literals.
         for (p, (spec, q)) in self.specs.iter().zip(&self.quant_words).enumerate() {
-            if matches!(spec, QuantSpec::Shift { .. }) {
+            if matches!(spec, QuantSpec::Shift(_)) {
                 let _ = writeln!(
                     out,
                     "#[inline]\n\

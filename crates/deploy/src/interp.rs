@@ -28,11 +28,13 @@
 //!   its code grid, an offset, a clamp onto the code window and the
 //!   inverse shift; that composition is monotone, so it is one mask
 //!   clearing the bits below the step and one clamp between the two clip
-//!   words ([`QuantWords`], derived when the artifact is assembled).
+//!   words ([`QuantWords`], derived when the artifact is assembled) — the
+//!   step a `Q32` activation point runs in training.
 
 use fixar_fixed::math::{mac_chain_is_clamp_free, mac_unclamped, tanh_raw};
+use fixar_fixed::QuantWords;
 
-use crate::artifact::{ActKind, PolicyArtifact, QuantWords, ARTIFACT_FRAC_BITS};
+use crate::artifact::{ActKind, PolicyArtifact, ARTIFACT_FRAC_BITS};
 use crate::guard::NoFloatZone;
 
 /// Saturates a wide accumulator onto the 32-bit rails.
@@ -53,12 +55,6 @@ fn clamp_word(v: i64) -> i32 {
 fn fx_mul(a: i32, b: i32, frac: u32) -> i32 {
     let prod = a as i64 * b as i64;
     clamp_word((prod + (1i64 << (frac - 1))) >> frac)
-}
-
-/// Applies a frozen quantizer to one raw word.
-#[inline(always)]
-pub(crate) fn quantize(q: QuantWords, r: i32) -> i32 {
-    (r & q.mask).clamp(q.lo, q.hi)
 }
 
 /// Column-broadcast accumulation of one sample's layer: each non-zero
@@ -92,7 +88,7 @@ fn accumulate<const FREE: bool>(wt: &[i32], terms: &[(usize, i32)], z: &mut [i32
 #[inline(always)]
 fn finish(z: &mut [i32], bias: &[i32], q: QuantWords, act: impl Fn(i32) -> i32) {
     for (zi, &bi) in z.iter_mut().zip(bias) {
-        *zi = quantize(q, act(zi.saturating_add(bi)));
+        *zi = q.apply(act(zi.saturating_add(bi)));
     }
 }
 
@@ -106,11 +102,8 @@ pub(crate) fn run(art: &PolicyArtifact, obs: &[i32], rows: usize) -> Vec<i32> {
     assert_eq!(art.frac_bits, ARTIFACT_FRAC_BITS);
     assert_eq!(obs.len(), rows * art.input_dim());
     let frac = ARTIFACT_FRAC_BITS;
-    let n = art.weights.len();
-    let mut a: Vec<i32> = obs
-        .iter()
-        .map(|&r| quantize(art.quant_words[0], r))
-        .collect();
+    let n = art.num_layers();
+    let mut a: Vec<i32> = obs.iter().map(|&r| art.quant_words[0].apply(r)).collect();
     let mut terms = Vec::new();
     for l in 0..n {
         let cols = art.layer_sizes[l] as usize;

@@ -6,9 +6,10 @@
 //! activation kinds, and per-point integer quantizer specs — plus a
 //! standalone interpreter that evaluates it with **zero floating-point
 //! operations**, bit-identical to the frozen `fixar-nn` forward pass. The
-//! crate depends only on `fixar-fixed` (for the shared integer tanh ROM
-//! and MAC-chain guard) and the `bytes` shim; none of the float-capable
-//! tensor or network machinery is reachable from the inference path.
+//! crate depends only on `fixar-fixed` (for the shared integer tanh ROM,
+//! the MAC-chain guard and the frozen quantizer's words) and the `bytes`
+//! shim; none of the float-capable tensor or network machinery is
+//! reachable from the inference path.
 //!
 //! The interpreter's multiply-accumulate chains saturate exactly as the
 //! scalar type's do, but only pay for it when they might: per layer and
@@ -20,9 +21,11 @@
 //! observation or a hostile blob's huge weights simply fail the guard
 //! and take the saturating chain. A chain issues only the input words
 //! that are non-zero (a zero word adds exact zeros), every quantizer is
-//! one mask and one clamp on words derived at assembly, and one walk
-//! evaluates a whole batch ([`PolicyArtifact::infer_batch`]), one
-//! verdict per sample.
+//! one mask and one clamp on words derived at assembly
+//! (`fixar_fixed::QuantWords` — the step a `Q32` activation point runs in
+//! training, so training, snapshot, interpreter and emitted source share
+//! one quantizer), and one walk evaluates a whole batch
+//! ([`PolicyArtifact::infer_batch`]), one verdict per sample.
 //!
 //! The no-float contract is machine-checked three ways:
 //!
@@ -57,10 +60,12 @@
 //!
 //! Every activation quantizer lives on a power-of-two step
 //! (`fixar_fixed::AffineQuantizer`), so a spec is three integers read
-//! straight off it — `shift = 20 + log₂ step`, the zero point, the top
-//! code — and a blob is its weights plus ≈ 100 bytes. A step finer than
-//! the word grid is the same arm at `shift = 0`: a clamp between the two
-//! clip words. v1/v2 blobs, whose tags 2 and 3 tabulated quantizers with
+//! straight off it (`AffineQuantizer::shift_form` on the Q12.20 grid) —
+//! `shift = 20 + log₂ step`, the zero point, the top code — and a blob is
+//! its weights plus ≈ 100 bytes. A step finer than the word grid is the
+//! same arm at `shift = 0`: a clamp between the two clip words. Weights
+//! travel row-major; an artifact holds each layer once, in the
+//! column-major order the interpreter streams. v1/v2 blobs, whose tags 2 and 3 tabulated quantizers with
 //! arbitrary real steps, decode to [`DeployError::UnsupportedVersion`].
 //!
 //! The trailing checksum doubles as the artifact's

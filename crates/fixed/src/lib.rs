@@ -22,8 +22,12 @@
 //!   stay where calibration put them instead of moving out with the
 //!   wider step. A deliberate departure from the paper's real-valued δ:
 //!   on `δ′` the quantizer of a fixed-point word is an arithmetic shift
-//!   and a clamp, the same integer map in training, snapshot inference,
-//!   the `fixar-deploy` interpreter and its emitted `no_std` source.
+//!   and a clamp ([`ShiftForm`]), which collapses to one mask and one
+//!   clamp on the raw word ([`QuantWords`]). That one step is what a
+//!   [`Q32`] activation point runs in training and snapshot inference,
+//!   and what the `fixar-deploy` interpreter and its emitted `no_std`
+//!   source run; [`AffineQuantizer::fake_quantize_scalar`] stays the
+//!   `f64` oracle it is tested against.
 //! * [`RangeMonitor`] — running min/max capture used during the
 //!   quantization-delay window to calibrate the quantizer.
 //! * [`math::mac_chain_is_clamp_free`] / [`math::mac_unclamped`] — the
@@ -50,13 +54,13 @@
 //! straight-line — no data-dependent branch, no `idiv`, no loop — so the
 //! Adam tail auto-vectorises. Wider fractions (`F > 20`) would push the
 //! operands past what an `f64` holds exactly; a `const` branch keeps the
-//! integer path for them. [`Q32::from_f64`] and
-//! [`AffineQuantizer::fake_quantize_slice`] are written the same way
-//! (NaN as a select, saturation as a clamp in the `f64` domain, the
-//! float→int move through the bit pattern rather than a saturating `as`
-//! cast, which LLVM scalarises). The integer definitions stay public in
-//! [`math`] as the oracles `tests/props.rs` sweeps the fast forms
-//! against.
+//! integer path for them. [`Q32::from_f64`] and the `f64` form of
+//! [`Scalar::fake_quantize_slice`] (the float and [`Q16`] backends') are
+//! written the same way (NaN as a select, saturation as a clamp in the
+//! `f64` domain, the float→int move through the bit pattern rather than
+//! a saturating `as` cast, which LLVM scalarises). The integer
+//! definitions stay public in [`math`] as the oracles `tests/props.rs`
+//! sweeps the fast forms against.
 //!
 //! # Default formats
 //!
@@ -93,7 +97,7 @@ mod scalar;
 pub use monitor::RangeMonitor;
 pub use q16::Q16;
 pub use q32::Q32;
-pub use quant::{AffineQuantizer, QFormat, QuantError};
+pub use quant::{AffineQuantizer, QFormat, QuantError, QuantWords, ShiftForm};
 pub use scalar::Scalar;
 
 /// Default 32-bit fixed-point format (Q12.20) used by FIXAR for weights,

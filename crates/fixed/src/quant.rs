@@ -434,23 +434,112 @@ impl AffineQuantizer {
         S::from_f64(self.fake_quantize(x.to_f64()))
     }
 
-    /// Fake-quantizes a slice in place — [`AffineQuantizer::fake_quantize_scalar`]
-    /// on every element, bit for bit, computed without leaving the `f64`
-    /// domain: `code − z` is `floor(x/δ)` clamped to `[−z, max_code − z]`
-    /// (both bounds exact in `f64`; NaN and `-0.0` take the place the
-    /// saturating cast gives them, `floor = +0`), and the reconstruction
-    /// multiplies that by `δ`. No integer code is materialised and
-    /// nothing branches, so the loop vectorises — the software image of
-    /// the pipelined quantization unit.
-    pub fn fake_quantize_slice<S: Scalar>(&self, xs: &mut [S]) {
-        let lo = 0.0 - self.zero_point as f64;
-        let hi = (self.max_code - self.zero_point) as f64;
-        for x in xs {
-            // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
-            let steps = (x.to_f64() / self.delta).floor() + 0.0;
-            let steps = if steps.is_nan() { 0.0 } else { steps };
-            *x = S::from_f64(steps.clamp(lo, hi) * self.delta);
+    /// This quantizer on raw words of the `2^-frac_bits` grid (a
+    /// [`Q32`](crate::Q32) format's, `1..=30`), as a shift onto the code
+    /// grid: the step `2^e` makes `floor(x / step)` of a word an
+    /// arithmetic right shift by `frac_bits + e`, and every other float
+    /// step of [`AffineQuantizer::fake_quantize_scalar`] an exact
+    /// power-of-two scaling, so the quantizer's own zero point and code
+    /// window reproduce it bit for bit.
+    ///
+    /// A step finer than the word grid (`frac_bits + e < 0`) separates no
+    /// two words: between the clips every word is already on the
+    /// quantizer's grid and maps to itself, below and above it maps to the
+    /// clip value rounded onto the word grid (as `Q32::from_f64` rounds
+    /// it). That is a clamp between two words — the same form at `shift:
+    /// 0`, with the low clip word as the (negated) zero point.
+    pub fn shift_form(&self, frac_bits: u32) -> ShiftForm {
+        debug_assert!((1..=30).contains(&frac_bits), "frac_bits {frac_bits}");
+        let shift = frac_bits as i32 + self.log2_delta;
+        if shift >= 0 {
+            return ShiftForm {
+                shift: shift as u32,
+                zero_point: self.zero_point,
+                max_code: self.max_code,
+            };
         }
+        let clip_word = |code: i64| {
+            let scaled = self.dequantize(code) * (1i64 << frac_bits) as f64;
+            scaled.clamp(i32::MIN as f64, i32::MAX as f64).round() as i64
+        };
+        let low = clip_word(0);
+        ShiftForm {
+            shift: 0,
+            zero_point: -low,
+            max_code: clip_word(self.max_code) - low,
+        }
+    }
+}
+
+/// A frozen quantizer on raw fixed-point words, as a shift onto its code
+/// grid: `code = clamp((r >> shift) + zero_point, 0, max_code)`, and the
+/// word it stands for `clamp_i32((code − zero_point) · 2^shift)`. Read off
+/// an [`AffineQuantizer`] by [`AffineQuantizer::shift_form`]; the
+/// `fixar-deploy` blob stores these three integers per activation point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShiftForm {
+    /// Shift distance, `frac_bits + log₂ step` (`0` for the clamp form of
+    /// a step finer than the word grid).
+    pub shift: u32,
+    /// Algorithm 1's zero point `z`.
+    pub zero_point: i64,
+    /// Largest code.
+    pub max_code: i64,
+}
+
+impl ShiftForm {
+    /// The words that apply this form in one mask and one clamp.
+    ///
+    /// Let `q = r >> shift`. The form computes `f(clamp(q + z, 0, M))`
+    /// with `f(c) = clamp_i32((c − z)·2^shift)`, which is monotone, so it
+    /// equals `clamp(f(q + z), f(0), f(M))`; and `f(q + z) =
+    /// clamp_i32((r >> shift) << shift)` is `r` with its low `min(shift,
+    /// 31)` bits cleared (past 31 a word is `0` or `i32::MIN` either way).
+    pub fn words(self) -> QuantWords {
+        let shift = self.shift.min(31);
+        // `(code − z)·2^shift` on the rails. A difference past ±2³¹ is on
+        // a rail after any shift, so clamping it there first keeps the
+        // shifted value inside an `i64` (at most 2⁶²).
+        let dequantize = |code: i64| {
+            let d = code
+                .saturating_sub(self.zero_point)
+                .clamp(-(1 << 31), 1 << 31);
+            (d << shift).clamp(i32::MIN.into(), i32::MAX.into()) as i32
+        };
+        QuantWords {
+            mask: !((1u32 << shift) - 1) as i32,
+            lo: dequantize(0),
+            hi: dequantize(self.max_code),
+        }
+    }
+}
+
+/// A frozen quantizer as one mask and one clamp on raw words — the one
+/// `Q32` quantize step of training ([`Scalar::fake_quantize_slice`]),
+/// snapshot inference, the `fixar-deploy` interpreter and its emitted
+/// `no_std` source. Derived by [`ShiftForm::words`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuantWords {
+    /// Clears the bits below the step.
+    pub mask: i32,
+    /// The low clip word.
+    pub lo: i32,
+    /// The high clip word (`lo ≤ hi`).
+    pub hi: i32,
+}
+
+impl QuantWords {
+    /// The words of a point that does not quantize.
+    pub const PASS_THROUGH: Self = Self {
+        mask: -1,
+        lo: i32::MIN,
+        hi: i32::MAX,
+    };
+
+    /// Quantizes one raw word: `(r & mask).clamp(lo, hi)`.
+    #[inline(always)]
+    pub fn apply(self, r: i32) -> i32 {
+        (r & self.mask).clamp(self.lo, self.hi)
     }
 }
 
@@ -574,7 +663,7 @@ mod tests {
             Fx32::from_f64(3.99),
         ];
         let orig: Vec<f64> = xs.iter().map(|x| x.to_f64()).collect();
-        q.fake_quantize_slice(&mut xs);
+        Fx32::fake_quantize_slice(&q, &mut xs);
         for (x, o) in xs.iter().zip(orig) {
             assert!((x.to_f64() - o).abs() <= q.delta() + 1e-5);
         }

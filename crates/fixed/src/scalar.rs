@@ -4,7 +4,7 @@ use core::fmt::{Debug, Display};
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::{math, Q16, Q32};
+use crate::{math, AffineQuantizer, Q16, Q32};
 
 /// Scalar number type the FIXAR tensor/NN stack is generic over.
 ///
@@ -149,6 +149,30 @@ pub trait Scalar:
     #[inline]
     fn mac_unclamped(self, w: Self, x: Self) -> Self {
         self + w * x
+    }
+
+    /// Projects `xs` onto the frozen quantizer `q`'s grid in place —
+    /// [`AffineQuantizer::fake_quantize_scalar`] on every element, bit
+    /// for bit; the software image of the pipelined quantization unit.
+    ///
+    /// The default stays in the `f64` domain: `code − z` is `floor(x/δ)`
+    /// clamped to `[−z, max_code − z]` (both bounds exact in `f64`; NaN
+    /// and `-0.0` take the place the saturating cast gives them, `floor
+    /// = +0`), and the reconstruction multiplies that by `δ`. No integer
+    /// code is materialised and nothing branches, so the loop
+    /// vectorises. [`Q32`] overrides it with the quantizer's
+    /// [`QuantWords`](crate::QuantWords) on raw words.
+    #[inline]
+    fn fake_quantize_slice(q: &AffineQuantizer, xs: &mut [Self]) {
+        let delta = q.delta();
+        let lo = 0.0 - q.zero_point() as f64;
+        let hi = (q.max_code() - q.zero_point()) as f64;
+        for x in xs {
+            // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+            let steps = (x.to_f64() / delta).floor() + 0.0;
+            let steps = if steps.is_nan() { 0.0 } else { steps };
+            *x = Self::from_f64(steps.clamp(lo, hi) * delta);
+        }
     }
 }
 
@@ -314,6 +338,15 @@ impl<const F: u32> Scalar for Q32<F> {
     #[inline(always)]
     fn mac_unclamped(self, w: Self, x: Self) -> Self {
         Self::from_raw(math::mac_unclamped(self.raw(), w.raw(), x.raw(), F))
+    }
+    /// One mask and one clamp per raw word: the quantizer's
+    /// [`QuantWords`](crate::QuantWords) on this format's grid.
+    #[inline]
+    fn fake_quantize_slice(q: &AffineQuantizer, xs: &mut [Self]) {
+        let words = q.shift_form(F).words();
+        for x in xs {
+            *x = Self::from_raw(words.apply(x.raw()));
+        }
     }
 }
 

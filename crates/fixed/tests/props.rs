@@ -1,6 +1,8 @@
 //! Property-based tests for the fixed-point substrate.
 
-use fixar_fixed::{AffineQuantizer, Fx16, Fx32, RangeMonitor, Scalar, Q16, Q32};
+use fixar_fixed::{
+    AffineQuantizer, Fx16, Fx32, QFormat, QuantWords, RangeMonitor, Scalar, ShiftForm, Q16, Q32,
+};
 use proptest::prelude::*;
 
 /// Range of f64 inputs that stay well inside Fx32's Q12.20 span.
@@ -388,11 +390,12 @@ fn quantize_saturates_on_huge_inputs_instead_of_wrapping() {
 }
 
 /// Every element of `fake_quantize_slice` must carry the bits of
-/// `fake_quantize_scalar` — the slice path never forms the integer code.
+/// `fake_quantize_scalar` — the slice path never forms the integer code
+/// (on `Q32` it is the quantizer's mask and clamp on raw words).
 fn assert_slice_equals_scalar<S: Scalar>(q: &AffineQuantizer, inputs: &[f64]) {
     let xs: Vec<S> = inputs.iter().map(|&x| S::from_f64(x)).collect();
     let mut sliced = xs.clone();
-    q.fake_quantize_slice(&mut sliced);
+    S::fake_quantize_slice(q, &mut sliced);
     for (&x, &got) in xs.iter().zip(&sliced) {
         let want = q.fake_quantize_scalar(x);
         assert_eq!(
@@ -417,7 +420,11 @@ fn fake_quantize_slice_equals_the_scalar_path_in_every_backend() {
         AffineQuantizer::from_range(-5000.0, 5000.0, 16).unwrap(),
         AffineQuantizer::from_range(-0.9, 1.2, 16).unwrap(),
         AffineQuantizer::from_range(-3.0, 0.5, 4).unwrap(),
-        AffineQuantizer::from_format(fixar_fixed::QFormat::q(4, 12).unwrap()).unwrap(),
+        AffineQuantizer::from_format(QFormat::q(4, 12).unwrap()).unwrap(),
+        // A step finer than the Q12.20 grid (the clamp form), and one so
+        // coarse that the Q12.20 shift passes the word width (2^13).
+        AffineQuantizer::from_range(-0.0131, 0.0077, 16).unwrap(),
+        AffineQuantizer::from_range(-65536.0, 65536.0, 4).unwrap(),
     ];
     let mut inputs = vec![
         f64::NAN,
@@ -446,6 +453,7 @@ fn fake_quantize_slice_equals_the_scalar_path_in_every_backend() {
     assert!(q_is_exercised_on_both_clamps(&quantizers[0], &inputs));
     for q in &quantizers {
         assert_slice_equals_scalar::<Fx32>(q, &inputs);
+        assert_slice_equals_scalar::<Q32<12>>(q, &inputs);
         assert_slice_equals_scalar::<Fx16>(q, &inputs);
         assert_slice_equals_scalar::<f32>(q, &inputs);
         assert_slice_equals_scalar::<f64>(q, &inputs);
@@ -457,4 +465,159 @@ fn q_is_exercised_on_both_clamps(q: &AffineQuantizer, inputs: &[f64]) -> bool {
     let last = (1i64 << q.bits()) - 1;
     let codes: Vec<i64> = inputs.iter().map(|&x| q.quantize(x)).collect();
     codes.contains(&0) && codes.contains(&last) && codes.iter().any(|&c| 0 < c && c < last)
+}
+
+// --- the frozen quantizer on raw words ---------------------------------------
+
+/// The shift form as the integer spec arithmetic applies it, word by word
+/// through `i128`: the oracle the derived [`QuantWords`] are checked
+/// against.
+fn apply_form(form: ShiftForm, r: i32) -> i32 {
+    let code = ((r as i64) >> form.shift)
+        .saturating_add(form.zero_point)
+        .clamp(0, form.max_code);
+    let scaled = (code.saturating_sub(form.zero_point) as i128) << form.shift;
+    scaled.clamp(i32::MIN as i128, i32::MAX as i128) as i32
+}
+
+/// Format-pinned quantizers and range-calibrated ones at every width
+/// 1…31: asymmetric, post-ReLU (`min = 0`), `min > 0`, all-negative,
+/// headroom-widened, rail-wide, and spans whose step is finer than the
+/// Q12.20 grid (the `shift: 0` clamp form).
+fn calibrated_quantizers() -> Vec<(String, AffineQuantizer)> {
+    let mut quantizers: Vec<(String, AffineQuantizer)> = [
+        QFormat::q(4, 12).unwrap(),
+        QFormat::q(2, 6).unwrap(),
+        QFormat::q(8, 8).unwrap(),
+        QFormat::q(1, 15).unwrap(),
+        QFormat::q(2, 29).unwrap(), // finer than the word grid
+    ]
+    .into_iter()
+    .map(|fmt| (fmt.to_string(), AffineQuantizer::from_format(fmt).unwrap()))
+    .collect();
+    for (min, max) in [
+        (-3.58, 1.22),
+        (-0.7, 0.4),
+        (0.0, 10.0),
+        (2.0, 6.0),
+        (-6.0, -2.5),
+        (-1.5 * 3.58, 1.5 * 1.22),
+        (-2048.0, 2047.9),
+        (0.0, 1.0 / 64.0),
+        (-0.0131, 0.0077),
+        (0.25, 0.2501),
+    ] {
+        for bits in 1..=31 {
+            let q = AffineQuantizer::from_range(min, max, bits).unwrap();
+            quantizers.push((format!("[{min}, {max}]x{bits}"), q));
+        }
+    }
+    quantizers
+}
+
+/// The rails, `clips` ± 2, every word within ± 64 of zero and a seeded
+/// sweep of `sweep` words.
+fn probe_words(clips: [i32; 2], sweep: usize) -> Vec<i32> {
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut words: Vec<i32> = (-64..=64).chain([i32::MIN, i32::MAX]).collect();
+    for clip in clips {
+        words.extend((-2..=2).map(|d| clip.saturating_add(d)));
+    }
+    words.extend((0..sweep).map(|_| draw_word(&mut rng)));
+    words
+}
+
+/// The mutants this must catch: the mask built from `shift` without
+/// `.min(31)` (the hand-built forms shift by 32 and 62), and a clip word
+/// clamped before it is widened past `±2³¹`.
+#[test]
+fn quant_words_equal_the_shift_oracle() {
+    // The forms of every calibrated quantizer on two grids, then ones
+    // only a blob can carry: shift distances at and past the word width,
+    // extreme zero points, empty / one-code / widest code windows.
+    let mut forms: Vec<(String, ShiftForm)> = Vec::new();
+    for (name, q) in calibrated_quantizers() {
+        forms.push((format!("{name} @20"), q.shift_form(20)));
+        forms.push((format!("{name} @12"), q.shift_form(12)));
+    }
+    for shift in [0, 31, 32, 62] {
+        for zero_point in [i64::MIN, -(1 << 62), 0, 1 << 62, i64::MAX] {
+            for max_code in [0, 1, i64::MAX] {
+                let form = ShiftForm {
+                    shift,
+                    zero_point,
+                    max_code,
+                };
+                forms.push((format!("{form:?}"), form));
+            }
+        }
+    }
+    for (name, form) in &forms {
+        let words = form.words();
+        let clips = [i32::MIN, i32::MAX].map(|r| apply_form(*form, r));
+        for r in probe_words(clips, 20_000) {
+            assert_eq!(words.apply(r), apply_form(*form, r), "{name} raw={r}");
+        }
+    }
+    let pass = QuantWords::PASS_THROUGH;
+    for r in probe_words([0, 0], 1000) {
+        assert_eq!(pass.apply(r), r);
+    }
+}
+
+fn assert_words_equal_scalar<const F: u32>(q: &AffineQuantizer, name: &str) {
+    let clips = [0, q.max_code()].map(|c| Q32::<F>::from_f64(q.dequantize(c)).raw());
+    let xs: Vec<Q32<F>> = probe_words(clips, 2000)
+        .into_iter()
+        .map(Q32::from_raw)
+        .collect();
+    let mut quantized = xs.clone();
+    Q32::<F>::fake_quantize_slice(q, &mut quantized);
+    for (&x, got) in xs.iter().zip(quantized) {
+        let want = q.fake_quantize_scalar(x);
+        assert_eq!(got, want, "{name} on Q32<{F}>: raw={}", x.raw());
+    }
+}
+
+/// Every calibrated quantizer's words reproduce the `f64` oracle on the
+/// words that decide it — both clips and every code boundary near zero —
+/// on the Q12.20 grid and a coarser one. The mutant this must catch: a
+/// sub-grid clip word truncated instead of rounded onto the word grid.
+#[test]
+fn quant_words_equal_fake_quantize_scalar_on_every_calibrated_quantizer() {
+    let mut clamp_forms = 0;
+    for (name, q) in &calibrated_quantizers() {
+        let finer = q.format().frac_bits() >= 20;
+        assert_eq!(q.shift_form(20).shift == 0, finer, "{name}");
+        clamp_forms += usize::from(q.format().frac_bits() > 20);
+        assert_words_equal_scalar::<20>(q, name);
+        assert_words_equal_scalar::<12>(q, name);
+    }
+    assert!(clamp_forms > 60, "sub-grid steps must be covered");
+}
+
+/// Every `i32` word through each form the repository benchmark's two
+/// served policies carry (seed 12: input point shared, then the 400×300
+/// and the 64×48 actor's hidden points). 2³² words per form, so release
+/// only: `cargo test --release -p fixar-fixed --test props -- --ignored`.
+#[test]
+#[ignore = "exhaustive 2^32-word sweeps; release only"]
+fn quant_words_equal_the_shift_oracle_on_every_word_of_the_served_specs() {
+    for (shift, zero_point, max_code) in [
+        (14, 29533, 47478),
+        (11, 0, 44272),
+        (10, 0, 57550),
+        (12, 0, 44011),
+        (12, 0, 46024),
+    ] {
+        let form = ShiftForm {
+            shift,
+            zero_point,
+            max_code,
+        };
+        let words = form.words();
+        for r in i32::MIN..=i32::MAX {
+            assert_eq!(words.apply(r), apply_form(form, r), "{form:?} raw={r}");
+        }
+    }
 }

@@ -43,6 +43,6 @@ pub use adam::{Adam, AdamConfig};
 pub use error::NnError;
 pub use init::WeightInit;
 pub use mlp::{BatchTrace, ForwardTrace, Mlp, MlpConfig, MlpGrads, PackedMlp};
-pub use qat::{PrecisionError, PrecisionPolicy, QatMode, QatPhase, QatRuntime, QatRuntimeBuilder};
+pub use qat::{PrecisionError, PrecisionPolicy, QatMode, QatRuntime, QatRuntimeBuilder};
 
 pub use fixar_fixed::QFormat;

@@ -7,7 +7,7 @@ use fixar_tensor::{vector, Matrix, WeightPack};
 use crate::activation::Activation;
 use crate::error::NnError;
 use crate::init::{seeded_rng, WeightInit};
-use crate::qat::{QatPhase, QatRuntime};
+use crate::qat::QatRuntime;
 
 /// Configuration of a fully-connected network.
 ///
@@ -208,7 +208,7 @@ impl<S: Scalar> PackedMlp<S> {
     pub fn forward_batch(
         &self,
         x: &Matrix<S>,
-        qat: QatPhase<'_>,
+        qat: &mut QatRuntime,
         par: &Parallelism,
     ) -> Result<Matrix<S>, NnError> {
         self.walk(x, qat, par, None)
@@ -260,7 +260,7 @@ impl<S: Scalar> PackedMlp<S> {
     fn walk(
         &self,
         x: &Matrix<S>,
-        mut qat: QatPhase<'_>,
+        qat: &mut QatRuntime,
         par: &Parallelism,
         mut trace: Option<&mut BatchTrace<S>>,
     ) -> Result<Matrix<S>, NnError> {
@@ -307,14 +307,14 @@ impl<S: Scalar> PackedMlp<S> {
     }
 
     /// Rejects a QAT runtime built for another point count.
-    fn check_qat_points(&self, points: Option<usize>) -> Result<(), NnError> {
+    fn check_qat_points(&self, points: usize) -> Result<(), NnError> {
         let want = self.packs.len() + 1;
-        match points {
-            Some(n) if n != want => Err(NnError::InvalidConfig(format!(
-                "qat runtime has {n} points, network needs {want}"
-            ))),
-            _ => Ok(()),
+        if points != want {
+            return Err(NnError::InvalidConfig(format!(
+                "qat runtime has {points} points, network needs {want}"
+            )));
         }
+        Ok(())
     }
 }
 
@@ -528,7 +528,7 @@ impl<S: Scalar> Mlp<S> {
                 (x.len(), 1),
             )));
         }
-        self.packed.check_qat_points(Some(qat.num_points()))?;
+        self.packed.check_qat_points(qat.num_points())?;
         let n = self.num_layers();
         let mut inputs = Vec::with_capacity(n);
         let mut pre = Vec::with_capacity(n);
@@ -565,10 +565,10 @@ impl<S: Scalar> Mlp<S> {
     /// activation matrix in one call. Range monitors see exactly the
     /// values `batch` per-sample passes would (min/max/count are
     /// order-independent) and frozen quantizers apply elementwise, so row
-    /// `b` of every trace matrix is bit-identical to the per-sample pass
-    /// on `x.row(b)` ([`Mlp::forward_trace`] for [`QatPhase::Off`],
-    /// [`Mlp::forward_qat`] for [`QatPhase::Observing`]), in every
-    /// backend, at every worker count of `par`.
+    /// `b` of every trace matrix is bit-identical to
+    /// [`Mlp::forward_qat`] on `x.row(b)` with the same runtime (a
+    /// [`QatRuntime::disabled`] one leaves every activation as it is), in
+    /// every backend, at every worker count of `par`.
     ///
     /// # Errors
     ///
@@ -579,7 +579,7 @@ impl<S: Scalar> Mlp<S> {
     pub fn forward_batch(
         &self,
         x: &Matrix<S>,
-        qat: QatPhase<'_>,
+        qat: &mut QatRuntime,
         par: &Parallelism,
     ) -> Result<BatchTrace<S>, NnError> {
         let n = self.num_layers();
@@ -966,19 +966,14 @@ mod tests {
         let x = fx32_batch(11, 5);
         for workers in [1, 2, 8] {
             let par = Parallelism::with_workers(workers);
-            let y = target.forward_batch(&x, QatPhase::Off, &par).unwrap();
-            let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            let y = target.forward_batch(&x, &mut off(&mlp), &par).unwrap();
+            let trace = mlp.forward_batch(&x, &mut off(&mlp), &par).unwrap();
             assert_eq!(y, trace.output, "{workers} workers");
             let mut qa = QatRuntime::builder(4).uniform_bits(8).build().unwrap();
             let mut qb = qa.clone();
             for frozen in [false, true] {
-                let ya = target
-                    .forward_batch(&x, QatPhase::Observing(&mut qa), &par)
-                    .unwrap();
-                let yb = mlp
-                    .forward_batch(&x, QatPhase::Observing(&mut qb), &par)
-                    .unwrap()
-                    .output;
+                let ya = target.forward_batch(&x, &mut qa, &par).unwrap();
+                let yb = mlp.forward_batch(&x, &mut qb, &par).unwrap().output;
                 assert_eq!(ya, yb, "{workers} workers, frozen {frozen}");
                 for p in 0..qa.num_points() {
                     assert_eq!(qa.monitor(p).range(), qb.monitor(p).range());
@@ -989,11 +984,9 @@ mod tests {
             }
         }
         let bad = Matrix::<Fx32>::zeros(2, 4);
-        assert!(target.forward_batch(&bad, QatPhase::Off, &seq()).is_err());
+        assert!(target.forward_batch(&bad, &mut off(&mlp), &seq()).is_err());
         let mut wrong = QatRuntime::disabled(7);
-        assert!(target
-            .forward_batch(&x, QatPhase::Observing(&mut wrong), &seq())
-            .is_err());
+        assert!(target.forward_batch(&x, &mut wrong, &seq()).is_err());
     }
 
     #[test]
@@ -1036,12 +1029,20 @@ mod tests {
         Parallelism::sequential()
     }
 
+    /// A runtime that leaves every activation of `mlp` as it is.
+    fn off<S: Scalar>(mlp: &Mlp<S>) -> QatRuntime {
+        QatRuntime::disabled(mlp.num_layers() + 1)
+    }
+
     #[test]
     fn forward_batch_bit_exact_with_per_sample_forward() {
         let cfg = MlpConfig::new(vec![6, 16, 9, 4]).with_output_activation(Activation::Tanh);
         let mlp = Mlp::<Fx32>::new_random(&cfg, 77).unwrap();
         let x = fx32_batch(9, 6);
-        let y = mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap().output;
+        let y = mlp
+            .forward_batch(&x, &mut off(&mlp), &seq())
+            .unwrap()
+            .output;
         assert_eq!(y.shape(), (9, 4));
         for b in 0..x.rows() {
             assert_eq!(
@@ -1075,7 +1076,7 @@ mod tests {
         assert_packs_current(&mlp.clone(), "clone");
         assert_packs_current(&mlp.cast::<f64>().cast(), "cast");
         let x = fx32_batch(5, 6);
-        let forward = |mlp: &Mlp<Fx32>| mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
+        let forward = |mlp: &Mlp<Fx32>| mlp.forward_batch(&x, &mut off(mlp), &seq()).unwrap();
         let agrees_per_sample = |mlp: &Mlp<Fx32>, y: &Matrix<Fx32>| {
             for b in 0..x.rows() {
                 assert_eq!(y.row(b), mlp.forward(x.row(b)).unwrap().as_slice());
@@ -1139,7 +1140,7 @@ mod tests {
         let cfg = MlpConfig::new(vec![5, 12, 3]);
         let mlp = Mlp::<Fx32>::new_random(&cfg, 3).unwrap();
         let x = fx32_batch(6, 5);
-        let bt = mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
+        let bt = mlp.forward_batch(&x, &mut off(&mlp), &seq()).unwrap();
         for b in 0..x.rows() {
             assert_trace_row(&mlp, &bt, b, &mlp.forward_trace(x.row(b)).unwrap());
         }
@@ -1168,7 +1169,7 @@ mod tests {
 
         for workers in [1, 2, 3, 4, 8] {
             let par = Parallelism::with_workers(workers);
-            let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            let trace = mlp.forward_batch(&x, &mut off(&mlp), &par).unwrap();
             let mut grads = MlpGrads::zeros_like(&mlp);
             let err = mlp
                 .backward_batch(&trace, &dl, Some(&mut grads), true, &par)
@@ -1209,7 +1210,7 @@ mod tests {
         }
         for workers in [1, 2, 8] {
             let par = Parallelism::with_workers(workers);
-            let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+            let trace = mlp.forward_batch(&x, &mut off(&mlp), &par).unwrap();
             let mut batched = MlpGrads::zeros_like(&mlp);
             let full = mlp
                 .backward_batch(&trace, &dl, Some(&mut batched), true, &par)
@@ -1247,8 +1248,7 @@ mod tests {
             .unwrap();
         let mut qat_looped = qat_batched.clone();
 
-        mlp.forward_batch(&x, QatPhase::Observing(&mut qat_batched), &par)
-            .unwrap();
+        mlp.forward_batch(&x, &mut qat_batched, &par).unwrap();
         for b in 0..x.rows() {
             mlp.forward_qat(x.row(b), &mut qat_looped).unwrap();
         }
@@ -1268,7 +1268,7 @@ mod tests {
         qat_batched.freeze().unwrap();
         qat_looped.freeze().unwrap();
         let yb = mlp
-            .forward_batch(&x, QatPhase::Observing(&mut qat_batched), &par)
+            .forward_batch(&x, &mut qat_batched, &par)
             .unwrap()
             .output;
         // The quantizing batch agrees with the per-sample pass, on a
@@ -1288,9 +1288,9 @@ mod tests {
     fn batch_shape_errors_are_reported() {
         let mlp = Mlp::<f64>::new_random(&tiny_cfg(), 1).unwrap();
         let bad = Matrix::<f64>::zeros(4, 2);
-        assert!(mlp.forward_batch(&bad, QatPhase::Off, &seq()).is_err());
+        assert!(mlp.forward_batch(&bad, &mut off(&mlp), &seq()).is_err());
         let x = Matrix::<f64>::zeros(4, 3);
-        let t = mlp.forward_batch(&x, QatPhase::Off, &seq()).unwrap();
+        let t = mlp.forward_batch(&x, &mut off(&mlp), &seq()).unwrap();
         let bad_dl = Matrix::<f64>::zeros(3, 2);
         let mut grads = MlpGrads::zeros_like(&mlp);
         assert!(mlp
@@ -1298,9 +1298,7 @@ mod tests {
             .is_err());
         // Mismatched runtime point counts are rejected up front.
         let mut wrong = QatRuntime::disabled(mlp.num_layers() + 5);
-        assert!(mlp
-            .forward_batch(&x, QatPhase::Observing(&mut wrong), &seq())
-            .is_err());
+        assert!(mlp.forward_batch(&x, &mut wrong, &seq()).is_err());
     }
 
     #[test]

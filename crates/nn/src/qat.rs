@@ -234,11 +234,15 @@ pub enum QatMode {
 /// Per-network QAT state: one activation point per layer boundary.
 ///
 /// Point `0` is the network input; point `l+1` is the post-activation
-/// output of layer `l`. The runtime is driven by
-/// [`Mlp::forward_qat`](crate::Mlp::forward_qat); the training loop only
-/// switches modes and calls [`QatRuntime::freeze_at_step`] when the
-/// quantization delay elapses. Each point's frozen format is chosen by
-/// the runtime's [`PrecisionPolicy`].
+/// output of layer `l`. Every forward pass takes the network's runtime
+/// ([`Mlp::forward_batch`](crate::Mlp::forward_batch),
+/// [`PackedMlp::forward_batch`](crate::PackedMlp::forward_batch),
+/// [`Mlp::forward_qat`](crate::Mlp::forward_qat)); a pass that should
+/// leave activations alone takes a [`QatRuntime::disabled`] one. The
+/// training loop only switches modes and calls
+/// [`QatRuntime::freeze_at_step`] when the quantization delay elapses.
+/// Each point's frozen format is chosen by the runtime's
+/// [`PrecisionPolicy`].
 ///
 /// # Example
 ///
@@ -295,36 +299,6 @@ impl QatRuntime {
             quantizers: vec![None; num_points],
             excluded: vec![false; num_points],
         }
-    }
-
-    /// Sets the calibration headroom: frozen ranges are widened by this
-    /// factor (about zero), so activations that drift moderately beyond
-    /// their calibration-window extremes still quantize instead of
-    /// clamping. A fixed-range hardware design always budgets headroom;
-    /// `1.0` (the default) freezes the observed range exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `headroom < 1.0`.
-    pub fn with_headroom(mut self, headroom: f64) -> Self {
-        assert!(headroom >= 1.0, "headroom must be at least 1.0");
-        self.headroom = headroom;
-        self
-    }
-
-    /// Excludes a point from quantization (it stays full-precision after
-    /// the freeze). The DDPG agent excludes each network's *final output*
-    /// point: the critic's Q-value is a regression output, not a hidden
-    /// activation — its range keeps drifting as the policy improves, and
-    /// clamping it to a frozen range strangles TD learning. (The actor's
-    /// tanh output re-enters the critic through its quantized input point
-    /// anyway.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `point >= num_points()`.
-    pub fn exclude_point(&mut self, point: usize) {
-        self.excluded[point] = true;
     }
 
     /// Current mode.
@@ -502,51 +476,21 @@ impl QatRuntime {
             .unwrap_or(max_bits)
     }
 
-    /// Processes one activation point in place according to the mode.
-    /// Called by the network forward pass.
+    /// Processes one activation point in place according to the mode:
+    /// nothing (`Off`), feed its range monitor (`Calibrate`), or project
+    /// it onto the frozen grid (`Quantize`, through
+    /// [`Scalar::fake_quantize_slice`] — on a `Q32` backend the
+    /// quantizer's mask and clamp on raw words). Called by every network
+    /// forward pass.
     pub fn process<S: Scalar>(&mut self, point: usize, xs: &mut [S]) {
         match self.mode {
             QatMode::Off => {}
             QatMode::Calibrate => self.monitors[point].observe_slice(xs),
             QatMode::Quantize => {
                 if let Some(q) = &self.quantizers[point] {
-                    q.fake_quantize_slice(xs);
+                    S::fake_quantize_slice(q, xs);
                 }
             }
-        }
-    }
-}
-
-/// The QAT phase of one batched forward pass, passed as a **value** to
-/// [`Mlp::forward_batch`](crate::Mlp::forward_batch) — the explicit
-/// calibrate → quantize state of the pass, instead of a method-name
-/// suffix.
-#[derive(Debug)]
-pub enum QatPhase<'a> {
-    /// No runtime: activations pass through untouched (plain inference
-    /// and the float / pure-fixed baselines).
-    Off,
-    /// The runtime's own [`QatMode`] decides, with write access:
-    /// `Calibrate` feeds every activation point's range monitor,
-    /// `Quantize` projects activations onto the frozen grids — the
-    /// training phase ([`QatRuntime::process`]).
-    Observing(&'a mut QatRuntime),
-}
-
-impl QatPhase<'_> {
-    /// Point count of the carried runtime, if any.
-    pub(crate) fn num_points(&self) -> Option<usize> {
-        match self {
-            Self::Off => None,
-            Self::Observing(qat) => Some(qat.num_points()),
-        }
-    }
-
-    /// Processes one activation point in place according to the phase.
-    pub(crate) fn process<S: Scalar>(&mut self, point: usize, xs: &mut [S]) {
-        match self {
-            Self::Off => {}
-            Self::Observing(qat) => qat.process(point, xs),
         }
     }
 }
@@ -614,15 +558,24 @@ impl QatRuntimeBuilder {
         self
     }
 
-    /// Calibration headroom, as [`QatRuntime::with_headroom`] (but
-    /// validated at build time instead of panicking).
+    /// Sets the calibration headroom: frozen ranges are widened by this
+    /// factor (about zero), so activations that drift moderately beyond
+    /// their calibration-window extremes still quantize instead of
+    /// clamping. A fixed-range hardware design always budgets headroom;
+    /// `1.0` (the default) freezes the observed range exactly, and
+    /// [`QatRuntimeBuilder::build`] rejects less.
     pub fn headroom(mut self, headroom: f64) -> Self {
         self.headroom = headroom;
         self
     }
 
-    /// Excludes a point from quantization, as
-    /// [`QatRuntime::exclude_point`].
+    /// Excludes a point from quantization (it stays full-precision after
+    /// the freeze). The DDPG agent excludes each network's *final output*
+    /// point: the critic's Q-value is a regression output, not a hidden
+    /// activation — its range keeps drifting as the policy improves, and
+    /// clamping it to a frozen range strangles TD learning. (The actor's
+    /// tanh output re-enters the critic through its quantized input point
+    /// anyway.) [`QatRuntimeBuilder::build`] rejects a point out of range.
     pub fn exclude_point(mut self, point: usize) -> Self {
         self.excluded.push(point);
         self
@@ -737,8 +690,11 @@ mod tests {
 
     #[test]
     fn excluded_points_stay_full_precision() {
-        let mut qat = QatRuntime::builder(2).uniform_bits(8).build().unwrap();
-        qat.exclude_point(1);
+        let mut qat = QatRuntime::builder(2)
+            .uniform_bits(8)
+            .exclude_point(1)
+            .build()
+            .unwrap();
         let mut xs = [1.0f64, -2.0];
         qat.process(0, &mut xs);
         qat.process(1, &mut xs);
@@ -758,9 +714,9 @@ mod tests {
         let mut base = QatRuntime::builder(1).uniform_bits(8).build().unwrap();
         let mut wide = QatRuntime::builder(1)
             .uniform_bits(8)
+            .headroom(2.0)
             .build()
-            .unwrap()
-            .with_headroom(2.0);
+            .unwrap();
         let mut xs = [-1.0f64, 3.0];
         base.process(0, &mut xs);
         wide.process(0, &mut xs);
@@ -782,44 +738,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "headroom")]
-    fn headroom_below_one_rejected() {
-        let _ = QatRuntime::builder(1)
-            .uniform_bits(8)
-            .build()
-            .unwrap()
-            .with_headroom(0.5);
-    }
-
-    #[test]
-    fn builder_headroom_and_freeze_step_match_the_runtime_methods_bit_for_bit() {
-        // `headroom` at build time is `with_headroom` afterwards, and a
-        // uniform policy ignores the step it freezes at.
-        let mut after = QatRuntime::builder(3)
-            .uniform_bits(8)
-            .build()
-            .unwrap()
-            .with_headroom(1.5);
-        let mut built = QatRuntime::builder(3)
-            .uniform_bits(8)
-            .headroom(1.5)
-            .build()
-            .unwrap();
+    fn a_uniform_policy_ignores_the_step_it_freezes_at() {
+        let build = || {
+            QatRuntime::builder(3)
+                .uniform_bits(8)
+                .headroom(1.5)
+                .build()
+                .unwrap()
+        };
+        let (mut whole, mut at_step) = (build(), build());
         let data = [0.37f64, -2.11, 5.9, 0.003];
         for p in 0..3 {
             let mut xs = data;
-            after.process(p, &mut xs);
+            whole.process(p, &mut xs);
             let mut ys = data;
-            built.process(p, &mut ys);
+            at_step.process(p, &mut ys);
         }
-        after.freeze().unwrap();
-        built.freeze_at_step(1234).unwrap();
+        whole.freeze().unwrap();
+        at_step.freeze_at_step(1234).unwrap();
         for p in 0..3 {
-            assert_eq!(after.quantizer(p), built.quantizer(p), "point {p}");
+            assert_eq!(whole.quantizer(p), at_step.quantizer(p), "point {p}");
             let mut xs = data;
-            after.process(p, &mut xs);
+            whole.process(p, &mut xs);
             let mut ys = data;
-            built.process(p, &mut ys);
+            at_step.process(p, &mut ys);
             assert_eq!(xs, ys, "point {p}");
         }
     }

@@ -22,7 +22,7 @@
 use fixar_fixed::Scalar;
 use fixar_nn::{
     Activation, Adam, AdamConfig, Mlp, MlpConfig, MlpGrads, PackedMlp, PrecisionPolicy, QatMode,
-    QatPhase, QatRuntime,
+    QatRuntime,
 };
 use fixar_pool::{Parallelism, MAX_WORKERS};
 use fixar_tensor::Matrix;
@@ -51,7 +51,7 @@ pub struct QatSchedule {
     pub bits: u32,
     /// Calibration headroom: frozen ranges widen by this factor away
     /// from zero so moderate post-delay activation drift quantizes
-    /// instead of clamping (see `QatRuntime::with_headroom`). Default 1.5.
+    /// instead of clamping (see `QatRuntimeBuilder::headroom`). Default 1.5.
     pub headroom: f64,
     /// Precision policy for the actor and actor-target runtimes
     /// (`None` = uniform at `bits`).
@@ -659,8 +659,10 @@ impl<S: Scalar> Ddpg<S> {
     /// observation dimension.
     pub fn select_actions_batch(&mut self, states: &Matrix<f64>) -> Result<Matrix<f64>, RlError> {
         let s: Matrix<S> = states.cast();
-        let qat = QatPhase::Observing(&mut self.actor_qat);
-        let out = self.actor.packed().forward_batch(&s, qat, &self.par)?;
+        let out = self
+            .actor
+            .packed()
+            .forward_batch(&s, &mut self.actor_qat, &self.par)?;
         Ok(out.cast())
     }
 
@@ -736,18 +738,13 @@ impl<S: Scalar> Ddpg<S> {
         let states: Matrix<S> = batch.states().cast();
         let actions: Matrix<S> = batch.actions().cast();
         let critic_in = states.hcat(&actions).map_err(fixar_nn::NnError::Shape)?;
-        let mut a_next = self.actor_target.forward_batch(
-            &s_next,
-            QatPhase::Observing(&mut self.actor_target_qat),
-            &self.par,
-        )?;
+        let mut a_next =
+            self.actor_target
+                .forward_batch(&s_next, &mut self.actor_target_qat, &self.par)?;
         let traces = self
             .critics
             .iter_mut()
-            .map(|c| {
-                c.net
-                    .forward_batch(&critic_in, QatPhase::Observing(&mut c.qat), &self.par)
-            })
+            .map(|c| c.net.forward_batch(&critic_in, &mut c.qat, &self.par))
             .collect::<Result<Vec<_>, _>>()?;
 
         // Target policy smoothing (TD3): clipped Gaussian noise, then
@@ -773,8 +770,8 @@ impl<S: Scalar> Ddpg<S> {
                 .critics
                 .iter_mut()
                 .map(|c| {
-                    let qat = QatPhase::Observing(&mut c.target_qat);
-                    c.target.forward_batch(&target_in, qat, &self.par)
+                    c.target
+                        .forward_batch(&target_in, &mut c.target_qat, &self.par)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             (0..b)
@@ -844,20 +841,16 @@ impl<S: Scalar> Ddpg<S> {
         // actor's packs, which the next `act` reads too.
         if due {
             self.actor_grads.reset();
-            let atrace = self.actor.forward_batch(
-                &states,
-                QatPhase::Observing(&mut self.actor_qat),
-                &self.par,
-            )?;
+            let atrace = self
+                .actor
+                .forward_batch(&states, &mut self.actor_qat, &self.par)?;
             let policy_in = states
                 .hcat(&atrace.output)
                 .map_err(fixar_nn::NnError::Shape)?;
             let lead = &mut self.critics[0];
-            let ctrace = lead.net.forward_batch(
-                &policy_in,
-                QatPhase::Observing(&mut lead.qat),
-                &self.par,
-            )?;
+            let ctrace = lead
+                .net
+                .forward_batch(&policy_in, &mut lead.qat, &self.par)?;
             let minus_scale = Matrix::from_fn(b, 1, |_, _| S::from_f64(-scale));
             // Only ∂Q/∂a is needed: no weight update rides on this pass —
             // and nothing reads the actor's own input gradient.
@@ -905,8 +898,9 @@ impl<S: Scalar> Ddpg<S> {
         let s_next = Matrix::from_vec(1, t.next_state.len(), t.next_state.clone())
             .expect("one row of next_state.len() elements")
             .cast::<S>();
-        let qat = QatPhase::Observing(&mut self.actor_target_qat);
-        let mut a_next = self.actor_target.forward_batch(&s_next, qat, &seq)?;
+        let mut a_next =
+            self.actor_target
+                .forward_batch(&s_next, &mut self.actor_target_qat, &seq)?;
         if let Some(td3) = self.cfg.td3 {
             for a in a_next.as_mut_slice() {
                 let noise = td3.smoothing_noise(&mut self.rng);
@@ -916,8 +910,9 @@ impl<S: Scalar> Ddpg<S> {
         let critic_in = s_next.hcat(&a_next).map_err(fixar_nn::NnError::Shape)?;
         let mut q_min: Option<S> = None;
         for c in &mut self.critics {
-            let qat = QatPhase::Observing(&mut c.target_qat);
-            let q = c.target.forward_batch(&critic_in, qat, &seq)?[(0, 0)];
+            let q = c
+                .target
+                .forward_batch(&critic_in, &mut c.target_qat, &seq)?[(0, 0)];
             q_min = Some(q_min.map_or(q, |m| m.min(q)));
         }
         let bootstrap = if t.terminal {
@@ -1243,8 +1238,9 @@ mod tests {
             let ci = Matrix::from_vec(1, ci.len(), ci).unwrap();
             let q = |k: usize| {
                 let target = &agent.critics[k].target;
+                let mut off = QatRuntime::disabled(agent.critics[k].target_qat.num_points());
                 target
-                    .forward_batch(&ci, QatPhase::Off, &Parallelism::sequential())
+                    .forward_batch(&ci, &mut off, &Parallelism::sequential())
                     .unwrap()[(0, 0)]
             };
             let (q1, q2) = (q(0), q(1));

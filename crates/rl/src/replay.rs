@@ -556,9 +556,6 @@ pub struct PrioritizedReplay {
     cfg: PrioritizedConfig,
     max_priority: f64,
     capacity: usize,
-    /// Cached importance-weight buffer, refilled per draw instead of
-    /// reallocated (see [`PrioritizedReplay::weights_cached`]).
-    weight_buf: Vec<f64>,
 }
 
 impl PrioritizedReplay {
@@ -577,7 +574,6 @@ impl PrioritizedReplay {
             cfg,
             max_priority: 1.0,
             capacity,
-            weight_buf: Vec::new(),
         }
     }
 
@@ -637,16 +633,14 @@ impl PrioritizedReplay {
 
     /// Importance weights `w_i = (len · P(i))^-beta`, normalized by the
     /// batch maximum so weights only scale updates **down**, computed
-    /// into the structure's **cached** weight buffer — after the first
-    /// draw at a given batch size, no allocation happens. The returned
-    /// slice is valid until the next call.
-    pub fn weights_cached(&mut self, len: usize, indices: &[usize]) -> &[f64] {
-        let (tree, beta, out) = (&self.tree, self.cfg.beta, &mut self.weight_buf);
-        let total = tree.total();
+    /// into a caller-owned vector (cleared first, capacity reused) —
+    /// after the first draw at a given batch size, no allocation happens.
+    pub fn weights_into(&self, len: usize, indices: &[usize], out: &mut Vec<f64>) {
+        let total = self.tree.total();
         out.clear();
         out.extend(indices.iter().map(|&i| {
-            let p = tree.get(i) / total;
-            (len as f64 * p).powf(-beta)
+            let p = self.tree.get(i) / total;
+            (len as f64 * p).powf(-self.cfg.beta)
         }));
         let max = out.iter().copied().fold(0.0_f64, f64::max);
         if max > 0.0 {
@@ -654,7 +648,6 @@ impl PrioritizedReplay {
                 *v /= max;
             }
         }
-        &self.weight_buf
     }
 
     /// Re-prioritizes `indices` from their fresh TD errors:
@@ -766,9 +759,8 @@ impl ReplaySampler {
 
     /// Samples a minibatch from `buf` into a caller-owned scratch:
     /// indices, batch lanes, and (on the prioritized arm) the weight
-    /// vector are all refilled in place — together with the
-    /// importance-weight buffer cached inside [`PrioritizedReplay`], no
-    /// allocation happens after the first draw. Uniform consumes
+    /// vector are all refilled in place, so no allocation happens after
+    /// the first draw. Uniform consumes
     /// exactly the legacy draw sequence and carries no weights;
     /// prioritized draws through the sum-tree and attaches importance
     /// weights. Both arms gather with [`ReplayBuffer::gather_into`].
@@ -798,11 +790,8 @@ impl ReplaySampler {
             }
             Self::Prioritized(p) => {
                 p.sample_indices_into(buf.len(), batch, rng, &mut out.indices);
-                let w = p.weights_cached(buf.len(), &out.indices);
-                let mut wv = out.weights.take().unwrap_or_default();
-                wv.clear();
-                wv.extend_from_slice(w);
-                out.weights = Some(wv);
+                let weights = out.weights.get_or_insert_with(Vec::new);
+                p.weights_into(buf.len(), &out.indices, weights);
                 buf.gather_into(&out.indices, &mut out.batch);
                 true
             }
@@ -1076,8 +1065,7 @@ mod tests {
     fn sampler_sample_into_is_allocation_free_and_gathers_its_indices() {
         // Both strategy arms: sample_into refills one scratch whose rows
         // are the drawn slots, and the prioritized arm's importance
-        // weights come from the cached buffer without per-draw
-        // allocation.
+        // weights are computed into it without per-draw allocation.
         let cap = 32;
         let mut buf = ReplayBuffer::new(cap);
         let par = Parallelism::sequential();
@@ -1124,20 +1112,38 @@ mod tests {
     }
 
     #[test]
-    fn cached_priority_weights_are_refilled_in_place() {
+    fn priority_weights_are_refilled_in_the_scratch() {
         let cap = 16;
-        let mut pr = PrioritizedReplay::new(cap, PrioritizedConfig::default());
-        for slot in 0..cap {
-            pr.on_insert(slot);
+        let mut buf = ReplayBuffer::new(cap);
+        let strategy = ReplayStrategy::Prioritized(PrioritizedConfig::default());
+        let mut sampler = ReplaySampler::new(strategy, cap);
+        for i in 0..cap {
+            let slot = buf.push(t(i as f64));
+            sampler.on_insert(slot);
         }
         let indices: Vec<usize> = (0..cap).collect();
         let tds: Vec<f64> = (0..cap).map(|i| 0.2 + i as f64 * 0.5).collect();
-        pr.update_priorities(&indices, &tds);
-        // The cache is refilled, not appended, and reuses its storage.
-        let ptr = pr.weights_cached(cap, &indices).as_ptr();
-        let again = pr.weights_cached(cap, &indices[..8]);
-        assert_eq!(again.len(), 8);
-        assert_eq!(again.as_ptr(), ptr);
+        sampler.update_priorities(&indices, &tds);
+        let (seq, mut rng) = (Parallelism::sequential(), StdRng::seed_from_u64(3));
+        let mut scratch = SampledBatch::scratch();
+        assert!(sampler.sample_into(&buf, cap, &mut rng, &seq, &mut scratch));
+        let ptr = scratch
+            .weights
+            .as_ref()
+            .expect("prioritized weights")
+            .as_ptr();
+        // A smaller draw refills the scratch's own storage, not appended
+        // and not copied in from elsewhere.
+        assert!(sampler.sample_into(&buf, 8, &mut rng, &seq, &mut scratch));
+        let w = scratch.weights.as_ref().expect("prioritized weights");
+        assert_eq!(w.len(), 8);
+        assert_eq!(w.as_ptr(), ptr);
+        let ReplaySampler::Prioritized(pr) = &sampler else {
+            unreachable!("built prioritized")
+        };
+        let mut want = Vec::new();
+        pr.weights_into(cap, &scratch.indices, &mut want);
+        assert_eq!(w, &want);
     }
 
     #[test]
@@ -1276,7 +1282,8 @@ mod tests {
         let indices: Vec<usize> = (0..cap).collect();
         let tds: Vec<f64> = (0..cap).map(|i| 0.1 + i as f64).collect();
         pr.update_priorities(&indices, &tds);
-        let w = pr.weights_cached(cap, &indices);
+        let mut w = Vec::new();
+        pr.weights_into(cap, &indices, &mut w);
         // Normalized by the max: everything in (0, 1], rarest pick = 1.
         assert!(w.iter().all(|&v| v > 0.0 && v <= 1.0));
         assert_eq!(w[0], 1.0, "lowest-priority slot carries the max weight");

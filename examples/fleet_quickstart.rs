@@ -43,10 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     accel.load_ddpg(trainer.agent().actor(), trainer.agent().critic())?;
     let states = trainer.pool().observations().cast::<Fx32>();
     let (hw_actions, cycles) = accel.actor_inference_batch(&states, Precision::Full32)?;
-    let sw_actions = trainer
-        .agent()
-        .actor()
-        .forward_batch(&states, QatPhase::Off, &Parallelism::sequential())?
+    let actor = trainer.agent().actor();
+    let mut off = QatRuntime::disabled(actor.num_layers() + 1);
+    let sw_actions = actor
+        .forward_batch(&states, &mut off, &Parallelism::sequential())?
         .output;
     assert_eq!(hw_actions, sw_actions, "structural twin must be bit-exact");
     println!(

@@ -991,6 +991,134 @@ fn emitted_no_std_source_compiles_and_is_bit_equal_across_arms() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ---------------------------------------------------------------------
+// Pillar 6: a 64×48 16-bit QAT-frozen actor over a 256-observation pool
+// — the gates the deploy inference bench ran before timing.
+// ---------------------------------------------------------------------
+
+/// Rows per `infer_batch` call in these gates: the `serve_sat_model`
+/// micro-batch.
+const SERVED_BATCH: usize = 32;
+
+/// A Pendulum-shaped 64×48 actor trained through its 16-bit QAT freeze
+/// (the legacy `with_qat` schedule, 1.5× headroom), the artifact
+/// exported from it, and a 256-row observation pool, built once.
+fn frozen_64x48() -> &'static (PolicySnapshot<Fx32>, PolicyArtifact, Vec<Vec<f64>>) {
+    static FIXTURE: OnceLock<(PolicySnapshot<Fx32>, PolicyArtifact, Vec<Vec<f64>>)> =
+        OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let mut cfg = DdpgConfig::small_test().with_qat(4, 16);
+        cfg.hidden = (64, 48);
+        let mut agent = Ddpg::<Fx32>::new(STATE_DIM, ACTION_DIM, cfg).unwrap();
+        let batch = synthetic_batch(agent.config().batch_size);
+        for t in 0..8u64 {
+            let s: Vec<f64> = (0..STATE_DIM)
+                .map(|c| ((t as usize * STATE_DIM + c) as f64).sin())
+                .collect();
+            agent.act(&s).unwrap();
+            agent.train_minibatch_weighted(&batch, None).unwrap();
+            agent.on_timestep(t).unwrap();
+        }
+        assert!(agent.qat_frozen(), "QAT schedule must have fired");
+        let snap = agent.policy_snapshot(0);
+        let art = snap.export_artifact().unwrap();
+        let pool = (0..256)
+            .map(|r| {
+                (0..STATE_DIM)
+                    .map(|c| ((r * STATE_DIM + c) as f64 * 0.37).sin() * 0.9)
+                    .collect()
+            })
+            .collect();
+        (snap, art, pool)
+    })
+}
+
+/// The blob is lossless and canonical: decode ∘ encode is the identity,
+/// re-encoding is byte-identical, the hash survives, and each layer
+/// travels as the actor's `W` row-major, then its biases. The mutant
+/// this must catch: `encode` writing each layer's `weights_t` in its
+/// storage (column-major) order.
+#[test]
+fn blob_round_trip_keeps_the_row_major_weights_and_the_hash() {
+    let (snap, art, _) = frozen_64x48();
+    let blob = art.encode();
+    let decoded = PolicyArtifact::decode(&blob).unwrap();
+    assert_eq!(&decoded, art);
+    assert_eq!(decoded.encode(), blob);
+    assert_eq!(decoded.content_hash(), art.content_hash());
+    let actor = snap.actor();
+    let n = actor.num_layers();
+    // Magic, version, grid, layer count, the n + 1 sizes, two tags.
+    let mut pos = 4 * 4 + 4 * (n + 1) + 2;
+    for l in 0..n {
+        let w = Fx32::raw_words(actor.weight(l).as_slice());
+        for word in w.into_iter().chain(Fx32::raw_words(actor.bias(l))) {
+            assert_eq!(
+                blob[pos..pos + 4],
+                word.to_le_bytes(),
+                "layer {l}, byte {pos}"
+            );
+            pos += 4;
+        }
+    }
+}
+
+/// Every row of the pool: snapshot ≡ `infer` ≡ `infer` after a round
+/// trip ≡ `infer_raw` ≡ its row of an `infer_batch` call on 32 rows. The
+/// mutant this must catch: `interp::run` skipping the input point's
+/// quantizer, so observations reach layer 0 unquantized.
+#[test]
+fn snapshot_infer_infer_raw_and_infer_batch_agree_on_every_pool_row() {
+    let (snap, art, pool) = frozen_64x48();
+    let decoded = PolicyArtifact::decode(&art.encode()).unwrap();
+    let want: Vec<Vec<f64>> = pool
+        .iter()
+        .map(|o| snap.select_action(o).unwrap())
+        .collect();
+    for (r, (o, want)) in pool.iter().zip(&want).enumerate() {
+        assert_eq!(&art.infer(o).unwrap(), want, "infer, row {r}");
+        assert_eq!(&decoded.infer(o).unwrap(), want, "decoded infer, row {r}");
+        let raw = Fx32::from_raw_words(&art.infer_raw(&raw_obs(o)).unwrap());
+        let raw: Vec<f64> = raw.iter().map(|x| x.to_f64()).collect();
+        assert_eq!(&raw, want, "infer_raw, row {r}");
+    }
+    for (b, rows) in pool.chunks(SERVED_BATCH).enumerate() {
+        let actions = art.infer_batch(&rows.concat()).unwrap();
+        for (k, action) in actions.chunks(ACTION_DIM).enumerate() {
+            let r = b * SERVED_BATCH + k;
+            assert_eq!(action, want[r], "infer_batch, row {r}");
+        }
+    }
+}
+
+/// Served through the front door in 32-row micro-batches, every
+/// response carries the blob's content hash and the snapshot's action.
+/// The mutant this must catch: `ArtifactReplica::content_hash`
+/// answering the publication id.
+#[test]
+fn served_responses_carry_the_blob_hash_and_the_snapshot_action() {
+    let (snap, art, pool) = frozen_64x48();
+    let decoded = PolicyArtifact::decode(&art.encode()).unwrap();
+    let config = ServeConfig {
+        max_batch: SERVED_BATCH,
+        max_delay: Duration::from_micros(200),
+        shards: 1,
+        workers: 1,
+    };
+    let server = ArtifactServer::start(ArtifactReplica::new(decoded, 5), config).unwrap();
+    let client = server.client();
+    for rows in pool[..128].chunks(SERVED_BATCH) {
+        let pending: Vec<_> = rows.iter().map(|o| client.submit(o).unwrap()).collect();
+        for (o, p) in rows.iter().zip(pending) {
+            let resp = p.wait().unwrap();
+            assert_eq!(resp.artifact_id, 5);
+            assert_eq!(resp.content_hash, art.content_hash(), "hash stamp");
+            assert_eq!(resp.action, snap.select_action(o).unwrap());
+        }
+    }
+    assert_eq!(server.shutdown().requests(), 128);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -404,9 +404,10 @@ fn accelerator_serves_fleet_observations_bit_exactly() {
         let (hw, cycles) = accel
             .actor_inference_batch(&states, Precision::Full32)
             .unwrap();
-        let sw = agent
-            .actor()
-            .forward_batch(&states, QatPhase::Off, &Parallelism::sequential())
+        let actor = agent.actor();
+        let mut off = QatRuntime::disabled(actor.num_layers() + 1);
+        let sw = actor
+            .forward_batch(&states, &mut off, &Parallelism::sequential())
             .unwrap()
             .output;
         assert_eq!(hw, sw, "fleet {fleet_size}: structural twin diverged");

@@ -116,10 +116,8 @@ fn batched_structural_inference_bit_exact_vs_forward_batch() {
             .actor_inference_batch(&states, Precision::Full32)
             .unwrap();
         let seq = Parallelism::sequential();
-        let sw = actor
-            .forward_batch(&states, QatPhase::Off, &seq)
-            .unwrap()
-            .output;
+        let mut off = QatRuntime::disabled(actor.num_layers() + 1);
+        let sw = actor.forward_batch(&states, &mut off, &seq).unwrap().output;
         assert_eq!(hw, sw, "seed {seed}: batched actor mismatch");
         assert!(cycles > 0);
 
@@ -130,10 +128,8 @@ fn batched_structural_inference_bit_exact_vs_forward_batch() {
         let (hw_q, _) = accel
             .critic_inference_batch(&sa, Precision::Full32)
             .unwrap();
-        let sw_q = critic
-            .forward_batch(&sa, QatPhase::Off, &seq)
-            .unwrap()
-            .output;
+        let mut off = QatRuntime::disabled(critic.num_layers() + 1);
+        let sw_q = critic.forward_batch(&sa, &mut off, &seq).unwrap().output;
         assert_eq!(hw_q, sw_q, "seed {seed}: batched critic mismatch");
 
         // And each row equals the single-vector structural path.

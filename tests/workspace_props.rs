@@ -64,8 +64,9 @@ proptest! {
             ((b * 17 + i * 3) as f64 * 0.19 + seed as f64 * 0.01).sin()
         }).cast::<Fx32>();
         let (hw, cycles) = accel.actor_inference_batch(&states, Precision::Full32).unwrap();
+        let mut off = QatRuntime::disabled(actor.num_layers() + 1);
         let sw = actor
-            .forward_batch(&states, QatPhase::Off, &Parallelism::sequential())
+            .forward_batch(&states, &mut off, &Parallelism::sequential())
             .unwrap()
             .output;
         prop_assert_eq!(hw, sw);
@@ -222,8 +223,9 @@ fn backward_rejects_grads_of_another_network_without_writing() {
     let dl = Matrix::<f64>::from_fn(6, 2, |b, i| (b + i) as f64 * 0.1 - 0.3).cast::<Fx32>();
     // A non-zero buffer, so a partial write could not go unnoticed.
     let mut foreign = MlpGrads::zeros_like(&other);
+    let mut off = QatRuntime::disabled(other.num_layers() + 1);
     let t = other
-        .forward_batch(&x, QatPhase::Off, &Parallelism::sequential())
+        .forward_batch(&x, &mut off, &Parallelism::sequential())
         .unwrap();
     other
         .backward_batch(
@@ -237,7 +239,7 @@ fn backward_rejects_grads_of_another_network_without_writing() {
     let before = foreign.clone();
     for workers in [1, 2] {
         let par = Parallelism::with_workers(workers);
-        let trace = mlp.forward_batch(&x, QatPhase::Off, &par).unwrap();
+        let trace = mlp.forward_batch(&x, &mut off, &par).unwrap();
         for input_grad in [false, true] {
             let batched = mlp.backward_batch(&trace, &dl, Some(&mut foreign), input_grad, &par);
             assert!(
