@@ -6,7 +6,7 @@ use fixar_nn::Mlp;
 use fixar_tensor::Matrix;
 
 use crate::core_array::AapCore;
-use crate::dataflow::{BatchedInferenceSchedule, InferenceSchedule, Precision, TrainingSchedule};
+use crate::dataflow::{InferenceSchedule, Precision, TrainingSchedule};
 use crate::error::AccelError;
 use crate::memory::{ActivationMemory, GradientMemory, NetworkImage, WeightMemory};
 use crate::pe::HalfAct;
@@ -120,6 +120,7 @@ pub struct TimestepCycles {
 /// use fixar_accel::{AccelConfig, FixarAccelerator, Precision};
 /// use fixar_fixed::Fx32;
 /// use fixar_nn::{Activation, Mlp, MlpConfig};
+/// use fixar_tensor::Matrix;
 ///
 /// let actor_cfg = MlpConfig::new(vec![4, 32, 2])
 ///     .with_output_activation(Activation::Tanh);
@@ -128,9 +129,9 @@ pub struct TimestepCycles {
 ///
 /// let mut accel = FixarAccelerator::new(AccelConfig::default())?;
 /// accel.load_ddpg(&actor, &critic)?;
-/// let state = vec![Fx32::from_f64(0.1); 4];
-/// let (action, cycles) = accel.actor_inference(&state, Precision::Full32)?;
-/// assert_eq!(action.len(), 2);
+/// let states = Matrix::from_vec(1, 4, vec![Fx32::from_f64(0.1); 4])?;
+/// let (actions, cycles) = accel.actor_inference(&states, Precision::Full32)?;
+/// assert_eq!((actions.rows(), actions.cols()), (1, 2));
 /// assert!(cycles > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -202,9 +203,12 @@ impl FixarAccelerator {
         Ok(())
     }
 
-    /// Structural actor inference through the AAP cores: column-wise
-    /// dataflow with intra-layer parallelism, bias add, activation unit.
-    /// Returns the action and the cycle count of the schedule.
+    /// Structural actor inference through the AAP cores, one state per
+    /// row of `states`: column-wise dataflow, bias add, activation unit,
+    /// bit-exact vs `Mlp::forward_batch` in full precision. Returns the
+    /// actions and the cycle count of [`InferenceSchedule::for_mlp`] at
+    /// `states.rows()` (intra-layer parallelism for one row,
+    /// intra-batch parallelism for more).
     ///
     /// In `Half16` mode activations are squeezed through 16-bit lanes
     /// between layers, doubling MAC throughput — the configurable
@@ -212,53 +216,60 @@ impl FixarAccelerator {
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::Shape`] if no network is loaded or the state
-    /// length differs from the actor's input width.
+    /// Returns [`AccelError::Shape`] if no network is loaded or
+    /// `states.cols()` differs from the actor's input width.
     pub fn actor_inference(
-        &mut self,
-        state: &[Fx32],
+        &self,
+        states: &Matrix<Fx32>,
         precision: Precision,
-    ) -> Result<(Vec<Fx32>, u64), AccelError> {
+    ) -> Result<(Matrix<Fx32>, u64), AccelError> {
         let image = self
             .actor_image
-            .clone()
+            .as_ref()
             .ok_or_else(|| AccelError::Shape("no actor loaded".into()))?;
-        if state.len() != image.sizes[0] {
-            return Err(AccelError::Shape(format!(
-                "state has {} elements, actor expects {}",
-                state.len(),
-                image.sizes[0]
-            )));
-        }
-        let out = self.forward_image(&image, state, precision);
-        let cycles = InferenceSchedule::for_mlp(&self.cfg, &image.sizes, precision).cycles;
-        Ok((out, cycles))
+        self.inference(image, states, precision)
     }
 
-    /// Structural critic inference (Q-value of a state/action pair).
+    /// Structural critic inference (Q-values of state/action rows). See
+    /// [`FixarAccelerator::actor_inference`].
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::Shape`] if no network is loaded or the input
-    /// length differs from the critic's input width.
+    /// Returns [`AccelError::Shape`] if no network is loaded or
+    /// `inputs.cols()` differs from the critic's input width.
     pub fn critic_inference(
-        &mut self,
-        state_action: &[Fx32],
+        &self,
+        inputs: &Matrix<Fx32>,
         precision: Precision,
-    ) -> Result<(Vec<Fx32>, u64), AccelError> {
+    ) -> Result<(Matrix<Fx32>, u64), AccelError> {
         let image = self
             .critic_image
-            .clone()
+            .as_ref()
             .ok_or_else(|| AccelError::Shape("no critic loaded".into()))?;
-        if state_action.len() != image.sizes[0] {
+        self.inference(image, inputs, precision)
+    }
+
+    fn inference(
+        &self,
+        image: &NetworkImage,
+        inputs: &Matrix<Fx32>,
+        precision: Precision,
+    ) -> Result<(Matrix<Fx32>, u64), AccelError> {
+        if inputs.cols() != image.sizes[0] {
             return Err(AccelError::Shape(format!(
-                "input has {} elements, critic expects {}",
-                state_action.len(),
+                "rows have {} elements, network expects {}",
+                inputs.cols(),
                 image.sizes[0]
             )));
         }
-        let out = self.forward_image(&image, state_action, precision);
-        let cycles = InferenceSchedule::for_mlp(&self.cfg, &image.sizes, precision).cycles;
+        let out_dim = *image.sizes.last().expect("loaded image has layers");
+        let mut out = Matrix::zeros(inputs.rows(), out_dim);
+        for b in 0..inputs.rows() {
+            let y = self.forward_image(image, inputs.row(b), precision);
+            out.row_mut(b).copy_from_slice(&y);
+        }
+        let cycles =
+            InferenceSchedule::for_mlp(&self.cfg, &image.sizes, inputs.rows(), precision).cycles;
         Ok((out, cycles))
     }
 
@@ -313,75 +324,6 @@ impl FixarAccelerator {
         act
     }
 
-    /// Batched structural actor inference: one minibatch sample per row
-    /// of `states`, every row executed through the same AAP-core
-    /// column-wise dataflow as [`FixarAccelerator::actor_inference`]
-    /// (bit-exact vs `Mlp::forward_batch` in full precision), with the
-    /// cycle count from the **batched** schedule — samples sharded
-    /// across cores, one pipeline fill per layer per batch. Takes
-    /// `&self`: any number of serving threads can run batched inference
-    /// over one loaded accelerator concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::Shape`] if no network is loaded or
-    /// `states.cols()` differs from the actor's input width.
-    pub fn actor_inference_batch(
-        &self,
-        states: &Matrix<Fx32>,
-        precision: Precision,
-    ) -> Result<(Matrix<Fx32>, u64), AccelError> {
-        let image = self
-            .actor_image
-            .as_ref()
-            .ok_or_else(|| AccelError::Shape("no actor loaded".into()))?;
-        self.batch_inference(image, states, precision)
-    }
-
-    /// Batched structural critic inference (Q-values of a batch of
-    /// state/action rows). See [`FixarAccelerator::actor_inference_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::Shape`] if no network is loaded or
-    /// `inputs.cols()` differs from the critic's input width.
-    pub fn critic_inference_batch(
-        &self,
-        inputs: &Matrix<Fx32>,
-        precision: Precision,
-    ) -> Result<(Matrix<Fx32>, u64), AccelError> {
-        let image = self
-            .critic_image
-            .as_ref()
-            .ok_or_else(|| AccelError::Shape("no critic loaded".into()))?;
-        self.batch_inference(image, inputs, precision)
-    }
-
-    fn batch_inference(
-        &self,
-        image: &NetworkImage,
-        inputs: &Matrix<Fx32>,
-        precision: Precision,
-    ) -> Result<(Matrix<Fx32>, u64), AccelError> {
-        if inputs.cols() != image.sizes[0] {
-            return Err(AccelError::Shape(format!(
-                "batch rows have {} elements, network expects {}",
-                inputs.cols(),
-                image.sizes[0]
-            )));
-        }
-        let out_dim = *image.sizes.last().expect("loaded image has layers");
-        let mut out = Matrix::zeros(inputs.rows(), out_dim);
-        for b in 0..inputs.rows() {
-            let y = self.forward_image(image, inputs.row(b), precision);
-            out.row_mut(b).copy_from_slice(&y);
-        }
-        let cycles =
-            BatchedInferenceSchedule::for_mlp(&self.cfg, &image.sizes, inputs.rows(), precision)
-                .cycles;
-        Ok((out, cycles))
-    }
-
     /// Cycle breakdown for one training timestep of the loaded DDPG pair
     /// (the functional training math runs in `fixar-rl`, bit-equivalent
     /// by the kernel-equality contract; this model provides the timing).
@@ -420,50 +362,6 @@ impl FixarAccelerator {
         })
     }
 
-    /// Cycle breakdown for one training timestep driven by the batched
-    /// matrix-matrix kernels (see
-    /// [`TrainingSchedule::for_ddpg_batched`]) — the timing twin of
-    /// `Ddpg::train_minibatch_weighted`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::Shape`] if no networks are loaded, or
-    /// [`AccelError::InvalidConfig`] for a zero batch.
-    pub fn train_timestep_cycles_batched(
-        &self,
-        batch: usize,
-        precision: Precision,
-    ) -> Result<TimestepCycles, AccelError> {
-        if batch == 0 {
-            return Err(AccelError::InvalidConfig("batch must be positive".into()));
-        }
-        let actor = self
-            .actor_image
-            .as_ref()
-            .ok_or_else(|| AccelError::Shape("no actor loaded".into()))?;
-        let critic = self
-            .critic_image
-            .as_ref()
-            .ok_or_else(|| AccelError::Shape("no critic loaded".into()))?;
-        let sched = TrainingSchedule::for_ddpg_batched(
-            &self.cfg,
-            &actor.sizes,
-            &critic.sizes,
-            batch,
-            precision,
-        );
-        Ok(TimestepCycles {
-            forward: sched.forward_cycles,
-            backward: sched.backward_cycles,
-            weight_update: sched.weight_update_cycles,
-            inference: sched.inference_cycles,
-            total: sched.total_cycles(),
-            utilization: sched.utilization(),
-            seconds: sched.latency_s(&self.cfg),
-            ips: sched.ips(&self.cfg),
-        })
-    }
-
     /// Exploration noise from the hardware PRNG (Irwin–Hall over the
     /// xorshift LFSR), injected after the actor's output layer.
     pub fn exploration_noise(&mut self, dim: usize, sigma: f64) -> Vec<Fx32> {
@@ -484,6 +382,11 @@ mod tests {
         .unwrap();
         let critic = Mlp::new_random(&MlpConfig::new(vec![23, 400, 300, 1]), 4).unwrap();
         (actor, critic)
+    }
+
+    /// `v` as a one-row batch.
+    fn row(v: Vec<Fx32>) -> Matrix<Fx32> {
+        Matrix::from_vec(1, v.len(), v).unwrap()
     }
 
     fn small_agent() -> (Mlp<Fx32>, Mlp<Fx32>) {
@@ -513,15 +416,23 @@ mod tests {
         let state: Vec<Fx32> = (0..5)
             .map(|i| Fx32::from_f64(i as f64 * 0.2 - 0.5))
             .collect();
-        let (hw, cycles) = accel.actor_inference(&state, Precision::Full32).unwrap();
+        let (hw, cycles) = accel
+            .actor_inference(&row(state.clone()), Precision::Full32)
+            .unwrap();
         let sw = actor.forward(&state).unwrap();
-        assert_eq!(hw, sw, "accelerator and fixar-nn must agree bit-for-bit");
+        assert_eq!(
+            hw.row(0),
+            sw,
+            "accelerator and fixar-nn must agree bit-for-bit"
+        );
         assert!(cycles > 0);
 
         let sa: Vec<Fx32> = (0..7).map(|i| Fx32::from_f64(i as f64 * 0.1)).collect();
-        let (hw_q, _) = accel.critic_inference(&sa, Precision::Full32).unwrap();
+        let (hw_q, _) = accel
+            .critic_inference(&row(sa.clone()), Precision::Full32)
+            .unwrap();
         let sw_q = critic.forward(&sa).unwrap();
-        assert_eq!(hw_q, sw_q);
+        assert_eq!(hw_q.row(0), sw_q);
     }
 
     #[test]
@@ -529,12 +440,12 @@ mod tests {
         let (actor, critic) = small_agent();
         let mut accel = FixarAccelerator::new(AccelConfig::default()).unwrap();
         accel.load_ddpg(&actor, &critic).unwrap();
-        let state: Vec<Fx32> = (0..5)
+        let state = row((0..5)
             .map(|i| Fx32::from_f64((i as f64 * 0.7).sin()))
-            .collect();
+            .collect());
         let (full, _) = accel.actor_inference(&state, Precision::Full32).unwrap();
         let (half, _) = accel.actor_inference(&state, Precision::Half16).unwrap();
-        for (f, h) in full.iter().zip(&half) {
+        for (f, h) in full.as_slice().iter().zip(half.as_slice()) {
             assert!((f.to_f64() - h.to_f64()).abs() < 0.05, "full={f} half={h}");
         }
         // On paper-scale layers the lane doubling shows up in the cycle
@@ -542,7 +453,7 @@ mod tests {
         let (paper_actor, paper_critic) = paper_agent();
         let mut accel = FixarAccelerator::new(AccelConfig::default()).unwrap();
         accel.load_ddpg(&paper_actor, &paper_critic).unwrap();
-        let state = vec![Fx32::from_f64(0.1); 17];
+        let state = row(vec![Fx32::from_f64(0.1); 17]);
         let (_, c_full) = accel.actor_inference(&state, Precision::Full32).unwrap();
         let (_, c_half) = accel.actor_inference(&state, Precision::Half16).unwrap();
         assert!(
@@ -553,8 +464,8 @@ mod tests {
 
     #[test]
     fn inference_requires_loaded_network() {
-        let mut accel = FixarAccelerator::new(AccelConfig::default()).unwrap();
-        let state = vec![Fx32::ZERO; 4];
+        let accel = FixarAccelerator::new(AccelConfig::default()).unwrap();
+        let state = row(vec![Fx32::ZERO; 4]);
         assert!(accel.actor_inference(&state, Precision::Full32).is_err());
     }
 
@@ -563,7 +474,7 @@ mod tests {
         let (actor, critic) = small_agent();
         let mut accel = FixarAccelerator::new(AccelConfig::default()).unwrap();
         accel.load_ddpg(&actor, &critic).unwrap();
-        let state = vec![Fx32::ZERO; 3];
+        let state = row(vec![Fx32::ZERO; 3]);
         assert!(matches!(
             accel.actor_inference(&state, Precision::Full32),
             Err(AccelError::Shape(_))

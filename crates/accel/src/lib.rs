@@ -15,11 +15,16 @@
 //!   against the `fixar-nn` reference kernels. The model runs on the
 //!   calling thread — cores in core order, batch rows in row order — so
 //!   the cores' concurrency lives in the cycle count, not on the host.
-//! * **Cycle level** — [`InferenceSchedule`]/[`TrainingSchedule`] count
-//!   cycles for the two dataflows (intra-layer parallelism for forward,
-//!   intra-batch parallelism for training), including tile-quantization
-//!   losses, pipeline overheads, and the Adam unit; [`FixarAccelerator`]
-//!   aggregates them into the IPS numbers of Fig. 10.
+//! * **Cycle level** — one schedule per timing question, each mapping
+//!   work to the two dataflows by the paper's adaptive-parallelism rule:
+//!   [`InferenceSchedule`] runs one row with intra-layer parallelism and
+//!   a batch of rows with intra-batch parallelism;
+//!   [`TrainingSchedule`] runs a training timestep with intra-batch
+//!   parallelism plus the Adam unit and the live inference. Both count
+//!   tile-quantization losses and pipeline overheads;
+//!   [`FixarAccelerator`] reports them per call
+//!   (`actor_inference` / `critic_inference` on a matrix of rows,
+//!   `train_timestep_cycles`) and they give the IPS numbers of Fig. 10.
 //!
 //! Companion models reproduce the paper's evaluation artifacts:
 //! [`ResourceModel`] (Table I), [`PowerModel`] (Fig. 10b), [`GpuModel`]
@@ -52,7 +57,7 @@ mod resource;
 pub use accelerator::{AccelConfig, FixarAccelerator, TimestepCycles};
 pub use adam_unit::AdamUnit;
 pub use core_array::AapCore;
-pub use dataflow::{BatchedInferenceSchedule, InferenceSchedule, Precision, TrainingSchedule};
+pub use dataflow::{InferenceSchedule, Precision, TrainingSchedule};
 pub use error::AccelError;
 pub use gpu::GpuModel;
 pub use memory::{ActivationMemory, GradientMemory, LayerImage, NetworkImage, WeightMemory};

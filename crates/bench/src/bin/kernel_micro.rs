@@ -2,8 +2,10 @@
 //! per-row (per-sample) counterparts, plus the **pool-parallel scaling
 //! sweep** of every batched kernel across worker counts {1, 2, 4, 8},
 //! at the quick-study layer shape (192×128) and batch 128 in `Fx32`.
-//! Prints ns/sample per kernel — the raw numbers behind the end-to-end
-//! speedups measured by `benches/batched_training.rs`.
+//! Prints ns/sample per kernel (ns/element for the quantizer and
+//! elementwise arms, three significant digits under 10 ns) — the raw
+//! numbers behind the end-to-end speedups measured by
+//! `benches/batched_training.rs`.
 //!
 //! The batched arms run the one entry each operation has
 //! (`WeightPack::gemv_batch` / `gemv_t_batch`, `Matrix::add_outer_batch`,
@@ -86,15 +88,33 @@ const COLS: usize = 128;
 
 struct Record {
     name: String,
-    ns_per_sample: f64,
+    /// What one timed unit is: `sample` (a batch row) or `element` (a
+    /// matrix element of the elementwise and quantizer arms).
+    per: &'static str,
+    ns: f64,
 }
 
 fn push(records: &mut Vec<Record>, name: String, ns: f64) {
-    println!("{name:<28} {ns:>9.1} ns/sample");
-    records.push(Record {
-        name,
-        ns_per_sample: ns,
-    });
+    push_per(records, name, "sample", ns);
+}
+
+fn push_per(records: &mut Vec<Record>, name: String, per: &'static str, ns: f64) {
+    let prec = decimals(ns);
+    println!("{name:<28} {ns:>9.prec$} ns/{per}");
+    records.push(Record { name, per, ns });
+}
+
+/// Decimals that give a figure under 10 ns three significant digits
+/// (one decimal from 10 ns up), so a sub-nanosecond arm can still show
+/// a regression well below 2×.
+fn decimals(ns: f64) -> usize {
+    if ns >= 10.0 {
+        1
+    } else if ns > 0.0 {
+        (2.0 - ns.log10().floor()).min(9.0) as usize
+    } else {
+        3
+    }
 }
 
 fn time_ns_per_sample(reps: usize, samples: usize, mut f: impl FnMut()) -> f64 {
@@ -407,8 +427,11 @@ fn main() {
             let comma = if i + 1 == records.len() { "" } else { "," };
             let _ = writeln!(
                 json,
-                "    {{\"name\": \"{}\", \"ns_per_sample\": {:.1}}}{comma}",
-                r.name, r.ns_per_sample
+                "    {{\"name\": \"{}\", \"ns_per_{}\": {:.prec$}}}{comma}",
+                r.name,
+                r.per,
+                r.ns,
+                prec = decimals(r.ns)
             );
         }
         json.push_str("  ]\n}\n");
@@ -474,10 +497,15 @@ fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
         })
     };
     let base_ns = time_arm(&base);
-    push(records, "quant baseline (no spec)".into(), base_ns);
+    push_per(
+        records,
+        "quant baseline (no spec)".into(),
+        "element",
+        base_ns,
+    );
     for (name, art) in [("quant_shift", &shift), ("quant_clamp", &clamp)] {
         let ns = (time_arm(art) - base_ns).max(0.0);
-        push(records, name.into(), ns);
+        push_per(records, name.into(), "element", ns);
     }
 }
 
@@ -686,7 +714,7 @@ fn elementwise_micro(reps: usize, records: &mut Vec<Record>) {
         opt.step(&mut mlp, std::hint::black_box(&grads)).unwrap();
     });
     std::hint::black_box(&mlp);
-    push(records, "adam_step 400x300".into(), ns);
+    push_per(records, "adam_step 400x300".into(), "element", ns);
 
     // One hidden activation matrix through a frozen 16-bit quantizer,
     // restored before every repetition (the projection is not idempotent
@@ -711,5 +739,5 @@ fn elementwise_micro(reps: usize, records: &mut Vec<Record>) {
         want,
         "fake_quantize_slice diverged from the scalar path"
     );
-    push(records, "fake_quantize 64x400".into(), ns);
+    push_per(records, "fake_quantize 64x400".into(), "element", ns);
 }

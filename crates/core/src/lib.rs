@@ -51,9 +51,8 @@ pub use fixar_rl::{DdpgConfig, PrecisionMode, RlError, Trainer, TrainingReport};
 /// Convenience re-exports of the most common FIXAR types.
 pub mod prelude {
     pub use fixar_accel::{
-        AccelConfig, BatchedInferenceSchedule, FixarAccelerator, GpuModel, InferenceSchedule,
-        LayerFormat, PowerModel, Precision, PrecisionPlanCost, ResourceModel, TrainingSchedule,
-        U50_BUDGET,
+        AccelConfig, FixarAccelerator, GpuModel, InferenceSchedule, LayerFormat, PowerModel,
+        Precision, PrecisionPlanCost, ResourceModel, TrainingSchedule, U50_BUDGET,
     };
     pub use fixar_deploy::{
         verify_generated_source, ActKind, BlobStats, DeployError, PolicyArtifact,

@@ -420,62 +420,69 @@ impl PolicyArtifact {
     /// [`PolicyArtifact::content_hash`] a stable identity.
     pub fn encode(&self) -> Bytes {
         let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u32(&mut out, self.frac_bits);
-        put_u32(&mut out, self.num_layers() as u32);
-        for &s in &self.layer_sizes {
-            put_u32(&mut out, s);
-        }
-        out.push(self.hidden_act.tag());
-        out.push(self.output_act.tag());
-        for (wt, bias) in self.weights_t.iter().zip(&self.biases) {
-            // Row-major: output `i`'s words are every column's `i`-th.
-            let rows = bias.len();
-            for i in 0..rows {
-                for col in wt.chunks_exact(rows) {
-                    put_i32(&mut out, col[i]);
-                }
-            }
-            for &b in bias {
-                put_i32(&mut out, b);
-            }
-        }
-        put_u32(&mut out, self.specs.len() as u32);
-        for spec in &self.specs {
-            match spec {
-                QuantSpec::PassThrough => out.push(0),
-                QuantSpec::Shift(form) => {
-                    out.push(1);
-                    put_u32(&mut out, form.shift);
-                    put_i64(&mut out, form.zero_point);
-                    put_i64(&mut out, form.max_code);
-                }
-            }
-        }
-        let checksum = fnv1a64(&out);
+        self.write_body(|bytes| out.extend_from_slice(bytes));
+        let checksum = fnv1a64(FNV_OFFSET, &out);
         out.extend_from_slice(&checksum.to_le_bytes());
         Bytes::from(out)
     }
 
-    /// Blob-size accounting for [`PolicyArtifact::encode`].
+    /// Blob-size accounting for [`PolicyArtifact::encode`], counted
+    /// without building the blob.
     pub fn blob_stats(&self) -> BlobStats {
+        let mut bytes = 8; // the checksum trailer
+        self.write_body(|chunk| bytes += chunk.len());
         BlobStats {
-            bytes: self.encode().len(),
+            bytes,
             tables_affine: 0,
         }
     }
 
     /// The artifact's content hash: the FNV-1a 64 checksum of its
     /// canonical encoding (the same word [`PolicyArtifact::encode`]
-    /// appends as the blob trailer). Two artifacts hash equal exactly
-    /// when their encodings are byte-identical.
+    /// appends as the blob trailer), folded without building the blob.
+    /// Two artifacts hash equal exactly when their encodings are
+    /// byte-identical.
     pub fn content_hash(&self) -> u64 {
-        let blob = self.encode();
-        let tail: [u8; 8] = blob[blob.len() - 8..]
-            .try_into()
-            .expect("encode always appends an 8-byte checksum");
-        u64::from_le_bytes(tail)
+        let mut h = FNV_OFFSET;
+        self.write_body(|bytes| h = fnv1a64(h, bytes));
+        h
+    }
+
+    /// Writes the canonical byte sequence of the blob body — everything
+    /// the checksum trailer covers — to `put`, in order.
+    fn write_body(&self, mut put: impl FnMut(&[u8])) {
+        put(&MAGIC);
+        put(&VERSION.to_le_bytes());
+        put(&self.frac_bits.to_le_bytes());
+        put(&(self.num_layers() as u32).to_le_bytes());
+        for &s in &self.layer_sizes {
+            put(&s.to_le_bytes());
+        }
+        put(&[self.hidden_act.tag(), self.output_act.tag()]);
+        for (wt, bias) in self.weights_t.iter().zip(&self.biases) {
+            // Row-major: output `i`'s words are every column's `i`-th.
+            let rows = bias.len();
+            for i in 0..rows {
+                for col in wt.chunks_exact(rows) {
+                    put(&col[i].to_le_bytes());
+                }
+            }
+            for &b in bias {
+                put(&b.to_le_bytes());
+            }
+        }
+        put(&(self.specs.len() as u32).to_le_bytes());
+        for spec in &self.specs {
+            match spec {
+                QuantSpec::PassThrough => put(&[0]),
+                QuantSpec::Shift(form) => {
+                    put(&[1]);
+                    put(&form.shift.to_le_bytes());
+                    put(&form.zero_point.to_le_bytes());
+                    put(&form.max_code.to_le_bytes());
+                }
+            }
+        }
     }
 
     /// Decodes an artifact from bytes, validating structure and the
@@ -570,7 +577,7 @@ impl PolicyArtifact {
         if cur.pos != blob.len() {
             return Err(DeployError::Corrupt("trailing bytes after checksum".into()));
         }
-        let computed = fnv1a64(&blob[..body_end]);
+        let computed = fnv1a64(FNV_OFFSET, &blob[..body_end]);
         if stored != computed {
             return Err(DeployError::ChecksumMismatch { stored, computed });
         }
@@ -597,27 +604,18 @@ fn transposed(rows: usize, cols: usize, row_major: impl Iterator<Item = i32>) ->
     wt
 }
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash — small, dependency-free, and deterministic across
-/// platforms, which is all a content hash needs here.
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// platforms, which is all a content hash needs here — of `data`
+/// continued from the running hash `h` ([`FNV_OFFSET`] to start).
+fn fnv1a64(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Bounds-checked reader over a blob; every read reports exactly what was

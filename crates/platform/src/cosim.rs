@@ -26,10 +26,11 @@ pub struct CosimReport {
 
 /// Co-simulator: real DDPG+QAT training in `Fx32` arithmetic (the exact
 /// numerics of the accelerator datapath) advancing a simulated platform
-/// clock per timestep. From the step the QAT schedule freezes, the
-/// accelerator model runs in half-precision and the simulated timestep
-/// shortens — the dynamic-precision speedup happens *during* the run, as
-/// on the real platform.
+/// clock by [`FixarPlatformModel::breakdown`] per timestep. From the
+/// step the QAT schedule freezes, the accelerator model runs in
+/// half-precision and the simulated timestep shortens — the
+/// dynamic-precision speedup happens *during* the run, as on the real
+/// platform.
 ///
 /// # Example
 ///
@@ -105,13 +106,12 @@ impl FixarCosim {
         self.sim_time_s
     }
 
-    /// Simulated seconds of one timestep at `precision`, charged
-    /// through the batched structural schedule — the accelerator path
-    /// that mirrors how the software twin's batched kernels actually
-    /// execute.
+    /// Simulated seconds of one timestep at `precision`: the platform
+    /// model's [`FixarPlatformModel::breakdown`], the same timestep
+    /// Figs. 8–10 read.
     fn breakdown(&self, precision: Precision) -> Result<TimestepBreakdown, RlError> {
         self.model
-            .breakdown_batched(self.batch, precision)
+            .breakdown(self.batch, precision)
             .map_err(|e| RlError::InvalidConfig(e.to_string()))
     }
 
@@ -240,6 +240,26 @@ mod tests {
         assert_eq!(again.training.total_steps, 400);
         assert_eq!(again.sim_time_s, run_time + half * 100.0);
         assert_eq!(again.avg_ips, c.batch as f64 * 400.0 / again.sim_time_s);
+    }
+
+    #[test]
+    fn cosim_clock_is_the_platform_model_timestep() {
+        // The clock charges the platform model's timestep, Full32 before
+        // the QAT switch and Half16 after, so a co-simulated run and
+        // Fig. 8's model agree on what one timestep costs.
+        let cfg = DdpgConfig::small_test().with_seed(5).with_qat(120, 16);
+        let batch = cfg.batch_size;
+        let report = cosim(cfg).run(250, 250, 1).unwrap();
+        let model = FixarPlatformModel::for_benchmark(3, 1).unwrap();
+        let step_s = |p| model.breakdown(batch, p).unwrap().total_s();
+        let full_steps = report.training.qat_switch_step.unwrap() - 1;
+        let expected = step_s(Precision::Full32) * full_steps as f64
+            + step_s(Precision::Half16) * (250 - full_steps) as f64;
+        assert_eq!(report.sim_time_s, expected);
+        assert_eq!(
+            report.final_breakdown,
+            model.breakdown(batch, Precision::Half16).unwrap()
+        );
     }
 
     #[test]

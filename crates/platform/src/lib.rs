@@ -10,9 +10,10 @@
 //!   calibrated in `HostModel`'s docs.
 //! * **Co-simulation** — [`FixarCosim`] runs *real* DDPG+QAT training
 //!   (via `fixar-rl`, arithmetic bit-equivalent to the accelerator
-//!   datapath) while advancing a simulated clock from the timing models,
-//!   switching the accelerator to half-precision the moment the QAT
-//!   schedule freezes — so a training run reports both a reward curve
+//!   datapath) while advancing a simulated clock by
+//!   [`FixarPlatformModel::breakdown`] — the one timestep model Figs.
+//!   8–10 read — at full precision until the QAT schedule freezes and at
+//!   half precision after, so a training run reports both a reward curve
 //!   and the platform throughput it would have achieved on the U50.
 //!
 //! # Example

@@ -168,44 +168,6 @@ impl FixarPlatformModel {
         })
     }
 
-    /// Per-timestep breakdown with the accelerator running the
-    /// **intra-batch** (structural) schedule — each core streams its
-    /// shard of the minibatch, mirroring how the software twin's batched
-    /// kernels actually execute. This is the path [`FixarCosim`] charges
-    /// simulated time through.
-    ///
-    /// At batch 1 on a single-core config this is cycle-identical to
-    /// [`FixarPlatformModel::breakdown`] (the per-sample schedule) —
-    /// the consistency the model tests pin down.
-    ///
-    /// [`FixarCosim`]: crate::FixarCosim
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::InvalidConfig`] for a zero batch.
-    pub fn breakdown_batched(
-        &self,
-        batch: usize,
-        precision: Precision,
-    ) -> Result<TimestepBreakdown, AccelError> {
-        if batch == 0 {
-            return Err(AccelError::InvalidConfig("batch must be positive".into()));
-        }
-        let sched = TrainingSchedule::for_ddpg_batched(
-            &self.accel,
-            &self.actor_sizes,
-            &self.critic_sizes,
-            batch,
-            precision,
-        );
-        Ok(TimestepBreakdown {
-            batch,
-            cpu_env_s: self.host.env_time_s,
-            runtime_s: self.host.runtime_s(batch),
-            accel_s: sched.latency_s(&self.accel),
-        })
-    }
-
     /// End-to-end platform IPS (Fig. 8's bars).
     ///
     /// # Errors
@@ -315,46 +277,6 @@ mod tests {
             (23_000.0..28_000.0).contains(&ips),
             "platform IPS {ips} vs paper 25 293.3"
         );
-    }
-
-    #[test]
-    fn batched_breakdown_matches_per_sample_at_batch_1_up_to_residue() {
-        // The structural (intra-batch) path the co-simulator charges
-        // time through collapses to the per-sample schedule when there
-        // is nothing to batch and one core to stream it — identical MAC
-        // tiles and phase overheads, differing only by the documented
-        // activation line-buffer residue (`sample_overhead_cycles/16`)
-        // that batch staging charges per sample.
-        let accel = AccelConfig {
-            n_cores: 1,
-            ..AccelConfig::default()
-        };
-        let residue_s = (accel.sample_overhead_cycles / 16) as f64 / accel.clock_hz;
-        let model = FixarPlatformModel::new(HostModel::default(), accel, 17, 6).unwrap();
-        for precision in [Precision::Full32, Precision::Half16] {
-            let per_sample = model.breakdown(1, precision).unwrap();
-            let batched = model.breakdown_batched(1, precision).unwrap();
-            let diff = batched.accel_s - per_sample.accel_s;
-            assert!(
-                (diff - residue_s).abs() < 1e-12,
-                "{precision:?}: diff {diff} vs residue {residue_s}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_breakdown_is_faster_once_there_is_a_batch_to_amortize() {
-        let model = halfcheetah();
-        for batch in [64, 256, 512] {
-            for precision in [Precision::Full32, Precision::Half16] {
-                let per_sample = model.breakdown(batch, precision).unwrap();
-                let batched = model.breakdown_batched(batch, precision).unwrap();
-                assert!(
-                    batched.accel_s < per_sample.accel_s,
-                    "batch {batch} {precision:?}"
-                );
-            }
-        }
     }
 
     #[test]

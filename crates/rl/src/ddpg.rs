@@ -641,7 +641,7 @@ impl<S: Scalar> Ddpg<S> {
     /// pass over the worker pool instead of `states.rows()` per-sample
     /// `gemv` passes — the rollout hot path of
     /// [`Trainer`](crate::Trainer) and the software twin of
-    /// `FixarAccelerator::actor_inference_batch`. It reads the actor's
+    /// `FixarAccelerator::actor_inference`. It reads the actor's
     /// packed layout alone and keeps no trace
     /// ([`PackedMlp::forward_batch`]).
     ///

@@ -61,7 +61,7 @@ pub struct Transition {
 /// ```
 /// use fixar_rl::{ReplayBuffer, Transition};
 ///
-/// let mut buf = ReplayBuffer::new(100);
+/// let mut buf = ReplayBuffer::with_dims(100, 1, 1);
 /// buf.push(Transition {
 ///     state: vec![0.0],
 ///     action: vec![0.1],
@@ -87,50 +87,25 @@ pub struct ReplayBuffer {
 }
 
 impl ReplayBuffer {
-    /// Creates a buffer holding at most `capacity` transitions. The
-    /// state/action dimensions are learned from the first push, at
-    /// which point every lane is allocated to full capacity in one
-    /// shot; prefer [`ReplayBuffer::with_dims`] when the dimensions are
-    /// known up front (the trainers always know them) so construction
-    /// does the single allocation instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "replay buffer needs positive capacity");
-        Self {
-            states: Matrix::zeros(0, 0),
-            actions: Matrix::zeros(0, 0),
-            next_states: Matrix::zeros(0, 0),
-            meta: Vec::new(),
-            capacity,
-            len: 0,
-            write_head: 0,
-        }
-    }
-
-    /// Creates a buffer with every lane preallocated to full capacity —
-    /// no allocation ever happens on the push path.
+    /// Creates a buffer holding at most `capacity` transitions of
+    /// `state_dim`-wide states and `action_dim`-wide actions, with every
+    /// lane allocated to full capacity — no allocation ever happens on
+    /// the push path.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn with_dims(capacity: usize, state_dim: usize, action_dim: usize) -> Self {
-        let mut buf = Self::new(capacity);
-        buf.allocate(state_dim, action_dim);
-        buf
-    }
-
-    fn allocate(&mut self, state_dim: usize, action_dim: usize) {
-        self.states = Matrix::zeros(self.capacity, state_dim);
-        self.actions = Matrix::zeros(self.capacity, action_dim);
-        self.next_states = Matrix::zeros(self.capacity, state_dim);
-        self.meta = vec![(0.0, false); self.capacity];
-    }
-
-    fn allocated(&self) -> bool {
-        self.states.rows() == self.capacity
+        assert!(capacity > 0, "replay buffer needs positive capacity");
+        Self {
+            states: Matrix::zeros(capacity, state_dim),
+            actions: Matrix::zeros(capacity, action_dim),
+            next_states: Matrix::zeros(capacity, state_dim),
+            meta: vec![(0.0, false); capacity],
+            capacity,
+            len: 0,
+            write_head: 0,
+        }
     }
 
     /// Stored transition count.
@@ -148,11 +123,9 @@ impl ReplayBuffer {
         self.capacity
     }
 
-    /// `(state_dim, action_dim)` once known (after construction via
-    /// [`ReplayBuffer::with_dims`] or the first push).
-    pub fn dims(&self) -> Option<(usize, usize)> {
-        self.allocated()
-            .then(|| (self.states.cols(), self.actions.cols()))
+    /// `(state_dim, action_dim)` fixed at construction.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.states.cols(), self.actions.cols())
     }
 
     /// The state panel's stored transpose (`(capacity, state_dim)`;
@@ -179,13 +152,10 @@ impl ReplayBuffer {
     /// # Panics
     ///
     /// Panics if the transition's dimensions disagree with the buffer's
-    /// (fixed at construction or by the first push) — the push path is
-    /// where the homogeneous-storage contract is now enforced.
+    /// (fixed at construction) — the push path is where the
+    /// homogeneous-storage contract is enforced.
     pub fn push(&mut self, t: Transition) -> usize {
-        if !self.allocated() {
-            self.allocate(t.state.len(), t.action.len());
-        }
-        let (state_dim, action_dim) = (self.states.cols(), self.actions.cols());
+        let (state_dim, action_dim) = self.dims();
         assert_eq!(t.state.len(), state_dim, "replay push: state dim changed");
         assert_eq!(
             t.action.len(),
@@ -844,7 +814,7 @@ mod tests {
 
     #[test]
     fn fills_then_wraps() {
-        let mut buf = ReplayBuffer::new(3);
+        let mut buf = ReplayBuffer::with_dims(3, 1, 1);
         for i in 0..5 {
             buf.push(t(i as f64));
         }
@@ -862,7 +832,7 @@ mod tests {
         // non-dividing (13) insertion count for capacity 4.
         for pushes in [12usize, 13] {
             let cap = 4;
-            let mut buf = ReplayBuffer::new(cap);
+            let mut buf = ReplayBuffer::with_dims(cap, 1, 1);
             for i in 0..pushes {
                 buf.push(t(i as f64));
             }
@@ -897,7 +867,7 @@ mod tests {
         let action_ptr = buf.action_panel().as_slice().as_ptr();
         let next_ptr = buf.next_state_panel().as_slice().as_ptr();
         assert_eq!(buf.state_panel().shape(), (cap, 2));
-        assert_eq!(buf.dims(), Some((2, 1)));
+        assert_eq!(buf.dims(), (2, 1));
         for i in 0..3 * cap {
             buf.push(Transition {
                 state: vec![i as f64; 2],
@@ -911,21 +881,12 @@ mod tests {
             assert_eq!(buf.next_state_panel().as_slice().as_ptr(), next_ptr);
             assert_eq!(buf.state_panel().len(), cap * 2, "panel never grows");
         }
-        // Lazy-dims construction allocates exactly once, on first push.
-        let mut lazy = ReplayBuffer::new(cap);
-        assert_eq!(lazy.dims(), None);
-        lazy.push(t(0.0));
-        let lazy_ptr = lazy.state_panel().as_slice().as_ptr();
-        for i in 1..3 * cap {
-            lazy.push(t(i as f64));
-            assert_eq!(lazy.state_panel().as_slice().as_ptr(), lazy_ptr);
-        }
     }
 
     #[test]
     #[should_panic(expected = "state dim changed")]
     fn push_rejects_ragged_dimensions() {
-        let mut buf = ReplayBuffer::new(4);
+        let mut buf = ReplayBuffer::with_dims(4, 1, 1);
         buf.push(t(1.0));
         let mut bad = t(2.0);
         bad.state = vec![1.0, 2.0];
@@ -934,7 +895,7 @@ mod tests {
 
     #[test]
     fn sample_respects_underflow() {
-        let mut buf = ReplayBuffer::new(10);
+        let mut buf = ReplayBuffer::with_dims(10, 1, 1);
         let mut rng = StdRng::seed_from_u64(0);
         buf.push(t(1.0));
         assert!(buf.sample(2, &mut rng).is_empty());
@@ -944,7 +905,7 @@ mod tests {
 
     #[test]
     fn sample_is_deterministic_per_seed() {
-        let mut buf = ReplayBuffer::new(100);
+        let mut buf = ReplayBuffer::with_dims(100, 1, 1);
         for i in 0..100 {
             buf.push(t(i as f64));
         }
@@ -963,7 +924,7 @@ mod tests {
 
     #[test]
     fn sample_covers_the_buffer() {
-        let mut buf = ReplayBuffer::new(16);
+        let mut buf = ReplayBuffer::with_dims(16, 1, 1);
         for i in 0..16 {
             buf.push(t(i as f64));
         }
@@ -980,7 +941,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive capacity")]
     fn zero_capacity_rejected() {
-        let _ = ReplayBuffer::new(0);
+        let _ = ReplayBuffer::with_dims(0, 1, 1);
     }
 
     #[test]
@@ -989,7 +950,7 @@ mod tests {
         // `sample` and the batch draw pick identical indices and leave
         // the RNG in identical states (a divergence means the shared
         // draw path was forked).
-        let mut buf = ReplayBuffer::new(32);
+        let mut buf = ReplayBuffer::with_dims(32, 1, 1);
         for i in 0..32 {
             buf.push(t(i as f64));
         }
@@ -1012,7 +973,7 @@ mod tests {
         // Same RNG stream → the bytes of the legacy row-copy pack, and
         // once the scratch has been sized, repeated draws never
         // reallocate any lane.
-        let mut buf = ReplayBuffer::new(64);
+        let mut buf = ReplayBuffer::with_dims(64, 1, 1);
         for i in 0..64 {
             buf.push(t(i as f64));
         }
@@ -1067,7 +1028,7 @@ mod tests {
         // are the drawn slots, and the prioritized arm's importance
         // weights are computed into it without per-draw allocation.
         let cap = 32;
-        let mut buf = ReplayBuffer::new(cap);
+        let mut buf = ReplayBuffer::with_dims(cap, 1, 1);
         let par = Parallelism::sequential();
         for strategy in [
             ReplayStrategy::Uniform,
@@ -1114,7 +1075,7 @@ mod tests {
     #[test]
     fn priority_weights_are_refilled_in_the_scratch() {
         let cap = 16;
-        let mut buf = ReplayBuffer::new(cap);
+        let mut buf = ReplayBuffer::with_dims(cap, 1, 1);
         let strategy = ReplayStrategy::Prioritized(PrioritizedConfig::default());
         let mut sampler = ReplaySampler::new(strategy, cap);
         for i in 0..cap {
@@ -1148,7 +1109,7 @@ mod tests {
 
     #[test]
     fn transitions_expose_ring_order() {
-        let mut buf = ReplayBuffer::new(3);
+        let mut buf = ReplayBuffer::with_dims(3, 1, 1);
         for i in 0..4 {
             buf.push(t(i as f64));
         }
@@ -1160,7 +1121,7 @@ mod tests {
 
     #[test]
     fn uniform_draw_respects_underflow() {
-        let mut buf = ReplayBuffer::new(8);
+        let mut buf = ReplayBuffer::with_dims(8, 1, 1);
         buf.push(t(1.0));
         let mut rng = StdRng::seed_from_u64(0);
         assert!(draw(&buf, 2, &mut rng).is_none());
@@ -1169,7 +1130,7 @@ mod tests {
 
     #[test]
     fn gather_into_equals_the_row_copy_pack_and_reuses_storage() {
-        let mut buf = ReplayBuffer::new(24);
+        let mut buf = ReplayBuffer::with_dims(24, 1, 1);
         for i in 0..24 {
             buf.push(t(i as f64));
         }
@@ -1187,7 +1148,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of live range")]
     fn gather_rejects_dead_slots() {
-        let mut buf = ReplayBuffer::new(8);
+        let mut buf = ReplayBuffer::with_dims(8, 1, 1);
         buf.push(t(0.0));
         buf.push(t(1.0));
         // Slot 2 is unwritten.
@@ -1309,7 +1270,7 @@ mod tests {
 
     #[test]
     fn sampler_uniform_matches_raw_buffer_draws_and_carries_no_weights() {
-        let mut buf = ReplayBuffer::new(32);
+        let mut buf = ReplayBuffer::with_dims(32, 1, 1);
         for i in 0..32 {
             buf.push(t(i as f64));
         }
@@ -1331,7 +1292,7 @@ mod tests {
     #[test]
     fn sampler_prioritized_rows_match_their_drawn_slots() {
         let cap = 16;
-        let mut buf = ReplayBuffer::new(cap);
+        let mut buf = ReplayBuffer::with_dims(cap, 1, 1);
         let mut sampler = ReplaySampler::new(
             ReplayStrategy::Prioritized(PrioritizedConfig::default()),
             cap,

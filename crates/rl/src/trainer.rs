@@ -459,7 +459,7 @@ mod tests {
     fn trainer_preallocates_replay_lanes() {
         let t = pendulum_fleet(1, DdpgConfig::small_test());
         // Pendulum: 3 obs dims, 1 action dim, known at construction.
-        assert_eq!(t.replay().dims(), Some((3, 1)));
+        assert_eq!(t.replay().dims(), (3, 1));
         assert_eq!(
             t.replay().state_panel().shape(),
             (DdpgConfig::small_test().replay_capacity, 3)

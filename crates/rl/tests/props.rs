@@ -33,7 +33,7 @@ proptest! {
         capacity in 1usize..64,
         pushes in 1usize..200,
     ) {
-        let mut buf = ReplayBuffer::new(capacity);
+        let mut buf = ReplayBuffer::with_dims(capacity, 2, 1);
         for i in 0..pushes {
             buf.push(transition(2, 1, i as f64));
         }

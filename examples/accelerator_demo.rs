@@ -8,6 +8,7 @@
 //! ```
 
 use fixar_repro::prelude::*;
+use fixar_tensor::Matrix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's HalfCheetah agent: actor 17-400-300-6, critic 23-400-300-1.
@@ -26,12 +27,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Structural inference through the PE array, both datapath modes.
-    let state: Vec<Fx32> = (0..17)
-        .map(|i| Fx32::from_f64((i as f64 * 0.3).sin()))
-        .collect();
+    let state = Matrix::from_vec(
+        1,
+        17,
+        (0..17)
+            .map(|i| Fx32::from_f64((i as f64 * 0.3).sin()))
+            .collect(),
+    )?;
     let (action_full, cycles_full) = accel.actor_inference(&state, Precision::Full32)?;
     let (action_half, cycles_half) = accel.actor_inference(&state, Precision::Half16)?;
-    let sw_action = actor.forward(&state)?;
+    let sw_action = actor.forward(state.row(0))?;
     println!("actor inference (state -> 6 actions):");
     println!("  full precision: {cycles_full} cycles");
     println!(
@@ -39,14 +44,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cycles_full as f64 / cycles_half as f64
     );
     let max_dev = action_full
+        .as_slice()
         .iter()
         .zip(&sw_action)
         .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
         .fold(0.0, f64::max);
     println!("  bit-exactness vs software reference: max deviation {max_dev:e}");
     let quant_dev = action_full
+        .as_slice()
         .iter()
-        .zip(&action_half)
+        .zip(action_half.as_slice())
         .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
         .fold(0.0, f64::max);
     println!("  full-vs-half action deviation: {quant_dev:.4} (activation quantization)\n");

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut accel = FixarAccelerator::new(AccelConfig::default())?;
     accel.load_ddpg(trainer.agent().actor(), trainer.agent().critic())?;
     let states = trainer.pool().observations().cast::<Fx32>();
-    let (hw_actions, cycles) = accel.actor_inference_batch(&states, Precision::Full32)?;
+    let (hw_actions, cycles) = accel.actor_inference(&states, Precision::Full32)?;
     let actor = trainer.agent().actor();
     let mut off = QatRuntime::disabled(actor.num_layers() + 1);
     let sw_actions = actor

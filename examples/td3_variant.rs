@@ -24,7 +24,7 @@ fn main() -> Result<(), RlError> {
     let mut agent = Ddpg::<Fx32>::new(3, 1, cfg)?;
     let mut env = fixar_env::Pendulum::new(1);
     let mut eval_env = fixar_env::Pendulum::new(99);
-    let mut replay = ReplayBuffer::new(20_000);
+    let mut replay = ReplayBuffer::with_dims(20_000, 3, 1);
     let mut sampler = ReplaySampler::Uniform;
     let mut scratch = SampledBatch::scratch();
     let mut rng = StdRng::seed_from_u64(7);

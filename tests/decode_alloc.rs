@@ -1,6 +1,8 @@
-//! Hostile dimensions at decode: a blob whose header claims
+//! Allocation bounds of the deploy blob: a blob whose header claims
 //! 65 535 × 65 535 weights over a short body must fail as truncated
-//! without `PolicyArtifact::decode` sizing anything from the claim.
+//! without `PolicyArtifact::decode` sizing anything from the claim, and
+//! `content_hash` / `blob_stats` must answer for a paper-size artifact
+//! without building its blob.
 //!
 //! Its own test binary, because it installs a counting global allocator:
 //! while a thread has counting switched on, every byte it requests is
@@ -11,7 +13,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fixar_deploy::{DeployError, PolicyArtifact};
+use fixar_deploy::{ActKind, DeployError, PolicyArtifact};
+use fixar_fixed::AffineQuantizer;
 
 /// Largest single request the allocator serves; nothing in this binary
 /// needs more.
@@ -76,4 +79,41 @@ fn a_header_claiming_65535x65535_weights_over_a_short_body_is_truncated_without_
         }
     );
     assert!(bytes <= 4096, "decode requested {bytes} bytes");
+}
+
+/// The mutant this must catch: `content_hash` or `blob_stats` calling
+/// `encode()` — ≈ 517 kB for this actor — to read back 8 bytes or a
+/// length.
+#[test]
+fn content_hash_and_blob_stats_of_a_400x300_actor_build_no_blob() {
+    let sizes = [17usize, 400, 300, 6];
+    let weights = sizes
+        .windows(2)
+        .map(|w| {
+            (0..w[0] * w[1])
+                .map(|k| ((k * 7_919) % 4_093) as i32 - 2_046)
+                .collect()
+        })
+        .collect();
+    let biases = sizes[1..].iter().map(|&n| vec![1 << 10; n]).collect();
+    let q = AffineQuantizer::from_range(-1.0, 1.5, 16).unwrap();
+    let art = PolicyArtifact::from_parts(
+        &sizes,
+        ActKind::Relu,
+        ActKind::Tanh,
+        weights,
+        biases,
+        &[None, Some(&q), Some(&q), None],
+    )
+    .unwrap();
+    let blob = art.encode();
+    let trailer = u64::from_le_bytes(blob[blob.len() - 8..].try_into().unwrap());
+
+    let (hash, bytes) = requested_by(|| art.content_hash());
+    assert_eq!(hash, trailer);
+    assert!(bytes <= 4096, "content_hash requested {bytes} bytes");
+
+    let (stats, bytes) = requested_by(|| art.blob_stats());
+    assert_eq!(stats.bytes, blob.len());
+    assert!(bytes <= 4096, "blob_stats requested {bytes} bytes");
 }

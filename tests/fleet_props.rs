@@ -16,11 +16,10 @@
 //!    are bit-exact at every count and replay insertion is env-ordered
 //!    on the calling thread.
 //!
-//! Plus the accelerator twin: `actor_inference_batch` matches the
-//! software batched forward on fleet observations, and the batched
-//! schedule's utilization grows with fleet size.
+//! Plus the accelerator twin: `actor_inference` matches the software
+//! batched forward on fleet observations, and the inference schedule's
+//! utilization grows with fleet size.
 
-use fixar_accel::BatchedInferenceSchedule;
 use fixar_env::{fleet_env_seed, EnvKind, EnvPool};
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
@@ -387,9 +386,9 @@ fn replay_rows_are_env_major_ascending_at_every_worker_count() {
 }
 
 /// The accelerator twin: fleet observations through
-/// `actor_inference_batch` equal the software batched forward (and so,
-/// by the nn contract, the per-sample path each slot would have taken),
-/// while the batched schedule's occupancy grows with fleet size.
+/// `actor_inference` equal the software batched forward (and so, by the
+/// nn contract, the per-sample path each slot would have taken), while
+/// the inference schedule's occupancy grows with fleet size.
 #[test]
 fn accelerator_serves_fleet_observations_bit_exactly() {
     let cfg = DdpgConfig::small_test().with_seed(11);
@@ -401,9 +400,7 @@ fn accelerator_serves_fleet_observations_bit_exactly() {
     for fleet_size in [1usize, 4, 16] {
         let mut pool = EnvPool::from_kind(EnvKind::Pendulum, fleet_size, 21);
         let states = pool.reset_all().cast::<Fx32>();
-        let (hw, cycles) = accel
-            .actor_inference_batch(&states, Precision::Full32)
-            .unwrap();
+        let (hw, cycles) = accel.actor_inference(&states, Precision::Full32).unwrap();
         let actor = agent.actor();
         let mut off = QatRuntime::disabled(actor.num_layers() + 1);
         let sw = actor
@@ -412,7 +409,7 @@ fn accelerator_serves_fleet_observations_bit_exactly() {
             .output;
         assert_eq!(hw, sw, "fleet {fleet_size}: structural twin diverged");
 
-        let sched = BatchedInferenceSchedule::for_mlp(
+        let sched = InferenceSchedule::for_mlp(
             &AccelConfig::default(),
             &[3, 16, 12, 1],
             fleet_size,
@@ -429,24 +426,26 @@ fn accelerator_serves_fleet_observations_bit_exactly() {
 }
 
 /// The paper-shape utilization check: at the HalfCheetah actor
-/// (17-400-300-6), serving a 64-env fleet through the batched schedule
+/// (17-400-300-6), serving a 64-env fleet with intra-batch parallelism
 /// reaches the ≥80% utilization regime the paper reports for batched
-/// operation, where one env at a time cannot.
+/// operation, above what one env at a time reaches with intra-layer
+/// parallelism.
 #[test]
 fn paper_actor_fleet_serving_reaches_high_utilization() {
     let cfg = AccelConfig::default();
     let actor = [17usize, 400, 300, 6];
-    let solo = BatchedInferenceSchedule::for_mlp(&cfg, &actor, 1, Precision::Full32);
-    let fleet = BatchedInferenceSchedule::for_mlp(&cfg, &actor, 64, Precision::Full32);
+    let solo = InferenceSchedule::for_mlp(&cfg, &actor, 1, Precision::Full32);
+    let fleet = InferenceSchedule::for_mlp(&cfg, &actor, 64, Precision::Full32);
     assert!(
         fleet.utilization() >= 0.8,
         "64-env fleet utilization {}",
         fleet.utilization()
     );
     assert!(fleet.utilization() > solo.utilization());
-    // Amortization shows up as inferences/sec too (cores saturate at
-    // >2x, pipeline-fill amortization pushes it strictly past that).
-    assert!(fleet.ips(&cfg) > 2.0 * solo.ips(&cfg));
+    // A lone env already spreads over both cores, so the fleet's gain
+    // in inferences/sec is the tile and pipeline-fill amortization
+    // alone: 64 × 306 cycles against 17 432.
+    assert!(fleet.ips(&cfg) > 1.1 * solo.ips(&cfg));
 }
 
 proptest! {

@@ -3,6 +3,12 @@
 //! contract that makes the platform co-simulation valid.
 
 use fixar_repro::prelude::*;
+use fixar_tensor::Matrix;
+
+/// `v` as a one-row batch.
+fn row(v: &[Fx32]) -> Matrix<Fx32> {
+    Matrix::from_vec(1, v.len(), v.to_vec()).unwrap()
+}
 
 fn random_pair(sizes_a: Vec<usize>, sizes_c: Vec<usize>, seed: u64) -> (Mlp<Fx32>, Mlp<Fx32>) {
     let actor = Mlp::new_random(
@@ -29,16 +35,24 @@ fn structural_inference_bit_exact_across_topologies() {
             let state: Vec<Fx32> = (0..actor.input_dim())
                 .map(|i| Fx32::from_f64(((i + trial) as f64 * 0.37).sin()))
                 .collect();
-            let (hw, _) = accel.actor_inference(&state, Precision::Full32).unwrap();
+            let (hw, _) = accel
+                .actor_inference(&row(&state), Precision::Full32)
+                .unwrap();
             let sw = actor.forward(&state).unwrap();
-            assert_eq!(hw, sw, "seed {seed} trial {trial}: actor mismatch");
+            assert_eq!(hw.row(0), sw, "seed {seed} trial {trial}: actor mismatch");
 
             let sa: Vec<Fx32> = (0..critic.input_dim())
                 .map(|i| Fx32::from_f64(((i * 3 + trial) as f64 * 0.21).cos()))
                 .collect();
-            let (hw_q, _) = accel.critic_inference(&sa, Precision::Full32).unwrap();
+            let (hw_q, _) = accel
+                .critic_inference(&row(&sa), Precision::Full32)
+                .unwrap();
             let sw_q = critic.forward(&sa).unwrap();
-            assert_eq!(hw_q, sw_q, "seed {seed} trial {trial}: critic mismatch");
+            assert_eq!(
+                hw_q.row(0),
+                sw_q,
+                "seed {seed} trial {trial}: critic mismatch"
+            );
         }
     }
 }
@@ -54,8 +68,10 @@ fn paper_size_networks_bit_exact_and_on_chip() {
     let state: Vec<Fx32> = (0..17)
         .map(|i| Fx32::from_f64(i as f64 * 0.1 - 0.8))
         .collect();
-    let (hw, cycles) = accel.actor_inference(&state, Precision::Full32).unwrap();
-    assert_eq!(hw, actor.forward(&state).unwrap());
+    let (hw, cycles) = accel
+        .actor_inference(&row(&state), Precision::Full32)
+        .unwrap();
+    assert_eq!(hw.row(0), actor.forward(&state).unwrap());
     // Intra-layer parallelism: one inference in the hundreds of cycles.
     assert!(cycles < 1_000, "inference took {cycles} cycles");
 }
@@ -69,9 +85,13 @@ fn half_precision_deviation_bounded_by_activation_quantization() {
         let state: Vec<Fx32> = (0..9)
             .map(|i| Fx32::from_f64(((i * 7 + trial) as f64 * 0.13).sin() * 2.0))
             .collect();
-        let (full, _) = accel.actor_inference(&state, Precision::Full32).unwrap();
-        let (half, _) = accel.actor_inference(&state, Precision::Half16).unwrap();
-        for (f, h) in full.iter().zip(&half) {
+        let (full, _) = accel
+            .actor_inference(&row(&state), Precision::Full32)
+            .unwrap();
+        let (half, _) = accel
+            .actor_inference(&row(&state), Precision::Half16)
+            .unwrap();
+        for (f, h) in full.as_slice().iter().zip(half.as_slice()) {
             assert!(
                 (f.to_f64() - h.to_f64()).abs() < 0.1,
                 "trial {trial}: full {f} vs half {h}"
@@ -98,7 +118,6 @@ fn batched_structural_inference_bit_exact_vs_forward_batch() {
     // structural execution must agree bit-for-bit with
     // `Mlp::forward_batch`, which in turn is bit-exact with the
     // per-sample kernels — one arithmetic answer across all three paths.
-    use fixar_tensor::Matrix;
     for (sizes_a, sizes_c, seed, batch) in [
         (vec![3, 8, 2], vec![5, 8, 1], 41u64, 4usize),
         (vec![5, 24, 18, 2], vec![7, 24, 18, 1], 42, 9),
@@ -112,9 +131,7 @@ fn batched_structural_inference_bit_exact_vs_forward_batch() {
             ((b * 11 + i * 5) as f64 * 0.23).sin()
         })
         .cast::<Fx32>();
-        let (hw, cycles) = accel
-            .actor_inference_batch(&states, Precision::Full32)
-            .unwrap();
+        let (hw, cycles) = accel.actor_inference(&states, Precision::Full32).unwrap();
         let seq = Parallelism::sequential();
         let mut off = QatRuntime::disabled(actor.num_layers() + 1);
         let sw = actor.forward_batch(&states, &mut off, &seq).unwrap().output;
@@ -125,17 +142,15 @@ fn batched_structural_inference_bit_exact_vs_forward_batch() {
             ((b * 7 + i * 3) as f64 * 0.31).cos()
         })
         .cast::<Fx32>();
-        let (hw_q, _) = accel
-            .critic_inference_batch(&sa, Precision::Full32)
-            .unwrap();
+        let (hw_q, _) = accel.critic_inference(&sa, Precision::Full32).unwrap();
         let mut off = QatRuntime::disabled(critic.num_layers() + 1);
         let sw_q = critic.forward_batch(&sa, &mut off, &seq).unwrap().output;
         assert_eq!(hw_q, sw_q, "seed {seed}: batched critic mismatch");
 
-        // And each row equals the single-vector structural path.
+        // And each row equals the one-row structural path.
         for b in 0..batch {
             let (row_hw, _) = accel
-                .actor_inference(states.row(b), Precision::Full32)
+                .actor_inference(&row(states.row(b)), Precision::Full32)
                 .unwrap();
             assert_eq!(hw.row(b), row_hw.as_slice(), "row {b}");
         }
@@ -143,34 +158,23 @@ fn batched_structural_inference_bit_exact_vs_forward_batch() {
 }
 
 #[test]
-fn batched_cycle_model_outperforms_per_sample_model() {
-    // The batched kernels' timing twin: same arithmetic, higher
-    // occupancy, more IPS — on the loaded paper-size pair.
+fn timestep_cycles_partition_the_total_and_reject_a_zero_batch() {
+    // The training-timestep twin on the loaded paper-size pair: its
+    // phases add up to the total, and a zero batch is refused.
     let (actor, critic) = random_pair(vec![17, 400, 300, 6], vec![23, 400, 300, 1], 77);
     let mut accel = FixarAccelerator::new(AccelConfig::default()).unwrap();
     accel.load_ddpg(&actor, &critic).unwrap();
     for precision in [Precision::Full32, Precision::Half16] {
         for batch in [64usize, 128, 512] {
-            let per_sample = accel.train_timestep_cycles(batch, precision).unwrap();
-            let batched = accel
-                .train_timestep_cycles_batched(batch, precision)
-                .unwrap();
-            assert!(
-                batched.ips > per_sample.ips,
-                "batch {batch} {precision:?}: {} <= {}",
-                batched.ips,
-                per_sample.ips
-            );
-            assert!(batched.utilization > per_sample.utilization);
+            let t = accel.train_timestep_cycles(batch, precision).unwrap();
             assert_eq!(
-                batched.total,
-                batched.forward + batched.backward + batched.weight_update + batched.inference
+                t.total,
+                t.forward + t.backward + t.weight_update + t.inference
             );
+            assert!(t.ips > 0.0 && (0.0..=1.0).contains(&t.utilization));
         }
     }
-    assert!(accel
-        .train_timestep_cycles_batched(0, Precision::Full32)
-        .is_err());
+    assert!(accel.train_timestep_cycles(0, Precision::Full32).is_err());
 }
 
 #[test]

@@ -107,14 +107,16 @@ fn qat_switch_shrinks_simulated_timestep_in_cosim() {
     .unwrap();
     let report = cosim.run(200, 50, 1).unwrap();
     assert!(report.training.qat_switch_step.is_some());
-    let t_half = report.final_breakdown.total_s();
-    // Rebuild the full-precision breakdown for the same batch for
-    // comparison.
+    // The final timestep is the platform model's post-QAT one; compare
+    // it with the same model's full-precision timestep.
     let model = FixarPlatformModel::for_benchmark(3, 1).unwrap();
-    let t_full = model
-        .breakdown(report.final_breakdown.batch, Precision::Full32)
-        .unwrap()
-        .total_s();
+    let batch = report.final_breakdown.batch;
+    assert_eq!(
+        report.final_breakdown,
+        model.breakdown(batch, Precision::Half16).unwrap()
+    );
+    let t_half = report.final_breakdown.total_s();
+    let t_full = model.breakdown(batch, Precision::Full32).unwrap().total_s();
     assert!(
         t_half < t_full,
         "post-QAT timestep {t_half} should beat full-precision {t_full}"

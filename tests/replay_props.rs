@@ -66,7 +66,7 @@ fn soa_ring_reproduces_the_legacy_buffer_bit_for_bit() {
     // fill 10 (part full), 24 (exactly full), and 54 (wrapped past
     // capacity — twice around plus a remainder).
     let capacity = 24;
-    let mut soa = ReplayBuffer::new(capacity);
+    let mut soa = ReplayBuffer::with_dims(capacity, 3, 2);
     let mut legacy = LegacyModel::new(capacity);
     let mut pushed = 0usize;
     for checkpoint in [10usize, 24, 54] {
@@ -99,7 +99,7 @@ fn soa_ring_reproduces_the_legacy_buffer_bit_for_bit() {
 /// raw buffer draw does from equal RNG states.
 #[test]
 fn replay_gather_par_bit_identical_at_workers_1_2_8() {
-    let mut buf = ReplayBuffer::new(37);
+    let mut buf = ReplayBuffer::with_dims(37, 5, 2);
     for i in 0..37 {
         buf.push(synthetic(i, 5, 2));
     }
@@ -132,7 +132,7 @@ fn replay_gather_par_bit_identical_at_workers_1_2_8() {
 fn wraparound_sampling_never_yields_evicted_transitions() {
     let pushes = 60usize;
     for capacity in [12usize, 13] {
-        let mut buf = ReplayBuffer::new(capacity);
+        let mut buf = ReplayBuffer::with_dims(capacity, 2, 1);
         for i in 0..pushes {
             buf.push(synthetic(i, 2, 1));
         }
@@ -301,7 +301,7 @@ fn prioritized_runs_worker_invariant_scalar_and_fleet() {
 /// never drift from the unit-level contract.
 #[test]
 fn uniform_sampler_shares_the_buffer_draw_path() {
-    let mut buf = ReplayBuffer::new(40);
+    let mut buf = ReplayBuffer::with_dims(40, 4, 2);
     for i in 0..40 {
         buf.push(synthetic(i, 4, 2));
     }
@@ -381,7 +381,7 @@ proptest! {
         batch in 1usize..32,
         seed in 0u64..500,
     ) {
-        let mut soa = ReplayBuffer::new(capacity);
+        let mut soa = ReplayBuffer::with_dims(capacity, 3, 2);
         let mut legacy = LegacyModel::new(capacity);
         for i in 0..pushes {
             let t = synthetic(i, 3, 2);
@@ -408,7 +408,7 @@ proptest! {
         picks in prop::collection::vec(0usize..1000, 1..40),
         workers in 2usize..9,
     ) {
-        let mut buf = ReplayBuffer::new(capacity);
+        let mut buf = ReplayBuffer::with_dims(capacity, 3, 1);
         for i in 0..capacity {
             buf.push(synthetic(i, 3, 1));
         }

@@ -32,9 +32,10 @@ proptest! {
         let state: Vec<Fx32> = (0..in_dim)
             .map(|i| Fx32::from_f64(((i as f64) * 0.71 + seed as f64 * 0.01).sin() * scale))
             .collect();
-        let (hw, _) = accel.actor_inference(&state, Precision::Full32).unwrap();
+        let states = fixar_tensor::Matrix::from_vec(1, in_dim, state.clone()).unwrap();
+        let (hw, _) = accel.actor_inference(&states, Precision::Full32).unwrap();
         let sw = actor.forward(&state).unwrap();
-        prop_assert_eq!(hw, sw);
+        prop_assert_eq!(hw.row(0), sw.as_slice());
     }
 
     /// The batched structural AAP-core path equals the batched software
@@ -63,7 +64,7 @@ proptest! {
         let states = Matrix::<f64>::from_fn(batch, in_dim, |b, i| {
             ((b * 17 + i * 3) as f64 * 0.19 + seed as f64 * 0.01).sin()
         }).cast::<Fx32>();
-        let (hw, cycles) = accel.actor_inference_batch(&states, Precision::Full32).unwrap();
+        let (hw, cycles) = accel.actor_inference(&states, Precision::Full32).unwrap();
         let mut off = QatRuntime::disabled(actor.num_layers() + 1);
         let sw = actor
             .forward_batch(&states, &mut off, &Parallelism::sequential())
