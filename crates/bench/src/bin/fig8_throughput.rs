@@ -58,9 +58,14 @@ fn main() {
     );
 
     // Co-simulated measurement: real training advancing the platform
-    // clock, QAT switching precision mid-run.
+    // clock, QAT switching precision mid-run. The critic first runs (and
+    // so first calibrates) in the update of step `warmup + 1`, so the
+    // schedule can freeze from step `warmup + 2` on: the delay counts
+    // from there, and the first third of the training steps calibrates.
     let cosim_steps: u64 = arg("cosim-steps", 1_500);
-    let mut cfg = fixar_bench::quick_study_config().with_qat(cosim_steps / 3, 16);
+    let mut cfg = fixar_bench::quick_study_config();
+    let delay = cfg.warmup_steps + 1 + cosim_steps.saturating_sub(cfg.warmup_steps) / 3;
+    cfg = cfg.with_qat(delay, 16);
     cfg.batch_size = arg("batch", 64);
     println!(
         "\nco-simulation: Pendulum, {cosim_steps} steps, batch {}",
@@ -73,15 +78,14 @@ fn main() {
     )
     .expect("cosim builds");
     let report = cosim
-        .run(cosim_steps, cosim_steps / 3, 2)
+        .run(cosim_steps, (cosim_steps / 3).max(1), 2)
         .expect("cosim runs");
+    let switch = match (report.training.qat_switch_step, report.qat_switch_time_s) {
+        (Some(step), Some(t)) => format!("QAT switch at step {step} (t={t:.2}s)"),
+        _ => format!("no QAT switch within {cosim_steps} steps"),
+    };
     println!(
-        "  simulated platform time {:.2}s, measured {:.1} IPS, QAT switch at {:?} (t={:?}s)",
-        report.sim_time_s,
-        report.avg_ips,
-        report.training.qat_switch_step,
-        report
-            .qat_switch_time_s
-            .map(|t| (t * 100.0).round() / 100.0),
+        "  simulated platform time {:.2}s, measured {:.1} IPS, {switch}",
+        report.sim_time_s, report.avg_ips,
     );
 }

@@ -21,6 +21,18 @@
 //! acquisition order, which serving does not rely on for determinism:
 //! the served *values* are batch-composition-independent by the kernel
 //! bit-exactness contract).
+//!
+//! **A hand-off wakes only a sleeper.** On Linux, std's
+//! `Condvar::notify_one` is a futex syscall whether or not any thread
+//! waits, and a served request crosses three hand-offs (push, send,
+//! sender drop). So each state records who is asleep on its condvar —
+//! the queue counts the consumers inside `pop` / `pop_deadline`, the
+//! slot flags a receiver inside `recv` — and a hand-off notifies only
+//! when that record says someone sleeps; a sender that has sent is
+//! done, and its drop takes no lock. A wake-up cannot be lost: the
+//! record and the items sit under the same mutex, a waiter enters the
+//! record before it sleeps and leaves it after it wakes (for any
+//! reason), and it re-checks for an item before every sleep.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -44,6 +56,8 @@ impl Error for ChannelClosed {}
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers asleep on `ready` in `pop` / `pop_deadline`.
+    sleepers: usize,
 }
 
 /// Unbounded multi-producer/multi-consumer FIFO queue with blocking and
@@ -81,12 +95,13 @@ impl<T> MpmcQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
+                sleepers: 0,
             }),
             ready: Condvar::new(),
         }
     }
 
-    /// Enqueues `item`, waking one blocked consumer.
+    /// Enqueues `item`, waking one blocked consumer if any is asleep.
     ///
     /// # Errors
     ///
@@ -97,8 +112,11 @@ impl<T> MpmcQueue<T> {
             return Err(item);
         }
         state.items.push_back(item);
+        let wake = state.sleepers > 0;
         drop(state);
-        self.ready.notify_one();
+        if wake {
+            self.ready.notify_one();
+        }
         Ok(())
     }
 
@@ -120,7 +138,9 @@ impl<T> MpmcQueue<T> {
             if state.closed {
                 return None;
             }
+            state.sleepers += 1;
             state = self.ready.wait(state).expect("queue wait");
+            state.sleepers -= 1;
         }
     }
 
@@ -140,11 +160,13 @@ impl<T> MpmcQueue<T> {
             let remaining = deadline
                 .checked_duration_since(now)
                 .filter(|d| !d.is_zero())?;
+            state.sleepers += 1;
             let (guard, timeout) = self
                 .ready
                 .wait_timeout(state, remaining)
                 .expect("queue wait");
             state = guard;
+            state.sleepers -= 1;
             if timeout.timed_out() && state.items.is_empty() {
                 return None;
             }
@@ -179,6 +201,8 @@ struct SlotState<T> {
     value: Option<T>,
     sender_gone: bool,
     receiver_gone: bool,
+    /// The receiver is asleep on `ready` in `recv`.
+    receiver_asleep: bool,
 }
 
 struct Slot<T> {
@@ -191,6 +215,9 @@ struct Slot<T> {
 /// [`ChannelClosed`].
 pub struct OneShotSender<T> {
     slot: Arc<Slot<T>>,
+    /// `send` ran: the receiver has its value (or is gone), so `Drop`
+    /// has nothing to signal.
+    sent: bool,
 }
 
 /// Receiving half of a [`oneshot`] slot: consumed by
@@ -218,41 +245,54 @@ pub fn oneshot<T>() -> (OneShotSender<T>, OneShotReceiver<T>) {
             value: None,
             sender_gone: false,
             receiver_gone: false,
+            receiver_asleep: false,
         }),
         ready: Condvar::new(),
     });
     (
         OneShotSender {
             slot: Arc::clone(&slot),
+            sent: false,
         },
         OneShotReceiver { slot },
     )
 }
 
 impl<T> OneShotSender<T> {
-    /// Delivers the value, waking a blocked receiver.
+    /// Delivers the value, waking the receiver if it is blocked.
     ///
     /// # Errors
     ///
     /// Returns the value back if the receiver was already dropped (the
     /// client gave up — the server counts these instead of panicking).
-    pub fn send(self, value: T) -> Result<(), T> {
+    pub fn send(mut self, value: T) -> Result<(), T> {
+        self.sent = true;
         let mut state = self.slot.state.lock().expect("oneshot lock");
         if state.receiver_gone {
             return Err(value);
         }
         state.value = Some(value);
+        let wake = state.receiver_asleep;
         drop(state);
-        self.slot.ready.notify_one();
-        // Drop runs after this, but `value.is_some()` masks `sender_gone`.
+        if wake {
+            self.slot.ready.notify_one();
+        }
         Ok(())
     }
 }
 
 impl<T> Drop for OneShotSender<T> {
     fn drop(&mut self) {
-        self.slot.state.lock().expect("oneshot lock").sender_gone = true;
-        self.slot.ready.notify_one();
+        if self.sent {
+            return;
+        }
+        let mut state = self.slot.state.lock().expect("oneshot lock");
+        state.sender_gone = true;
+        let wake = state.receiver_asleep;
+        drop(state);
+        if wake {
+            self.slot.ready.notify_one();
+        }
     }
 }
 
@@ -272,7 +312,9 @@ impl<T> OneShotReceiver<T> {
             if state.sender_gone {
                 return Err(ChannelClosed);
             }
+            state.receiver_asleep = true;
             state = self.slot.ready.wait(state).expect("oneshot wait");
+            state.receiver_asleep = false;
         }
     }
 
@@ -306,8 +348,42 @@ impl<T> Drop for OneShotReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::thread;
     use std::time::Duration;
+
+    /// A woken waiter returns well within this; a lost wake-up does not.
+    const WAKE_LIMIT: Duration = Duration::from_secs(1);
+
+    /// Runs the blocking side `f` on its own thread. The test reads the
+    /// result with `recv_timeout`, so a lost wake-up fails it instead of
+    /// hanging it (the stuck thread is left behind).
+    fn spawn_bounded<R: Send + 'static>(
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> mpsc::Receiver<R> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx
+    }
+
+    /// Polls `cond` until it holds; panics after [`WAKE_LIMIT`].
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < WAKE_LIMIT, "never saw: {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn sleepers<T>(q: &MpmcQueue<T>) -> usize {
+        q.state.lock().unwrap().sleepers
+    }
+
+    fn receiver_asleep<T>(slot: &Slot<T>) -> bool {
+        slot.state.lock().unwrap().receiver_asleep
+    }
 
     #[test]
     fn queue_is_fifo_and_survives_threads() {
@@ -320,14 +396,12 @@ mod tests {
                 }
             })
         };
-        let mut got = Vec::new();
-        while got.len() < 100 {
-            if let Some(v) = q.pop() {
-                got.push(v);
-            }
-        }
+        let got = {
+            let q = Arc::clone(&q);
+            spawn_bounded(move || (0..100).map(|_| q.pop().unwrap()).collect::<Vec<_>>())
+        };
+        assert_eq!(got.recv_timeout(WAKE_LIMIT), Ok((0..100).collect()));
         producer.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -345,14 +419,13 @@ mod tests {
     #[test]
     fn close_wakes_blocked_consumers() {
         let q = Arc::new(MpmcQueue::<u8>::new());
-        let consumer = {
+        let popped = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.pop())
+            spawn_bounded(move || q.pop())
         };
-        // Give the consumer a moment to block, then close.
-        thread::sleep(Duration::from_millis(10));
+        wait_until("consumer asleep", || sleepers(&q) == 1);
         q.close();
-        assert_eq!(consumer.join().unwrap(), None);
+        assert_eq!(popped.recv_timeout(WAKE_LIMIT), Ok(None));
     }
 
     #[test]
@@ -372,6 +445,76 @@ mod tests {
             q.pop_deadline(Instant::now() - Duration::from_millis(1)),
             Some(8)
         );
+    }
+
+    #[test]
+    fn push_wakes_a_consumer_asleep_in_pop() {
+        let q = Arc::new(MpmcQueue::new());
+        let popped = {
+            let q = Arc::clone(&q);
+            spawn_bounded(move || q.pop())
+        };
+        wait_until("consumer asleep", || sleepers(&q) == 1);
+        q.push(7).unwrap();
+        assert_eq!(popped.recv_timeout(WAKE_LIMIT), Ok(Some(7)));
+    }
+
+    /// A push that failed to wake a timed waiter would still hand the
+    /// item over when the deadline expired — 5 s later, not at once.
+    #[test]
+    fn push_wakes_a_consumer_asleep_in_pop_deadline() {
+        let q = Arc::new(MpmcQueue::new());
+        let popped = {
+            let q = Arc::clone(&q);
+            spawn_bounded(move || q.pop_deadline(Instant::now() + Duration::from_secs(5)))
+        };
+        wait_until("consumer asleep", || sleepers(&q) == 1);
+        thread::sleep(Duration::from_millis(10));
+        let pushed = Instant::now();
+        q.push(7).unwrap();
+        assert_eq!(popped.recv_timeout(WAKE_LIMIT), Ok(Some(7)));
+        assert!(pushed.elapsed() < WAKE_LIMIT);
+    }
+
+    #[test]
+    fn sleeper_count_returns_to_zero_after_every_kind_of_wait() {
+        let q = Arc::new(MpmcQueue::<u8>::new());
+        assert_eq!(
+            q.pop_deadline(Instant::now() + Duration::from_millis(5)),
+            None
+        );
+        assert_eq!(sleepers(&q), 0, "after a timed-out wait");
+
+        for timed in [false, true] {
+            let popped = {
+                let q = Arc::clone(&q);
+                spawn_bounded(move || {
+                    if timed {
+                        q.pop_deadline(Instant::now() + Duration::from_secs(5))
+                    } else {
+                        q.pop()
+                    }
+                })
+            };
+            wait_until("consumer asleep", || sleepers(&q) == 1);
+            // A wake-up with nothing queued (as a spurious one would be)
+            // sends the consumer back to sleep, counted once.
+            q.ready.notify_all();
+            thread::sleep(Duration::from_millis(10));
+            wait_until("consumer asleep again", || sleepers(&q) == 1);
+            q.push(timed as u8).unwrap();
+            assert_eq!(popped.recv_timeout(WAKE_LIMIT), Ok(Some(timed as u8)));
+            assert_eq!(sleepers(&q), 0, "after a woken wait (timed: {timed})");
+        }
+
+        let popped = {
+            let q = Arc::clone(&q);
+            spawn_bounded(move || q.pop())
+        };
+        wait_until("consumer asleep", || sleepers(&q) == 1);
+        q.close();
+        assert_eq!(popped.recv_timeout(WAKE_LIMIT), Ok(None));
+        assert_eq!(sleepers(&q), 0, "after a wait ended by close");
     }
 
     #[test]
@@ -404,9 +547,21 @@ mod tests {
     #[test]
     fn oneshot_delivers_once_across_threads() {
         let (tx, rx) = oneshot();
+        let received = spawn_bounded(move || rx.recv());
         let t = thread::spawn(move || tx.send(99).unwrap());
-        assert_eq!(rx.recv(), Ok(99));
+        assert_eq!(received.recv_timeout(WAKE_LIMIT), Ok(Ok(99)));
         t.join().unwrap();
+    }
+
+    #[test]
+    fn send_wakes_a_receiver_asleep_in_recv() {
+        let (tx, rx) = oneshot();
+        let slot = Arc::clone(&tx.slot);
+        let received = spawn_bounded(move || rx.recv());
+        wait_until("receiver asleep", || receiver_asleep(&slot));
+        thread::sleep(Duration::from_millis(10));
+        tx.send(99).unwrap();
+        assert_eq!(received.recv_timeout(WAKE_LIMIT), Ok(Ok(99)));
     }
 
     #[test]
@@ -415,12 +570,14 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv(), Err(ChannelClosed));
 
-        // Blocked receiver wakes when the sender drops later.
+        // Blocked receiver wakes when the sender drops later, unsent.
         let (tx, rx) = oneshot::<u8>();
-        let t = thread::spawn(move || rx.recv());
+        let slot = Arc::clone(&tx.slot);
+        let received = spawn_bounded(move || rx.recv());
+        wait_until("receiver asleep", || receiver_asleep(&slot));
         thread::sleep(Duration::from_millis(10));
         drop(tx);
-        assert_eq!(t.join().unwrap(), Err(ChannelClosed));
+        assert_eq!(received.recv_timeout(WAKE_LIMIT), Ok(Err(ChannelClosed)));
     }
 
     #[test]

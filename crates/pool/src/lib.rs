@@ -19,7 +19,9 @@
 //! * [`MpmcQueue`] / [`oneshot`] — std-only channel primitives (MPMC
 //!   request queue with deadline-bounded pops, one-shot completion
 //!   slots) that the request-driven serving front door (`fixar-serve`)
-//!   builds on instead of an async runtime.
+//!   builds on instead of an async runtime. Each records who sleeps on
+//!   its condvar and a hand-off notifies only a sleeper: std's notify is
+//!   a futex syscall whether or not anyone waits.
 //!
 //! # Determinism contract
 //!

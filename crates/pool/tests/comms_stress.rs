@@ -81,18 +81,7 @@ fn every_item_is_popped_once_in_per_producer_order() {
     for seed in 0..8 {
         watchdog("mpmc order", seed, |seed| {
             let q = Arc::new(MpmcQueue::new());
-            let producers: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let q = Arc::clone(&q);
-                    thread::spawn(move || {
-                        let mut rng = Rng::new(seed * 16 + p as u64);
-                        for i in 0..ITEMS {
-                            rng.jitter();
-                            q.push((p, i)).unwrap();
-                        }
-                    })
-                })
-                .collect();
+            let producers = jittered_producers(&q, seed, PRODUCERS, ITEMS);
             let consumers: Vec<_> = (0..CONSUMERS)
                 .map(|c| {
                     let q = Arc::clone(&q);
@@ -122,21 +111,100 @@ fn every_item_is_popped_once_in_per_producer_order() {
                 p.join().unwrap();
             }
             q.close();
-            let mut all = HashSet::new();
-            for c in consumers {
-                let seen = c.join().unwrap();
-                for p in 0..PRODUCERS {
-                    let mine: Vec<usize> = seen.iter().filter(|x| x.0 == p).map(|x| x.1).collect();
-                    assert!(
-                        mine.windows(2).all(|w| w[0] < w[1]),
-                        "producer {p}'s items out of push order"
-                    );
+            let seen = consumers.into_iter().map(|c| c.join().unwrap());
+            assert_partition(seen, PRODUCERS, ITEMS);
+        });
+    }
+}
+
+/// Spawns `producers` threads, each pushing `items` numbered items with
+/// seeded jitter between pushes.
+fn jittered_producers(
+    q: &Arc<MpmcQueue<(usize, usize)>>,
+    seed: u64,
+    producers: usize,
+    items: usize,
+) -> Vec<thread::JoinHandle<()>> {
+    (0..producers)
+        .map(|p| {
+            let q = Arc::clone(q);
+            thread::spawn(move || {
+                let mut rng = Rng::new(seed * 16 + p as u64);
+                for i in 0..items {
+                    rng.jitter();
+                    q.push((p, i)).unwrap();
                 }
-                for item in seen {
-                    assert!(all.insert(item), "{item:?} popped twice");
-                }
+            })
+        })
+        .collect()
+}
+
+/// Every `(producer, index)` item was popped exactly once over all
+/// consumers, and each consumer saw each producer's items in push order.
+fn assert_partition(
+    per_consumer: impl Iterator<Item = Vec<(usize, usize)>>,
+    producers: usize,
+    items: usize,
+) {
+    let mut all = HashSet::new();
+    for seen in per_consumer {
+        for p in 0..producers {
+            let mine: Vec<usize> = seen.iter().filter(|x| x.0 == p).map(|x| x.1).collect();
+            assert!(
+                mine.windows(2).all(|w| w[0] < w[1]),
+                "producer {p}'s items out of push order"
+            );
+        }
+        for item in seen {
+            assert!(all.insert(item), "{item:?} popped twice");
+        }
+    }
+    assert_eq!(all.len(), producers * items, "items lost");
+}
+
+/// The serving batcher's own pattern: each consumer blocks in `pop` for
+/// a first item, then collects more with `pop_deadline` until its batch
+/// is full or a short deadline (sometimes zero) passes, against
+/// jittered producers. Consumers spend most of their time asleep in one
+/// pop or the other, so every push races a sleeper.
+#[test]
+fn batcher_pattern_pops_every_item_once_in_per_producer_order() {
+    const PRODUCERS: usize = 3;
+    const CONSUMERS: usize = 3;
+    const ITEMS: usize = 200;
+    const MAX_BATCH: usize = 4;
+    for seed in 0..8 {
+        watchdog("mpmc batcher", seed, |seed| {
+            let q = Arc::new(MpmcQueue::new());
+            let producers = jittered_producers(&q, seed, PRODUCERS, ITEMS);
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|c| {
+                    let q = Arc::clone(&q);
+                    thread::spawn(move || {
+                        let mut rng = Rng::new(seed * 16 + 8 + c as u64);
+                        let mut seen = Vec::new();
+                        while let Some(first) = q.pop() {
+                            let delay = Duration::from_micros(rng.below(3) * 50);
+                            let deadline = Instant::now() + delay;
+                            seen.push(first);
+                            for _ in 1..MAX_BATCH {
+                                match q.pop_deadline(deadline) {
+                                    Some(item) => seen.push(item),
+                                    None => break,
+                                }
+                            }
+                            rng.jitter();
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
             }
-            assert_eq!(all.len(), PRODUCERS * ITEMS, "items lost");
+            q.close();
+            let seen = consumers.into_iter().map(|c| c.join().unwrap());
+            assert_partition(seen, PRODUCERS, ITEMS);
         });
     }
 }
@@ -222,6 +290,48 @@ fn oneshot_ends_race_to_a_value_or_closed() {
                 (None, Some(received)) => assert_eq!(received, Err(ChannelClosed)),
                 (Some(sent), None) => assert!(sent == Ok(()) || sent == Err(seed)),
                 (None, None) => {}
+            }
+        });
+    }
+}
+
+/// Several one-shot pairs at once, every receiver already asleep in
+/// `recv` before its sender acts: one thread (as a batcher fans replies
+/// out) sends to some and drops the others unsent, in seeded order with
+/// jitter. Each receiver wakes with its value or `ChannelClosed`.
+#[test]
+fn asleep_receivers_wake_on_send_and_on_unsent_drop() {
+    const PAIRS: u64 = 8;
+    for seed in 0..32 {
+        watchdog("oneshot asleep", seed, |seed| {
+            let mut rng = Rng::new(seed);
+            let mut senders = Vec::new();
+            let mut receivers = Vec::new();
+            for i in 0..PAIRS {
+                let (tx, rx) = oneshot::<u64>();
+                senders.push((i, rng.below(2) == 0, tx));
+                receivers.push(thread::spawn(move || rx.recv()));
+            }
+            // Let every receiver reach its wait.
+            thread::sleep(Duration::from_millis(2 + rng.below(3)));
+            let mut sends = vec![false; PAIRS as usize];
+            while !senders.is_empty() {
+                let (i, send, tx) = senders.swap_remove(rng.below(senders.len() as u64) as usize);
+                if send {
+                    assert_eq!(tx.send(i), Ok(()));
+                } else {
+                    drop(tx);
+                }
+                sends[i as usize] = send;
+                rng.jitter();
+            }
+            for (i, r) in receivers.into_iter().enumerate() {
+                let want = if sends[i] {
+                    Ok(i as u64)
+                } else {
+                    Err(ChannelClosed)
+                };
+                assert_eq!(r.join().unwrap(), want, "pair {i}");
             }
         });
     }
