@@ -39,8 +39,8 @@
 //!   alone (what a target network runs), gated equal before timing;
 //! * `quantizer_micro`: the per-element cost of each deploy-time
 //!   quantizer spec (a shifting one, and the `shift: 0` clamp a step
-//!   finer than the word grid exports as), isolated by subtracting a
-//!   passthrough baseline artifact.
+//!   finer than the word grid exports as): `QuantWords::apply` timed
+//!   directly over a 64×400 word image.
 //! * `narrow_layer_micro`: the paper-size update's narrow calls at batch
 //!   64 on `sparse50` operands, named `in×out` — `gemv_batch 300x1` /
 //!   `300x6` (the critic and actor output layers), `gemv_t_batch 400x23`
@@ -70,7 +70,6 @@
 //!   as a JSON document (the `BENCH_kernel_micro.json` artifact that
 //!   seeds the perf trajectory).
 
-use fixar_deploy::{ActKind, PolicyArtifact};
 use fixar_fixed::{AffineQuantizer, Fx32, QFormat, Scalar};
 use fixar_nn::{Adam, AdamConfig, Mlp, MlpConfig, MlpGrads};
 use fixar_tensor::{Matrix, Parallelism, WeightPack, LANE_RATIO};
@@ -179,7 +178,7 @@ fn rows_admitted(weights: &Matrix<Fx32>, inputs: &Matrix<Fx32>) -> usize {
     (0..inputs.rows())
         .filter(|&b| {
             let x_max = magnitudes(inputs.row(b)).0;
-            Fx32::mac_chain_is_clamp_free(w_max, w_abs_sum, x_max, 0, weights.cols())
+            Fx32::admits_clamp_free_chain(w_max, w_abs_sum, x_max, 0, weights.cols())
         })
         .count()
 }
@@ -193,7 +192,7 @@ fn outer_rows_admitted(e: &Matrix<Fx32>, a: &Matrix<Fx32>) -> usize {
     (0..et.rows())
         .filter(|&i| {
             let (e_max, e_abs_sum) = magnitudes(et.row(i));
-            Fx32::mac_chain_is_clamp_free(e_max, e_abs_sum, a_max, 0, e.rows())
+            Fx32::admits_clamp_free_chain(e_max, e_abs_sum, a_max, 0, e.rows())
         })
         .count()
 }
@@ -440,71 +439,41 @@ fn main() {
     }
 }
 
-/// Per-element cost of each deploy-time quantizer spec.
-///
-/// Three single-layer `[3, 64]` artifacts share identical weights and
-/// differ only in the output activation point's spec: no quantizer at
-/// all (the baseline), a shifting spec (Q4.12), and a 31-bit range whose
-/// step is finer than the word grid — the same arm at distance 0, a clamp
-/// between two words. The interpreter applies either as one mask and one
-/// clamp (a pass-through is the same mask and clamp with identity
-/// words), so the arms price a spec's words, not its kind. The
-/// quantizer's per-element cost is the arm's ns/element minus the
-/// baseline's, so the shared matrix walk cancels out.
+/// Per-element cost of each deploy-time quantizer spec:
+/// `QuantWords::apply` over one 64×400 activation image, a shifting spec
+/// (Q4.12) and a 31-bit range whose step is finer than the word grid —
+/// the same step at distance 0, a clamp between two words. The words are
+/// read through `black_box` and the output is written through it, so
+/// neither can be folded away; each arm is gated equal to the `f64`
+/// quantizer before timing.
 fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
-    const QDIM: usize = 64;
-    const OBS: usize = 3;
-    const POOL: usize = 64;
-    println!("quantizer_micro: [{OBS}, {QDIM}] artifact, {POOL} raw obs, per-element ns");
-
-    let weights = vec![(0..QDIM * OBS)
-        .map(|i| (((i * 37) % 41) as i32 - 20) * (1 << 14))
-        .collect::<Vec<i32>>()];
-    let biases = vec![vec![0i32; QDIM]];
-    let build = |q: Option<&AffineQuantizer>| {
-        PolicyArtifact::from_parts(
-            &[OBS, QDIM],
-            ActKind::Identity,
-            ActKind::Identity,
-            weights.clone(),
-            biases.clone(),
-            &[None, q],
-        )
-        .expect("quantizer_micro artifact")
-    };
-    let base = build(None);
+    let acts = sparse50(64, 400, 4.0, 66);
+    let words = Fx32::raw_words(acts.as_slice());
+    let mut out = vec![0i32; words.len()];
+    println!(
+        "quantizer_micro: QuantWords::apply over {} words, per-element ns",
+        words.len()
+    );
     let q_shift = AffineQuantizer::from_format(QFormat::q(4, 12).unwrap()).unwrap();
-    let shift = build(Some(&q_shift));
     let q_clamp = AffineQuantizer::from_range(-2.0, 3.0, 31).unwrap();
     assert!(q_clamp.delta() < Fx32::from_raw(1).to_f64());
-    let clamp = build(Some(&q_clamp));
-
-    let pool: Vec<[i32; OBS]> = (0..POOL)
-        .map(|k| {
-            let k = k as i32;
-            [
-                (k - 32) * (1 << 15),
-                (k * 7 % 61 - 30) * (1 << 14),
-                (k * 13 % 53 - 26) * (1 << 16),
-            ]
-        })
-        .collect();
-    let time_arm = |art: &PolicyArtifact| {
-        time_ns_per_sample(reps, POOL * QDIM, || {
-            for obs in &pool {
-                std::hint::black_box(art.infer_raw(std::hint::black_box(obs)).unwrap());
+    for (name, q) in [("quant_shift", &q_shift), ("quant_clamp", &q_clamp)] {
+        let qw = q.shift_form(Fx32::FRAC_BITS).words();
+        let apply = |out: &mut [i32]| {
+            let words = std::hint::black_box(words.as_slice());
+            for (o, &w) in out.iter_mut().zip(words) {
+                *o = qw.apply(w);
             }
-        })
-    };
-    let base_ns = time_arm(&base);
-    push_per(
-        records,
-        "quant baseline (no spec)".into(),
-        "element",
-        base_ns,
-    );
-    for (name, art) in [("quant_shift", &shift), ("quant_clamp", &clamp)] {
-        let ns = (time_arm(art) - base_ns).max(0.0);
+            std::hint::black_box(out);
+        };
+        apply(&mut out);
+        let want: Vec<i32> = acts
+            .as_slice()
+            .iter()
+            .map(|&x| q.fake_quantize_scalar(x).raw())
+            .collect();
+        assert_eq!(out, want, "{name} diverged from the f64 quantizer");
+        let ns = time_ns_per_sample(reps, words.len(), || apply(&mut out));
         push_per(records, name.into(), "element", ns);
     }
 }

@@ -8,7 +8,11 @@
 //! stamped with the id and content hash of the artifact that served it.
 //! The sweep covers request counts {1k, 10k, 100k} × batch deadlines
 //! {0, 100µs, 1ms} × shards {1, 2, 4}, reporting p50/p99 client-observed
-//! latency and served actions/sec.
+//! latency and served actions/sec. At 1 000 requests a cell takes a few
+//! milliseconds and swings ±30 % from run to run on a loaded 2-core
+//! host, so the whole sweep runs [`SWEEPS`] times, interleaved, and each
+//! cell reports the median of its runs with the interquartile range
+//! beside it.
 //!
 //! **Bit-equality gate:** before any timing, a serving run (including a
 //! live mid-run artifact swap) is replayed offline by the recorded
@@ -38,14 +42,34 @@ const DEADLINES_US: [u64; 3] = [0, 100, 1_000];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const CLIENTS: usize = 4;
 const INFLIGHT_WINDOW: usize = 64;
+/// Runs of the whole sweep behind every reported cell.
+const SWEEPS: usize = 9;
 
+/// One run of one cell.
+struct Run {
+    p50_us: f64,
+    p99_us: f64,
+    actions_per_sec: f64,
+    mean_batch_rows: f64,
+    max_batch_rows: u64,
+}
+
+/// `[q1, median, q3]` of one metric over a cell's runs.
+fn quartiles(runs: &[Run], metric: impl Fn(&Run) -> f64) -> [f64; 3] {
+    let mut v: Vec<f64> = runs.iter().map(metric).collect();
+    v.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| percentile(&v, p))
+}
+
+/// One cell of the sweep over its [`SWEEPS`] runs: quartiles of each
+/// timing.
 struct Record {
     requests: usize,
     deadline_us: u64,
     shards: usize,
-    p50_us: f64,
-    p99_us: f64,
-    actions_per_sec: f64,
+    p50_us: [f64; 3],
+    p99_us: [f64; 3],
+    actions_per_sec: [f64; 3],
     mean_batch_rows: f64,
     max_batch_rows: u64,
 }
@@ -230,42 +254,68 @@ fn main() {
         .collect();
     let counts = if counts.is_empty() { vec![cap] } else { counts };
 
-    let mut records: Vec<Record> = Vec::new();
-    for &requests in &counts {
-        for &deadline_us in &DEADLINES_US {
-            for &shards in &SHARD_COUNTS {
-                let server = ArtifactServer::start(
-                    ArtifactReplica::new(artifacts[0].clone(), 0),
-                    ServeConfig {
-                        max_batch: 32,
-                        max_delay: Duration::from_micros(deadline_us),
-                        shards,
-                        workers: 1,
-                    },
-                )
-                .expect("bench server");
-                let result = drive(&server, requests, false);
-                let stats = server.shutdown();
-                let served = result.latencies_us.len();
-                let r = Record {
-                    requests,
-                    deadline_us,
+    let cells: Vec<(usize, u64, usize)> = counts
+        .iter()
+        .flat_map(|&r| DEADLINES_US.iter().map(move |&d| (r, d)))
+        .flat_map(|(r, d)| SHARD_COUNTS.iter().map(move |&s| (r, d, s)))
+        .collect();
+    let mut runs: Vec<Vec<Run>> = cells.iter().map(|_| Vec::new()).collect();
+    for _ in 0..SWEEPS {
+        for (&(requests, deadline_us, shards), runs) in cells.iter().zip(&mut runs) {
+            let server = ArtifactServer::start(
+                ArtifactReplica::new(artifacts[0].clone(), 0),
+                ServeConfig {
+                    max_batch: 32,
+                    max_delay: Duration::from_micros(deadline_us),
                     shards,
-                    p50_us: percentile(&result.latencies_us, 0.50),
-                    p99_us: percentile(&result.latencies_us, 0.99),
-                    actions_per_sec: served as f64 / result.wall_s,
-                    mean_batch_rows: stats.mean_batch_rows(),
-                    max_batch_rows: stats.max_batch_rows(),
-                };
-                println!(
-                    "req {requests:>6}  deadline {deadline_us:>5}us  shards {shards}  \
-                     p50 {:>9.1}us  p99 {:>9.1}us  {:>10.0} actions/s  mean batch {:>5.1}",
-                    r.p50_us, r.p99_us, r.actions_per_sec, r.mean_batch_rows
-                );
-                records.push(r);
-            }
+                    workers: 1,
+                },
+            )
+            .expect("bench server");
+            let result = drive(&server, requests, false);
+            let stats = server.shutdown();
+            runs.push(Run {
+                p50_us: percentile(&result.latencies_us, 0.50),
+                p99_us: percentile(&result.latencies_us, 0.99),
+                actions_per_sec: result.latencies_us.len() as f64 / result.wall_s,
+                mean_batch_rows: stats.mean_batch_rows(),
+                max_batch_rows: stats.max_batch_rows(),
+            });
         }
     }
+    println!("per cell: median [IQR] of {SWEEPS} interleaved sweeps");
+    let records: Vec<Record> = cells
+        .iter()
+        .zip(&runs)
+        .map(|(&(requests, deadline_us, shards), runs)| {
+            let r = Record {
+                requests,
+                deadline_us,
+                shards,
+                p50_us: quartiles(runs, |r| r.p50_us),
+                p99_us: quartiles(runs, |r| r.p99_us),
+                actions_per_sec: quartiles(runs, |r| r.actions_per_sec),
+                mean_batch_rows: quartiles(runs, |r| r.mean_batch_rows)[1],
+                max_batch_rows: runs.iter().map(|r| r.max_batch_rows).max().unwrap_or(0),
+            };
+            println!(
+                "req {requests:>6}  deadline {deadline_us:>5}us  shards {shards}  \
+                 p50 {:>7.1}us [{:.1}–{:.1}]  p99 {:>7.1}us [{:.1}–{:.1}]  \
+                 {:>8.0} actions/s [{:.0}–{:.0}]  mean batch {:>5.1}",
+                r.p50_us[1],
+                r.p50_us[0],
+                r.p50_us[2],
+                r.p99_us[1],
+                r.p99_us[0],
+                r.p99_us[2],
+                r.actions_per_sec[1],
+                r.actions_per_sec[0],
+                r.actions_per_sec[2],
+                r.mean_batch_rows
+            );
+            r
+        })
+        .collect();
 
     if let Ok(path) = std::env::var("FIXAR_BENCH_JSON") {
         let mut json = String::from("{\n");
@@ -278,20 +328,29 @@ fn main() {
         let _ = writeln!(json, "  \"max_batch\": 32,");
         let _ = writeln!(json, "  \"bit_equality_gate\": \"passed\",");
         let _ = writeln!(json, "  \"host_cores\": {cores},");
+        let _ = writeln!(json, "  \"sweeps_per_cell\": {SWEEPS},");
         json.push_str("  \"series\": [\n");
         for (i, r) in records.iter().enumerate() {
             let comma = if i + 1 == records.len() { "" } else { "," };
             let _ = writeln!(
                 json,
                 "    {{\"requests\": {}, \"deadline_us\": {}, \"shards\": {}, \
-                 \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"actions_per_sec\": {:.0}, \
+                 \"p50_us\": {:.1}, \"p50_iqr_us\": [{:.1}, {:.1}], \
+                 \"p99_us\": {:.1}, \"p99_iqr_us\": [{:.1}, {:.1}], \
+                 \"actions_per_sec\": {:.0}, \"actions_per_sec_iqr\": [{:.0}, {:.0}], \
                  \"mean_batch_rows\": {:.2}, \"max_batch_rows\": {}}}{comma}",
                 r.requests,
                 r.deadline_us,
                 r.shards,
-                r.p50_us,
-                r.p99_us,
-                r.actions_per_sec,
+                r.p50_us[1],
+                r.p50_us[0],
+                r.p50_us[2],
+                r.p99_us[1],
+                r.p99_us[0],
+                r.p99_us[2],
+                r.actions_per_sec[1],
+                r.actions_per_sec[0],
+                r.actions_per_sec[2],
                 r.mean_batch_rows,
                 r.max_batch_rows
             );

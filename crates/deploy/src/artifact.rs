@@ -7,18 +7,20 @@
 //! [`AffineQuantizer`] lives on a power-of-two step, so its spec is read
 //! straight off it at export time — the shift distance, the zero point
 //! and the code window ([`AffineQuantizer::shift_form`]) — and the
-//! interpreter in `interp.rs` never touches a float.
+//! integer walk `interp.rs` runs never touches a float.
 
 use bytes::Bytes;
+use fixar_fixed::walk::{self, ActKind, LayerView};
 use fixar_fixed::{AffineQuantizer, Fx32, QuantWords, ShiftForm};
 
 use crate::error::DeployError;
 use crate::guard;
 use crate::interp;
 
-/// Fractional bits of the v1 artifact grid — the `Fx32` (Q12.20) format
-/// every FIXAR policy trains in.
-pub const ARTIFACT_FRAC_BITS: u32 = 20;
+/// Fractional bits of the artifact grid — the `Fx32` (Q12.20) format
+/// every FIXAR policy trains in, and the grid the integer walk
+/// ([`fixar_fixed::walk::FRAC_BITS`]) runs on.
+pub const ARTIFACT_FRAC_BITS: u32 = walk::FRAC_BITS;
 
 const MAGIC: [u8; 4] = *b"FXDA";
 /// v3 dropped spec tags 2 and 3 of v1/v2 (tabulated quantizers): every
@@ -34,37 +36,22 @@ const MAX_SHIFT: u32 = 62;
 /// allocation is sized from it.
 const MAX_LAYERS: u32 = 1024;
 
-/// Activation kind of an artifact layer.
-///
-/// The integer interpreter implements each kind directly on raw words:
-/// identity is a pass-through, relu is `max(x, 0)`, tanh is the shared
-/// 64-segment piecewise-linear ROM from `fixar_fixed::math`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActKind {
-    /// Pass-through.
-    Identity,
-    /// Rectified linear unit.
-    Relu,
-    /// Hyperbolic tangent (piecewise-linear ROM).
-    Tanh,
+/// Blob tag of an activation kind.
+fn act_tag(act: ActKind) -> u8 {
+    match act {
+        ActKind::Identity => 0,
+        ActKind::Relu => 1,
+        ActKind::Tanh => 2,
+    }
 }
 
-impl ActKind {
-    fn tag(self) -> u8 {
-        match self {
-            ActKind::Identity => 0,
-            ActKind::Relu => 1,
-            ActKind::Tanh => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(ActKind::Identity),
-            1 => Some(ActKind::Relu),
-            2 => Some(ActKind::Tanh),
-            _ => None,
-        }
+/// The activation kind a blob tag names, if any.
+fn act_from_tag(tag: u8) -> Option<ActKind> {
+    match tag {
+        0 => Some(ActKind::Identity),
+        1 => Some(ActKind::Relu),
+        2 => Some(ActKind::Tanh),
+        _ => None,
     }
 }
 
@@ -135,8 +122,6 @@ pub struct BlobStats {
 /// [`PolicyArtifact::infer`] and [`PolicyArtifact::infer_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyArtifact {
-    /// Fractional bits of the grid (always [`ARTIFACT_FRAC_BITS`] in v1).
-    pub(crate) frac_bits: u32,
     /// `num_layers + 1` entries: input dim, hidden dims, output dim.
     pub(crate) layer_sizes: Vec<u32>,
     /// Activation of every hidden layer.
@@ -260,7 +245,6 @@ impl PolicyArtifact {
             .map(|(l, w)| transposed(layer_sizes[l + 1], layer_sizes[l], w.iter().copied()))
             .collect();
         Ok(Self::assemble(
-            ARTIFACT_FRAC_BITS,
             layer_sizes.iter().map(|&s| s as u32).collect(),
             hidden_act,
             output_act,
@@ -275,9 +259,7 @@ impl PolicyArtifact {
     /// quantizers. Both constructors ([`PolicyArtifact::from_parts`],
     /// [`PolicyArtifact::decode`]) funnel through here so the derived
     /// fields can never disagree with `weights_t`.
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
-        frac_bits: u32,
         layer_sizes: Vec<u32>,
         hidden_act: ActKind,
         output_act: ActKind,
@@ -302,7 +284,6 @@ impl PolicyArtifact {
             .collect();
         let quant_words = specs.iter().map(QuantSpec::words).collect();
         Self {
-            frac_bits,
             layer_sizes,
             hidden_act,
             output_act,
@@ -329,14 +310,42 @@ impl PolicyArtifact {
         self.weights_t.len()
     }
 
-    /// Fractional bits of the artifact's fixed-point grid.
+    /// Fractional bits of the artifact's fixed-point grid (always
+    /// [`ARTIFACT_FRAC_BITS`], the grid the integer walk runs on).
     pub fn frac_bits(&self) -> u32 {
-        self.frac_bits
+        ARTIFACT_FRAC_BITS
     }
 
     /// Layer sizes, input through output.
     pub fn layer_sizes(&self) -> Vec<usize> {
         self.layer_sizes.iter().map(|&s| s as usize).collect()
+    }
+
+    /// Layer `l` as the integer walk reads it.
+    pub(crate) fn layer(&self, l: usize) -> LayerView<'_> {
+        let (w_max, w_abs_sum) = self.weight_bounds[l];
+        LayerView {
+            weights_t: &self.weights_t[l],
+            bias: &self.biases[l],
+            quant: self.quant_words[l + 1],
+            act: if l + 1 == self.num_layers() {
+                self.output_act
+            } else {
+                self.hidden_act
+            },
+            w_max,
+            w_abs_sum,
+        }
+    }
+
+    /// The widest layer input (observation or hidden width): what the
+    /// walk's scratch is sized by, per sample.
+    pub(crate) fn max_width(&self) -> usize {
+        let n = self.num_layers();
+        self.layer_sizes[..n]
+            .iter()
+            .max()
+            .map_or(0, |&w| w as usize)
     }
 
     /// `Err` unless `len` is exactly one observation.
@@ -453,12 +462,12 @@ impl PolicyArtifact {
     fn write_body(&self, mut put: impl FnMut(&[u8])) {
         put(&MAGIC);
         put(&VERSION.to_le_bytes());
-        put(&self.frac_bits.to_le_bytes());
+        put(&ARTIFACT_FRAC_BITS.to_le_bytes());
         put(&(self.num_layers() as u32).to_le_bytes());
         for &s in &self.layer_sizes {
             put(&s.to_le_bytes());
         }
-        put(&[self.hidden_act.tag(), self.output_act.tag()]);
+        put(&[act_tag(self.hidden_act), act_tag(self.output_act)]);
         for (wt, bias) in self.weights_t.iter().zip(&self.biases) {
             // Row-major: output `i`'s words are every column's `i`-th.
             let rows = bias.len();
@@ -521,9 +530,9 @@ impl PolicyArtifact {
             }
             layer_sizes.push(s);
         }
-        let hidden_act = ActKind::from_tag(cur.u8()?)
+        let hidden_act = act_from_tag(cur.u8()?)
             .ok_or_else(|| DeployError::Corrupt("unknown hidden activation tag".into()))?;
-        let output_act = ActKind::from_tag(cur.u8()?)
+        let output_act = act_from_tag(cur.u8()?)
             .ok_or_else(|| DeployError::Corrupt("unknown output activation tag".into()))?;
         let mut weights_t = Vec::with_capacity(n);
         let mut biases = Vec::with_capacity(n);
@@ -582,7 +591,6 @@ impl PolicyArtifact {
             return Err(DeployError::ChecksumMismatch { stored, computed });
         }
         Ok(Self::assemble(
-            frac_bits,
             layer_sizes,
             hidden_act,
             output_act,
@@ -978,14 +986,7 @@ mod tests {
         let admitted = |art: &PolicyArtifact, o: &[f64]| {
             let (w_max, row_abs_sum) = art.weight_bounds[0];
             let x_max = o.iter().map(|&x| raw(x).unsigned_abs()).max().unwrap();
-            fixar_fixed::math::mac_chain_is_clamp_free(
-                ARTIFACT_FRAC_BITS,
-                w_max,
-                row_abs_sum,
-                x_max,
-                0,
-                3,
-            )
+            walk::mac_chain_is_clamp_free(ARTIFACT_FRAC_BITS, w_max, row_abs_sum, x_max, 0, 3)
         };
         for (name, dead) in [("live", false), ("dead first layer", true)] {
             let art = batch_artifact(dead);

@@ -1,9 +1,9 @@
 //! The float-guard instrumentation behind the artifact's no-float contract.
 //!
 //! The interpreter in this crate claims to execute **zero** floating-point
-//! operations. That claim is enforced twice: statically (a test greps the
-//! interpreter source for float tokens) and dynamically through this
-//! module. Every function in `fixar-deploy` that performs floating-point
+//! operations. That claim is enforced twice: statically (the walk it runs,
+//! `fixar_fixed::WALK_SOURCE`, passes [`crate::verify_generated_source`]'s
+//! float-token gate) and dynamically through this module. Every function in `fixar-deploy` that performs floating-point
 //! arithmetic — export-time quantizer freezing, the `f64` convenience
 //! wrapper around inference — calls [`float_op`] first. The integer-only
 //! entry point ([`crate::PolicyArtifact::infer_raw`]) arms a

@@ -3,41 +3,48 @@
 //! FIXAR's end goal is a policy that runs on integer-only hardware. This
 //! crate is the last mile: it freezes a trained QAT actor into a
 //! [`PolicyArtifact`] — a self-contained blob of raw `i32` weight words,
-//! activation kinds, and per-point integer quantizer specs — plus a
-//! standalone interpreter that evaluates it with **zero floating-point
-//! operations**, bit-identical to the frozen `fixar-nn` forward pass. The
-//! crate depends only on `fixar-fixed` (for the shared integer tanh ROM,
-//! the MAC-chain guard and the frozen quantizer's words) and the `bytes`
-//! shim; none of the float-capable tensor or network machinery is
-//! reachable from the inference path.
+//! activation kinds, and per-point integer quantizer specs — and runs it
+//! with **zero floating-point operations**, bit-identical to the frozen
+//! `fixar-nn` forward pass. The crate depends only on `fixar-fixed` and
+//! the `bytes` shim; none of the float-capable tensor or network
+//! machinery is reachable from the inference path.
 //!
-//! The interpreter's multiply-accumulate chains saturate exactly as the
-//! scalar type's do, but only pay for it when they might: per layer and
-//! observation, `fixar_fixed::math::mac_chain_is_clamp_free` is
+//! The inference program is written once, in `fixar_fixed::walk`: the
+//! word operations of the datapath and the multi-layer walk over
+//! borrowed layers. The interpreter ([`PolicyArtifact::infer_batch`];
+//! `infer` / `infer_raw` are its one-row case) is a call to that walk,
+//! and [`PolicyArtifact::emit_rust`] pastes the same file verbatim into
+//! the `no_std` firmware it generates, followed by the artifact's data —
+//! so the interpreter and the emitted program are one text. The walk's
+//! multiply-accumulate chains saturate exactly as the scalar type's do,
+//! but only pay for it when they might: per layer and observation, the
+//! interval guard `fixar_fixed::walk::mac_chain_is_clamp_free` is
 //! evaluated on the layer's weight bounds (derived when the artifact is
 //! assembled, never serialized) and the largest activation magnitude in
-//! hand, and a layer it admits accumulates with the clamp-free step —
+//! hand, and a chain it admits accumulates with the clamp-free step —
 //! the same words, since neither clamp could have fired. A rail-valued
 //! observation or a hostile blob's huge weights simply fail the guard
 //! and take the saturating chain. A chain issues only the input words
-//! that are non-zero (a zero word adds exact zeros), every quantizer is
-//! one mask and one clamp on words derived at assembly
+//! that are non-zero (a zero word adds exact zeros), and every quantizer
+//! is one mask and one clamp on words derived at assembly
 //! (`fixar_fixed::QuantWords` — the step a `Q32` activation point runs in
 //! training, so training, snapshot, interpreter and emitted source share
-//! one quantizer), and one walk evaluates a whole batch
-//! ([`PolicyArtifact::infer_batch`]), one verdict per sample.
+//! one quantizer).
 //!
 //! The no-float contract is machine-checked three ways:
 //!
-//! 1. **Statically** — a test greps the interpreter source for float
-//!    tokens.
+//! 1. **Statically** — [`verify_generated_source`], the gate every
+//!    emitted file passes, runs over `#![no_std]` plus the walk's source
+//!    (`fixar_fixed::WALK_SOURCE`): no `std`, no `alloc`, no imports, no
+//!    float token, not even in comments.
 //! 2. **Dynamically** — the `deploy-float-guard` feature arms a
 //!    per-thread tripwire ([`guard`]) that panics if any instrumented
 //!    float helper of this crate runs while the interpreter holds a
-//!    [`guard::NoFloatZone`].
+//!    [`guard::NoFloatZone`] around the walk.
 //! 3. **Differentially** — `tests/deploy_props.rs` proves artifact output
 //!    ≡ the frozen per-sample `forward_qat` bit-for-bit across agents,
-//!    precision-policy arms, and serialization round-trips.
+//!    precision-policy arms, and serialization round-trips, and the
+//!    emitted source, compiled, ≡ both.
 //!
 //! # Blob layout (v3, little-endian)
 //!
@@ -65,7 +72,7 @@
 //! its weights plus ≈ 100 bytes. A step finer than the word grid is the
 //! same arm at `shift = 0`: a clamp between the two clip words. Weights
 //! travel row-major; an artifact holds each layer once, in the
-//! column-major order the interpreter streams. v1/v2 blobs, whose tags 2 and 3 tabulated quantizers with
+//! column-major order the walk streams. v1/v2 blobs, whose tags 2 and 3 tabulated quantizers with
 //! arbitrary real steps, decode to [`DeployError::UnsupportedVersion`].
 //!
 //! The trailing checksum doubles as the artifact's
@@ -106,25 +113,7 @@ mod error;
 pub mod guard;
 mod interp;
 
-pub use artifact::{ActKind, BlobStats, PolicyArtifact, ARTIFACT_FRAC_BITS};
+pub use artifact::{BlobStats, PolicyArtifact, ARTIFACT_FRAC_BITS};
 pub use codegen::verify_generated_source;
 pub use error::DeployError;
-
-#[cfg(test)]
-mod no_float_source_gate {
-    /// The static half of the no-float contract: the interpreter source
-    /// must not mention float types or float-producing methods, not even
-    /// in comments. The dynamic half is the `deploy-float-guard` feature.
-    #[test]
-    fn interpreter_source_has_no_float_tokens() {
-        let src = include_str!("interp.rs");
-        for token in [
-            "f32", "f64", "to_f", "from_f", ".floor", ".round", "powi", "powf", "as f",
-        ] {
-            assert!(
-                !src.contains(token),
-                "interp.rs contains forbidden float token {token:?}"
-            );
-        }
-    }
-}
+pub use fixar_fixed::walk::ActKind;

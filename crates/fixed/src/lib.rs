@@ -30,13 +30,18 @@
 //!   `f64` oracle it is tested against.
 //! * [`RangeMonitor`] — running min/max capture used during the
 //!   quantization-delay window to calibrate the quantizer.
-//! * [`math::mac_chain_is_clamp_free`] / [`math::mac_unclamped`] — the
-//!   interval guard that proves a saturating multiply-accumulate chain
-//!   cannot clamp, and the clamp-free step that then replaces it bit
-//!   for bit. Defined once, on raw words, for the `fixar-deploy`
-//!   interpreter; [`Scalar`] surfaces the pair to the generic
-//!   `fixar-tensor` kernels (floats admit every chain, [`Q16`]
-//!   declines).
+//! * [`walk`] — the one integer program of a frozen policy: the word
+//!   operations of the datapath ([`walk::fx_mul`], the saturating
+//!   accumulate, [`walk::tanh_raw`] over its ROM, [`QuantWords`]) and
+//!   the multi-layer [`walk::walk`] over borrowed layers. [`Q32`]'s
+//!   multiply and tanh are these functions; the `fixar-deploy`
+//!   interpreter calls the walk, and its codegen pastes the file
+//!   ([`WALK_SOURCE`]) verbatim into the `no_std` firmware it emits.
+//!   Its interval guard [`walk::mac_chain_is_clamp_free`] proves a
+//!   saturating multiply-accumulate chain cannot clamp, so
+//!   [`walk::mac_unclamped`] replaces it bit for bit; [`Scalar`]
+//!   surfaces the pair to the generic `fixar-tensor` kernels (floats
+//!   admit every chain, [`Q16`] declines).
 //!
 //! # Float-assisted, integer-exact elementwise units
 //!
@@ -93,12 +98,22 @@ mod q16;
 mod q32;
 mod quant;
 mod scalar;
+/// The one integer program of a frozen policy: word operations and the
+/// multi-layer walk, integer-only, allocation-free, `core`-only. The
+/// file is also [`WALK_SOURCE`], which `fixar-deploy` emits verbatim.
+pub mod walk;
 
 pub use monitor::RangeMonitor;
 pub use q16::Q16;
 pub use q32::Q32;
-pub use quant::{AffineQuantizer, QFormat, QuantError, QuantWords, ShiftForm};
+pub use quant::{AffineQuantizer, QFormat, QuantError, ShiftForm};
 pub use scalar::Scalar;
+pub use walk::QuantWords;
+
+/// The text of the [`walk`] module, for code generators: it imports
+/// nothing and names no path outside itself, so pasted into a
+/// `#![no_std]` file after the data it reads it compiles as is.
+pub const WALK_SOURCE: &str = include_str!("walk.rs");
 
 /// Default 32-bit fixed-point format (Q12.20) used by FIXAR for weights,
 /// gradients, Adam state, and full-precision activations.

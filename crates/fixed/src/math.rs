@@ -1,33 +1,19 @@
-//! Integer-only math kernels shared by the fixed-point scalar types.
+//! Integer math kernels of the scalar types that no deployed policy
+//! runs: `e^x`, the square root and the quotient.
 //!
-//! These mirror how an FPGA activation unit evaluates nonlinear functions:
-//! the lookup tables below are the ROM contents (computed offline in full
-//! precision, stored here as Q2.30 integer constants) and everything at
-//! runtime — indexing, interpolation, Newton iterations — is integer
-//! arithmetic.
+//! These mirror how an FPGA unit evaluates them: the lookup table below
+//! is ROM contents (computed offline in full precision, stored as Q2.30
+//! integer constants) and everything at runtime — indexing,
+//! interpolation, Newton iterations — is integer arithmetic. The word
+//! operations a frozen policy runs (the rounding multiply, the guard,
+//! the tanh ROM, the quantizer) live in [`walk`](crate::walk), the one
+//! source the deploy interpreter and its emitted firmware share.
 //!
-//! The module is public so that integer-only consumers (most notably the
-//! `fixar-deploy` artifact interpreter, which must evaluate a frozen
-//! policy without touching `f32`/`f64`) can call the raw kernels directly
-//! on two's-complement words instead of going through a scalar type.
+//! The module is public for the integer **definitions** [`div_raw`] and
+//! [`sqrt_raw`], the oracles `tests/props.rs` sweeps the float-assisted
+//! forms of [`Q32`](crate::Q32) against.
 
-/// `tanh(i * 4/64)` for `i = 0..=64`, in Q2.30.
-///
-/// 64 piecewise-linear segments over `[0, 4]`; beyond 4 the function is
-/// saturated to ±1, where `tanh` is within 7e-4 of its asymptote.
-///
-/// Public so `fixar-deploy`'s codegen can embed the exact ROM contents
-/// in emitted firmware source instead of duplicating the constants.
-pub const TANH_Q30: [i64; 65] = [
-    0, 67021619, 133523019, 199000008, 262979411, 325032097, 384783327, 441919982, 496194519,
-    547425766, 595496917, 640351229, 681985995, 720445410, 755812887, 788203292, 817755498,
-    844625518, 868980407, 890993016, 910837623, 928686409, 944706725, 959059047, 971895537,
-    983359117, 993582944, 1002690226, 1010794288, 1017998824, 1024398298, 1030078428, 1035116732,
-    1039583108, 1043540415, 1047045057, 1050147544, 1052893030, 1055321814, 1057469822, 1059369036,
-    1061047900, 1062531689, 1063842843, 1065001270, 1066024621, 1066928539, 1067726879, 1068431906,
-    1069054476, 1069604193, 1070089550, 1070518060, 1070896360, 1071230320, 1071525125, 1071785356,
-    1072015063, 1072217818, 1072396782, 1072554741, 1072694159, 1072817210, 1072925813, 1073021665,
-];
+use crate::walk::Q30;
 
 /// `2^(i/32)` for `i = 0..=32`, in Q2.30.
 const POW2_Q30: [i64; 33] = [
@@ -40,57 +26,6 @@ const POW2_Q30: [i64; 33] = [
 
 /// `log2(e)` in Q2.30.
 const LOG2E_Q30: i64 = 1549082005;
-
-const Q30: u32 = 30;
-
-/// Rescale a Q2.30 value to a Q`frac` value with round-to-nearest.
-#[inline]
-fn q30_to_frac(v: i64, frac: u32) -> i64 {
-    debug_assert!(frac <= Q30);
-    let shift = Q30 - frac;
-    if shift == 0 {
-        v
-    } else {
-        (v + (1i64 << (shift - 1))) >> shift
-    }
-}
-
-/// Hyperbolic tangent of a fixed-point value with `frac` fractional bits,
-/// evaluated over a 64-segment piecewise-linear ROM (integer datapath).
-///
-/// Input and output are raw fixed-point integers sharing the same format.
-/// The result always lies in `[-2^frac, 2^frac]` (i.e. `[-1.0, 1.0]`).
-///
-/// # Panics
-///
-/// Debug-asserts `frac` in `4..=30` (the segment width must be a whole
-/// number of raw units).
-pub fn tanh_raw(raw: i64, frac: u32) -> i64 {
-    debug_assert!(
-        (4..=Q30).contains(&frac),
-        "tanh_raw requires 4..=30 fractional bits"
-    );
-    let one = 1i64 << frac;
-    let xmax = 4 * one;
-    let ax = raw.abs();
-    let y = if ax >= xmax {
-        one
-    } else {
-        // Segment width is xmax/64 = 2^(frac-4) raw units, so index and
-        // remainder extraction are pure shifts/masks, as in hardware.
-        let seg_shift = frac - 4;
-        let idx = (ax >> seg_shift) as usize;
-        let rem = ax & ((1i64 << seg_shift) - 1);
-        let y0 = q30_to_frac(TANH_Q30[idx], frac);
-        let y1 = q30_to_frac(TANH_Q30[idx + 1], frac);
-        y0 + (((y1 - y0) * rem) >> seg_shift)
-    };
-    if raw < 0 {
-        -y
-    } else {
-        y
-    }
-}
 
 /// `e^x` for a fixed-point value with `frac` fractional bits.
 ///
@@ -124,57 +59,6 @@ pub(crate) fn exp_raw(raw: i64, frac: u32) -> i64 {
     } else {
         (frac_pow + (1i64 << (shift - 1))) >> shift
     }
-}
-
-/// Interval guard of a saturating multiply-accumulate chain on raw words
-/// with `frac` fractional bits: `true` only when neither clamp of the
-/// chain can fire, so [`mac_unclamped`] reproduces it bit for bit.
-///
-/// The chain is `acc₀ = init`,
-/// `acc_k = sat_add(acc_{k−1}, clamp((w_k·x_k + 2^(frac−1)) >> frac))`
-/// over `terms` products whose raw magnitudes obey `|w_k| ≤ w_max`,
-/// `Σ|w_k| ≤ w_abs_sum`, `|x_k| ≤ x_max` and `|init| ≤ init_max`.
-/// Magnitudes are `unsigned_abs` of the raw word — `|i32::MIN|` is
-/// 2³¹, **not** the saturated `abs()` of the scalar types, which would
-/// admit `w = −1.0, x = MIN` (a product of exactly 2³¹ ulps, which
-/// clamps). Two conditions, both required:
-///
-/// * **no product clamps:** `w_max·x_max + 2^(frac−1) < 2^(31+frac)`,
-///   i.e. the largest rounded product is at most `i32::MAX` (the
-///   negative side has one more ulp of room);
-/// * **no partial sum leaves `i32`, in any order:** every rounded
-///   product is at most `|w_k·x_k| / 2^frac + ½` in magnitude, so any
-///   partial sum is below
-///   `init_max + ⌊w_abs_sum·x_max / 2^frac⌋ + terms + 1`, which must
-///   be `≤ 2³¹ − 1`.
-///
-/// Evaluated in `u128`, so the guard itself cannot wrap whatever the
-/// bounds. A caller may pass looser bounds than its data has (a
-/// whole-matrix maximum for one row), never tighter ones.
-pub fn mac_chain_is_clamp_free(
-    frac: u32,
-    w_max: u32,
-    w_abs_sum: u64,
-    x_max: u32,
-    init_max: u32,
-    terms: usize,
-) -> bool {
-    let x = u128::from(x_max);
-    let products_fit = u128::from(w_max) * x + (1u128 << (frac - 1)) < 1u128 << (31 + frac);
-    let sum_bound =
-        u128::from(init_max) + ((u128::from(w_abs_sum) * x) >> frac) + terms as u128 + 1;
-    products_fit && sum_bound <= i32::MAX as u128
-}
-
-/// One step of a multiply-accumulate chain with both clamps skipped:
-/// the product rounds to nearest exactly as the saturating multiply
-/// does, then adds with a plain wrapping add. Equal to
-/// `acc.saturating_add(clamp(round(w·x)))` for every step of a chain
-/// that [`mac_chain_is_clamp_free`] admits; meaningless (but never
-/// undefined) for one it rejects.
-#[inline(always)]
-pub fn mac_unclamped(acc: i32, w: i32, x: i32, frac: u32) -> i32 {
-    acc.wrapping_add(((w as i64 * x as i64 + (1i64 << (frac - 1))) >> frac) as i32)
 }
 
 /// Integer square root of a `u64`, by Newton's method seeded from the bit
@@ -307,6 +191,7 @@ pub(crate) fn sqrt_q32_assisted(raw: i32, frac: u32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::{mac_chain_is_clamp_free, mac_unclamped, tanh_raw};
 
     fn err_tanh(frac: u32, x: f64) -> f64 {
         let raw = (x * (1i64 << frac) as f64).round() as i64;
@@ -467,24 +352,24 @@ mod tests {
         assert!(!guard(ONE, 400 * u64::from(ONE), 1000 * ONE, 0, 400));
         assert!(chains_agree::<20>(0, w, x, 2) && !chains_agree::<20>(0, w, x, 400));
         // The scalar hooks are the same predicate and the same step.
-        assert!(!Fx32::mac_chain_is_clamp_free(
+        assert!(!Fx32::admits_clamp_free_chain(
             ONE,
             u64::from(ONE),
             RAIL,
             0,
             1
         ));
-        assert!(Fx32::mac_chain_is_clamp_free(
+        assert!(Fx32::admits_clamp_free_chain(
             ONE,
             3 * u64::from(ONE),
             ONE,
             0,
             3
         ));
-        let acc = Fx32::from_raw(7).mac_unclamped(Fx32::from_raw(w), Fx32::from_raw(x));
+        let acc = Fx32::from_raw(7).clamp_free_mac(Fx32::from_raw(w), Fx32::from_raw(x));
         assert_eq!(acc.raw(), sat_step::<20>(7, w, x));
-        assert!(f64::mac_chain_is_clamp_free(RAIL, u64::MAX, RAIL, RAIL, 9));
-        assert!(!crate::Fx16::mac_chain_is_clamp_free(0, 0, 0, 0, 1));
+        assert!(f64::admits_clamp_free_chain(RAIL, u64::MAX, RAIL, RAIL, 9));
+        assert!(!crate::Fx16::admits_clamp_free_chain(0, 0, 0, 0, 1));
     }
 
     /// Seeded sweep around both thresholds with the operands placed *at*

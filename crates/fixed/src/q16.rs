@@ -4,7 +4,7 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::math;
+use crate::{math, walk};
 
 /// Signed fixed-point number with `F` fractional bits in an `i16`.
 ///
@@ -146,7 +146,7 @@ impl<const F: u32> Q16<F> {
     /// Hyperbolic tangent via the shared piecewise-linear ROM.
     #[inline]
     pub fn tanh(self) -> Self {
-        Self(clamp_i32(math::tanh_raw(self.0 as i64, F) as i32))
+        Self(clamp_i32(walk::tanh_raw(self.0 as i64, F) as i32))
     }
 
     /// `e^x`, saturating on overflow.

@@ -5,6 +5,7 @@ use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::math;
+use crate::walk::{clamp_word, fx_mul, tanh_raw};
 
 /// Signed fixed-point number with `F` fractional bits in an `i32`.
 ///
@@ -142,12 +143,11 @@ impl<const F: u32> Q32<F> {
         Self(self.0.saturating_sub(rhs.0))
     }
 
-    /// Saturating multiplication: widen to `i64`, round to nearest, clamp.
+    /// Saturating multiplication: widen to `i64`, round to nearest, clamp
+    /// ([`fx_mul`], the deployed datapath's multiply).
     #[inline]
     pub fn saturating_mul(self, rhs: Self) -> Self {
-        let prod = self.0 as i64 * rhs.0 as i64;
-        let rounded = (prod + (1i64 << (F - 1))) >> F;
-        Self(clamp_i64(rounded))
+        Self(fx_mul(self.0, rhs.0, F))
     }
 
     /// Saturating division, truncating toward zero.
@@ -167,7 +167,7 @@ impl<const F: u32> Q32<F> {
         if F <= math::FLOAT_ASSIST_MAX_FRAC {
             Self(math::div_q32_assisted(self.0, rhs.0, F))
         } else {
-            Self(clamp_i64(math::div_raw(self.0, rhs.0, F)))
+            Self(clamp_word(math::div_raw(self.0, rhs.0, F)))
         }
     }
 
@@ -188,7 +188,7 @@ impl<const F: u32> Q32<F> {
         if F <= math::FLOAT_ASSIST_MAX_FRAC {
             Self(math::sqrt_q32_assisted(self.0, F))
         } else {
-            Self(clamp_i64(math::sqrt_raw(self.0 as i64, F)))
+            Self(clamp_word(math::sqrt_raw(self.0 as i64, F)))
         }
     }
 
@@ -196,14 +196,14 @@ impl<const F: u32> Q32<F> {
     /// FIXAR activation unit. The result is always in `[-1, 1]`.
     #[inline]
     pub fn tanh(self) -> Self {
-        Self(clamp_i64(math::tanh_raw(self.0 as i64, F)))
+        Self(clamp_word(tanh_raw(self.0 as i64, F)))
     }
 
     /// `e^x` via range reduction and the 32-segment power-of-two ROM,
     /// saturating on overflow.
     #[inline]
     pub fn exp(self) -> Self {
-        Self(clamp_i64(math::exp_raw(self.0 as i64, F)))
+        Self(clamp_word(math::exp_raw(self.0 as i64, F)))
     }
 
     /// Returns the larger of two values.
@@ -242,17 +242,6 @@ impl<const F: u32> Q32<F> {
     #[inline]
     pub fn is_saturated(self) -> bool {
         self.0 == i32::MAX || self.0 == i32::MIN
-    }
-}
-
-#[inline]
-fn clamp_i64(v: i64) -> i32 {
-    if v > i32::MAX as i64 {
-        i32::MAX
-    } else if v < i32::MIN as i64 {
-        i32::MIN
-    } else {
-        v as i32
     }
 }
 
@@ -365,7 +354,7 @@ impl<const F: u32> From<i16> for Q32<F> {
     /// otherwise.
     fn from(v: i16) -> Self {
         let raw = (v as i64) << F;
-        Self(clamp_i64(raw))
+        Self(clamp_word(raw))
     }
 }
 

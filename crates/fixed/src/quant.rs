@@ -4,6 +4,7 @@ use core::fmt;
 use std::error::Error;
 
 use crate::monitor::RangeMonitor;
+use crate::walk::QuantWords;
 use crate::Scalar;
 
 /// Error constructing an [`AffineQuantizer`].
@@ -511,35 +512,6 @@ impl ShiftForm {
             lo: dequantize(0),
             hi: dequantize(self.max_code),
         }
-    }
-}
-
-/// A frozen quantizer as one mask and one clamp on raw words — the one
-/// `Q32` quantize step of training ([`Scalar::fake_quantize_slice`]),
-/// snapshot inference, the `fixar-deploy` interpreter and its emitted
-/// `no_std` source. Derived by [`ShiftForm::words`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuantWords {
-    /// Clears the bits below the step.
-    pub mask: i32,
-    /// The low clip word.
-    pub lo: i32,
-    /// The high clip word (`lo ≤ hi`).
-    pub hi: i32,
-}
-
-impl QuantWords {
-    /// The words of a point that does not quantize.
-    pub const PASS_THROUGH: Self = Self {
-        mask: -1,
-        lo: i32::MIN,
-        hi: i32::MAX,
-    };
-
-    /// Quantizes one raw word: `(r & mask).clamp(lo, hi)`.
-    #[inline(always)]
-    pub fn apply(self, r: i32) -> i32 {
-        (r & self.mask).clamp(self.lo, self.hi)
     }
 }
 

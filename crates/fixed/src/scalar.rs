@@ -4,7 +4,7 @@ use core::fmt::{Debug, Display};
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::{math, AffineQuantizer, Q16, Q32};
+use crate::{walk, AffineQuantizer, Q16, Q32};
 
 /// Scalar number type the FIXAR tensor/NN stack is generic over.
 ///
@@ -128,12 +128,12 @@ pub trait Scalar:
 
     /// Interval guard of the chain `acc = acc + w_k * x_k` over `terms`
     /// products: `true` only when no product and no partial sum of it
-    /// can saturate, so [`Scalar::mac_unclamped`] may replace the step.
+    /// can saturate, so [`Scalar::clamp_free_mac`] may replace the step.
     /// The bounds are [`Scalar::raw_magnitude`]s; see
-    /// [`math::mac_chain_is_clamp_free`] for the contract. The default
+    /// [`walk::mac_chain_is_clamp_free`] for the contract. The default
     /// declines, which keeps the saturating chain.
     #[inline]
-    fn mac_chain_is_clamp_free(
+    fn admits_clamp_free_chain(
         _w_max: u32,
         _w_abs_sum: u64,
         _x_max: u32,
@@ -143,11 +143,11 @@ pub trait Scalar:
         false
     }
 
-    /// `self + w * x` for a chain [`Scalar::mac_chain_is_clamp_free`]
+    /// `self + w * x` for a chain [`Scalar::admits_clamp_free_chain`]
     /// admitted: the same bits as the saturating step, without its
     /// clamps.
     #[inline]
-    fn mac_unclamped(self, w: Self, x: Self) -> Self {
+    fn clamp_free_mac(self, w: Self, x: Self) -> Self {
         self + w * x
     }
 
@@ -223,7 +223,7 @@ impl Scalar for f32 {
     }
     /// Floats never clamp, so every chain is admitted.
     #[inline]
-    fn mac_chain_is_clamp_free(_: u32, _: u64, _: u32, _: u32, _: usize) -> bool {
+    fn admits_clamp_free_chain(_: u32, _: u64, _: u32, _: u32, _: usize) -> bool {
         true
     }
 }
@@ -275,7 +275,7 @@ impl Scalar for f64 {
     }
     /// Floats never clamp, so every chain is admitted.
     #[inline]
-    fn mac_chain_is_clamp_free(_: u32, _: u64, _: u32, _: u32, _: usize) -> bool {
+    fn admits_clamp_free_chain(_: u32, _: u64, _: u32, _: u32, _: usize) -> bool {
         true
     }
 }
@@ -326,18 +326,18 @@ impl<const F: u32> Scalar for Q32<F> {
         self.raw().unsigned_abs()
     }
     #[inline]
-    fn mac_chain_is_clamp_free(
+    fn admits_clamp_free_chain(
         w_max: u32,
         w_abs_sum: u64,
         x_max: u32,
         init_max: u32,
         terms: usize,
     ) -> bool {
-        math::mac_chain_is_clamp_free(F, w_max, w_abs_sum, x_max, init_max, terms)
+        walk::mac_chain_is_clamp_free(F, w_max, w_abs_sum, x_max, init_max, terms)
     }
     #[inline(always)]
-    fn mac_unclamped(self, w: Self, x: Self) -> Self {
-        Self::from_raw(math::mac_unclamped(self.raw(), w.raw(), x.raw(), F))
+    fn clamp_free_mac(self, w: Self, x: Self) -> Self {
+        Self::from_raw(walk::mac_unclamped(self.raw(), w.raw(), x.raw(), F))
     }
     /// One mask and one clamp per raw word: the quantizer's
     /// [`QuantWords`](crate::QuantWords) on this format's grid.

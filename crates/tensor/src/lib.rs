@@ -96,7 +96,7 @@
 //! Rounding-and-clamping every product and saturating every add is what
 //! the contract *means*, not what a kernel must always *execute*. Before
 //! a batched kernel runs a chain it evaluates
-//! [`Scalar::mac_chain_is_clamp_free`] on bounds of the data in hand —
+//! [`Scalar::admits_clamp_free_chain`] on bounds of the data in hand —
 //! the largest weight magnitude and the largest row / column abs-sum
 //! (derived once per weight write, in [`WeightPack::refresh`] or
 //! [`WeightPack::soft_update`]) against
@@ -107,7 +107,7 @@
 //! input matrix for the MVMs; column `j` of `A`, all of `E` and gradient
 //! column `j` for the gradient. When the bounds prove that no product and no
 //! partial sum can leave the format, both clamps are dead code and the
-//! kernel runs the same loop nest with [`Scalar::mac_unclamped`] — the
+//! kernel runs the same loop nest with [`Scalar::clamp_free_mac`] — the
 //! same bits from about half the instructions. Anything the guard
 //! cannot prove (rail-valued inputs, exploding gradients, an
 //! accumulator already near the rail) runs the saturating step as
@@ -118,8 +118,8 @@
 //! side. The per-sample kernels ([`Matrix::gemv`], [`Matrix::gemv_t`],
 //! [`Matrix::add_outer`]) never consult the guard: they are the oracle.
 //!
-//! [`Scalar::mac_chain_is_clamp_free`]: fixar_fixed::Scalar::mac_chain_is_clamp_free
-//! [`Scalar::mac_unclamped`]: fixar_fixed::Scalar::mac_unclamped
+//! [`Scalar::admits_clamp_free_chain`]: fixar_fixed::Scalar::admits_clamp_free_chain
+//! [`Scalar::clamp_free_mac`]: fixar_fixed::Scalar::clamp_free_mac
 //!
 //! [`Scalar`]: fixar_fixed::Scalar
 

@@ -850,7 +850,7 @@ fn mvm_batch<S: Scalar>(
         // every sample a lane row holds.
         let (w_max, w_abs_sum) = bounds;
         let x_max = max_magnitude(&x.data);
-        let free = S::mac_chain_is_clamp_free(w_max, w_abs_sum, x_max, 0, x.cols);
+        let free = S::admits_clamp_free_chain(w_max, w_abs_sum, x_max, 0, x.cols);
         let xt = &x.transposed();
         let ranges = split_ranges(src.cols, par.shards(src.cols));
         let shards = column_shards(&mut y.data, src.cols, &ranges);
@@ -940,12 +940,12 @@ impl<S: Scalar> IndexMut<(usize, usize)> for Matrix<S> {
 // what *guarantees* sequential ≡ parallel bit-for-bit.
 
 /// One multiply-accumulate step: the saturating `acc + w * x`, or — for
-/// a chain the interval guard admitted — [`Scalar::mac_unclamped`],
+/// a chain the interval guard admitted — [`Scalar::clamp_free_mac`],
 /// which yields the same bits without the two clamps.
 #[inline(always)]
 fn mac<S: Scalar, const FREE: bool>(acc: S, w: S, x: S) -> S {
     if FREE {
-        acc.mac_unclamped(w, x)
+        acc.clamp_free_mac(w, x)
     } else {
         acc + w * x
     }
@@ -1012,7 +1012,7 @@ fn mvm_batch_span<S: Scalar>(
     for (b, y_row) in batch.zip(y_chunk.chunks_exact_mut(out_dim)) {
         let x_row = x.row(b);
         let x_max = max_magnitude(x_row);
-        let free = S::mac_chain_is_clamp_free(w_max, w_abs_sum, x_max, 0, x_row.len());
+        let free = S::admits_clamp_free_chain(w_max, w_abs_sum, x_max, 0, x_row.len());
         y_row.fill(S::zero());
         let src_rows = src.data.chunks_exact(out_dim);
         accumulate_rows(free, y_row, x_row.iter().copied().zip(src_rows));
@@ -1038,7 +1038,7 @@ fn add_outer_batch_span<S: Scalar>(
         let e_col = (0..e.rows).map(|b| e.data[b * e.cols + i]);
         let (e_max, e_abs_sum) = magnitudes(e_col.clone());
         let w_max = max_magnitude(w_row);
-        let free = S::mac_chain_is_clamp_free(e_max, e_abs_sum, a_max, w_max, e.rows);
+        let free = S::admits_clamp_free_chain(e_max, e_abs_sum, a_max, w_max, e.rows);
         let a_rows = a.data.chunks_exact(w_cols.max(1));
         accumulate_rows(free, w_row, e_col.zip(a_rows));
     }
@@ -1096,7 +1096,7 @@ fn add_outer_lanes_span<S: Scalar>(
         let a_col = (0..a.rows).map(|b| a.data[b * a.cols + j]);
         let (a_max, a_abs_sum) = magnitudes(a_col.clone());
         let g_max = max_magnitude(&lane);
-        let free = S::mac_chain_is_clamp_free(a_max, a_abs_sum, e_max, g_max, a.rows);
+        let free = S::admits_clamp_free_chain(a_max, a_abs_sum, e_max, g_max, a.rows);
         accumulate_rows(
             free,
             &mut lane,

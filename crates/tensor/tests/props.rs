@@ -269,13 +269,13 @@ fn guarded_mvms_equal_per_sample_on_both_sides_of_the_threshold() {
                     let fwd_free: Vec<bool> = (0..batch)
                         .map(|b| {
                             let x = max_magnitude(a.row(b));
-                            Fx32::mac_chain_is_clamp_free(w_max, row_sum, x, 0, cols)
+                            Fx32::admits_clamp_free_chain(w_max, row_sum, x, 0, cols)
                         })
                         .collect();
                     let bwd_free: Vec<bool> = (0..batch)
                         .map(|b| {
                             let x = max_magnitude(e.row(b));
-                            Fx32::mac_chain_is_clamp_free(w_max, col_sum, x, 0, ROWS)
+                            Fx32::admits_clamp_free_chain(w_max, col_sum, x, 0, ROWS)
                         })
                         .collect();
                     match rail_row {
@@ -336,7 +336,7 @@ fn guarded_add_outer_batch_equals_per_sample_around_the_init_headroom() {
             let n = batch as u32;
             let headroom = i32::MAX as u32 - n * one - n - 1;
             let admits =
-                |init| Fx32::mac_chain_is_clamp_free(one, u64::from(n * one), one, init, batch);
+                |init| Fx32::admits_clamp_free_chain(one, u64::from(n * one), one, init, batch);
             assert!(admits(headroom) && !admits(headroom + 1));
             let preload = [
                 headroom as i32,
@@ -490,8 +490,8 @@ fn zero_skipping_runs_on_both_sides_of_the_fx32_guard() {
     let one = u64::from(Fx32::ONE.raw_magnitude());
     let (w_max, w_sum) = ((12 * one) as u32, 33 * 12 * one);
     let small = (0.4 * one as f64) as u32;
-    assert!(Fx32::mac_chain_is_clamp_free(w_max, w_sum, small, 0, 33));
-    assert!(!Fx32::mac_chain_is_clamp_free(
+    assert!(Fx32::admits_clamp_free_chain(w_max, w_sum, small, 0, 33));
+    assert!(!Fx32::admits_clamp_free_chain(
         w_max,
         w_sum,
         (1900 * one) as u32,

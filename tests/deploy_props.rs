@@ -284,7 +284,7 @@ fn interpreter_equals_the_frozen_forward_on_both_sides_of_the_interval_guard() {
                 .unwrap();
             let x_max = max_magnitude(&trace.inputs[l]);
             assert_eq!(
-                Fx32::mac_chain_is_clamp_free(w_max, row_abs_sum, x_max, 0, w.cols()),
+                Fx32::admits_clamp_free_chain(w_max, row_abs_sum, x_max, 0, w.cols()),
                 want,
                 "{case}: layer {l}"
             );
@@ -887,7 +887,11 @@ fn export_is_deterministic() {
 /// (as `#![no_std]` rlibs), links them all into one runner, executes it,
 /// and proves the compiled code reproduces `infer_raw` bit-for-bit —
 /// DDPG + TD3 across every precision-policy arm. The content hash baked
-/// into each generated file must match the artifact's too.
+/// into each generated file must match the artifact's too. The emitted
+/// program and the interpreter are one text (`fixar_fixed::walk`), so
+/// each action is also checked against the frozen snapshot's
+/// `select_action`, which reaches its words through the `fixar-nn`
+/// forward instead.
 #[test]
 fn emitted_no_std_source_compiles_and_is_bit_equal_across_arms() {
     const N_OBS: usize = 8;
@@ -978,9 +982,14 @@ fn emitted_no_std_source_compiles_and_is_bit_equal_across_arms() {
                 let i: usize = parts[1].parse().unwrap();
                 let j: usize = parts[2].parse().unwrap();
                 let got: Vec<i32> = parts[3..].iter().map(|w| w.parse().unwrap()).collect();
-                let (name, _, art) = &f[i];
+                let (name, snap, art) = &f[i];
                 let want = art.infer_raw(&raw_obs(&obs(j))).unwrap();
                 assert_eq!(got, want, "{name} obs {j}: compiled codegen diverged");
+                let oracle = raw_obs(&snap.select_action(&obs(j)).unwrap());
+                assert_eq!(
+                    got, oracle,
+                    "{name} obs {j}: compiled codegen left the snapshot"
+                );
                 acts_seen += 1;
             }
             other => panic!("unexpected runner output {other:?}"),
