@@ -31,7 +31,7 @@
 //!   as a JSON document (the `BENCH_precision_frontier.json` artifact).
 
 use fixar_accel::{AccelConfig, LayerFormat, ResourceModel};
-use fixar_deploy::PolicyArtifact;
+use fixar_deploy::{InferScratch, PolicyArtifact};
 use fixar_fixed::{Fx32, QFormat};
 use fixar_nn::PrecisionPolicy;
 use fixar_rl::{Ddpg, DdpgConfig, PolicySnapshot, Td3Config, Transition, TransitionBatch};
@@ -101,8 +101,14 @@ fn mean_abs_dev(a: &[f64], b: &[f64]) -> f64 {
 /// The probe set's actions as served: the exported artifact, one
 /// `infer_batch` walk over all probe rows.
 fn serve_probe(art: &PolicyArtifact) -> Vec<f64> {
-    art.infer_batch(probe_observations().as_slice())
-        .expect("artifact inference")
+    let mut actions = Vec::new();
+    art.infer_batch(
+        probe_observations().as_slice(),
+        &mut InferScratch::default(),
+        &mut actions,
+    )
+    .expect("artifact inference");
+    actions
 }
 
 /// Maps a snapshot's per-point formats onto priced layers: layer `l`'s
@@ -135,10 +141,14 @@ fn priced_plan(snap: &PolicySnapshot<Fx32>, hidden: (usize, usize)) -> Vec<Layer
 /// Served actions/sec of an artifact over the probe set.
 fn time_serving(art: &PolicyArtifact, iters: usize) -> f64 {
     let probe = probe_observations();
-    art.infer_batch(probe.as_slice()).unwrap();
+    let (mut scratch, mut actions) = (InferScratch::default(), Vec::new());
+    art.infer_batch(probe.as_slice(), &mut scratch, &mut actions)
+        .unwrap();
     let t = Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(art.infer_batch(probe.as_slice()).unwrap());
+        art.infer_batch(probe.as_slice(), &mut scratch, &mut actions)
+            .unwrap();
+        std::hint::black_box(&actions);
     }
     (iters * PROBE_ROWS) as f64 / t.elapsed().as_secs_f64()
 }

@@ -15,7 +15,7 @@ use fixar_fixed::{AffineQuantizer, Fx32, QuantWords, ShiftForm};
 
 use crate::error::DeployError;
 use crate::guard;
-use crate::interp;
+use crate::interp::{self, InferScratch};
 
 /// Fractional bits of the artifact grid — the `Fx32` (Q12.20) format
 /// every FIXAR policy trains in, and the grid the integer walk
@@ -118,7 +118,7 @@ pub struct BlobStats {
 /// assembled directly with [`PolicyArtifact::from_parts`]), serialized
 /// with [`PolicyArtifact::encode`] / [`PolicyArtifact::decode`], and
 /// evaluated with [`PolicyArtifact::infer_raw`] — which performs zero
-/// floating-point operations — or the `f64` convenience wrappers
+/// floating-point operations — or the `f64` entries
 /// [`PolicyArtifact::infer`] and [`PolicyArtifact::infer_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyArtifact {
@@ -370,7 +370,10 @@ impl PolicyArtifact {
     /// [`PolicyArtifact::input_dim`] long.
     pub fn infer_raw(&self, obs: &[i32]) -> Result<Vec<i32>, DeployError> {
         self.check_one_row(obs.len())?;
-        Ok(interp::run(self, obs, 1))
+        let mut scratch = InferScratch::default();
+        scratch.raw.extend_from_slice(obs);
+        interp::run(self, &mut scratch);
+        Ok(scratch.out)
     }
 
     /// `f64` convenience wrapper around [`PolicyArtifact::infer_raw`]:
@@ -383,17 +386,21 @@ impl PolicyArtifact {
     /// [`PolicyArtifact::input_dim`] long.
     pub fn infer(&self, obs: &[f64]) -> Result<Vec<f64>, DeployError> {
         self.check_one_row(obs.len())?;
-        self.infer_batch(obs)
+        let mut actions = Vec::new();
+        self.infer_batch(obs, &mut InferScratch::default(), &mut actions)?;
+        Ok(actions)
     }
 
     /// Evaluates the policy on a batch of row-major observations
-    /// (`rows × input_dim`) and returns the row-major actions
-    /// (`rows × output_dim`). Projects the observations onto the `Fx32`
-    /// grid, runs the integer interpreter over the whole batch in one
-    /// walk, and converts the actions back; the conversions at the edges
-    /// are the only float operations — they happen *outside* the
-    /// interpreter's no-float zone. Every row's action is bit-identical
-    /// to [`PolicyArtifact::infer`] on that row alone.
+    /// (`rows × input_dim`) and replaces the contents of `actions` with
+    /// the row-major actions (`rows × output_dim`). Projects the
+    /// observations onto the `Fx32` grid, runs the integer interpreter
+    /// over the whole batch in one walk in `scratch`, and converts the
+    /// actions back; the conversions at the edges are the only float
+    /// operations — they happen *outside* the interpreter's no-float
+    /// zone. Every row's action is bit-identical to
+    /// [`PolicyArtifact::infer`] on that row alone, whatever `scratch`
+    /// served before; a warm `scratch` and `actions` allocate nothing.
     ///
     /// # Errors
     ///
@@ -401,7 +408,12 @@ impl PolicyArtifact {
     /// multiple of [`PolicyArtifact::input_dim`], and
     /// [`DeployError::NonFiniteObservation`] for a NaN or infinite word
     /// (the grid has no image for it).
-    pub fn infer_batch(&self, obs: &[f64]) -> Result<Vec<f64>, DeployError> {
+    pub fn infer_batch(
+        &self,
+        obs: &[f64],
+        scratch: &mut InferScratch,
+        actions: &mut Vec<f64>,
+    ) -> Result<(), DeployError> {
         guard::float_op("observation/action conversion at the artifact boundary");
         let dim = self.input_dim();
         if !obs.len().is_multiple_of(dim) {
@@ -416,11 +428,14 @@ impl PolicyArtifact {
                 index: k % dim,
             });
         }
-        let raw: Vec<i32> = obs.iter().map(|&x| Fx32::from_f64(x).raw()).collect();
-        Ok(interp::run(self, &raw, obs.len() / dim)
-            .into_iter()
-            .map(|r| Fx32::from_raw(r).to_f64())
-            .collect())
+        scratch.raw.clear();
+        scratch
+            .raw
+            .extend(obs.iter().map(|&x| Fx32::from_f64(x).raw()));
+        interp::run(self, scratch);
+        actions.clear();
+        actions.extend(scratch.out.iter().map(|&r| Fx32::from_raw(r).to_f64()));
+        Ok(())
     }
 
     /// Serializes the artifact to its canonical byte layout (see the
@@ -898,6 +913,13 @@ mod tests {
         );
     }
 
+    /// `infer_batch` with a fresh scratch, its actions returned.
+    fn infer_rows(art: &PolicyArtifact, obs: &[f64]) -> Result<Vec<f64>, DeployError> {
+        let mut actions = Vec::new();
+        art.infer_batch(obs, &mut InferScratch::default(), &mut actions)?;
+        Ok(actions)
+    }
+
     #[test]
     fn infer_checks_observation_dimension() {
         let art = tiny_artifact();
@@ -918,13 +940,13 @@ mod tests {
             }
         );
         assert_eq!(
-            art.infer_batch(&[0.0; 5]).unwrap_err(),
+            infer_rows(&art, &[0.0; 5]).unwrap_err(),
             DeployError::DimensionMismatch {
                 expected: 6,
                 got: 5
             }
         );
-        assert_eq!(art.infer_batch(&[]).unwrap(), Vec::<f64>::new());
+        assert_eq!(infer_rows(&art, &[]).unwrap(), Vec::<f64>::new());
         assert_eq!(art.input_dim(), 2);
         assert_eq!(art.output_dim(), 1);
         assert_eq!(art.num_layers(), 2);
@@ -974,7 +996,9 @@ mod tests {
     /// The mutant this must catch: the interval-guard verdict taken once
     /// per batch (from its first row) rather than once per sample — a
     /// rail row behind a small first row then wraps instead of
-    /// saturating.
+    /// saturating. One scratch serves every batch of both artifacts,
+    /// growing and shrinking, so a word left over from an earlier batch
+    /// would show too.
     #[test]
     fn infer_batch_equals_per_row_infer() {
         let small = |i: usize| -> Vec<f64> {
@@ -988,6 +1012,7 @@ mod tests {
             let x_max = o.iter().map(|&x| raw(x).unsigned_abs()).max().unwrap();
             walk::mac_chain_is_clamp_free(ARTIFACT_FRAC_BITS, w_max, row_abs_sum, x_max, 0, 3)
         };
+        let (mut scratch, mut actions) = (InferScratch::default(), Vec::new());
         for (name, dead) in [("live", false), ("dead first layer", true)] {
             let art = batch_artifact(dead);
             // Mixed verdicts within one batch: the rail row fails the
@@ -996,7 +1021,7 @@ mod tests {
                 !admitted(&art, &rail) && admitted(&art, &small(0)),
                 "{name}"
             );
-            for rows in [1, 2, 7, 32, 33] {
+            for rows in [1, 2, 7, 32, 33, 2] {
                 let batch: Vec<Vec<f64>> = (0..rows)
                     .map(|i| {
                         let o = if rows > 1 && i == rows / 2 {
@@ -1013,11 +1038,9 @@ mod tests {
                     })
                     .collect();
                 let want: Vec<f64> = batch.iter().flat_map(|o| art.infer(o).unwrap()).collect();
-                assert_eq!(
-                    art.infer_batch(&batch.concat()).unwrap(),
-                    want,
-                    "{name}, {rows} rows"
-                );
+                art.infer_batch(&batch.concat(), &mut scratch, &mut actions)
+                    .unwrap();
+                assert_eq!(actions, want, "{name}, {rows} rows");
             }
         }
     }
@@ -1033,7 +1056,7 @@ mod tests {
                     let mut batch = vec![0.25; 3 * 3];
                     batch[row * 3 + index] = bad;
                     assert_eq!(
-                        art.infer_batch(&batch),
+                        infer_rows(&art, &batch),
                         Err(DeployError::NonFiniteObservation { row, index }),
                         "{bad} at row {row}, index {index}"
                     );

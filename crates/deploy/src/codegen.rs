@@ -161,9 +161,9 @@ impl PolicyArtifact {
              /// Evaluates the policy on one raw grid observation.\n\
              pub fn infer(obs: &[i32; INPUT_DIM], action: &mut [i32; OUTPUT_DIM]) {{\n\
              \x20   let (mut ping, mut pong) = ([0i32; MAX_WIDTH], [0i32; MAX_WIDTH]);\n\
-             \x20   let mut terms = [(0usize, 0i32); MAX_WIDTH];\n\
+             \x20   let mut terms = [(0u32, 0i32); MAX_WIDTH];\n\
              \x20   let input = {};\n\
-             \x20   walk(&LAYERS, input, obs, action, &mut ping, &mut pong, &mut terms);\n\
+             \x20   walk(LAYERS.iter().copied(), input, obs, action, &mut ping, &mut pong, &mut terms);\n\
              }}",
             lit_quant(self.quant_words[0]),
         );
@@ -258,7 +258,7 @@ mod tests {
         // ROM is the walk's.
         assert_eq!(data.matches("fn ").count(), 1);
         assert!(data.contains(
-            "    walk(&LAYERS, input, obs, action, &mut ping, &mut pong, &mut terms);\n}"
+            "    walk(LAYERS.iter().copied(), input, obs, action, &mut ping, &mut pong, &mut terms);\n}"
         ));
         assert_eq!(data.matches("static ").count(), 2 * 2 + 1);
         assert!(data.contains("static LAYERS: [LayerView<'static>; 2]"));

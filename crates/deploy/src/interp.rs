@@ -11,38 +11,46 @@
 //! order; the walk's docs say which work it skips without changing a
 //! word (zero input words, the quantizer's shift arithmetic).
 //!
-//! Every buffer the walk touches is allocated here, once per call and
-//! independent of the layer count: the layer views, the actions, one
-//! scratch buffer split into the two ping-pong halves, and the term
-//! list.
+//! Every buffer the walk touches lives in the caller's [`InferScratch`];
+//! the layers are read in place, one view at a time.
 
-use fixar_fixed::walk::{walk, LayerView};
+use fixar_fixed::walk::walk;
 
 use crate::artifact::PolicyArtifact;
 use crate::guard::NoFloatZone;
 
-/// Evaluates the artifact on `rows` raw observations, row-major, and
-/// returns their actions, row-major.
+/// The interpreter's buffers — observation words, the walk's ping-pong
+/// halves and term list, action words — for [`PolicyArtifact::infer_batch`]
+/// to reuse: their capacity grows to the largest batch served, so a warm
+/// call allocates nothing, and what they held before is never read.
+#[derive(Debug, Default)]
+pub struct InferScratch {
+    pub(crate) raw: Vec<i32>,
+    halves: Vec<i32>,
+    terms: Vec<(u32, i32)>,
+    pub(crate) out: Vec<i32>,
+}
+
+/// Evaluates the artifact on the raw observations in `scratch.raw`,
+/// row-major, and leaves their actions, row-major, in `scratch.out`.
 ///
 /// The caller has already validated the input: its length, and (for
 /// float input) that every word is finite.
-pub(crate) fn run(art: &PolicyArtifact, obs: &[i32], rows: usize) -> Vec<i32> {
+pub(crate) fn run(art: &PolicyArtifact, scratch: &mut InferScratch) {
     let _zone = NoFloatZone::enter();
-    assert_eq!(obs.len(), rows * art.input_dim());
-    let layers: Vec<LayerView<'_>> = (0..art.num_layers()).map(|l| art.layer(l)).collect();
+    let rows = scratch.raw.len() / art.input_dim();
     let width = art.max_width();
-    let mut out = vec![0; rows * art.output_dim()];
-    let mut scratch = vec![0; 2 * rows * width];
-    let (ping, pong) = scratch.split_at_mut(rows * width);
-    let mut terms = vec![(0, 0); width];
+    scratch.halves.resize(2 * rows * width, 0);
+    scratch.terms.resize(width, (0, 0));
+    scratch.out.resize(rows * art.output_dim(), 0);
+    let (ping, pong) = scratch.halves.split_at_mut(rows * width);
     walk(
-        &layers,
+        (0..art.num_layers()).map(|l| art.layer(l)),
         art.quant_words[0],
-        obs,
-        &mut out,
+        &scratch.raw,
+        &mut scratch.out,
         ping,
         pong,
-        &mut terms,
+        &mut scratch.terms,
     );
-    out
 }

@@ -12,10 +12,11 @@
 //! The inference program is written once, in `fixar_fixed::walk`: the
 //! word operations of the datapath and the multi-layer walk over
 //! borrowed layers. The interpreter ([`PolicyArtifact::infer_batch`];
-//! `infer` / `infer_raw` are its one-row case) is a call to that walk,
-//! and [`PolicyArtifact::emit_rust`] pastes the same file verbatim into
-//! the `no_std` firmware it generates, followed by the artifact's data —
-//! so the interpreter and the emitted program are one text. The walk's
+//! `infer` / `infer_raw` are its one-row case) is a call to that walk in
+//! a caller-owned, reusable [`InferScratch`], and
+//! [`PolicyArtifact::emit_rust`] pastes the same file verbatim into the
+//! `no_std` firmware it generates, followed by the artifact's data — so
+//! the interpreter and the emitted program are one text. The walk's
 //! multiply-accumulate chains saturate exactly as the scalar type's do,
 //! but only pay for it when they might: per layer and observation, the
 //! interval guard `fixar_fixed::walk::mac_chain_is_clamp_free` is
@@ -117,3 +118,4 @@ pub use artifact::{BlobStats, PolicyArtifact, ARTIFACT_FRAC_BITS};
 pub use codegen::verify_generated_source;
 pub use error::DeployError;
 pub use fixar_fixed::walk::ActKind;
+pub use interp::InferScratch;

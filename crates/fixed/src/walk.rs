@@ -212,9 +212,9 @@ pub struct LayerView<'a> {
     pub w_abs_sum: u64,
 }
 
-/// Evaluates a frozen policy on a batch of row-major observation words
-/// and writes the row-major actions to `out`, whose length sets the
-/// number of samples.
+/// Evaluates a frozen policy, its layers in order, on a batch of
+/// row-major observation words, whose length sets the number of
+/// samples, and writes the row-major actions to `out`.
 ///
 /// The observation words pass the `input` quantizer into `ping`; then
 /// each layer, sample by sample, runs the interval guard, the
@@ -222,35 +222,39 @@ pub struct LayerView<'a> {
 /// activation and quantizer, reading one of `ping` / `pong` and writing
 /// the other (the last layer writes `out`). Each of the two buffers
 /// must hold `samples ×` the widest layer input, and `terms` that widest
-/// input once; their contents on entry do not matter.
-pub fn walk(
-    layers: &[LayerView<'_>],
+/// input once; their contents on entry do not matter, because the walk
+/// writes every word before it reads it.
+pub fn walk<'a>(
+    layers: impl ExactSizeIterator<Item = LayerView<'a>>,
     input: QuantWords,
     obs: &[i32],
     out: &mut [i32],
     ping: &mut [i32],
     pong: &mut [i32],
-    terms: &mut [(usize, i32)],
+    terms: &mut [(u32, i32)],
 ) {
-    let samples = out.len() / layers[layers.len() - 1].bias.len();
+    let last = layers.len() - 1;
     let (mut src, mut dst) = (ping, pong);
     for (s, &o) in src.iter_mut().zip(obs) {
         *s = input.apply(o);
     }
-    for (l, layer) in layers.iter().enumerate() {
+    // Words of the current layer's input, all samples.
+    let mut len = obs.len();
+    for (l, layer) in layers.enumerate() {
         let outs = layer.bias.len();
-        let x = &src[..samples * (layer.weights_t.len() / outs)];
-        if l + 1 == layers.len() {
-            layer_pass(layer, x, out, terms);
+        let x = &src[..len];
+        len = len / (layer.weights_t.len() / outs) * outs;
+        if l == last {
+            layer_pass(&layer, x, out, terms);
         } else {
-            layer_pass(layer, x, &mut dst[..samples * outs], terms);
+            layer_pass(&layer, x, &mut dst[..len], terms);
             (src, dst) = (dst, src);
         }
     }
 }
 
 /// One layer over every sample of `x` into `z`.
-fn layer_pass(layer: &LayerView<'_>, x: &[i32], z: &mut [i32], terms: &mut [(usize, i32)]) {
+fn layer_pass(layer: &LayerView<'_>, x: &[i32], z: &mut [i32], terms: &mut [(u32, i32)]) {
     let outs = layer.bias.len();
     let ins = layer.weights_t.len() / outs;
     for (xs, zs) in x.chunks_exact(ins).zip(z.chunks_exact_mut(outs)) {
@@ -266,7 +270,7 @@ fn layer_pass(layer: &LayerView<'_>, x: &[i32], z: &mut [i32], terms: &mut [(usi
         // the bounds the guard proved for the whole one.
         let mut live = 0;
         for (j, &xj) in xs.iter().enumerate() {
-            terms[live] = (j * outs, xj);
+            terms[live] = (j as u32, xj);
             live += usize::from(xj != 0);
         }
         zs.fill(0);
@@ -285,14 +289,16 @@ fn layer_pass(layer: &LayerView<'_>, x: &[i32], z: &mut [i32], terms: &mut [(usi
 }
 
 /// Column-broadcast accumulation of one sample's layer, the AAP core's
-/// order: each non-zero input word `x_j` (`terms` holds `(j · outs,
-/// x_j)` in ascending `j`) multiplies its whole weight column, and the
+/// order: each non-zero input word `x_j` (`terms` holds `(j, x_j)` in
+/// ascending `j`, the index in 32 bits to keep the list small on the
+/// firmware's stack) multiplies its whole weight column, and the
 /// partial sums accumulate into `z`, unit-stride on both. `FREE` swaps
 /// the saturating step for the unclamped one when the interval guard
 /// admitted the sample's chains: one nest, compiled once per value.
-fn accumulate<const FREE: bool>(wt: &[i32], terms: &[(usize, i32)], z: &mut [i32]) {
+fn accumulate<const FREE: bool>(wt: &[i32], terms: &[(u32, i32)], z: &mut [i32]) {
     let outs = z.len();
-    for &(col, xj) in terms {
+    for &(j, xj) in terms {
+        let col = j as usize * outs;
         let wt_col = &wt[col..col + outs];
         for (zi, &w) in z.iter_mut().zip(wt_col) {
             *zi = if FREE {

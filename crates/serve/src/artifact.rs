@@ -7,7 +7,7 @@
 //! [`PolicyArtifact::content_hash`], replay each observation through
 //! [`PolicyArtifact::infer`], and the actions match bit-for-bit.
 
-use fixar_deploy::PolicyArtifact;
+use fixar_deploy::{InferScratch, PolicyArtifact};
 
 use crate::server::{Client, Server};
 use crate::ServeError;
@@ -35,15 +35,24 @@ pub trait ServedReplica: Send + Sync + 'static {
     fn action_dim(&self) -> usize;
 
     /// Answers a whole micro-batch: `obs` holds one observation per row,
-    /// row-major, and the result one action per row, row-major. Row `i`
-    /// of the result must not depend on which other rows share the batch.
+    /// row-major, and the replica appends one action per row, row-major,
+    /// to `actions`, which arrives empty. Row `i` of the answer must not
+    /// depend on which other rows share the batch.
+    ///
+    /// `scratch` is the shard's, reused by every batch it serves; an
+    /// answer of any length but `rows × action_dim` fails the batch.
     ///
     /// # Errors
     ///
     /// Whatever error fails the batch; the server hands a copy to every
     /// request in it and keeps serving. A panic fails the batch the same
     /// way, as [`ServeError::Inference`].
-    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError>;
+    fn serve_batch(
+        &self,
+        obs: &[f64],
+        scratch: &mut InferScratch,
+        actions: &mut Vec<f64>,
+    ) -> Result<(), ServeError>;
 }
 
 /// One served action, stamped with its provenance.
@@ -65,7 +74,8 @@ pub struct ArtifactResponse {
 /// An immutable, id-stamped [`PolicyArtifact`] ready for serving.
 ///
 /// The content hash is computed once at construction, so stamping every
-/// response costs nothing on the request path.
+/// response costs nothing on the request path. A batch is one
+/// [`PolicyArtifact::infer_batch`] in the shard's [`InferScratch`].
 #[derive(Debug, Clone)]
 pub struct ArtifactReplica {
     artifact: PolicyArtifact,
@@ -106,9 +116,14 @@ impl ServedReplica for ArtifactReplica {
     // One interpreter walk on the batcher's thread: every row's action is
     // bit-identical to `infer` on it alone, so worker parallelism could
     // not change an answer and none is spun up.
-    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError> {
+    fn serve_batch(
+        &self,
+        obs: &[f64],
+        scratch: &mut InferScratch,
+        actions: &mut Vec<f64>,
+    ) -> Result<(), ServeError> {
         self.artifact
-            .infer_batch(obs)
+            .infer_batch(obs, scratch, actions)
             .map_err(|e| ServeError::Inference(e.to_string()))
     }
 }

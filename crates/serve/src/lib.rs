@@ -8,7 +8,9 @@
 //! the deployed unit of a trained policy.
 //!
 //! * [`Server`] ([`ArtifactServer`]) — owns N shards, each a hand-rolled
-//!   MPMC request queue drained by a dedicated batcher thread. A batch
+//!   MPMC request queue drained by a dedicated batcher thread that owns
+//!   its batch buffers and walk scratch, so a warm shard serves a batch
+//!   without allocating. A batch
 //!   flushes when it reaches [`ServeConfig::max_batch`] **or** the oldest
 //!   request has waited [`ServeConfig::max_delay`], whichever comes
 //!   first.

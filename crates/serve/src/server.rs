@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use fixar_deploy::InferScratch;
 use fixar_pool::{oneshot, MpmcQueue, OneShotReceiver, OneShotSender, MAX_WORKERS};
 
 use crate::artifact::{ArtifactReplica, ArtifactResponse, ServedReplica};
@@ -254,12 +255,19 @@ fn batcher_loop<R: ServedReplica>(
 ) {
     let queue = &shared.queues[shard];
     let counters = &shared.counters[shard];
+    let action_dim = shared.action_dim;
+    // The shard's buffers, reused by every batch: each grows to the
+    // largest batch served and is emptied (not freed) before reuse.
+    let mut requests = Vec::new();
+    let mut obs = Vec::new();
+    let mut actions = Vec::new();
+    let mut scratch = InferScratch::default();
     // `pop` blocks until the shard has work and returns `None` only once
     // the queue is closed *and* drained, so shutdown serves every
     // accepted request.
     while let Some(first) = queue.pop() {
         let deadline = Instant::now() + max_delay;
-        let mut requests = vec![first];
+        requests.push(first);
         while requests.len() < max_batch {
             match queue.pop_deadline(deadline) {
                 Some(r) => requests.push(r),
@@ -282,31 +290,39 @@ fn batcher_loop<R: ServedReplica>(
 
         // One batch = one replica: load once, serve every row from it.
         let replica = shared.store.load();
-        let mut obs = Vec::with_capacity(rows * shared.state_dim);
+        obs.clear();
         for r in &requests {
             obs.extend_from_slice(&r.obs);
         }
+        actions.clear();
         // A panicking replica fails exactly this batch; the shard lives
         // on, so later requests routed to it are still answered.
-        let served = catch_unwind(AssertUnwindSafe(|| replica.serve_batch(&obs))).unwrap_or_else(
-            |payload| {
-                let msg = payload
-                    .downcast_ref::<&'static str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                Err(ServeError::Inference(format!("replica panicked: {msg}")))
-            },
-        );
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            replica.serve_batch(&obs, &mut scratch, &mut actions)
+        }))
+        .unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&'static str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(ServeError::Inference(format!("replica panicked: {msg}")))
+        })
+        .and_then(|()| match actions.len() {
+            n if n == rows * action_dim => Ok(()),
+            n => Err(ServeError::Inference(format!(
+                "replica answered {n} words for {rows} rows"
+            ))),
+        });
         match served {
-            Ok(actions) => {
-                debug_assert_eq!(actions.len(), rows * shared.action_dim);
-                for (r, action) in requests
-                    .into_iter()
-                    .zip(actions.chunks_exact(shared.action_dim))
-                {
+            Ok(()) => {
+                for (mut r, action) in requests.drain(..).zip(actions.chunks_exact(action_dim)) {
+                    // The action travels in the request's own observation
+                    // buffer (`state_dim` words of capacity).
+                    r.obs.clear();
+                    r.obs.extend_from_slice(action);
                     let resp = ArtifactResponse {
-                        action: action.to_vec(),
+                        action: r.obs,
                         artifact_id: replica.id(),
                         content_hash: replica.content_hash(),
                         batch_rows: rows,
@@ -317,7 +333,7 @@ fn batcher_loop<R: ServedReplica>(
                 }
             }
             Err(err) => {
-                for r in requests {
+                for r in requests.drain(..) {
                     if r.reply.send(Err(err.clone())).is_err() {
                         counters.dropped_replies.fetch_add(1, Ordering::Relaxed);
                     }
@@ -649,6 +665,56 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.requests(), 100);
         assert_eq!(stats.shards.iter().map(|s| s.served_rows).sum::<u64>(), 100);
+    }
+
+    /// A replica that answers every batch one word short.
+    struct ShortAnswer;
+
+    impl ServedReplica for ShortAnswer {
+        fn id(&self) -> u64 {
+            0
+        }
+        fn content_hash(&self) -> u64 {
+            0
+        }
+        fn state_dim(&self) -> usize {
+            1
+        }
+        fn action_dim(&self) -> usize {
+            1
+        }
+        fn serve_batch(
+            &self,
+            obs: &[f64],
+            _: &mut InferScratch,
+            actions: &mut Vec<f64>,
+        ) -> Result<(), ServeError> {
+            actions.extend_from_slice(&obs[1..]);
+            Ok(())
+        }
+    }
+
+    /// The mutant this must catch: a batcher that fans out whatever the
+    /// replica left in the action buffer, so a short answer drops
+    /// replies (their clients see `Shutdown`) instead of failing them.
+    #[test]
+    fn an_answer_of_the_wrong_length_fails_its_batch() {
+        let cfg = ServeConfig {
+            max_batch: 2,
+            max_delay: Duration::from_secs(30),
+            ..ServeConfig::default()
+        };
+        let server = Server::start(ShortAnswer, cfg).unwrap();
+        let client = server.client();
+        let pending = [1.0, 2.0].map(|v| client.submit(&[v]).unwrap());
+        let want = Err(ServeError::Inference(
+            "replica answered 1 words for 2 rows".into(),
+        ));
+        assert_eq!(
+            pending.map(|p| p.wait().map(|r| r.action)),
+            [want.clone(), want]
+        );
+        assert_eq!(server.shutdown().shards[0].dropped_replies, 0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! 65 535 × 65 535 weights over a short body must fail as truncated
 //! without `PolicyArtifact::decode` sizing anything from the claim,
 //! `content_hash` / `blob_stats` must answer for a paper-size artifact
-//! without building its blob, and `infer_raw` must allocate as often on a
-//! deep artifact as on a shallow one.
+//! without building its blob, `infer_raw` must allocate as often on a
+//! deep artifact as on a shallow one, and `infer_batch` on a warm
+//! scratch must not allocate at all.
 //!
 //! Its own test binary, because it installs a counting global allocator:
 //! while a thread has counting switched on, every request and every byte
@@ -15,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fixar_deploy::{ActKind, DeployError, PolicyArtifact};
+use fixar_deploy::{ActKind, DeployError, InferScratch, PolicyArtifact};
 use fixar_fixed::AffineQuantizer;
 
 /// Largest single request the allocator serves; nothing in this binary
@@ -157,7 +158,9 @@ fn deep_artifact(sizes: &[usize]) -> PolicyArtifact {
 
 /// The mutant this must catch: a walk that allocates per layer — each
 /// layer's output a fresh `Vec` — instead of ping-ponging between the
-/// scratch buffers the interpreter allocates once per call.
+/// halves of its scratch. A one-row `infer_raw` grows a fresh scratch's
+/// four buffers once each at any depth: the observation words, the
+/// ping-pong halves, the term list and the action words it returns.
 #[test]
 fn infer_raw_allocates_as_often_on_five_layers_as_on_three() {
     let three = deep_artifact(&[17, 64, 48, 6]);
@@ -174,4 +177,29 @@ fn infer_raw_allocates_as_often_on_five_layers_as_on_three() {
     );
     println!("infer_raw allocations: 3 layers {calls3}, 5 layers {calls5}");
     assert_eq!(calls3, calls5, "allocations grow with the layer count");
+    assert_eq!(calls3, 4);
+}
+
+/// The mutant this must catch: `infer_batch` sizing any buffer afresh
+/// per call (a `collect`ed observation or action image, a scratch
+/// rebuilt from its batch) instead of growing the caller's scratch only
+/// past its largest batch. A smaller batch on the warm scratch must
+/// still answer each row as `infer` does.
+#[test]
+fn infer_batch_on_a_warm_scratch_allocates_nothing() {
+    let five = deep_artifact(&[17, 64, 48, 48, 48, 6]);
+    let rows: Vec<Vec<f64>> = (0..8)
+        .map(|r| (0..17).map(|k| ((r * 17 + k) as f64 * 0.3).sin()).collect())
+        .collect();
+    let (mut scratch, mut actions) = (InferScratch::default(), Vec::new());
+    five.infer_batch(&rows.concat(), &mut scratch, &mut actions)
+        .unwrap();
+    for batch in [&rows[..], &rows[..3], &rows[5..6]] {
+        let obs = batch.concat();
+        let (_, bytes, calls) =
+            counted(|| five.infer_batch(&obs, &mut scratch, &mut actions).unwrap());
+        assert_eq!((calls, bytes), (0, 0), "{} rows", batch.len());
+        let want: Vec<f64> = batch.iter().flat_map(|o| five.infer(o).unwrap()).collect();
+        assert_eq!(actions, want, "{} rows", batch.len());
+    }
 }

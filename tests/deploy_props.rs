@@ -20,7 +20,7 @@
 //! happens to produce, across live mid-run swaps, and for QAT-frozen
 //! actors serving through quantizers. Those tests serve through real
 //! concurrent clients against the real batcher threads — nothing is
-//! mocked except the two replicas whose batch is made to fail or panic.
+//! mocked except the replicas whose batches are made to fail or panic.
 //!
 //! The no-float side of the contract is enforced twice: statically (the
 //! interpreter source contains no float tokens — a unit test inside
@@ -37,6 +37,7 @@ use std::thread;
 use std::time::Duration;
 
 use fixar_deploy::guard::{self, NoFloatZone};
+use fixar_deploy::InferScratch;
 use fixar_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -219,7 +220,9 @@ fn batched_inference_matches_the_artifact_at_env_worker_counts() {
     let rows = 9;
     let batch: Vec<f64> = (0..rows).flat_map(obs).collect();
     for (name, snap, art) in fixtures() {
-        let actions = art.infer_batch(&batch).unwrap();
+        let mut actions = Vec::new();
+        art.infer_batch(&batch, &mut InferScratch::default(), &mut actions)
+            .unwrap();
         assert_eq!(actions.len(), rows * ACTION_DIM, "{name}");
         for (r, action) in actions.chunks(ACTION_DIM).enumerate() {
             assert_eq!(
@@ -726,11 +729,17 @@ impl ServedReplica for FailsSecondBatch {
     fn action_dim(&self) -> usize {
         1
     }
-    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError> {
-        match self.0.fetch_add(1, Ordering::SeqCst) {
-            1 => Err(ServeError::Inference("injected".into())),
-            _ => Ok(obs.to_vec()),
+    fn serve_batch(
+        &self,
+        obs: &[f64],
+        _: &mut InferScratch,
+        actions: &mut Vec<f64>,
+    ) -> Result<(), ServeError> {
+        if self.0.fetch_add(1, Ordering::SeqCst) == 1 {
+            return Err(ServeError::Inference("injected".into()));
         }
+        actions.extend_from_slice(obs);
+        Ok(())
     }
 }
 
@@ -781,11 +790,17 @@ impl ServedReplica for PanicsOnSecondBatch {
     fn action_dim(&self) -> usize {
         1
     }
-    fn serve_batch(&self, obs: &[f64]) -> Result<Vec<f64>, ServeError> {
+    fn serve_batch(
+        &self,
+        obs: &[f64],
+        _: &mut InferScratch,
+        actions: &mut Vec<f64>,
+    ) -> Result<(), ServeError> {
         if self.0.fetch_add(1, Ordering::SeqCst) == 1 {
             panic!("injected panic");
         }
-        Ok(obs.to_vec())
+        actions.extend_from_slice(obs);
+        Ok(())
     }
 }
 
@@ -830,6 +845,121 @@ fn panicking_batch_fails_only_its_own_replies_and_the_shard_keeps_serving() {
     let stats = requester.join().unwrap();
     assert_eq!((stats.requests(), stats.batches()), (3, 3));
     assert_eq!(stats.shards[0].dropped_replies, 0);
+}
+
+/// A real artifact replica behind a fault schedule: of every seven
+/// batches it is handed, the second fails (as [`FailsSecondBatch`]'s
+/// does) and the fifth panics (as [`PanicsOnSecondBatch`]'s does), each
+/// only after the walk has filled the shard's scratch and action buffer
+/// with that batch's words.
+struct FaultEverySeventhBatch {
+    inner: ArtifactReplica,
+    batches: AtomicUsize,
+}
+
+impl ServedReplica for FaultEverySeventhBatch {
+    fn id(&self) -> u64 {
+        self.inner.id()
+    }
+    fn content_hash(&self) -> u64 {
+        self.inner.content_hash()
+    }
+    fn state_dim(&self) -> usize {
+        self.inner.state_dim()
+    }
+    fn action_dim(&self) -> usize {
+        self.inner.action_dim()
+    }
+    fn serve_batch(
+        &self,
+        obs: &[f64],
+        scratch: &mut InferScratch,
+        actions: &mut Vec<f64>,
+    ) -> Result<(), ServeError> {
+        self.inner.serve_batch(obs, scratch, actions)?;
+        match self.batches.fetch_add(1, Ordering::SeqCst) % 7 {
+            1 => Err(ServeError::Inference("injected".into())),
+            4 => panic!("injected panic"),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Each shard reuses one scratch and one action buffer for all its
+/// batches, so a batch starts on words another batch left there — a
+/// larger one, a smaller one, one that failed or panicked after its
+/// walk. Four concurrent clients on two shards submit bursts of 1,
+/// `max_batch` and 3 rows; every reply is its batch's injected fault or
+/// bit-equal to the offline `infer` of its own row. The mutants this
+/// must catch: a shard that hands the replica its observation buffer
+/// without emptying it, or an interpreter that answers with the whole
+/// of an action image an earlier, larger batch grew.
+#[test]
+fn reused_shard_buffers_never_carry_another_rows_words() {
+    const MAX_BATCH: usize = 8;
+    let (_, art, pool) = frozen_64x48();
+    let server = Server::start(
+        FaultEverySeventhBatch {
+            inner: ArtifactReplica::new(art.clone(), 0),
+            batches: AtomicUsize::new(0),
+        },
+        ServeConfig {
+            max_batch: MAX_BATCH,
+            max_delay: Duration::from_micros(200),
+            shards: 2,
+            workers: 1,
+        },
+    )
+    .unwrap();
+    let clients: Vec<_> = (0..4)
+        .map(|t| {
+            let client = server.client();
+            thread::spawn(move || {
+                let mut replies = Vec::new();
+                let mut next = t * 61;
+                for burst in [1, MAX_BATCH, 3].repeat(8) {
+                    let pending: Vec<_> = (next..next + burst)
+                        .map(|r| r % pool.len())
+                        .map(|r| (r, client.submit(&pool[r]).unwrap()))
+                        .collect();
+                    next += burst;
+                    for (r, p) in pending {
+                        replies.push((r, p.wait().map(|resp| resp.action)));
+                    }
+                }
+                replies
+            })
+        })
+        .collect();
+    let (mut served, mut failed, mut panicked) = (0, 0, 0);
+    for (r, reply) in clients.into_iter().flat_map(|c| c.join().unwrap()) {
+        match reply {
+            Ok(action) => {
+                let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&action),
+                    bits(&art.infer(&pool[r]).unwrap()),
+                    "row {r}"
+                );
+                served += 1;
+            }
+            Err(ServeError::Inference(msg)) if msg == "injected" => failed += 1,
+            Err(ServeError::Inference(msg)) if msg == "replica panicked: injected panic" => {
+                panicked += 1
+            }
+            Err(e) => panic!("row {r}: unexpected error {e}"),
+        }
+    }
+    assert!(
+        served > 0 && failed > 0 && panicked > 0,
+        "served {served}, failed {failed}, panicked {panicked}"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.requests(), 4 * 8 * (1 + MAX_BATCH as u64 + 3));
+    assert_eq!(
+        stats.shards.iter().map(|s| s.dropped_replies).sum::<u64>(),
+        0
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -1091,8 +1221,10 @@ fn snapshot_infer_infer_raw_and_infer_batch_agree_on_every_pool_row() {
         let raw: Vec<f64> = raw.iter().map(|x| x.to_f64()).collect();
         assert_eq!(&raw, want, "infer_raw, row {r}");
     }
+    let (mut scratch, mut actions) = (InferScratch::default(), Vec::new());
     for (b, rows) in pool.chunks(SERVED_BATCH).enumerate() {
-        let actions = art.infer_batch(&rows.concat()).unwrap();
+        art.infer_batch(&rows.concat(), &mut scratch, &mut actions)
+            .unwrap();
         for (k, action) in actions.chunks(ACTION_DIM).enumerate() {
             let r = b * SERVED_BATCH + k;
             assert_eq!(action, want[r], "infer_batch, row {r}");
