@@ -2,13 +2,15 @@
 //! platforms, both precision phases, plus a co-simulated measurement.
 //!
 //! ```text
-//! cargo run --release -p fixar-bench --bin fig8_throughput -- --cosim-steps 2000
+//! cargo run --release -p fixar-bench --bin fig8_throughput -- --cosim-steps 2000 --batch 64
 //! ```
 
 use fixar::prelude::*;
 use fixar_bench::{arg, paper, render_table, verdict};
 
 fn main() {
+    let cosim_steps: u64 = arg("cosim-steps", 1_500);
+    let batch: usize = arg("batch", 64);
     println!("Fig. 8: FIXAR platform training throughput\n");
     let gpu = CpuGpuPlatformModel::for_benchmark();
 
@@ -57,35 +59,44 @@ fn main() {
         )
     );
 
-    // Co-simulated measurement: real training advancing the platform
-    // clock, QAT switching precision mid-run. The critic first runs (and
-    // so first calibrates) in the update of step `warmup + 1`, so the
-    // schedule can freeze from step `warmup + 2` on: the delay counts
-    // from there, and the first third of the training steps calibrates.
-    let cosim_steps: u64 = arg("cosim-steps", 1_500);
+    // Co-simulated measurement: one real training run, billed on the
+    // platform model afterwards, QAT switching precision mid-run. The
+    // critic first runs (and so first calibrates) in the update of step
+    // `warmup + 1`, so the schedule can freeze from step `warmup + 2` on:
+    // the delay counts from there, and the first third of the training
+    // steps calibrates.
     let mut cfg = fixar_bench::quick_study_config();
     let delay = cfg.warmup_steps + 1 + cosim_steps.saturating_sub(cfg.warmup_steps) / 3;
     cfg = cfg.with_qat(delay, 16);
-    cfg.batch_size = arg("batch", 64);
+    cfg.batch_size = batch;
+    let env = fixar_env::Pendulum::new(1);
+    let spec = env.spec();
     println!(
-        "\nco-simulation: Pendulum, {cosim_steps} steps, batch {}",
-        cfg.batch_size
+        "\nco-simulation: Pendulum, {cosim_steps} steps ({} warm-up), batch {}; \
+         the software run trains {}x{} nets, the clock bills the paper's 400x300 nets \
+         at Pendulum's {}/{} dims",
+        cfg.warmup_steps, cfg.batch_size, cfg.hidden.0, cfg.hidden.1, spec.obs_dim, spec.action_dim,
     );
-    let mut cosim = FixarCosim::new(
-        Box::new(fixar_env::Pendulum::new(1)),
+    let model = FixarPlatformModel::for_benchmark(spec.obs_dim, spec.action_dim).expect("dims");
+    let report = Trainer::<Fx32>::new(
+        EnvPool::new(vec![Box::new(env)]),
         Box::new(fixar_env::Pendulum::new(2)),
-        cfg,
+        cfg.clone(),
     )
-    .expect("cosim builds");
-    let report = cosim
-        .run(cosim_steps, (cosim_steps / 3).max(1), 2)
-        .expect("cosim runs");
-    let switch = match (report.training.qat_switch_step, report.qat_switch_time_s) {
+    .expect("trainer builds")
+    .run(cosim_steps, (cosim_steps / 3).max(1), 2)
+    .expect("training runs");
+    let (sim_s, switch_s) = model.run_time(&cfg, &report).expect("positive batch");
+    let switch = match (report.qat_switch_step, switch_s) {
         (Some(step), Some(t)) => format!("QAT switch at step {step} (t={t:.2}s)"),
         _ => format!("no QAT switch within {cosim_steps} steps"),
     };
-    println!(
-        "  simulated platform time {:.2}s, measured {:.1} IPS, {switch}",
-        report.sim_time_s, report.avg_ips,
-    );
+    let trained = cosim_steps.saturating_sub(cfg.warmup_steps);
+    let ips = if trained == 0 {
+        "no training step (all warm-up)".to_string()
+    } else {
+        let samples = (cfg.batch_size as u64 * trained) as f64;
+        format!("{:.1} IPS over {trained} training steps", samples / sim_s)
+    };
+    println!("  simulated platform time {sim_s:.2}s, {ips}, {switch}");
 }

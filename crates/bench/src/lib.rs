@@ -191,29 +191,66 @@ pub fn verdict(label: &str, measured: f64, paper_value: f64) -> String {
 }
 
 /// Reads `--name value` from the process arguments, falling back to a
-/// default. Used by the full-scale harness binaries.
+/// default when the flag is absent. Used by the full-scale harness
+/// binaries; a flag without a value or with an unparsable one exits
+/// the process with status 2 and a message naming the flag.
 pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let flag = format!("--{name}");
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == &flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    or_exit(parse_arg(
+        &std::env::args().collect::<Vec<_>>(),
+        name,
+        default,
+    ))
 }
 
-/// Parses a benchmark name into an [`EnvKind`] (defaults to Pendulum so
-/// harnesses are fast unless asked otherwise).
+/// Parses `--env <name>` into an [`EnvKind`] (Pendulum when absent, so
+/// harnesses are fast unless asked otherwise). An unknown name exits the
+/// process with status 2 and lists the accepted ones.
 pub fn env_kind_arg() -> EnvKind {
-    match arg::<String>("env", "pendulum".into())
-        .to_lowercase()
-        .as_str()
-    {
-        "halfcheetah" | "cheetah" => EnvKind::HalfCheetah,
-        "hopper" => EnvKind::Hopper,
-        "swimmer" => EnvKind::Swimmer,
-        _ => EnvKind::Pendulum,
-    }
+    or_exit(parse_env_kind(&std::env::args().collect::<Vec<_>>()))
+}
+
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
+
+/// [`arg`] over an argument list.
+fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    let flag = format!("--{name}");
+    let Some(i) = args.iter().position(|a| a == &flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        format!("{flag} expects a {ty}, got `{value}`")
+    })
+}
+
+/// The `--env` names [`env_kind_arg`] accepts (lower-cased input).
+const ENV_NAMES: [(&str, EnvKind); 5] = [
+    ("pendulum", EnvKind::Pendulum),
+    ("halfcheetah", EnvKind::HalfCheetah),
+    ("cheetah", EnvKind::HalfCheetah),
+    ("hopper", EnvKind::Hopper),
+    ("swimmer", EnvKind::Swimmer),
+];
+
+/// [`env_kind_arg`] over an argument list.
+fn parse_env_kind(args: &[String]) -> Result<EnvKind, String> {
+    let name = parse_arg::<String>(args, "env", "pendulum".into())?.to_lowercase();
+    ENV_NAMES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, kind)| kind)
+        .ok_or_else(|| {
+            let names: Vec<_> = ENV_NAMES.iter().map(|(n, _)| *n).collect();
+            format!("--env `{name}` is not one of {}", names.join(", "))
+        })
 }
 
 #[cfg(test)]
@@ -234,6 +271,52 @@ mod tests {
         // Every line has the same width.
         let lens: std::collections::HashSet<usize> = s.lines().map(|l| l.chars().count()).collect();
         assert_eq!(lens.len(), 1, "{s}");
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(list.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn arg_reads_a_present_flag_and_defaults_an_absent_one() {
+        let a = args(&["--cosim-steps", "800", "--batch", "32"]);
+        assert_eq!(parse_arg(&a, "cosim-steps", 1_500u64), Ok(800));
+        assert_eq!(parse_arg(&a, "batch", 64usize), Ok(32));
+        assert_eq!(parse_arg(&a, "steps", 7u64), Ok(7));
+    }
+
+    #[test]
+    fn arg_refuses_an_unparsable_or_missing_value() {
+        let bad = parse_arg(&args(&["--cosim-steps", "8OO"]), "cosim-steps", 1_500u64);
+        assert_eq!(bad, Err("--cosim-steps expects a u64, got `8OO`".into()));
+        let trailing = parse_arg(
+            &args(&["--cosim-steps", "800", "--batch"]),
+            "batch",
+            64usize,
+        );
+        assert_eq!(trailing, Err("--batch needs a value".into()));
+    }
+
+    #[test]
+    fn env_kind_accepts_the_listed_names_and_refuses_others() {
+        assert_eq!(parse_env_kind(&args(&[])), Ok(EnvKind::Pendulum));
+        assert_eq!(
+            parse_env_kind(&args(&["--env", "HalfCheetah"])),
+            Ok(EnvKind::HalfCheetah)
+        );
+        assert_eq!(
+            parse_env_kind(&args(&["--env", "hopper"])),
+            Ok(EnvKind::Hopper)
+        );
+        let err = parse_env_kind(&args(&["--env", "halfchetah"])).unwrap_err();
+        assert_eq!(
+            err,
+            "--env `halfchetah` is not one of pendulum, halfcheetah, cheetah, hopper, swimmer"
+        );
+        assert!(parse_env_kind(&args(&["--env"])).is_err());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   interpreter,
 //! * [`fixar_accel`] — the cycle-level U50 accelerator model (PEs, AAP
 //!   cores, memories, Adam unit, PRNG, resource/power/GPU models),
-//! * [`fixar_platform`] — end-to-end timestep timing and co-simulation.
+//! * [`fixar_platform`] — end-to-end timestep timing and the
+//!   simulated run time of a training report.
 //!
 //! # Quickstart
 //!
@@ -64,7 +65,7 @@ pub mod prelude {
         Activation, Adam, AdamConfig, Mlp, MlpConfig, PrecisionError, PrecisionPolicy, QatMode,
         QatRuntime, QatRuntimeBuilder,
     };
-    pub use fixar_platform::{CpuGpuPlatformModel, FixarCosim, FixarPlatformModel};
+    pub use fixar_platform::{CpuGpuPlatformModel, FixarPlatformModel};
     pub use fixar_pool::{Parallelism, PoolError, WORKERS_ENV};
     pub use fixar_rl::{
         Ddpg, DdpgConfig, EvalPoint, GaussianNoise, PolicySnapshot, PrecisionMode,

@@ -8,13 +8,15 @@
 //!   import time, and accelerator compute time (Fig. 9), and integrate
 //!   them into the end-to-end IPS numbers of Fig. 8. Constants are
 //!   calibrated in `HostModel`'s docs.
-//! * **Co-simulation** — [`FixarCosim`] runs *real* DDPG+QAT training
-//!   (via `fixar-rl`, arithmetic bit-equivalent to the accelerator
-//!   datapath) while advancing a simulated clock by
-//!   [`FixarPlatformModel::breakdown`] — the one timestep model Figs.
-//!   8–10 read — at full precision until the QAT schedule freezes and at
-//!   half precision after, so a training run reports both a reward curve
-//!   and the platform throughput it would have achieved on the U50.
+//! * **Run time** — [`FixarPlatformModel::run_time`] bills a finished
+//!   training run (a `fixar-rl` [`TrainingReport`](fixar_rl::TrainingReport),
+//!   arithmetic bit-equivalent to the accelerator datapath) on the same
+//!   model: host work and the one-row action pass for each warm-up
+//!   step, the [`FixarPlatformModel::breakdown`] timestep Figs. 8–10
+//!   read at full precision for each training step before the QAT
+//!   switch and at half precision from it on. A training run thus
+//!   reports both a reward curve and the platform time it would have
+//!   taken on the U50.
 //!
 //! # Example
 //!
@@ -33,8 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cosim;
 mod models;
 
-pub use cosim::{CosimReport, FixarCosim};
-pub use models::{CpuGpuPlatformModel, FixarPlatformModel, HostModel, TimestepBreakdown};
+pub use models::{CpuGpuPlatformModel, FixarPlatformModel, TimestepBreakdown};

@@ -1,6 +1,9 @@
 //! Analytic timestep timing for both platforms (Figs. 8 and 9).
 
-use fixar_accel::{AccelConfig, AccelError, GpuModel, Precision, TrainingSchedule};
+use fixar_accel::{
+    AccelConfig, AccelError, GpuModel, InferenceSchedule, Precision, TrainingSchedule,
+};
+use fixar_rl::{DdpgConfig, TrainingReport};
 
 /// Host-side timing constants, calibrated to Fig. 9's measurements:
 ///
@@ -15,13 +18,13 @@ use fixar_accel::{AccelConfig, AccelError, GpuModel, Precision, TrainingSchedule
 /// end-to-end numbers: ≈ 25.3k IPS at batch 512 on HalfCheetah and a
 /// bottleneck that shifts from the CPU to the FPGA as batch grows.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostModel {
+struct HostModel {
     /// Environment (physics + reward) time per timestep (s).
-    pub env_time_s: f64,
+    env_time_s: f64,
     /// Fixed runtime overhead per timestep (s).
-    pub runtime_base_s: f64,
+    runtime_base_s: f64,
     /// Marginal runtime cost per batch sample (s).
-    pub runtime_per_sample_s: f64,
+    runtime_per_sample_s: f64,
 }
 
 impl Default for HostModel {
@@ -36,7 +39,7 @@ impl Default for HostModel {
 
 impl HostModel {
     /// Runtime/PCIe import time for a batch.
-    pub fn runtime_s(&self, batch: usize) -> f64 {
+    fn runtime_s(&self, batch: usize) -> f64 {
         self.runtime_base_s + batch as f64 * self.runtime_per_sample_s
     }
 }
@@ -103,41 +106,17 @@ impl FixarPlatformModel {
     ///
     /// Returns [`AccelError::InvalidConfig`] for zero dimensions.
     pub fn for_benchmark(obs_dim: usize, action_dim: usize) -> Result<Self, AccelError> {
-        Self::new(
-            HostModel::default(),
-            AccelConfig::default(),
-            obs_dim,
-            action_dim,
-        )
-    }
-
-    /// Fully parameterized constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::InvalidConfig`] for zero dimensions.
-    pub fn new(
-        host: HostModel,
-        accel: AccelConfig,
-        obs_dim: usize,
-        action_dim: usize,
-    ) -> Result<Self, AccelError> {
         if obs_dim == 0 || action_dim == 0 {
             return Err(AccelError::InvalidConfig(
                 "benchmark dimensions must be positive".into(),
             ));
         }
         Ok(Self {
-            host,
-            accel,
+            host: HostModel::default(),
+            accel: AccelConfig::default(),
             actor_sizes: vec![obs_dim, 400, 300, action_dim],
             critic_sizes: vec![obs_dim + action_dim, 400, 300, 1],
         })
-    }
-
-    /// Actor topology used by the model.
-    pub fn actor_sizes(&self) -> &[usize] {
-        &self.actor_sizes
     }
 
     /// Per-timestep breakdown at a batch size and precision phase.
@@ -177,6 +156,76 @@ impl FixarPlatformModel {
         Ok(self.breakdown(batch, precision)?.ips())
     }
 
+    /// Simulated platform seconds of a training run, and the simulated
+    /// time of its QAT switch if the schedule fired: `(run, switch)`.
+    ///
+    /// Each step is billed by what the run did in it (Fig. 3's sequence
+    /// on Fig. 9's three parts):
+    ///
+    /// * a warm-up step (step ≤ `cfg.warmup_steps`) runs no minibatch
+    ///   update, so it costs the host's environment emulation, the
+    ///   runtime import of one row, and the actor's one-row action pass
+    ///   ([`InferenceSchedule::for_mlp`] at batch 1) — the pass
+    ///   `Trainer::run` makes every step and [`TrainingSchedule`]
+    ///   charges as `inference_cycles`. It runs at `Full32`: the switch
+    ///   cannot complete before the first update has calibrated the
+    ///   critic;
+    /// * a training step before [`TrainingReport::qat_switch_step`]
+    ///   costs [`breakdown`](Self::breakdown)`(cfg.batch_size, Full32)`;
+    /// * the switch step and every step after it cost
+    ///   `breakdown(cfg.batch_size, Half16)`.
+    ///
+    /// The switch time is the elapsed time at the end of the step before
+    /// the switch step.
+    ///
+    /// Precondition: `report` is the result of one `run` of a fresh
+    /// trainer over a fleet of one environment built from `cfg`, so its
+    /// step numbers are the run's own local steps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] for a zero batch.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fixar_env::{EnvPool, Pendulum};
+    /// use fixar_fixed::Fx32;
+    /// use fixar_platform::FixarPlatformModel;
+    /// use fixar_rl::{DdpgConfig, Trainer};
+    ///
+    /// let cfg = DdpgConfig::small_test().with_qat(80, 16);
+    /// let mut trainer = Trainer::<Fx32>::new(
+    ///     EnvPool::new(vec![Box::new(Pendulum::new(1))]),
+    ///     Box::new(Pendulum::new(2)),
+    ///     cfg.clone(),
+    /// )?;
+    /// let report = trainer.run(100, 100, 1)?;
+    /// let model = FixarPlatformModel::for_benchmark(3, 1)?;
+    /// let (run_s, switch_s) = model.run_time(&cfg, &report)?;
+    /// assert!(switch_s.is_some_and(|t| 0.0 < t && t < run_s));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn run_time(
+        &self,
+        cfg: &DdpgConfig,
+        report: &TrainingReport,
+    ) -> Result<(f64, Option<f64>), AccelError> {
+        let action_pass =
+            InferenceSchedule::for_mlp(&self.accel, &self.actor_sizes, 1, Precision::Full32);
+        let warm_s =
+            self.host.env_time_s + self.host.runtime_s(1) + action_pass.latency_s(&self.accel);
+        let full_s = self.breakdown(cfg.batch_size, Precision::Full32)?.total_s();
+        let half_s = self.breakdown(cfg.batch_size, Precision::Half16)?.total_s();
+
+        let total = report.total_steps;
+        let warm = cfg.warmup_steps.min(total);
+        let before = report.qat_switch_step.map_or(total, |s| s - 1).max(warm);
+        let switch_s = warm as f64 * warm_s + (before - warm) as f64 * full_s;
+        let run_s = switch_s + (total - before) as f64 * half_s;
+        Ok((run_s, report.qat_switch_step.map(|_| switch_s)))
+    }
+
     /// Accelerator-only IPS (Fig. 10a's FIXAR bars).
     pub fn accelerator_ips(&self, batch: usize, precision: Precision) -> f64 {
         TrainingSchedule::for_ddpg(
@@ -208,12 +257,6 @@ impl FixarPlatformModel {
 pub struct CpuGpuPlatformModel {
     host: HostModel,
     gpu: GpuModel,
-}
-
-impl Default for CpuGpuPlatformModel {
-    fn default() -> Self {
-        Self::for_benchmark()
-    }
 }
 
 impl CpuGpuPlatformModel {
@@ -263,6 +306,9 @@ impl CpuGpuPlatformModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fixar_env::{EnvPool, Pendulum};
+    use fixar_fixed::Fx32;
+    use fixar_rl::Trainer;
 
     fn halfcheetah() -> FixarPlatformModel {
         FixarPlatformModel::for_benchmark(17, 6).unwrap()
@@ -364,6 +410,54 @@ mod tests {
             // Smaller networks are never slower than HalfCheetah's.
             assert!(ips >= halfcheetah().ips(256, Precision::Half16).unwrap() * 0.99);
         }
+    }
+
+    /// A fresh fleet-of-one `Fx32` trainer's report for `steps` steps.
+    fn train(cfg: &DdpgConfig, steps: u64) -> TrainingReport {
+        Trainer::<Fx32>::new(
+            EnvPool::new(vec![Box::new(Pendulum::new(1))]),
+            Box::new(Pendulum::new(2)),
+            cfg.clone(),
+        )
+        .unwrap()
+        .run(steps, steps, 1)
+        .unwrap()
+    }
+
+    /// One warm-up step: the host's environment and one-row import
+    /// time, plus the actor's one-row pass on the accelerator.
+    fn warm_step_s(m: &FixarPlatformModel) -> f64 {
+        let host = m.breakdown(1, Precision::Full32).unwrap();
+        let pass = InferenceSchedule::for_mlp(&m.accel, &[3, 400, 300, 1], 1, Precision::Full32);
+        host.cpu_env_s + host.runtime_s + pass.latency_s(&m.accel)
+    }
+
+    #[test]
+    fn run_time_bills_warm_up_training_and_post_switch_steps_apart() {
+        let cfg = DdpgConfig::small_test().with_seed(5).with_qat(120, 16);
+        let report = train(&cfg, 250);
+        let switch = report.qat_switch_step.unwrap();
+        // The run spans warm-up, calibration and the switch.
+        assert!(cfg.warmup_steps + 1 < switch - 1 && switch < 250);
+
+        let m = FixarPlatformModel::for_benchmark(3, 1).unwrap();
+        let step_s = |p| m.breakdown(cfg.batch_size, p).unwrap().total_s();
+        let switch_s = cfg.warmup_steps as f64 * warm_step_s(&m)
+            + (switch - 1 - cfg.warmup_steps) as f64 * step_s(Precision::Full32);
+        let run_s = switch_s + (250 - (switch - 1)) as f64 * step_s(Precision::Half16);
+        assert_eq!(m.run_time(&cfg, &report).unwrap(), (run_s, Some(switch_s)));
+        // Warm-up imports one row and runs no update.
+        assert!(warm_step_s(&m) < step_s(Precision::Full32));
+    }
+
+    #[test]
+    fn a_run_inside_warm_up_bills_host_work_only() {
+        let cfg = DdpgConfig::small_test().with_qat(20, 16);
+        let report = train(&cfg, 40);
+        assert!(40 <= cfg.warmup_steps);
+        let m = FixarPlatformModel::for_benchmark(3, 1).unwrap();
+        let (run_s, switch_s) = m.run_time(&cfg, &report).unwrap();
+        assert_eq!((run_s, switch_s), (40.0 * warm_step_s(&m), None));
     }
 
     #[test]

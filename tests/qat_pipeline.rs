@@ -99,28 +99,42 @@ fn fixed16_from_scratch_stagnates_while_fixed32_moves() {
 #[test]
 fn qat_switch_shrinks_simulated_timestep_in_cosim() {
     let cfg = DdpgConfig::small_test().with_qat(100, 16);
-    let mut cosim = FixarCosim::new(
-        Box::new(fixar_env::Pendulum::new(1)),
-        Box::new(fixar_env::Pendulum::new(2)),
-        cfg,
-    )
-    .unwrap();
-    let report = cosim.run(200, 50, 1).unwrap();
-    assert!(report.training.qat_switch_step.is_some());
-    // The final timestep is the platform model's post-QAT one; compare
-    // it with the same model's full-precision timestep.
+    let run = |cfg: &DdpgConfig| {
+        Trainer::<Fx32>::new(
+            EnvPool::new(vec![Box::new(fixar_env::Pendulum::new(1))]),
+            Box::new(fixar_env::Pendulum::new(2)),
+            cfg.clone(),
+        )
+        .unwrap()
+        .run(200, 50, 1)
+        .unwrap()
+    };
+    let report = run(&cfg);
+    let switch = report.qat_switch_step.unwrap();
     let model = FixarPlatformModel::for_benchmark(3, 1).unwrap();
-    let batch = report.final_breakdown.batch;
-    assert_eq!(
-        report.final_breakdown,
-        model.breakdown(batch, Precision::Half16).unwrap()
-    );
-    let t_half = report.final_breakdown.total_s();
-    let t_full = model.breakdown(batch, Precision::Full32).unwrap().total_s();
+    let (run_s, switch_s) = model.run_time(&cfg, &report).unwrap();
+    let switch_s = switch_s.unwrap();
+    // Every step from the switch on is the platform model's post-QAT
+    // timestep, strictly shorter than its full-precision one.
+    let t_half = model
+        .breakdown(cfg.batch_size, Precision::Half16)
+        .unwrap()
+        .total_s();
+    let t_full = model
+        .breakdown(cfg.batch_size, Precision::Full32)
+        .unwrap()
+        .total_s();
     assert!(
         t_half < t_full,
         "post-QAT timestep {t_half} should beat full-precision {t_full}"
     );
+    assert_eq!(run_s, switch_s + (200 - (switch - 1)) as f64 * t_half);
+    // The same training without QAT is billed more for the same steps.
+    let mut no_qat = cfg.clone();
+    no_qat.qat = None;
+    let (unquantized_s, none) = model.run_time(&no_qat, &run(&no_qat)).unwrap();
+    assert_eq!(none, None);
+    assert!(run_s < unquantized_s, "{run_s} vs {unquantized_s}");
 }
 
 #[test]
