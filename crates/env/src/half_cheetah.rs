@@ -4,7 +4,7 @@ use fixar_sim::{BodyDef, JointDef, Shape, Vec2, World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::rig::{control_cost, Rig};
+use crate::rig::{control_cost, step_solo, Locomotion, Rig};
 use crate::{EnvSpec, Environment, StepResult};
 
 const MAX_STEPS: usize = 1000;
@@ -128,11 +128,24 @@ impl Environment for HalfCheetah {
     }
 
     fn step(&mut self, action: &[f64]) -> StepResult {
+        step_solo(self, action)
+    }
+}
+
+impl Locomotion for HalfCheetah {
+    fn rig_mut(&mut self) -> &mut Rig {
+        &mut self.rig
+    }
+
+    fn begin_step(&mut self, action: &[f64]) {
         assert_eq!(action.len(), 6, "half cheetah takes 6 actions");
-        let x_before = self.rig.world.body(self.rig.torso).position().x;
-        self.rig.actuate(action);
+        self.rig.x_before = self.rig.world.body(self.rig.torso).position().x;
+        self.rig.set_torques(action);
+    }
+
+    fn finish_step(&mut self, action: &[f64]) -> StepResult {
         let x_after = self.rig.world.body(self.rig.torso).position().x;
-        let forward_velocity = (x_after - x_before) / self.rig.control_dt();
+        let forward_velocity = self.rig.forward_velocity(x_after);
         self.steps += 1;
         StepResult {
             observation: self.observation(),

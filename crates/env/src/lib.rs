@@ -21,7 +21,11 @@
 //! For multi-env serving, [`EnvPool`] owns a homogeneous fleet of
 //! environments with independent seeds and episode lifecycles, steps
 //! them in lockstep with auto-reset, and packs observations into one
-//! matrix per step for the batched inference path.
+//! matrix per step for the batched inference path. A fleet of physics
+//! environments also runs its worlds' substeps in lockstep, the joint
+//! solve of eight worlds at a time on `f64` lanes
+//! ([`fixar_sim::World::step_lockstep`]); every slot's bits stay those
+//! of a solo environment.
 //!
 //! # Example
 //!
@@ -49,6 +53,7 @@ pub use half_cheetah::HalfCheetah;
 pub use hopper::Hopper;
 pub use pendulum::Pendulum;
 pub use pool::{fleet_env_seed, EnvPool, EpisodeStats, FleetStep, FLEET_SEED_STRIDE};
+use rig::Locomotion;
 pub use swimmer::Swimmer;
 
 /// Static description of an environment's interface.
@@ -134,6 +139,17 @@ impl EnvKind {
             EnvKind::Hopper => Box::new(Hopper::new(seed)),
             EnvKind::Swimmer => Box::new(Swimmer::new(seed)),
             EnvKind::Pendulum => Box::new(Pendulum::new(seed)),
+        }
+    }
+
+    /// The physics environment of `kind`, if it is one (a fleet of them
+    /// steps its worlds in lockstep).
+    pub(crate) fn make_locomotion(self, seed: u64) -> Option<Box<dyn Locomotion>> {
+        match self {
+            EnvKind::HalfCheetah => Some(Box::new(HalfCheetah::new(seed))),
+            EnvKind::Hopper => Some(Box::new(Hopper::new(seed))),
+            EnvKind::Swimmer => Some(Box::new(Swimmer::new(seed))),
+            EnvKind::Pendulum => None,
         }
     }
 

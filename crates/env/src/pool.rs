@@ -6,10 +6,15 @@
 //! lifecycles, steps them in lockstep, auto-resets finished episodes,
 //! and packs observations into one `Matrix<f64>` per step so the
 //! caller's action selection can go through the batched forward path
-//! instead of `N` per-sample passes.
+//! instead of `N` per-sample passes. For a physics fleet the lockstep
+//! reaches into the simulator: each substep of all the slots' worlds is
+//! one [`World::step_lockstep`], whose joint solve runs eight worlds at a
+//! time on `f64` lanes.
 
+use fixar_sim::World;
 use fixar_tensor::Matrix;
 
+use crate::rig::{run_substeps, Locomotion};
 use crate::{EnvKind, EnvSpec, Environment};
 
 /// Per-env seed stride for [`EnvPool::from_kind`] — an odd constant
@@ -62,6 +67,14 @@ pub struct FleetStep {
 /// A fleet of `N` environments with independent seeds and episode
 /// lifecycles, stepped in lockstep with auto-reset.
 ///
+/// A physics fleet ([`EnvPool::from_kind`] of HalfCheetah, Hopper or
+/// Swimmer) steps its physics in lockstep too: every slot's pre-physics
+/// half, then each substep as one [`World::step_lockstep`] over all the
+/// slots' worlds, then every slot's post-physics half. Slots stay
+/// independent, so each one's bits are those of a solo environment fed
+/// the same actions. Pendulum fleets and environments handed to
+/// [`EnvPool::new`] are stepped one slot at a time.
+///
 /// Construction does **not** reset the environments — call
 /// [`EnvPool::reset_all`] before the first [`EnvPool::step`], exactly
 /// as a solo environment is reset before its first step (this keeps a
@@ -85,7 +98,7 @@ pub struct FleetStep {
 /// assert_eq!(pool.observations().shape(), (4, 3));
 /// ```
 pub struct EnvPool {
-    envs: Vec<Box<dyn Environment>>,
+    slots: Slots,
     spec: EnvSpec,
     obs: Matrix<f64>,
     episode_steps: Vec<usize>,
@@ -93,8 +106,33 @@ pub struct EnvPool {
     episodes_completed: Vec<usize>,
 }
 
+/// The fleet's environments, by how a fleet step drives them.
+enum Slots {
+    /// Physics environments, their substeps run in lockstep.
+    Physics(Vec<Box<dyn Locomotion>>),
+    /// Any other environment, stepped whole, one slot at a time.
+    Boxed(Vec<Box<dyn Environment>>),
+}
+
+impl Slots {
+    fn len(&self) -> usize {
+        match self {
+            Slots::Physics(envs) => envs.len(),
+            Slots::Boxed(envs) => envs.len(),
+        }
+    }
+
+    fn env(&mut self, i: usize) -> &mut dyn Environment {
+        match self {
+            Slots::Physics(envs) => envs[i].as_mut(),
+            Slots::Boxed(envs) => envs[i].as_mut(),
+        }
+    }
+}
+
 impl EnvPool {
-    /// Builds a pool from pre-seeded environments.
+    /// Builds a pool from pre-seeded environments, stepped one slot at a
+    /// time.
     ///
     /// # Panics
     ///
@@ -102,22 +140,26 @@ impl EnvPool {
     /// [`EnvSpec`] (a fleet must be homogeneous so observations pack
     /// into one matrix).
     pub fn new(envs: Vec<Box<dyn Environment>>) -> Self {
-        assert!(!envs.is_empty(), "a fleet needs at least one environment");
-        let spec = envs[0].spec();
-        for (i, env) in envs.iter().enumerate() {
+        Self::with_slots(Slots::Boxed(envs))
+    }
+
+    fn with_slots(mut slots: Slots) -> Self {
+        let n = slots.len();
+        assert!(n > 0, "a fleet needs at least one environment");
+        let spec = slots.env(0).spec();
+        for i in 0..n {
             assert_eq!(
-                env.spec(),
+                slots.env(i).spec(),
                 spec,
                 "fleet slot {i} disagrees with slot 0 on the environment spec"
             );
         }
-        let n = envs.len();
         Self {
             obs: Matrix::zeros(n, spec.obs_dim),
             episode_steps: vec![0; n],
             episode_returns: vec![0.0; n],
             episodes_completed: vec![0; n],
-            envs,
+            slots,
             spec,
         }
     }
@@ -131,16 +173,18 @@ impl EnvPool {
     ///
     /// Panics if `n == 0`.
     pub fn from_kind(kind: EnvKind, n: usize, base_seed: u64) -> Self {
-        Self::new(
-            (0..n)
-                .map(|i| kind.make(fleet_env_seed(base_seed, i)))
-                .collect(),
-        )
+        let seeds = (0..n).map(|i| fleet_env_seed(base_seed, i));
+        // `None` at slot 0 for a kind without physics.
+        let physics: Option<Vec<_>> = seeds.clone().map(|s| kind.make_locomotion(s)).collect();
+        match physics {
+            Some(envs) => Self::with_slots(Slots::Physics(envs)),
+            None => Self::new(seeds.map(|s| kind.make(s)).collect()),
+        }
     }
 
     /// Fleet size `N`.
     pub fn len(&self) -> usize {
-        self.envs.len()
+        self.slots.len()
     }
 
     /// Always `false`: construction rejects empty fleets.
@@ -177,8 +221,8 @@ impl EnvPool {
     /// returns the packed initial observations. In-progress episode
     /// accounting is discarded; completed-episode tallies are kept.
     pub fn reset_all(&mut self) -> &Matrix<f64> {
-        for (i, env) in self.envs.iter_mut().enumerate() {
-            let o = env.reset();
+        for i in 0..self.slots.len() {
+            let o = self.slots.env(i).reset();
             self.obs.row_mut(i).copy_from_slice(&o);
             self.episode_steps[i] = 0;
             self.episode_returns[i] = 0.0;
@@ -192,11 +236,15 @@ impl EnvPool {
     /// holds the post-reset observation for finished slots and the
     /// successor observation for the rest.
     ///
+    /// A physics fleet runs every slot's pre-physics half, then the
+    /// substeps of all its worlds in lockstep, then, slot by slot, the
+    /// post-physics half, the episode accounting and the auto-reset.
+    ///
     /// # Panics
     ///
     /// Panics if `actions` is not `N × action_dim`.
     pub fn step(&mut self, actions: &Matrix<f64>) -> FleetStep {
-        let n = self.envs.len();
+        let n = self.slots.len();
         assert_eq!(
             actions.shape(),
             (n, self.spec.action_dim),
@@ -207,8 +255,23 @@ impl EnvPool {
         let mut terminated = Vec::with_capacity(n);
         let mut truncated = Vec::with_capacity(n);
         let mut finished = Vec::new();
+        if let Slots::Physics(envs) = &mut self.slots {
+            for (i, env) in envs.iter_mut().enumerate() {
+                env.begin_step(actions.row(i));
+            }
+            // One kind per fleet (`from_kind`), so one substep count.
+            let substeps = envs[0].rig_mut().substeps;
+            let mut worlds: Vec<&mut World> = envs
+                .iter_mut()
+                .map(|env| &mut env.rig_mut().world)
+                .collect();
+            run_substeps(&mut worlds, substeps);
+        }
         for i in 0..n {
-            let res = self.envs[i].step(actions.row(i));
+            let res = match &mut self.slots {
+                Slots::Physics(envs) => envs[i].finish_step(actions.row(i)),
+                Slots::Boxed(envs) => envs[i].step(actions.row(i)),
+            };
             next_observations
                 .row_mut(i)
                 .copy_from_slice(&res.observation);
@@ -227,7 +290,7 @@ impl EnvPool {
                 self.episodes_completed[i] += 1;
                 self.episode_steps[i] = 0;
                 self.episode_returns[i] = 0.0;
-                let o = self.envs[i].reset();
+                let o = self.slots.env(i).reset();
                 self.obs.row_mut(i).copy_from_slice(&o);
             } else {
                 self.obs.row_mut(i).copy_from_slice(&res.observation);
@@ -247,7 +310,7 @@ impl std::fmt::Debug for EnvPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EnvPool")
             .field("name", &self.spec.name)
-            .field("len", &self.envs.len())
+            .field("len", &self.slots.len())
             .field("episodes_completed", &self.episodes_completed)
             .finish_non_exhaustive()
     }

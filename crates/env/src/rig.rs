@@ -4,6 +4,40 @@ use fixar_sim::{BodyHandle, JointHandle, Vec2, World};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::{Environment, StepResult};
+
+/// A physics environment's control step, split around its substeps so
+/// that a fleet can run every slot's substeps in lockstep
+/// ([`World::step_lockstep`]). A solo step is [`step_solo`]: the same
+/// halves around a batch of one world.
+pub(crate) trait Locomotion: Environment {
+    /// The environment's rig.
+    fn rig_mut(&mut self) -> &mut Rig;
+
+    /// The pre-physics half: checks the action, records the forward
+    /// position the reward measures from, and sets the motor torques.
+    fn begin_step(&mut self, action: &[f64]);
+
+    /// The post-physics half: reward, observation and termination.
+    fn finish_step(&mut self, action: &[f64]) -> StepResult;
+}
+
+/// One control step of a lone physics environment.
+pub(crate) fn step_solo(env: &mut dyn Locomotion, action: &[f64]) -> StepResult {
+    env.begin_step(action);
+    let rig = env.rig_mut();
+    run_substeps(&mut [&mut rig.world], rig.substeps);
+    env.finish_step(action)
+}
+
+/// Runs `substeps` physics substeps of every world, each substep one
+/// lockstep step of them all.
+pub(crate) fn run_substeps(worlds: &mut [&mut World], substeps: usize) {
+    for _ in 0..substeps {
+        World::step_lockstep(worlds);
+    }
+}
+
 /// An articulated morphology inside a world, with enough bookkeeping to
 /// reset it and drive its motors from normalized actions.
 #[derive(Debug, Clone)]
@@ -17,6 +51,9 @@ pub(crate) struct Rig {
     initial: Vec<(BodyHandle, Vec2, f64)>,
     /// Physics substeps per control step.
     pub substeps: usize,
+    /// The forward position the reward measures progress from, set by
+    /// the pre-physics half of a step.
+    pub x_before: f64,
 }
 
 impl Rig {
@@ -44,6 +81,7 @@ impl Rig {
             gears,
             initial,
             substeps,
+            x_before: 0.0,
         }
     }
 
@@ -69,20 +107,23 @@ impl Rig {
         }
     }
 
-    /// Applies clamped normalized actions to the joint motors and runs
-    /// the physics substeps.
+    /// Applies clamped normalized actions to the joint motors; the
+    /// substeps that use them run next ([`run_substeps`]).
     ///
     /// # Panics
     ///
     /// Panics if `actions.len() != joints.len()`.
-    pub fn actuate(&mut self, actions: &[f64]) {
+    pub fn set_torques(&mut self, actions: &[f64]) {
         assert_eq!(actions.len(), self.joints.len(), "action dim mismatch");
         for ((&j, &gear), &a) in self.joints.iter().zip(&self.gears).zip(actions) {
             self.world.set_motor_torque(j, a.clamp(-1.0, 1.0) * gear);
         }
-        for _ in 0..self.substeps {
-            self.world.step();
-        }
+    }
+
+    /// Forward velocity over the control step from the pre-physics
+    /// position to `x_after`.
+    pub fn forward_velocity(&self, x_after: f64) -> f64 {
+        (x_after - self.x_before) / self.control_dt()
     }
 
     /// Appends every joint's relative angle to an observation.

@@ -4,7 +4,7 @@ use fixar_sim::{BodyDef, BodyHandle, JointDef, Shape, Vec2, World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::rig::{control_cost, Rig};
+use crate::rig::{control_cost, step_solo, Locomotion, Rig};
 use crate::{EnvSpec, Environment, StepResult};
 
 const MAX_STEPS: usize = 1000;
@@ -89,6 +89,14 @@ impl Swimmer {
         }
     }
 
+    fn center_of_mass_x(&self) -> f64 {
+        self.links
+            .iter()
+            .map(|&l| self.rig.world.body(l).position().x)
+            .sum::<f64>()
+            / 3.0
+    }
+
     fn center_of_mass_velocity(&self) -> Vec2 {
         let mut v = Vec2::ZERO;
         for &l in &self.links {
@@ -132,21 +140,23 @@ impl Environment for Swimmer {
     }
 
     fn step(&mut self, action: &[f64]) -> StepResult {
+        step_solo(self, action)
+    }
+}
+
+impl Locomotion for Swimmer {
+    fn rig_mut(&mut self) -> &mut Rig {
+        &mut self.rig
+    }
+
+    fn begin_step(&mut self, action: &[f64]) {
         assert_eq!(action.len(), 2, "swimmer takes 2 actions");
-        let com_x_before: f64 = self
-            .links
-            .iter()
-            .map(|&l| self.rig.world.body(l).position().x)
-            .sum::<f64>()
-            / 3.0;
-        self.rig.actuate(action);
-        let com_x_after: f64 = self
-            .links
-            .iter()
-            .map(|&l| self.rig.world.body(l).position().x)
-            .sum::<f64>()
-            / 3.0;
-        let forward_velocity = (com_x_after - com_x_before) / self.rig.control_dt();
+        self.rig.x_before = self.center_of_mass_x();
+        self.rig.set_torques(action);
+    }
+
+    fn finish_step(&mut self, action: &[f64]) -> StepResult {
+        let forward_velocity = self.rig.forward_velocity(self.center_of_mass_x());
         self.steps += 1;
         StepResult {
             observation: self.observation(),

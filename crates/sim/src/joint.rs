@@ -169,8 +169,6 @@ impl RevoluteJoint {
         }
         let bias = (pb - pa) * baumgarte_over_dt;
         Some(JointGeometry {
-            pa,
-            pb,
             ra,
             rb,
             k11,
@@ -184,36 +182,19 @@ impl RevoluteJoint {
 
 /// What a joint's solver iterations read from the poses. Impulses change
 /// velocities only, so it holds for every iteration of a step.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct JointGeometry {
-    pa: Vec2,
-    pb: Vec2,
-    ra: Vec2,
-    rb: Vec2,
-    k11: f64,
-    k12: f64,
-    k22: f64,
-    det: f64,
+    /// Lever arms `anchor − position` of bodies `a` and `b`.
+    pub(crate) ra: Vec2,
+    pub(crate) rb: Vec2,
+    /// The effective mass matrix `K` of the point constraint and its
+    /// determinant.
+    pub(crate) k11: f64,
+    pub(crate) k12: f64,
+    pub(crate) k22: f64,
+    pub(crate) det: f64,
     /// Baumgarte position feedback `(pb − pa) · baumgarte / dt`.
-    bias: Vec2,
-}
-
-impl JointGeometry {
-    /// One velocity-level sequential-impulse iteration of the
-    /// point-to-point constraint, with Baumgarte position feedback.
-    pub(crate) fn solve_velocity(&self, a: &mut RigidBody, b: &mut RigidBody) {
-        let vel_err = (b.velocity + Vec2::cross_scalar(b.angular_velocity, self.rb))
-            - (a.velocity + Vec2::cross_scalar(a.angular_velocity, self.ra));
-        let rhs = -(vel_err + self.bias);
-
-        // Solve K·P = rhs (2x2 inverse).
-        let p = Vec2::new(
-            (self.k22 * rhs.x - self.k12 * rhs.y) / self.det,
-            (self.k11 * rhs.y - self.k12 * rhs.x) / self.det,
-        );
-        a.apply_impulse_at(-p, self.pa);
-        b.apply_impulse_at(p, self.pb);
-    }
+    pub(crate) bias: Vec2,
 }
 
 #[cfg(test)]
@@ -292,27 +273,6 @@ mod tests {
             "limit torque must push back, got {}",
             b.torque
         );
-    }
-
-    #[test]
-    fn solve_velocity_zeroes_anchor_separation_velocity() {
-        let (mut a, mut b) = two_bodies();
-        let j = joint(JointDef::new(
-            BodyHandle(0),
-            BodyHandle(1),
-            Vec2::new(1.0, 0.0),
-            Vec2::ZERO,
-        ));
-        b.set_state(Vec2::new(1.0, 0.0), 0.0, Vec2::new(0.0, 2.0), 0.0);
-        let rot = [a.angle.sin_cos(), b.angle.sin_cos()];
-        let g = j
-            .geometry(&[a.clone(), b.clone()], &rot, 0.0)
-            .expect("one dynamic body");
-        for _ in 0..10 {
-            g.solve_velocity(&mut a, &mut b);
-        }
-        // Anchor coincides with b's CoM, so b's velocity must vanish.
-        assert!(b.velocity().length() < 1e-9);
     }
 
     #[test]

@@ -16,16 +16,23 @@
 //!   itself uses soft contacts),
 //! * optional linear/angular damping and per-body viscous fluid drag
 //!   (the Swimmer medium),
-//! * a fixed-timestep, deterministic [`World::step`].
+//! * a fixed-timestep, deterministic [`World::step`], and
+//!   [`World::step_lockstep`], which steps many worlds of one topology
+//!   at once.
 //!
 //! Determinism matters: FIXAR's precision study compares four training
 //! runs that must see identical environments given identical action
 //! streams.
 //!
 //! On a 64-environment fleet the simulator is the largest layer of a
-//! training step, so [`World::step`] derives pose-only terms once per
-//! step into reused scratch and allocates nothing; a test-only reference
-//! stepper that re-derives them at every use pins this bit for bit.
+//! training step. A step derives pose-only terms once into reused
+//! scratch and allocates nothing. Its joint solve is one kernel over
+//! `[f64; L]` lanes, one world per lane: [`World::step`] runs it on one
+//! lane, [`World::step_lockstep`] on eight worlds at a time, so the
+//! paper's intra-batch parallelism reaches the host side as SIMD lanes
+//! on one core. Every world's bits are those of stepping it alone. A
+//! test-only reference stepper, which re-derives every term at every
+//! use and solves one world at a time, pins both entries bit for bit.
 //!
 //! # Example
 //!

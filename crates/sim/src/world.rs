@@ -3,6 +3,9 @@
 use crate::body::{BodyDef, BodyHandle, RigidBody};
 use crate::joint::{JointDef, JointGeometry, JointHandle, RevoluteJoint};
 use crate::vec2::Vec2;
+use lanes::{SolveLanes, LANES};
+
+mod lanes;
 
 /// Tunable parameters of a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,6 +81,16 @@ pub struct World {
     /// `(sin, cos)` and each joint's solver geometry.
     rot: Vec<(f64, f64)>,
     geometry: Vec<Option<JointGeometry>>,
+    /// The joint solve's lanes, used when this world leads a lockstep
+    /// batch.
+    lanes: Lanes,
+}
+
+/// The lanes of a lockstep batch: full groups and one-world remainders.
+#[derive(Debug, Clone, Default)]
+struct Lanes {
+    wide: SolveLanes<LANES>,
+    one: SolveLanes<1>,
 }
 
 impl World {
@@ -97,6 +110,7 @@ impl World {
             steps: 0,
             rot: Vec::new(),
             geometry: Vec::new(),
+            lanes: Lanes::default(),
         }
     }
 
@@ -213,15 +227,68 @@ impl World {
 
     /// Advances the simulation by one `dt`:
     /// forces (gravity, motors, limits, contacts, drag) → velocity
-    /// integration → joint impulses → position integration.
+    /// integration → joint impulses → position integration. This is
+    /// [`World::step_lockstep`] on a batch of one world.
     ///
     /// Phases 1–3 write forces and velocities only; no position or angle
     /// moves before phase 4. So every pose-derived quantity is computed
     /// once per step: one `sin_cos` per body, shared by contacts, drag
-    /// and joint anchors, and each joint's anchors, effective mass and
+    /// and joint anchors, and each joint's lever arms, effective mass and
     /// Baumgarte bias once for all solver iterations. Code that moves a
-    /// pose inside phases 1–3 must rebuild them.
+    /// pose inside phases 1–3 must rebuild them. Phase 3 runs on one
+    /// lane of the joint-solve kernel. The scratch is kept between
+    /// steps, so a step allocates nothing.
     pub fn step(&mut self) {
+        World::step_lockstep(&mut [self]);
+    }
+
+    /// Advances every world by one `dt`, the joint solve of `L` worlds
+    /// at a time on `f64` lanes. Each world's bits are those of its own
+    /// [`World::step`]: phases 1, 2 and 4 and the joint geometry run per
+    /// world, and lane `l` of the solve does world `l`'s operations in
+    /// world `l`'s order. Worlds past the last full group of lanes are
+    /// solved one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worlds differ in body count, joint topology (which
+    /// bodies each joint connects) or `solver_iterations`.
+    pub fn step_lockstep(worlds: &mut [&mut World]) {
+        let Some((lead, rest)) = worlds.split_first() else {
+            return;
+        };
+        let iterations = lead.config.solver_iterations;
+        for w in rest {
+            let same_topology = w.bodies.len() == lead.bodies.len()
+                && w.joints.len() == lead.joints.len()
+                && w.joints
+                    .iter()
+                    .zip(&lead.joints)
+                    .all(|(j, k)| (j.def.body_a, j.def.body_b) == (k.def.body_a, k.def.body_b));
+            assert!(
+                same_topology && w.config.solver_iterations == iterations,
+                "lockstep worlds must share joint topology and solver_iterations"
+            );
+        }
+        for w in worlds.iter_mut() {
+            w.integrate_velocities();
+        }
+        let mut lanes = std::mem::take(&mut worlds[0].lanes);
+        let mut groups = worlds.chunks_exact_mut(LANES);
+        for group in &mut groups {
+            lanes.wide.solve(group, iterations);
+        }
+        for w in groups.into_remainder() {
+            lanes.one.solve(std::slice::from_mut(w), iterations);
+        }
+        worlds[0].lanes = lanes;
+        for w in worlds.iter_mut() {
+            w.integrate_positions();
+        }
+    }
+
+    /// Phases 1 and 2 of a step, then the joint geometry phase 3 reads.
+    fn integrate_velocities(&mut self) {
         let cfg = self.config;
         self.rot.clear();
         self.rot
@@ -268,30 +335,24 @@ impl World {
             body.torque = 0.0;
         }
 
-        // 3. Sequential-impulse joint solve.
+        // 3. The joint solve's geometry (the solve runs on lanes).
         let bias = cfg.baumgarte / cfg.dt;
         self.geometry.clear();
         let geometry = |j: &RevoluteJoint| j.geometry(&self.bodies, &self.rot, bias);
         self.geometry.extend(self.joints.iter().map(geometry));
-        for _ in 0..cfg.solver_iterations {
-            for (j, g) in self.joints.iter().zip(&self.geometry) {
-                if let Some(g) = g {
-                    let (a, b) = borrow_two(&mut self.bodies, j.def.body_a.0, j.def.body_b.0);
-                    g.solve_velocity(a, b);
-                }
-            }
-        }
+    }
 
-        // 4. Integrate positions.
+    /// Phase 4 of a step: integrate positions.
+    fn integrate_positions(&mut self) {
+        let dt = self.config.dt;
         for body in &mut self.bodies {
             if body.is_static() {
                 continue;
             }
-            body.position += body.velocity * cfg.dt;
-            body.angle += body.angular_velocity * cfg.dt;
+            body.position += body.velocity * dt;
+            body.angle += body.angular_velocity * dt;
         }
-
-        self.time += cfg.dt;
+        self.time += dt;
         self.steps += 1;
     }
 
@@ -349,8 +410,8 @@ impl World {
     }
 }
 
-/// Splits two distinct mutable borrows out of the body arena.
-fn borrow_two(bodies: &mut [RigidBody], i: usize, j: usize) -> (&mut RigidBody, &mut RigidBody) {
+/// Splits two distinct mutable borrows out of a body arena.
+fn borrow_two<T>(bodies: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
     assert_ne!(i, j, "joint connects a body to itself");
     if i < j {
         let (lo, hi) = bodies.split_at_mut(j);
@@ -555,6 +616,29 @@ mod tests {
             across < along * 0.5,
             "axial {along} vs perpendicular {across}"
         );
+    }
+
+    #[test]
+    fn joint_solve_zeroes_anchor_separation_velocity() {
+        let cfg = WorldConfig {
+            ground_enabled: false,
+            gravity: 0.0,
+            linear_damping: 0.0,
+            angular_damping: 0.0,
+            baumgarte: 0.0,
+            ..WorldConfig::default()
+        };
+        let mut w = World::new(cfg);
+        let a = w.add_body(BodyDef::fixed(Shape::Circle { radius: 0.1 }));
+        let b = w
+            .add_body(BodyDef::dynamic(1.0, Shape::Circle { radius: 0.1 }).at(Vec2::new(1.0, 0.0)));
+        w.add_joint(JointDef::new(a, b, Vec2::new(1.0, 0.0), Vec2::ZERO));
+        w.body_mut(b)
+            .set_state(Vec2::new(1.0, 0.0), 0.0, Vec2::new(0.0, 2.0), 0.0);
+        w.step();
+        // The anchor is b's centre of mass, so b's velocity must vanish.
+        assert!(w.body(b).velocity().length() < 1e-9);
+        assert_eq!(w.body(a).velocity(), Vec2::ZERO);
     }
 
     #[test]

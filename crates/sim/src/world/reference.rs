@@ -1,13 +1,18 @@
-//! Differential pin for [`World::step`]: a reference stepper written the
-//! way the step was before its pose-derived terms were hoisted — one
-//! `world_point` (one `sin_cos`) per contact point and joint anchor, and
-//! each joint's geometry rebuilt inside every solver iteration — run
-//! side by side with `World::step` in one process and compared bit for
-//! bit on every body after every step. Both sides call the same libm in
-//! the same binary, so the verdict does not depend on the host.
+//! Differential pin for [`World::step`] and [`World::step_lockstep`]: a
+//! reference stepper written the way the step was before its
+//! pose-derived terms were hoisted and its joint solve moved onto lanes
+//! — one `world_point` (one `sin_cos`) per contact point and joint
+//! anchor, each joint's geometry rebuilt inside every solver iteration,
+//! one world at a time — run side by side with the stepper in one
+//! process and compared bit for bit on every body after every step.
+//! Both sides call the same libm in the same binary, so the verdict does
+//! not depend on the host. Each scene runs alone and as a lockstep batch
+//! of eleven jittered copies (a full lane group and a remainder).
 //!
 //! A `World::step` that reuses joint geometry across steps (built once
-//! per control step instead of once per substep) fails every scene here.
+//! per control step instead of once per substep) fails every scene here,
+//! and so does a lane kernel that solves the joints out of order or
+//! reads another lane's body.
 
 use super::*;
 use crate::body::Shape;
@@ -156,12 +161,13 @@ const STEPS: usize = 2000;
 /// Substeps per control step, as in the locomotion environments.
 const SUBSTEPS: usize = 10;
 
-/// Jitters every dynamic body's state, then steps `world` and its clone
-/// — the one through `World::step`, the other through `reference_step` —
+/// Jitters every dynamic body's state of every `(world, seed)` copy from
+/// its own seed, then steps the copies as one batch through
+/// `World::step_lockstep` and a clone of each through `reference_step`,
 /// with fresh seeded motor torques every control step and a mid-run
-/// reset, comparing every body bit for bit after every step.
-fn assert_pinned(mut world: World, seed: u64) {
-    let mut draws = Draws(seed);
+/// reset, comparing every body of every copy bit for bit after every
+/// step. A batch of one is `World::step`.
+fn assert_pinned(batch: impl IntoIterator<Item = (World, u64)>) {
     let jitter = |world: &mut World, draws: &mut Draws| {
         for i in 0..world.body_count() {
             let body = world.body_mut(BodyHandle(i));
@@ -174,43 +180,63 @@ fn assert_pinned(mut world: World, seed: u64) {
             body.set_state(p, angle, v, draws.symmetric(1.0));
         }
     };
-    jitter(&mut world, &mut draws);
-    let mut reference = world.clone();
+    let (mut worlds, mut draws): (Vec<World>, Vec<(Draws, u64)>) = batch
+        .into_iter()
+        .map(|(mut world, seed)| {
+            let mut draws = Draws(seed);
+            jitter(&mut world, &mut draws);
+            (world, (draws, seed))
+        })
+        .unzip();
+    let mut references = worlds.clone();
     for step in 0..STEPS {
-        if step % SUBSTEPS == 0 {
-            for ji in 0..world.joint_count() {
-                // Past the budget a fifth of the time: the clamp is pinned too.
-                let torque = draws.symmetric(1.25) * world.joints[ji].def.max_motor_torque;
-                world.set_motor_torque(JointHandle(ji), torque);
-                reference.set_motor_torque(JointHandle(ji), torque);
+        for ((world, reference), (draws, seed)) in
+            worlds.iter_mut().zip(&mut references).zip(&mut draws)
+        {
+            if step % SUBSTEPS == 0 {
+                for ji in 0..world.joint_count() {
+                    // Past the budget a fifth of the time: the clamp is pinned too.
+                    let torque = draws.symmetric(1.25) * world.joints[ji].def.max_motor_torque;
+                    world.set_motor_torque(JointHandle(ji), torque);
+                    reference.set_motor_torque(JointHandle(ji), torque);
+                }
+            }
+            if step == STEPS / 2 {
+                jitter(world, &mut Draws(*seed ^ 1));
+                jitter(reference, &mut Draws(*seed ^ 1));
             }
         }
-        if step == STEPS / 2 {
-            let mut reset = Draws(seed ^ 1);
-            jitter(&mut world, &mut reset);
-            let mut reset = Draws(seed ^ 1);
-            jitter(&mut reference, &mut reset);
-        }
-        world.step();
-        reference_step(&mut reference);
-        for (i, (got, want)) in world.bodies.iter().zip(&reference.bodies).enumerate() {
-            let bits = |b: &RigidBody| {
-                [
-                    b.position.x,
-                    b.position.y,
-                    b.angle,
-                    b.velocity.x,
-                    b.velocity.y,
-                    b.angular_velocity,
-                ]
-                .map(f64::to_bits)
-            };
-            assert_eq!(bits(got), bits(want), "body {i} diverged at step {step}");
+        World::step_lockstep(&mut worlds.iter_mut().collect::<Vec<_>>());
+        for (copy, (world, reference)) in worlds.iter_mut().zip(&mut references).enumerate() {
+            reference_step(reference);
+            for (i, (got, want)) in world.bodies.iter().zip(&reference.bodies).enumerate() {
+                let bits = |b: &RigidBody| {
+                    [
+                        b.position.x,
+                        b.position.y,
+                        b.angle,
+                        b.velocity.x,
+                        b.velocity.y,
+                        b.angular_velocity,
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "copy {copy} body {i} diverged at step {step}"
+                );
+            }
         }
     }
-    assert_eq!(world.time().to_bits(), reference.time().to_bits());
-    assert!(world.kinetic_energy().is_finite());
+    for (world, reference) in worlds.iter().zip(&references) {
+        assert_eq!(world.time().to_bits(), reference.time().to_bits());
+        assert!(world.kinetic_energy().is_finite());
+    }
 }
+
+/// Eleven copies: a full lane group and a three-world remainder.
+const COPIES: u64 = 11;
 
 /// Torso with two thigh–shin–foot legs (limits, springs, motors) on the
 /// ground, plus a box and a circle so every contact shape is sampled.
@@ -259,13 +285,20 @@ fn cheetah_scene() -> World {
 /// A joint between two static bodies (singular effective mass: skipped
 /// by the solver) next to a pendulum hung from a tilted static pivot.
 fn static_pair_scene() -> World {
+    pivot_scene(BodyDef::fixed(Shape::Circle { radius: 0.02 }))
+}
+
+/// The static pair's topology with a dynamic pivot: the wall joint is
+/// live, so a batch mixing both scenes has live and singular lanes of
+/// one joint in one lane group.
+fn free_pivot_scene() -> World {
+    pivot_scene(BodyDef::dynamic(0.2, Shape::Circle { radius: 0.02 }))
+}
+
+fn pivot_scene(pivot: BodyDef) -> World {
     let mut w = World::new(WorldConfig::default());
     let wall = w.add_body(BodyDef::fixed(Shape::Box { hx: 0.2, hy: 1.0 }).at(Vec2::new(-1.0, 1.0)));
-    let pivot = w.add_body(
-        BodyDef::fixed(Shape::Circle { radius: 0.02 })
-            .at(Vec2::new(0.0, 1.5))
-            .rotated(0.3),
-    );
+    let pivot = w.add_body(pivot.at(Vec2::new(0.0, 1.5)).rotated(0.3));
     w.add_joint(JointDef::new(wall, pivot, Vec2::new(0.2, 0.5), Vec2::ZERO).with_motor(10.0));
     let bob = w.add_body(
         BodyDef::dynamic(
@@ -322,18 +355,49 @@ fn swimmer_scene() -> World {
 #[test]
 fn cheetah_chain_steps_bit_identically_to_the_reference() {
     for seed in [12, 13] {
-        assert_pinned(cheetah_scene(), seed);
+        assert_pinned([(cheetah_scene(), seed)]);
     }
 }
 
 #[test]
 fn static_pair_steps_bit_identically_to_the_reference() {
-    assert_pinned(static_pair_scene(), 7);
+    assert_pinned([(static_pair_scene(), 7)]);
 }
 
 #[test]
 fn swimmer_in_fluid_steps_bit_identically_to_the_reference() {
     for seed in [12, 13] {
-        assert_pinned(swimmer_scene(), seed);
+        assert_pinned([(swimmer_scene(), seed)]);
     }
+}
+
+#[test]
+fn lockstep_cheetahs_step_bit_identically_to_the_reference() {
+    assert_pinned((0..COPIES).map(|seed| (cheetah_scene(), 100 + seed)));
+}
+
+#[test]
+fn lockstep_static_pairs_step_bit_identically_to_the_reference() {
+    assert_pinned((0..COPIES).map(|seed| (static_pair_scene(), 200 + seed)));
+}
+
+#[test]
+fn lockstep_singular_and_live_lanes_step_bit_identically_to_the_reference() {
+    let scene = |seed| match seed % 3 {
+        0 => free_pivot_scene(),
+        _ => static_pair_scene(),
+    };
+    assert_pinned((0..COPIES).map(|seed| (scene(seed), 300 + seed)));
+}
+
+#[test]
+fn lockstep_swimmers_step_bit_identically_to_the_reference() {
+    assert_pinned((0..COPIES).map(|seed| (swimmer_scene(), 400 + seed)));
+}
+
+#[test]
+#[should_panic(expected = "lockstep worlds must share joint topology")]
+fn lockstep_rejects_worlds_of_different_topologies() {
+    let (mut cheetah, mut swimmer) = (cheetah_scene(), swimmer_scene());
+    World::step_lockstep(&mut [&mut cheetah, &mut swimmer]);
 }

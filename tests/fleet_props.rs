@@ -19,11 +19,18 @@
 //! Plus the accelerator twin: `actor_inference` matches the software
 //! batched forward on fleet observations, and the inference schedule's
 //! utilization grows with fleet size.
+//!
+//! Pillar 2 also holds for the physics fleets, whose worlds step in
+//! lockstep with the joint solve on lanes: every HalfCheetah, Hopper and
+//! Swimmer slot matches a solo environment at fleet sizes around the
+//! lane group, and (`#[ignore]`d, release only) a 64-slot HalfCheetah
+//! fleet still does past the step where some of its worlds diverge.
 
 use fixar_env::{fleet_env_seed, EnvKind, EnvPool};
 use fixar_pool::Parallelism;
 use fixar_repro::prelude::*;
 use fixar_rl::{action_stream_seed, priority_stream_seed, replay_stream_seed};
+use fixar_tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -316,6 +323,150 @@ fn each_slot_matches_a_solo_rollout_while_weights_are_frozen() {
             }
         }
     }
+}
+
+/// How the words of a fleet step and a solo step compare.
+type SameWord = fn(f64, f64) -> bool;
+
+fn bit_equal(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
+}
+
+/// Bit equality for finite words; a NaN need only meet a NaN (its
+/// payload is outside the contract).
+fn bit_equal_or_both_nan(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// What a physics fleet run saw.
+struct FleetRun {
+    /// Episodes the fleet finished.
+    finished: usize,
+    /// Slots that produced a non-finite observation word.
+    diverged: usize,
+    /// Σ|w| over the observation and reward words of the first
+    /// [`ANCHOR_STEPS`] fleet steps.
+    anchor: f64,
+}
+
+/// Fleet steps [`FleetRun::anchor`] sums over: long enough for the
+/// order of the joint iterations to show, short enough that a libm whose
+/// `sin` / `cos` round a last bit differently moves the sum by far less
+/// than [`ANCHOR_TOLERANCE`].
+const ANCHOR_STEPS: usize = 5;
+const ANCHOR_TOLERANCE: f64 = 1e-9;
+
+/// Steps an `n`-slot fleet of `kind` and `n` solo environments built
+/// with `fleet_env_seed` for `steps` control steps on one seeded action
+/// stream in [−1.25, 1.25] (so the clamp runs), checking every slot's
+/// `FleetStep` row and post-reset observation against its solo twin.
+fn assert_physics_fleet_matches_solos(
+    kind: EnvKind,
+    n: usize,
+    steps: usize,
+    same: SameWord,
+) -> FleetRun {
+    let seed = 31;
+    let mut pool = EnvPool::from_kind(kind, n, seed);
+    let mut solos: Vec<_> = (0..n).map(|i| kind.make(fleet_env_seed(seed, i))).collect();
+    let same_row =
+        |a: &[f64], b: &[f64]| a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| same(x, y));
+    let mut run = FleetRun {
+        finished: 0,
+        diverged: 0,
+        anchor: 0.0,
+    };
+    pool.reset_all();
+    for (i, solo) in solos.iter_mut().enumerate() {
+        assert!(same_row(pool.observations().row(i), &solo.reset()));
+    }
+    let dim = pool.spec().action_dim;
+    let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+    let mut diverged = vec![false; n];
+    for step in 0..steps {
+        let actions = Matrix::from_fn(n, dim, |_, _| rng.gen_range(-1.25..=1.25));
+        let fs = pool.step(&actions);
+        run.finished += fs.finished.len();
+        if step < ANCHOR_STEPS {
+            let words = fs.next_observations.as_slice().iter().chain(&fs.rewards);
+            run.anchor += words.map(|w| w.abs()).sum::<f64>();
+        }
+        for (i, solo) in solos.iter_mut().enumerate() {
+            let what = format!("{} fleet of {n}, slot {i}, step {step}", kind.name());
+            let r = solo.step(actions.row(i));
+            assert!(
+                same_row(fs.next_observations.row(i), &r.observation),
+                "{what}: observation"
+            );
+            assert!(same(fs.rewards[i], r.reward), "{what}: reward");
+            assert_eq!(
+                (fs.terminated[i], fs.truncated[i]),
+                (r.terminated, r.truncated),
+                "{what}"
+            );
+            diverged[i] |= r.observation.iter().any(|v| !v.is_finite());
+            if r.done() {
+                let o = solo.reset();
+                assert!(same_row(pool.observations().row(i), &o), "{what}: reset");
+            }
+        }
+    }
+    run.diverged = diverged.iter().filter(|&&d| d).count();
+    run
+}
+
+/// Pillar 2 for the physics fleets, at sizes that put the worlds in one
+/// lane, below a lane group, in one full group, a group plus one and two
+/// groups plus one. A solo environment runs the same joint-solve kernel
+/// on one lane, so a fault shared by both sides (joints solved out of
+/// order, say) passes the comparison. The anchors catch those: each is
+/// the first steps of every fleet size, summed, pinned to the values of
+/// the one-world scalar solve (`fixar-sim`'s reference stepper order)
+/// within a tolerance that a last-bit difference in the host libm's
+/// `sin` / `cos` cannot reach (a 1-ulp bias on every call moves them by
+/// ≤ 6e-13). A change that moves the environment's arithmetic on
+/// purpose updates them.
+#[test]
+fn physics_fleet_slots_match_solo_environments_bit_for_bit() {
+    let pinned = [
+        (EnvKind::HalfCheetah, 13230.202844949188),
+        (EnvKind::Hopper, 12550.28399575746),
+        (EnvKind::Swimmer, 644.651340691297),
+    ];
+    for (kind, want) in pinned {
+        let mut anchor = 0.0;
+        for n in [1, 3, 8, 9, 17] {
+            let run = assert_physics_fleet_matches_solos(kind, n, 150, bit_equal);
+            if kind == EnvKind::Hopper {
+                assert!(
+                    run.finished >= 1,
+                    "no Hopper slot of {n} terminated and reset"
+                );
+            }
+            anchor += run.anchor;
+        }
+        assert!(
+            ((anchor - want) / want).abs() < ANCHOR_TOLERANCE,
+            "{} trajectories moved: anchor {anchor:?}, pinned {want:?}",
+            kind.name()
+        );
+    }
+}
+
+/// The state mix `train_fleet64_host` steps: 64 HalfCheetahs for 5 000
+/// control steps, past the ≈ 4 100-step onset where some worlds diverge
+/// to non-finite states. Every finite word still matches its solo twin
+/// bit for bit and every NaN is a NaN.
+#[test]
+#[ignore = "release only: 64 HalfCheetah slots for 5 000 steps"]
+fn a_cheetah_fleet_matches_solos_past_the_divergence_onset() {
+    let run =
+        assert_physics_fleet_matches_solos(EnvKind::HalfCheetah, 64, 5_000, bit_equal_or_both_nan);
+    assert_eq!(run.finished, 64 * 5);
+    println!(
+        "{} of 64 slots produced a non-finite observation",
+        run.diverged
+    );
 }
 
 /// A config that would panic the trainer's exploration noise is a typed
